@@ -7,11 +7,13 @@ is estimated here by central finite differences of the surface lift and
 reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
-The FD engine evaluates the lift on the 13-point diamond {|a| + |b| <= 2}
-around each node.  First derivatives and Laplacians use the order-2 central
-stencils (the classic 5-point cross), so every smooth residual shrinks like
-h^2; the outer points of the diamond serve the nested derivatives (u and
-alpha at the cross neighbours) and the optional Richardson refinement.
+The FD engine evaluates the frame pair on the 13-point diamond
+{|a| + |b| <= 2} around each node, once and from one anchor; the lift, the
+S2 x S2 factors and every report are read off that one table.  First
+derivatives and Laplacians use the order-2 central stencils (the classic
+5-point cross), so every smooth residual shrinks like h^2; the outer points
+of the diamond serve the nested derivatives (u, alpha and beta at the cross
+neighbours) and the optional Richardson refinement.
 Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
@@ -22,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .frames import SurfaceMap, psi_so4, sphere_pair
+from .frames import SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
 
 #: stencil offsets (a, b) ~ z + (a + ib) h used by the FD engine
 DIAMOND = tuple(
@@ -45,32 +47,33 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.sum(v * w))
 
 
-def _eval_stencil(surface, z: complex, h: float, offsets=DIAMOND) -> dict:
-    """Evaluate a surface lift on stencil points.
+def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
+    """Frame pairs on the diamond around z, all hopped from one anchor at z."""
+    z = complex(z)
+    return {(a, b): smap.frame_pair(z + (a + 1j * b) * h, anchor=z) for a, b in DIAMOND}
 
-    ``surface`` is either a SurfaceMap (evaluated through its smooth lift,
-    with the holomorphic data integrated once to the node and hopped to the
-    stencil points) or a plain callable z -> 4-vector, which must itself be
-    smooth — a sign-normalized representative would break the differences.
+
+def _lift_table(frames: Mapping, tol: float) -> dict:
+    """Unit Q2 lifts of a frame table, read as SurfaceMap.lift reads one pair."""
+    return {k: q2_point(*xy_matrices(fp, tol=tol)) / np.sqrt(2.0) for k, fp in frames.items()}
+
+
+def _s2_table(frames: Mapping) -> dict:
+    return {k: sphere_pair(fp) for k, fp in frames.items()}
+
+
+def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> dict:
+    """Values of a plain callable on the diamond around z.
+
+    The callable must itself be smooth in z: a sign-normalized
+    representative would break the differences.
     """
     z = complex(z)
-    out = {}
-    if isinstance(surface, SurfaceMap):
-        for a, b in offsets:
-            out[(a, b)] = np.asarray(
-                surface.lift(z + (a + 1j * b) * h, anchor=z), dtype=np.complex128
-            )
-    else:
-        for a, b in offsets:
-            val = surface(z + (a + 1j * b) * h)
-            if hasattr(val, "q2_hom"):  # SurfaceSample: raw lift has norm sqrt(2)
-                val = val.q2_hom / np.sqrt(2.0)
-            out[(a, b)] = np.asarray(val, dtype=np.complex128)
-    return out
+    return {(a, b): np.asarray(fn(z + (a + 1j * b) * h), dtype=dtype) for a, b in DIAMOND}
 
 
-def _first_derivs(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
-    """(f_z, f_zbar) by order-2 central differences (order-4 with richardson)."""
+def _partials(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
+    """(f_x, f_y) by order-2 central differences (order-4 with richardson)."""
     a, b = at
     if richardson:
         fx = (
@@ -82,10 +85,17 @@ def _first_derivs(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
     else:
         fx = (vals[(a + 1, b)] - vals[(a - 1, b)]) / (2 * h)
         fy = (vals[(a, b + 1)] - vals[(a, b - 1)]) / (2 * h)
+    return fx, fy
+
+
+def _first_derivs(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
+    """(f_z, f_zbar) by order-2 central differences (order-4 with richardson)."""
+    fx, fy = _partials(vals, h, at, richardson)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def _laplacian(vals: Mapping, h: float, richardson: bool = False):
+    """Laplacian at the centre of a scalar or vector table (the 5-point cross)."""
     if richardson:
         fxx = (
             -vals[(2, 0)] + 16 * vals[(1, 0)] - 30 * vals[(0, 0)] + 16 * vals[(-1, 0)] - vals[(-2, 0)]
@@ -97,6 +107,11 @@ def _laplacian(vals: Mapping, h: float, richardson: bool = False):
     return (
         vals[(1, 0)] + vals[(-1, 0)] + vals[(0, 1)] + vals[(0, -1)] - 4 * vals[(0, 0)]
     ) / (h * h)
+
+
+def _jacobian(m: Mapping, h: float) -> float:
+    """det{m, m_x, m_y} of an R^3-valued factor-map table at the centre."""
+    return float(np.linalg.det(np.column_stack([m[(0, 0)], *_partials(m, h)])))
 
 
 @dataclass
@@ -136,7 +151,7 @@ class InvariantReport:
 
 
 def _point_invariants(vals: Mapping, h: float, at, richardson: bool):
-    """(u, alpha, beta) from the stencil around one interior point."""
+    """(e^u, alpha, beta) from the stencil around one interior point."""
     fz, fzb = _first_derivs(vals, h, at, richardson)
     eu = float(np.sum(fz * np.conj(fz)).real)
     return eu, _bilinear(fz, fz), _bilinear(fz, fzb)
@@ -178,21 +193,21 @@ def _quarter_turn_phase(alpha: complex, beta: complex, eu: float) -> complex:
     return 1.0 + 0.0j
 
 
-def invariants_report(
-    surface: SurfaceMap | Callable[[complex], np.ndarray],
-    z: complex,
-    h: float = 1e-3,
-    richardson: bool = False,
-    phase: complex | None = None,
-) -> InvariantReport:
-    """Estimate the invariants of the lifted surface at z by central FD.
+def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex, h: float) -> float:
+    """sinh-Gordon residual |Lap(u_hat)/4 + e^u_hat - |alpha|^2 e^{-u_hat}|.
 
-    ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
-    to see the raw alpha/beta of the lift as evaluated; the associated-family
-    relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
-    per-member re-phasing would snap the rotation away).
+    ``u_hat`` maps the five cross offsets (0,0), (+-1,0), (0,+-1) to u_hat
+    values at spacing h; ``alpha`` is the quadratic-differential
+    coefficient at the centre.
     """
-    vals = _eval_stencil(surface, z, h)
+    uh = u_hat[(0, 0)]
+    return float(abs(_laplacian(u_hat, h) / 4 + np.exp(uh) - abs(alpha) ** 2 * np.exp(-uh)))
+
+
+def _invariants(
+    vals: Mapping, z: complex, h: float, richardson: bool = False, phase: complex | None = None
+) -> InvariantReport:
+    """InvariantReport from a lift table on the diamond around z."""
     f0 = vals[(0, 0)]
     fz, fzb = _first_derivs(vals, h, richardson=richardson)
     eu = float(np.sum(fz * np.conj(fz)).real)
@@ -210,16 +225,10 @@ def invariants_report(
     u_hat = _u_hat_of(eu, alpha)
 
     # nested invariants at the cross neighbours for the z-derivatives
-    nb = {}
-    for at in CROSS[1:]:
-        nb[at] = _point_invariants(vals, h, at, richardson=False)
-    alpha_x = (nb[(1, 0)][1] - nb[(-1, 0)][1]) / (2 * h)
-    alpha_y = (nb[(0, 1)][1] - nb[(0, -1)][1]) / (2 * h)
-    dzbar_alpha = 0.5 * (alpha_x + 1j * alpha_y)
-
+    nb = {at: _point_invariants(vals, h, at, richardson=False) for at in CROSS[1:]}
+    _, dzbar_alpha = _first_derivs({at: v[1] for at, v in nb.items()}, h)
     uh = {at: _u_hat_of(v[0], v[1]) for at, v in nb.items()}
-    lap_uhat = (uh[(1, 0)] + uh[(-1, 0)] + uh[(0, 1)] + uh[(0, -1)] - 4 * u_hat) / (h * h)
-    sinh_res = abs(lap_uhat / 4 + np.exp(u_hat) - abs(alpha) ** 2 * np.exp(-u_hat))
+    uh[(0, 0)] = u_hat
 
     residuals = {
         "alpha_holomorphy": abs(dzbar_alpha),
@@ -227,41 +236,34 @@ def invariants_report(
         "phi_norm": abs(phi),
         "quadric": abs(_bilinear(f0, f0)),
         "horizontality": abs(complex(np.sum(fz * np.conj(f0)))),
-        "sinh_gordon": float(sinh_res),
+        "sinh_gordon": sinh_gordon_residual(uh, alpha, h),
         "metric_identity": abs(2 * eu - np.exp(u_hat) - abs(alpha) ** 2 * np.exp(-u_hat)),
         "relation_e2u": abs(eu * eu - abs(beta) ** 2 - abs(alpha) ** 2),
     }
     return InvariantReport(z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals)
 
 
-def sinh_gordon_residual(reports: Mapping[tuple[int, int], InvariantReport], h: float) -> float:
-    """sinh-Gordon residual |Lap(u_hat)/4 + e^u_hat - |alpha|^2 e^{-u_hat}|.
+def invariants_report(
+    surface: SurfaceMap | Callable[[complex], np.ndarray],
+    z: complex,
+    h: float = 1e-3,
+    richardson: bool = False,
+    phase: complex | None = None,
+) -> InvariantReport:
+    """Estimate the invariants of the lifted surface at z by central FD.
 
-    ``reports`` maps the five cross offsets (0,0), (+-1,0), (0,+-1) to
-    InvariantReport values computed with spacing h.
+    ``surface`` is a SurfaceMap (its frame pairs on the diamond, all hopped
+    from one anchor at z) or a plain smooth callable z -> unit 4-vector.
+    ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
+    to see the raw alpha/beta of the lift as evaluated; the associated-family
+    relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
+    per-member re-phasing would snap the rotation away).
     """
-    for off in CROSS:
-        if off not in reports:
-            raise ValueError(f"missing stencil report at offset {off}")
-    c = reports[(0, 0)]
-    lap = (
-        reports[(1, 0)].u_hat
-        + reports[(-1, 0)].u_hat
-        + reports[(0, 1)].u_hat
-        + reports[(0, -1)].u_hat
-        - 4 * c.u_hat
-    ) / (h * h)
-    return float(abs(lap / 4 + np.exp(c.u_hat) - abs(c.alpha) ** 2 * np.exp(-c.u_hat)))
-
-
-def invariant_stencil(
-    surface, z: complex, h: float = 1e-3
-) -> dict[tuple[int, int], InvariantReport]:
-    """InvariantReports on the 5-point cross around z (for the stencil ops)."""
-    return {
-        (a, b): invariants_report(surface, z + (a + 1j * b) * h, h)
-        for a, b in CROSS
-    }
+    if isinstance(surface, SurfaceMap):
+        vals = _lift_table(_frame_table(surface, z, h), surface.frame_tol)
+    else:
+        vals = _eval_stencil(surface, z, h, np.complex128)
+    return _invariants(vals, z, h, richardson, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +280,31 @@ class PointGeometryReport:
     jacobian_sum: float
 
 
-def _pair_stencil(surface, z: complex, h: float) -> dict:
-    z = complex(z)
-    out = {}
-    if isinstance(surface, SurfaceMap):
-        for a, b in DIAMOND:
-            fp = surface.frame_pair(z + (a + 1j * b) * h, anchor=z)
-            out[(a, b)] = sphere_pair(fp)
-    else:
-        for a, b in DIAMOND:
-            phi, psi = surface(z + (a + 1j * b) * h)
-            out[(a, b)] = (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64))
-    return out
+def _geometry(pairs: Mapping, z: complex, h: float) -> PointGeometryReport:
+    """PointGeometryReport from a table of (phi, psi) factor pairs around z."""
+    res_h = 0.0
+    mzs, norms, jacs = [], [], []
+    for i in (0, 1):
+        m = {k: v[i] for k, v in pairs.items()}
+        mz, _ = _first_derivs(m, h)
+        nz2 = float(np.sum(mz * np.conj(mz)).real)
+        res_h += float(np.linalg.norm(0.25 * _laplacian(m, h) + nz2 * m[(0, 0)]))
+        mzs.append(mz)
+        norms.append(nz2)
+        jacs.append(_jacobian(m, h))
+
+    eu = float(np.mean([n / 2.0 for n in norms]))
+    if eu < DEGENERACY_EPS:
+        raise DegeneracyError(f"degenerate factor maps at z = {z} (e^u = {eu:.3e})")
+
+    phz, psz = mzs
+    res_c = abs(norms[0] - norms[1]) + abs(_bilinear(phz, phz) + _bilinear(psz, psz))
+    return PointGeometryReport(
+        conformal_residual=float(res_c),
+        lagrangian_residual=float(abs(jacs[0] + jacs[1])),
+        harmonic_residual=float(res_h),
+        jacobian_sum=float(abs(jacs[0] + jacs[1]) / (8 * eu)),
+    )
 
 
 def geometry_report(
@@ -304,40 +319,11 @@ def geometry_report(
     harmonic: each factor satisfies m_zzbar + |m_z|^2 m = 0;
     jacobian_sum: |Jac(phi) + Jac(psi)| with Jac = det{m, m_x, m_y}/(8 e^u).
     """
-    pairs = _pair_stencil(surface, z, h)
-    phis = {k: v[0] for k, v in pairs.items()}
-    psis = {k: v[1] for k, v in pairs.items()}
-
-    res_h = 0.0
-    jacs = []
-    eus = []
-    for m in (phis, psis):
-        mz, _ = _first_derivs(m, h)
-        m0 = m[(0, 0)].real
-        mx = ((m[(1, 0)] - m[(-1, 0)]) / (2 * h)).real
-        my = ((m[(0, 1)] - m[(0, -1)]) / (2 * h)).real
-        nz2 = float(np.sum(mz * np.conj(mz)).real)
-        eus.append(nz2 / 2.0)
-        mzzb = 0.25 * _laplacian(m, h)
-        res_h += float(np.linalg.norm(mzzb + nz2 * m0))
-        jacs.append(float(np.linalg.det(np.column_stack([m0, mx, my]))))
-
-    eu = float(np.mean(eus))
-    if eu < DEGENERACY_EPS:
-        raise DegeneracyError(f"degenerate factor maps at z = {z} (e^u = {eu:.3e})")
-
-    phz, _ = _first_derivs(phis, h)
-    psz, _ = _first_derivs(psis, h)
-    n1 = float(np.sum(phz * np.conj(phz)).real)
-    n2 = float(np.sum(psz * np.conj(psz)).real)
-    res_c = abs(n1 - n2) + abs(_bilinear(phz, phz) + _bilinear(psz, psz))
-    res_l = abs(jacs[0] + jacs[1])
-    return PointGeometryReport(
-        conformal_residual=float(res_c),
-        lagrangian_residual=float(res_l),
-        harmonic_residual=float(res_h),
-        jacobian_sum=float(abs(jacs[0] + jacs[1]) / (8 * eu)),
-    )
+    if isinstance(surface, SurfaceMap):
+        pairs = _s2_table(_frame_table(surface, z, h))
+    else:
+        pairs = _eval_stencil(surface, z, h, np.float64)
+    return _geometry(pairs, z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +337,14 @@ class CUReport:
     Theta is the associated Hopf differential coefficient, read from the
     second factor as <psi_z, psi_z> (the first factor carries the opposite
     sign); under the correspondence Theta = 2 alpha.  It is computed from
-    the factor maps when provided, else set to 2 alpha definitionally.
+    the factor maps when provided, else set to 2 alpha (quarter-turn lift
+    phase) definitionally.
     C is the associated Jacobian C = e^{-u}|beta|/2, and gauss_residual the
     Gauss equation
     |u_zzbar + 8 e^u C^2 - 4|C_z|^2/(1 - 4C^2)|; at C = 1/2 the last term has
     a removable singularity and the residual is skipped and flagged.
+    K = -e^{-u} u_zzbar is the Gauss curvature of the induced metric
+    2 e^u dz dzbar, from the same u_zzbar.
     jacobian_match compares C with the measured factor Jacobians
     (orientation-free); NaN when no factor data was given.
     """
@@ -364,70 +353,66 @@ class CUReport:
     Theta: complex
     gauss_residual: float
     jacobian_match: float
+    K: float
     gauss_skipped: bool = False
 
 
 def cu_report(
-    inv: Mapping[tuple[int, int], InvariantReport],
+    lifts: Mapping[tuple[int, int], np.ndarray],
     h: float,
     s2: Mapping[tuple[int, int], tuple] | None = None,
 ) -> CUReport:
-    """Factor-map correspondence residuals from an invariant cross-stencil."""
-    for off in CROSS:
-        if off not in inv:
-            raise ValueError(f"missing invariant report at offset {off}")
-    c0 = inv[(0, 0)]
-    eu = float(np.exp(c0.u))
+    """Factor-map correspondence residuals from a lift table on the diamond.
 
-    def c_of(rep: InvariantReport) -> float:
-        return 0.5 * np.exp(-rep.u) * abs(rep.beta)
-
-    C = c_of(c0)
-    cx = (c_of(inv[(1, 0)]) - c_of(inv[(-1, 0)])) / (2 * h)
-    cy = (c_of(inv[(0, 1)]) - c_of(inv[(0, -1)])) / (2 * h)
-    cz2 = abs(0.5 * (cx - 1j * cy)) ** 2
-    lap_u = (
-        inv[(1, 0)].u + inv[(-1, 0)].u + inv[(0, 1)].u + inv[(0, -1)].u - 4 * c0.u
-    ) / (h * h)
-    u_zzb = lap_u / 4
+    u and |beta| at the cross neighbours are nested central differences of
+    the same table, as in the sinh-Gordon term of invariants_report.  ``s2``
+    maps at least the cross offsets to (phi, psi) factor pairs.
+    """
+    pts = {at: _point_invariants(lifts, h, at, richardson=False) for at in CROSS}
+    u = {at: float(np.log(p[0])) for at, p in pts.items()}
+    c = {at: 0.5 * np.exp(-u[at]) * abs(p[2]) for at, p in pts.items()}
+    eu = float(np.exp(u[(0, 0)]))
+    C = c[(0, 0)]
+    cz, _ = _first_derivs(c, h)
+    u_zzb = _laplacian(u, h) / 4
 
     one_minus = 1.0 - 4.0 * C * C
     if one_minus <= 1e-6:
         gauss = abs(u_zzb + 8 * eu * C * C)
         skipped = True
     else:
-        gauss = abs(u_zzb + 8 * eu * C * C - 4 * cz2 / one_minus)
+        gauss = abs(u_zzb + 8 * eu * C * C - 4 * abs(cz) ** 2 / one_minus)
         skipped = False
 
-    theta = 2.0 * c0.alpha
+    eu0, alpha, beta = pts[(0, 0)]
+    theta = 2.0 * alpha * _quarter_turn_phase(alpha, beta, eu0)
     jac_match = float("nan")
     if s2 is not None:
-        phis = {k: np.asarray(v[0], dtype=np.float64) for k, v in s2.items()}
-        psis = {k: np.asarray(v[1], dtype=np.float64) for k, v in s2.items()}
-        psz, _ = _first_derivs(psis, h)
+        psz, _ = _first_derivs({k: v[1] for k, v in s2.items()}, h)
         theta = _bilinear(psz, psz)
-        jacs = []
-        for m in (phis, psis):
-            m0 = m[(0, 0)]
-            mx = (m[(1, 0)] - m[(-1, 0)]) / (2 * h)
-            my = (m[(0, 1)] - m[(0, -1)]) / (2 * h)
-            jacs.append(float(np.linalg.det(np.column_stack([m0, mx, my]))) / (8 * eu))
+        jacs = [_jacobian({k: v[i] for k, v in s2.items()}, h) / (8 * eu) for i in (0, 1)]
         jac_match = min(
             max(abs(s * jacs[0] - C), abs(s * jacs[1] + C)) for s in (1.0, -1.0)
         )
     return CUReport(
         C=float(C), Theta=theta, gauss_residual=float(gauss),
-        jacobian_match=jac_match, gauss_skipped=skipped,
+        jacobian_match=jac_match, K=float(-np.exp(-u[(0, 0)]) * u_zzb),
+        gauss_skipped=skipped,
     )
 
 
-def gauss_curvature(inv: Mapping[tuple[int, int], InvariantReport], h: float) -> float:
-    """K = -e^{-u} u_zzbar of the induced metric 2 e^u dz dzbar."""
-    c0 = inv[(0, 0)]
-    lap_u = (
-        inv[(1, 0)].u + inv[(-1, 0)].u + inv[(0, 1)].u + inv[(0, -1)].u - 4 * c0.u
-    ) / (h * h)
-    return float(-np.exp(-c0.u) * lap_u / 4)
+def node_report(
+    smap: SurfaceMap, z: complex, h: float = 1e-3
+) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
+    """All three reports at z from one frame table: 13 Iwasawa splits.
+
+    The diamond is evaluated once, from one anchor at z; the lifts and the
+    factor pairs are both read off those frame pairs.
+    """
+    frames = _frame_table(smap, z, h)
+    lifts = _lift_table(frames, smap.frame_tol)
+    s2 = _s2_table(frames)
+    return _invariants(lifts, z, h), _geometry(s2, z, h), cu_report(lifts, h, s2=s2)
 
 
 # ---------------------------------------------------------------------------

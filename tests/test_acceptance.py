@@ -45,12 +45,9 @@ from mlq.potentials import (
 from mlq.verify import (
     CROSS,
     DeckTransform,
-    InvariantReport,
-    cu_report,
-    gauss_curvature,
     geometry_report,
-    invariant_stencil,
     invariants_report,
+    node_report,
     sinh_gordon_residual,
     symmetry_check,
 )
@@ -172,8 +169,7 @@ C4_FLOOR = 1e-8
 def _residual_maxima(smap, nodes, h):
     out = dict.fromkeys(C4_GATED, 0.0)
     for z in nodes:
-        geo = geometry_report(smap, z, h=h)
-        inv = invariants_report(smap, z, h=h)
+        inv, geo, _ = node_report(smap, z, h)
         out["conformal"] = max(out["conformal"], geo.conformal_residual)
         out["lagrangian"] = max(out["lagrangian"], geo.lagrangian_residual)
         for key in ("phi_norm", "alpha_holomorphy", "beta_phase"):
@@ -226,10 +222,7 @@ def test_c05_sinh_gordon_and_metric_identity(sphere_map, torus_map, equivariant_
 
     # analytic torus route: the constant solution u = u_hat = log 2, alpha = 2
     # satisfies the equation identically
-    const = InvariantReport(
-        z=0j, u=np.log(2.0), alpha=2.0 + 0.0j, beta=0j, phi_inv=0j, u_hat=np.log(2.0)
-    )
-    exact_torus = sinh_gordon_residual({off: const for off in CROSS}, 1e-3)
+    exact_torus = sinh_gordon_residual({off: np.log(2.0) for off in CROSS}, 2.0 + 0.0j, 1e-3)
     assert exact_torus <= 1e-9
 
     # analytic sphere route: Liouville reduction u_zzbar = -2 e^u holds
@@ -424,14 +417,8 @@ def test_c11_factor_map_correspondence(sphere_map, torus_map, equivariant_map):
     worst_jac = 0.0
     worst_jsum = 0.0
     for name, smap, z in fixtures:
-        inv = invariant_stencil(smap, z, h)
-        s2 = {}
-        for off_a, off_b in CROSS:
-            s = smap.sample(z + (off_a + 1j * off_b) * h, anchor=z)
-            assert s.valid, s.error
-            s2[(off_a, off_b)] = s.s2_pair
-        rep = cu_report(inv, h, s2=s2)
-        worst_theta = max(worst_theta, abs(rep.Theta - 2.0 * inv[(0, 0)].alpha))
+        inv, _, rep = node_report(smap, z, h)
+        worst_theta = max(worst_theta, abs(rep.Theta - 2.0 * inv.alpha))
         worst_jac = max(worst_jac, rep.jacobian_match)
         worst_jsum = max(worst_jsum, geometry_report(smap, z, h=1e-3).jacobian_sum)
         if name == "sphere":
@@ -444,13 +431,13 @@ def test_c11_factor_map_correspondence(sphere_map, torus_map, equivariant_map):
 
     worst_gauss = 0.0
     for z in (0.9 * np.exp(1.5j), np.exp(2.9j), 1.1 * np.exp(0.3j)):
-        rep = cu_report(invariant_stencil(equivariant_map, z, 1e-3), 1e-3)
+        _, _, rep = node_report(equivariant_map, z, 1e-3)
         assert not rep.gauss_skipped
         worst_gauss = max(worst_gauss, rep.gauss_residual)
     assert worst_gauss <= 1e-3
 
-    k_sphere = gauss_curvature(invariant_stencil(sphere_map, 0.25 - 0.45j, 1e-3), 1e-3)
-    k_torus = gauss_curvature(invariant_stencil(torus_map, 0.2 + 0.7j, 1e-3), 1e-3)
+    k_sphere = node_report(sphere_map, 0.25 - 0.45j, 1e-3)[2].K
+    k_torus = node_report(torus_map, 0.2 + 0.7j, 1e-3)[2].K
     print(
         f"[c11] Theta=2a {worst_theta:.2e}, jacobian match {worst_jac:.2e} (gates 1e-6), "
         f"jac sum {worst_jsum:.2e}, gauss {worst_gauss:.2e}, K sphere {k_sphere:.6f}, K torus {k_torus:.2e}"

@@ -77,6 +77,8 @@ def test_load_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, lambda0={"re": 1.2, "im": 0.0}))
     with pytest.raises(ConfigError, match="tolerances"):
         load_config(write_cfg(tmp_path, tolerances=[1, 2]))
+    with pytest.raises(ConfigError, match="unknown tolerance name.*sinh_gordn"):
+        load_config(write_cfg(tmp_path, tolerances={"sinh_gordn": 1e-3}))
 
 
 def test_jobs_resolution(monkeypatch):
@@ -162,6 +164,39 @@ def test_verify_gates(tmp_path):
     report = json.loads((out2 / "report.json").read_text())
     assert report["pass"] is False
 
+    # every sphere node sits at C = 1/2, so none evaluates the gauss term:
+    # the configured gate fails instead of passing on an empty set
+    skip_cfg = write_cfg(tmp_path, "skip.json", grid=grid, tolerances={"gauss": 1.0})
+    out3 = tmp_path / "v3"
+    assert main(["verify", "--config", skip_cfg, "--out", str(out3), "--jobs", "1"]) == EXIT_CHECKS_FAILED
+    report = json.loads((out3 / "report.json").read_text())
+    assert report["n_gauss_skipped"] == 4
+    assert report["checks"]["gauss"] == {"max": None, "bound": 1.0, "evaluated": 0, "pass": False}
+    assert "gauss" not in report["max_residuals"]
+
+
+def test_verify_keeps_skipped_gauss_terms_out_of_the_gate(tmp_path):
+    # z = 0 is a complex point of the radial surface (C = 1/2): its truncated
+    # gauss value (2.5e-1) stays in the node record but must not gate
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "radial", "c": [0.5, 0.0], "k": 1},
+        grid={"re_min": -0.4, "re_max": 0.4, "n_re": 3,
+              "im_min": -0.4, "im_max": 0.4, "n_im": 3},
+        truncation_N=16,
+        ode={"tolerance": 1e-12},
+        tolerances={"gauss": 1e-3},
+    )
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_gauss_skipped"] == 1
+    centre = report["nodes"][4]
+    assert centre["gauss_skipped"] and centre["residuals"]["gauss"] > 1e-1
+    assert report["checks"]["gauss"]["evaluated"] == 8
+    assert report["max_residuals"]["gauss"] <= 1e-3
+    assert sum(report["histograms"]["gauss"]["counts"]) == 8
+
 
 def test_usage_errors(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
@@ -178,6 +213,9 @@ def test_usage_errors(tmp_path):
         lambda0={"re": 0.0, "im": 1.0},
     )
     assert main(["generate", "--config", tri_cfg, "--out", str(tmp_path / "g")]) == EXIT_USAGE
+    # a misspelt tolerance is a config error, not a silently dropped gate
+    typo_cfg = write_cfg(tmp_path, "typo.json", tolerances={"sinh_gordn": 1e-3})
+    assert main(["verify", "--config", typo_cfg, "--out", str(tmp_path / "v")]) == EXIT_USAGE
 
 
 def test_closing_equivariant(tmp_path):

@@ -1,26 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import analytic_pairs, analytic_surface, sphere_metric_exponent
 
 from mlq.closedform import sphere_frame, torus_frame
+from mlq.frames import SurfaceMap
+from mlq.holonomy import OdeOptions
+from mlq.potentials import make_potential, radial_spec
 from mlq.verify import (
     CROSS,
+    DIAMOND,
     ConsistencyError,
     DegeneracyError,
     InvariantReport,
     RotationSymmetry,
     _u_hat_of,
     cu_report,
-    gauss_curvature,
     geometry_report,
-    invariant_stencil,
     invariants_report,
+    node_report,
     sinh_gordon_residual,
     symmetry_check,
 )
 
 SPHERE = analytic_surface(sphere_frame)
 TORUS = analytic_surface(torus_frame)
+
+
+def diamond(fn, z, h):
+    """Lift table of a callable on the 13-point stencil around z."""
+    return {(a, b): fn(z + (a + 1j * b) * h) for a, b in DIAMOND}
 
 
 def test_sphere_invariants():
@@ -88,13 +98,15 @@ def test_metric_relation_guard():
         _u_hat_of(1.0, 2.0)
 
 
-def test_invariant_stencil_and_sinh_gordon():
-    h = 1e-3
-    reports = invariant_stencil(TORUS, 0.5 + 0.1j, h)
-    assert set(reports) == set(CROSS)
-    assert sinh_gordon_residual(reports, h) < 1e-4
-    with pytest.raises(ValueError, match="missing stencil report"):
-        sinh_gordon_residual({(0, 0): reports[(0, 0)]}, h)
+def test_sinh_gordon_residual_on_the_round_sphere():
+    # alpha = 0 and e^u_hat = 2 e^u reduce the equation to Liouville's,
+    # which the round metric solves: only the h^2 stencil error remains
+    z, h = 0.5 + 0.1j, 1e-3
+    u_hat = {(a, b): sphere_metric_exponent(z + (a + 1j * b) * h) + np.log(2.0) for a, b in CROSS}
+    assert sinh_gordon_residual(u_hat, 0.0, h) < 1e-4
+    # and a metric off the solution is caught
+    u_hat[(0, 0)] += 1e-2
+    assert sinh_gordon_residual(u_hat, 0.0, h) > 1e-2
 
 
 def test_geometry_report_on_analytic_factors():
@@ -107,34 +119,57 @@ def test_geometry_report_on_analytic_factors():
 
 def test_cu_report_sphere_is_the_complex_point_case():
     z, h = 0.25 - 0.45j, 1e-3
-    inv = invariant_stencil(SPHERE, z, h)
-    rep = cu_report(inv, h)
+    rep = cu_report(diamond(SPHERE, z, h), h)
     assert rep.C == pytest.approx(0.5, abs=1e-6)
     assert rep.gauss_skipped
-    assert rep.Theta == pytest.approx(2.0 * inv[(0, 0)].alpha, abs=1e-15)
+    assert rep.Theta == pytest.approx(2.0 * invariants_report(SPHERE, z, h).alpha, abs=1e-15)
     assert np.isnan(rep.jacobian_match)
 
 
 def test_cu_report_torus_with_factor_data():
     z, h = 0.3 + 0.6j, 1e-3
     pairs = analytic_pairs(torus_frame)
-    inv = invariant_stencil(TORUS, z, h)
     s2 = {(a, b): pairs(z + (a + 1j * b) * h) for a, b in CROSS}
-    rep = cu_report(inv, h, s2=s2)
+    rep = cu_report(diamond(TORUS, z, h), h, s2=s2)
     assert rep.C == pytest.approx(0.0, abs=1e-6)
     assert not rep.gauss_skipped
     assert rep.gauss_residual < 1e-4
     # Theta read off the second factor agrees with 2 alpha
-    assert abs(rep.Theta - 2.0 * inv[(0, 0)].alpha) < 1e-4
+    assert abs(rep.Theta - 2.0 * invariants_report(TORUS, z, h).alpha) < 1e-4
     assert rep.jacobian_match < 1e-4
-    with pytest.raises(ValueError, match="missing invariant report"):
-        cu_report({(0, 0): inv[(0, 0)]}, h)
 
 
 def test_gauss_curvature_of_the_round_sphere():
     h = 1e-3
-    inv = invariant_stencil(SPHERE, 0.2 + 0.2j, h)
-    assert gauss_curvature(inv, h) == pytest.approx(2.0, abs=1e-4)
+    assert cu_report(diamond(SPHERE, 0.2 + 0.2j, h), h).K == pytest.approx(2.0, abs=1e-4)
+
+
+class CountingMap(SurfaceMap):
+    """SurfaceMap that counts its frame-pair evaluations (one Iwasawa split each)."""
+
+    splits = 0
+
+    def frame_pair(self, *args, **kwargs):
+        self.splits += 1
+        return super().frame_pair(*args, **kwargs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    r=st.floats(0.1, 0.9),
+    t=st.floats(0.0, 2.0 * np.pi),
+    h=st.floats(5e-4, 2e-3),
+)
+def test_node_report_is_one_frame_table(r, t, h):
+    smap = CountingMap(make_potential(radial_spec(0.5, 1)), window=16,
+                       ode=OdeOptions(tolerance=1e-12), iwasawa_tol=1e-12)
+    z = complex(r * np.cos(t), r * np.sin(t))
+    inv, geo, cu = node_report(smap, z, h)
+    assert smap.splits == len(DIAMOND) == 13
+    # the single table reproduces the separate reports bit for bit
+    assert inv.residuals == invariants_report(smap, z, h).residuals
+    assert geo == geometry_report(smap, z, h)
+    assert np.isfinite(cu.gauss_residual)
 
 
 def test_rotation_symmetry_of_radial_surfaces(radial_map):
