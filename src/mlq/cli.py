@@ -89,6 +89,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     try:
         spec = spec_from_dict(raw["potential"])
+        make_potential(spec)
     except KeyError:
         raise ConfigError("config needs a 'potential' object") from None
     except (ValueError, TypeError) as exc:

@@ -17,12 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeOptions, _rk4_fixed, _xi_coeff_fn, _xi_degree_range, _convolve_clip, validate_path
+from .holonomy import DomainPath, OdeOptions, _rk4_fixed, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
-from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval
-from .potentials import PoleError, Potential
+from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval, loop_from_samples, window_samples
+from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+
+#: fixed RK4 steps of one hop from an anchor to a nearby point
+HOP_STEPS = 8
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
@@ -242,11 +245,12 @@ class SurfaceSample:
 class SurfaceMap:
     """Evaluate the surface pipeline at arbitrary domain points, with caching.
 
-    Anchors (expensively integrated frames from the base point, adaptive
-    integrator) are cached; nearby evaluations hop from the closest anchor
-    with a deterministic fixed-step RK4 so that finite-difference stencils
-    see a smooth function limited only by roundoff, not by adaptive step
-    placement.
+    Frames are carried as their values at the 4N roots of unity (N the
+    window).  Anchors (expensively integrated frames from the base point,
+    adaptive integrator) are cached; nearby evaluations hop from the closest
+    anchor with a deterministic fixed-step RK4 so that finite-difference
+    stencils see a smooth function limited only by roundoff, not by adaptive
+    step placement.
     """
 
     def __init__(
@@ -255,7 +259,6 @@ class SurfaceMap:
         lambda0: complex = 1.0,
         window: int | None = None,
         ode: OdeOptions | None = None,
-        hop_steps: int = 8,
         iwasawa_tol: float = 1e-9,
         frame_tol: float = 1e-6,
     ) -> None:
@@ -263,16 +266,14 @@ class SurfaceMap:
         self.lambda0 = complex(lambda0)
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.ode = ode if ode is not None else OdeOptions()
-        self.hop_steps = int(hop_steps)
         self.iwasawa_tol = float(iwasawa_tol)
         # acceptance gate on the unitary factor; loosen for wound frames
-        # whose clipped Laurent tails degrade unitarity without breaking
-        # residual *measurements* at that scale
+        # whose Laurent tails beyond the window degrade unitarity without
+        # breaking residual *measurements* at that scale
         self.frame_tol = float(frame_tol)
+        self._lams = window_samples(self.window)
+        self._xi = xi_sampler(pot, self._lams)
         self._anchors: dict[tuple[float, float, int], np.ndarray] = {}
-        xk_min, xk_max = _xi_degree_range(pot)
-        self._xi_fn = _xi_coeff_fn(pot, xk_min, xk_max)
-        self._xi_kmin = xk_min
 
     # -- path planning ------------------------------------------------------
 
@@ -300,38 +301,28 @@ class SurfaceMap:
     # -- frame evaluation ---------------------------------------------------
 
     def _anchor_state(self, center: complex, winding: int) -> np.ndarray:
+        """Frame values at the window's roots of unity, integrated to center."""
         key = (float(center.real), float(center.imag), winding)
         state = self._anchors.get(key)
         if state is None:
-            from .holonomy import integrate_frame
-
-            if center == self.pot.base_point and winding == 0:
-                n = self.window
-                state = np.zeros((2 * n + 1, 2, 2), dtype=np.complex128)
-                state[n] = np.eye(2)
-            else:
-                phi = integrate_frame(
-                    self.pot, self._route(center, winding), opts=self.ode, window=self.window
-                )
-                state = phi.coeffs
+            state = np.broadcast_to(np.eye(2, dtype=np.complex128), (self._lams.size, 2, 2))
+            if center != self.pot.base_point or winding != 0:
+                route = self._route(center, winding)
+                state = transport(self.pot, route, state, self._lams, self.ode)
             self._anchors[key] = state
         return state
 
     def _hop(self, state: np.ndarray, a: complex, b: complex) -> np.ndarray:
-        """Fixed-step RK4 transport of the coefficient window from a to b."""
+        """Fixed-step RK4 transport of the frame values from a to b."""
         if a == b:
             return state
-        n_min = -self.window
-        n_max = self.window
-        seg = DomainPath.line(a, b)
-        validate_path(seg, self.pot)
+        validate_path(DomainPath.line(a, b), self.pot)
         dz = b - a
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            xi = self._xi_fn(a + t * dz)
-            return _convolve_clip(y, n_min, xi, self._xi_kmin, n_min, n_max) * dz
+            return y @ self._xi(a + t * dz) * dz
 
-        return _rk4_fixed(rhs, state, self.hop_steps)
+        return _rk4_fixed(rhs, state, HOP_STEPS)
 
     def frame_loop(self, z: complex, anchor: complex | None = None, winding: int = 0) -> LaurentLoop:
         """Loop-level frame Phi(z), integrated from the base via an anchor."""
@@ -339,9 +330,8 @@ class SurfaceMap:
         if anchor is None:
             anchor = z
         anchor = complex(anchor)
-        state = self._anchor_state(anchor, winding)
-        state = self._hop(state, anchor, z)
-        return LaurentLoop(state.copy(), -self.window)
+        state = self._hop(self._anchor_state(anchor, winding), anchor, z)
+        return loop_from_samples(state, self.window)
 
     def unitary_frame(self, z: complex, anchor: complex | None = None, winding: int = 0) -> IwasawaResult:
         return iwasawa(self.frame_loop(z, anchor, winding), window=self.window, tol=self.iwasawa_tol)
@@ -358,9 +348,6 @@ class SurfaceMap:
     def sample(self, z: complex, anchor: complex | None = None, winding: int = 0) -> SurfaceSample:
         try:
             loop = self.frame_loop(z, anchor, winding)
-            tail = float(
-                np.linalg.norm(loop.coeffs[0]) + np.linalg.norm(loop.coeffs[-1])
-            )
             res = iwasawa(loop, window=self.window, tol=self.iwasawa_tol)
             fp = frame_pair_at(res.F, self.lambda0)
             x, y = xy_matrices(fp)
@@ -370,7 +357,7 @@ class SurfaceMap:
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
                 diagnostics={
-                    "tail_norm": tail,
+                    "tail_norm": loop.tail_norm,
                     "iwasawa_residual": float(res.residual),
                     "unitarity_error": float(res.unitarity_error),
                 },

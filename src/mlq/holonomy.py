@@ -1,15 +1,17 @@
 """Frame integration: solve dPhi = Phi xi along paths in the z-domain.
 
-Two levels are supported.  Loop-level integration carries the whole window of
-Laurent coefficients of Phi through the ODE at once (the potential has fixed
-finite lam-degree, so the right multiplication by xi is a short convolution).
-Pointwise integration fixes a spectral value lam and propagates a single 2x2
-matrix; monodromy matrices around punctures are computed this way.
+There is one integrator, ``transport``.  It carries a frame as its values at
+a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
+advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
+``integrate_at_lambda`` runs it at a single lam (monodromy matrices around
+punctures are computed this way).  ``integrate_frame`` runs it at the
+M = 4N roots of unity and projects the values onto the Laurent window
+[-N, N] by FFT.
 
 Determinants: all potential families are trace free, so det Phi = 1 is exact
 for the true flow and drifts only through integration error.  With
 ``det_renormalize`` on (the default) the drift is divided out after every
-path segment using the principal square root of det Phi.
+path segment, at every lam, using the principal square root of det Phi.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .loops import LaurentLoop, loop_det
-from .potentials import PoleError, Potential, eval_xi, trinoid_h, trinoid_q
+from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_from_samples, window_samples
+from .potentials import PoleError, Potential, xi_sampler
 
 #: Paths must keep this distance from declared singular points.
 EPS_POLE = 1e-3
@@ -143,54 +145,6 @@ class OdeOptions:
             raise ValueError(f"step must be positive, got {self.step}")
 
 
-# ---------------------------------------------------------------------------
-# Pointwise (fixed lam) integration
-
-
-def _xi_at_lambda(pot: Potential, lam: complex):
-    """Fast z -> xi(z, lam) closure, avoiding loop construction per call."""
-    lam = complex(lam)
-    v = pot.variant
-    p = pot.spec.params
-    if v == "sphere":
-        m = np.array([[0, 1 / lam], [0, 0]], dtype=np.complex128)
-        return lambda z: m
-    if v == "torus":
-        m = np.array([[0, 1 / lam], [1 / lam, 0]], dtype=np.complex128)
-        return lambda z: m
-    if v == "equivariant":
-        a, b, c = p["a"], p["b"], p["c"]
-        off_ur = a / lam + b * lam
-        off_ll = a * lam + b / lam
-        d = np.array([[c, off_ur], [off_ll, -c]], dtype=np.complex128)
-        return lambda z: d / z
-    if v == "radial":
-        c, k = complex(p["c"]), p["k"]
-        inv = 1.0 / lam
-
-        def xi_radial(z: complex) -> np.ndarray:
-            return np.array([[0, inv], [c * z**k * inv, 0]], dtype=np.complex128)
-
-        return xi_radial
-    if v == "trinoid":
-        lh = lam * trinoid_h(lam, p["lambda0"])
-        v0, v1, vinf = p["v0"], p["v1"], p["vinf"]
-        inv = 1.0 / lam
-
-        def xi_trinoid(z: complex) -> np.ndarray:
-            q = trinoid_q(z, v0, v1, vinf)
-            return np.array([[0, inv], [lh * q, 0]], dtype=np.complex128)
-
-        return xi_trinoid
-
-    from .loops import loop_eval
-
-    def xi_generic(z: complex) -> np.ndarray:
-        return loop_eval(eval_xi(pot, z), lam)
-
-    return xi_generic
-
-
 def _rk4_fixed(rhs, y0: np.ndarray, n_steps: int) -> np.ndarray:
     """Classical RK4 on y' = rhs(t, y), t in [0, 1], complex array state."""
     y = y0.copy()
@@ -230,17 +184,23 @@ def _solve_segment_complex(rhs, y0: np.ndarray, opts: OdeOptions, seg_len: float
     return sol.y[:, -1].copy().view(np.complex128).reshape(shape)
 
 
-def integrate_at_lambda(
+def transport(
     pot: Potential,
     path: DomainPath,
-    phi0: np.ndarray | None = None,
-    lam: complex = 1.0,
+    y: np.ndarray,
+    lams,
     opts: OdeOptions = OdeOptions(),
 ) -> np.ndarray:
-    """Propagate a single 2x2 frame along the path at fixed spectral value."""
+    """Carry frame values y, shape (M, 2, 2), at the spectral values lams along the path.
+
+    Every value solves dY = Y xi(z, lam) dz; the M systems share one ODE
+    state, so the adaptive integrator takes common steps.  With
+    ``det_renormalize`` each value is divided by the principal square root of
+    its determinant after every segment.
+    """
     validate_path(path, pot)
-    xi = _xi_at_lambda(pot, lam)
-    y = np.eye(2, dtype=np.complex128) if phi0 is None else np.asarray(phi0, dtype=np.complex128).copy()
+    xi = xi_sampler(pot, lams)
+    y = np.array(y, dtype=np.complex128)
     for a, b in path.segments():
         dz = b - a
 
@@ -249,8 +209,44 @@ def integrate_at_lambda(
 
         y = _solve_segment_complex(rhs, y, opts, abs(dz), lambda t, a=a, dz=dz: a + t * dz)
         if opts.det_renormalize:
-            y = y / np.sqrt(np.linalg.det(y))
+            det = np.linalg.det(y)
+            if np.any(np.abs(det) < 1e-8):
+                raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")
+            y = y / np.sqrt(det)[:, None, None]
     return y
+
+
+def integrate_at_lambda(
+    pot: Potential,
+    path: DomainPath,
+    phi0: np.ndarray | None = None,
+    lam: complex = 1.0,
+    opts: OdeOptions = OdeOptions(),
+) -> np.ndarray:
+    """Propagate a single 2x2 frame along the path at fixed spectral value."""
+    y = np.eye(2, dtype=np.complex128) if phi0 is None else np.asarray(phi0, dtype=np.complex128)
+    return transport(pot, path, y[None], [lam], opts)[0]
+
+
+def integrate_frame(
+    pot: Potential,
+    path: DomainPath,
+    opts: OdeOptions = OdeOptions(),
+    window: int | None = None,
+) -> LaurentLoop:
+    """Integrate dPhi = Phi xi from Phi = I and return Phi on the window [-N, N].
+
+    Phi is carried as its values at the M = 4N roots of unity through
+    ``transport`` and projected onto [-N, N] by FFT.  The projection drops
+    the modes outside the window; their Frobenius mass is the result's
+    ``tail_norm``.
+    """
+    n = DEFAULT_WINDOW_N if window is None else int(window)
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
+    lams = window_samples(n)
+    y = transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
+    return loop_from_samples(y, n)
 
 
 def monodromy(
@@ -322,124 +318,3 @@ def unitarizing_gauge(mats, tol: float = 1e-8) -> np.ndarray:
     m /= np.sqrt(np.linalg.det(m).real)
     evals, evecs = np.linalg.eigh(m)
     return (evecs * np.sqrt(evals)) @ evecs.conj().T
-
-
-# ---------------------------------------------------------------------------
-# Loop-level integration
-
-
-def _xi_coeff_fn(pot: Potential, k_min: int, k_max: int):
-    """z -> dense xi coefficient array on [k_min, k_max], built once per path."""
-
-    def fn(z: complex) -> np.ndarray:
-        loop = eval_xi(pot, z)
-        out = np.zeros((k_max - k_min + 1, 2, 2), dtype=np.complex128)
-        lo = loop.k_min - k_min
-        out[lo : lo + loop.coeffs.shape[0]] = loop.coeffs
-        return out
-
-    return fn
-
-
-def _xi_degree_range(pot: Potential) -> tuple[int, int]:
-    z = pot.base_point
-    if z in pot.singular_points:  # custom specs may declare odd base points
-        z = z + 0.1
-    loop = eval_xi(pot, z)
-    return loop.k_min, loop.k_max
-
-
-def _convolve_clip(phi: np.ndarray, phi_kmin: int, xi: np.ndarray, xi_kmin: int,
-                   n_min: int, n_max: int) -> np.ndarray:
-    """(Phi * xi) convolution clipped back onto the state window [n_min, n_max]."""
-    out_kmin = phi_kmin + xi_kmin
-    ka = phi.shape[0]
-    kb = xi.shape[0]
-    full = np.empty((ka + kb - 1, 2, 2), dtype=np.complex128)
-    for r in range(2):
-        for c in range(2):
-            full[:, r, c] = np.convolve(phi[:, r, 0], xi[:, 0, c]) + np.convolve(
-                phi[:, r, 1], xi[:, 1, c]
-            )
-    clipped = np.zeros((n_max - n_min + 1, 2, 2), dtype=np.complex128)
-    lo = max(out_kmin, n_min)
-    hi = min(out_kmin + ka + kb - 2, n_max)
-    if lo <= hi:
-        clipped[lo - n_min : hi - n_min + 1] = full[lo - out_kmin : hi - out_kmin + 1]
-    return clipped
-
-
-def _renormalize_det_loop(coeffs: np.ndarray, k_min: int) -> np.ndarray:
-    """Divide a loop by the principal square root of its determinant loop.
-
-    det Phi is a scalar Laurent polynomial close to 1; its inverse square root
-    is computed on circle samples and projected back onto the state window.
-    """
-    k = coeffs.shape[0]
-    loop = LaurentLoop(coeffs, k_min)
-    dcoef, dkmin = loop_det(loop)
-    m = 4 * (dcoef.shape[0] + k) + 4
-    lam = np.exp(2j * np.pi * np.arange(m) / m)
-    powers = lam[:, None] ** (dkmin + np.arange(dcoef.shape[0]))[None, :]
-    dvals = powers @ dcoef
-    if np.any(np.abs(dvals) < 1e-8):
-        raise IntegrationError("determinant loop vanishes on the circle; cannot renormalize")
-    svals = 1.0 / np.sqrt(dvals)
-    # inverse DFT of the sample values onto the state window
-    ks = k_min + np.arange(k)
-    proj = lam[:, None] ** (-ks)[None, :]
-    scoef = (svals[:, None] * proj).sum(axis=0) / m
-    sloop = np.zeros((k, 2, 2), dtype=np.complex128)
-    sloop[:, 0, 0] = scoef
-    sloop[:, 1, 1] = scoef
-    return _convolve_clip(coeffs, k_min, sloop, k_min, k_min, k_min + k - 1)
-
-
-def integrate_frame(
-    pot: Potential,
-    path: DomainPath,
-    phi0: LaurentLoop | None = None,
-    opts: OdeOptions = OdeOptions(),
-    window: int | None = None,
-) -> LaurentLoop:
-    """Integrate dPhi = Phi xi at the level of Laurent coefficient windows.
-
-    The state is the coefficient array of Phi on [-window, window]; the right
-    multiplication by xi is clipped back onto the window each evaluation, so
-    the result is the exact flow of the truncated system.
-    """
-    from .loops import DEFAULT_WINDOW_N
-
-    n = DEFAULT_WINDOW_N if window is None else int(window)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    validate_path(path, pot)
-
-    n_min, n_max = -n, n
-    k = n_max - n_min + 1
-    if phi0 is None:
-        y = np.zeros((k, 2, 2), dtype=np.complex128)
-        y[-n_min] = np.eye(2)
-    else:
-        y = np.zeros((k, 2, 2), dtype=np.complex128)
-        lo = max(phi0.k_min, n_min)
-        hi = min(phi0.k_max, n_max)
-        if lo > hi:
-            raise ValueError("phi0 lies entirely outside the state window")
-        y[lo - n_min : hi - n_min + 1] = phi0.coeffs[lo - phi0.k_min : hi - phi0.k_min + 1]
-
-    xk_min, xk_max = _xi_degree_range(pot)
-    xi_fn = _xi_coeff_fn(pot, xk_min, xk_max)
-
-    for a, b in path.segments():
-        dz = b - a
-
-        def rhs(t: float, state: np.ndarray, a=a, dz=dz) -> np.ndarray:
-            xi = xi_fn(a + t * dz)
-            return _convolve_clip(state, n_min, xi, xk_min, n_min, n_max) * dz
-
-        y = _solve_segment_complex(rhs, y, opts, abs(dz), lambda t, a=a, dz=dz: a + t * dz)
-        if opts.det_renormalize:
-            y = _renormalize_det_loop(y, n_min)
-
-    return LaurentLoop(y, n_min)

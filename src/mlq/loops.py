@@ -1,15 +1,18 @@
 """Matrix-valued Laurent polynomial loops and their algebra.
 
-A loop is a map from the unit circle into 2x2 complex matrices, represented
-by a finite window of Laurent coefficients
+A loop is a map from the unit circle into 2x2 complex matrices.  Frames are
+integrated as their values at the M = 4N roots of unity (``window_samples``),
+one 2x2 matrix per root, and turned into a finite window of Laurent
+coefficients
 
-    A(lam) = sum_{k = k_min}^{k_max} A_k lam^k.
+    A(lam) = sum_{k = -N}^{N} A_k lam^k
 
-All higher operations (frame integration, Iwasawa splitting) work on this
-representation, so products must be truncated back into a finite window.
-Every truncation accumulates the Frobenius mass of the dropped coefficients
-into ``tail_norm``; the field is a diagnostic of representation quality, not
-a rigorous error bound.
+by an FFT projection (``loop_from_samples``) where coefficients are needed,
+which is the Iwasawa split.  The split works on this coefficient
+representation, so its products are truncated back into a finite window.
+The projection and every truncation accumulate the Frobenius mass of the
+dropped coefficients into ``tail_norm``; the field is a diagnostic of
+representation quality, not a rigorous error bound.
 """
 
 from __future__ import annotations
@@ -161,19 +164,6 @@ def loop_mul(
     return LaurentLoop(coeffs, k_min, a.tail_norm + b.tail_norm + dropped)
 
 
-def loop_add(a: LaurentLoop, b: LaurentLoop) -> LaurentLoop:
-    k_min = min(a.k_min, b.k_min)
-    k_max = max(a.k_max, b.k_max)
-    coeffs = np.zeros((k_max - k_min + 1, 2, 2), dtype=np.complex128)
-    coeffs[a.k_min - k_min : a.k_max - k_min + 1] += a.coeffs
-    coeffs[b.k_min - k_min : b.k_max - k_min + 1] += b.coeffs
-    return LaurentLoop(coeffs, k_min, a.tail_norm + b.tail_norm)
-
-
-def loop_scale(a: LaurentLoop, c: complex) -> LaurentLoop:
-    return LaurentLoop(a.coeffs * c, a.k_min, abs(c) * a.tail_norm)
-
-
 def loop_eval(a: LaurentLoop, lam: complex) -> np.ndarray:
     """Evaluate the loop at a single spectral value lam."""
     lam = complex(lam)
@@ -192,6 +182,27 @@ def loop_eval_many(a: LaurentLoop, lams: np.ndarray) -> np.ndarray:
     return np.einsum("sk,kij->sij", powers, a.coeffs)
 
 
+def window_samples(n: int) -> np.ndarray:
+    """The M = 4n roots of unity at which frames on the window [-n, n] are carried."""
+    m = 4 * n
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def loop_from_samples(values: np.ndarray, n: int) -> LaurentLoop:
+    """FFT projection of a loop's values at the M-th roots of unity onto [-n, n].
+
+    ``values[j]`` is the loop at exp(2 pi i j / M), M > 2n.  Modes outside the
+    window are dropped and their Frobenius mass becomes ``tail_norm``; modes
+    beyond M/2 alias into the kept ones.
+    """
+    m = values.shape[0]
+    if m <= 2 * n:
+        raise ValueError(f"{m} samples cannot resolve the window [-{n}, {n}]")
+    c = np.fft.fft(values, axis=0) / m
+    kept = np.concatenate((c[m - n :], c[: n + 1]))
+    return LaurentLoop(kept, -n, float(np.linalg.norm(c[n + 1 : m - n])))
+
+
 def loop_star(a: LaurentLoop) -> LaurentLoop:
     """Adjoint loop: (A*)_k = (A_{-k})^dagger.
 
@@ -200,11 +211,6 @@ def loop_star(a: LaurentLoop) -> LaurentLoop:
     """
     coeffs = np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1)))
     return LaurentLoop(coeffs, -a.k_max, a.tail_norm)
-
-
-def loop_norm(a: LaurentLoop) -> float:
-    """Sum of coefficient Frobenius norms (upper bound for the sup on |lam|=1)."""
-    return float(np.linalg.norm(a.coeffs.reshape(-1, 4), axis=1).sum())
 
 
 def unitarity_error(a: LaurentLoop, n_samples: int = 32) -> float:
@@ -268,10 +274,3 @@ def twist_check(a: LaurentLoop) -> ParityReport:
         else:
             max_odd_diag = max(max_odd_diag, abs(mat[0, 0]), abs(mat[1, 1]))
     return ParityReport(max_even_offdiag, max_odd_diag)
-
-
-def loop_det(a: LaurentLoop) -> tuple[np.ndarray, int]:
-    """Determinant as a scalar Laurent polynomial: (coefficients, k_min)."""
-    c = a.coeffs
-    d = np.convolve(c[:, 0, 0], c[:, 1, 1]) - np.convolve(c[:, 0, 1], c[:, 1, 0])
-    return d, 2 * a.k_min

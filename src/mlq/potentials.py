@@ -1,9 +1,11 @@
 """Holomorphic potential families.
 
 Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
-a Laurent polynomial in the spectral parameter lam.  ``eval_xi`` returns that
-coefficient as a :class:`~mlq.loops.LaurentLoop`; the surface pipeline
-integrates dPhi = Phi xi from the family's base point.
+a trace-free Laurent polynomial in the spectral parameter lam.  Every family
+is written once, in ``_xi_terms``, as pairs of a scalar z-weight and constant
+lam-terms.  ``eval_xi`` returns the coefficient at z as a
+:class:`~mlq.loops.LaurentLoop`; ``xi_sampler`` returns z -> xi(z, lam) at a
+fixed set of spectral values, which is what the integrator calls.
 
 Families
 --------
@@ -23,7 +25,7 @@ custom       finite sum of lam^k terms with rational z-coefficients and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -39,6 +41,9 @@ _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 _E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 
 _VARIANTS = ("sphere", "torus", "equivariant", "radial", "trinoid", "custom")
+
+#: scalar z-weight of a group of lam-terms; None means 1
+Weight = Callable[[complex], complex] | None
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,12 @@ def make_potential(spec: PotentialSpec) -> Potential:
     for t in terms:
         if len(t.den) == 0 or all(abs(c) == 0 for c in t.den):
             raise ValueError("custom term denominator must be a nonzero polynomial")
+        mat = np.asarray(t.matrix, dtype=np.complex128)
+        if mat.shape != (2, 2):
+            raise ValueError(f"custom term matrix must be 2x2, got shape {mat.shape}")
+        # the potentials take values in sl(2, C); det renormalization assumes it
+        if abs(np.trace(mat)) > 1e-12:
+            raise ValueError(f"custom term matrix must be trace free, got trace {np.trace(mat)}")
     base = complex(p["base_point"])
     poles = tuple(complex(q) for q in p.get("poles", ()))
     for q in poles:
@@ -170,51 +181,97 @@ def _check_regular(pot: Potential, z: complex) -> None:
             raise PoleError(f"potential {pot.variant} evaluated at singular point z = {z}")
 
 
+def _rational(num, den) -> Callable[[complex], complex]:
+    num = np.asarray(num, dtype=np.complex128)
+    den = np.asarray(den, dtype=np.complex128)
+
+    def weight(z: complex) -> complex:
+        d = npp.polyval(z, den)
+        if abs(d) < 1e-14:
+            raise PoleError(f"custom term denominator vanishes at z = {z}")
+        return npp.polyval(z, num) / d
+
+    return weight
+
+
+def _xi_terms(pot: Potential) -> list[tuple[Weight, dict[int, np.ndarray]]]:
+    """The one definition of each family's xi.
+
+    Pairs (w, {k: A_k}) with xi(z, lam) = sum over pairs of w(z) sum_k A_k lam^k;
+    a weight of None means 1.
+    """
+    v = pot.variant
+    p = pot.spec.params
+    if v == "sphere":
+        return [(None, {-1: _E12})]
+    if v == "torus":
+        return [(None, {-1: _E12 + _E21})]
+    if v == "equivariant":
+        a, b, c = p["a"], p["b"], p["c"]
+        return [(
+            lambda z: 1.0 / z,
+            {
+                -1: np.array([[0, a], [b, 0]], dtype=np.complex128),
+                0: np.array([[c, 0], [0, -c]], dtype=np.complex128),
+                1: np.array([[0, b], [a, 0]], dtype=np.complex128),
+            },
+        )]
+    if v == "radial":
+        c, k = complex(p["c"]), p["k"]
+        return [(None, {-1: _E12}), (lambda z: c * z**k, {-1: _E21})]
+    if v == "trinoid":
+        v0, v1, vinf = p["v0"], p["v1"], p["vinf"]
+        lam0 = complex(p["lambda0"])
+        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
+        s = lam0 + 1.0 / lam0
+        return [
+            (None, {-1: _E12}),
+            (lambda z: trinoid_q(z, v0, v1, vinf), {0: _E21, 1: -s * _E21, 2: _E21}),
+        ]
+    # custom
+    return [
+        (_rational(t.num, t.den), {t.lam_power: np.asarray(t.matrix, dtype=np.complex128)})
+        for t in p["terms"]
+    ]
+
+
 def eval_xi(pot: Potential, z: complex) -> LaurentLoop:
     """Coefficient matrix of the 1-form xi at z (the form is result * dz)."""
     z = complex(z)
     _check_regular(pot, z)
-    v = pot.variant
-    p = pot.spec.params
-    if v == "sphere":
-        return LaurentLoop.from_terms({-1: _E12})
-    if v == "torus":
-        return LaurentLoop.from_terms({-1: _E12 + _E21})
-    if v == "equivariant":
-        a, b, c = p["a"], p["b"], p["c"]
-        return LaurentLoop.from_terms(
-            {
-                -1: np.array([[0, a], [b, 0]], dtype=np.complex128) / z,
-                0: np.array([[c, 0], [0, -c]], dtype=np.complex128) / z,
-                1: np.array([[0, b], [a, 0]], dtype=np.complex128) / z,
-            }
-        )
-    if v == "radial":
-        c, k = complex(p["c"]), p["k"]
-        return LaurentLoop.from_terms({-1: np.array([[0, 1], [c * z**k, 0]], dtype=np.complex128)})
-    if v == "trinoid":
-        q = trinoid_q(z, p["v0"], p["v1"], p["vinf"])
-        lam0 = complex(p["lambda0"])
-        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
-        s = lam0 + 1.0 / lam0
-        return LaurentLoop.from_terms(
-            {
-                -1: _E12,
-                0: q * _E21,
-                1: -s * q * _E21,
-                2: q * _E21,
-            }
-        )
-    # custom
     terms: dict[int, np.ndarray] = {}
-    for t in p["terms"]:
-        num = npp.polyval(z, np.asarray(t.num, dtype=np.complex128))
-        den = npp.polyval(z, np.asarray(t.den, dtype=np.complex128))
-        if abs(den) < 1e-14:
-            raise PoleError(f"custom term denominator vanishes at z = {z}")
-        mat = np.asarray(t.matrix, dtype=np.complex128) * (num / den)
-        terms[t.lam_power] = terms.get(t.lam_power, 0) + mat
+    for w, lam_terms in _xi_terms(pot):
+        s = 1.0 if w is None else w(z)
+        for k, mat in lam_terms.items():
+            terms[k] = terms.get(k, 0) + s * mat
     return LaurentLoop.from_terms(terms)
+
+
+def xi_sampler(pot: Potential, lams) -> Callable[[complex], np.ndarray]:
+    """z -> xi(z, lam) at every spectral value in ``lams``, shape (M, 2, 2).
+
+    The lam-powers are evaluated once.  All unweighted terms fold into one
+    constant array and each weighted pair into one array, so a call costs
+    one weight and one axpy per weighted pair.  Poles are not checked here:
+    callers validate their paths first.
+    """
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    const = np.zeros((lams.size, 2, 2), dtype=np.complex128)
+    weighted = []
+    for w, lam_terms in _xi_terms(pot):
+        vals = sum(np.multiply.outer(lams**k, mat) for k, mat in lam_terms.items())
+        if w is None:
+            const = const + vals
+        else:
+            weighted.append((w, vals))
+
+    def xi(z: complex) -> np.ndarray:
+        out = const
+        for w, vals in weighted:
+            out = out + w(z) * vals
+        return out
+
+    return xi
 
 
 def trinoid_q(z: complex, v0: float, v1: float, vinf: float) -> complex:

@@ -81,6 +81,25 @@ def test_load_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, tolerances={"sinh_gordn": 1e-3}))
 
 
+#: potentials that parse but that make_potential rejects
+BAD_POTENTIALS = {
+    "radial_c_on_the_circle": {"variant": "radial", "c": [1, 0], "k": 1},
+    "custom_3x3": {"variant": "custom", "base_point": [0, 0], "terms": [
+        {"lam_power": -1, "matrix": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}]},
+    "custom_not_trace_free": {"variant": "custom", "base_point": [0, 0], "terms": [
+        {"lam_power": 0, "matrix": [[1, 0], [0, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POTENTIALS))
+def test_bad_potential_parameters_are_config_errors(tmp_path, name):
+    path = write_cfg(tmp_path, potential=BAD_POTENTIALS[name])
+    with pytest.raises(ConfigError, match="bad potential"):
+        load_config(path)
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "g")]) == EXIT_USAGE
+    assert not (tmp_path / "g").exists()
+
+
 def test_jobs_resolution(monkeypatch):
     monkeypatch.delenv("MLQ_JOBS", raising=False)
     assert _n_jobs(2) == 2

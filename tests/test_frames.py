@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from oracles import analytic_surface
 
+from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame
 from mlq.frames import (
     FramePointPair,
     GridSpec,
+    SurfaceMap,
     build_surface,
     normalize_q2,
     pauli_components,
@@ -18,7 +20,7 @@ from mlq.frames import (
     sphere_pair,
     xy_matrices,
 )
-from mlq.potentials import make_potential, sphere_spec, trinoid_spec
+from mlq.potentials import equivariant_spec, make_potential, sphere_spec, trinoid_spec
 
 rng = np.random.default_rng(4242)
 
@@ -148,6 +150,21 @@ def test_sample_diagnostics(sphere_map):
     assert set(s.diagnostics) == {"tail_norm", "iwasawa_residual", "unitarity_error"}
     assert s.diagnostics["iwasawa_residual"] < 1e-10
     assert s.q2_hom is not None and s.s2_pair is not None and s.s3_pair is not None
+
+
+def test_tail_norm_is_the_mass_beyond_the_window():
+    # wound equivariant frames spread over more Laurent modes than N = 16 holds
+    pot = make_potential(equivariant_spec(0.75, 0.25))
+    narrow, wide = SurfaceMap(pot, window=16), SurfaceMap(pot, window=24)
+    tails = {
+        n: max(smap.frame_loop(z, winding=1).tail_norm for z in _CLOSING_SAMPLES)
+        for n, smap in ((16, narrow), (24, wide))
+    }
+    assert tails[16] >= 1e-6
+    assert tails[24] <= 1e-10
+    z = _CLOSING_SAMPLES[0]
+    s = wide.sample(z, winding=1)
+    assert s.diagnostics["tail_norm"] == wide.frame_loop(z, winding=1).tail_norm
 
 
 def test_sample_at_puncture_is_invalid():

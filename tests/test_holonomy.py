@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from mlq.holonomy import (
@@ -11,13 +13,15 @@ from mlq.holonomy import (
     integrate_at_lambda,
     integrate_frame,
     monodromy,
+    transport,
     unitarizing_gauge,
     validate_path,
 )
-from mlq.loops import loop_det, loop_eval, twist_check
+from mlq.loops import loop_eval, loop_eval_many, twist_check, window_samples
 from mlq.potentials import (
     PoleError,
     make_potential,
+    radial_spec,
     sphere_spec,
     torus_spec,
     trinoid_spec,
@@ -136,10 +140,50 @@ def test_integrate_frame_window_and_twist():
     assert loop.k_min == -8
     assert loop.k_max == 8
     assert twist_check(loop).max_violation < 1e-12
-    coeffs, k_min = loop_det(loop)
-    dev = coeffs.copy()
-    dev[-k_min] -= 1.0
-    assert np.abs(dev).max() < 1e-8  # det Phi = 1 as a Laurent polynomial
+    dets = np.linalg.det(loop_eval_many(loop, window_samples(8)))
+    np.testing.assert_allclose(dets, 1.0, atol=1e-8)
+    assert loop.tail_norm < 1e-14  # Phi = I + (z/lam) E12 lies inside the window
+
+
+def test_transport_runs_every_spectral_value_at_once():
+    pot = make_potential(torus_spec())
+    path = DomainPath.polyline([0.0, 0.4j, 0.7 - 0.1j])
+    lams = np.exp(1j * np.array([0.0, 0.9, 2.5]))
+    opts = OdeOptions(tolerance=1e-12)
+    y = transport(pot, path, np.broadcast_to(np.eye(2), (3, 2, 2)), lams, opts)
+    for val, lam in zip(y, lams):
+        np.testing.assert_allclose(val, integrate_at_lambda(pot, path, lam=lam, opts=opts), atol=1e-9)
+
+
+_spectral_angle = st.floats(0.0, 2.0 * np.pi)
+_offset = st.complex_numbers(max_magnitude=1.0)
+
+
+@st.composite
+def _radial_segment(draw):
+    c = draw(st.sampled_from([0.5, 0.3 + 0.4j, -0.7j, 1.6]))
+    k = draw(st.integers(1, 3))
+    return make_potential(radial_spec(c, k)), 0.8 * draw(_offset)
+
+
+@st.composite
+def _trinoid_segment(draw):
+    lam0 = draw(st.sampled_from([1j, -1j]))
+    v0, v1, vinf = (draw(st.floats(0.8, 1.2)) for _ in range(3))
+    return make_potential(trinoid_spec(lam0, v0, v1, vinf)), 0.5 + 0.3 * draw(_offset)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seg=st.one_of(_radial_segment(), _trinoid_segment()), theta=_spectral_angle)
+def test_pointwise_frame_matches_the_loop_frame(seg, theta):
+    pot, z = seg
+    assume(abs(z - pot.base_point) > 1e-6)
+    path = DomainPath.line(pot.base_point, z)
+    lam = np.exp(1j * theta)
+    opts = OdeOptions(tolerance=1e-12)
+    loop = integrate_frame(pot, path, opts=opts, window=16)
+    pointwise = integrate_at_lambda(pot, path, lam=lam, opts=opts)
+    np.testing.assert_allclose(loop_eval(loop, lam), pointwise, atol=1e-9)
 
 
 def test_integrate_frame_rejects_pole_paths():

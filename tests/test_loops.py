@@ -3,18 +3,16 @@ import pytest
 
 from mlq.loops import (
     LaurentLoop,
-    loop_add,
-    loop_det,
     loop_eval,
     loop_eval_many,
+    loop_from_samples,
     loop_mul,
-    loop_norm,
-    loop_scale,
     loop_star,
     loop_trim,
     plus_inverse,
     twist_check,
     unitarity_error,
+    window_samples,
 )
 
 RNG = np.random.default_rng(1234)
@@ -108,20 +106,6 @@ def test_mul_window_clip_tracks_dropped_mass():
     np.testing.assert_allclose(clipped.coeffs, full.coeffs[3:-3], atol=0)
 
 
-def test_add_and_scale_pointwise():
-    a = random_loop(-1, 2)
-    b = random_loop(-3, 0)
-    s = loop_add(a, b)
-    t = loop_scale(a, 2.0 - 1.0j)
-    for lam in circle(5):
-        np.testing.assert_allclose(
-            loop_eval(s, lam), loop_eval(a, lam) + loop_eval(b, lam), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            loop_eval(t, lam), (2.0 - 1.0j) * loop_eval(a, lam), atol=1e-12
-        )
-
-
 def test_star_is_adjoint_on_circle():
     loop = random_loop(-2, 3)
     star = loop_star(loop)
@@ -174,21 +158,26 @@ def test_twist_check_separates_parities():
 def test_unitarity_error_detects_nonunitary():
     u = LaurentLoop.from_const(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert unitarity_error(u) < 1e-14
-    assert unitarity_error(loop_scale(u, 2.0)) > 1.0
+    assert unitarity_error(LaurentLoop(2.0 * u.coeffs, 0)) > 1.0
 
 
-def test_det_of_diagonal_loop():
-    loop = LaurentLoop.from_terms(
-        {-1: np.diag([1.0, 0.0]), 1: np.diag([0.0, 1.0])}
-    )
-    coeffs, k_min = loop_det(loop)
-    # det = lam^{-1} * lam = 1; coefficients start at lam^{-2}
-    assert k_min == -2
-    np.testing.assert_allclose(coeffs, [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-15)
+def test_projection_from_samples_recovers_coefficients():
+    loop = random_loop(-3, 3)
+    lams = window_samples(5)
+    assert lams.size == 20
+    back = loop_from_samples(loop_eval_many(loop, lams), 5)
+    assert back.k_min == -5 and back.k_max == 5
+    np.testing.assert_allclose(back.coeffs[2:-2], loop.coeffs, atol=1e-13)
+    np.testing.assert_allclose(back.coeffs[[0, 1, -2, -1]], 0.0, atol=1e-13)
+    assert back.tail_norm < 1e-13
 
 
-def test_norm_bounds_circle_sup():
-    loop = random_loop(-2, 2)
-    bound = loop_norm(loop)
-    sup = max(np.linalg.norm(loop_eval(loop, lam)) for lam in circle(32))
-    assert sup <= bound + 1e-12
+def test_projection_reports_the_dropped_mass():
+    # 8 samples resolve modes -3..4 without aliasing; the window keeps -2..2
+    loop = random_loop(-3, 3)
+    back = loop_from_samples(loop_eval_many(loop, window_samples(2)), 2)
+    np.testing.assert_allclose(back.coeffs, loop.coeffs[1:-1], atol=1e-13)
+    dropped = np.linalg.norm(loop.coeffs[[0, -1]])
+    assert back.tail_norm == pytest.approx(dropped, rel=1e-12)
+    with pytest.raises(ValueError):
+        loop_from_samples(loop_eval_many(loop, circle(4)), 2)

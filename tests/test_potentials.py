@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mlq.loops import loop_eval, twist_check
+from mlq.loops import loop_eval, loop_eval_many, twist_check
 from mlq.potentials import (
     CustomTerm,
     PoleError,
@@ -18,6 +20,7 @@ from mlq.potentials import (
     trinoid_h,
     trinoid_q,
     trinoid_spec,
+    xi_sampler,
 )
 
 ALL_SPECS = [
@@ -34,6 +37,18 @@ ALL_SPECS = [
         base_point=0.0,
     ),
 ]
+
+#: a custom potential with several rational weights, two sharing a lam-power
+RATIONAL_CUSTOM = custom_spec(
+    [
+        CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+        CustomTerm(lam_power=0, matrix=[[0.5, 0], [0, -0.5]], num=[0.0, 1.0], den=[1.0, 1.0]),
+        CustomTerm(lam_power=1, matrix=[[0, 2], [1j, 0]], den=[-1.0, 0.0, 1.0]),
+        CustomTerm(lam_power=-1, matrix=[[0, 0], [3, 0]], num=[0.0, 0.0, 1.0]),
+    ],
+    poles=[-1.0, 1.0],
+    base_point=0.0,
+)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
@@ -84,6 +99,33 @@ def test_make_potential_rejects_bad_parameters():
         make_potential(trinoid_spec(1j, 0.0, 1.0, 1.0))  # zero weight
     with pytest.raises(ValueError):
         make_potential(PotentialSpec("custom", {"terms": (), "base_point": 0.0}))
+
+
+def test_custom_terms_must_lie_in_sl2():
+    with pytest.raises(ValueError, match="2x2"):
+        make_potential(custom_spec(
+            [CustomTerm(lam_power=-1, matrix=[[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
+            poles=[], base_point=0.0,
+        ))
+    with pytest.raises(ValueError, match="trace free"):
+        make_potential(custom_spec(
+            [CustomTerm(lam_power=0, matrix=[[1, 0], [0, 0]])], poles=[], base_point=0.0,
+        ))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [RATIONAL_CUSTOM], ids=lambda s: s.variant)
+@settings(max_examples=20, deadline=None)
+@given(
+    z=st.complex_numbers(max_magnitude=2.0),
+    thetas=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=5),
+)
+def test_xi_sampler_matches_eval_xi(spec, z, thetas):
+    pot = make_potential(spec)
+    assume(all(abs(z - p) > 0.05 for p in pot.singular_points))
+    lams = np.exp(1j * np.array(thetas))
+    np.testing.assert_allclose(
+        xi_sampler(pot, lams)(z), loop_eval_many(eval_xi(pot, z), lams), rtol=0, atol=1e-13
+    )
 
 
 def test_custom_base_point_must_avoid_poles():
