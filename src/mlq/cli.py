@@ -421,13 +421,11 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])
         pot = make_potential(cfg.spec)
-        spectral = (lam0, -1j * lam0)
-        mono = {lam: trinoid_monodromies(pot, lam, opts=cfg.ode) for lam in spectral}
-        check = trinoid_closing_check(
-            *(tuple(mono[lam][i] for lam in spectral) for i in range(3))
-        )
+        # (lam0, -i lam0) and 8 circle samples, every one in each loop's transport
         circle = [np.exp(1j * np.pi * (k / 4 + 0.07)) for k in range(8)]
-        hol = [trinoid_monodromies(pot, lam, opts=cfg.ode) for lam in circle]
+        mono = trinoid_monodromies(pot, [lam0, -1j * lam0, *circle], opts=cfg.ode)
+        check = trinoid_closing_check(*(tuple(mono[:2, i]) for i in range(3)))
+        hol = mono[2:]
         plain_unit = max(
             float(np.linalg.norm(h @ h.conj().T - np.eye(2)))
             for hs in hol for h in hs

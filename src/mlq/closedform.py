@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .holonomy import DomainPath, OdeOptions, circle_path, monodromy
 from .potentials import Potential, make_potential, trinoid_h, trinoid_spec
@@ -92,7 +91,13 @@ class EquivariantProfile:
 
 
 def equivariant_profile(a: float, b: float, x_max: float, step: float = 1e-3) -> EquivariantProfile:
-    """Integrate the profile ODE v'' = -2 v^3 + 4(a^2 + b^2) v on [0, x_max]."""
+    """Integrate the profile ODE v'' = -2 v^3 + 4(a^2 + b^2) v on [0, x_max].
+
+    This oracle uses scipy's ``solve_ivp``, independent of the pipeline's own
+    integrator; scipy is imported here so the pipeline does not load it.
+    """
+    from scipy.integrate import solve_ivp
+
     a = float(a)
     b = float(b)
     if a == 0 or b == 0:
@@ -370,16 +375,16 @@ def trinoid_loops(n: int = 64, radius: float = 2.5) -> tuple[DomainPath, DomainP
 
 def trinoid_monodromies(
     pot: Potential,
-    lam: complex,
+    lams,
     opts: OdeOptions | None = None,
     n: int = 64,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monodromy matrices (H0, H1, Hinf) of a trinoid potential at one lam."""
+) -> np.ndarray:
+    """Monodromies of a trinoid potential, shape (M, 3, 2, 2).
+
+    Entry [m, i] is the monodromy around generator i of ``trinoid_loops``
+    (gamma0, gamma1, gamma_inf) at the spectral value lams[m].  Each loop
+    takes one ``transport`` that carries every spectral value.
+    """
     if opts is None:
         opts = OdeOptions()
-    g0, g1, ginf = trinoid_loops(n=n)
-    return (
-        monodromy(pot, g0, lam, opts),
-        monodromy(pot, g1, lam, opts),
-        monodromy(pot, ginf, lam, opts),
-    )
+    return np.stack([monodromy(pot, g, lams, opts) for g in trinoid_loops(n=n)], axis=1)

@@ -13,11 +13,13 @@ conventions are locked by unit tests because every sign matters.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeOptions, _rk4_fixed, transport, validate_path
+from .holonomy import DomainPath, OdeOptions, _right_mul, _rk4_fixed, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval, loop_from_samples, window_samples
 from .potentials import PoleError, Potential, xi_sampler
@@ -26,6 +28,9 @@ SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
 #: fixed RK4 steps of one hop from an anchor to a nearby point
 HOP_STEPS = 8
+
+#: anchors a SurfaceMap keeps; the least recently used one is evicted first
+ANCHOR_CACHE = 8
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
@@ -247,10 +252,12 @@ class SurfaceMap:
 
     Frames are carried as their values at the 4N roots of unity (N the
     window).  Anchors (expensively integrated frames from the base point,
-    adaptive integrator) are cached; nearby evaluations hop from the closest
-    anchor with a deterministic fixed-step RK4 so that finite-difference
-    stencils see a smooth function limited only by roundoff, not by adaptive
-    step placement.
+    adaptive integrator) are cached, the ``ANCHOR_CACHE`` most recently used
+    ones; nearby evaluations hop from the closest anchor with a deterministic
+    fixed-step RK4 so that finite-difference stencils see a smooth function
+    limited only by roundoff, not by adaptive step placement.  An anchor is
+    a deterministic function of its key, so eviction never changes a
+    result.
     """
 
     def __init__(
@@ -273,7 +280,8 @@ class SurfaceMap:
         self.frame_tol = float(frame_tol)
         self._lams = window_samples(self.window)
         self._xi = xi_sampler(pot, self._lams)
-        self._anchors: dict[tuple[float, float, int], np.ndarray] = {}
+        self._anchors: OrderedDict[tuple[float, float, int], np.ndarray] = OrderedDict()
+        self._anchors_lock = threading.Lock()
 
     # -- path planning ------------------------------------------------------
 
@@ -303,13 +311,19 @@ class SurfaceMap:
     def _anchor_state(self, center: complex, winding: int) -> np.ndarray:
         """Frame values at the window's roots of unity, integrated to center."""
         key = (float(center.real), float(center.imag), winding)
-        state = self._anchors.get(key)
-        if state is None:
-            state = np.broadcast_to(np.eye(2, dtype=np.complex128), (self._lams.size, 2, 2))
-            if center != self.pot.base_point or winding != 0:
-                route = self._route(center, winding)
-                state = transport(self.pot, route, state, self._lams, self.ode)
+        with self._anchors_lock:
+            state = self._anchors.get(key)
+            if state is not None:
+                self._anchors.move_to_end(key)
+                return state
+        state = np.broadcast_to(np.eye(2, dtype=np.complex128), (self._lams.size, 2, 2))
+        if center != self.pot.base_point or winding != 0:
+            route = self._route(center, winding)
+            state = transport(self.pot, route, state, self._lams, self.ode)
+        with self._anchors_lock:
             self._anchors[key] = state
+            if len(self._anchors) > ANCHOR_CACHE:
+                self._anchors.popitem(last=False)
         return state
 
     def _hop(self, state: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -320,7 +334,7 @@ class SurfaceMap:
         dz = b - a
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return y @ self._xi(a + t * dz) * dz
+            return _right_mul(y, self._xi(a + t * dz) * dz)
 
         return _rk4_fixed(rhs, state, HOP_STEPS)
 

@@ -3,10 +3,12 @@
 There is one integrator, ``transport``.  It carries a frame as its values at
 a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
-``integrate_at_lambda`` runs it at a single lam (monodromy matrices around
-punctures are computed this way).  ``integrate_frame`` runs it at the
-M = 4N roots of unity and projects the values onto the Laurent window
-[-N, N] by FFT.
+``monodromy`` runs it once around a closed path for every spectral value it
+is given.  ``integrate_frame`` runs it at the M = 4N roots of unity and
+projects the values onto the Laurent window [-N, N] by FFT.
+
+The adaptive method is Dormand-Prince 5(4) with scipy's RK45 step control
+(``_dopri45``); it needs numpy only.
 
 Determinants: all potential families are trace free, so det Phi = 1 is exact
 for the true flow and drifts only through integration error.  With
@@ -16,10 +18,10 @@ path segment, at every lam, using the principal square root of det Phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_from_samples, window_samples
 from .potentials import PoleError, Potential, xi_sampler
@@ -127,8 +129,9 @@ def validate_path(path: DomainPath, pot: Potential, eps_pole: float = EPS_POLE) 
 class OdeOptions:
     """Integrator configuration.
 
-    method "rk45" uses adaptive RK45 with atol = rtol = tolerance; "rk4" uses
-    fixed steps of at most ``step`` in |dz|.
+    method "rk45" uses adaptive Dormand-Prince 5(4) steps under scipy's RK45
+    controller, with atol = rtol = tolerance on the real and imaginary parts
+    of every entry; "rk4" uses fixed steps of at most ``step`` in |dz|.
     """
 
     method: str = "rk45"
@@ -143,6 +146,12 @@ class OdeOptions:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
+
+
+def _right_mul(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 products y[m] @ x[m] by broadcasting (faster than matmul
+    on stacks of many small matrices)."""
+    return y[:, :, :1] * x[:, None, 0] + y[:, :, 1:] * x[:, None, 1]
 
 
 def _rk4_fixed(rhs, y0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -160,28 +169,100 @@ def _rk4_fixed(rhs, y0: np.ndarray, n_steps: int) -> np.ndarray:
     return y
 
 
+# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I,
+# Sec. II.5), stored as scipy's RK45 stores it: row s of _DP_A combines the
+# stages 0..s-1 into stage s, _DP_B gives the fifth-order solution and _DP_E
+# the difference to the embedded fourth-order one over all seven stages.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# scipy's step-size controller
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / x.size**0.5
+
+
+def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) on y' = rhs(t, y), t in [0, 1].
+
+    The step control is scipy's RK45: Hairer's initial-step rule, local
+    extrapolation, and the RMS norm of the error estimate over the float64
+    view of the complex state, scaled by atol + rtol max(|y|, |y_new|) with
+    atol = rtol = tol.  Raises IntegrationError, located by ``z_at(t)``,
+    when the step size underflows.
+    """
+    y = np.ascontiguousarray(y0, dtype=np.complex128)
+    shape = y.shape
+    k = np.empty((7,) + shape, dtype=np.complex128)
+    kf = k.reshape(7, -1)
+    f = rhs(0.0, y)
+
+    # initial step (Hairer, Norsett, Wanner, Sec. II.4)
+    scale = tol + np.abs(y.view(np.float64)) * tol
+    d0 = _rms(y.view(np.float64) / scale)
+    d1 = _rms(f.view(np.float64) / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, 1.0)
+    f1 = rhs(h0, y + h0 * f)
+    d2 = _rms((f1 - f).view(np.float64) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, 1.0)
+
+    t = 0.0
+    while t < 1.0:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"adaptive integrator failed near z = {z_at(t)}: "
+                    "required step size is less than spacing between numbers"
+                )
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = rhs(t + _DP_C[s] * h, y + (_DP_A[s] @ kf[:s]).reshape(shape) * h)
+            y_new = y + h * (_DP_B @ kf[:6]).reshape(shape)
+            k[6] = f_new = rhs(t_new, y_new)
+            scale = tol + np.maximum(np.abs(y.view(np.float64)), np.abs(y_new.view(np.float64))) * tol
+            err = _rms((_DP_E @ kf * h).view(np.float64) / scale.reshape(-1))
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
 def _solve_segment_complex(rhs, y0: np.ndarray, opts: OdeOptions, seg_len: float, z_at):
     """Integrate a complex array state over t in [0,1] with the chosen method."""
     if opts.method == "rk4":
         n_steps = max(1, int(np.ceil(seg_len / opts.step)))
         return _rk4_fixed(rhs, y0, n_steps)
-    shape = y0.shape
-
-    def rhs_real(t: float, yr: np.ndarray) -> np.ndarray:
-        y = yr.view(np.complex128).reshape(shape)
-        return rhs(t, y).ravel().view(np.float64)
-
-    sol = solve_ivp(
-        rhs_real,
-        (0.0, 1.0),
-        np.ascontiguousarray(y0).ravel().view(np.float64),
-        method="RK45",
-        rtol=opts.tolerance,
-        atol=opts.tolerance,
-    )
-    if not sol.success:
-        raise IntegrationError(f"adaptive integrator failed near z = {z_at(sol.t[-1])}: {sol.message}")
-    return sol.y[:, -1].copy().view(np.complex128).reshape(shape)
+    return _dopri45(rhs, y0, opts.tolerance, z_at)
 
 
 def transport(
@@ -205,7 +286,7 @@ def transport(
         dz = b - a
 
         def rhs(t: float, m: np.ndarray, a=a, dz=dz) -> np.ndarray:
-            return m @ xi(a + t * dz) * dz
+            return _right_mul(m, xi(a + t * dz) * dz)
 
         y = _solve_segment_complex(rhs, y, opts, abs(dz), lambda t, a=a, dz=dz: a + t * dz)
         if opts.det_renormalize:
@@ -214,18 +295,6 @@ def transport(
                 raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")
             y = y / np.sqrt(det)[:, None, None]
     return y
-
-
-def integrate_at_lambda(
-    pot: Potential,
-    path: DomainPath,
-    phi0: np.ndarray | None = None,
-    lam: complex = 1.0,
-    opts: OdeOptions = OdeOptions(),
-) -> np.ndarray:
-    """Propagate a single 2x2 frame along the path at fixed spectral value."""
-    y = np.eye(2, dtype=np.complex128) if phi0 is None else np.asarray(phi0, dtype=np.complex128)
-    return transport(pot, path, y[None], [lam], opts)[0]
 
 
 def integrate_frame(
@@ -252,16 +321,19 @@ def integrate_frame(
 def monodromy(
     pot: Potential,
     gamma: DomainPath,
-    lam: complex,
+    lams,
     opts: OdeOptions = OdeOptions(),
-    phi0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Left monodromy H(gamma)(lam) = Phi_after Phi_before^{-1} around a loop."""
+    """Left monodromies H(gamma)(lam_m) around a closed path, shape (M, 2, 2).
+
+    The frame starts at the identity at the base point, so H is its value
+    after one circuit.  Every spectral value in ``lams`` rides in one
+    ``transport``.
+    """
     if not gamma.closed:
         raise ValueError("monodromy needs a closed path")
-    before = np.eye(2, dtype=np.complex128) if phi0 is None else np.asarray(phi0, dtype=np.complex128)
-    after = integrate_at_lambda(pot, gamma, before, lam, opts)
-    return after @ np.linalg.inv(before)
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    return transport(pot, gamma, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
 
 
 def unitarizing_gauge(mats, tol: float = 1e-8) -> np.ndarray:

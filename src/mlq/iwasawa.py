@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .loops import (
     LaurentLoop,
@@ -79,18 +78,18 @@ def _positivity_precheck(p: LaurentLoop) -> None:
 def _bauer_read(p: LaurentLoop, m: int, degree: int) -> LaurentLoop:
     """Cholesky of the (m+1)-block Toeplitz section; last row gives the factor."""
     size = 2 * (m + 1)
-    t = np.zeros((m + 1, 2, m + 1, 2), dtype=np.complex128)
-    for k in range(max(p.k_min, -m), min(p.k_max, m) + 1):
-        blk = p.coefficient(k)
-        i0 = max(0, -k)
-        i1 = min(m, m - k)
-        idx = np.arange(i0, i1 + 1)
-        t[idx, :, idx + k, :] = blk
-    t2 = t.reshape(size, size)
+    # block (i, j) of the section is the coefficient P_{j-i}, read from P
+    # padded onto [-m, m] in one gather
+    padded = np.zeros((2 * m + 1, 2, 2), dtype=np.complex128)
+    lo, hi = max(p.k_min, -m), min(p.k_max, m)
+    if lo <= hi:
+        padded[lo + m : hi + m + 1] = p.coeffs[lo - p.k_min : hi - p.k_min + 1]
+    idx = np.arange(m + 1)
+    t2 = padded[idx[None, :] - idx[:, None] + m].transpose(0, 2, 1, 3).reshape(size, size)
     t2 = 0.5 * (t2 + t2.conj().T)
     try:
-        low = scipy.linalg.cholesky(t2, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(t2)
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}") from exc
     coeffs = np.empty((degree + 1, 2, 2), dtype=np.complex128)
     for n in range(degree + 1):

@@ -378,17 +378,16 @@ def test_c10_trinoid():
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     opts = OdeOptions(tolerance=1e-12)
     worst_prod = 0.0
-    for lam in (1j, 1.0 + 0.0j):  # lambda0 and -i lambda0
-        h0, h1, hinf = trinoid_monodromies(pot, lam, opts=opts)
+    # lambda0 and -i lambda0
+    for h0, h1, hinf in trinoid_monodromies(pot, [1j, 1.0 + 0.0j], opts=opts):
         worst_prod = max(worst_prod, float(np.abs(hinf @ h1 @ h0 - np.eye(2)).max()))
     assert worst_prod <= 1e-6
 
     # the monodromy representation is unitarizable: conjugate by the
     # invariant-form dressing at each sample and check unitarity there
     worst_unit = 0.0
-    for k in range(8):
-        lam = np.exp(1j * np.pi * (k / 4 + 0.07))
-        mats = trinoid_monodromies(pot, lam, opts=opts)
+    circle = [np.exp(1j * np.pi * (k / 4 + 0.07)) for k in range(8)]
+    for mats in trinoid_monodromies(pot, circle, opts=opts):
         gauge = unitarizing_gauge(mats)
         inv_gauge = np.linalg.inv(gauge)
         for h in mats:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlq
+from mlq import holonomy
 from mlq.cli import (
     EXIT_CHECKS_FAILED,
     EXIT_OK,
@@ -264,6 +270,24 @@ def test_closing_trinoid(tmp_path):
     assert payload["monodromy"]["dressed_unitarity_max"] < 1e-6
 
 
+def test_closing_trinoid_runs_one_transport_per_loop(tmp_path, monkeypatch):
+    calls = []
+    transport = holonomy.transport
+
+    def counted(pot, path, y, lams, opts):
+        calls.append(len(lams))
+        return transport(pot, path, y, lams, opts)
+
+    monkeypatch.setattr(holonomy, "transport", counted)
+    cfg = write_cfg(
+        tmp_path, "tri.json",
+        potential={"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0},
+    )
+    assert main(["closing", "--config", cfg, "--out", str(tmp_path / "closing"), "--jobs", "1"]) == EXIT_OK
+    # three generator loops, each carrying (lam0, -i lam0) and 8 circle samples
+    assert calls == [10, 10, 10]
+
+
 def test_family_sweep(tmp_path):
     cfg = write_cfg(
         tmp_path, "fam.json",
@@ -278,3 +302,11 @@ def test_family_sweep(tmp_path):
     assert len(payload["per_lambda"]) == 2
     assert payload["max_u_dev"] < 1e-6
     assert payload["max_alpha_dev"] < 1e-4
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy serves the profile oracle and the tests; the pipeline needs numpy only
+    code = "import sys, mlq.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

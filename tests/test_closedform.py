@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlq.closedform import (
     cylinder_closing,
@@ -185,14 +187,30 @@ def test_trinoid_monodromy_at_lambda0_is_trivial():
     # h(lam0, lam0) = 0 kills the lower-triangular part, and the upper entry
     # integrates to zero around any closed loop
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
-    for h in trinoid_monodromies(pot, 1j, OdeOptions(tolerance=1e-12)):
+    for h in trinoid_monodromies(pot, [1j], OdeOptions(tolerance=1e-12))[0]:
         np.testing.assert_allclose(h, np.eye(2), atol=1e-12)
 
 
 def test_trinoid_monodromy_product_is_trivial():
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
-    h0, h1, hinf = trinoid_monodromies(pot, 1.0, OdeOptions(tolerance=1e-12))
+    h0, h1, hinf = trinoid_monodromies(pot, [1.0], OdeOptions(tolerance=1e-12))[0]
     for h in (h0, h1, hinf):
         assert np.abs(h - np.eye(2)).max() > 1e-3   # individually nontrivial
         assert np.linalg.det(h) == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(hinf @ h1 @ h0, np.eye(2), atol=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    lam0=st.sampled_from([1j, -1j]),
+    weights=st.tuples(*(st.floats(0.8, 1.2) for _ in range(3))),
+    angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=2, max_size=4),
+)
+def test_batched_trinoid_monodromies_match_single_lambda_runs(lam0, weights, angles):
+    pot = make_potential(trinoid_spec(lam0, *weights))
+    lams = [np.exp(1j * t) for t in angles]
+    opts = OdeOptions(tolerance=1e-12)
+    batched = trinoid_monodromies(pot, lams, opts, n=16)
+    assert batched.shape == (len(lams), 3, 2, 2)
+    for lam, mats in zip(lams, batched):
+        np.testing.assert_allclose(mats, trinoid_monodromies(pot, [lam], opts, n=16)[0], rtol=0, atol=1e-10)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from oracles import analytic_surface
@@ -5,6 +8,7 @@ from oracles import analytic_surface
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame
 from mlq.frames import (
+    ANCHOR_CACHE,
     FramePointPair,
     GridSpec,
     SurfaceMap,
@@ -165,6 +169,34 @@ def test_tail_norm_is_the_mass_beyond_the_window():
     z = _CLOSING_SAMPLES[0]
     s = wide.sample(z, winding=1)
     assert s.diagnostics["tail_norm"] == wide.frame_loop(z, winding=1).tail_norm
+
+
+def test_anchor_cache_is_bounded_and_eviction_keeps_results():
+    smap = SurfaceMap(make_potential(sphere_spec()), window=8)
+    nodes = [0.05 * (k + 1) * (1 + 1j) for k in range(ANCHOR_CACHE + 3)]
+    first = [smap.sample(z).q2_hom for z in nodes]
+    assert len(smap._anchors) == ANCHOR_CACHE
+    # the first node's anchor was evicted; recomputing it gives the same bytes
+    assert np.array_equal(smap.sample(nodes[0]).q2_hom, first[0])
+    assert len(smap._anchors) == ANCHOR_CACHE
+
+
+def test_anchor_cache_under_threads():
+    pot = make_potential(sphere_spec())
+    nodes = [0.04 * (k + 1) * (1 - 0.5j) for k in range(3 * ANCHOR_CACHE)]
+    serial = [SurfaceMap(pot, window=8).sample(z).q2_hom for z in nodes]
+    smap = SurfaceMap(pot, window=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(smap.sample, z) for z in nodes * 3]
+            got = [f.result(timeout=60).q2_hom for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(smap._anchors) <= ANCHOR_CACHE
+    for i, q in enumerate(got):
+        assert np.array_equal(q, serial[i % len(nodes)])
 
 
 def test_sample_at_puncture_is_invalid():

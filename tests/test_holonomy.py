@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from mlq.holonomy import (
@@ -10,12 +11,13 @@ from mlq.holonomy import (
     OdeOptions,
     circle_path,
     default_monodromy_circle,
-    integrate_at_lambda,
     integrate_frame,
     monodromy,
     transport,
     unitarizing_gauge,
     validate_path,
+    _dopri45,
+    _right_mul,
 )
 from mlq.loops import loop_eval, loop_eval_many, twist_check, window_samples
 from mlq.potentials import (
@@ -25,9 +27,15 @@ from mlq.potentials import (
     sphere_spec,
     torus_spec,
     trinoid_spec,
+    xi_sampler,
 )
 
 RNG = np.random.default_rng(99)
+
+
+def at_lambda(pot, path, lam, opts):
+    """The frame from the identity along path at one spectral value."""
+    return transport(pot, path, np.eye(2)[None], [lam], opts)[0]
 
 
 def random_su2() -> np.ndarray:
@@ -93,7 +101,7 @@ def test_sphere_transport_is_exact_polynomial(method):
     opts = OdeOptions(method=method, tolerance=1e-12, step=1e-3)
     z = 0.7 - 0.4j
     for lam in (1.0, np.exp(0.6j), 1j):
-        got = integrate_at_lambda(pot, DomainPath.line(0.0, z), lam=lam, opts=opts)
+        got = at_lambda(pot, DomainPath.line(0.0, z), lam, opts)
         expected = np.array([[1.0, z / lam], [0.0, 1.0]])
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -104,7 +112,7 @@ def test_torus_transport_matches_matrix_exponential():
     z = 0.9 + 0.3j
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     for lam in (1.0, np.exp(1.1j)):
-        got = integrate_at_lambda(pot, DomainPath.line(0.0, z), lam=lam, opts=opts)
+        got = at_lambda(pot, DomainPath.line(0.0, z), lam, opts)
         np.testing.assert_allclose(got, expm(z / lam * a), atol=1e-9)
 
 
@@ -112,23 +120,23 @@ def test_transport_composes_along_paths():
     pot = make_potential(torus_spec())
     opts = OdeOptions(tolerance=1e-12)
     lam = np.exp(0.4j)
-    via = integrate_at_lambda(pot, DomainPath.polyline([0.0, 0.5j, 1.0]), lam=lam, opts=opts)
-    direct = integrate_at_lambda(pot, DomainPath.line(0.0, 1.0), lam=lam, opts=opts)
+    via = at_lambda(pot, DomainPath.polyline([0.0, 0.5j, 1.0]), lam, opts)
+    direct = at_lambda(pot, DomainPath.line(0.0, 1.0), lam, opts)
     np.testing.assert_allclose(via, direct, atol=1e-9)
 
 
 def test_monodromy_trivial_for_exact_forms():
     # constant-coefficient xi integrates to zero around any closed loop
     pot = make_potential(torus_spec())
-    h = monodromy(pot, circle_path(0.3, 1.1, n=48), np.exp(0.8j), OdeOptions(tolerance=1e-12))
+    h = monodromy(pot, circle_path(0.3, 1.1, n=48), [np.exp(0.8j)], OdeOptions(tolerance=1e-12))[0]
     np.testing.assert_allclose(h, np.eye(2), atol=1e-9)
     with pytest.raises(ValueError):
-        monodromy(pot, DomainPath.line(0.0, 1.0), 1.0)
+        monodromy(pot, DomainPath.line(0.0, 1.0), [1.0])
 
 
 def test_trinoid_monodromy_has_unit_determinant():
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
-    h = monodromy(pot, circle_path(0.0, 0.5, n=64), np.exp(0.3j))
+    h = monodromy(pot, circle_path(0.0, 0.5, n=64), [np.exp(0.3j)])[0]
     assert np.linalg.det(h) == pytest.approx(1.0, abs=1e-9)
     # a genuinely nontrivial singularity
     assert np.abs(h - np.eye(2)).max() > 1e-3
@@ -152,7 +160,7 @@ def test_transport_runs_every_spectral_value_at_once():
     opts = OdeOptions(tolerance=1e-12)
     y = transport(pot, path, np.broadcast_to(np.eye(2), (3, 2, 2)), lams, opts)
     for val, lam in zip(y, lams):
-        np.testing.assert_allclose(val, integrate_at_lambda(pot, path, lam=lam, opts=opts), atol=1e-9)
+        np.testing.assert_allclose(val, at_lambda(pot, path, lam, opts), atol=1e-9)
 
 
 _spectral_angle = st.floats(0.0, 2.0 * np.pi)
@@ -182,8 +190,46 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     lam = np.exp(1j * theta)
     opts = OdeOptions(tolerance=1e-12)
     loop = integrate_frame(pot, path, opts=opts, window=16)
-    pointwise = integrate_at_lambda(pot, path, lam=lam, opts=opts)
+    pointwise = at_lambda(pot, path, lam, opts)
     np.testing.assert_allclose(loop_eval(loop, lam), pointwise, atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seg=st.one_of(_radial_segment(), _trinoid_segment()),
+    theta=_spectral_angle,
+    m=st.sampled_from([1, 10, 64]),
+    tol=st.sampled_from([1e-10, 1e-12]),
+)
+def test_dopri45_matches_scipy_rk45(seg, theta, m, tol):
+    pot, z = seg
+    assume(abs(z - pot.base_point) > 1e-6)
+    a, dz = pot.base_point, z - pot.base_point
+    xi = xi_sampler(pot, np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m)))
+
+    def rhs(t, y):
+        return _right_mul(y, xi(a + t * dz) * dz)
+
+    y0 = np.broadcast_to(np.eye(2, dtype=np.complex128), (m, 2, 2))
+    got = _dopri45(rhs, y0, tol, lambda t: a + t * dz)
+    sol = solve_ivp(
+        lambda t, yr: rhs(t, yr.view(np.complex128).reshape(m, 2, 2)).ravel().view(np.float64),
+        (0.0, 1.0),
+        np.ascontiguousarray(y0).ravel().view(np.float64),
+        method="RK45",
+        rtol=tol,
+        atol=tol,
+    )
+    assert sol.success
+    expected = sol.y[:, -1].copy().view(np.complex128).reshape(m, 2, 2)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_dopri45_reports_a_blow_up():
+    # y' = y^2 from y(0) = 2 blows up at t = 1/2
+    with pytest.raises(IntegrationError, match="z = 0.5"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _dopri45(lambda t, y: y * y, np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
 
 
 def test_integrate_frame_rejects_pole_paths():
