@@ -10,7 +10,7 @@ the sinh-Gordon equation, closing conditions) numerically.
 
 from __future__ import annotations
 
-from .loops import LaurentLoop, loop_eval, loop_mul, loop_star, plus_inverse, twist_check
+from .loops import LaurentLoop, loop_eval, twist_check
 from .potentials import (
     PotentialSpec,
     custom_spec,
@@ -29,7 +29,6 @@ from .holonomy import (
     DomainPath,
     OdeOptions,
     circle_path,
-    integrate_frame,
     monodromy,
     transport,
     unitarizing_gauge,
@@ -80,9 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentLoop",
     "loop_eval",
-    "loop_mul",
-    "loop_star",
-    "plus_inverse",
     "twist_check",
     "PotentialSpec",
     "make_potential",
@@ -99,7 +95,6 @@ __all__ = [
     "DomainPath",
     "OdeOptions",
     "circle_path",
-    "integrate_frame",
     "transport",
     "monodromy",
     "unitarizing_gauge",

@@ -1,7 +1,10 @@
 """From unitary frames to surfaces in Q2, S3 x S3 and S2 x S2.
 
-A point of the surface is produced by evaluating the unitary Iwasawa factor
-F at the spectral pair (lam0, -i lam0), forming
+``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
+roots of unity and hands those samples to the Iwasawa split; the unitary
+factor F comes back as its Laurent coefficients on [-N, N].  A point of the
+surface is produced by evaluating F at the spectral pair (lam0, -i lam0),
+forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .holonomy import DomainPath, OdeOptions, _right_mul, _rk4_fixed, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
-from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval, loop_from_samples, window_samples
+from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -251,13 +254,13 @@ class SurfaceMap:
     """Evaluate the surface pipeline at arbitrary domain points, with caching.
 
     Frames are carried as their values at the 4N roots of unity (N the
-    window).  Anchors (expensively integrated frames from the base point,
-    adaptive integrator) are cached, the ``ANCHOR_CACHE`` most recently used
-    ones; nearby evaluations hop from the closest anchor with a deterministic
-    fixed-step RK4 so that finite-difference stencils see a smooth function
-    limited only by roundoff, not by adaptive step placement.  An anchor is
-    a deterministic function of its key, so eviction never changes a
-    result.
+    window) and split there by ``iwasawa``.  Anchors (expensively integrated
+    frames from the base point, adaptive integrator) are cached, the
+    ``ANCHOR_CACHE`` most recently used ones; nearby evaluations hop from the
+    closest anchor with a deterministic fixed-step RK4 so that
+    finite-difference stencils see a smooth function limited only by
+    roundoff, not by adaptive step placement.  An anchor is a deterministic
+    function of its key, so eviction never changes a result.
     """
 
     def __init__(
@@ -338,17 +341,15 @@ class SurfaceMap:
 
         return _rk4_fixed(rhs, state, HOP_STEPS)
 
-    def frame_loop(self, z: complex, anchor: complex | None = None, winding: int = 0) -> LaurentLoop:
-        """Loop-level frame Phi(z), integrated from the base via an anchor."""
+    def unitary_frame(self, z: complex, anchor: complex | None = None, winding: int = 0) -> IwasawaResult:
+        """Iwasawa split of the frame values at z, hopped from an anchor
+        (z itself by default) that was integrated from the base point."""
         z = complex(z)
         if anchor is None:
             anchor = z
         anchor = complex(anchor)
         state = self._hop(self._anchor_state(anchor, winding), anchor, z)
-        return loop_from_samples(state, self.window)
-
-    def unitary_frame(self, z: complex, anchor: complex | None = None, winding: int = 0) -> IwasawaResult:
-        return iwasawa(self.frame_loop(z, anchor, winding), window=self.window, tol=self.iwasawa_tol)
+        return iwasawa(state, tol=self.iwasawa_tol)
 
     def frame_pair(self, z: complex, anchor: complex | None = None, winding: int = 0) -> FramePointPair:
         res = self.unitary_frame(z, anchor, winding)
@@ -361,8 +362,7 @@ class SurfaceMap:
 
     def sample(self, z: complex, anchor: complex | None = None, winding: int = 0) -> SurfaceSample:
         try:
-            loop = self.frame_loop(z, anchor, winding)
-            res = iwasawa(loop, window=self.window, tol=self.iwasawa_tol)
+            res = self.unitary_frame(z, anchor, winding)
             fp = frame_pair_at(res.F, self.lambda0)
             x, y = xy_matrices(fp)
             return SurfaceSample(
@@ -371,7 +371,7 @@ class SurfaceMap:
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
                 diagnostics={
-                    "tail_norm": loop.tail_norm,
+                    "tail_norm": res.F.tail_norm,
                     "iwasawa_residual": float(res.residual),
                     "unitarity_error": float(res.unitarity_error),
                 },

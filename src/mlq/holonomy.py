@@ -4,16 +4,16 @@ There is one integrator, ``transport``.  It carries a frame as its values at
 a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
 ``monodromy`` runs it once around a closed path for every spectral value it
-is given.  ``integrate_frame`` runs it at the M = 4N roots of unity and
-projects the values onto the Laurent window [-N, N] by FFT.
+is given; ``SurfaceMap`` runs it at the M = 4N roots of unity, where the
+Iwasawa split takes the values as they are.
 
-The adaptive method is Dormand-Prince 5(4) with scipy's RK45 step control
+The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
 (``_dopri45``); it needs numpy only.
 
 Determinants: all potential families are trace free, so det Phi = 1 is exact
-for the true flow and drifts only through integration error.  With
-``det_renormalize`` on (the default) the drift is divided out after every
-path segment, at every lam, using the principal square root of det Phi.
+for the true flow and drifts only through integration error.  The drift is
+divided out after every path segment, at every lam, using the principal
+square root of det Phi.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_from_samples, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 #: Paths must keep this distance from declared singular points.
@@ -129,23 +128,16 @@ def validate_path(path: DomainPath, pot: Potential, eps_pole: float = EPS_POLE) 
 class OdeOptions:
     """Integrator configuration.
 
-    method "rk45" uses adaptive Dormand-Prince 5(4) steps under scipy's RK45
+    The adaptive Dormand-Prince 5(4) steps run under scipy's RK45
     controller, with atol = rtol = tolerance on the real and imaginary parts
-    of every entry; "rk4" uses fixed steps of at most ``step`` in |dz|.
+    of every entry.
     """
 
-    method: str = "rk45"
     tolerance: float = 1e-10
-    step: float = 1e-2
-    det_renormalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"method must be 'rk45' or 'rk4', got {self.method!r}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
 
 
 def _right_mul(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -257,14 +249,6 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
     return y
 
 
-def _solve_segment_complex(rhs, y0: np.ndarray, opts: OdeOptions, seg_len: float, z_at):
-    """Integrate a complex array state over t in [0,1] with the chosen method."""
-    if opts.method == "rk4":
-        n_steps = max(1, int(np.ceil(seg_len / opts.step)))
-        return _rk4_fixed(rhs, y0, n_steps)
-    return _dopri45(rhs, y0, opts.tolerance, z_at)
-
-
 def transport(
     pot: Potential,
     path: DomainPath,
@@ -275,9 +259,9 @@ def transport(
     """Carry frame values y, shape (M, 2, 2), at the spectral values lams along the path.
 
     Every value solves dY = Y xi(z, lam) dz; the M systems share one ODE
-    state, so the adaptive integrator takes common steps.  With
-    ``det_renormalize`` each value is divided by the principal square root of
-    its determinant after every segment.
+    state, so the adaptive integrator takes common steps.  Each value is
+    divided by the principal square root of its determinant after every
+    segment.
     """
     validate_path(path, pot)
     xi = xi_sampler(pot, lams)
@@ -288,34 +272,12 @@ def transport(
         def rhs(t: float, m: np.ndarray, a=a, dz=dz) -> np.ndarray:
             return _right_mul(m, xi(a + t * dz) * dz)
 
-        y = _solve_segment_complex(rhs, y, opts, abs(dz), lambda t, a=a, dz=dz: a + t * dz)
-        if opts.det_renormalize:
-            det = np.linalg.det(y)
-            if np.any(np.abs(det) < 1e-8):
-                raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")
-            y = y / np.sqrt(det)[:, None, None]
+        y = _dopri45(rhs, y, opts.tolerance, lambda t, a=a, dz=dz: a + t * dz)
+        det = np.linalg.det(y)
+        if np.any(np.abs(det) < 1e-8):
+            raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")
+        y = y / np.sqrt(det)[:, None, None]
     return y
-
-
-def integrate_frame(
-    pot: Potential,
-    path: DomainPath,
-    opts: OdeOptions = OdeOptions(),
-    window: int | None = None,
-) -> LaurentLoop:
-    """Integrate dPhi = Phi xi from Phi = I and return Phi on the window [-N, N].
-
-    Phi is carried as its values at the M = 4N roots of unity through
-    ``transport`` and projected onto [-N, N] by FFT.  The projection drops
-    the modes outside the window; their Frobenius mass is the result's
-    ``tail_norm``.
-    """
-    n = DEFAULT_WINDOW_N if window is None else int(window)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    lams = window_samples(n)
-    y = transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
-    return loop_from_samples(y, n)
 
 
 def monodromy(

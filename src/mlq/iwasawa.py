@@ -1,12 +1,15 @@
 """Loop-group Iwasawa decomposition Phi = F B.
 
 F is unitary on the unit circle, B extends holomorphically inside with
-B(0) upper triangular and positive diagonal.  The splitting is computed by
-matrix spectral factorization of the Hermitian positive loop P = Phi* Phi:
-a Bauer-type method assembles the block-Toeplitz matrix of the Fourier
-coefficients of P, Cholesky-factorizes a finite section, and reads the
-plus-factor coefficients off the last block row.  The section size is grown
-until the factorization residual on circle samples is below tolerance.
+B(0) upper triangular and positive diagonal.  Phi comes in as its values at
+the 4N roots of unity, and the split works on those samples.  B is the
+matrix spectral factor of the Hermitian positive loop P = Phi* Phi, formed
+pointwise and read off by one FFT: a Bauer-type method assembles the
+block-Toeplitz matrix of the Fourier coefficients of P, Cholesky-factorizes
+a finite section, and reads the plus-factor coefficients off the last block
+row.  The section size is grown until the factorization residual on circle
+samples is below tolerance.  F = Phi B^{-1} is formed at the samples too;
+coefficients appear only when F is projected onto the window [-N, N].
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import numpy as np
 from .loops import (
     LaurentLoop,
     loop_eval_many,
-    loop_mul,
-    loop_star,
+    loop_from_samples,
     loop_trim,
-    plus_inverse,
     unitarity_error,
+    window_samples,
 )
 
 DEFAULT_TOL = 1e-9
@@ -43,7 +45,8 @@ class IwasawaResult:
     """Normalized splitting Phi = F B with quality diagnostics.
 
     unitarity_error is max ||F(lam)^* F(lam) - I|| over circle samples;
-    residual is max ||Phi(lam) - F(lam) B(lam)|| over the same samples.
+    residual is max ||Phi(lam) - F(lam) B(lam)|| over the samples Phi was
+    given at, for the projected F.
     """
 
     F: LaurentLoop
@@ -103,28 +106,27 @@ def _bauer_read(p: LaurentLoop, m: int, degree: int) -> LaurentLoop:
 
 def _factor_residual(b: LaurentLoop, p: LaurentLoop) -> float:
     lams = _circle(_CIRCLE_SAMPLES)
-    gram = loop_mul(loop_star(b), b)
-    diff = loop_eval_many(gram, lams) - loop_eval_many(p, lams)
+    bv = loop_eval_many(b, lams)
+    diff = np.conj(bv.transpose(0, 2, 1)) @ bv - loop_eval_many(p, lams)
     return float(np.linalg.norm(diff, axis=(1, 2)).max())
 
 
 def spectral_factor_plus(
     p: LaurentLoop,
-    window: int | None = None,
     tol: float = DEFAULT_TOL,
     max_doublings: int = 6,
 ) -> LaurentLoop:
     """Plus-loop B with B* B = P on the circle, B(0) upper triangular positive.
 
-    ``window`` bounds the polynomial degree of B; by default the degree of P
-    is used (sufficient for positive Laurent polynomials by the matrix
-    Fejer-Riesz theorem).  The Toeplitz section starts at 2x the degree of P
-    and doubles until the residual on circle samples drops below tol.
+    B has the polynomial degree of P (sufficient for positive Laurent
+    polynomials by the matrix Fejer-Riesz theorem).  The Toeplitz section
+    starts at 2x the degree of P and doubles until the residual on circle
+    samples drops below tol.
     """
     p = loop_trim(p)
     _positivity_precheck(p)
-    degree = max(p.k_max, 1) if window is None else int(window)
-    m = max(2 * max(p.k_max, 1), degree, 8)
+    degree = max(p.k_max, 1)
+    m = max(2 * degree, 8)
     last_residual = np.inf
     for _ in range(max_doublings + 1):
         b = _bauer_read(p, m, degree)
@@ -146,36 +148,34 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * d[None, :], r / d[:, None]
 
 
-def iwasawa(
-    phi: LaurentLoop,
-    window: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> IwasawaResult:
-    """Normalized Iwasawa splitting of an invertible loop.
+def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
+    """Normalized Iwasawa splitting of a loop given at ``window_samples(N)``.
 
-    Returns F = Phi B^{-1} clipped to the window [-N, N] (N defaults to the
-    Laurent width of Phi) and B from the spectral factorization of Phi* Phi.
-    A final constant QR correction pins B_0 exactly upper triangular with
-    positive diagonal, absorbing the unitary part into F.
+    ``values`` has shape (4N, 2, 2); N is read off its length.  B comes from
+    the spectral factorization of Phi* Phi; a final constant QR correction
+    pins B_0 exactly upper triangular with positive diagonal, absorbing the
+    unitary part into F.  F = Phi B^{-1} is projected onto [-N, N], and its
+    ``tail_norm`` is the mass that projection drops.
     """
-    n = max(-phi.k_min, phi.k_max, 1) if window is None else int(window)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    p = loop_mul(loop_star(phi), phi, -2 * n, 2 * n)
-    b = spectral_factor_plus(p, window=2 * n, tol=tol)
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 3 or values.shape[1:] != (2, 2) or values.shape[0] < 4 or values.shape[0] % 4:
+        raise ValueError(f"need loop values at 4N roots of unity, shape (4N, 2, 2); got {values.shape}")
+    n = values.shape[0] // 4
+    # P at the samples; 4N of them resolve its modes |k| < 2N
+    gram = np.conj(values.transpose(0, 2, 1)) @ values
+    b = spectral_factor_plus(loop_from_samples(gram, 2 * n - 1), tol=tol)
 
     # constant correction: exact normalization of the constant term
     q, r0 = _qr_positive(b.coeffs[0])
     b_coeffs = np.einsum("ij,kjl->kil", q.conj().T, b.coeffs)
-    b = LaurentLoop(b_coeffs, 0, b.tail_norm)
+    b = LaurentLoop(b_coeffs, 0)
     b.coeffs[0] = np.triu(b.coeffs[0])
     b.coeffs[0].real[np.diag_indices(2)] = np.abs(b.coeffs[0].diagonal().real)
     b.coeffs[0].imag[np.diag_indices(2)] = 0.0
 
-    b_inv = plus_inverse(b, n_max=2 * n)
-    f = loop_mul(phi, b_inv, -n, n)
-
-    lams = _circle(_CIRCLE_SAMPLES)
-    recon = np.einsum("sij,sjk->sik", loop_eval_many(f, lams), loop_eval_many(b, lams))
-    residual = float(np.linalg.norm(recon - loop_eval_many(phi, lams), axis=(1, 2)).max())
+    lams = window_samples(n)
+    b_vals = loop_eval_many(b, lams)
+    f = loop_from_samples(values @ np.linalg.inv(b_vals), n)
+    recon = loop_eval_many(f, lams) @ b_vals
+    residual = float(np.linalg.norm(recon - values, axis=(1, 2)).max())
     return IwasawaResult(F=f, B=b, unitarity_error=unitarity_error(f), residual=residual)

@@ -1,23 +1,21 @@
-"""Matrix-valued Laurent polynomial loops and their algebra.
+"""Matrix-valued Laurent polynomial loops.
 
 A loop is a map from the unit circle into 2x2 complex matrices.  Frames are
-integrated as their values at the M = 4N roots of unity (``window_samples``),
-one 2x2 matrix per root, and turned into a finite window of Laurent
-coefficients
+integrated, and split into their Iwasawa factors, as their values at the
+M = 4N roots of unity (``window_samples``), one 2x2 matrix per root.
+Coefficients on a finite window
 
     A(lam) = sum_{k = -N}^{N} A_k lam^k
 
-by an FFT projection (``loop_from_samples``) where coefficients are needed,
-which is the Iwasawa split.  The split works on this coefficient
-representation, so its products are truncated back into a finite window.
-The projection and every truncation accumulate the Frobenius mass of the
-dropped coefficients into ``tail_norm``; the field is a diagnostic of
+appear only where a factor is projected onto it by FFT
+(``loop_from_samples``).  The projection records the Frobenius mass of the
+modes it drops in ``tail_norm``; the field is a diagnostic of
 representation quality, not a rigorous error bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +37,8 @@ class LaurentLoop:
     k_min:
         Exponent of the first stored coefficient.
     tail_norm:
-        Accumulated Frobenius norm of coefficients dropped by windowed
-        operations that produced this loop.
+        Frobenius norm of the modes the FFT projection that produced this
+        loop dropped (0 for loops built from coefficients).
     """
 
     coeffs: np.ndarray
@@ -84,9 +82,6 @@ class LaurentLoop:
             coeffs[k - k_min] = mat
         return cls(coeffs, k_min)
 
-    def copy(self) -> "LaurentLoop":
-        return LaurentLoop(self.coeffs.copy(), self.k_min, self.tail_norm)
-
     def coefficient(self, k: int) -> np.ndarray:
         """Coefficient of lam**k (zero matrix outside the stored window)."""
         if self.k_min <= k <= self.k_max:
@@ -118,50 +113,6 @@ def loop_trim(a: LaurentLoop, tol: float = 0.0) -> LaurentLoop:
         return LaurentLoop(np.zeros((1, 2, 2), dtype=np.complex128), 0, a.tail_norm)
     lo, hi = keep[0], keep[-1]
     return LaurentLoop(a.coeffs[lo : hi + 1].copy(), a.k_min + lo, a.tail_norm)
-
-
-def _clip_window(
-    coeffs: np.ndarray, k_min: int, n_min: int | None, n_max: int | None
-) -> tuple[np.ndarray, int, float]:
-    """Restrict coefficients to [n_min, n_max]; return dropped Frobenius mass."""
-    k_max = k_min + coeffs.shape[0] - 1
-    lo = k_min if n_min is None else max(k_min, n_min)
-    hi = k_max if n_max is None else min(k_max, n_max)
-    if lo > hi:
-        dropped = float(np.linalg.norm(coeffs))
-        width_lo = k_min if n_min is None else n_min
-        return np.zeros((1, 2, 2), dtype=np.complex128), width_lo, dropped
-    inside = coeffs[lo - k_min : hi - k_min + 1]
-    dropped = 0.0
-    if lo > k_min:
-        dropped += float(np.linalg.norm(coeffs[: lo - k_min]))
-    if hi < k_max:
-        dropped += float(np.linalg.norm(coeffs[hi - k_min + 1 :]))
-    return inside.copy(), lo, dropped
-
-
-def loop_mul(
-    a: LaurentLoop,
-    b: LaurentLoop,
-    n_min: int | None = None,
-    n_max: int | None = None,
-) -> LaurentLoop:
-    """Product of two loops, optionally truncated to the window [n_min, n_max].
-
-    The matrix convolution is computed entrywise with scalar convolutions
-    (eight length-K convolutions), then clipped.  Dropped coefficient mass and
-    the operands' own tail norms accumulate into the result's ``tail_norm``.
-    """
-    ka = a.coeffs.shape[0]
-    kb = b.coeffs.shape[0]
-    out = np.empty((ka + kb - 1, 2, 2), dtype=np.complex128)
-    for r in range(2):
-        for c in range(2):
-            acc = np.convolve(a.coeffs[:, r, 0], b.coeffs[:, 0, c])
-            acc = acc + np.convolve(a.coeffs[:, r, 1], b.coeffs[:, 1, c])
-            out[:, r, c] = acc
-    coeffs, k_min, dropped = _clip_window(out, a.k_min + b.k_min, n_min, n_max)
-    return LaurentLoop(coeffs, k_min, a.tail_norm + b.tail_norm + dropped)
 
 
 def loop_eval(a: LaurentLoop, lam: complex) -> np.ndarray:
@@ -203,59 +154,12 @@ def loop_from_samples(values: np.ndarray, n: int) -> LaurentLoop:
     return LaurentLoop(kept, -n, float(np.linalg.norm(c[n + 1 : m - n])))
 
 
-def loop_star(a: LaurentLoop) -> LaurentLoop:
-    """Adjoint loop: (A*)_k = (A_{-k})^dagger.
-
-    On the unit circle ``loop_eval(loop_star(A), lam)`` equals the conjugate
-    transpose of ``loop_eval(A, lam)``.
-    """
-    coeffs = np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1)))
-    return LaurentLoop(coeffs, -a.k_max, a.tail_norm)
-
-
 def unitarity_error(a: LaurentLoop, n_samples: int = 32) -> float:
     """max over circle samples of || A(lam)^dagger A(lam) - I ||_F."""
     lams = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     vals = loop_eval_many(a, lams)
     gram = np.einsum("sji,sjk->sik", np.conj(vals), vals) - _EYE2[None]
     return float(np.linalg.norm(gram.reshape(n_samples, 4), axis=1).max())
-
-
-def plus_inverse(b: LaurentLoop, n_max: int | None = None) -> LaurentLoop:
-    """Inverse of a plus loop (nonnegative powers only), truncated at degree n_max.
-
-    With B(lam) = sum_{k>=0} B_k lam^k and invertible B_0, the inverse
-    C = B^{-1} has coefficients
-
-        C_0 = B_0^{-1},   C_k = -B_0^{-1} sum_{j=1}^{k} B_j C_{k-j}.
-
-    The series is generally infinite; n_max defaults to the degree of ``b``,
-    which is exact whenever the inverse happens to terminate there (e.g.
-    triangular factors).
-    """
-    bt = loop_trim(b)
-    if bt.k_min < 0:
-        raise ValueError(f"plus_inverse needs a plus loop, got k_min = {bt.k_min}")
-    if bt.k_min > 0:
-        raise ValueError("plus loop has no constant term; it is singular at lam = 0")
-    b0 = bt.coeffs[0]
-    det0 = np.linalg.det(b0)
-    if abs(det0) < 1e-14:
-        raise ValueError(f"constant term is numerically singular (|det| = {abs(det0):.2e})")
-    b0_inv = np.linalg.inv(b0)
-    if n_max is None:
-        n_max = bt.k_max
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    out = np.zeros((n_max + 1, 2, 2), dtype=np.complex128)
-    out[0] = b0_inv
-    deg = bt.k_max
-    for k in range(1, n_max + 1):
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for j in range(1, min(k, deg) + 1):
-            acc += bt.coeffs[j] @ out[k - j]
-        out[k] = -b0_inv @ acc
-    return LaurentLoop(out, 0, b.tail_norm)
 
 
 def twist_check(a: LaurentLoop) -> ParityReport:

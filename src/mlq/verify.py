@@ -13,7 +13,7 @@ S2 x S2 factors and every report are read off that one table.  First
 derivatives and Laplacians use the order-2 central stencils (the classic
 5-point cross), so every smooth residual shrinks like h^2; the outer points
 of the diamond serve the nested derivatives (u, alpha and beta at the cross
-neighbours) and the optional Richardson refinement.
+neighbours).
 Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
@@ -72,38 +72,22 @@ def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> dict:
     return {(a, b): np.asarray(fn(z + (a + 1j * b) * h), dtype=dtype) for a, b in DIAMOND}
 
 
-def _partials(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
-    """(f_x, f_y) by order-2 central differences (order-4 with richardson)."""
+def _partials(vals: Mapping, h: float, at=(0, 0)):
+    """(f_x, f_y) by order-2 central differences."""
     a, b = at
-    if richardson:
-        fx = (
-            -vals[(a + 2, b)] + 8 * vals[(a + 1, b)] - 8 * vals[(a - 1, b)] + vals[(a - 2, b)]
-        ) / (12 * h)
-        fy = (
-            -vals[(a, b + 2)] + 8 * vals[(a, b + 1)] - 8 * vals[(a, b - 1)] + vals[(a, b - 2)]
-        ) / (12 * h)
-    else:
-        fx = (vals[(a + 1, b)] - vals[(a - 1, b)]) / (2 * h)
-        fy = (vals[(a, b + 1)] - vals[(a, b - 1)]) / (2 * h)
+    fx = (vals[(a + 1, b)] - vals[(a - 1, b)]) / (2 * h)
+    fy = (vals[(a, b + 1)] - vals[(a, b - 1)]) / (2 * h)
     return fx, fy
 
 
-def _first_derivs(vals: Mapping, h: float, at=(0, 0), richardson: bool = False):
-    """(f_z, f_zbar) by order-2 central differences (order-4 with richardson)."""
-    fx, fy = _partials(vals, h, at, richardson)
+def _first_derivs(vals: Mapping, h: float, at=(0, 0)):
+    """(f_z, f_zbar) by order-2 central differences."""
+    fx, fy = _partials(vals, h, at)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def _laplacian(vals: Mapping, h: float, richardson: bool = False):
+def _laplacian(vals: Mapping, h: float):
     """Laplacian at the centre of a scalar or vector table (the 5-point cross)."""
-    if richardson:
-        fxx = (
-            -vals[(2, 0)] + 16 * vals[(1, 0)] - 30 * vals[(0, 0)] + 16 * vals[(-1, 0)] - vals[(-2, 0)]
-        ) / (12 * h * h)
-        fyy = (
-            -vals[(0, 2)] + 16 * vals[(0, 1)] - 30 * vals[(0, 0)] + 16 * vals[(0, -1)] - vals[(0, -2)]
-        ) / (12 * h * h)
-        return fxx + fyy
     return (
         vals[(1, 0)] + vals[(-1, 0)] + vals[(0, 1)] + vals[(0, -1)] - 4 * vals[(0, 0)]
     ) / (h * h)
@@ -150,9 +134,9 @@ class InvariantReport:
         return float(np.sqrt(0.5 * np.exp(self.u_hat)))
 
 
-def _point_invariants(vals: Mapping, h: float, at, richardson: bool):
+def _point_invariants(vals: Mapping, h: float, at):
     """(e^u, alpha, beta) from the stencil around one interior point."""
-    fz, fzb = _first_derivs(vals, h, at, richardson)
+    fz, fzb = _first_derivs(vals, h, at)
     eu = float(np.sum(fz * np.conj(fz)).real)
     return eu, _bilinear(fz, fz), _bilinear(fz, fzb)
 
@@ -204,12 +188,10 @@ def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex,
     return float(abs(_laplacian(u_hat, h) / 4 + np.exp(uh) - abs(alpha) ** 2 * np.exp(-uh)))
 
 
-def _invariants(
-    vals: Mapping, z: complex, h: float, richardson: bool = False, phase: complex | None = None
-) -> InvariantReport:
+def _invariants(vals: Mapping, z: complex, h: float, phase: complex | None = None) -> InvariantReport:
     """InvariantReport from a lift table on the diamond around z."""
     f0 = vals[(0, 0)]
-    fz, fzb = _first_derivs(vals, h, richardson=richardson)
+    fz, fzb = _first_derivs(vals, h)
     eu = float(np.sum(fz * np.conj(fz)).real)
     if eu < DEGENERACY_EPS:
         raise DegeneracyError(f"degenerate immersion at z = {z} (e^u = {eu:.3e})")
@@ -220,12 +202,12 @@ def _invariants(
         phase = _quarter_turn_phase(alpha, beta, eu)
     alpha *= phase
     beta *= phase
-    fzzb = 0.25 * _laplacian(vals, h, richardson)
+    fzzb = 0.25 * _laplacian(vals, h)
     phi = _bilinear(fzzb, np.conj(fzb)) / eu
     u_hat = _u_hat_of(eu, alpha)
 
     # nested invariants at the cross neighbours for the z-derivatives
-    nb = {at: _point_invariants(vals, h, at, richardson=False) for at in CROSS[1:]}
+    nb = {at: _point_invariants(vals, h, at) for at in CROSS[1:]}
     _, dzbar_alpha = _first_derivs({at: v[1] for at, v in nb.items()}, h)
     uh = {at: _u_hat_of(v[0], v[1]) for at, v in nb.items()}
     uh[(0, 0)] = u_hat
@@ -247,7 +229,6 @@ def invariants_report(
     surface: SurfaceMap | Callable[[complex], np.ndarray],
     z: complex,
     h: float = 1e-3,
-    richardson: bool = False,
     phase: complex | None = None,
 ) -> InvariantReport:
     """Estimate the invariants of the lifted surface at z by central FD.
@@ -263,7 +244,7 @@ def invariants_report(
         vals = _lift_table(_frame_table(surface, z, h), surface.frame_tol)
     else:
         vals = _eval_stencil(surface, z, h, np.complex128)
-    return _invariants(vals, z, h, richardson, phase)
+    return _invariants(vals, z, h, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +349,7 @@ def cu_report(
     the same table, as in the sinh-Gordon term of invariants_report.  ``s2``
     maps at least the cross offsets to (phi, psi) factor pairs.
     """
-    pts = {at: _point_invariants(lifts, h, at, richardson=False) for at in CROSS}
+    pts = {at: _point_invariants(lifts, h, at) for at in CROSS}
     u = {at: float(np.log(p[0])) for at, p in pts.items()}
     c = {at: 0.5 * np.exp(-u[at]) * abs(p[2]) for at, p in pts.items()}
     eu = float(np.exp(u[(0, 0)]))

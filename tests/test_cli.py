@@ -85,6 +85,11 @@ def test_load_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, tolerances=[1, 2]))
     with pytest.raises(ConfigError, match="unknown tolerance name.*sinh_gordn"):
         load_config(write_cfg(tmp_path, tolerances={"sinh_gordn": 1e-3}))
+    # the fixed-step integrator and its options are gone
+    removed_ode = write_cfg(tmp_path, ode={"tolerance": 1e-9, "method": "rk4", "step": 1e-3})
+    with pytest.raises(ConfigError, match="bad ode options"):
+        load_config(removed_ode)
+    assert main(["generate", "--config", removed_ode, "--out", str(tmp_path / "g")]) == EXIT_USAGE
 
 
 #: potentials that parse but that make_potential rejects

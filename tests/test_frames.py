@@ -161,14 +161,14 @@ def test_tail_norm_is_the_mass_beyond_the_window():
     pot = make_potential(equivariant_spec(0.75, 0.25))
     narrow, wide = SurfaceMap(pot, window=16), SurfaceMap(pot, window=24)
     tails = {
-        n: max(smap.frame_loop(z, winding=1).tail_norm for z in _CLOSING_SAMPLES)
+        n: max(smap.unitary_frame(z, winding=1).F.tail_norm for z in _CLOSING_SAMPLES)
         for n, smap in ((16, narrow), (24, wide))
     }
     assert tails[16] >= 1e-6
     assert tails[24] <= 1e-10
     z = _CLOSING_SAMPLES[0]
     s = wide.sample(z, winding=1)
-    assert s.diagnostics["tail_norm"] == wide.frame_loop(z, winding=1).tail_norm
+    assert s.diagnostics["tail_norm"] == wide.unitary_frame(z, winding=1).F.tail_norm
 
 
 def test_anchor_cache_is_bounded_and_eviction_keeps_results():

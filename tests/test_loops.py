@@ -6,10 +6,7 @@ from mlq.loops import (
     loop_eval,
     loop_eval_many,
     loop_from_samples,
-    loop_mul,
-    loop_star,
     loop_trim,
-    plus_inverse,
     twist_check,
     unitarity_error,
     window_samples,
@@ -81,42 +78,6 @@ def test_eval_many_consistent_with_eval():
         np.testing.assert_allclose(vals[i], loop_eval(loop, lam), atol=1e-13)
 
 
-def test_mul_is_pointwise_product():
-    a = random_loop(-2, 1)
-    b = random_loop(-1, 3)
-    ab = loop_mul(a, b)
-    assert ab.k_min == a.k_min + b.k_min
-    assert ab.k_max == a.k_max + b.k_max
-    for lam in circle(7):
-        np.testing.assert_allclose(
-            loop_eval(ab, lam), loop_eval(a, lam) @ loop_eval(b, lam), atol=1e-12
-        )
-
-
-def test_mul_window_clip_tracks_dropped_mass():
-    a = random_loop(-2, 2)
-    b = random_loop(-2, 2)
-    full = loop_mul(a, b)
-    clipped = loop_mul(a, b, n_min=-1, n_max=1)
-    assert clipped.k_min == -1
-    assert clipped.k_max == 1
-    # degrees -4..-2 and 2..4 of the full product fall outside the window
-    dropped = np.linalg.norm(full.coeffs[:3]) + np.linalg.norm(full.coeffs[-3:])
-    assert clipped.tail_norm == pytest.approx(dropped, rel=1e-12)
-    np.testing.assert_allclose(clipped.coeffs, full.coeffs[3:-3], atol=0)
-
-
-def test_star_is_adjoint_on_circle():
-    loop = random_loop(-2, 3)
-    star = loop_star(loop)
-    assert star.k_min == -loop.k_max
-    assert star.k_max == -loop.k_min
-    for lam in circle(8):
-        np.testing.assert_allclose(
-            loop_eval(star, lam), loop_eval(loop, lam).conj().T, atol=1e-12
-        )
-
-
 def test_trim_drops_zero_blocks():
     coeffs = np.zeros((5, 2, 2), dtype=complex)
     coeffs[2] = np.eye(2)
@@ -124,24 +85,6 @@ def test_trim_drops_zero_blocks():
     assert trimmed.k_min == -1
     assert trimmed.k_max == -1
     np.testing.assert_array_equal(trimmed.coeffs[0], np.eye(2))
-
-
-def test_plus_inverse_of_triangular_factor_is_exact():
-    b = LaurentLoop.from_terms(
-        {0: np.array([[2.0, 1.0], [0.0, 0.5]]), 1: np.array([[0.0, 0.3], [0.0, 0.0]])}
-    )
-    inv = plus_inverse(b)
-    prod = loop_mul(b, inv)
-    for lam in circle(6):
-        np.testing.assert_allclose(loop_eval(prod, lam), np.eye(2), atol=1e-12)
-
-
-def test_plus_inverse_rejects_bad_input():
-    with pytest.raises(ValueError):
-        plus_inverse(random_loop(-1, 1))
-    singular = LaurentLoop.from_terms({0: np.array([[1.0, 0.0], [0.0, 0.0]])})
-    with pytest.raises(ValueError):
-        plus_inverse(singular)
 
 
 def test_twist_check_separates_parities():

@@ -74,14 +74,6 @@ def test_quarter_turn_phase_convention():
     assert base.beta == pytest.approx(abs(base_raw.beta), abs=1e-12)
 
 
-def test_richardson_refines_the_metric():
-    z = 0.4 - 0.3j
-    coarse = invariants_report(SPHERE, z, h=1e-3)
-    fine = invariants_report(SPHERE, z, h=1e-3, richardson=True)
-    exact = sphere_metric_exponent(z)
-    assert abs(fine.u - exact) < abs(coarse.u - exact) / 10
-
-
 def test_report_helper_properties():
     rep = InvariantReport(z=0j, u=0.0, alpha=1.0 - 2.0j, beta=0j, phi_inv=0j, u_hat=np.log(2.0))
     assert rep.pr == -0.5 * (1.0 - 2.0j)
