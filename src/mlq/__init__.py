@@ -10,12 +10,11 @@ the sinh-Gordon equation, closing conditions) numerically.
 
 from __future__ import annotations
 
-from .loops import LaurentLoop, loop_eval, twist_check
+from .loops import LaurentLoop, twist_check
 from .potentials import (
     PotentialSpec,
     custom_spec,
     equivariant_spec,
-    eval_xi,
     make_potential,
     radial_spec,
     spec_from_dict,
@@ -78,11 +77,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentLoop",
-    "loop_eval",
     "twist_check",
     "PotentialSpec",
     "make_potential",
-    "eval_xi",
     "xi_sampler",
     "sphere_spec",
     "torus_spec",

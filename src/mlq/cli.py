@@ -265,7 +265,6 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         for i, s in enumerate(samples)
         if not s.valid
     ]
-    tails = [s.diagnostics["tail_norm"] for s in samples if s.valid and s.diagnostics]
     meta = {
         "schema": SCHEMA,
         "version": __version__,
@@ -274,9 +273,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "n_nodes": len(samples),
         "n_failed": len(failures),
         "failures": failures,
-        "max_tail_norm": max(tails) if tails else None,
-        "max_iwasawa_residual": max(
-            (s.diagnostics["iwasawa_residual"] for s in samples if s.valid and s.diagnostics),
+        "max_unitarity_error": max(
+            (s.diagnostics["unitarity_error"] for s in samples if s.valid and s.diagnostics),
             default=None,
         ),
     }
@@ -389,13 +387,8 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     if cfg.spec.variant == "equivariant":
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
-        # wound frames spread over more Laurent modes than single-sheet
-        # ones, so widen the window and loosen the unitarity gate: a defect
-        # of order 1e-5 cannot blur an O(1) non-closing residual
-        window = max(cfg.truncation_n, 24)
         pot = make_potential(cfg.spec)
-        smap = SurfaceMap(pot, cfg.lambda0, window=window, ode=cfg.ode,
-                          iwasawa_tol=1e-12, frame_tol=1e-4)
+        smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode, iwasawa_tol=1e-12)
         deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
         payload = {
             "schema": SCHEMA,

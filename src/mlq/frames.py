@@ -1,10 +1,11 @@
 """From unitary frames to surfaces in Q2, S3 x S3 and S2 x S2.
 
 ``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
-roots of unity and hands those samples to the Iwasawa split; the unitary
-factor F comes back as its Laurent coefficients on [-N, N].  A point of the
-surface is produced by evaluating F at the spectral pair (lam0, -i lam0),
-forming
+points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
+samples to the Iwasawa split; the unitary factor F comes back at the same
+points.  The spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so
+a point of the surface is read off F there, with nothing evaluated or
+projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .holonomy import DomainPath, OdeOptions, _right_mul, _rk4_fixed, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
-from .loops import DEFAULT_WINDOW_N, LaurentLoop, loop_eval, window_samples
+from .loops import DEFAULT_WINDOW_N, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -34,6 +35,9 @@ HOP_STEPS = 8
 
 #: anchors a SurfaceMap keeps; the least recently used one is evicted first
 ANCHOR_CACHE = 8
+
+#: SU(2) gate on every frame pair read into a surface point
+FRAME_TOL = 1e-6
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
@@ -115,18 +119,12 @@ class FramePointPair:
         if abs(abs(complex(self.lambda0)) - 1.0) > 1e-9:
             raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self, tol: float = FRAME_TOL) -> None:
         _check_su2(self.F1, "F1", tol)
         _check_su2(self.F2, "F2", tol)
 
 
-def frame_pair_at(f: LaurentLoop, lambda0: complex) -> FramePointPair:
-    """Evaluate a frame loop at (lam0, -i lam0)."""
-    lam0 = complex(lambda0)
-    return FramePointPair(loop_eval(f, lam0), loop_eval(f, -1j * lam0), lam0)
-
-
-def xy_matrices(fp: FramePointPair, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def xy_matrices(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
     """X = F1 F2^{-1} and Y = i F1 sigma_3 F2^{-1}; both special unitary."""
     fp.validate(tol)
     f2_inv = np.linalg.inv(fp.F2)
@@ -183,7 +181,7 @@ def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(v / nv - phase * w / nw))
 
 
-def s3_pair(fp: FramePointPair, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def s3_pair(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The S3 x S3 pair (f_min, N): quaternion components of X and Y.
 
     Consistent with the Q2 lift: f_min = sqrt(2) Re(v) and N = sqrt(2) Im(v)
@@ -198,7 +196,7 @@ def pauli_components(m: np.ndarray) -> np.ndarray:
     return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
 
 
-def sphere_pair(fp: FramePointPair, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def sphere_pair(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The S2 x S2 immersion factors (Pauli vectors of F_j sigma_3 F_j^{-1}).
 
     The second factor is read through the conjugate (opposite-orientation)
@@ -253,9 +251,10 @@ class SurfaceSample:
 class SurfaceMap:
     """Evaluate the surface pipeline at arbitrary domain points, with caching.
 
-    Frames are carried as their values at the 4N roots of unity (N the
-    window) and split there by ``iwasawa``.  Anchors (expensively integrated
-    frames from the base point, adaptive integrator) are cached, the
+    Frames are carried as their values at the 4N roots of unity rotated by
+    lam0 (N the window) and split there by ``iwasawa``; the frame pair is
+    read off the unitary factor at samples 0 and 3N.  Anchors (expensively
+    integrated frames from the base point, adaptive integrator) are cached, the
     ``ANCHOR_CACHE`` most recently used ones; nearby evaluations hop from the
     closest anchor with a deterministic fixed-step RK4 so that
     finite-difference stencils see a smooth function limited only by
@@ -270,18 +269,14 @@ class SurfaceMap:
         window: int | None = None,
         ode: OdeOptions | None = None,
         iwasawa_tol: float = 1e-9,
-        frame_tol: float = 1e-6,
     ) -> None:
         self.pot = pot
         self.lambda0 = complex(lambda0)
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.ode = ode if ode is not None else OdeOptions()
         self.iwasawa_tol = float(iwasawa_tol)
-        # acceptance gate on the unitary factor; loosen for wound frames
-        # whose Laurent tails beyond the window degrade unitarity without
-        # breaking residual *measurements* at that scale
-        self.frame_tol = float(frame_tol)
-        self._lams = window_samples(self.window)
+        # lam0 and -i lam0 are samples 0 and 3N
+        self._lams = self.lambda0 * window_samples(self.window)
         self._xi = xi_sampler(pot, self._lams)
         self._anchors: OrderedDict[tuple[float, float, int], np.ndarray] = OrderedDict()
         self._anchors_lock = threading.Lock()
@@ -351,30 +346,29 @@ class SurfaceMap:
         state = self._hop(self._anchor_state(anchor, winding), anchor, z)
         return iwasawa(state, tol=self.iwasawa_tol)
 
+    def _pair(self, res: IwasawaResult) -> FramePointPair:
+        return FramePointPair(res.F[0], res.F[3 * self.window], self.lambda0)
+
     def frame_pair(self, z: complex, anchor: complex | None = None, winding: int = 0) -> FramePointPair:
-        res = self.unitary_frame(z, anchor, winding)
-        return frame_pair_at(res.F, self.lambda0)
+        """The unitary frame at (lam0, -i lam0)."""
+        return self._pair(self.unitary_frame(z, anchor, winding))
 
     def lift(self, z: complex, anchor: complex | None = None, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
-        x, y = xy_matrices(self.frame_pair(z, anchor, winding), tol=self.frame_tol)
+        x, y = xy_matrices(self.frame_pair(z, anchor, winding))
         return q2_point(x, y) / np.sqrt(2.0)
 
     def sample(self, z: complex, anchor: complex | None = None, winding: int = 0) -> SurfaceSample:
         try:
             res = self.unitary_frame(z, anchor, winding)
-            fp = frame_pair_at(res.F, self.lambda0)
+            fp = self._pair(res)
             x, y = xy_matrices(fp)
             return SurfaceSample(
                 z=complex(z),
                 q2_hom=q2_point(x, y),
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
-                diagnostics={
-                    "tail_norm": res.F.tail_norm,
-                    "iwasawa_residual": float(res.residual),
-                    "unitarity_error": float(res.unitarity_error),
-                },
+                diagnostics={"unitarity_error": res.unitarity_error},
             )
         except (PoleError, ValueError, RuntimeError) as exc:
             return SurfaceSample(z=complex(z), valid=False, error=str(exc))

@@ -4,8 +4,8 @@ There is one integrator, ``transport``.  It carries a frame as its values at
 a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
 ``monodromy`` runs it once around a closed path for every spectral value it
-is given; ``SurfaceMap`` runs it at the M = 4N roots of unity, where the
-Iwasawa split takes the values as they are.
+is given; ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by
+lam0, where the Iwasawa split takes the values as they are.
 
 The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
 (``_dopri45``); it needs numpy only.

@@ -2,14 +2,15 @@
 
 F is unitary on the unit circle, B extends holomorphically inside with
 B(0) upper triangular and positive diagonal.  Phi comes in as its values at
-the 4N roots of unity, and the split works on those samples.  B is the
-matrix spectral factor of the Hermitian positive loop P = Phi* Phi, formed
-pointwise and read off by one FFT: a Bauer-type method assembles the
-block-Toeplitz matrix of the Fourier coefficients of P, Cholesky-factorizes
-a finite section, and reads the plus-factor coefficients off the last block
-row.  The section size is grown until the factorization residual on circle
-samples is below tolerance.  F = Phi B^{-1} is formed at the samples too;
-coefficients appear only when F is projected onto the window [-N, N].
+4N equally spaced points of the circle, and the split works on those
+samples.  B is the matrix spectral factor of the Hermitian positive loop
+P = Phi* Phi, formed pointwise and read off by one FFT: a Bauer-type method
+assembles the block-Toeplitz matrix of the Fourier coefficients of P,
+Cholesky-factorizes a finite section, and reads the plus-factor
+coefficients off the last block row.  The section size is grown until the
+factorization residual on circle samples is below tolerance.  F = Phi B^{-1}
+is formed at the samples and returned there: it is never projected onto a
+coefficient window, so no Laurent mode of F is dropped.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (
-    LaurentLoop,
-    loop_eval_many,
-    loop_from_samples,
-    loop_trim,
-    unitarity_error,
-    window_samples,
-)
+from .loops import LaurentLoop, loop_eval_many, loop_from_samples, loop_trim, window_samples
 
 DEFAULT_TOL = 1e-9
 
-_CIRCLE_SAMPLES = 32
+#: the 32 circle points on which P is checked for positivity and B* B = P
+_CIRCLE = window_samples(8)
 
 
 class FactorizationError(RuntimeError):
@@ -42,38 +37,33 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class IwasawaResult:
-    """Normalized splitting Phi = F B with quality diagnostics.
+    """Normalized splitting Phi = F B.
 
-    unitarity_error is max ||F(lam)^* F(lam) - I|| over circle samples;
-    residual is max ||Phi(lam) - F(lam) B(lam)|| over the samples Phi was
-    given at, for the projected F.
+    F has shape (4N, 2, 2): F[j] = Phi[j] B(omega^j)^{-1} at the samples Phi
+    was given at, so F B = Phi holds there by construction.  B is the plus
+    factor's coefficients in the sample variable.  unitarity_error is
+    max_j ||F[j]^* F[j] - I||.
     """
 
-    F: LaurentLoop
+    F: np.ndarray
     B: LaurentLoop
     unitarity_error: float
-    residual: float
 
 
-def _circle(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _positivity_precheck(p: LaurentLoop) -> None:
-    lams = _circle(_CIRCLE_SAMPLES)
-    vals = loop_eval_many(p, lams)
+def _positivity_precheck(vals: np.ndarray) -> None:
+    """Raise unless the loop, given by its values at ``_CIRCLE``, is Hermitian positive."""
     herm = np.linalg.norm(vals - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2))
     worst = int(np.argmax(herm))
     if herm[worst] > 1e-6 * max(1.0, float(np.abs(vals).max())):
         raise FactorizationError(
-            f"loop is not Hermitian on the circle: deviation {herm[worst]:.3e} at lam = {lams[worst]:.6f}"
+            f"loop is not Hermitian on the circle: deviation {herm[worst]:.3e} at lam = {_CIRCLE[worst]:.6f}"
         )
     sym = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(sym)
     if eigs.min() <= 0:
         bad = int(np.argmin(eigs.min(axis=1)))
         raise FactorizationError(
-            f"loop is not positive definite at lam = {lams[bad]:.6f} "
+            f"loop is not positive definite at lam = {_CIRCLE[bad]:.6f} "
             f"(min eigenvalue {eigs.min():.3e})"
         )
 
@@ -104,10 +94,9 @@ def _bauer_read(p: LaurentLoop, m: int, degree: int) -> LaurentLoop:
     return LaurentLoop(coeffs, 0)
 
 
-def _factor_residual(b: LaurentLoop, p: LaurentLoop) -> float:
-    lams = _circle(_CIRCLE_SAMPLES)
-    bv = loop_eval_many(b, lams)
-    diff = np.conj(bv.transpose(0, 2, 1)) @ bv - loop_eval_many(p, lams)
+def _factor_residual(b: LaurentLoop, p_vals: np.ndarray) -> float:
+    bv = loop_eval_many(b, _CIRCLE)
+    diff = np.conj(bv.transpose(0, 2, 1)) @ bv - p_vals
     return float(np.linalg.norm(diff, axis=(1, 2)).max())
 
 
@@ -124,13 +113,14 @@ def spectral_factor_plus(
     samples drops below tol.
     """
     p = loop_trim(p)
-    _positivity_precheck(p)
+    p_vals = loop_eval_many(p, _CIRCLE)
+    _positivity_precheck(p_vals)
     degree = max(p.k_max, 1)
     m = max(2 * degree, 8)
     last_residual = np.inf
     for _ in range(max_doublings + 1):
         b = _bauer_read(p, m, degree)
-        last_residual = _factor_residual(b, p)
+        last_residual = _factor_residual(b, p_vals)
         if last_residual <= tol:
             return b
         m *= 2
@@ -151,11 +141,16 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
     """Normalized Iwasawa splitting of a loop given at ``window_samples(N)``.
 
-    ``values`` has shape (4N, 2, 2); N is read off its length.  B comes from
-    the spectral factorization of Phi* Phi; a final constant QR correction
-    pins B_0 exactly upper triangular with positive diagonal, absorbing the
-    unitary part into F.  F = Phi B^{-1} is projected onto [-N, N], and its
-    ``tail_norm`` is the mass that projection drops.
+    ``values`` has shape (4N, 2, 2); N is read off its length, and
+    ``values[j]`` is read as the loop at omega^j, omega = exp(2 pi i / 4N).
+    B comes from the spectral factorization of Phi* Phi; a final constant QR
+    correction pins B_0 exactly upper triangular with positive diagonal,
+    absorbing the unitary part into F.  F = Phi B^{-1} stays at the samples.
+
+    Samples of Phi on a rotated circle, values[j] = Phi(lam0 omega^j) with
+    |lam0| = 1, split as they are: mu -> Phi(lam0 mu) has the splitting
+    F(lam0 mu) B(lam0 mu), which is normalized because B(lam0 * 0) = B(0),
+    so by uniqueness F[j] = F(lam0 omega^j).
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 3 or values.shape[1:] != (2, 2) or values.shape[0] < 4 or values.shape[0] % 4:
@@ -166,16 +161,13 @@ def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
     b = spectral_factor_plus(loop_from_samples(gram, 2 * n - 1), tol=tol)
 
     # constant correction: exact normalization of the constant term
-    q, r0 = _qr_positive(b.coeffs[0])
+    q, _ = _qr_positive(b.coeffs[0])
     b_coeffs = np.einsum("ij,kjl->kil", q.conj().T, b.coeffs)
     b = LaurentLoop(b_coeffs, 0)
     b.coeffs[0] = np.triu(b.coeffs[0])
     b.coeffs[0].real[np.diag_indices(2)] = np.abs(b.coeffs[0].diagonal().real)
     b.coeffs[0].imag[np.diag_indices(2)] = 0.0
 
-    lams = window_samples(n)
-    b_vals = loop_eval_many(b, lams)
-    f = loop_from_samples(values @ np.linalg.inv(b_vals), n)
-    recon = loop_eval_many(f, lams) @ b_vals
-    residual = float(np.linalg.norm(recon - values, axis=(1, 2)).max())
-    return IwasawaResult(F=f, B=b, unitarity_error=unitarity_error(f), residual=residual)
+    f = values @ np.linalg.inv(loop_eval_many(b, window_samples(n)))
+    gram_f = np.conj(f.transpose(0, 2, 1)) @ f - np.eye(2)
+    return IwasawaResult(F=f, B=b, unitarity_error=float(np.linalg.norm(gram_f, axis=(1, 2)).max()))

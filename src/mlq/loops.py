@@ -1,16 +1,16 @@
 """Matrix-valued Laurent polynomial loops.
 
 A loop is a map from the unit circle into 2x2 complex matrices.  Frames are
-integrated, and split into their Iwasawa factors, as their values at the
-M = 4N roots of unity (``window_samples``), one 2x2 matrix per root.
-Coefficients on a finite window
+integrated, and split into their Iwasawa factors, as their values at M = 4N
+points of the circle (``window_samples``, rotated by lam0 where the surface
+is read), one 2x2 matrix per point; the unitary factor never leaves that
+form.  Coefficients on a finite window
 
     A(lam) = sum_{k = -N}^{N} A_k lam^k
 
-appear only where a factor is projected onto it by FFT
-(``loop_from_samples``).  The projection records the Frobenius mass of the
-modes it drops in ``tail_norm``; the field is a diagnostic of
-representation quality, not a rigorous error bound.
+appear only for the symbol P = Phi* Phi and the plus factor B of the split:
+P is projected onto its window by FFT (``loop_from_samples``), and B is
+read off a Toeplitz section as coefficients.
 """
 
 from __future__ import annotations
@@ -36,14 +36,10 @@ class LaurentLoop:
         ``lam**(k_min + j)``.
     k_min:
         Exponent of the first stored coefficient.
-    tail_norm:
-        Frobenius norm of the modes the FFT projection that produced this
-        loop dropped (0 for loops built from coefficients).
     """
 
     coeffs: np.ndarray
     k_min: int
-    tail_norm: float = 0.0
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -110,19 +106,9 @@ def loop_trim(a: LaurentLoop, tol: float = 0.0) -> LaurentLoop:
     norms = np.linalg.norm(a.coeffs.reshape(-1, 4), axis=1)
     keep = np.nonzero(norms > tol)[0]
     if keep.size == 0:
-        return LaurentLoop(np.zeros((1, 2, 2), dtype=np.complex128), 0, a.tail_norm)
+        return LaurentLoop(np.zeros((1, 2, 2), dtype=np.complex128), 0)
     lo, hi = keep[0], keep[-1]
-    return LaurentLoop(a.coeffs[lo : hi + 1].copy(), a.k_min + lo, a.tail_norm)
-
-
-def loop_eval(a: LaurentLoop, lam: complex) -> np.ndarray:
-    """Evaluate the loop at a single spectral value lam."""
-    lam = complex(lam)
-    if lam == 0 and a.k_min < 0:
-        raise ValueError("cannot evaluate a loop with negative powers at lam = 0")
-    k = a.k_min + np.arange(a.coeffs.shape[0])
-    powers = np.power(lam, k)
-    return np.einsum("k,kij->ij", powers, a.coeffs)
+    return LaurentLoop(a.coeffs[lo : hi + 1].copy(), a.k_min + lo)
 
 
 def loop_eval_many(a: LaurentLoop, lams: np.ndarray) -> np.ndarray:
@@ -143,23 +129,13 @@ def loop_from_samples(values: np.ndarray, n: int) -> LaurentLoop:
     """FFT projection of a loop's values at the M-th roots of unity onto [-n, n].
 
     ``values[j]`` is the loop at exp(2 pi i j / M), M > 2n.  Modes outside the
-    window are dropped and their Frobenius mass becomes ``tail_norm``; modes
-    beyond M/2 alias into the kept ones.
+    window are dropped; modes beyond M/2 alias into the kept ones.
     """
     m = values.shape[0]
     if m <= 2 * n:
         raise ValueError(f"{m} samples cannot resolve the window [-{n}, {n}]")
     c = np.fft.fft(values, axis=0) / m
-    kept = np.concatenate((c[m - n :], c[: n + 1]))
-    return LaurentLoop(kept, -n, float(np.linalg.norm(c[n + 1 : m - n])))
-
-
-def unitarity_error(a: LaurentLoop, n_samples: int = 32) -> float:
-    """max over circle samples of || A(lam)^dagger A(lam) - I ||_F."""
-    lams = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    vals = loop_eval_many(a, lams)
-    gram = np.einsum("sji,sjk->sik", np.conj(vals), vals) - _EYE2[None]
-    return float(np.linalg.norm(gram.reshape(n_samples, 4), axis=1).max())
+    return LaurentLoop(np.concatenate((c[m - n :], c[: n + 1])), -n)
 
 
 def twist_check(a: LaurentLoop) -> ParityReport:

@@ -3,9 +3,8 @@
 Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
 a trace-free Laurent polynomial in the spectral parameter lam.  Every family
 is written once, in ``_xi_terms``, as pairs of a scalar z-weight and constant
-lam-terms.  ``eval_xi`` returns the coefficient at z as a
-:class:`~mlq.loops.LaurentLoop`; ``xi_sampler`` returns z -> xi(z, lam) at a
-fixed set of spectral values, which is what the integrator calls.
+lam-terms.  ``xi_sampler`` returns z -> xi(z, lam) at a fixed set of
+spectral values, which is what the integrator calls.
 
 Families
 --------
@@ -29,8 +28,6 @@ from typing import Any, Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-
-from .loops import LaurentLoop
 
 
 class PoleError(ValueError):
@@ -175,12 +172,6 @@ def make_potential(spec: PotentialSpec) -> Potential:
     return Potential(spec, poles, base)
 
 
-def _check_regular(pot: Potential, z: complex) -> None:
-    for s in pot.singular_points:
-        if abs(z - s) < 1e-12:
-            raise PoleError(f"potential {pot.variant} evaluated at singular point z = {z}")
-
-
 def _rational(num, den) -> Callable[[complex], complex]:
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
@@ -233,18 +224,6 @@ def _xi_terms(pot: Potential) -> list[tuple[Weight, dict[int, np.ndarray]]]:
         (_rational(t.num, t.den), {t.lam_power: np.asarray(t.matrix, dtype=np.complex128)})
         for t in p["terms"]
     ]
-
-
-def eval_xi(pot: Potential, z: complex) -> LaurentLoop:
-    """Coefficient matrix of the 1-form xi at z (the form is result * dz)."""
-    z = complex(z)
-    _check_regular(pot, z)
-    terms: dict[int, np.ndarray] = {}
-    for w, lam_terms in _xi_terms(pot):
-        s = 1.0 if w is None else w(z)
-        for k, mat in lam_terms.items():
-            terms[k] = terms.get(k, 0) + s * mat
-    return LaurentLoop.from_terms(terms)
 
 
 def xi_sampler(pot: Potential, lams) -> Callable[[complex], np.ndarray]:

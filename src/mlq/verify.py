@@ -53,9 +53,9 @@ def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
     return {(a, b): smap.frame_pair(z + (a + 1j * b) * h, anchor=z) for a, b in DIAMOND}
 
 
-def _lift_table(frames: Mapping, tol: float) -> dict:
+def _lift_table(frames: Mapping) -> dict:
     """Unit Q2 lifts of a frame table, read as SurfaceMap.lift reads one pair."""
-    return {k: q2_point(*xy_matrices(fp, tol=tol)) / np.sqrt(2.0) for k, fp in frames.items()}
+    return {k: q2_point(*xy_matrices(fp)) / np.sqrt(2.0) for k, fp in frames.items()}
 
 
 def _s2_table(frames: Mapping) -> dict:
@@ -241,7 +241,7 @@ def invariants_report(
     per-member re-phasing would snap the rotation away).
     """
     if isinstance(surface, SurfaceMap):
-        vals = _lift_table(_frame_table(surface, z, h), surface.frame_tol)
+        vals = _lift_table(_frame_table(surface, z, h))
     else:
         vals = _eval_stencil(surface, z, h, np.complex128)
     return _invariants(vals, z, h, phase)
@@ -391,7 +391,7 @@ def node_report(
     factor pairs are both read off those frame pairs.
     """
     frames = _frame_table(smap, z, h)
-    lifts = _lift_table(frames, smap.frame_tol)
+    lifts = _lift_table(frames)
     s2 = _s2_table(frames)
     return _invariants(lifts, z, h), _geometry(s2, z, h), cu_report(lifts, h, s2=s2)
 

@@ -2,7 +2,9 @@
 
 Everything here is assembled from the explicit frame families in
 mlq.closedform (or from scratch), never from the pipeline under test, so
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence.  The one exception is
+``eval_xi``: it sums each family's one definition term by term, the plain
+reading that ``xi_sampler``'s folded arrays are checked against.
 """
 
 from __future__ import annotations
@@ -10,6 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from mlq.frames import FramePointPair, q2_point, sphere_pair, xy_matrices
+from mlq.loops import LaurentLoop
+from mlq.potentials import Potential, _xi_terms
+
+
+def eval_xi(pot: Potential, z: complex) -> LaurentLoop:
+    """Coefficient matrix of the 1-form xi at z (the form is result * dz)."""
+    z = complex(z)
+    terms: dict[int, np.ndarray] = {}
+    for w, lam_terms in _xi_terms(pot):
+        s = 1.0 if w is None else w(z)
+        for k, mat in lam_terms.items():
+            terms[k] = terms.get(k, 0) + s * mat
+    return LaurentLoop.from_terms(terms)
 
 
 def analytic_surface(frame_fn, lambda0=1.0):

@@ -34,7 +34,6 @@ from mlq.frames import (
     xy_matrices,
 )
 from mlq.holonomy import OdeOptions, unitarizing_gauge
-from mlq.loops import loop_eval
 from mlq.potentials import (
     equivariant_spec,
     make_potential,
@@ -82,8 +81,9 @@ def _frame_oracle_sup(spec, frame_fn):
         for y in np.linspace(-1.05, 1.05, 5):
             z = complex(x, y)  # corner |z| = 1.485 <= 1.5
             frame = smap.unitary_frame(z).F
-            for lam in CIRCLE8:
-                err = np.abs(loop_eval(frame, lam) - frame_fn(z, lam)).max()
+            for k, lam in enumerate(CIRCLE8):
+                # window 16 carries F at the 64th roots of unity: lam is sample 8k
+                err = np.abs(frame[8 * k] - frame_fn(z, lam)).max()
                 worst = max(worst, float(err))
     return worst
 
@@ -354,9 +354,7 @@ def test_c09_cylinder_closing():
 
     report_bad = cylinder_closing(1.0, np.sqrt(2.0), 0.0)
     assert not report_bad.closes_q2
-    # wound frames carry long Laurent tails: wider window, and the unitary
-    # gate loosened to the scale the measurement needs rather than 1e-6
-    open_map = _tight_map(equivariant_spec(1.0, np.sqrt(2.0)), window=32, frame_tol=1e-4)
+    open_map = _tight_map(equivariant_spec(1.0, np.sqrt(2.0)), window=32)
     res_bad = symmetry_check(open_map, DeckTransform(), samples)
     print(f"[c09] deck residual {res:.2e} (gate 1e-6); control {res_bad:.2e} (must exceed 1e-2)")
     assert res_bad > 1e-2

@@ -160,7 +160,7 @@ def test_generate_outputs(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["schema"] == 1
     assert meta["n_nodes"] == 9 and meta["n_failed"] == 0
-    assert meta["max_iwasawa_residual"] < 1e-8
+    assert meta["max_unitarity_error"] < 1e-8
     assert meta["config"]["potential"] == {"variant": "sphere"}
 
 

@@ -18,7 +18,7 @@ from mlq.holonomy import (
     _dopri45,
     _right_mul,
 )
-from mlq.loops import loop_eval, loop_eval_many, loop_from_samples, twist_check, window_samples
+from mlq.loops import loop_eval_many, loop_from_samples, twist_check, window_samples
 from mlq.potentials import (
     PoleError,
     make_potential,
@@ -155,7 +155,11 @@ def test_integrate_frame_window_and_twist():
     assert twist_check(loop).max_violation < 1e-12
     dets = np.linalg.det(loop_eval_many(loop, window_samples(8)))
     np.testing.assert_allclose(dets, 1.0, atol=1e-8)
-    assert loop.tail_norm < 1e-14  # Phi = I + (z/lam) E12 lies inside the window
+    # Phi = I + (z/lam) E12 lies inside the window
+    exact = np.zeros_like(loop.coeffs)
+    exact[7] = [[0, 0.6 + 0.2j], [0, 0]]  # lam^-1
+    exact[8] = np.eye(2)  # lam^0
+    np.testing.assert_allclose(loop.coeffs, exact, rtol=0, atol=1e-14)
 
 
 def test_transport_runs_every_spectral_value_at_once():
@@ -196,7 +200,7 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     opts = OdeOptions(tolerance=1e-12)
     loop = frame_loop(pot, path, 16, opts)
     pointwise = at_lambda(pot, path, lam, opts)
-    np.testing.assert_allclose(loop_eval(loop, lam), pointwise, atol=1e-9)
+    np.testing.assert_allclose(loop_eval_many(loop, [lam])[0], pointwise, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
