@@ -10,7 +10,6 @@ the sinh-Gordon equation, closing conditions) numerically.
 
 from __future__ import annotations
 
-from .loops import LaurentLoop, twist_check
 from .potentials import (
     PotentialSpec,
     custom_spec,
@@ -76,8 +75,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentLoop",
-    "twist_check",
     "PotentialSpec",
     "make_potential",
     "xi_sampler",

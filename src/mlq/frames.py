@@ -9,7 +9,9 @@ projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
-and reading the homogeneous Q2 coordinate off the entries of X and Y.  The
+and reading the homogeneous Q2 coordinate off the entries of X and Y.  A
+``FramePointPair`` is checked to be special unitary within ``FRAME_TOL``
+once, when it is built; the readouts take it as checked.  The
 SU(2) x SU(2) -> SO(4) two-fold cover psi identifies matrix pairs with
 rotations of R^4 = H via quaternion left/right multiplication; its component
 conventions are locked by unit tests because every sign matters.
@@ -17,24 +19,19 @@ conventions are locked by unit tests because every sign matters.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeOptions, _right_mul, _rk4_fixed, transport, validate_path
+from .holonomy import DomainPath, OdeOptions, _rk4_fixed, _segment_rhs, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
-#: fixed RK4 steps of one hop from an anchor to a nearby point
+#: fixed RK4 steps of one hop from a transported point to a nearby one
 HOP_STEPS = 8
-
-#: anchors a SurfaceMap keeps; the least recently used one is evicted first
-ANCHOR_CACHE = 8
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
@@ -107,7 +104,11 @@ def psi_so4(p: np.ndarray, q: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FramePointPair:
-    """Unitary frame evaluated at the spectral pair (lam0, -i lam0)."""
+    """Unitary frame evaluated at the spectral pair (lam0, -i lam0).
+
+    Both matrices must be special unitary within ``FRAME_TOL``; a pair is
+    checked once, when it is built.
+    """
 
     F1: np.ndarray
     F2: np.ndarray
@@ -118,15 +119,12 @@ class FramePointPair:
         object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
         if abs(abs(complex(self.lambda0)) - 1.0) > 1e-9:
             raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
-
-    def validate(self, tol: float = FRAME_TOL) -> None:
-        _check_su2(self.F1, "F1", tol)
-        _check_su2(self.F2, "F2", tol)
+        _check_su2(self.F1, "F1", FRAME_TOL)
+        _check_su2(self.F2, "F2", FRAME_TOL)
 
 
-def xy_matrices(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
+def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     """X = F1 F2^{-1} and Y = i F1 sigma_3 F2^{-1}; both special unitary."""
-    fp.validate(tol)
     f2_inv = np.linalg.inv(fp.F2)
     return fp.F1 @ f2_inv, 1j * fp.F1 @ SIGMA3 @ f2_inv
 
@@ -181,13 +179,13 @@ def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(v / nv - phase * w / nw))
 
 
-def s3_pair(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
+def s3_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     """The S3 x S3 pair (f_min, N): quaternion components of X and Y.
 
     Consistent with the Q2 lift: f_min = sqrt(2) Re(v) and N = sqrt(2) Im(v)
     for the unit lift v = q2_point(X, Y)/sqrt(2).
     """
-    x, y = xy_matrices(fp, tol)
+    x, y = xy_matrices(fp)
     return quat_components(x), quat_components(y)
 
 
@@ -196,7 +194,7 @@ def pauli_components(m: np.ndarray) -> np.ndarray:
     return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
 
 
-def sphere_pair(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray, np.ndarray]:
+def sphere_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     """The S2 x S2 immersion factors (Pauli vectors of F_j sigma_3 F_j^{-1}).
 
     The second factor is read through the conjugate (opposite-orientation)
@@ -206,7 +204,6 @@ def sphere_pair(fp: FramePointPair, tol: float = FRAME_TOL) -> tuple[np.ndarray,
     product Lagrangian condition det{phi,.} + det{psi,.} = 0 and the
     associated-Jacobian identity Jac(phi) = -Jac(psi) hold literally.
     """
-    fp.validate(tol)
     phi = fp.F1 @ SIGMA3 @ fp.F1.conj().T
     psi = fp.F2 @ SIGMA3 @ fp.F2.conj().T
     return pauli_components(phi), pauli_components(psi.conj())
@@ -249,17 +246,17 @@ class SurfaceSample:
 
 
 class SurfaceMap:
-    """Evaluate the surface pipeline at arbitrary domain points, with caching.
+    """Evaluate the surface pipeline at arbitrary domain points.
 
     Frames are carried as their values at the 4N roots of unity rotated by
     lam0 (N the window) and split there by ``iwasawa``; the frame pair is
-    read off the unitary factor at samples 0 and 3N.  Anchors (expensively
-    integrated frames from the base point, adaptive integrator) are cached, the
-    ``ANCHOR_CACHE`` most recently used ones; nearby evaluations hop from the
-    closest anchor with a deterministic fixed-step RK4 so that
+    read off the unitary factor at samples 0 and 3N.  A point is reached by
+    one adaptive transport from the base point.  ``frame_pairs`` evaluates
+    a cluster of points near z from one transport to z: each point is one
+    deterministic fixed-step RK4 hop from z and one split, so
     finite-difference stencils see a smooth function limited only by
-    roundoff, not by adaptive step placement.  An anchor is a deterministic
-    function of its key, so eviction never changes a result.
+    roundoff, not by adaptive step placement.  Nothing is cached, so a map
+    may be shared between threads.
     """
 
     def __init__(
@@ -278,8 +275,6 @@ class SurfaceMap:
         # lam0 and -i lam0 are samples 0 and 3N
         self._lams = self.lambda0 * window_samples(self.window)
         self._xi = xi_sampler(pot, self._lams)
-        self._anchors: OrderedDict[tuple[float, float, int], np.ndarray] = OrderedDict()
-        self._anchors_lock = threading.Lock()
 
     # -- path planning ------------------------------------------------------
 
@@ -306,22 +301,11 @@ class SurfaceMap:
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _anchor_state(self, center: complex, winding: int) -> np.ndarray:
-        """Frame values at the window's roots of unity, integrated to center."""
-        key = (float(center.real), float(center.imag), winding)
-        with self._anchors_lock:
-            state = self._anchors.get(key)
-            if state is not None:
-                self._anchors.move_to_end(key)
-                return state
+    def _transport_to(self, z: complex, winding: int) -> np.ndarray:
+        """Frame values at the window's roots of unity, integrated to z."""
         state = np.broadcast_to(np.eye(2, dtype=np.complex128), (self._lams.size, 2, 2))
-        if center != self.pot.base_point or winding != 0:
-            route = self._route(center, winding)
-            state = transport(self.pot, route, state, self._lams, self.ode)
-        with self._anchors_lock:
-            self._anchors[key] = state
-            if len(self._anchors) > ANCHOR_CACHE:
-                self._anchors.popitem(last=False)
+        if z != self.pot.base_point or winding != 0:
+            state = transport(self.pot, self._route(z, winding), state, self._lams, self.ode)
         return state
 
     def _hop(self, state: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -329,38 +313,36 @@ class SurfaceMap:
         if a == b:
             return state
         validate_path(DomainPath.line(a, b), self.pot)
-        dz = b - a
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return _right_mul(y, self._xi(a + t * dz) * dz)
-
-        return _rk4_fixed(rhs, state, HOP_STEPS)
-
-    def unitary_frame(self, z: complex, anchor: complex | None = None, winding: int = 0) -> IwasawaResult:
-        """Iwasawa split of the frame values at z, hopped from an anchor
-        (z itself by default) that was integrated from the base point."""
-        z = complex(z)
-        if anchor is None:
-            anchor = z
-        anchor = complex(anchor)
-        state = self._hop(self._anchor_state(anchor, winding), anchor, z)
-        return iwasawa(state, tol=self.iwasawa_tol)
+        return _rk4_fixed(_segment_rhs(self._xi, a, b - a), state, HOP_STEPS)
 
     def _pair(self, res: IwasawaResult) -> FramePointPair:
         return FramePointPair(res.F[0], res.F[3 * self.window], self.lambda0)
 
-    def frame_pair(self, z: complex, anchor: complex | None = None, winding: int = 0) -> FramePointPair:
-        """The unitary frame at (lam0, -i lam0)."""
-        return self._pair(self.unitary_frame(z, anchor, winding))
+    def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
+        """Iwasawa split of the frame values at z, integrated from the base point."""
+        return iwasawa(self._transport_to(complex(z), winding), tol=self.iwasawa_tol)
 
-    def lift(self, z: complex, anchor: complex | None = None, winding: int = 0) -> np.ndarray:
+    def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
+        """The unitary frame at (lam0, -i lam0)."""
+        return self._pair(self.unitary_frame(z, winding))
+
+    def frame_pairs(self, z: complex, points, winding: int = 0) -> list[FramePointPair]:
+        """Frame pairs at points near z: one transport to z, then one RK4 hop
+        from z and one split per point."""
+        z = complex(z)
+        state = self._transport_to(z, winding)
+        return [
+            self._pair(iwasawa(self._hop(state, z, complex(p)), tol=self.iwasawa_tol)) for p in points
+        ]
+
+    def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
-        x, y = xy_matrices(self.frame_pair(z, anchor, winding))
+        x, y = xy_matrices(self.frame_pair(z, winding))
         return q2_point(x, y) / np.sqrt(2.0)
 
-    def sample(self, z: complex, anchor: complex | None = None, winding: int = 0) -> SurfaceSample:
+    def sample(self, z: complex, winding: int = 0) -> SurfaceSample:
         try:
-            res = self.unitary_frame(z, anchor, winding)
+            res = self.unitary_frame(z, winding)
             fp = self._pair(res)
             x, y = xy_matrices(fp)
             return SurfaceSample(

@@ -146,6 +146,15 @@ def _right_mul(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y[:, :, :1] * x[:, None, 0] + y[:, :, 1:] * x[:, None, 1]
 
 
+def _segment_rhs(xi, a: complex, dz: complex):
+    """Right-hand side Y xi(z) dz of dY = Y xi dz on the segment z = a + t dz, t in [0, 1]."""
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return _right_mul(y, xi(a + t * dz) * dz)
+
+    return rhs
+
+
 def _rk4_fixed(rhs, y0: np.ndarray, n_steps: int) -> np.ndarray:
     """Classical RK4 on y' = rhs(t, y), t in [0, 1], complex array state."""
     y = y0.copy()
@@ -268,11 +277,7 @@ def transport(
     y = np.array(y, dtype=np.complex128)
     for a, b in path.segments():
         dz = b - a
-
-        def rhs(t: float, m: np.ndarray, a=a, dz=dz) -> np.ndarray:
-            return _right_mul(m, xi(a + t * dz) * dz)
-
-        y = _dopri45(rhs, y, opts.tolerance, lambda t, a=a, dz=dz: a + t * dz)
+        y = _dopri45(_segment_rhs(xi, a, dz), y, opts.tolerance, lambda t, a=a, dz=dz: a + t * dz)
         det = np.linalg.det(y)
         if np.any(np.abs(det) < 1e-8):
             raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")

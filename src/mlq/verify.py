@@ -8,8 +8,9 @@ reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
 The FD engine evaluates the frame pair on the 13-point diamond
-{|a| + |b| <= 2} around each node, once and from one anchor; the lift, the
-S2 x S2 factors and every report are read off that one table.  First
+{|a| + |b| <= 2} around each node, once and from one transport to the
+node (``SurfaceMap.frame_pairs``); the lift, the S2 x S2 factors and every
+report are read off that one table.  First
 derivatives and Laplacians use the order-2 central stencils (the classic
 5-point cross), so every smooth residual shrinks like h^2; the outer points
 of the diamond serve the nested derivatives (u, alpha and beta at the cross
@@ -48,9 +49,9 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
 
 
 def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
-    """Frame pairs on the diamond around z, all hopped from one anchor at z."""
+    """Frame pairs on the diamond around z, all hopped from one transport to z."""
     z = complex(z)
-    return {(a, b): smap.frame_pair(z + (a + 1j * b) * h, anchor=z) for a, b in DIAMOND}
+    return dict(zip(DIAMOND, smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])))
 
 
 def _lift_table(frames: Mapping) -> dict:
@@ -234,7 +235,7 @@ def invariants_report(
     """Estimate the invariants of the lifted surface at z by central FD.
 
     ``surface`` is a SurfaceMap (its frame pairs on the diamond, all hopped
-    from one anchor at z) or a plain smooth callable z -> unit 4-vector.
+    from one transport to z) or a plain smooth callable z -> unit 4-vector.
     ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
     to see the raw alpha/beta of the lift as evaluated; the associated-family
     relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
@@ -385,10 +386,10 @@ def cu_report(
 def node_report(
     smap: SurfaceMap, z: complex, h: float = 1e-3
 ) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
-    """All three reports at z from one frame table: 13 Iwasawa splits.
+    """All three reports at z from one frame table: one transport, 13 Iwasawa splits.
 
-    The diamond is evaluated once, from one anchor at z; the lifts and the
-    factor pairs are both read off those frame pairs.
+    The diamond is evaluated once, hopped from one transport to z; the
+    lifts and the factor pairs are both read off those frame pairs.
     """
     frames = _frame_table(smap, z, h)
     lifts = _lift_table(frames)

@@ -12,19 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from mlq.frames import FramePointPair, q2_point, sphere_pair, xy_matrices
-from mlq.loops import LaurentLoop
 from mlq.potentials import Potential, _xi_terms
 
 
-def eval_xi(pot: Potential, z: complex) -> LaurentLoop:
-    """Coefficient matrix of the 1-form xi at z (the form is result * dz)."""
+def eval_xi(pot: Potential, z: complex) -> dict[int, np.ndarray]:
+    """Laurent coefficients {k: A_k} of the 1-form xi at z (the form is sum A_k lam^k dz)."""
     z = complex(z)
     terms: dict[int, np.ndarray] = {}
     for w, lam_terms in _xi_terms(pot):
         s = 1.0 if w is None else w(z)
         for k, mat in lam_terms.items():
-            terms[k] = terms.get(k, 0) + s * mat
-    return LaurentLoop.from_terms(terms)
+            terms[k] = terms.get(k, 0) + s * np.asarray(mat, dtype=complex)
+    return terms
+
+
+def loop_at(terms: dict[int, np.ndarray], lams) -> np.ndarray:
+    """sum_k A_k lam^k at each spectral value, shape (len(lams), 2, 2), term by term."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    return sum(np.multiply.outer(lams**k, np.asarray(a, dtype=complex)) for k, a in terms.items())
 
 
 def analytic_surface(frame_fn, lambda0=1.0):

@@ -11,7 +11,6 @@ from oracles import analytic_surface
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import (
-    ANCHOR_CACHE,
     FramePointPair,
     GridSpec,
     SurfaceMap,
@@ -99,6 +98,13 @@ def test_frame_pair_rejects_off_circle_lambda0():
         FramePointPair(np.eye(2), np.eye(2), 1.2)
 
 
+def test_frame_pair_rejects_non_unitary_frames():
+    with pytest.raises(ValueError, match="special unitary"):
+        FramePointPair(np.diag([2.0, 0.5]), np.eye(2))
+    with pytest.raises(ValueError, match="special unitary"):
+        FramePointPair(np.eye(2), np.diag([1j, 1j]))  # unitary, det -1
+
+
 def test_normalize_q2():
     v = q2_point(*xy_matrices(sphere_point_pair(0.5 + 0.1j)))
     w = normalize_q2(v)
@@ -160,10 +166,11 @@ def test_pipeline_lift_matches_analytic_sphere(sphere_map):
 
 
 def test_lift_is_anchor_independent(sphere_map):
+    # a point hopped from a transport to a nearby z gives the lift of a direct transport
     z = 0.31 + 0.22j
     direct = sphere_map.lift(z)
-    hopped = sphere_map.lift(z, anchor=0.25 + 0.2j)
-    np.testing.assert_allclose(hopped, direct, atol=1e-9)
+    fp = sphere_map.frame_pairs(0.25 + 0.2j, [z])[0]
+    np.testing.assert_allclose(q2_point(*xy_matrices(fp)) / np.sqrt(2.0), direct, atol=1e-9)
 
 
 def test_sample_diagnostics(sphere_map):
@@ -192,19 +199,10 @@ def test_wound_frames_pass_the_default_gate_at_a_small_window():
         np.testing.assert_allclose(narrow.lift(z, winding=1), ref.lift(z, winding=1), rtol=0, atol=1e-12)
 
 
-def test_anchor_cache_is_bounded_and_eviction_keeps_results():
-    smap = SurfaceMap(make_potential(sphere_spec()), window=8)
-    nodes = [0.05 * (k + 1) * (1 + 1j) for k in range(ANCHOR_CACHE + 3)]
-    first = [smap.sample(z).q2_hom for z in nodes]
-    assert len(smap._anchors) == ANCHOR_CACHE
-    # the first node's anchor was evicted; recomputing it gives the same bytes
-    assert np.array_equal(smap.sample(nodes[0]).q2_hom, first[0])
-    assert len(smap._anchors) == ANCHOR_CACHE
-
-
 def test_anchor_cache_under_threads():
+    # one map shared by threads gives a serial map's bytes
     pot = make_potential(sphere_spec())
-    nodes = [0.04 * (k + 1) * (1 - 0.5j) for k in range(3 * ANCHOR_CACHE)]
+    nodes = [0.04 * (k + 1) * (1 - 0.5j) for k in range(24)]
     serial = [SurfaceMap(pot, window=8).sample(z).q2_hom for z in nodes]
     smap = SurfaceMap(pot, window=8)
     interval = sys.getswitchinterval()
@@ -215,7 +213,6 @@ def test_anchor_cache_under_threads():
             got = [f.result(timeout=60).q2_hom for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(smap._anchors) <= ANCHOR_CACHE
     for i, q in enumerate(got):
         assert np.array_equal(q, serial[i % len(nodes)])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import loop_at
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -18,7 +19,7 @@ from mlq.holonomy import (
     _dopri45,
     _right_mul,
 )
-from mlq.loops import loop_eval_many, loop_from_samples, twist_check, window_samples
+from mlq.loops import coefficients, window_samples
 from mlq.potentials import (
     PoleError,
     make_potential,
@@ -37,11 +38,10 @@ def at_lambda(pot, path, lam, opts):
     return transport(pot, path, np.eye(2)[None], [lam], opts)[0]
 
 
-def frame_loop(pot, path, window, opts=OdeOptions()):
-    """The frame from the identity along path, projected onto [-window, window]."""
+def frame_samples(pot, path, window, opts=OdeOptions()):
+    """The frame from the identity along path, at the window's 4N roots of unity."""
     lams = window_samples(window)
-    y = transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
-    return loop_from_samples(y, window)
+    return transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
 
 
 def random_su2() -> np.ndarray:
@@ -149,17 +149,17 @@ def test_trinoid_monodromy_has_unit_determinant():
 
 def test_integrate_frame_window_and_twist():
     pot = make_potential(sphere_spec())
-    loop = frame_loop(pot, DomainPath.line(0.0, 0.6 + 0.2j), 8)
-    assert loop.k_min == -8
-    assert loop.k_max == 8
-    assert twist_check(loop).max_violation < 1e-12
-    dets = np.linalg.det(loop_eval_many(loop, window_samples(8)))
-    np.testing.assert_allclose(dets, 1.0, atol=1e-8)
-    # Phi = I + (z/lam) E12 lies inside the window
-    exact = np.zeros_like(loop.coeffs)
-    exact[7] = [[0, 0.6 + 0.2j], [0, 0]]  # lam^-1
-    exact[8] = np.eye(2)  # lam^0
-    np.testing.assert_allclose(loop.coeffs, exact, rtol=0, atol=1e-14)
+    y = frame_samples(pot, DomainPath.line(0.0, 0.6 + 0.2j), 8)
+    assert y.shape == (32, 2, 2)
+    # twisted: sigma_3 Phi(-lam) sigma_3 = Phi(lam), and -lam is 2N samples on
+    s3 = np.diag([1.0, -1.0])
+    assert np.abs(s3 @ np.roll(y, -16, axis=0) @ s3 - y).max() < 1e-12
+    np.testing.assert_allclose(np.linalg.det(y), 1.0, atol=1e-8)
+    # Phi = I + (z/lam) E12: every other mode reads zero
+    exact = np.zeros_like(y)
+    exact[-1] = [[0, 0.6 + 0.2j], [0, 0]]  # lam^-1
+    exact[0] = np.eye(2)  # lam^0
+    np.testing.assert_allclose(coefficients(y), exact, rtol=0, atol=1e-14)
 
 
 def test_transport_runs_every_spectral_value_at_once():
@@ -198,9 +198,10 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     path = DomainPath.line(pot.base_point, z)
     lam = np.exp(1j * theta)
     opts = OdeOptions(tolerance=1e-12)
-    loop = frame_loop(pot, path, 16, opts)
+    c = coefficients(frame_samples(pot, path, 16, opts))
+    loop = {k: c[k % 64] for k in range(-16, 17)}
     pointwise = at_lambda(pot, path, lam, opts)
-    np.testing.assert_allclose(loop_eval_many(loop, [lam])[0], pointwise, atol=1e-9)
+    np.testing.assert_allclose(loop_at(loop, [lam])[0], pointwise, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,7 +245,7 @@ def test_dopri45_reports_a_blow_up():
 def test_integrate_frame_rejects_pole_paths():
     tri = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     with pytest.raises(PoleError):
-        frame_loop(tri, DomainPath.line(0.5, 0.0), 8)
+        frame_samples(tri, DomainPath.line(0.5, 0.0), 8)
 
 
 def test_unitarizing_gauge_conjugates_back_to_su2():

@@ -1,115 +1,66 @@
 import numpy as np
 import pytest
+from oracles import loop_at
 
-from mlq.loops import (
-    LaurentLoop,
-    loop_eval_many,
-    loop_from_samples,
-    loop_trim,
-    twist_check,
-    window_samples,
-)
+from mlq.loops import coefficients, plus_values, window_samples
 
 RNG = np.random.default_rng(1234)
 
 
-def random_loop(k_min: int, k_max: int) -> LaurentLoop:
-    k = k_max - k_min + 1
-    c = RNG.standard_normal((k, 2, 2)) + 1j * RNG.standard_normal((k, 2, 2))
-    return LaurentLoop(c, k_min)
-
-
-def circle(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def random_terms(k_min: int, k_max: int) -> dict[int, np.ndarray]:
+    return {
+        k: RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2)) for k in range(k_min, k_max + 1)
+    }
 
 
 def test_from_terms_and_coefficient():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[0.0, 1j], [-1j, 0.0]])
-    loop = LaurentLoop.from_terms({-2: a, 1: b})
-    assert loop.k_min == -2
-    assert loop.k_max == 1
-    np.testing.assert_array_equal(loop.coefficient(-2), a)
-    np.testing.assert_array_equal(loop.coefficient(1), b)
-    np.testing.assert_array_equal(loop.coefficient(0), np.zeros((2, 2)))
-    np.testing.assert_array_equal(loop.coefficient(5), np.zeros((2, 2)))
+    c = coefficients(loop_at({-2: a, 1: b}, window_samples(2)))
+    assert c.shape == (8, 2, 2)
+    # entry k mod 8 holds the coefficient of lam^k
+    np.testing.assert_allclose(c[6], a, atol=1e-15)
+    np.testing.assert_allclose(c[1], b, atol=1e-15)
+    np.testing.assert_allclose(c[[0, 2, 3, 4, 5, 7]], 0.0, atol=1e-15)
 
 
 def test_identity_and_const():
-    np.testing.assert_array_equal(loop_eval_many(LaurentLoop.identity(), [0.3 + 0.4j])[0], np.eye(2))
+    np.testing.assert_array_equal(plus_values(np.eye(2)[None], 8), np.broadcast_to(np.eye(2), (8, 2, 2)))
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(loop_eval_many(LaurentLoop.from_const(m), [-1.0])[0], m)
+    np.testing.assert_array_equal(plus_values(m[None], 4), np.broadcast_to(m, (4, 2, 2)))
 
 
 def test_bad_shapes_rejected():
-    with pytest.raises(ValueError):
-        LaurentLoop(np.zeros((2, 3, 3)), 0)
-    with pytest.raises(ValueError):
-        LaurentLoop(np.zeros((0, 2, 2)), 0)
-    with pytest.raises(ValueError):
-        LaurentLoop.from_terms({})
-    with pytest.raises(ValueError):
-        LaurentLoop.from_const(np.zeros((3, 3)))
+    # a plus loop of degree >= M cannot be read exactly at M samples
+    with pytest.raises(ValueError, match="cannot be read"):
+        plus_values(np.zeros((9, 2, 2), dtype=complex), 8)
 
 
 def test_eval_matches_power_sum():
-    loop = random_loop(-3, 2)
-    for lam in (1.0, 1j, np.exp(0.7j), 2.0 - 1.0j):
-        expected = sum(
-            loop.coefficient(k) * lam**k for k in range(loop.k_min, loop.k_max + 1)
-        )
-        np.testing.assert_allclose(loop_eval_many(loop, [lam])[0], expected, atol=1e-13)
-
-
-def test_eval_at_zero_needs_nonnegative_powers():
-    plus = random_loop(0, 3)
-    np.testing.assert_allclose(loop_eval_many(plus, [0.0])[0], plus.coefficient(0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(loop_eval_many(random_loop(-1, 1), [0.0])).all()
-
-
-def test_eval_many_consistent_with_eval():
-    loop = random_loop(-2, 4)
-    lams = circle(9)
-    vals = loop_eval_many(loop, lams)
-    for i, lam in enumerate(lams):
-        np.testing.assert_allclose(vals[i], loop_eval_many(loop, [lam])[0], atol=1e-13)
-
-
-def test_trim_drops_zero_blocks():
-    coeffs = np.zeros((5, 2, 2), dtype=complex)
-    coeffs[2] = np.eye(2)
-    trimmed = loop_trim(LaurentLoop(coeffs, -3))
-    assert trimmed.k_min == -1
-    assert trimmed.k_max == -1
-    np.testing.assert_array_equal(trimmed.coeffs[0], np.eye(2))
-
-
-def test_twist_check_separates_parities():
-    diag = np.diag([1.0, -2.0])
-    offd = np.array([[0.0, 1.0], [0.5, 0.0]])
-    twisted = LaurentLoop.from_terms({-2: diag, -1: offd, 0: diag, 1: offd})
-    assert twist_check(twisted).max_violation == 0.0
-    broken = LaurentLoop.from_terms({0: offd})
-    rep = twist_check(broken)
-    assert rep.max_even_offdiag == 1.0
-    assert rep.max_odd_diag == 0.0
+    terms = random_terms(0, 5)
+    b = np.array([terms[k] for k in range(6)])
+    lams = window_samples(4)
+    expected = [sum(terms[k] * lam**k for k in terms) for lam in lams]
+    np.testing.assert_allclose(plus_values(b, 16), expected, atol=1e-13)
+    # and back: the 16 samples resolve all six coefficients
+    np.testing.assert_allclose(coefficients(plus_values(b, 16))[:6], b, atol=1e-14)
 
 
 def test_projection_from_samples_recovers_coefficients():
-    loop = random_loop(-3, 3)
+    terms = random_terms(-3, 3)
     lams = window_samples(5)
     assert lams.size == 20
-    back = loop_from_samples(loop_eval_many(loop, lams), 5)
-    assert back.k_min == -5 and back.k_max == 5
-    np.testing.assert_allclose(back.coeffs[2:-2], loop.coeffs, atol=1e-13)
-    np.testing.assert_allclose(back.coeffs[[0, 1, -2, -1]], 0.0, atol=1e-13)
+    c = coefficients(loop_at(terms, lams))
+    for k in range(-3, 4):
+        np.testing.assert_allclose(c[k % 20], terms[k], atol=1e-13)
+    np.testing.assert_allclose(c[4:17], 0.0, atol=1e-13)
 
 
-def test_projection_drops_the_modes_beyond_the_window():
-    # 8 samples resolve modes -3..4 without aliasing; the window keeps -2..2
-    loop = random_loop(-3, 3)
-    back = loop_from_samples(loop_eval_many(loop, window_samples(2)), 2)
-    np.testing.assert_allclose(back.coeffs, loop.coeffs[1:-1], atol=1e-13)
-    with pytest.raises(ValueError):
-        loop_from_samples(loop_eval_many(loop, circle(4)), 2)
+def test_modes_beyond_the_samples_alias():
+    # 4 samples resolve the modes -1..2; mode k lands on k mod 4
+    terms = random_terms(-3, 3)
+    c = coefficients(loop_at(terms, window_samples(1)))
+    np.testing.assert_allclose(c[0], terms[0], atol=1e-13)
+    np.testing.assert_allclose(c[1], terms[-3] + terms[1], atol=1e-13)
+    np.testing.assert_allclose(c[2], terms[-2] + terms[2], atol=1e-13)
+    np.testing.assert_allclose(c[3], terms[-1] + terms[3], atol=1e-13)

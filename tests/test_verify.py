@@ -1,9 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import analytic_pairs, analytic_surface, sphere_metric_exponent
 
+from mlq import frames
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import SurfaceMap
 from mlq.holonomy import OdeOptions
@@ -136,14 +139,19 @@ def test_gauss_curvature_of_the_round_sphere():
     assert cu_report(diamond(SPHERE, 0.2 + 0.2j, h), h).K == pytest.approx(2.0, abs=1e-4)
 
 
-class CountingMap(SurfaceMap):
-    """SurfaceMap that counts its frame-pair evaluations (one Iwasawa split each)."""
+@contextmanager
+def counting(name: str):
+    """Record the calls of ``mlq.frames.<name>`` made inside the block."""
+    calls = []
+    fn = getattr(frames, name)
 
-    splits = 0
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    def frame_pair(self, *args, **kwargs):
-        self.splits += 1
-        return super().frame_pair(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, name, counted)
+        yield calls
 
 
 @settings(max_examples=10, deadline=None)
@@ -153,11 +161,14 @@ class CountingMap(SurfaceMap):
     h=st.floats(5e-4, 2e-3),
 )
 def test_node_report_is_one_frame_table(r, t, h):
-    smap = CountingMap(make_potential(radial_spec(0.5, 1)), window=16,
-                       ode=OdeOptions(tolerance=1e-12), iwasawa_tol=1e-12)
+    smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16,
+                      ode=OdeOptions(tolerance=1e-12), iwasawa_tol=1e-12)
     z = complex(r * np.cos(t), r * np.sin(t))
-    inv, geo, cu = node_report(smap, z, h)
-    assert smap.splits == len(DIAMOND) == 13
+    with counting("transport") as transports, counting("iwasawa") as splits:
+        inv, geo, cu = node_report(smap, z, h)
+    # one transport to the node, then one hop and one split per diamond point
+    assert len(transports) == 1 and transports[0][1].end == z
+    assert len(splits) == len(DIAMOND) == 13
     # the single table reproduces the separate reports bit for bit
     assert inv.residuals == invariants_report(smap, z, h).residuals
     assert geo == geometry_report(smap, z, h)
