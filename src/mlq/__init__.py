@@ -25,6 +25,7 @@ from .potentials import (
 )
 from .holonomy import (
     DomainPath,
+    OdeCounts,
     OdeOptions,
     circle_path,
     monodromy,
@@ -88,6 +89,7 @@ __all__ = [
     "spec_from_dict",
     "DomainPath",
     "OdeOptions",
+    "OdeCounts",
     "circle_path",
     "transport",
     "monodromy",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import cylinder_closing, trinoid_admissible, trinoid_closing_check, trinoid_monodromies
-from .frames import GridSpec, SurfaceMap
+from .frames import GridSpec, SurfaceMap, node_chunks
 from .holonomy import EPS_POLE, IntegrationError, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
@@ -160,7 +160,8 @@ def _n_jobs(cli_jobs: int | None) -> int:
 
 
 def _map_nodes(fn, nodes, jobs: int) -> list:
-    """Apply fn to nodes in a bounded pool; results in grid order."""
+    """Apply fn to nodes (grid nodes, node chunks or sweep members) in a
+    bounded pool; results in input order."""
     if jobs <= 1:
         return [fn(z) for z in nodes]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -250,8 +251,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     pot = make_potential(cfg.spec)
     _grid_pole_check(pot, cfg.grid)
     smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
-    nodes = cfg.grid.nodes()
-    samples = _map_nodes(smap.sample, nodes, jobs)
+    # chunk boundaries are fixed, so the threads never change a node's sweep
+    samples = [s for part in _map_nodes(smap.samples, node_chunks(cfg.grid.nodes()), jobs) for s in part]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "surface.csv", samples)
@@ -277,6 +278,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             (s.diagnostics["unitarity_error"] for s in samples if s.valid and s.diagnostics),
             default=None,
         ),
+        "ode_steps": smap.ode_counts.steps,
+        "ode_rhs_calls": smap.ode_counts.rhs_calls,
     }
     _write_json(out_dir / "meta.json", meta)
     if failures and len(failures) == len(samples):
@@ -489,7 +492,7 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         # un-normalized alpha
         return [invariants_report(smap, z, h, phase=1.0 + 0.0j) for z in nodes]
 
-    members = [run_member(lam) for lam in lams]
+    members = _map_nodes(run_member, lams, jobs)
     ref = members[0]
     per_lambda = []
     for lam, member in zip(lams, members):

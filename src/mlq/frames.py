@@ -3,7 +3,8 @@
 ``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
 points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
-points.  The spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so
+points.  A grid is integrated ``NODE_CHUNK`` nodes at a time, each chunk in
+one adaptive sweep of the batched ``transport``.  The spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so
 a point of the surface is read off F there, with nothing evaluated or
 projected, by forming
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeOptions, _rk4_fixed, _segment_rhs, transport, validate_path
+from .holonomy import DomainPath, OdeCounts, OdeOptions, transport, validate_path
+from .holonomy import _planes, _rk4_fixed, _segment_rhs, _unplanes
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, window_samples
 from .potentials import PoleError, Potential, xi_sampler
@@ -35,6 +37,13 @@ HOP_STEPS = 8
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
+
+#: nodes per adaptive sweep in ``SurfaceMap.samples``; fixed, so a node's
+#: chunk (and its bytes) never depends on how the chunks are scheduled
+NODE_CHUNK = 32
+
+#: errors that make one surface node invalid rather than stopping the grid
+_NODE_ERRORS = (PoleError, ValueError, RuntimeError)
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
@@ -251,12 +260,19 @@ class SurfaceMap:
     Frames are carried as their values at the 4N roots of unity rotated by
     lam0 (N the window) and split there by ``iwasawa``; the frame pair is
     read off the unitary factor at samples 0 and 3N.  A point is reached by
-    one adaptive transport from the base point.  ``frame_pairs`` evaluates
+    one adaptive transport from the base point.  ``samples`` runs the nodes
+    of a grid ``NODE_CHUNK`` at a time, each chunk as one batched transport
+    whose error norm is the maximum over its nodes of each node's RMS, so no
+    node gets a looser step than it would get alone; ``sample(z)`` is a
+    chunk of one.  A node whose route fails validation, or whose chunk's
+    sweep fails and whose rerun alone fails, is invalid and carries its own
+    error.  ``ode_counts`` totals the DOPRI steps and right-hand-side
+    evaluations of every transport the map ran.  ``frame_pairs`` evaluates
     a cluster of points near z from one transport to z: each point is one
     deterministic fixed-step RK4 hop from z and one split, so
     finite-difference stencils see a smooth function limited only by
-    roundoff, not by adaptive step placement.  Nothing is cached, so a map
-    may be shared between threads.
+    roundoff, not by adaptive step placement.  Nothing is cached and the
+    counts are locked, so a map may be shared between threads.
     """
 
     def __init__(
@@ -275,16 +291,20 @@ class SurfaceMap:
         # lam0 and -i lam0 are samples 0 and 3N
         self._lams = self.lambda0 * window_samples(self.window)
         self._xi = xi_sampler(pot, self._lams)
+        #: DOPRI steps and right-hand-side evaluations of every transport this map ran
+        self.ode_counts = OdeCounts()
 
     # -- path planning ------------------------------------------------------
 
-    def _route(self, z: complex, winding: int = 0) -> DomainPath:
+    def _route(self, z: complex, winding: int = 0, min_segments: int = 1) -> DomainPath:
         base = self.pot.base_point
         if self.pot.variant == "equivariant":
             # the domain is the universal cover of C \ {0}: travel in log z
+            if z == 0:
+                raise PoleError("no log-z route reaches the singular point z = 0")
             la = np.log(complex(base))
             lb = np.log(complex(z)) + 2j * np.pi * winding
-            n_seg = max(1, int(np.ceil(abs(lb - la) / 0.15)))
+            n_seg = max(min_segments, int(np.ceil(abs(lb - la) / 0.15)))
             pts = [np.exp(la + (lb - la) * t) for t in np.linspace(0.0, 1.0, n_seg + 1)]
             pts[0] = base
             pts[-1] = z
@@ -301,19 +321,64 @@ class SurfaceMap:
 
     # -- frame evaluation ---------------------------------------------------
 
+    def _identity(self, rows: int = 1) -> np.ndarray:
+        return np.broadcast_to(np.eye(2, dtype=np.complex128), (rows, self._lams.size, 2, 2))
+
     def _transport_to(self, z: complex, winding: int) -> np.ndarray:
         """Frame values at the window's roots of unity, integrated to z."""
-        state = np.broadcast_to(np.eye(2, dtype=np.complex128), (self._lams.size, 2, 2))
+        state = self._identity()[0]
         if z != self.pot.base_point or winding != 0:
-            state = transport(self.pot, self._route(z, winding), state, self._lams, self.ode)
+            state = transport(self.pot, self._route(z, winding), state, self._lams, self.ode, self.ode_counts)
         return state
+
+    def _transport_chunk(self, zs: list[complex], winding: int) -> list:
+        """Frame values at each z from one adaptive sweep, or the error that stops that node.
+
+        Every node's route is built and validated before the sweep runs.
+        Equivariant routes are subdivided to the chunk's largest segment
+        count, so all rows share their segment count; the other families'
+        routes are one segment each.  If the sweep fails, each node is rerun
+        alone, so the error lands on the node that caused it.
+        """
+        out: list = [self._identity()[0]] * len(zs)
+        n_segs: dict[int, int] = {}
+        for i, z in enumerate(zs):
+            if z != self.pot.base_point or winding != 0:
+                try:
+                    n_segs[i] = len(self._route(z, winding).segments())
+                except ValueError as exc:
+                    out[i] = exc
+        n_seg = max(n_segs.values(), default=1)
+        routes: dict[int, DomainPath] = {}
+        for i in n_segs:
+            route = self._route(zs[i], winding, n_seg)
+            try:
+                validate_path(route, self.pot)
+                routes[i] = route
+            except PoleError as exc:
+                out[i] = exc
+        if not routes:
+            return out
+        try:
+            states = transport(
+                self.pot, list(routes.values()), self._identity(len(routes)), self._lams, self.ode, self.ode_counts
+            )
+        except _NODE_ERRORS as exc:
+            if len(routes) == 1:
+                states = [exc]
+            else:
+                states = [self._transport_chunk([zs[i]], winding)[0] for i in routes]
+        for i, state in zip(routes, states):
+            out[i] = state
+        return out
 
     def _hop(self, state: np.ndarray, a: complex, b: complex) -> np.ndarray:
         """Fixed-step RK4 transport of the frame values from a to b."""
         if a == b:
             return state
         validate_path(DomainPath.line(a, b), self.pot)
-        return _rk4_fixed(_segment_rhs(self._xi, a, b - a), state, HOP_STEPS)
+        rhs = _segment_rhs(self._xi, a, b - a)
+        return _unplanes(_rk4_fixed(rhs, _planes(state[None]), HOP_STEPS))[0]
 
     def _pair(self, res: IwasawaResult) -> FramePointPair:
         return FramePointPair(res.F[0], res.F[3 * self.window], self.lambda0)
@@ -340,20 +405,44 @@ class SurfaceMap:
         x, y = xy_matrices(self.frame_pair(z, winding))
         return q2_point(x, y) / np.sqrt(2.0)
 
-    def sample(self, z: complex, winding: int = 0) -> SurfaceSample:
+    def _read(self, z: complex, state) -> SurfaceSample:
+        """Split the frame values at z and read the surface point off them."""
+        if isinstance(state, Exception):
+            return SurfaceSample(z=z, valid=False, error=str(state))
         try:
-            res = self.unitary_frame(z, winding)
+            res = iwasawa(state, tol=self.iwasawa_tol)
             fp = self._pair(res)
             x, y = xy_matrices(fp)
             return SurfaceSample(
-                z=complex(z),
+                z=z,
                 q2_hom=q2_point(x, y),
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
                 diagnostics={"unitarity_error": res.unitarity_error},
             )
-        except (PoleError, ValueError, RuntimeError) as exc:
-            return SurfaceSample(z=complex(z), valid=False, error=str(exc))
+        except _NODE_ERRORS as exc:
+            return SurfaceSample(z=z, valid=False, error=str(exc))
+
+    def samples(self, nodes, winding: int = 0) -> list[SurfaceSample]:
+        """Surface samples at every node, in order.
+
+        The nodes are integrated ``NODE_CHUNK`` at a time, each chunk in one
+        adaptive sweep; a node that fails is invalid and carries its error,
+        the rest are still computed.
+        """
+        zs = [complex(z) for z in nodes]
+        out = []
+        for chunk in node_chunks(zs):
+            out += [self._read(z, state) for z, state in zip(chunk, self._transport_chunk(chunk, winding))]
+        return out
+
+    def sample(self, z: complex, winding: int = 0) -> SurfaceSample:
+        return self.samples([z], winding)[0]
+
+
+def node_chunks(nodes: list) -> list[list]:
+    """The nodes cut into consecutive chunks of ``NODE_CHUNK``."""
+    return [nodes[i : i + NODE_CHUNK] for i in range(0, len(nodes), NODE_CHUNK)]
 
 
 def build_surface(
@@ -370,5 +459,4 @@ def build_surface(
     still computed.
     """
     nodes = grid.nodes() if isinstance(grid, GridSpec) else [complex(z) for z in grid]
-    smap = SurfaceMap(pot, lambda0=lambda0, window=window, ode=ode)
-    return [smap.sample(z) for z in nodes]
+    return SurfaceMap(pot, lambda0=lambda0, window=window, ode=ode).samples(nodes)

@@ -3,12 +3,18 @@
 There is one integrator, ``transport``.  It carries a frame as its values at
 a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
-``monodromy`` runs it once around a closed path for every spectral value it
-is given; ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by
-lam0, where the Iwasawa split takes the values as they are.
+It carries a batch of B paths with a common segment count the same way, in
+one state of B x M matrices; one path is the case B = 1.  ``monodromy``
+runs it once around a closed path for every spectral value it is given;
+``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
+the Iwasawa split takes the values as they are, one batch per chunk of grid
+nodes.
 
 The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
-(``_dopri45``); it needs numpy only.
+(``_dopri45``), with the error norm taken per path and maximized over the
+batch; it needs numpy only.  Internally the state is laid out as component
+planes (2, 2, B, M), so each term of the 2x2 product runs over B*M
+contiguous values.
 
 Determinants: all potential families are trace free, so det Phi = 1 is exact
 for the true flow and drifts only through integration error.  The drift is
@@ -19,11 +25,13 @@ square root of det Phi.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PoleError, Potential, xi_sampler
+from .potentials import PoleError, Potential, XiSampler, xi_sampler
 
 #: Paths must keep this distance from declared singular points.
 EPS_POLE = 1e-3
@@ -140,17 +148,70 @@ class OdeOptions:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
+class OdeCounts:
+    """Running totals of DOPRI steps (accepted and rejected) and right-hand-side
+    evaluations; one instance may be shared between threads."""
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.rhs_calls = 0
+        self._lock = threading.Lock()
+
+    def add(self, steps: int, rhs_calls: int) -> None:
+        with self._lock:
+            self.steps += steps
+            self.rhs_calls += rhs_calls
+
+
+def _planes(y: np.ndarray) -> np.ndarray:
+    """Frame values of shape (B, M, 2, 2) as contiguous component planes (2, 2, B, M)."""
+    return np.ascontiguousarray(np.moveaxis(y, (-2, -1), (0, 1)))
+
+
+def _unplanes(y: np.ndarray) -> np.ndarray:
+    """Inverse of ``_planes``."""
+    return np.ascontiguousarray(np.moveaxis(y, (0, 1), (-2, -1)))
+
+
 def _right_mul(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 products y[m] @ x[m] by broadcasting (faster than matmul
-    on stacks of many small matrices)."""
-    return y[:, :, :1] * x[:, None, 0] + y[:, :, 1:] * x[:, None, 1]
+    """Stacked 2x2 products y x on component planes (2, 2, ...): each term
+    runs over the B*M contiguous values of a plane, which is faster than
+    matmul or broadcasting over stacks of many small matrices."""
+    out = y[:, :1] * x[0]
+    out += y[:, 1:] * x[1]
+    return out
 
 
-def _segment_rhs(xi, a: complex, dz: complex):
-    """Right-hand side Y xi(z) dz of dY = Y xi dz on the segment z = a + t dz, t in [0, 1]."""
+def _segment_rhs(xi: XiSampler, a, dz):
+    """Right-hand side Y xi(z) dz of dY = Y xi dz on the segments z = a + t dz, t in [0, 1].
+
+    ``a`` and ``dz`` hold one segment per batch row, shape (B,); the state
+    is (2, 2, B, M) planes.  dz is folded into the sampler's arrays once,
+    so a call scales each weighted array by w(z) dz per row.
+    """
+    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    dz = np.asarray(dz, dtype=np.complex128).reshape(-1)
+    const = _planes(xi.const)[:, :, None] * dz[:, None]
+    if xi.weighted and not xi.const.any():
+        const = None  # every term is weighted (equivariant): no constant to add
+    weighted = [(w, _planes(vals)[:, :, None] * dz[:, None]) for w, vals in xi.weighted]
+    if a.size == 1:
+        # one row: a scalar z keeps the weights off numpy's per-call overhead
+        a0, dz0 = complex(a[0]), complex(dz[0])
+
+        def z_at(t: float):
+            return a0 + t * dz0
+    else:
+
+        def z_at(t: float):
+            return (a + t * dz)[:, None]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _right_mul(y, xi(a + t * dz) * dz)
+        z = z_at(t)
+        x = const
+        for w, vals in weighted:
+            x = w(z) * vals if x is None else x + w(z) * vals
+        return _right_mul(y, x)
 
     return rhs
 
@@ -192,18 +253,30 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / x.size**0.5
+def _where(z: np.ndarray):
+    """A batch of z-locations for an error message: one z, or the list."""
+    return complex(z[0]) if z.size == 1 else [complex(v) for v in z]
 
 
-def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
+def _row_rms(x: np.ndarray) -> np.ndarray:
+    """RMS of each row of a real array whose rows are its axis -2, shape (B,)."""
+    x = x.reshape(-1, *x.shape[-2:])
+    return np.sqrt(np.square(x).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2]))
+
+
+def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = None) -> np.ndarray:
     """Adaptive Dormand-Prince 5(4) on y' = rhs(t, y), t in [0, 1].
 
-    The step control is scipy's RK45: Hairer's initial-step rule, local
-    extrapolation, and the RMS norm of the error estimate over the float64
-    view of the complex state, scaled by atol + rtol max(|y|, |y_new|) with
-    atol = rtol = tol.  Raises IntegrationError, located by ``z_at(t)``,
-    when the step size underflows.
+    The state is complex; its axis -2 indexes independent rows (the nodes
+    of a batch).  The step control is scipy's RK45 per row: Hairer's
+    initial-step rule, local extrapolation, and the RMS norm of the error
+    estimate over the row's float64 view, scaled by
+    atol + rtol max(|y|, |y_new|) with atol = rtol = tol.  The rows share
+    each step, so the initial step is the smallest any row would choose and
+    a step is accepted only if every row's norm passes: no row gets a
+    looser step than it would get alone.  Raises IntegrationError, located
+    by ``z_at(t)``, when the step size underflows.  ``counts``, when given,
+    gains the attempted steps and their right-hand-side evaluations.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
     shape = y.shape
@@ -211,27 +284,28 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
     kf = k.reshape(7, -1)
     f = rhs(0.0, y)
 
-    # initial step (Hairer, Norsett, Wanner, Sec. II.4)
+    # initial step (Hairer, Norsett, Wanner, Sec. II.4), per row
     scale = tol + np.abs(y.view(np.float64)) * tol
-    d0 = _rms(y.view(np.float64) / scale)
-    d1 = _rms(f.view(np.float64) / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 1.0)
+    d0 = _row_rms(y.view(np.float64) / scale)
+    d1 = _row_rms(f.view(np.float64) / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-300))
+    h0 = min(float(h0.min()), 1.0)
     f1 = rhs(h0, y + h0 * f)
-    d2 = _rms((f1 - f).view(np.float64) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, 1.0)
+    d2 = _row_rms((f1 - f).view(np.float64) / scale) / h0
+    d12 = np.maximum(d1, d2)
+    h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-300)) ** (1 / 5))
+    h_abs = min(100 * h0, float(h1.min()), 1.0)
 
     t = 0.0
+    n_steps = 0
     while t < 1.0:
         min_step = 10 * math.ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
+                if counts is not None:
+                    counts.add(n_steps, 2 + 6 * n_steps)
                 raise IntegrationError(
                     f"adaptive integrator failed near z = {z_at(t)}: "
                     "required step size is less than spacing between numbers"
@@ -239,13 +313,15 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
             h_abs = abs(h)
+            n_steps += 1
             k[0] = f
+            # h scales the tableau rows, not the (B*M)-long stage combinations
             for s in range(1, 6):
-                k[s] = rhs(t + _DP_C[s] * h, y + (_DP_A[s] @ kf[:s]).reshape(shape) * h)
-            y_new = y + h * (_DP_B @ kf[:6]).reshape(shape)
+                k[s] = rhs(t + _DP_C[s] * h, y + ((_DP_A[s] * h) @ kf[:s]).reshape(shape))
+            y_new = y + ((_DP_B * h) @ kf[:6]).reshape(shape)
             k[6] = f_new = rhs(t_new, y_new)
             scale = tol + np.maximum(np.abs(y.view(np.float64)), np.abs(y_new.view(np.float64))) * tol
-            err = _rms((_DP_E @ kf * h).view(np.float64) / scale.reshape(-1))
+            err = float(_row_rms(((_DP_E * h) @ kf).view(np.float64).reshape(scale.shape) / scale).max())
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
                 if rejected:
@@ -255,34 +331,55 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at) -> np.ndarray:
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
+    if counts is not None:
+        counts.add(n_steps, 2 + 6 * n_steps)
     return y
 
 
 def transport(
     pot: Potential,
-    path: DomainPath,
+    path: DomainPath | Sequence[DomainPath],
     y: np.ndarray,
     lams,
     opts: OdeOptions = OdeOptions(),
+    counts: OdeCounts | None = None,
 ) -> np.ndarray:
-    """Carry frame values y, shape (M, 2, 2), at the spectral values lams along the path.
+    """Carry frame values y at the spectral values lams along a path, or a batch of paths.
 
-    Every value solves dY = Y xi(z, lam) dz; the M systems share one ODE
-    state, so the adaptive integrator takes common steps.  Each value is
-    divided by the principal square root of its determinant after every
-    segment.
+    For one path, y has shape (M, 2, 2).  For a sequence of B paths with
+    the same number of segments, y has shape (B, M, 2, 2) and row b moves
+    along path b; the rows run segment by segment in one adaptive sweep
+    whose error norm is taken per row (see ``_dopri45``).  Every value
+    solves dY = Y xi(z, lam) dz and is divided by the principal square root
+    of its determinant after every segment.  ``counts``, when given,
+    accumulates the sweep's DOPRI steps and right-hand-side evaluations.
     """
-    validate_path(path, pot)
+    single = isinstance(path, DomainPath)
+    paths = [path] if single else list(path)
+    segments = [p.segments() for p in paths]
+    if len({len(segs) for segs in segments}) > 1:
+        raise ValueError("batched paths must have the same number of segments")
+    y = np.asarray(y, dtype=np.complex128)
+    if single:
+        y = y[None]
+    if y.shape[0] != len(paths):
+        raise ValueError(f"{len(paths)} paths for frame values of shape {y.shape}")
+    for p in paths:
+        validate_path(p, pot)
     xi = xi_sampler(pot, lams)
-    y = np.array(y, dtype=np.complex128)
-    for a, b in path.segments():
-        dz = b - a
-        y = _dopri45(_segment_rhs(xi, a, dz), y, opts.tolerance, lambda t, a=a, dz=dz: a + t * dz)
-        det = np.linalg.det(y)
-        if np.any(np.abs(det) < 1e-8):
-            raise IntegrationError(f"frame determinant vanishes at z = {b}; cannot renormalize")
-        y = y / np.sqrt(det)[:, None, None]
-    return y
+    state = _planes(y)
+    for seg in zip(*segments):
+        a = np.array([s[0] for s in seg])
+        dz = np.array([s[1] for s in seg]) - a
+        state = _dopri45(_segment_rhs(xi, a, dz), state, opts.tolerance, lambda t: _where(a + t * dz), counts)
+        det = state[0, 0] * state[1, 1] - state[0, 1] * state[1, 0]
+        vanishing = np.abs(det) < 1e-8
+        if np.any(vanishing):
+            end = seg[int(np.argmax(vanishing.any(axis=1)))][1]
+            raise IntegrationError(f"frame determinant vanishes at z = {end}; cannot renormalize")
+        state = state / np.sqrt(det)
+    y = _unplanes(state)
+    return y[0] if single else y
 
 
 def monodromy(

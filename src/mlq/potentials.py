@@ -4,7 +4,8 @@ Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
 a trace-free Laurent polynomial in the spectral parameter lam.  Every family
 is written once, in ``_xi_terms``, as pairs of a scalar z-weight and constant
 lam-terms.  ``xi_sampler`` returns z -> xi(z, lam) at a fixed set of
-spectral values, which is what the integrator calls.
+spectral values, which is what the integrator calls; every weight takes an
+array of z as well as one z.
 
 Families
 --------
@@ -39,7 +40,7 @@ _E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 
 _VARIANTS = ("sphere", "torus", "equivariant", "radial", "trinoid", "custom")
 
-#: scalar z-weight of a group of lam-terms; None means 1
+#: scalar z-weight of a group of lam-terms, elementwise on arrays of z; None means 1
 Weight = Callable[[complex], complex] | None
 
 
@@ -176,10 +177,12 @@ def _rational(num, den) -> Callable[[complex], complex]:
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
 
-    def weight(z: complex) -> complex:
+    def weight(z):
         d = npp.polyval(z, den)
-        if abs(d) < 1e-14:
-            raise PoleError(f"custom term denominator vanishes at z = {z}")
+        at_pole = np.abs(d) < 1e-14
+        if np.any(at_pole):
+            z_bad = complex(np.ravel(np.broadcast_to(z, np.shape(d)))[np.ravel(at_pole)][0])
+            raise PoleError(f"custom term denominator vanishes at z = {z_bad}")
         return npp.polyval(z, num) / d
 
     return weight
@@ -226,13 +229,31 @@ def _xi_terms(pot: Potential) -> list[tuple[Weight, dict[int, np.ndarray]]]:
     ]
 
 
-def xi_sampler(pot: Potential, lams) -> Callable[[complex], np.ndarray]:
-    """z -> xi(z, lam) at every spectral value in ``lams``, shape (M, 2, 2).
+class XiSampler:
+    """z -> xi(z, lam) at fixed spectral values lam_1..lam_M.
 
-    The lam-powers are evaluated once.  All unweighted terms fold into one
-    constant array and each weighted pair into one array, so a call costs
-    one weight and one axpy per weighted pair.  Poles are not checked here:
-    callers validate their paths first.
+    xi(z) = const + sum over pairs of w(z) vals: all unweighted terms are
+    folded into ``const`` and each weighted pair into one array ``vals``,
+    all of shape (M, 2, 2), so a call costs one weight and one axpy per
+    weighted pair.  At z of shape S the result has shape S + (M, 2, 2).
+    """
+
+    def __init__(self, const: np.ndarray, weighted: list[tuple[Callable, np.ndarray]]) -> None:
+        self.const = const
+        self.weighted = weighted
+
+    def __call__(self, z) -> np.ndarray:
+        out = np.broadcast_to(self.const, np.shape(z) + self.const.shape)
+        for w, vals in self.weighted:
+            out = out + np.multiply.outer(w(z), vals)
+        return out
+
+
+def xi_sampler(pot: Potential, lams) -> XiSampler:
+    """xi(., lam) at every spectral value in ``lams``.
+
+    The lam-powers are evaluated once.  Poles are not checked here: callers
+    validate their paths first.
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     const = np.zeros((lams.size, 2, 2), dtype=np.complex128)
@@ -243,19 +264,11 @@ def xi_sampler(pot: Potential, lams) -> Callable[[complex], np.ndarray]:
             const = const + vals
         else:
             weighted.append((w, vals))
-
-    def xi(z: complex) -> np.ndarray:
-        out = const
-        for w, vals in weighted:
-            out = out + w(z) * vals
-        return out
-
-    return xi
+    return XiSampler(const, weighted)
 
 
-def trinoid_q(z: complex, v0: float, v1: float, vinf: float) -> complex:
-    """The rational weight q(z) of the trinoid potential."""
-    z = complex(z)
+def trinoid_q(z, v0: float, v1: float, vinf: float):
+    """The rational weight q(z) of the trinoid potential, elementwise on arrays of z."""
     return (vinf * z**2 + (v1 - v0 - vinf) * z + v0) / (16.0 * z**2 * (z - 1.0) ** 2)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mlq
-from mlq import holonomy
+from mlq import frames, holonomy
 from mlq.cli import (
     EXIT_CHECKS_FAILED,
     EXIT_OK,
@@ -175,6 +175,36 @@ def test_generate_is_deterministic(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
+    # 72 nodes are three chunks; threads take whole chunks, so every node's
+    # sweep, and the step counts in meta.json, are the same for any --jobs
+    sweeps = []
+    transport = frames.transport
+
+    def counted(pot, paths, y, lams, opts, counts):
+        sweeps.append(len(paths))
+        return transport(pot, paths, y, lams, opts, counts)
+
+    monkeypatch.setattr(frames, "transport", counted)
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+        grid={"re_min": 0.4, "re_max": 1.4, "n_re": 9, "im_min": -0.5, "im_max": 0.5, "n_im": 8},
+        truncation_N=8,
+    )
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["generate", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        outs.append(out)
+    for fname in ("surface.csv", "factor1.obj", "factor2.obj", "meta.json"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+    assert sorted(sweeps) == [8, 8, 32, 32, 32, 32]  # one sweep per chunk
+    meta = json.loads((outs[0] / "meta.json").read_text())
+    assert meta["n_nodes"] == 72 and meta["n_failed"] == 0
+    assert 0 < meta["ode_steps"] < meta["ode_rhs_calls"]
+
+
 def test_verify_gates(tmp_path):
     grid = {"re_min": -0.3, "re_max": 0.3, "n_re": 2,
             "im_min": -0.3, "im_max": 0.3, "n_im": 2}
@@ -303,6 +333,9 @@ def test_family_sweep(tmp_path):
     )
     out = tmp_path / "family"
     assert main(["family", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    # the sweep members run on threads; each is independent of the others
+    assert main(["family", "--config", cfg, "--out", str(tmp_path / "family2"), "--jobs", "2"]) == EXIT_OK
+    assert (tmp_path / "family2" / "family.json").read_bytes() == (out / "family.json").read_bytes()
     payload = json.loads((out / "family.json").read_text())
     assert len(payload["per_lambda"]) == 2
     assert payload["max_u_dev"] < 1e-6

@@ -11,6 +11,7 @@ from oracles import analytic_surface
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import (
+    NODE_CHUNK,
     FramePointPair,
     GridSpec,
     SurfaceMap,
@@ -26,7 +27,16 @@ from mlq.frames import (
     sphere_pair,
     xy_matrices,
 )
-from mlq.potentials import equivariant_spec, make_potential, sphere_spec, torus_spec, trinoid_spec
+from mlq.potentials import (
+    CustomTerm,
+    custom_spec,
+    equivariant_spec,
+    make_potential,
+    radial_spec,
+    sphere_spec,
+    torus_spec,
+    trinoid_spec,
+)
 
 rng = np.random.default_rng(4242)
 
@@ -199,22 +209,32 @@ def test_wound_frames_pass_the_default_gate_at_a_small_window():
         np.testing.assert_allclose(narrow.lift(z, winding=1), ref.lift(z, winding=1), rtol=0, atol=1e-12)
 
 
-def test_anchor_cache_under_threads():
-    # one map shared by threads gives a serial map's bytes
+def test_shared_map_under_threads():
+    # one map shared by threads, node by node and chunk by chunk, gives a
+    # serial map's bytes and its step counts
     pot = make_potential(sphere_spec())
     nodes = [0.04 * (k + 1) * (1 - 0.5j) for k in range(24)]
-    serial = [SurfaceMap(pot, window=8).sample(z).q2_hom for z in nodes]
+    chunks = [nodes[i : i + 5] for i in range(0, len(nodes), 5)]
+    ref = SurfaceMap(pot, window=8)
+    serial = [ref.sample(z).q2_hom for z in nodes]
+    serial_chunks = [[s.q2_hom for s in ref.samples(c)] for c in chunks]
     smap = SurfaceMap(pot, window=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(smap.sample, z) for z in nodes * 3]
-            got = [f.result(timeout=60).q2_hom for f in futures]
+            singles = [pool.submit(smap.sample, z) for z in nodes * 3]
+            chunked = [pool.submit(smap.samples, c) for c in chunks * 3]
+            got = [f.result(timeout=60).q2_hom for f in singles]
+            got_chunks = [[s.q2_hom for s in f.result(timeout=60)] for f in chunked]
     finally:
         sys.setswitchinterval(interval)
     for i, q in enumerate(got):
         assert np.array_equal(q, serial[i % len(nodes)])
+    for i, qs in enumerate(got_chunks):
+        assert all(np.array_equal(q, want) for q, want in zip(qs, serial_chunks[i % len(chunks)]))
+    assert smap.ode_counts.steps == 3 * ref.ode_counts.steps
+    assert smap.ode_counts.rhs_calls == 3 * ref.ode_counts.rhs_calls
 
 
 def test_sample_at_puncture_is_invalid():
@@ -223,6 +243,84 @@ def test_sample_at_puncture_is_invalid():
     assert not bad[0].valid
     assert bad[0].error is not None and bad[0].q2_hom is None
     assert bad[1].valid
+
+
+def test_the_equivariant_pole_is_an_invalid_node():
+    bad = build_surface(make_potential(equivariant_spec(0.75, 0.25)), [0.0, 1.2 + 0.1j], window=8)
+    assert not bad[0].valid and "z = 0" in bad[0].error
+    assert bad[1].valid
+
+
+def test_a_puncture_in_a_chunk_fails_only_its_node():
+    # the puncture sits mid-chunk; its route fails validation before the sweep runs
+    smap = SurfaceMap(make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0)), 1j, window=8)
+    nodes = [0.3 + 0.05j * k for k in range(NODE_CHUNK + 4)]
+    nodes[5] = 0.0
+    got = smap.samples(nodes)
+    alone = smap.sample(0.0)
+    assert not got[5].valid and got[5].q2_hom is None
+    assert got[5].error == alone.error and "singular point" in alone.error
+    assert all(s.valid for i, s in enumerate(got) if i != 5)
+
+
+def test_a_failed_sweep_is_rerun_node_by_node():
+    # an undeclared pole of a custom weight passes route validation, so the
+    # chunk's sweep fails there; the rerun locates the error at its own node
+    spec = custom_spec(
+        [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+         CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
+        poles=[], base_point=0.0,
+    )
+    smap = SurfaceMap(make_potential(spec), window=8)
+    nodes = [0.1j + 0.02 * k for k in range(10)] + [0.3] + [-0.1j - 0.02 * k for k in range(10)]
+    got = smap.samples(nodes)
+    alone = smap.sample(0.3)
+    assert not got[10].valid and got[10].error == alone.error
+    assert alone.error.startswith("adaptive integrator failed near z = (0.29999")
+    assert all(s.valid for i, s in enumerate(got) if i != 10)
+    for z, s in zip(nodes[:3], got):
+        np.testing.assert_allclose(s.q2_hom, smap.sample(z).q2_hom, rtol=0, atol=1e-9)
+    # based at that pole, the weight itself raises PoleError on every row
+    based = SurfaceMap(make_potential(custom_spec(spec.params["terms"], poles=[], base_point=0.3)), window=8)
+    got = based.samples(nodes[:4])
+    assert [s.error for s in got] == [based.sample(z).error for z in nodes[:4]]
+    assert all(s.error == "custom term denominator vanishes at z = (0.3+0j)" for s in got)
+
+
+def _grid_nodes(family: str, shift: complex, n: int) -> list[complex]:
+    """n nodes on a small grid of the family's domain, clear of its poles."""
+    centre = {"equivariant": 0.9 + 0.0j, "trinoid": 0.5 + 0.45j}.get(family, 0.0j)
+    side = int(np.ceil(np.sqrt(n)))
+    grid = [centre + shift + 0.6 * complex(i / side - 0.5, j / side - 0.5)
+            for j in range(side) for i in range(side)]
+    return grid[:n]
+
+
+_FAMILIES = {
+    "sphere": (sphere_spec(), 1.0),
+    "torus": (torus_spec(), 1.0),
+    "radial": (radial_spec(0.5, 1), 1.0),
+    "equivariant": (equivariant_spec(0.75, 0.25), 1.0),
+    "trinoid": (trinoid_spec(1j, 1.0, 1.0, 1.0), 1j),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+@settings(max_examples=3, deadline=None)
+@given(
+    shift=st.complex_numbers(max_magnitude=0.1),
+    extra=st.integers(1, NODE_CHUNK),
+)
+def test_batched_samples_match_single_nodes(family, shift, extra):
+    spec, lam0 = _FAMILIES[family]
+    smap = SurfaceMap(make_potential(spec), lam0, window=8)
+    nodes = _grid_nodes(family, shift, NODE_CHUNK + extra)
+    for s in smap.samples(nodes):
+        one = smap.sample(s.z)
+        assert s.valid and one.valid
+        np.testing.assert_allclose(s.q2_hom, one.q2_hom, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.concatenate(s.s2_pair), np.concatenate(one.s2_pair), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.concatenate(s.s3_pair), np.concatenate(one.s3_pair), rtol=0, atol=1e-9)
 
 
 def test_build_surface_covers_grid():

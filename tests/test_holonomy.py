@@ -17,7 +17,8 @@ from mlq.holonomy import (
     unitarizing_gauge,
     validate_path,
     _dopri45,
-    _right_mul,
+    _planes,
+    _segment_rhs,
 )
 from mlq.loops import coefficients, window_samples
 from mlq.potentials import (
@@ -172,6 +173,26 @@ def test_transport_runs_every_spectral_value_at_once():
         np.testing.assert_allclose(val, at_lambda(pot, path, lam, opts), atol=1e-9)
 
 
+def test_batched_transport_keeps_each_rows_accuracy():
+    # one hard row near the trinoid's pole among 31 easy ones: the error norm
+    # is taken per row, so the batch steps no coarser than the hard row alone
+    # (an RMS over all rows would let the easy rows loosen its steps)
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    lams = window_samples(4)
+    hard = DomainPath.line(0.5, 0.05 + 0.02j)
+    paths = [hard] + [DomainPath.line(0.5, 0.5 + 0.01j * (k + 1)) for k in range(31)]
+    eye = np.broadcast_to(np.eye(2), (len(paths), lams.size, 2, 2))
+    opts = OdeOptions(tolerance=1e-8)
+    exact = transport(pot, hard, eye[0], lams, OdeOptions(tolerance=1e-13))
+    alone = transport(pot, hard, eye[0], lams, opts)
+    batch = transport(pot, paths, eye, lams, opts)
+    assert np.abs(batch[0] - exact).max() <= 1.5 * np.abs(alone - exact).max()
+    for path, row in zip(paths[1:], batch[1:]):
+        np.testing.assert_allclose(row, transport(pot, path, eye[0], lams, opts), rtol=0, atol=1e-7)
+    with pytest.raises(ValueError, match="same number of segments"):
+        transport(pot, [hard, DomainPath.polyline([0.5, 0.6, 0.7])], eye[:2], lams, opts)
+
+
 _spectral_angle = st.floats(0.0, 2.0 * np.pi)
 _offset = st.complex_numbers(max_magnitude=1.0)
 
@@ -215,23 +236,20 @@ def test_dopri45_matches_scipy_rk45(seg, theta, m, tol):
     pot, z = seg
     assume(abs(z - pot.base_point) > 1e-6)
     a, dz = pot.base_point, z - pot.base_point
-    xi = xi_sampler(pot, np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m)))
-
-    def rhs(t, y):
-        return _right_mul(y, xi(a + t * dz) * dz)
-
-    y0 = np.broadcast_to(np.eye(2, dtype=np.complex128), (m, 2, 2))
+    rhs = _segment_rhs(xi_sampler(pot, np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m))), a, dz)
+    # one row of component planes: the per-row norm is scipy's whole-state norm
+    y0 = _planes(np.broadcast_to(np.eye(2, dtype=np.complex128), (1, m, 2, 2)))
     got = _dopri45(rhs, y0, tol, lambda t: a + t * dz)
     sol = solve_ivp(
-        lambda t, yr: rhs(t, yr.view(np.complex128).reshape(m, 2, 2)).ravel().view(np.float64),
+        lambda t, yr: rhs(t, yr.view(np.complex128).reshape(y0.shape)).ravel().view(np.float64),
         (0.0, 1.0),
-        np.ascontiguousarray(y0).ravel().view(np.float64),
+        y0.ravel().view(np.float64),
         method="RK45",
         rtol=tol,
         atol=tol,
     )
     assert sol.success
-    expected = sol.y[:, -1].copy().view(np.complex128).reshape(m, 2, 2)
+    expected = sol.y[:, -1].copy().view(np.complex128).reshape(y0.shape)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 

@@ -117,16 +117,20 @@ def test_custom_terms_must_lie_in_sl2():
 @pytest.mark.parametrize("spec", ALL_SPECS + [RATIONAL_CUSTOM], ids=lambda s: s.variant)
 @settings(max_examples=20, deadline=None)
 @given(
-    z=st.complex_numbers(max_magnitude=2.0),
+    zs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=4),
     thetas=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=5),
 )
-def test_xi_sampler_matches_eval_xi(spec, z, thetas):
+def test_xi_sampler_matches_eval_xi(spec, zs, thetas):
     pot = make_potential(spec)
-    assume(all(abs(z - p) > 0.05 for p in pot.singular_points))
+    assume(all(abs(z - p) > 0.05 for z in zs for p in pot.singular_points))
     lams = np.exp(1j * np.array(thetas))
-    np.testing.assert_allclose(
-        xi_sampler(pot, lams)(z), loop_at(eval_xi(pot, z), lams), rtol=0, atol=1e-13
-    )
+    xi = xi_sampler(pot, lams)
+    singles = [xi(z) for z in zs]
+    for z, got in zip(zs, singles):
+        np.testing.assert_allclose(got, loop_at(eval_xi(pot, z), lams), rtol=0, atol=1e-13)
+    # an array of z is the stack of single-z calls, row by row (numpy and
+    # Python divide complex numbers with different rounding)
+    np.testing.assert_allclose(xi(np.array(zs)), np.stack(singles), rtol=1e-14, atol=1e-14)
 
 
 def test_custom_base_point_must_avoid_poles():
@@ -180,6 +184,15 @@ def test_xi_raises_at_singular_points():
         transport(make_potential(equivariant_spec(1.0, 0.5)), DomainPath.line(1.0, 0.0), eye, [1.0])
     with pytest.raises(PoleError):
         transport(make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0)), DomainPath.line(0.5, 1.0), eye, [1.0])
+
+
+def test_custom_weights_name_the_pole_in_an_array():
+    # a rational weight checks every z of an array and names the one at its pole
+    xi = xi_sampler(make_potential(ALL_SPECS[-1]), [1.0])
+    with pytest.raises(PoleError, match=r"z = \(-1\+0j\)"):
+        xi(np.array([0.5, -1.0, 0.25j]))
+    with pytest.raises(PoleError, match=r"z = \(-1\+0j\)"):
+        xi(-1.0 + 0j)
 
 
 def test_trinoid_q_matches_rational_form():
