@@ -181,8 +181,7 @@ def _rational(num, den) -> Callable[[complex], complex]:
         d = npp.polyval(z, den)
         at_pole = np.abs(d) < 1e-14
         if np.any(at_pole):
-            z_bad = complex(np.ravel(np.broadcast_to(z, np.shape(d)))[np.ravel(at_pole)][0])
-            raise PoleError(f"custom term denominator vanishes at z = {z_bad}")
+            raise PoleError(f"custom term denominator vanishes at z = {complex(np.extract(at_pole, z)[0])}")
         return npp.polyval(z, num) / d
 
     return weight
