@@ -17,7 +17,6 @@ from .potentials import (
     make_potential,
     radial_spec,
     spec_from_dict,
-    spec_to_dict,
     sphere_spec,
     torus_spec,
     trinoid_spec,
@@ -39,7 +38,6 @@ from .frames import (
     SurfaceMap,
     SurfaceSample,
     build_surface,
-    normalize_q2,
     projective_distance,
     psi_so4,
     q2_point,
@@ -85,7 +83,6 @@ __all__ = [
     "radial_spec",
     "trinoid_spec",
     "custom_spec",
-    "spec_to_dict",
     "spec_from_dict",
     "DomainPath",
     "OdeOptions",
@@ -102,7 +99,6 @@ __all__ = [
     "SurfaceMap",
     "SurfaceSample",
     "build_surface",
-    "normalize_q2",
     "projective_distance",
     "psi_so4",
     "q2_point",

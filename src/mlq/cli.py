@@ -24,7 +24,7 @@ from .frames import GridSpec, SurfaceMap, node_chunks
 from .holonomy import EPS_POLE, IntegrationError, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
-from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict, spec_to_dict
+from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict
 from .verify import DeckTransform, invariants_report, node_report, symmetry_check
 
 SCHEMA = 1
@@ -148,12 +148,6 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _n_jobs(cli_jobs: int | None) -> int:
-    env = os.environ.get("MLQ_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"MLQ_JOBS must be an integer, got {env!r}") from None
     if cli_jobs is not None:
         return max(1, cli_jobs)
     return min(4, os.cpu_count() or 1)
@@ -535,16 +529,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=("generate", "verify", "closing", "family"))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads (MLQ_JOBS overrides)")
+    parser.add_argument("--jobs", type=int, default=None, help="worker threads (default: min(4, cores))")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        jobs = _n_jobs(args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out) if args.out else cfg.output_dir
+    jobs = _n_jobs(args.jobs)
 
     dispatch = {
         "generate": cmd_generate,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .holonomy import DomainPath, OdeOptions, circle_path, monodromy
-from .potentials import Potential, make_potential, trinoid_h, trinoid_spec
+from .potentials import Potential, trinoid_h
 
 
 def sphere_frame(z: complex, lam: complex) -> np.ndarray:

@@ -4,9 +4,11 @@
 points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
 points.  A grid is integrated ``NODE_CHUNK`` nodes at a time, each chunk in
-one adaptive sweep of the batched ``transport``.  The spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so
-a point of the surface is read off F there, with nothing evaluated or
-projected, by forming
+one adaptive sweep of the batched ``transport``; the points of a
+finite-difference stencil are hopped from one transport to its node in one
+fixed-step RK4 batch (``frame_pairs``).  The spectral pair (lam0, -i lam0)
+is samples j = 0 and j = 3N, so a point of the surface is read off F there,
+with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -63,12 +65,12 @@ def quat_matrix(p) -> np.ndarray:
     )
 
 
-def _check_su2(m: np.ndarray, name: str, tol: float) -> None:
+def _check_su2(m: np.ndarray, name: str) -> None:
     err_u = np.abs(m.conj().T @ m - np.eye(2)).max()
     err_d = abs(np.linalg.det(m) - 1.0)
-    if err_u > tol or err_d > tol:
+    if err_u > FRAME_TOL or err_d > FRAME_TOL:
         raise ValueError(
-            f"{name} is not special unitary within tol {tol:.1e} "
+            f"{name} is not special unitary within tol {FRAME_TOL:.1e} "
             f"(unitarity {err_u:.2e}, det deviation {err_d:.2e})"
         )
 
@@ -97,17 +99,18 @@ def _right_mult(q) -> np.ndarray:
     )
 
 
-def psi_so4(p: np.ndarray, q: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def psi_so4(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The two-fold cover SU(2) x SU(2) -> SO(4).
 
     psi(p, q) acts on the quaternion coordinate vector of X as x -> p x q^{-1},
     so psi(P, Q) @ quat_components(X) = quat_components(P X Q^{-1}) for
-    SU(2) matrices.  psi(-p, -q) = psi(p, q) exactly.
+    SU(2) matrices, each special unitary within ``FRAME_TOL``.
+    psi(-p, -q) = psi(p, q) exactly.
     """
     p = np.asarray(p, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
-    _check_su2(p, "first psi argument", tol)
-    _check_su2(q, "second psi argument", tol)
+    _check_su2(p, "first psi argument")
+    _check_su2(q, "second psi argument")
     return _left_mult(quat_components(p)) @ _right_mult(quat_components(q))
 
 
@@ -128,8 +131,8 @@ class FramePointPair:
         object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
         if abs(abs(complex(self.lambda0)) - 1.0) > 1e-9:
             raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
-        _check_su2(self.F1, "F1", FRAME_TOL)
-        _check_su2(self.F2, "F2", FRAME_TOL)
+        _check_su2(self.F1, "F1")
+        _check_su2(self.F2, "F2")
 
 
 def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
@@ -154,25 +157,6 @@ def q2_point(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def normalize_q2(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit-norm representative of a homogeneous Q2 point.
-
-    Scales to unit Hermitian norm and flips the overall sign so the first
-    coordinate of magnitude > 1e-9 has argument in (-pi/2, pi/2].
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    w = v / norm
-    for c in w:
-        if abs(c) > 1e-9:
-            if c.real < 0 or (c.real == 0 and c.imag < 0):
-                w = -w
-            break
-    return w
-
-
 def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
     """Chordal distance between homogeneous vectors: min over phases of
     || v/|v| - e^{i theta} w/|w| ||, evaluated at the optimal phase (stable
@@ -186,16 +170,6 @@ def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
     inner = np.vdot(w, v)
     phase = 1.0 if inner == 0 else inner / abs(inner)
     return float(np.linalg.norm(v / nv - phase * w / nw))
-
-
-def s3_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
-    """The S3 x S3 pair (f_min, N): quaternion components of X and Y.
-
-    Consistent with the Q2 lift: f_min = sqrt(2) Re(v) and N = sqrt(2) Im(v)
-    for the unit lift v = q2_point(X, Y)/sqrt(2).
-    """
-    x, y = xy_matrices(fp)
-    return quat_components(x), quat_components(y)
 
 
 def pauli_components(m: np.ndarray) -> np.ndarray:
@@ -268,11 +242,12 @@ class SurfaceMap:
     sweep fails and whose rerun alone fails, is invalid and carries its own
     error.  ``ode_counts`` totals the DOPRI steps and right-hand-side
     evaluations of every transport the map ran.  ``frame_pairs`` evaluates
-    a cluster of points near z from one transport to z: each point is one
-    deterministic fixed-step RK4 hop from z and one split, so
-    finite-difference stencils see a smooth function limited only by
-    roundoff, not by adaptive step placement.  Nothing is cached and the
-    counts are locked, so a map may be shared between threads.
+    a cluster of points near z from one transport to z: all points are
+    hopped from z by one deterministic fixed-step RK4 sweep over a batch
+    with one row per point, then split one by one, so finite-difference
+    stencils see a smooth function limited only by roundoff, not by
+    adaptive step placement.  Nothing is cached and the counts are locked,
+    so a map may be shared between threads.
     """
 
     def __init__(
@@ -372,14 +347,6 @@ class SurfaceMap:
             out[i] = state
         return out
 
-    def _hop(self, state: np.ndarray, a: complex, b: complex) -> np.ndarray:
-        """Fixed-step RK4 transport of the frame values from a to b."""
-        if a == b:
-            return state
-        validate_path(DomainPath.line(a, b), self.pot)
-        rhs = _segment_rhs(self._xi, a, b - a)
-        return _unplanes(_rk4_fixed(rhs, _planes(state[None]), HOP_STEPS))[0]
-
     def _pair(self, res: IwasawaResult) -> FramePointPair:
         return FramePointPair(res.F[0], res.F[3 * self.window], self.lambda0)
 
@@ -392,13 +359,21 @@ class SurfaceMap:
         return self._pair(self.unitary_frame(z, winding))
 
     def frame_pairs(self, z: complex, points, winding: int = 0) -> list[FramePointPair]:
-        """Frame pairs at points near z: one transport to z, then one RK4 hop
-        from z and one split per point."""
+        """Frame pairs at points near z: one transport to z, one fixed-step
+        RK4 hop from z to every point as one row batch, and one split per point.
+
+        A point equal to z is a zero-length row: its right-hand side is 0, so
+        it keeps the transported values exactly.
+        """
         z = complex(z)
+        points = np.array(points, dtype=np.complex128)
         state = self._transport_to(z, winding)
-        return [
-            self._pair(iwasawa(self._hop(state, z, complex(p)), tol=self.iwasawa_tol)) for p in points
-        ]
+        for p in points[points != z]:
+            validate_path(DomainPath.line(z, p), self.pot)
+        rhs = _segment_rhs(self._xi, np.full(points.size, z), points - z)
+        rows = np.broadcast_to(state, (points.size, *state.shape))
+        hopped = _unplanes(_rk4_fixed(rhs, _planes(rows), HOP_STEPS))
+        return [self._pair(iwasawa(y, tol=self.iwasawa_tol)) for y in hopped]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""

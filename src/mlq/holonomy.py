@@ -36,6 +36,10 @@ from .potentials import PoleError, Potential, XiSampler, xi_sampler
 #: Paths must keep this distance from declared singular points.
 EPS_POLE = 1e-3
 
+#: smallest singular value, relative to the largest, that ``unitarizing_gauge``
+#: still reads as an invariant Hermitian form
+UNITARIZE_TOL = 1e-8
+
 
 class IntegrationError(RuntimeError):
     """ODE solver failure; message carries the z-location of the failure."""
@@ -78,14 +82,6 @@ class DomainPath:
             segs.append((verts[-1], verts[0]))
         return segs
 
-    @property
-    def base(self) -> complex:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> complex:
-        return self.vertices[0] if self.closed else self.vertices[-1]
-
 
 def circle_path(center: complex, radius: float, n: int = 64, start_angle: float = 0.0) -> DomainPath:
     """Closed n-gon approximation of a circle, traversed counterclockwise."""
@@ -98,21 +94,6 @@ def circle_path(center: complex, radius: float, n: int = 64, start_angle: float 
     return DomainPath(verts, closed=True)
 
 
-def default_monodromy_circle(pot: Potential, singularity: complex, n: int = 64) -> DomainPath:
-    """Circle around one singular point; radius is half the distance to the
-    nearest other singularity (falling back to half the distance to the base
-    point when the singular set is a single point)."""
-    s = complex(singularity)
-    others = [abs(p - s) for p in pot.singular_points if abs(p - s) > 1e-12]
-    if others:
-        radius = 0.5 * min(others)
-    else:
-        radius = 0.5 * abs(pot.base_point - s)
-        if radius == 0.0:
-            raise ValueError("cannot choose a default radius: base point sits on the singularity")
-    return circle_path(s, radius, n=n)
-
-
 def _segment_pole_distance(a: complex, b: complex, p: complex) -> float:
     """Distance from point p to the segment [a, b]."""
     d = b - a
@@ -121,12 +102,12 @@ def _segment_pole_distance(a: complex, b: complex, p: complex) -> float:
     return abs(a + t * d - p)
 
 
-def validate_path(path: DomainPath, pot: Potential, eps_pole: float = EPS_POLE) -> None:
-    """Reject paths that pass within eps_pole of a declared singular point."""
+def validate_path(path: DomainPath, pot: Potential) -> None:
+    """Reject paths that pass within ``EPS_POLE`` of a declared singular point."""
     for a, b in path.segments():
         for p in pot.singular_points:
             dist = _segment_pole_distance(a, b, p)
-            if dist < eps_pole:
+            if dist < EPS_POLE:
                 raise PoleError(
                     f"path segment {a} -> {b} passes within {dist:.2e} of singular point {p}"
                 )
@@ -400,7 +381,7 @@ def monodromy(
     return transport(pot, gamma, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
 
 
-def unitarizing_gauge(mats, tol: float = 1e-8) -> np.ndarray:
+def unitarizing_gauge(mats) -> np.ndarray:
     """Simultaneous unitarizer of a family of SL(2,C) monodromies.
 
     Finds C with C H C^{-1} in SU(2) for every H in ``mats``, when one
@@ -411,8 +392,9 @@ def unitarizing_gauge(mats, tol: float = 1e-8) -> np.ndarray:
     Hermitian form M (then C = M^{1/2}).  M is recovered as the nullspace of
     the stacked linear conditions H^* M H = M over Hermitian matrices.
 
-    Raises ValueError if no invariant form exists (residual above tol) or if
-    the form is indefinite, i.e. the representation is not unitarizable.
+    Raises ValueError if no invariant form exists (residual above
+    ``UNITARIZE_TOL``) or if the form is indefinite, i.e. the representation
+    is not unitarizable.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if not mats:
@@ -438,7 +420,7 @@ def unitarizing_gauge(mats, tol: float = 1e-8) -> np.ndarray:
             rows.append([comp(c) for c in cols])
     a = np.array(rows, dtype=np.float64)
     _, svals, vt = np.linalg.svd(a)
-    if svals[-1] > tol * max(1.0, svals[0]):
+    if svals[-1] > UNITARIZE_TOL * max(1.0, svals[0]):
         raise ValueError(
             f"no common invariant Hermitian form (residual {svals[-1]:.2e}); "
             "monodromies are not simultaneously unitarizable"

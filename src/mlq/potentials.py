@@ -279,12 +279,7 @@ def trinoid_h(lam: complex, lambda0: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip (used by the CLI config schema)
-
-
-def _c2l(c: complex) -> list[float]:
-    c = complex(c)
-    return [float(c.real), float(c.imag)]
+# JSON config reading (complex values as [re, im])
 
 
 def _l2c(v: Any) -> complex:
@@ -293,43 +288,12 @@ def _l2c(v: Any) -> complex:
     return complex(v[0], v[1])
 
 
-def spec_to_dict(spec: PotentialSpec) -> dict[str, Any]:
-    """Serialize a spec to JSON-compatible primitives (complex -> [re, im])."""
-    v = spec.variant
-    p = spec.params
-    if v in ("sphere", "torus"):
-        return {"variant": v}
-    if v == "equivariant":
-        return {"variant": v, "a": p["a"], "b": p["b"], "c": p["c"]}
-    if v == "radial":
-        return {"variant": v, "c": _c2l(p["c"]), "k": p["k"]}
-    if v == "trinoid":
-        return {
-            "variant": v,
-            "lambda0": _c2l(p["lambda0"]),
-            "v0": p["v0"],
-            "v1": p["v1"],
-            "vinf": p["vinf"],
-        }
-    return {
-        "variant": "custom",
-        "base_point": _c2l(p["base_point"]),
-        "poles": [_c2l(q) for q in p["poles"]],
-        "terms": [
-            {
-                "lam_power": t.lam_power,
-                "matrix": [[_c2l(t.matrix[0][0]), _c2l(t.matrix[0][1])],
-                           [_c2l(t.matrix[1][0]), _c2l(t.matrix[1][1])]],
-                "num": [_c2l(c) for c in t.num],
-                "den": [_c2l(c) for c in t.den],
-            }
-            for t in p["terms"]
-        ],
-    }
-
-
 def spec_from_dict(d: dict[str, Any]) -> PotentialSpec:
-    """Inverse of spec_to_dict; raises ValueError on malformed input."""
+    """The spec of a config's ``potential`` object; raises ValueError on malformed input.
+
+    The keys are ``variant`` and the family's parameters, as its ``*_spec``
+    constructor names them; a complex value is a number or ``[re, im]``.
+    """
     try:
         v = d["variant"]
     except (KeyError, TypeError):

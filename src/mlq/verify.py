@@ -8,9 +8,9 @@ reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
 The FD engine evaluates the frame pair on the 13-point diamond
-{|a| + |b| <= 2} around each node, once and from one transport to the
-node (``SurfaceMap.frame_pairs``); the lift, the S2 x S2 factors and every
-report are read off that one table.  First
+{|a| + |b| <= 2} around each node, once: one transport to the node and one
+13-row RK4 hop from it (``SurfaceMap.frame_pairs``); the lift, the S2 x S2
+factors and every report are read off that one table.  First
 derivatives and Laplacians use the order-2 central stencils (the classic
 5-point cross), so every smooth residual shrinks like h^2; the outer points
 of the diamond serve the nested derivatives (u, alpha and beta at the cross
@@ -123,16 +123,6 @@ class InvariantReport:
     phi_inv: complex
     u_hat: float
     residuals: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def pr(self) -> complex:
-        """Product p*r of the Maurer-Cartan coefficients: p r = -alpha/2."""
-        return -0.5 * self.alpha
-
-    @property
-    def r_abs(self) -> float:
-        """|r| with |r|^2 = e^{u_hat}/2."""
-        return float(np.sqrt(0.5 * np.exp(self.u_hat)))
 
 
 def _point_invariants(vals: Mapping, h: float, at):
@@ -318,9 +308,7 @@ class CUReport:
 
     Theta is the associated Hopf differential coefficient, read from the
     second factor as <psi_z, psi_z> (the first factor carries the opposite
-    sign); under the correspondence Theta = 2 alpha.  It is computed from
-    the factor maps when provided, else set to 2 alpha (quarter-turn lift
-    phase) definitionally.
+    sign); under the correspondence Theta = 2 alpha.
     C is the associated Jacobian C = e^{-u}|beta|/2, and gauss_residual the
     Gauss equation
     |u_zzbar + 8 e^u C^2 - 4|C_z|^2/(1 - 4C^2)|; at C = 1/2 the last term has
@@ -328,7 +316,7 @@ class CUReport:
     K = -e^{-u} u_zzbar is the Gauss curvature of the induced metric
     2 e^u dz dzbar, from the same u_zzbar.
     jacobian_match compares C with the measured factor Jacobians
-    (orientation-free); NaN when no factor data was given.
+    (orientation-free).
     """
 
     C: float
@@ -342,13 +330,14 @@ class CUReport:
 def cu_report(
     lifts: Mapping[tuple[int, int], np.ndarray],
     h: float,
-    s2: Mapping[tuple[int, int], tuple] | None = None,
+    s2: Mapping[tuple[int, int], tuple],
 ) -> CUReport:
     """Factor-map correspondence residuals from a lift table on the diamond.
 
     u and |beta| at the cross neighbours are nested central differences of
     the same table, as in the sinh-Gordon term of invariants_report.  ``s2``
-    maps at least the cross offsets to (phi, psi) factor pairs.
+    maps at least the cross offsets to (phi, psi) factor pairs; Theta and
+    the factor Jacobians are read off it.
     """
     pts = {at: _point_invariants(lifts, h, at) for at in CROSS}
     u = {at: float(np.log(p[0])) for at, p in pts.items()}
@@ -366,18 +355,11 @@ def cu_report(
         gauss = abs(u_zzb + 8 * eu * C * C - 4 * abs(cz) ** 2 / one_minus)
         skipped = False
 
-    eu0, alpha, beta = pts[(0, 0)]
-    theta = 2.0 * alpha * _quarter_turn_phase(alpha, beta, eu0)
-    jac_match = float("nan")
-    if s2 is not None:
-        psz, _ = _first_derivs({k: v[1] for k, v in s2.items()}, h)
-        theta = _bilinear(psz, psz)
-        jacs = [_jacobian({k: v[i] for k, v in s2.items()}, h) / (8 * eu) for i in (0, 1)]
-        jac_match = min(
-            max(abs(s * jacs[0] - C), abs(s * jacs[1] + C)) for s in (1.0, -1.0)
-        )
+    psz, _ = _first_derivs({k: v[1] for k, v in s2.items()}, h)
+    jacs = [_jacobian({k: v[i] for k, v in s2.items()}, h) / (8 * eu) for i in (0, 1)]
+    jac_match = min(max(abs(s * jacs[0] - C), abs(s * jacs[1] + C)) for s in (1.0, -1.0))
     return CUReport(
-        C=float(C), Theta=theta, gauss_residual=float(gauss),
+        C=float(C), Theta=_bilinear(psz, psz), gauss_residual=float(gauss),
         jacobian_match=jac_match, K=float(-np.exp(-u[(0, 0)]) * u_zzb),
         gauss_skipped=skipped,
     )
@@ -386,7 +368,8 @@ def cu_report(
 def node_report(
     smap: SurfaceMap, z: complex, h: float = 1e-3
 ) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
-    """All three reports at z from one frame table: one transport, 13 Iwasawa splits.
+    """All three reports at z from one frame table: one transport, one
+    13-row RK4 hop and 13 Iwasawa splits.
 
     The diamond is evaluated once, hopped from one transport to z; the
     lifts and the factor pairs are both read off those frame pairs.
@@ -394,7 +377,7 @@ def node_report(
     frames = _frame_table(smap, z, h)
     lifts = _lift_table(frames)
     s2 = _s2_table(frames)
-    return _invariants(lifts, z, h), _geometry(s2, z, h), cu_report(lifts, h, s2=s2)
+    return _invariants(lifts, z, h), _geometry(s2, z, h), cu_report(lifts, h, s2)
 
 
 # ---------------------------------------------------------------------------

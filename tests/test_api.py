@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import mlq
 
 
@@ -12,3 +15,37 @@ def test_star_import():
     exec("from mlq import *", namespace)
     assert set(mlq.__all__) <= set(namespace)
 
+
+
+#: public names kept without a caller in src/: closed-form oracles and entry points
+NO_SRC_CALLER = {
+    "sphere_frame",
+    "torus_frame",
+    "equivariant_profile",
+    "quat_matrix",
+    "projective_distance",
+    "build_surface",
+    "geometry_report",
+}
+
+
+def test_no_test_only_code():
+    # every public module-level function or class of src/mlq is read somewhere
+    # in src/: a Name load or a from-import; attributes, keywords and the
+    # package's re-exports do not count
+    src = Path(mlq.__file__).parent
+    defined, used = set(), set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(defined - used - NO_SRC_CALLER) == []

@@ -16,14 +16,12 @@ from mlq.frames import (
     GridSpec,
     SurfaceMap,
     build_surface,
-    normalize_q2,
     pauli_components,
     projective_distance,
     psi_so4,
     q2_point,
     quat_components,
     quat_matrix,
-    s3_pair,
     sphere_pair,
     xy_matrices,
 )
@@ -115,20 +113,6 @@ def test_frame_pair_rejects_non_unitary_frames():
         FramePointPair(np.eye(2), np.diag([1j, 1j]))  # unitary, det -1
 
 
-def test_normalize_q2():
-    v = q2_point(*xy_matrices(sphere_point_pair(0.5 + 0.1j)))
-    w = normalize_q2(v)
-    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(normalize_q2(w), w, atol=1e-14)
-    # representative is scale- and sign-independent
-    np.testing.assert_allclose(normalize_q2(-3.7 * v), w, atol=1e-14)
-    # leading near-zero entries are skipped when fixing the sign
-    u = normalize_q2(np.array([1e-12, -1.0, 0.0, 0.0]))
-    assert u[1].real > 0
-    with pytest.raises(ValueError):
-        normalize_q2(np.zeros(4))
-
-
 def test_projective_distance_ignores_scale_and_phase():
     v = q2_point(*xy_matrices(sphere_point_pair(0.2 - 0.9j)))
     w = np.exp(0.77j) * 2.5 * v
@@ -138,12 +122,11 @@ def test_projective_distance_ignores_scale_and_phase():
         projective_distance(v, np.zeros(4))
 
 
-def test_s3_pair_matches_the_lift():
-    fp = sphere_point_pair(-0.6 + 0.8j)
-    f, n = s3_pair(fp)
-    v = q2_point(*xy_matrices(fp)) / np.sqrt(2.0)
-    np.testing.assert_allclose(f, np.sqrt(2.0) * v.real, atol=1e-14)
-    np.testing.assert_allclose(n, np.sqrt(2.0) * v.imag, atol=1e-14)
+def test_s3_pair_matches_the_lift(sphere_map):
+    # the CSV's s3f_*/s3n_* columns are the real and imaginary parts of q2_hom
+    s = sphere_map.sample(-0.6 + 0.8j)
+    f, n = s.s3_pair
+    assert np.array_equal(f, s.q2_hom.real) and np.array_equal(n, s.q2_hom.imag)
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
@@ -181,6 +164,21 @@ def test_lift_is_anchor_independent(sphere_map):
     direct = sphere_map.lift(z)
     fp = sphere_map.frame_pairs(0.25 + 0.2j, [z])[0]
     np.testing.assert_allclose(q2_point(*xy_matrices(fp)) / np.sqrt(2.0), direct, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, z",
+    [("sphere", 0.3 + 0.2j), ("radial", 0.3 + 0.2j), ("equivariant", 0.9 + 0.2j), ("trinoid", 0.5 + 0.45j)],
+    ids=["sphere", "radial", "equivariant", "trinoid"],
+)
+def test_stencil_centre_is_the_frame_pair(family, z):
+    # the centre row of the batched hop has zero length: it keeps the
+    # transported values, so its pair is frame_pair's bit for bit
+    spec, lam0 = _FAMILIES[family]
+    smap = tight_map(spec, lam0, window=8)
+    centre, _ = smap.frame_pairs(z, [z, z + 1e-3])
+    single = smap.frame_pair(z)
+    assert np.array_equal(centre.F1, single.F1) and np.array_equal(centre.F2, single.F2)
 
 
 def test_sample_diagnostics(sphere_map):

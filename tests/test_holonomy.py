@@ -11,7 +11,6 @@ from mlq.holonomy import (
     IntegrationError,
     OdeOptions,
     circle_path,
-    default_monodromy_circle,
     monodromy,
     transport,
     unitarizing_gauge,
@@ -55,12 +54,12 @@ def random_su2() -> np.ndarray:
 
 def test_path_construction_and_segments():
     p = DomainPath.polyline([0.0, 1.0, 1.0 + 1.0j])
-    assert p.base == 0.0
-    assert p.end == 1.0 + 1.0j
+    assert p.vertices == (0.0, 1.0, 1.0 + 1.0j)
     assert p.segments() == [(0.0, 1.0), (1.0, 1.0 + 1.0j)]
     closed = DomainPath((0.0, 1.0, 1.0j), closed=True)
-    assert closed.end == 0.0
+    # a closed path ends where it starts, at its base vertex
     assert closed.segments()[-1] == (1.0j, 0.0)
+    assert closed.segments()[-1][1] == closed.vertices[0]
     with pytest.raises(ValueError):
         DomainPath((0.0, 0.0))
     with pytest.raises(ValueError):
@@ -84,12 +83,6 @@ def test_validate_path_rejects_pole_crossing():
     with pytest.raises(PoleError):
         validate_path(DomainPath.line(-1.0, 2.0), tri)  # crosses both 0 and 1
     validate_path(DomainPath.line(0.5 - 1.0j, 0.5 + 1.0j), tri)  # between them
-
-
-def test_default_monodromy_circle_radius():
-    tri = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
-    c = default_monodromy_circle(tri, 0.0)
-    assert abs(c.vertices[0]) == pytest.approx(0.5)  # half the distance to z = 1
 
 
 def test_ode_options_validated():

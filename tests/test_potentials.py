@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,6 @@ from mlq.potentials import (
     make_potential,
     radial_spec,
     spec_from_dict,
-    spec_to_dict,
     sphere_spec,
     torus_spec,
     trinoid_h,
@@ -51,9 +52,26 @@ RATIONAL_CUSTOM = custom_spec(
 )
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
-def test_spec_dict_round_trip(spec):
-    back = spec_from_dict(spec_to_dict(spec))
+#: the ``potential`` object of a config for each spec of ALL_SPECS, in order
+CONFIG_LITERALS = [
+    '{"variant": "sphere"}',
+    '{"variant": "torus"}',
+    '{"variant": "equivariant", "a": 0.75, "b": 0.25}',
+    '{"variant": "equivariant", "a": 1.0, "b": 0.5, "c": 0.25}',
+    '{"variant": "radial", "c": [0.5, 0.0], "k": 1}',
+    '{"variant": "radial", "c": [0.3, 0.4], "k": 3}',
+    '{"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0}',
+    '{"variant": "custom", "base_point": [0.0, 0.0], "poles": [[-1.0, 0.0]],'
+    ' "terms": [{"lam_power": -1, "matrix": [[0, 1], [0, 0]], "num": [1.0], "den": [1.0, 1.0]}]}',
+]
+
+
+@pytest.mark.parametrize(
+    "literal, spec", list(zip(CONFIG_LITERALS, ALL_SPECS)), ids=[s.variant for s in ALL_SPECS]
+)
+def test_spec_dict_round_trip(literal, spec):
+    # a config literal, read as load_config reads it, is the constructor's potential
+    back = spec_from_dict(json.loads(literal))
     assert back.variant == spec.variant
     pot = make_potential(spec)
     pot_back = make_potential(back)
