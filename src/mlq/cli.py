@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -274,6 +275,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         ),
         "ode_steps": smap.ode_counts.steps,
         "ode_rhs_calls": smap.ode_counts.rhs_calls,
+        "window_counts": _window_counts(s.diagnostics["window"] for s in samples if s.valid),
     }
     _write_json(out_dir / "meta.json", meta)
     if failures and len(failures) == len(samples):
@@ -281,6 +283,11 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         return EXIT_NUMERICAL
     print(f"wrote {len(samples)} nodes to {out_dir} ({len(failures)} failed)")
     return EXIT_OK
+
+
+def _window_counts(windows) -> dict[str, int]:
+    """How many valid nodes were read at each window N, keyed by str(N)."""
+    return {str(n): count for n, count in sorted(Counter(windows).items())}
 
 
 def _histogram(values: list[float]) -> dict:
@@ -317,6 +324,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             "z_re": z.real,
             "z_im": z.imag,
             "valid": True,
+            "window": rep.window,
             "u": rep.u,
             "u_hat": rep.u_hat,
             "alpha": [rep.alpha.real, rep.alpha.imag],
@@ -363,6 +371,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "n_gauss_skipped": sum(r["gauss_skipped"] for r in valid),
         "max_residuals": max_residuals,
         "histograms": histograms,
+        "window_counts": _window_counts(r["window"] for r in valid),
         "checks": checks,
         "pass": passed,
     })

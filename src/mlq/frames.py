@@ -3,10 +3,13 @@
 ``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
 points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
-points.  A grid is integrated ``NODE_CHUNK`` nodes at a time, each chunk in
-one adaptive sweep of the batched ``transport``; the points of a
-finite-difference stencil are hopped from one transport to its node in one
-fixed-step RK4 batch (``frame_pairs``).  The spectral pair (lam0, -i lam0)
+points.  Each anchor starts at N = ``START_WINDOW`` and is read again at the
+cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
+(relative edge mass above ``EDGE_TOL``).  A grid is integrated
+``NODE_CHUNK`` nodes at a time, each chunk in one adaptive sweep of the
+batched ``transport``; the points of a finite-difference stencil are hopped
+from one transport to its node in one fixed-step RK4 batch
+(``frame_pairs``).  The spectral pair (lam0, -i lam0)
 is samples j = 0 and j = 3N, so a point of the surface is read off F there,
 with nothing evaluated or projected, by forming
 
@@ -39,6 +42,17 @@ HOP_STEPS = 8
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
+
+#: window every anchor is first transported and split at (or ``window``, if smaller)
+START_WINDOW = 8
+
+#: relative edge mass of P = Phi* Phi above which an anchor is read again at
+#: the cap window; far below the split tolerance, because the readout error
+#: follows the edge mass and the quadric and |v| checks see it directly
+EDGE_TOL = 1e-13
+
+#: largest log-z length of one segment of an equivariant route
+LOG_STEP = 0.15
 
 #: nodes per adaptive sweep in ``SurfaceMap.samples``; fixed, so a node's
 #: chunk (and its bytes) never depends on how the chunks are scheduled
@@ -125,6 +139,8 @@ class FramePointPair:
     F1: np.ndarray
     F2: np.ndarray
     lambda0: complex = 1.0 + 0.0j
+    #: window N the pair was read at; None for a pair built from closed-form frames
+    window: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
@@ -232,22 +248,29 @@ class SurfaceMap:
     """Evaluate the surface pipeline at arbitrary domain points.
 
     Frames are carried as their values at the 4N roots of unity rotated by
-    lam0 (N the window) and split there by ``iwasawa``; the frame pair is
-    read off the unitary factor at samples 0 and 3N.  A point is reached by
-    one adaptive transport from the base point.  ``samples`` runs the nodes
-    of a grid ``NODE_CHUNK`` at a time, each chunk as one batched transport
-    whose error norm is the maximum over its nodes of each node's RMS, so no
-    node gets a looser step than it would get alone; ``sample(z)`` is a
-    chunk of one.  A node whose route fails validation, or whose chunk's
-    sweep fails and whose rerun alone fails, is invalid and carries its own
-    error.  ``ode_counts`` totals the DOPRI steps and right-hand-side
-    evaluations of every transport the map ran.  ``frame_pairs`` evaluates
-    a cluster of points near z from one transport to z: all points are
-    hopped from z by one deterministic fixed-step RK4 sweep over a batch
-    with one row per point, then split one by one, so finite-difference
-    stencils see a smooth function limited only by roundoff, not by
-    adaptive step placement.  Nothing is cached and the counts are locked,
-    so a map may be shared between threads.
+    lam0 and split there by ``iwasawa``; the frame pair is read off the
+    unitary factor at samples 0 and 3N.  The window N is chosen per anchor
+    (a grid node, or the centre of a stencil) by one rule: the anchor is
+    transported and split at the start window min(``START_WINDOW``,
+    ``window``), and where P = Phi* Phi leaves a relative edge mass above
+    ``EDGE_TOL`` there, or the split fails, it is transported and split
+    again at the cap, ``window``.  A point is reached by one adaptive
+    transport from the base point.  ``samples`` runs the nodes of a grid
+    ``NODE_CHUNK`` at a time, each chunk as one batched transport whose
+    error norm is the maximum over its nodes of each node's RMS, so no node
+    gets a looser step than it would get alone; the chunk's nodes that are
+    unresolved at the start window run again together, as one batch at the
+    cap.  ``sample(z)`` is a chunk of one.  A node whose route fails
+    validation, or whose chunk's sweep fails and whose rerun alone fails,
+    is invalid and carries its own error.  ``ode_counts`` totals the DOPRI
+    steps and right-hand-side evaluations of every transport the map ran.
+    ``frame_pairs`` evaluates a cluster of points near z from one transport
+    to z, at z's window: all points are hopped from z by one deterministic
+    fixed-step RK4 sweep over a batch with one row per point, then split one
+    by one, so finite-difference stencils see a smooth function at one
+    truncation, limited only by roundoff, not by adaptive step placement.
+    Nothing is cached and the counts are locked, so a map may be shared
+    between threads.
     """
 
     def __init__(
@@ -260,26 +283,41 @@ class SurfaceMap:
     ) -> None:
         self.pot = pot
         self.lambda0 = complex(lambda0)
+        #: the cap: the window of a node whose P is unresolved at the start window
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
+        self.start_window = min(START_WINDOW, self.window)
         self.ode = ode if ode is not None else OdeOptions()
         self.iwasawa_tol = float(iwasawa_tol)
-        # lam0 and -i lam0 are samples 0 and 3N
-        self._lams = self.lambda0 * window_samples(self.window)
-        self._xi = xi_sampler(pot, self._lams)
+        # lam0 and -i lam0 are samples 0 and 3N at either window
+        self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
+        self._xi = {n: xi_sampler(pot, lams) for n, lams in self._lams.items()}
         #: DOPRI steps and right-hand-side evaluations of every transport this map ran
         self.ode_counts = OdeCounts()
 
     # -- path planning ------------------------------------------------------
 
+    def _log_ends(self, z: complex, winding: int) -> tuple[complex, complex]:
+        """Ends of the equivariant route to z in log z: the domain is the
+        universal cover of C \\ {0}."""
+        if z == 0:
+            raise PoleError("no log-z route reaches the singular point z = 0")
+        return np.log(complex(self.pot.base_point)), np.log(complex(z)) + 2j * np.pi * winding
+
+    def _n_segments(self, z: complex, winding: int) -> int:
+        """Segment count of the route to z, without building it: one per
+        ``LOG_STEP`` of log-z length for the equivariant family, else one."""
+        if self.pot.variant == "equivariant":
+            la, lb = self._log_ends(z, winding)
+            return max(1, int(np.ceil(abs(lb - la) / LOG_STEP)))
+        if winding != 0:
+            raise ValueError("winding paths are only defined for the equivariant family")
+        return 1
+
     def _route(self, z: complex, winding: int = 0, min_segments: int = 1) -> DomainPath:
         base = self.pot.base_point
+        n_seg = max(min_segments, self._n_segments(z, winding))
         if self.pot.variant == "equivariant":
-            # the domain is the universal cover of C \ {0}: travel in log z
-            if z == 0:
-                raise PoleError("no log-z route reaches the singular point z = 0")
-            la = np.log(complex(base))
-            lb = np.log(complex(z)) + 2j * np.pi * winding
-            n_seg = max(min_segments, int(np.ceil(abs(lb - la) / 0.15)))
+            la, lb = self._log_ends(z, winding)
             pts = [np.exp(la + (lb - la) * t) for t in np.linspace(0.0, 1.0, n_seg + 1)]
             pts[0] = base
             pts[-1] = z
@@ -288,39 +326,39 @@ class SurfaceMap:
                 if p != dedup[-1]:
                     dedup.append(p)
             return DomainPath.polyline(dedup)
-        if winding != 0:
-            raise ValueError(f"winding paths are only defined for the equivariant family")
         if z == base:
             raise ValueError("route requested to the base point itself")
         return DomainPath.line(base, z)
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _identity(self, rows: int = 1) -> np.ndarray:
-        return np.broadcast_to(np.eye(2, dtype=np.complex128), (rows, self._lams.size, 2, 2))
+    def _identity(self, n: int, rows: int = 1) -> np.ndarray:
+        return np.broadcast_to(np.eye(2, dtype=np.complex128), (rows, 4 * n, 2, 2))
 
-    def _transport_to(self, z: complex, winding: int) -> np.ndarray:
-        """Frame values at the window's roots of unity, integrated to z."""
-        state = self._identity()[0]
+    def _transport_to(self, z: complex, winding: int, n: int) -> np.ndarray:
+        """Frame values at window n's roots of unity, integrated to z."""
+        state = self._identity(n)[0]
         if z != self.pot.base_point or winding != 0:
-            state = transport(self.pot, self._route(z, winding), state, self._lams, self.ode, self.ode_counts)
+            state = transport(self.pot, self._route(z, winding), state, self._lams[n], self.ode, self.ode_counts)
         return state
 
-    def _transport_chunk(self, zs: list[complex], winding: int) -> list:
-        """Frame values at each z from one adaptive sweep, or the error that stops that node.
+    def _transport_chunk(self, zs: list[complex], winding: int, n: int) -> list:
+        """Frame values at window n for each z from one adaptive sweep, or the
+        error that stops that node.
 
-        Every node's route is built and validated before the sweep runs.
-        Equivariant routes are subdivided to the chunk's largest segment
-        count, so all rows share their segment count; the other families'
-        routes are one segment each.  If the sweep fails, each node is rerun
-        alone, so the error lands on the node that caused it.
+        Every node's route is validated before the sweep runs, so a route
+        into a pole fails its own node, not the sweep.  Equivariant routes
+        are subdivided to the chunk's largest segment count, counted from
+        the log-z lengths, so all rows share their segment count; the other
+        families' routes are one segment each.  If the sweep fails, each
+        node is rerun alone, so the error lands on the node that caused it.
         """
-        out: list = [self._identity()[0]] * len(zs)
+        out: list = [self._identity(n)[0]] * len(zs)
         n_segs: dict[int, int] = {}
         for i, z in enumerate(zs):
             if z != self.pot.base_point or winding != 0:
                 try:
-                    n_segs[i] = len(self._route(z, winding).segments())
+                    n_segs[i] = self._n_segments(z, winding)
                 except ValueError as exc:
                     out[i] = exc
         n_seg = max(n_segs.values(), default=1)
@@ -336,23 +374,50 @@ class SurfaceMap:
             return out
         try:
             states = transport(
-                self.pot, list(routes.values()), self._identity(len(routes)), self._lams, self.ode, self.ode_counts
+                self.pot, list(routes.values()), self._identity(n, len(routes)), self._lams[n], self.ode,
+                self.ode_counts,
             )
         except _NODE_ERRORS as exc:
             if len(routes) == 1:
                 states = [exc]
             else:
-                states = [self._transport_chunk([zs[i]], winding)[0] for i in routes]
+                states = [self._transport_chunk([zs[i]], winding, n)[0] for i in routes]
         for i, state in zip(routes, states):
             out[i] = state
         return out
 
+    def _split(self, state):
+        """The split of a node's frame values, the error that stops the node,
+        or None where the node is read again at the cap: below the cap, a
+        split that fails or leaves P an edge mass above ``EDGE_TOL``."""
+        if isinstance(state, Exception):
+            return state
+        try:
+            res = iwasawa(state, tol=self.iwasawa_tol)
+        except _NODE_ERRORS as exc:
+            res = exc
+        if state.shape[0] < 4 * self.window and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL):
+            return None
+        return res
+
+    def _anchor(self, z: complex, winding: int) -> tuple[np.ndarray, IwasawaResult]:
+        """Frame values at z and their split, at the window the rule chooses for z."""
+        state = self._transport_to(z, winding, self.start_window)
+        res = self._split(state)
+        if res is None:
+            state = self._transport_to(z, winding, self.window)
+            res = self._split(state)
+        if isinstance(res, Exception):
+            raise res
+        return state, res
+
     def _pair(self, res: IwasawaResult) -> FramePointPair:
-        return FramePointPair(res.F[0], res.F[3 * self.window], self.lambda0)
+        return FramePointPair(res.F[0], res.F[3 * res.window], self.lambda0, res.window)
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
-        """Iwasawa split of the frame values at z, integrated from the base point."""
-        return iwasawa(self._transport_to(complex(z), winding), tol=self.iwasawa_tol)
+        """Iwasawa split of the frame values at z, integrated from the base
+        point, at the window the rule chooses for z."""
+        return self._anchor(complex(z), winding)[1]
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
         """The unitary frame at (lam0, -i lam0)."""
@@ -362,30 +427,31 @@ class SurfaceMap:
         """Frame pairs at points near z: one transport to z, one fixed-step
         RK4 hop from z to every point as one row batch, and one split per point.
 
-        A point equal to z is a zero-length row: its right-hand side is 0, so
-        it keeps the transported values exactly.
+        The window is chosen once, from z's own split, so every point shares
+        z's truncation.  A point equal to z is a zero-length row, whose
+        values are z's: its pair is read off z's split, so it equals
+        ``frame_pair(z)`` bit for bit.
         """
         z = complex(z)
         points = np.array(points, dtype=np.complex128)
-        state = self._transport_to(z, winding)
+        state, anchor = self._anchor(z, winding)
         for p in points[points != z]:
             validate_path(DomainPath.line(z, p), self.pot)
-        rhs = _segment_rhs(self._xi, np.full(points.size, z), points - z)
+        rhs = _segment_rhs(self._xi[anchor.window], np.full(points.size, z), points - z)
         rows = np.broadcast_to(state, (points.size, *state.shape))
         hopped = _unplanes(_rk4_fixed(rhs, _planes(rows), HOP_STEPS))
-        return [self._pair(iwasawa(y, tol=self.iwasawa_tol)) for y in hopped]
+        return [self._pair(anchor if p == z else iwasawa(y, tol=self.iwasawa_tol)) for p, y in zip(points, hopped)]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
         x, y = xy_matrices(self.frame_pair(z, winding))
         return q2_point(x, y) / np.sqrt(2.0)
 
-    def _read(self, z: complex, state) -> SurfaceSample:
-        """Split the frame values at z and read the surface point off them."""
-        if isinstance(state, Exception):
-            return SurfaceSample(z=z, valid=False, error=str(state))
+    def _read(self, z: complex, res) -> SurfaceSample:
+        """Read the surface point off the split at z, or record the error that stopped the node."""
+        if isinstance(res, Exception):
+            return SurfaceSample(z=z, valid=False, error=str(res))
         try:
-            res = iwasawa(state, tol=self.iwasawa_tol)
             fp = self._pair(res)
             x, y = xy_matrices(fp)
             return SurfaceSample(
@@ -393,7 +459,8 @@ class SurfaceMap:
                 q2_hom=q2_point(x, y),
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
-                diagnostics={"unitarity_error": res.unitarity_error},
+                diagnostics={"unitarity_error": res.unitarity_error, "window": res.window,
+                             "edge_mass": res.edge_mass},
             )
         except _NODE_ERRORS as exc:
             return SurfaceSample(z=z, valid=False, error=str(exc))
@@ -402,13 +469,18 @@ class SurfaceMap:
         """Surface samples at every node, in order.
 
         The nodes are integrated ``NODE_CHUNK`` at a time, each chunk in one
-        adaptive sweep; a node that fails is invalid and carries its error,
-        the rest are still computed.
+        adaptive sweep at the start window; the chunk's nodes that are
+        unresolved there run again in one sweep at the cap.  A node that
+        fails is invalid and carries its error, the rest are still computed.
         """
         zs = [complex(z) for z in nodes]
         out = []
         for chunk in node_chunks(zs):
-            out += [self._read(z, state) for z, state in zip(chunk, self._transport_chunk(chunk, winding))]
+            splits = [self._split(s) for s in self._transport_chunk(chunk, winding, self.start_window)]
+            again = [i for i, res in enumerate(splits) if res is None]
+            for i, state in zip(again, self._transport_chunk([chunk[i] for i in again], winding, self.window)):
+                splits[i] = self._split(state)
+            out += [self._read(z, res) for z, res in zip(chunk, splits)]
         return out
 
     def sample(self, z: complex, winding: int = 0) -> SurfaceSample:

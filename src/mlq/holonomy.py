@@ -269,12 +269,13 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
     scale = tol + np.abs(y.view(np.float64)) * tol
     d0 = _row_rms(y.view(np.float64) / scale)
     d1 = _row_rms(f.view(np.float64) / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-300))
+    # each clamp sits at its branch's threshold, so the unused branch cannot overflow
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = min(float(h0.min()), 1.0)
     f1 = rhs(h0, y + h0 * f)
     d2 = _row_rms((f1 - f).view(np.float64) / scale) / h0
     d12 = np.maximum(d1, d2)
-    h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-300)) ** (1 / 5))
+    h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-15)) ** (1 / 5))
     h_abs = min(100 * h0, float(h1.min()), 1.0)
 
     t = 0.0

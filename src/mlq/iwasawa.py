@@ -7,7 +7,10 @@ samples as plain (4N, 2, 2) arrays.  B is the matrix spectral factor of the
 Hermitian positive loop P = Phi* Phi, formed pointwise; one FFT gives its
 coefficients P_k, |k| <= 2N - 1.  A Bauer-type method gathers them into a
 block-Toeplitz section, Cholesky-factorizes it, and reads B's coefficients
-B_0..B_{2N-1} off the last block row.  The section size is grown until
+B_0..B_{2N-1} off the last block row.  The same coefficients give P's
+relative edge mass, the norm of its modes |k| >= 2N - 2 over that of P_0:
+the measure of how far P is from being resolved on the 4N samples, which
+``SurfaceMap`` reads to choose its window.  The section size is grown until
 B* B - P, evaluated at the 4N samples, is below tolerance; those samples
 resolve every mode of B* B - P, so the check misses no part of it.
 B's values at the samples come from one zero-padded inverse FFT, and
@@ -44,12 +47,21 @@ class IwasawaResult:
     F has shape (4N, 2, 2): F[j] = Phi[j] B(omega^j)^{-1} at the samples Phi
     was given at, so F B = Phi holds there by construction.  B has shape
     (2N, 2, 2): B[k] is the plus factor's coefficient of mu^k in the sample
-    variable.  unitarity_error is max_j ||F[j]^* F[j] - I||.
+    variable.  unitarity_error is max_j ||F[j]^* F[j] - I||.  edge_mass is
+    P's relative edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| for
+    P = Phi* Phi: the modes at and next to the Nyquist bin, where the
+    aliasing of P's unresolved tail shows first.
     """
 
     F: np.ndarray
     B: np.ndarray
     unitarity_error: float
+    edge_mass: float
+
+    @property
+    def window(self) -> int:
+        """N of the samples: F holds the split at 4N points."""
+        return self.F.shape[0] // 4
 
 
 def _window(values: np.ndarray) -> int:
@@ -108,8 +120,17 @@ def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> float:
     return float(np.linalg.norm(diff, axis=(1, 2)).max())
 
 
-def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Plus loop B with B* B = P on the circle, B(0) upper triangular positive.
+def _edge_mass(c: np.ndarray) -> float:
+    """sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| of P's coefficients c at 4N samples."""
+    n = c.shape[0] // 4
+    # entries 2N-2..2N+2 hold k = 2N-2, 2N-1, the Nyquist mode, -(2N-1), -(2N-2)
+    edge = c[2 * n - 2 : 2 * n + 3]
+    return float(np.linalg.norm(edge, axis=(1, 2)).sum() / np.linalg.norm(c[0]))
+
+
+def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Plus loop B with B* B = P on the circle, B(0) upper triangular positive,
+    and P's relative edge mass.
 
     P comes as its values at ``window_samples(N)``, shape (4N, 2, 2).  Its
     modes |k| <= 2N - 1 are factorized; the Nyquist mode k = 2N is dropped.
@@ -117,7 +138,9 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     polynomials by the matrix Fejer-Riesz theorem) and is returned as its
     coefficients B_0..B_{2N-1}, shape (2N, 2, 2).  The Toeplitz section
     starts at 2x the degree of P and doubles until B* B - P, checked at the
-    4N samples, is below tol.
+    4N samples, is below tol.  The edge mass, sum_{|k| >= 2N-2} ||P_k|| /
+    ||P_0||, is read off the same FFT: it measures how much of P the 4N
+    samples leave unresolved.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = _window(values)
@@ -133,7 +156,7 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
         b = _bauer_read(p, m)
         last_residual = _factor_residual(b, p_vals)
         if last_residual <= tol:
-            return b
+            return b, _edge_mass(c)
         m *= 2
     raise ConvergenceError(
         f"spectral factor residual {last_residual:.3e} > tol {tol:.1e} "
@@ -157,6 +180,8 @@ def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
     B comes from the spectral factorization of Phi* Phi; a final constant QR
     correction pins B_0 exactly upper triangular with positive diagonal,
     absorbing the unitary part into F.  F = Phi B^{-1} stays at the samples.
+    The result carries the relative edge mass of P = Phi* Phi from the
+    coefficients the factorization already computed (``IwasawaResult``).
 
     Samples of Phi on a rotated circle, values[j] = Phi(lam0 omega^j) with
     |lam0| = 1, split as they are: mu -> Phi(lam0 mu) has the splitting
@@ -166,7 +191,7 @@ def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
     values = np.asarray(values, dtype=np.complex128)
     _window(values)
     gram = np.conj(values.transpose(0, 2, 1)) @ values
-    b = spectral_factor_plus(gram, tol=tol)
+    b, edge_mass = spectral_factor_plus(gram, tol=tol)
 
     # constant correction: exact normalization of the constant term
     q, _ = _qr_positive(b[0])
@@ -177,4 +202,5 @@ def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
 
     f = values @ np.linalg.inv(plus_values(b, values.shape[0]))
     gram_f = np.conj(f.transpose(0, 2, 1)) @ f - np.eye(2)
-    return IwasawaResult(F=f, B=b, unitarity_error=float(np.linalg.norm(gram_f, axis=(1, 2)).max()))
+    unitarity = float(np.linalg.norm(gram_f, axis=(1, 2)).max())
+    return IwasawaResult(F=f, B=b, unitarity_error=unitarity, edge_mass=edge_mass)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default half-width of the coefficient window used by the pipeline.
+#: Default cap on the window N (the half-width of the coefficient window)
+#: that ``SurfaceMap`` grows an anchor to where P is unresolved at its start.
 DEFAULT_WINDOW_N = 16
 
 

@@ -9,12 +9,12 @@ belong to the caller.
 
 The FD engine evaluates the frame pair on the 13-point diamond
 {|a| + |b| <= 2} around each node, once: one transport to the node and one
-13-row RK4 hop from it (``SurfaceMap.frame_pairs``); the lift, the S2 x S2
-factors and every report are read off that one table.  First
-derivatives and Laplacians use the order-2 central stencils (the classic
-5-point cross), so every smooth residual shrinks like h^2; the outer points
-of the diamond serve the nested derivatives (u, alpha and beta at the cross
-neighbours).
+13-row RK4 hop from it, all at the node's window
+(``SurfaceMap.frame_pairs``); the lift, the S2 x S2 factors and every report
+are read off that one table.  First derivatives and Laplacians use the
+order-2 central stencils (the classic 5-point cross), so every smooth
+residual shrinks like h^2; the outer points of the diamond serve the nested
+derivatives (u, alpha and beta at the cross neighbours).
 Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
@@ -113,7 +113,9 @@ class InvariantReport:
     phase-invariant.
 
     residuals keys: alpha_holomorphy, beta_phase, phi_norm, quadric,
-    horizontality, sinh_gordon, metric_identity, relation_e2u.
+    horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
+    the truncation window N the frame table was read at (None for a plain
+    callable).
     """
 
     z: complex
@@ -123,6 +125,7 @@ class InvariantReport:
     phi_inv: complex
     u_hat: float
     residuals: dict[str, float] = field(default_factory=dict)
+    window: int | None = None
 
 
 def _point_invariants(vals: Mapping, h: float, at):
@@ -179,8 +182,10 @@ def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex,
     return float(abs(_laplacian(u_hat, h) / 4 + np.exp(uh) - abs(alpha) ** 2 * np.exp(-uh)))
 
 
-def _invariants(vals: Mapping, z: complex, h: float, phase: complex | None = None) -> InvariantReport:
-    """InvariantReport from a lift table on the diamond around z."""
+def _invariants(
+    vals: Mapping, z: complex, h: float, phase: complex | None = None, window: int | None = None
+) -> InvariantReport:
+    """InvariantReport from a lift table on the diamond around z, read at ``window``."""
     f0 = vals[(0, 0)]
     fz, fzb = _first_derivs(vals, h)
     eu = float(np.sum(fz * np.conj(fz)).real)
@@ -213,7 +218,9 @@ def _invariants(vals: Mapping, z: complex, h: float, phase: complex | None = Non
         "metric_identity": abs(2 * eu - np.exp(u_hat) - abs(alpha) ** 2 * np.exp(-u_hat)),
         "relation_e2u": abs(eu * eu - abs(beta) ** 2 - abs(alpha) ** 2),
     }
-    return InvariantReport(z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals)
+    return InvariantReport(
+        z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals, window=window
+    )
 
 
 def invariants_report(
@@ -232,10 +239,9 @@ def invariants_report(
     per-member re-phasing would snap the rotation away).
     """
     if isinstance(surface, SurfaceMap):
-        vals = _lift_table(_frame_table(surface, z, h))
-    else:
-        vals = _eval_stencil(surface, z, h, np.complex128)
-    return _invariants(vals, z, h, phase)
+        frames = _frame_table(surface, z, h)
+        return _invariants(_lift_table(frames), z, h, phase, frames[(0, 0)].window)
+    return _invariants(_eval_stencil(surface, z, h, np.complex128), z, h, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +377,14 @@ def node_report(
     """All three reports at z from one frame table: one transport, one
     13-row RK4 hop and 13 Iwasawa splits.
 
-    The diamond is evaluated once, hopped from one transport to z; the
-    lifts and the factor pairs are both read off those frame pairs.
+    The diamond is evaluated once, hopped from one transport to z at z's
+    window; the lifts and the factor pairs are both read off those frame
+    pairs, and the invariant report records the window.
     """
     frames = _frame_table(smap, z, h)
     lifts = _lift_table(frames)
     s2 = _s2_table(frames)
-    return _invariants(lifts, z, h), _geometry(s2, z, h), cu_report(lifts, h, s2)
+    return _invariants(lifts, z, h, window=frames[(0, 0)].window), _geometry(s2, z, h), cu_report(lifts, h, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ mlq.closedform (or from scratch), never from the pipeline under test, so
 agreement between the two is meaningful evidence.  The one exception is
 ``eval_xi``: it sums each family's one definition term by term, the plain
 reading that ``xi_sampler``'s folded arrays are checked against.
+``mp_frame_pair`` repeats the Iwasawa split's arithmetic in mpmath, so the
+float64 split can be checked against the same method at 40 digits.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from mlq.frames import FramePointPair, q2_point, sphere_pair, xy_matrices
@@ -63,3 +66,60 @@ def sphere_metric_exponent(z: complex) -> float:
 def ring_nodes(radii, angles) -> list[complex]:
     """Polar product grid, radius-major."""
     return [complex(r * np.cos(t), r * np.sin(t)) for r in radii for t in angles]
+
+
+def mp_frame_pair(values: np.ndarray, dps: int = 40) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """F at samples 0 and 3N of a loop given at the 4N roots of unity, split at ``dps`` digits.
+
+    The Bauer split of ``mlq.iwasawa``, written out in mpmath from the
+    float64 samples on: the modes |k| <= 2N - 1 of P = Phi* Phi by a direct
+    DFT, the Cholesky factor of the (m+1)-block Toeplitz section with
+    m = 4N - 2, the float64 split's first section, B_n as the
+    conjugate transpose of block m - n of its last block row, B_0 made upper
+    triangular with positive diagonal, and F = Phi B^{-1} at the two
+    samples.  Also returns the factor residual max_j ||B* B - P|| over the
+    samples, P less its Nyquist mode as in the float64 split.
+    """
+    size = values.shape[0]
+    n = size // 4
+    d = 2 * n - 1
+    m = 2 * d
+    with mpmath.workdps(dps):
+        phi = [mpmath.matrix(v.tolist()) for v in values]
+        p_vals = [v.H * v for v in phi]
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / size) for j in range(size)]
+        coeff = {}
+        for k in range(-d, d + 1):
+            acc = mpmath.zeros(2)
+            for j, pj in enumerate(p_vals):
+                acc += pj * roots[(-j * k) % size]
+            coeff[k] = acc / size
+        section = mpmath.zeros(2 * (m + 1))
+        for i in range(m + 1):
+            for j in range(max(0, i - d), min(m, i + d) + 1):
+                for a in range(2):
+                    for b in range(2):
+                        section[2 * i + a, 2 * j + b] = coeff[j - i][a, b]
+        low = mpmath.cholesky(section)
+        b = [low[2 * m : 2 * m + 2, 2 * (m - k) : 2 * (m - k) + 2].H for k in range(d + 1)]
+        # B_0 = Q R: B -> Q^* B makes B_0 upper triangular with positive diagonal
+        c1, c2 = b[0][:, 0], b[0][:, 1]
+        q1 = c1 / mpmath.norm(c1)
+        v = c2 - q1 * (q1.H * c2)[0]
+        q = mpmath.matrix([[q1[0], v[0] / mpmath.norm(v)], [q1[1], v[1] / mpmath.norm(v)]])
+        b = [q.H * bk for bk in b]
+
+        def plus_at(j: int):
+            acc = mpmath.zeros(2)
+            for k, bk in enumerate(b):
+                acc += bk * roots[(j * k) % size]
+            return acc
+
+        nyquist = mpmath.zeros(2)
+        for j, pj in enumerate(p_vals):
+            nyquist += pj * (-1) ** j / size
+        residual = max(
+            mpmath.mnorm(plus_at(j).H * plus_at(j) - p_vals[j] + nyquist * (-1) ** j, "f") for j in range(size)
+        )
+        pair = [phi[j] * plus_at(j) ** -1 for j in (0, 3 * n)]
+        return tuple(np.array(f.tolist(), dtype=np.complex128) for f in pair), float(residual)

@@ -80,10 +80,10 @@ def _frame_oracle_sup(spec, frame_fn):
     for x in np.linspace(-1.05, 1.05, 5):
         for y in np.linspace(-1.05, 1.05, 5):
             z = complex(x, y)  # corner |z| = 1.485 <= 1.5
-            frame = smap.unitary_frame(z).F
+            res = smap.unitary_frame(z)
             for k, lam in enumerate(CIRCLE8):
-                # window 16 carries F at the 64th roots of unity: lam is sample 8k
-                err = np.abs(frame[8 * k] - frame_fn(z, lam)).max()
+                # window N carries F at the 4N-th roots of unity: lam is sample k N / 2
+                err = np.abs(res.F[k * res.window // 2] - frame_fn(z, lam)).max()
                 worst = max(worst, float(err))
     return worst
 

@@ -201,6 +201,30 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
     meta = json.loads((outs[0] / "meta.json").read_text())
     assert meta["n_nodes"] == 72 and meta["n_failed"] == 0
     assert 0 < meta["ode_steps"] < meta["ode_rhs_calls"]
+    # 8 is both the start window and the cap: no node is read again
+    assert meta["window_counts"] == {"8": 72}
+
+
+def test_verify_is_independent_of_jobs(tmp_path):
+    # the nodes at 0.3 +- 0.1i are read at the cap, those at 1.2 +- 0.1i at
+    # the start window; threads take whole nodes, so report.json, with its
+    # windows, is the same for any --jobs
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+        grid={"re_min": 0.3, "re_max": 1.2, "n_re": 2, "im_min": -0.1, "im_max": 0.1, "n_im": 2},
+        truncation_N=16,
+        tolerances={"quadric": 1e-9},
+    )
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        outs.append(out)
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    report = json.loads((outs[0] / "report.json").read_text())
+    assert [n["window"] for n in report["nodes"]] == [16, 8, 16, 8]
+    assert report["window_counts"] == {"16": 2, "8": 2}
 
 
 def test_verify_gates(tmp_path):

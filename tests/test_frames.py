@@ -3,15 +3,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import tight_map
-from hypothesis import given, settings
+from conftest import TIGHT_ODE, tight_map
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import analytic_surface
 
+from mlq import frames
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import (
+    EDGE_TOL,
     NODE_CHUNK,
+    START_WINDOW,
     FramePointPair,
     GridSpec,
     SurfaceMap,
@@ -25,6 +28,9 @@ from mlq.frames import (
     sphere_pair,
     xy_matrices,
 )
+from mlq.holonomy import DomainPath, transport
+from mlq.iwasawa import ConvergenceError, iwasawa
+from mlq.loops import window_samples
 from mlq.potentials import (
     CustomTerm,
     custom_spec,
@@ -181,11 +187,119 @@ def test_stencil_centre_is_the_frame_pair(family, z):
     assert np.array_equal(centre.F1, single.F1) and np.array_equal(centre.F2, single.F2)
 
 
+@pytest.mark.parametrize("z", [0.3, 1.2], ids=["cap", "start"])
+def test_stencil_centre_is_the_frame_pair_at_either_window(z):
+    # z = 0.3 is read at the cap, z = 1.2 at the start window: either way the
+    # whole stencil shares the centre's window and the centre is frame_pair's
+    smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
+    pairs = smap.frame_pairs(z, [z, z + 1e-3, z - 1e-3j])
+    single = smap.frame_pair(z)
+    assert {fp.window for fp in pairs} == {single.window}
+    assert np.array_equal(pairs[0].F1, single.F1) and np.array_equal(pairs[0].F2, single.F2)
+
+
+@pytest.mark.parametrize("z, window", [(0.3, 16), (0.4, 16), (1.2, START_WINDOW)])
+def test_the_window_grows_where_p_is_unresolved(z, window):
+    # near the pole the equivariant P leaves an edge mass above EDGE_TOL at
+    # N = 8 (1.4e-11 at 0.3, 4.5e-13 at 0.4), so those nodes are read at the cap
+    smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
+    s = smap.sample(z)
+    res = smap.unitary_frame(z)
+    assert s.diagnostics["window"] == res.window == window
+    assert s.diagnostics["edge_mass"] == res.edge_mass <= EDGE_TOL
+    assert smap.frame_pair(z).window == window
+
+
+def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
+    # a real case: at z = 0.02 the equivariant split does not converge at
+    # N = 8, after six doublings of its Toeplitz section (~3 s), and reads
+    # fine at 16; a start-window split that fails at once stands in for it
+    split = frames.iwasawa
+
+    def failing(values, tol):
+        if values.shape[0] == 4 * START_WINDOW:
+            raise ConvergenceError("stand-in")
+        return split(values, tol=tol)
+
+    monkeypatch.setattr(frames, "iwasawa", failing)
+    z = 1.2
+    smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
+    s = smap.sample(z)
+    assert s.valid and s.diagnostics["window"] == 16
+    assert [fp.window for fp in smap.frame_pairs(z, [z, z + 1e-3])] == [16, 16]
+    # at the cap the failure is the node's own error
+    capped = tight_map(equivariant_spec(0.75, 0.25), window=START_WINDOW)
+    assert capped.sample(z).error == "stand-in"
+    with pytest.raises(ConvergenceError, match="stand-in"):
+        capped.frame_pair(z)
+
+
+def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
+    sizes = []
+    transport = frames.transport
+
+    def counted(*args):
+        sizes.append(args[3].size)
+        return transport(*args)
+
+    monkeypatch.setattr(frames, "transport", counted)
+    for cap in (6, 8):
+        smap = tight_map(equivariant_spec(0.75, 0.25), window=cap)
+        res = smap.unitary_frame(0.3)
+        assert res.window == cap and res.edge_mass > EDGE_TOL
+        assert smap.sample(0.3).diagnostics["window"] == cap
+    # one transport per readout, each at the cap's 4N samples
+    assert sizes == [24, 24, 32, 32]
+
+
+def _fixed_window_pair(smap: SurfaceMap, z: complex, n: int = 16) -> FramePointPair:
+    """The frame pair of a fixed-window-n transport and split, built from the layers."""
+    pot = smap.pot
+    if pot.variant == "equivariant":
+        pts = np.exp(np.linspace(np.log(pot.base_point), np.log(z), 24))
+        pts[0], pts[-1] = pot.base_point, z
+        path = DomainPath.polyline(pts)
+    else:
+        path = DomainPath.line(pot.base_point, z)
+    lams = smap.lambda0 * window_samples(n)
+    phi = transport(pot, path, np.broadcast_to(np.eye(2), (4 * n, 2, 2)), lams, TIGHT_ODE)
+    f = iwasawa(phi, tol=1e-12).F
+    return FramePointPair(f[0], f[3 * n], smap.lambda0)
+
+
+#: (centre, half-width) of a box of each family's domain, clear of its poles
+_READ_BOXES = {
+    "sphere": (0.0, 1.0),
+    "torus": (0.0, 1.05),
+    "radial": (0.0, 0.6),
+    "equivariant": (0.9, 0.6),
+    "trinoid": (0.5 + 0.45j, 0.3),
+}
+
+
+@pytest.mark.parametrize("family", list(_READ_BOXES))
+@settings(max_examples=4, deadline=None)
+@given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+def test_adaptive_readout_matches_a_fixed_window(family, x, y):
+    spec, lam0 = _FAMILIES[family]
+    centre, half = _READ_BOXES[family]
+    z = centre + half * complex(x, y)
+    smap = tight_map(spec, lam0, window=16)
+    assume(z != smap.pot.base_point)
+    ref = _fixed_window_pair(smap, z)
+    s = smap.sample(z)
+    np.testing.assert_allclose(s.q2_hom, q2_point(*xy_matrices(ref)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.concatenate(s.s2_pair), np.concatenate(sphere_pair(ref)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(smap.lift(z), q2_point(*xy_matrices(ref)) / np.sqrt(2.0), rtol=0, atol=1e-10)
+
+
 def test_sample_diagnostics(sphere_map):
     s = sphere_map.sample(0.5 - 0.3j)
     assert s.valid
-    assert set(s.diagnostics) == {"unitarity_error"}
+    assert set(s.diagnostics) == {"unitarity_error", "window", "edge_mass"}
     assert s.diagnostics["unitarity_error"] < 1e-10
+    # the sphere's P is a Laurent polynomial of low degree: resolved at the start window
+    assert s.diagnostics["window"] == START_WINDOW and s.diagnostics["edge_mass"] <= EDGE_TOL
     assert s.q2_hom is not None and s.s2_pair is not None and s.s3_pair is not None
 
 

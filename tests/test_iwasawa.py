@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_at
+from oracles import loop_at, mp_frame_pair
 
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.holonomy import DomainPath, OdeOptions, transport
@@ -14,7 +14,8 @@ from mlq.iwasawa import (
     spectral_factor_plus,
 )
 from mlq.loops import coefficients, window_samples
-from mlq.potentials import make_potential, sphere_spec, torus_spec
+from mlq.frames import EDGE_TOL
+from mlq.potentials import equivariant_spec, make_potential, sphere_spec, torus_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
 
@@ -100,7 +101,7 @@ def test_window_must_be_positive():
 def test_spectral_factor_reconstructs_symbol():
     b = np.array([[[1.5, 0.4], [0.0, 0.9]], [[0.2, 0.0], [0.3, 0.1]]])
     p = symbol(b, 16)
-    b2 = spectral_factor_plus(p, tol=1e-11)
+    b2, _ = spectral_factor_plus(p, tol=1e-11)
     assert b2.shape == (8, 2, 2)
     np.testing.assert_allclose(symbol(b2, 16), p, atol=1e-9)
     assert abs(b2[0][1, 0]) < 1e-9
@@ -111,7 +112,7 @@ def test_spectral_factor_drops_the_nyquist_mode():
     b = np.array([[[1.5, 0.4], [0.0, 0.9]], [[0.2, 0.0], [0.3, 0.1]]])
     p = symbol(b, 16)
     nyquist = 0.1 * (-1.0) ** np.arange(16)
-    b2 = spectral_factor_plus(p + nyquist[:, None, None] * np.eye(2), tol=1e-11)
+    b2, _ = spectral_factor_plus(p + nyquist[:, None, None] * np.eye(2), tol=1e-11)
     np.testing.assert_allclose(symbol(b2, 16), p, atol=1e-9)
 
 
@@ -182,3 +183,19 @@ def test_split_recovers_a_known_factorization(factors, degree, seed, theta):
     # twisted: sigma_3 F(-lam) sigma_3 = F(lam), and -lam is 2N samples on
     flipped = SIGMA3 @ np.roll(res.F, -2 * n, axis=0) @ SIGMA3
     assert np.linalg.norm(flipped - res.F, axis=(1, 2)).max() < 1e-12
+
+
+def test_split_matches_the_mpmath_oracle():
+    # the float64 split against the same Bauer method at 40 digits, at the
+    # start window N = 8 and the default cap N = 16; P is resolved at N = 8
+    # here, so both windows read the same frame pair
+    z = 0.9 - 0.3j
+    pairs = {}
+    for n in (8, 16):
+        phi = frame_at(equivariant_spec(0.75, 0.25), z, window=n)
+        res = iwasawa(phi, tol=1e-12)
+        pairs[n], residual = mp_frame_pair(phi)
+        assert residual < 1e-30
+        assert res.edge_mass <= EDGE_TOL
+        np.testing.assert_allclose(res.F[[0, 3 * n]], np.array(pairs[n]), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.array(pairs[8]), np.array(pairs[16]), rtol=0, atol=1e-14)

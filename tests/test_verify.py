@@ -8,7 +8,7 @@ from oracles import analytic_pairs, analytic_surface, sphere_metric_exponent
 
 from mlq import frames
 from mlq.closedform import sphere_frame, torus_frame
-from mlq.frames import SurfaceMap
+from mlq.frames import START_WINDOW, SurfaceMap
 from mlq.holonomy import OdeOptions
 from mlq.potentials import make_potential, radial_spec
 from mlq.verify import (
@@ -166,7 +166,9 @@ def test_node_report_is_one_frame_table(r, t, h):
     with counting("transport") as transports, counting("_rk4_fixed") as hops, counting("iwasawa") as splits:
         inv, geo, cu = node_report(smap, z, h)
     # one transport to the node, one RK4 hop of all 13 diamond rows, one split per point
+    # radial nodes with |z| <= 0.9 are resolved at the start window
     assert len(transports) == 1 and transports[0][1].vertices[-1] == z
+    assert inv.window == START_WINDOW
     assert len(hops) == 1 and hops[0][1].shape[2] == len(DIAMOND) == 13
     assert len(splits) == len(DIAMOND)
     # the single table reproduces the separate reports bit for bit
