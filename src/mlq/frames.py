@@ -5,13 +5,15 @@ points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
 points.  Each anchor starts at N = ``START_WINDOW`` and is read again at the
 cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
-(relative edge mass above ``EDGE_TOL``).  A grid is integrated
-``NODE_CHUNK`` nodes at a time, each chunk in one adaptive sweep of the
-batched ``transport``; the points of a finite-difference stencil are hopped
-from one transport to its node in one fixed-step RK4 batch
-(``frame_pairs``).  The spectral pair (lam0, -i lam0)
-is samples j = 0 and j = 3N, so a point of the surface is read off F there,
-with nothing evaluated or projected, by forming
+(relative edge mass above ``EDGE_TOL``).  Sphere, torus and equivariant
+have one xi term w(z) A(lam), so Phi = exp(W(z) A(lam)) exactly, at every
+node and stencil point.  Every other family is integrated ``NODE_CHUNK``
+nodes at a time, each chunk in one adaptive sweep of the batched
+``transport`` along straight segments from the base point, and a
+finite-difference stencil is hopped from its node in one fixed-step RK4
+batch (``frame_pairs``).  The spectral pair (lam0, -i lam0) is samples
+j = 0 and j = 3N, so a point of the surface is read off F there, with
+nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeCounts, OdeOptions, transport, validate_path
+from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
 from .holonomy import _planes, _rk4_fixed, _segment_rhs, _unplanes
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, window_samples
@@ -43,16 +45,13 @@ HOP_STEPS = 8
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
 
-#: window every anchor is first transported and split at (or ``window``, if smaller)
+#: window every anchor is first computed and split at (or ``window``, if smaller)
 START_WINDOW = 8
 
 #: relative edge mass of P = Phi* Phi above which an anchor is read again at
 #: the cap window; far below the split tolerance, because the readout error
 #: follows the edge mass and the quadric and |v| checks see it directly
 EDGE_TOL = 1e-13
-
-#: largest log-z length of one segment of an equivariant route
-LOG_STEP = 0.15
 
 #: nodes per adaptive sweep in ``SurfaceMap.samples``; fixed, so a node's
 #: chunk (and its bytes) never depends on how the chunks are scheduled
@@ -77,6 +76,14 @@ def quat_matrix(p) -> np.ndarray:
     return np.array(
         [[p0 + 1j * p1, p2 + 1j * p3], [-p2 + 1j * p3, p0 - 1j * p1]], dtype=np.complex128
     )
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp of trace-free 2x2 matrices stacked on the leading axes:
+    cosh(s) I + sinh(s)/s m, with s^2 = -det m (sinh(s)/s = 1 at s = 0)."""
+    s = np.sqrt(m[..., 0, 0] ** 2 + m[..., 0, 1] * m[..., 1, 0])
+    ratio = np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0)
+    return np.cosh(s)[..., None, None] * np.eye(2) + ratio[..., None, None] * m
 
 
 def _check_su2(m: np.ndarray, name: str) -> None:
@@ -251,26 +258,25 @@ class SurfaceMap:
     lam0 and split there by ``iwasawa``; the frame pair is read off the
     unitary factor at samples 0 and 3N.  The window N is chosen per anchor
     (a grid node, or the centre of a stencil) by one rule: the anchor is
-    transported and split at the start window min(``START_WINDOW``,
-    ``window``), and where P = Phi* Phi leaves a relative edge mass above
-    ``EDGE_TOL`` there, or the split fails, it is transported and split
-    again at the cap, ``window``.  A point is reached by one adaptive
-    transport from the base point.  ``samples`` runs the nodes of a grid
-    ``NODE_CHUNK`` at a time, each chunk as one batched transport whose
-    error norm is the maximum over its nodes of each node's RMS, so no node
-    gets a looser step than it would get alone; the chunk's nodes that are
-    unresolved at the start window run again together, as one batch at the
-    cap.  ``sample(z)`` is a chunk of one.  A node whose route fails
-    validation, or whose chunk's sweep fails and whose rerun alone fails,
-    is invalid and carries its own error.  ``ode_counts`` totals the DOPRI
-    steps and right-hand-side evaluations of every transport the map ran.
-    ``frame_pairs`` evaluates a cluster of points near z from one transport
-    to z, at z's window: all points are hopped from z by one deterministic
-    fixed-step RK4 sweep over a batch with one row per point, then split one
-    by one, so finite-difference stencils see a smooth function at one
-    truncation, limited only by roundoff, not by adaptive step placement.
-    Nothing is cached and the counts are locked, so a map may be shared
-    between threads.
+    computed and split at the start window min(``START_WINDOW``, ``window``),
+    and again at the cap, ``window``, where P = Phi* Phi leaves a relative
+    edge mass above ``EDGE_TOL`` or the split fails.  A one-term potential
+    (sphere, torus, equivariant) has the exact frame exp(W A), evaluated at
+    all nodes of a chunk at once; a node within ``EPS_POLE`` of its pole is
+    invalid.  Any other potential is integrated by ``transport`` along one
+    straight segment from the base point, one adaptive sweep per chunk,
+    whose error norm is the maximum over its nodes of each node's RMS, so
+    no node gets a looser step than it would get alone.  ``samples`` runs a
+    grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
+    nodes together at the cap; ``sample(z)`` and every anchor are a chunk
+    of one.  A node whose route fails validation, or whose sweep fails
+    again when rerun alone, is invalid and carries its own error.
+    ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
+    of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
+    its centre's window, in closed form or by one fixed-step RK4 hop from
+    the centre, so finite differences see a smooth function limited only
+    by roundoff.  Nothing is cached and the counts are locked, so a map
+    may be shared between threads.
     """
 
     def __init__(
@@ -294,82 +300,43 @@ class SurfaceMap:
         #: DOPRI steps and right-hand-side evaluations of every transport this map ran
         self.ode_counts = OdeCounts()
 
-    # -- path planning ------------------------------------------------------
-
-    def _log_ends(self, z: complex, winding: int) -> tuple[complex, complex]:
-        """Ends of the equivariant route to z in log z: the domain is the
-        universal cover of C \\ {0}."""
-        if z == 0:
-            raise PoleError("no log-z route reaches the singular point z = 0")
-        return np.log(complex(self.pot.base_point)), np.log(complex(z)) + 2j * np.pi * winding
-
-    def _n_segments(self, z: complex, winding: int) -> int:
-        """Segment count of the route to z, without building it: one per
-        ``LOG_STEP`` of log-z length for the equivariant family, else one."""
-        if self.pot.variant == "equivariant":
-            la, lb = self._log_ends(z, winding)
-            return max(1, int(np.ceil(abs(lb - la) / LOG_STEP)))
-        if winding != 0:
-            raise ValueError("winding paths are only defined for the equivariant family")
-        return 1
-
-    def _route(self, z: complex, winding: int = 0, min_segments: int = 1) -> DomainPath:
-        base = self.pot.base_point
-        n_seg = max(min_segments, self._n_segments(z, winding))
-        if self.pot.variant == "equivariant":
-            la, lb = self._log_ends(z, winding)
-            pts = [np.exp(la + (lb - la) * t) for t in np.linspace(0.0, 1.0, n_seg + 1)]
-            pts[0] = base
-            pts[-1] = z
-            dedup = [pts[0]]
-            for p in pts[1:]:
-                if p != dedup[-1]:
-                    dedup.append(p)
-            return DomainPath.polyline(dedup)
-        if z == base:
-            raise ValueError("route requested to the base point itself")
-        return DomainPath.line(base, z)
-
     # -- frame evaluation ---------------------------------------------------
 
     def _identity(self, n: int, rows: int = 1) -> np.ndarray:
         return np.broadcast_to(np.eye(2, dtype=np.complex128), (rows, 4 * n, 2, 2))
 
-    def _transport_to(self, z: complex, winding: int, n: int) -> np.ndarray:
-        """Frame values at window n's roots of unity, integrated to z."""
-        state = self._identity(n)[0]
-        if z != self.pot.base_point or winding != 0:
-            state = transport(self.pot, self._route(z, winding), state, self._lams[n], self.ode, self.ode_counts)
-        return state
+    def _frames(self, zs: list[complex], winding: int, n: int) -> list:
+        """Frame values at window n for each z, or the error that stops that
+        node: exp(W A) for a one-term potential, else ``_transport_chunk``."""
+        if winding != 0 and self.pot.variant != "equivariant":
+            raise ValueError("winding paths are only defined for the equivariant family")
+        if self._xi[n].exact is None:
+            return self._transport_chunk(zs, n)
+        antiderivative, a = self._xi[n].exact
+        base = self.pot.base_point
+        near = [any(abs(z - p) < EPS_POLE for p in self.pot.singular_points) for z in zs]
+        values = _expm(np.multiply.outer(antiderivative(base, np.where(near, base, zs), winding), a))
+        return [PoleError("no log-z route reaches the singular point z = 0") if bad else v
+                for bad, v in zip(near, values)]
 
-    def _transport_chunk(self, zs: list[complex], winding: int, n: int) -> list:
+    def _transport_chunk(self, zs: list[complex], n: int) -> list:
         """Frame values at window n for each z from one adaptive sweep, or the
         error that stops that node.
 
-        Every node's route is validated before the sweep runs, so a route
-        into a pole fails its own node, not the sweep.  Equivariant routes
-        are subdivided to the chunk's largest segment count, counted from
-        the log-z lengths, so all rows share their segment count; the other
-        families' routes are one segment each.  If the sweep fails, each
-        node is rerun alone, so the error lands on the node that caused it.
+        Each route is one straight segment from the base point, validated
+        before the sweep, so a route into a pole fails its own node; if the
+        sweep fails, each node is rerun alone to locate the error.
         """
         out: list = [self._identity(n)[0]] * len(zs)
-        n_segs: dict[int, int] = {}
-        for i, z in enumerate(zs):
-            if z != self.pot.base_point or winding != 0:
-                try:
-                    n_segs[i] = self._n_segments(z, winding)
-                except ValueError as exc:
-                    out[i] = exc
-        n_seg = max(n_segs.values(), default=1)
         routes: dict[int, DomainPath] = {}
-        for i in n_segs:
-            route = self._route(zs[i], winding, n_seg)
-            try:
-                validate_path(route, self.pot)
-                routes[i] = route
-            except PoleError as exc:
-                out[i] = exc
+        for i, z in enumerate(zs):
+            if z != self.pot.base_point:
+                route = DomainPath.line(self.pot.base_point, z)
+                try:
+                    validate_path(route, self.pot)
+                    routes[i] = route
+                except PoleError as exc:
+                    out[i] = exc
         if not routes:
             return out
         try:
@@ -381,7 +348,7 @@ class SurfaceMap:
             if len(routes) == 1:
                 states = [exc]
             else:
-                states = [self._transport_chunk([zs[i]], winding, n)[0] for i in routes]
+                states = [self._transport_chunk([zs[i]], n)[0] for i in routes]
         for i, state in zip(routes, states):
             out[i] = state
         return out
@@ -400,13 +367,19 @@ class SurfaceMap:
             return None
         return res
 
+    def _anchors(self, zs: list[complex], winding: int) -> tuple[list, list]:
+        """Frame values and their split, or the error that stops the node, at
+        each z, at the window the rule chooses for it."""
+        states = self._frames(zs, winding, self.start_window)
+        splits = [self._split(state) for state in states]
+        again = [i for i, res in enumerate(splits) if res is None]
+        for i, state in zip(again, self._frames([zs[i] for i in again], winding, self.window)):
+            states[i], splits[i] = state, self._split(state)
+        return states, splits
+
     def _anchor(self, z: complex, winding: int) -> tuple[np.ndarray, IwasawaResult]:
         """Frame values at z and their split, at the window the rule chooses for z."""
-        state = self._transport_to(z, winding, self.start_window)
-        res = self._split(state)
-        if res is None:
-            state = self._transport_to(z, winding, self.window)
-            res = self._split(state)
+        (state,), (res,) = self._anchors([z], winding)
         if isinstance(res, Exception):
             raise res
         return state, res
@@ -415,8 +388,7 @@ class SurfaceMap:
         return FramePointPair(res.F[0], res.F[3 * res.window], self.lambda0, res.window)
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
-        """Iwasawa split of the frame values at z, integrated from the base
-        point, at the window the rule chooses for z."""
+        """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
         return self._anchor(complex(z), winding)[1]
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
@@ -424,12 +396,14 @@ class SurfaceMap:
         return self._pair(self.unitary_frame(z, winding))
 
     def frame_pairs(self, z: complex, points, winding: int = 0) -> list[FramePointPair]:
-        """Frame pairs at points near z: one transport to z, one fixed-step
-        RK4 hop from z to every point as one row batch, and one split per point.
+        """Frame pairs at points near z, all at z's window, one split per point.
 
         The window is chosen once, from z's own split, so every point shares
-        z's truncation.  A point equal to z is a zero-length row, whose
-        values are z's: its pair is read off z's split, so it equals
+        z's truncation.  A one-term potential's values at the points are
+        exp(W A), with W continued from z along the straight segment to each
+        point; any other potential's come from one transport to z and one
+        fixed-step RK4 hop from z to every point as one row batch.  A point
+        equal to z is read off z's split, so its pair equals
         ``frame_pair(z)`` bit for bit.
         """
         z = complex(z)
@@ -437,10 +411,15 @@ class SurfaceMap:
         state, anchor = self._anchor(z, winding)
         for p in points[points != z]:
             validate_path(DomainPath.line(z, p), self.pot)
-        rhs = _segment_rhs(self._xi[anchor.window], np.full(points.size, z), points - z)
-        rows = np.broadcast_to(state, (points.size, *state.shape))
-        hopped = _unplanes(_rk4_fixed(rhs, _planes(rows), HOP_STEPS))
-        return [self._pair(anchor if p == z else iwasawa(y, tol=self.iwasawa_tol)) for p, y in zip(points, hopped)]
+        if self._xi[anchor.window].exact is not None:
+            antiderivative, a = self._xi[anchor.window].exact
+            w = antiderivative(self.pot.base_point, z, winding) + antiderivative(z, points, 0)
+            values = _expm(np.multiply.outer(w, a))
+        else:
+            rhs = _segment_rhs(self._xi[anchor.window], np.full(points.size, z), points - z)
+            rows = np.broadcast_to(state, (points.size, *state.shape))
+            values = _unplanes(_rk4_fixed(rhs, _planes(rows), HOP_STEPS))
+        return [self._pair(anchor if p == z else iwasawa(y, tol=self.iwasawa_tol)) for p, y in zip(points, values)]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
@@ -468,19 +447,15 @@ class SurfaceMap:
     def samples(self, nodes, winding: int = 0) -> list[SurfaceSample]:
         """Surface samples at every node, in order.
 
-        The nodes are integrated ``NODE_CHUNK`` at a time, each chunk in one
-        adaptive sweep at the start window; the chunk's nodes that are
-        unresolved there run again in one sweep at the cap.  A node that
-        fails is invalid and carries its error, the rest are still computed.
+        The nodes run ``NODE_CHUNK`` at a time, each chunk at the start
+        window; the chunk's nodes that are unresolved there run again
+        together at the cap.  A node that fails is invalid and carries its
+        error, the rest are still computed.
         """
         zs = [complex(z) for z in nodes]
         out = []
         for chunk in node_chunks(zs):
-            splits = [self._split(s) for s in self._transport_chunk(chunk, winding, self.start_window)]
-            again = [i for i, res in enumerate(splits) if res is None]
-            for i, state in zip(again, self._transport_chunk([chunk[i] for i in again], winding, self.window)):
-                splits[i] = self._split(state)
-            out += [self._read(z, res) for z, res in zip(chunk, splits)]
+            out += [self._read(z, res) for z, res in zip(chunk, self._anchors(chunk, winding)[1])]
         return out
 
     def sample(self, z: complex, winding: int = 0) -> SurfaceSample:

@@ -8,7 +8,8 @@ one state of B x M matrices; one path is the case B = 1.  ``monodromy``
 runs it once around a closed path for every spectral value it is given;
 ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
 the Iwasawa split takes the values as they are, one batch per chunk of grid
-nodes.
+nodes, each on one straight segment from the base point.  It never runs the
+one-term families (sphere, torus, equivariant): their frame is exp(W A).
 
 The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
 (``_dopri45``), with the error norm taken per path and maximized over the
@@ -173,8 +174,6 @@ def _segment_rhs(xi: XiSampler, a, dz):
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     dz = np.asarray(dz, dtype=np.complex128).reshape(-1)
     const = _planes(xi.const)[:, :, None] * dz[:, None]
-    if xi.weighted and not xi.const.any():
-        const = None  # every term is weighted (equivariant): no constant to add
     weighted = [(w, _planes(vals)[:, :, None] * dz[:, None]) for w, vals in xi.weighted]
     if a.size == 1:
         # one row: a scalar z keeps the weights off numpy's per-call overhead
@@ -191,7 +190,7 @@ def _segment_rhs(xi: XiSampler, a, dz):
         z = z_at(t)
         x = const
         for w, vals in weighted:
-            x = w(z) * vals if x is None else x + w(z) * vals
+            x = x + w(z) * vals
         return _right_mul(y, x)
 
     return rhs

@@ -12,7 +12,9 @@ relative edge mass, the norm of its modes |k| >= 2N - 2 over that of P_0:
 the measure of how far P is from being resolved on the 4N samples, which
 ``SurfaceMap`` reads to choose its window.  The section size is grown until
 B* B - P, evaluated at the 4N samples, is below tolerance; those samples
-resolve every mode of B* B - P, so the check misses no part of it.
+resolve every mode of B* B - P, so the check misses no part of it.  The
+truncation error falls geometrically in the section size, so a doubling
+that fails to halve the residual has met rounding, and the split stops.
 B's values at the samples come from one zero-padded inverse FFT, and
 F = Phi B^{-1} is formed and returned there: it is never projected onto a
 coefficient window, so no Laurent mode of F is dropped.
@@ -138,9 +140,10 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     polynomials by the matrix Fejer-Riesz theorem) and is returned as its
     coefficients B_0..B_{2N-1}, shape (2N, 2, 2).  The Toeplitz section
     starts at 2x the degree of P and doubles until B* B - P, checked at the
-    4N samples, is below tol.  The edge mass, sum_{|k| >= 2N-2} ||P_k|| /
-    ||P_0||, is read off the same FFT: it measures how much of P the 4N
-    samples leave unresolved.
+    4N samples, is below tol; ConvergenceError once a doubling fails to
+    halve that residual, or after ``MAX_DOUBLINGS``.  The edge mass,
+    sum_{|k| >= 2N-2} ||P_k|| / ||P_0||, is read off the same FFT: it
+    measures how much of P the 4N samples leave unresolved.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = _window(values)
@@ -152,15 +155,18 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     p = c[np.arange(-degree, degree + 1) % (4 * n)]
     m = max(2 * degree, 8)
     last_residual = np.inf
-    for _ in range(MAX_DOUBLINGS + 1):
+    for doubling in range(MAX_DOUBLINGS + 1):
         b = _bauer_read(p, m)
-        last_residual = _factor_residual(b, p_vals)
-        if last_residual <= tol:
+        residual = _factor_residual(b, p_vals)
+        if residual <= tol:
             return b, _edge_mass(c)
+        if doubling == MAX_DOUBLINGS or residual > 0.5 * last_residual:
+            break
+        last_residual = residual
         m *= 2
     raise ConvergenceError(
-        f"spectral factor residual {last_residual:.3e} > tol {tol:.1e} "
-        f"after growing the Toeplitz section to {m // 2 + 1} blocks"
+        f"spectral factor residual {residual:.3e} > tol {tol:.1e} "
+        f"with a Toeplitz section of {m + 1} blocks"
     )
 
 

@@ -2,10 +2,12 @@
 
 Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
 a trace-free Laurent polynomial in the spectral parameter lam.  Every family
-is written once, in ``_xi_terms``, as pairs of a scalar z-weight and constant
+is written once, in ``_xi_terms``, as terms of a scalar z-weight, its
+antiderivative W where the frame is read in closed form, and constant
 lam-terms.  ``xi_sampler`` returns z -> xi(z, lam) at a fixed set of
 spectral values, which is what the integrator calls; every weight takes an
-array of z as well as one z.
+array of z as well as one z.  Sphere, torus and equivariant are one term
+w(z) A(lam), so xi(z) commutes with xi(z') and the frame is exp(W A).
 
 Families
 --------
@@ -187,22 +189,31 @@ def _rational(num, den) -> Callable[[complex], complex]:
     return weight
 
 
-def _xi_terms(pot: Potential) -> list[tuple[Weight, dict[int, np.ndarray]]]:
+def _difference(z0, z1, winding: int):
+    """The antiderivative of the weight 1, which has no pole to wind around."""
+    return z1 - z0
+
+
+def _xi_terms(pot: Potential) -> list[tuple[Weight, Callable | None, dict[int, np.ndarray]]]:
     """The one definition of each family's xi.
 
-    Pairs (w, {k: A_k}) with xi(z, lam) = sum over pairs of w(z) sum_k A_k lam^k;
-    a weight of None means 1.
+    Triples (w, W, {k: A_k}) with xi(z, lam) = sum over terms of
+    w(z) sum_k A_k lam^k; a weight of None means 1.  W(z0, z1, winding), given
+    for the one-term families and elementwise on arrays of z1, integrates w
+    along the straight segment from z0 to z1 and ``winding`` loops around
+    its pole.
     """
     v = pot.variant
     p = pot.spec.params
     if v == "sphere":
-        return [(None, {-1: _E12})]
+        return [(None, _difference, {-1: _E12})]
     if v == "torus":
-        return [(None, {-1: _E12 + _E21})]
+        return [(None, _difference, {-1: _E12 + _E21})]
     if v == "equivariant":
         a, b, c = p["a"], p["b"], p["c"]
         return [(
             lambda z: 1.0 / z,
+            lambda z0, z1, winding: np.log(z1 / z0) + 2j * np.pi * winding,
             {
                 -1: np.array([[0, a], [b, 0]], dtype=np.complex128),
                 0: np.array([[c, 0], [0, -c]], dtype=np.complex128),
@@ -211,19 +222,19 @@ def _xi_terms(pot: Potential) -> list[tuple[Weight, dict[int, np.ndarray]]]:
         )]
     if v == "radial":
         c, k = complex(p["c"]), p["k"]
-        return [(None, {-1: _E12}), (lambda z: c * z**k, {-1: _E21})]
+        return [(None, None, {-1: _E12}), (lambda z: c * z**k, None, {-1: _E21})]
     if v == "trinoid":
         v0, v1, vinf = p["v0"], p["v1"], p["vinf"]
         lam0 = complex(p["lambda0"])
         # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
         s = lam0 + 1.0 / lam0
         return [
-            (None, {-1: _E12}),
-            (lambda z: trinoid_q(z, v0, v1, vinf), {0: _E21, 1: -s * _E21, 2: _E21}),
+            (None, None, {-1: _E12}),
+            (lambda z: trinoid_q(z, v0, v1, vinf), None, {0: _E21, 1: -s * _E21, 2: _E21}),
         ]
     # custom
     return [
-        (_rational(t.num, t.den), {t.lam_power: np.asarray(t.matrix, dtype=np.complex128)})
+        (_rational(t.num, t.den), None, {t.lam_power: np.asarray(t.matrix, dtype=np.complex128)})
         for t in p["terms"]
     ]
 
@@ -235,11 +246,15 @@ class XiSampler:
     folded into ``const`` and each weighted pair into one array ``vals``,
     all of shape (M, 2, 2), so a call costs one weight and one axpy per
     weighted pair.  At z of shape S the result has shape S + (M, 2, 2).
+    ``exact`` is (W, A) for a potential of one term w(z) A(lam) whose
+    antiderivative W is known, with A of shape (M, 2, 2): its frame from z0
+    to z1 is exp(W(z0, z1, winding) A).  It is None for any other potential.
     """
 
-    def __init__(self, const: np.ndarray, weighted: list[tuple[Callable, np.ndarray]]) -> None:
+    def __init__(self, const: np.ndarray, weighted: list[tuple[Callable, np.ndarray]], exact=None) -> None:
         self.const = const
         self.weighted = weighted
+        self.exact = exact
 
     def __call__(self, z) -> np.ndarray:
         out = np.broadcast_to(self.const, np.shape(z) + self.const.shape)
@@ -257,13 +272,15 @@ def xi_sampler(pot: Potential, lams) -> XiSampler:
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     const = np.zeros((lams.size, 2, 2), dtype=np.complex128)
     weighted = []
-    for w, lam_terms in _xi_terms(pot):
+    terms = _xi_terms(pot)
+    for w, _, lam_terms in terms:
         vals = sum(np.multiply.outer(lams**k, mat) for k, mat in lam_terms.items())
         if w is None:
             const = const + vals
         else:
             weighted.append((w, vals))
-    return XiSampler(const, weighted)
+    exact = (terms[0][1], vals) if len(terms) == 1 and terms[0][1] is not None else None
+    return XiSampler(const, weighted, exact)
 
 
 def trinoid_q(z, v0: float, v1: float, vinf: float):

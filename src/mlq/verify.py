@@ -8,10 +8,10 @@ reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
 The FD engine evaluates the frame pair on the 13-point diamond
-{|a| + |b| <= 2} around each node, once: one transport to the node and one
-13-row RK4 hop from it, all at the node's window
-(``SurfaceMap.frame_pairs``); the lift, the S2 x S2 factors and every report
-are read off that one table.  First derivatives and Laplacians use the
+{|a| + |b| <= 2} around each node, once, all at the node's window
+(``SurfaceMap.frame_pairs``: the exact frame of a one-term potential, else
+one transport to the node and one 13-row RK4 hop from it); the lift, the
+S2 x S2 factors and every report are read off that one table.  First derivatives and Laplacians use the
 order-2 central stencils (the classic 5-point cross), so every smooth
 residual shrinks like h^2; the outer points of the diamond serve the nested
 derivatives (u, alpha and beta at the cross neighbours).
@@ -49,7 +49,7 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
 
 
 def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
-    """Frame pairs on the diamond around z, all hopped from one transport to z."""
+    """Frame pairs on the diamond around z, all at z's window (``SurfaceMap.frame_pairs``)."""
     z = complex(z)
     return dict(zip(DIAMOND, smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])))
 
@@ -231,8 +231,8 @@ def invariants_report(
 ) -> InvariantReport:
     """Estimate the invariants of the lifted surface at z by central FD.
 
-    ``surface`` is a SurfaceMap (its frame pairs on the diamond, all hopped
-    from one transport to z) or a plain smooth callable z -> unit 4-vector.
+    ``surface`` is a SurfaceMap (its frame pairs on the diamond, all at z's
+    window) or a plain smooth callable z -> unit 4-vector.
     ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
     to see the raw alpha/beta of the lift as evaluated; the associated-family
     relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
@@ -374,12 +374,11 @@ def cu_report(
 def node_report(
     smap: SurfaceMap, z: complex, h: float = 1e-3
 ) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
-    """All three reports at z from one frame table: one transport, one
-    13-row RK4 hop and 13 Iwasawa splits.
+    """All three reports at z from one frame table and 13 Iwasawa splits.
 
-    The diamond is evaluated once, hopped from one transport to z at z's
-    window; the lifts and the factor pairs are both read off those frame
-    pairs, and the invariant report records the window.
+    The diamond is evaluated once at z's window (``SurfaceMap.frame_pairs``);
+    the lifts and the factor pairs are both read off those frame pairs, and
+    the invariant report records the window.
     """
     frames = _frame_table(smap, z, h)
     lifts = _lift_table(frames)

@@ -22,7 +22,7 @@ def eval_xi(pot: Potential, z: complex) -> dict[int, np.ndarray]:
     """Laurent coefficients {k: A_k} of the 1-form xi at z (the form is sum A_k lam^k dz)."""
     z = complex(z)
     terms: dict[int, np.ndarray] = {}
-    for w, lam_terms in _xi_terms(pot):
+    for w, _, lam_terms in _xi_terms(pot):
         s = 1.0 if w is None else w(z)
         for k, mat in lam_terms.items():
             terms[k] = terms.get(k, 0) + s * np.asarray(mat, dtype=complex)

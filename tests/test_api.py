@@ -29,23 +29,39 @@ NO_SRC_CALLER = {
 }
 
 
+def _is_constant(name: str) -> bool:
+    return name.lstrip("_").isupper()
+
+
 def test_no_test_only_code():
     # every public module-level function or class of src/mlq is read somewhere
     # in src/: a Name load or a from-import; attributes, keywords and the
-    # package's re-exports do not count
+    # package's re-exports do not count.  Private module-level functions,
+    # private methods and UPPER_CASE module constants must be read in src/
+    # too, where an attribute read (self._helper, module.CONSTANT) counts.
     src = Path(mlq.__file__).parent
-    defined, used = set(), set()
+    defined, read_in_src, used, attrs = set(), set(), set(), set()
     for path in src.glob("*.py"):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        defined.update(
-            node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        )
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                (read_in_src if node.name.startswith("_") else defined).add(node.name)
+            if isinstance(node, ast.ClassDef):
+                read_in_src.update(
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                    and not item.name.endswith("__")
+                )
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            read_in_src.update(t.id for t in targets if isinstance(t, ast.Name) and _is_constant(t.id))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
     assert sorted(defined - used - NO_SRC_CALLER) == []
+    assert sorted(read_in_src - used - attrs) == []

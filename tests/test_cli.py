@@ -159,6 +159,8 @@ def test_generate_outputs(tmp_path):
     assert meta["schema"] == 1
     assert meta["n_nodes"] == 9 and meta["n_failed"] == 0
     assert meta["max_unitarity_error"] < 1e-8
+    # the sphere's frames are read in closed form: nothing is integrated
+    assert meta["ode_steps"] == meta["ode_rhs_calls"] == 0
     assert meta["config"]["potential"] == {"variant": "sphere"}
 
 
@@ -184,10 +186,11 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
         return transport(pot, paths, y, lams, opts, counts)
 
     monkeypatch.setattr(frames, "transport", counted)
+    # the grid misses the base point 0, so every node rides in its chunk's sweep
     cfg = write_cfg(
         tmp_path,
-        potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
-        grid={"re_min": 0.4, "re_max": 1.4, "n_re": 9, "im_min": -0.5, "im_max": 0.5, "n_im": 8},
+        potential={"variant": "radial", "c": 0.5, "k": 1},
+        grid={"re_min": 0.1, "re_max": 0.9, "n_re": 9, "im_min": -0.5, "im_max": 0.5, "n_im": 8},
         truncation_N=8,
     )
     outs = []

@@ -1,3 +1,4 @@
+import importlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -210,10 +211,32 @@ def test_the_window_grows_where_p_is_unresolved(z, window):
     assert smap.frame_pair(z).window == window
 
 
+@pytest.mark.parametrize(
+    "spec, z, window",
+    [(equivariant_spec(0.75, 0.25), 0.02, 8), (torus_spec(), 2.8 + 2.8j, 16)],
+    ids=["equivariant", "torus"],
+)
+def test_a_split_at_its_rounding_floor_stops_doubling(monkeypatch, spec, z, window):
+    # both residuals reach ~1e-9, the float64 floor for |P| ~ 1e3, within a
+    # few sections; further doublings only reshuffle rounding, and used to
+    # run to a Toeplitz section of ~2,000 blocks (seconds per node)
+    iwasawa_module = importlib.import_module("mlq.iwasawa")
+    sections = []
+    bauer_read = iwasawa_module._bauer_read
+
+    def counted(p, m):
+        sections.append(m)
+        return bauer_read(p, m)
+
+    monkeypatch.setattr(iwasawa_module, "_bauer_read", counted)
+    SurfaceMap(make_potential(spec), window=window).sample(z)
+    assert 0 < len(sections) <= 5
+
+
 def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
-    # a real case: at z = 0.02 the equivariant split does not converge at
-    # N = 8, after six doublings of its Toeplitz section (~3 s), and reads
-    # fine at 16; a start-window split that fails at once stands in for it
+    # a start-window split that fails, as the torus split at 2.8+2.8i does at
+    # N = 8, sends the node to the cap; a stand-in failure lets the test use a
+    # node that reads fine there
     split = frames.iwasawa
 
     def failing(values, tol):
@@ -244,10 +267,11 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
 
     monkeypatch.setattr(frames, "transport", counted)
     for cap in (6, 8):
-        smap = tight_map(equivariant_spec(0.75, 0.25), window=cap)
-        res = smap.unitary_frame(0.3)
+        # radial z = 1.5 would be read at 16: its edge mass at N = 8 is 2e-12
+        smap = tight_map(radial_spec(0.5, 1), window=cap)
+        res = smap.unitary_frame(1.5)
         assert res.window == cap and res.edge_mass > EDGE_TOL
-        assert smap.sample(0.3).diagnostics["window"] == cap
+        assert smap.sample(1.5).diagnostics["window"] == cap
     # one transport per readout, each at the cap's 4N samples
     assert sizes == [24, 24, 32, 32]
 
@@ -291,6 +315,44 @@ def test_adaptive_readout_matches_a_fixed_window(family, x, y):
     np.testing.assert_allclose(s.q2_hom, q2_point(*xy_matrices(ref)), rtol=0, atol=1e-10)
     np.testing.assert_allclose(np.concatenate(s.s2_pair), np.concatenate(sphere_pair(ref)), rtol=0, atol=1e-10)
     np.testing.assert_allclose(smap.lift(z), q2_point(*xy_matrices(ref)) / np.sqrt(2.0), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["sphere", "torus", "equivariant"])
+@settings(max_examples=5, deadline=None)
+@given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0), winding=st.sampled_from([0, 1]))
+def test_closed_form_frames_match_transport(family, x, y, winding):
+    # a one-term potential's frame is exp(W A); transport along a route in
+    # the same homotopy class (a log-z polyline, wound around the pole) agrees
+    spec, lam0 = _FAMILIES[family]
+    centre, half = _READ_BOXES[family]
+    z = centre + half * complex(x, y)
+    smap = tight_map(spec, lam0, window=8)
+    base = smap.pot.base_point
+    if winding and family != "equivariant":
+        with pytest.raises(ValueError, match="only defined for the equivariant family"):
+            smap.frame_pair(z, winding)
+        return
+    assume(z != base or winding)
+    if family == "equivariant":
+        pts = np.exp(np.linspace(np.log(base), np.log(z) + 2j * np.pi * winding, 32))
+        pts[0], pts[-1] = base, z
+        path = DomainPath.polyline(pts)
+    else:
+        path = DomainPath.line(base, z)
+    ref = transport(smap.pot, path, np.broadcast_to(np.eye(2), (32, 2, 2)), smap._lams[8], TIGHT_ODE)
+    exact = smap._frames([z], winding, 8)[0]
+    assert np.abs(exact - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_a_stencil_across_the_log_branch_cut_stays_on_its_sheet():
+    # above the negative real axis, the stencil continues log z across it:
+    # the point below reads as the principal point wound once
+    smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
+    z, below = -0.8 + 1e-4j, -0.8 - 1e-3j
+    hopped = smap.frame_pairs(z, [below])[0]
+    wound = smap.frame_pair(below, winding=1)
+    np.testing.assert_allclose(hopped.F1, wound.F1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hopped.F2, wound.F2, rtol=0, atol=1e-12)
 
 
 def test_sample_diagnostics(sphere_map):

@@ -167,7 +167,7 @@ def test_node_report_is_one_frame_table(r, t, h):
         inv, geo, cu = node_report(smap, z, h)
     # one transport to the node, one RK4 hop of all 13 diamond rows, one split per point
     # radial nodes with |z| <= 0.9 are resolved at the start window
-    assert len(transports) == 1 and transports[0][1].vertices[-1] == z
+    assert len(transports) == 1 and [path.vertices[-1] for path in transports[0][1]] == [z]
     assert inv.window == START_WINDOW
     assert len(hops) == 1 and hops[0][1].shape[2] == len(DIAMOND) == 13
     assert len(splits) == len(DIAMOND)
