@@ -10,8 +10,8 @@ have one xi term w(z) A(lam), so Phi = exp(W(z) A(lam)) exactly, at every
 node and stencil point.  Every other family is integrated ``NODE_CHUNK``
 nodes at a time, each chunk in one adaptive sweep of the batched
 ``transport`` along straight segments from the base point, and a
-finite-difference stencil is hopped from its node in one fixed-step RK4
-batch (``frame_pairs``).  The spectral pair (lam0, -i lam0) is samples
+finite-difference stencil rides in one more sweep, from its node to each
+of its points (``frame_pairs``).  The spectral pair (lam0, -i lam0) is samples
 j = 0 and j = 3N, so a point of the surface is read off F there, with
 nothing evaluated or projected, by forming
 
@@ -32,15 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
-from .holonomy import _planes, _rk4_fixed, _segment_rhs, _unplanes
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-
-#: fixed RK4 steps of one hop from a transported point to a nearby one
-HOP_STEPS = 8
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
@@ -273,10 +269,10 @@ class SurfaceMap:
     again when rerun alone, is invalid and carries its own error.
     ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
     of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
-    its centre's window, in closed form or by one fixed-step RK4 hop from
-    the centre, so finite differences see a smooth function limited only
-    by roundoff.  Nothing is cached and the counts are locked, so a map
-    may be shared between threads.
+    its centre's window by the same ``_frames``, started from the centre's
+    values, so finite differences see a smooth function limited only by
+    roundoff.  Nothing is cached and the counts are locked, so a map may
+    be shared between threads.
     """
 
     def __init__(
@@ -302,36 +298,41 @@ class SurfaceMap:
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _identity(self, n: int, rows: int = 1) -> np.ndarray:
-        return np.broadcast_to(np.eye(2, dtype=np.complex128), (rows, 4 * n, 2, 2))
-
-    def _frames(self, zs: list[complex], winding: int, n: int) -> list:
+    def _frames(self, zs: list[complex], winding: int, n: int, start=None) -> list:
         """Frame values at window n for each z, or the error that stops that
-        node: exp(W A) for a one-term potential, else ``_transport_chunk``."""
+        node, carried from ``start`` = (z0, values at z0), by default the
+        identity at the base point: exp(W A) for a one-term potential, with W
+        continued from z0 along the straight segment to each z, else
+        ``_transport_chunk``."""
         if winding != 0 and self.pot.variant != "equivariant":
             raise ValueError("winding paths are only defined for the equivariant family")
-        if self._xi[n].exact is None:
-            return self._transport_chunk(zs, n)
-        antiderivative, a = self._xi[n].exact
         base = self.pot.base_point
+        if start is None:
+            start = (base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))
+        if self._xi[n].exact is None:
+            return self._transport_chunk(zs, n, start)
+        antiderivative, a = self._xi[n].exact
+        z0 = start[0]
         near = [any(abs(z - p) < EPS_POLE for p in self.pot.singular_points) for z in zs]
-        values = _expm(np.multiply.outer(antiderivative(base, np.where(near, base, zs), winding), a))
+        w = antiderivative(base, z0, winding) + antiderivative(z0, np.where(near, z0, zs), 0)
         return [PoleError("no log-z route reaches the singular point z = 0") if bad else v
-                for bad, v in zip(near, values)]
+                for bad, v in zip(near, _expm(np.multiply.outer(w, a)))]
 
-    def _transport_chunk(self, zs: list[complex], n: int) -> list:
-        """Frame values at window n for each z from one adaptive sweep, or the
-        error that stops that node.
+    def _transport_chunk(self, zs: list[complex], n: int, start) -> list:
+        """Frame values at window n for each z, or the error that stops that
+        node, from one adaptive sweep along straight segments from
+        ``start`` = (z0, values at z0); a z equal to z0 keeps z0's values.
 
-        Each route is one straight segment from the base point, validated
-        before the sweep, so a route into a pole fails its own node; if the
-        sweep fails, each node is rerun alone to locate the error.
+        Each route is validated before the sweep, so a route into a pole
+        fails its own node; if the sweep fails, each node is rerun alone to
+        locate the error.
         """
-        out: list = [self._identity(n)[0]] * len(zs)
+        z0, y0 = start
+        out: list = [y0] * len(zs)
         routes: dict[int, DomainPath] = {}
         for i, z in enumerate(zs):
-            if z != self.pot.base_point:
-                route = DomainPath.line(self.pot.base_point, z)
+            if z != z0:
+                route = DomainPath.line(z0, z)
                 try:
                     validate_path(route, self.pot)
                     routes[i] = route
@@ -339,16 +340,11 @@ class SurfaceMap:
                     out[i] = exc
         if not routes:
             return out
+        rows = np.broadcast_to(y0, (len(routes), *y0.shape))
         try:
-            states = transport(
-                self.pot, list(routes.values()), self._identity(n, len(routes)), self._lams[n], self.ode,
-                self.ode_counts,
-            )
+            states = transport(self.pot, list(routes.values()), rows, self._lams[n], self.ode, self.ode_counts)
         except _NODE_ERRORS as exc:
-            if len(routes) == 1:
-                states = [exc]
-            else:
-                states = [self._transport_chunk([zs[i]], n)[0] for i in routes]
+            states = [exc] if len(routes) == 1 else [self._transport_chunk([zs[i]], n, start)[0] for i in routes]
         for i, state in zip(routes, states):
             out[i] = state
         return out
@@ -399,26 +395,23 @@ class SurfaceMap:
         """Frame pairs at points near z, all at z's window, one split per point.
 
         The window is chosen once, from z's own split, so every point shares
-        z's truncation.  A one-term potential's values at the points are
-        exp(W A), with W continued from z along the straight segment to each
-        point; any other potential's come from one transport to z and one
-        fixed-step RK4 hop from z to every point as one row batch.  A point
+        z's truncation.  The points' values are carried from z's by
+        ``_frames`` along straight segments from z: exactly for a one-term
+        potential, else as the rows of one adaptive transport, which share
+        every step, so finite differences see one smooth function.  A point
         equal to z is read off z's split, so its pair equals
         ``frame_pair(z)`` bit for bit.
         """
         z = complex(z)
-        points = np.array(points, dtype=np.complex128)
+        points = [complex(p) for p in points]
         state, anchor = self._anchor(z, winding)
-        for p in points[points != z]:
-            validate_path(DomainPath.line(z, p), self.pot)
-        if self._xi[anchor.window].exact is not None:
-            antiderivative, a = self._xi[anchor.window].exact
-            w = antiderivative(self.pot.base_point, z, winding) + antiderivative(z, points, 0)
-            values = _expm(np.multiply.outer(w, a))
-        else:
-            rhs = _segment_rhs(self._xi[anchor.window], np.full(points.size, z), points - z)
-            rows = np.broadcast_to(state, (points.size, *state.shape))
-            values = _unplanes(_rk4_fixed(rhs, _planes(rows), HOP_STEPS))
+        for p in points:
+            if p != z:
+                validate_path(DomainPath.line(z, p), self.pot)
+        values = self._frames(points, winding, anchor.window, (z, state))
+        for y in values:
+            if isinstance(y, Exception):
+                raise y
         return [self._pair(anchor if p == z else iwasawa(y, tol=self.iwasawa_tol)) for p, y in zip(points, values)]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
@@ -427,7 +420,9 @@ class SurfaceMap:
         return q2_point(x, y) / np.sqrt(2.0)
 
     def _read(self, z: complex, res) -> SurfaceSample:
-        """Read the surface point off the split at z, or record the error that stopped the node."""
+        """Read the surface point off the split at z, or record the error that
+        stopped the node; a readout that fails on a P left unresolved (edge
+        mass above ``EDGE_TOL``) names the window and the edge mass first."""
         if isinstance(res, Exception):
             return SurfaceSample(z=z, valid=False, error=str(res))
         try:
@@ -442,7 +437,10 @@ class SurfaceMap:
                              "edge_mass": res.edge_mass},
             )
         except _NODE_ERRORS as exc:
-            return SurfaceSample(z=z, valid=False, error=str(exc))
+            error = str(exc)
+            if res.edge_mass > EDGE_TOL:
+                error = f"P is unresolved at window N = {res.window} (edge mass {res.edge_mass:.2e}): {error}"
+            return SurfaceSample(z=z, valid=False, error=error)
 
     def samples(self, nodes, winding: int = 0) -> list[SurfaceSample]:
         """Surface samples at every node, in order.

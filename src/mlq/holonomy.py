@@ -8,8 +8,10 @@ one state of B x M matrices; one path is the case B = 1.  ``monodromy``
 runs it once around a closed path for every spectral value it is given;
 ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
 the Iwasawa split takes the values as they are, one batch per chunk of grid
-nodes, each on one straight segment from the base point.  It never runs the
-one-term families (sphere, torus, equivariant): their frame is exp(W A).
+nodes, each on one straight segment from the base point, and one batch per
+finite-difference stencil, from its centre's values to each of its points.
+It never runs the one-term families (sphere, torus, equivariant): their
+frame is exp(W A).
 
 The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
 (``_dopri45``), with the error norm taken per path and maximized over the
@@ -71,10 +73,6 @@ class DomainPath:
     @classmethod
     def line(cls, z0: complex, z1: complex) -> "DomainPath":
         return cls((complex(z0), complex(z1)))
-
-    @classmethod
-    def polyline(cls, points) -> "DomainPath":
-        return cls(tuple(complex(p) for p in points))
 
     def segments(self) -> list[tuple[complex, complex]]:
         verts = self.vertices
@@ -194,21 +192,6 @@ def _segment_rhs(xi: XiSampler, a, dz):
         return _right_mul(y, x)
 
     return rhs
-
-
-def _rk4_fixed(rhs, y0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Classical RK4 on y' = rhs(t, y), t in [0, 1], complex array state."""
-    y = y0.copy()
-    h = 1.0 / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I,

@@ -10,7 +10,8 @@ belong to the caller.
 The FD engine evaluates the frame pair on the 13-point diamond
 {|a| + |b| <= 2} around each node, once, all at the node's window
 (``SurfaceMap.frame_pairs``: the exact frame of a one-term potential, else
-one transport to the node and one 13-row RK4 hop from it); the lift, the
+one transport to the node and one 12-row transport from it to the other
+points); the lift, the
 S2 x S2 factors and every report are read off that one table.  First derivatives and Laplacians use the
 order-2 central stencils (the classic 5-point cross), so every smooth
 residual shrinks like h^2; the outer points of the diamond serve the nested

@@ -34,6 +34,7 @@ from mlq.iwasawa import ConvergenceError, iwasawa
 from mlq.loops import window_samples
 from mlq.potentials import (
     CustomTerm,
+    PoleError,
     custom_spec,
     equivariant_spec,
     make_potential,
@@ -165,12 +166,19 @@ def test_pipeline_lift_matches_analytic_sphere(sphere_map):
         np.testing.assert_allclose(sphere_map.lift(z), oracle(z), atol=1e-9)
 
 
-def test_lift_is_anchor_independent(sphere_map):
-    # a point hopped from a transport to a nearby z gives the lift of a direct transport
-    z = 0.31 + 0.22j
-    direct = sphere_map.lift(z)
-    fp = sphere_map.frame_pairs(0.25 + 0.2j, [z])[0]
-    np.testing.assert_allclose(q2_point(*xy_matrices(fp)) / np.sqrt(2.0), direct, atol=1e-9)
+@pytest.mark.parametrize(
+    "family, z0, z",
+    [("sphere", 0.25 + 0.2j, 0.31 + 0.22j), ("radial", 0.25 + 0.2j, 0.31 + 0.22j),
+     ("trinoid", 0.5 + 0.45j, 0.56 + 0.47j)],
+    ids=["sphere", "radial", "trinoid"],
+)
+def test_lift_is_anchor_independent(family, z0, z):
+    # a stencil point carried from a nearby centre z0 gives the lift of its
+    # own frame from the base point
+    spec, lam0 = _FAMILIES[family]
+    smap = tight_map(spec, lam0)
+    fp = smap.frame_pairs(z0, [z])[0]
+    np.testing.assert_allclose(q2_point(*xy_matrices(fp)) / np.sqrt(2.0), smap.lift(z), atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -179,8 +187,8 @@ def test_lift_is_anchor_independent(sphere_map):
     ids=["sphere", "radial", "equivariant", "trinoid"],
 )
 def test_stencil_centre_is_the_frame_pair(family, z):
-    # the centre row of the batched hop has zero length: it keeps the
-    # transported values, so its pair is frame_pair's bit for bit
+    # the centre is not carried anywhere: it keeps its own values, so its
+    # pair is frame_pair's bit for bit
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0, window=8)
     centre, _ = smap.frame_pairs(z, [z, z + 1e-3])
@@ -276,13 +284,22 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
     assert sizes == [24, 24, 32, 32]
 
 
+def test_an_unresolved_readout_names_its_window():
+    # at a cap of 8 the split of z = 0.02 converges, but P keeps an edge mass
+    # of 6e-6 there and F is far from unitary: the error names the window
+    s = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=START_WINDOW).sample(0.02)
+    assert not s.valid
+    assert s.error.startswith(f"P is unresolved at window N = {START_WINDOW} (edge mass 6.")
+    assert "F1 is not special unitary" in s.error
+
+
 def _fixed_window_pair(smap: SurfaceMap, z: complex, n: int = 16) -> FramePointPair:
     """The frame pair of a fixed-window-n transport and split, built from the layers."""
     pot = smap.pot
     if pot.variant == "equivariant":
         pts = np.exp(np.linspace(np.log(pot.base_point), np.log(z), 24))
         pts[0], pts[-1] = pot.base_point, z
-        path = DomainPath.polyline(pts)
+        path = DomainPath(pts)
     else:
         path = DomainPath.line(pot.base_point, z)
     lams = smap.lambda0 * window_samples(n)
@@ -336,7 +353,7 @@ def test_closed_form_frames_match_transport(family, x, y, winding):
     if family == "equivariant":
         pts = np.exp(np.linspace(np.log(base), np.log(z) + 2j * np.pi * winding, 32))
         pts[0], pts[-1] = base, z
-        path = DomainPath.polyline(pts)
+        path = DomainPath(pts)
     else:
         path = DomainPath.line(base, z)
     ref = transport(smap.pot, path, np.broadcast_to(np.eye(2), (32, 2, 2)), smap._lams[8], TIGHT_ODE)
@@ -353,6 +370,25 @@ def test_a_stencil_across_the_log_branch_cut_stays_on_its_sheet():
     wound = smap.frame_pair(below, winding=1)
     np.testing.assert_allclose(hopped.F1, wound.F1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(hopped.F2, wound.F2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["equivariant", "custom"])
+def test_a_stencil_segment_past_a_pole_raises(family):
+    # centre and point both keep 1.5e-3 from the pole, but the segment
+    # between them runs through it: exact (equivariant) and transported
+    # (custom) frames alike refuse it
+    if family == "equivariant":
+        spec, pole = equivariant_spec(0.1, 0.05), 0.0
+    else:
+        spec, pole = custom_spec(
+            [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+             CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
+            poles=[0.3], base_point=0.0,
+        ), 0.3
+    smap = SurfaceMap(make_potential(spec))
+    z = pole + 1.5e-3j
+    with pytest.raises(PoleError, match="passes within 0.00e"):
+        smap.frame_pairs(z, [z, z + 1e-3, pole - 1.5e-3j])
 
 
 def test_sample_diagnostics(sphere_map):

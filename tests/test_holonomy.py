@@ -53,7 +53,7 @@ def random_su2() -> np.ndarray:
 
 
 def test_path_construction_and_segments():
-    p = DomainPath.polyline([0.0, 1.0, 1.0 + 1.0j])
+    p = DomainPath([0.0, 1.0, 1.0 + 1.0j])
     assert p.vertices == (0.0, 1.0, 1.0 + 1.0j)
     assert p.segments() == [(0.0, 1.0), (1.0, 1.0 + 1.0j)]
     closed = DomainPath((0.0, 1.0, 1.0j), closed=True)
@@ -119,7 +119,7 @@ def test_transport_composes_along_paths():
     pot = make_potential(torus_spec())
     opts = OdeOptions(tolerance=1e-12)
     lam = np.exp(0.4j)
-    via = at_lambda(pot, DomainPath.polyline([0.0, 0.5j, 1.0]), lam, opts)
+    via = at_lambda(pot, DomainPath([0.0, 0.5j, 1.0]), lam, opts)
     direct = at_lambda(pot, DomainPath.line(0.0, 1.0), lam, opts)
     np.testing.assert_allclose(via, direct, atol=1e-9)
 
@@ -158,7 +158,7 @@ def test_integrate_frame_window_and_twist():
 
 def test_transport_runs_every_spectral_value_at_once():
     pot = make_potential(torus_spec())
-    path = DomainPath.polyline([0.0, 0.4j, 0.7 - 0.1j])
+    path = DomainPath([0.0, 0.4j, 0.7 - 0.1j])
     lams = np.exp(1j * np.array([0.0, 0.9, 2.5]))
     opts = OdeOptions(tolerance=1e-12)
     y = transport(pot, path, np.broadcast_to(np.eye(2), (3, 2, 2)), lams, opts)
@@ -183,7 +183,7 @@ def test_batched_transport_keeps_each_rows_accuracy():
     for path, row in zip(paths[1:], batch[1:]):
         np.testing.assert_allclose(row, transport(pot, path, eye[0], lams, opts), rtol=0, atol=1e-7)
     with pytest.raises(ValueError, match="same number of segments"):
-        transport(pot, [hard, DomainPath.polyline([0.5, 0.6, 0.7])], eye[:2], lams, opts)
+        transport(pot, [hard, DomainPath([0.5, 0.6, 0.7])], eye[:2], lams, opts)
 
 
 _spectral_angle = st.floats(0.0, 2.0 * np.pi)

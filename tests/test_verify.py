@@ -163,13 +163,15 @@ def test_node_report_is_one_frame_table(r, t, h):
     smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16,
                       ode=OdeOptions(tolerance=1e-12), iwasawa_tol=1e-12)
     z = complex(r * np.cos(t), r * np.sin(t))
-    with counting("transport") as transports, counting("_rk4_fixed") as hops, counting("iwasawa") as splits:
+    with counting("transport") as transports, counting("iwasawa") as splits:
         inv, geo, cu = node_report(smap, z, h)
-    # one transport to the node, one RK4 hop of all 13 diamond rows, one split per point
+    # one transport to the node, then one sweep from it of the 12 diamond
+    # rows off the centre, and one split per point
     # radial nodes with |z| <= 0.9 are resolved at the start window
-    assert len(transports) == 1 and [path.vertices[-1] for path in transports[0][1]] == [z]
+    assert len(transports) == 2 and [path.vertices[-1] for path in transports[0][1]] == [z]
+    assert len(DIAMOND) == 13 and len(transports[1][1]) == 12
+    assert {path.vertices[0] for path in transports[1][1]} == {z}
     assert inv.window == START_WINDOW
-    assert len(hops) == 1 and hops[0][1].shape[2] == len(DIAMOND) == 13
     assert len(splits) == len(DIAMOND)
     # the single table reproduces the separate reports bit for bit
     assert inv.residuals == invariants_report(smap, z, h).residuals
