@@ -75,6 +75,18 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _as(kind, value, name: str, positive: bool = False):
+    """value read as kind (int or float); a ConfigError naming the key if it
+    is not one, or is not positive where it must be."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} cannot be read as {kind.__name__}: {value!r}") from None
+    if positive and not out > 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return out
+
+
 def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path) as fh:
@@ -114,10 +126,12 @@ def load_config(path: str | Path) -> RunConfig:
     lam = 1.0 + 0.0j
     sweep = None
     if "sweep" in raw:
-        sweep = int(raw["sweep"])
+        sweep = _as(int, raw["sweep"], "sweep")
     elif "lambda0" in raw:
         l0 = raw["lambda0"]
-        lam = complex(float(l0.get("re", 1.0)), float(l0.get("im", 0.0)))
+        if not isinstance(l0, dict):
+            raise ConfigError(f'lambda0 must be an object {{"re": ..., "im": ...}}, got {l0!r}')
+        lam = complex(_as(float, l0.get("re", 1.0), "lambda0.re"), _as(float, l0.get("im", 0.0), "lambda0.im"))
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ConfigError(f"|lambda0| must be 1 (got {abs(lam)!r})")
 
@@ -133,17 +147,22 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = sorted(set(tol) - set(TOLERANCE_NAMES))
     if unknown:
         raise ConfigError(f"unknown tolerance name(s) {unknown}; choose from {list(TOLERANCE_NAMES)}")
+    tolerances = {str(k): _as(float, v, f"tolerances.{k}") for k, v in tol.items()}
+
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
 
     return RunConfig(
         spec=spec,
         grid=grid,
         lambda0=lam,
         sweep=sweep,
-        truncation_n=int(raw.get("truncation_N", DEFAULT_WINDOW_N)),
+        truncation_n=_as(int, raw.get("truncation_N", DEFAULT_WINDOW_N), "truncation_N", positive=True),
         ode=ode,
-        fd_step=float(raw.get("fd_step", 1e-3)),
-        tolerances={str(k): float(v) for k, v in tol.items()},
-        output_dir=Path(raw.get("output_dir", "out")),
+        fd_step=_as(float, raw.get("fd_step", 1e-3), "fd_step", positive=True),
+        tolerances=tolerances,
+        output_dir=Path(output_dir),
         raw=raw,
     )
 
@@ -177,22 +196,11 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_obj(path: Path, verts: list, grid: GridSpec) -> None:
     """Triangulated graph over the grid; invalid vertices keep their slot."""
-    lines = []
-    ok = []
-    for v in verts:
-        if v is None:
-            lines.append("v 0 0 0")
-            ok.append(False)
-        else:
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-            ok.append(True)
-    n_re = grid.n_re
+    ok = [v is not None for v in verts]
+    lines = [f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}" if v is not None else "v 0 0 0" for v in verts]
     for j in range(grid.n_im - 1):
-        for i in range(n_re - 1):
-            a = j * n_re + i
-            b = a + 1
-            c = a + n_re
-            d = c + 1
+        for a in range(j * grid.n_re, (j + 1) * grid.n_re - 1):
+            b, c, d = a + 1, a + grid.n_re, a + grid.n_re + 1
             if ok[a] and ok[b] and ok[c]:
                 lines.append(f"f {a + 1} {b + 1} {c + 1}")
             if ok[b] and ok[d] and ok[c]:
@@ -305,8 +313,7 @@ def _histogram(values: list[float]) -> dict:
 def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     pot = make_potential(cfg.spec)
     _grid_pole_check(pot, cfg.grid)
-    smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode,
-                      iwasawa_tol=1e-12)
+    smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     h = cfg.fd_step
 
     def node_entry(z: complex) -> dict:
@@ -314,12 +321,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             rep, geo, cu = node_report(smap, z, h)
         except (ValueError, RuntimeError) as exc:
             return {"z_re": z.real, "z_im": z.imag, "valid": False, "error": str(exc)}
-        residuals = dict(rep.residuals)
-        residuals["conformal"] = geo.conformal_residual
-        residuals["lagrangian"] = geo.lagrangian_residual
-        residuals["harmonic"] = geo.harmonic_residual
-        residuals["jacobian_sum"] = geo.jacobian_sum
-        residuals["gauss"] = cu.gauss_residual
+        residuals = {**rep.residuals, "conformal": geo.conformal_residual, "lagrangian": geo.lagrangian_residual,
+                     "harmonic": geo.harmonic_residual, "jacobian_sum": geo.jacobian_sum, "gauss": cu.gauss_residual}
         return {
             "z_re": z.real,
             "z_im": z.imag,
@@ -389,12 +392,16 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
 _CLOSING_SAMPLES = (0.8 + 0.2j, 1.1 - 0.4j, -0.6 + 0.9j)
 
 
+def _unitarity(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m @ m.conj().T - np.eye(2)))
+
+
 def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     if cfg.spec.variant == "equivariant":
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
         pot = make_potential(cfg.spec)
-        smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode, iwasawa_tol=1e-12)
+        smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
         deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
         payload = {
             "schema": SCHEMA,
@@ -425,22 +432,11 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         mono = trinoid_monodromies(pot, [lam0, -1j * lam0, *circle], opts=cfg.ode)
         check = trinoid_closing_check(*(tuple(mono[:2, i]) for i in range(3)))
         hol = mono[2:]
-        plain_unit = max(
-            float(np.linalg.norm(h @ h.conj().T - np.eye(2)))
-            for hs in hol for h in hs
-        )
+        plain_unit = max(_unitarity(h) for hs in hol for h in hs)
         # the unitarizer varies with lam: dress each circle sample separately
-        dressed_unit = 0.0
         try:
-            for hs in hol:
-                gauge = unitarizing_gauge(hs)
-                ginv = np.linalg.inv(gauge)
-                for h in hs:
-                    d = gauge @ h @ ginv
-                    dressed_unit = max(
-                        dressed_unit,
-                        float(np.linalg.norm(d @ d.conj().T - np.eye(2))),
-                    )
+            gauges = [unitarizing_gauge(hs) for hs in hol]
+            dressed_unit = max(_unitarity(g @ h @ np.linalg.inv(g)) for g, hs in zip(gauges, hol) for h in hs)
         except ValueError:
             dressed_unit = None
         payload = {
@@ -490,7 +486,7 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     lams = [np.exp(1j * np.pi * k / cfg.sweep) for k in range(cfg.sweep)]
 
     def run_member(lam: complex):
-        smap = SurfaceMap(pot, lam, window=cfg.truncation_n, ode=cfg.ode, iwasawa_tol=1e-12)
+        smap = SurfaceMap(pot, lam, window=cfg.truncation_n, ode=cfg.ode)
         # raw lift phase: the lam0^-2 rotation is a statement about the
         # un-normalized alpha
         return [invariants_report(smap, z, h, phase=1.0 + 0.0j) for z in nodes]

@@ -20,6 +20,10 @@ import numpy as np
 from .holonomy import DomainPath, OdeOptions, circle_path, monodromy
 from .potentials import Potential, trinoid_h
 
+#: distance from +-id (and of H_inf H_1 H_0 from id) within which a trinoid
+#: monodromy counts as closed
+CLOSING_TOL = 1e-6
+
 
 def sphere_frame(z: complex, lam: complex) -> np.ndarray:
     """Unitary frame of the totally geodesic sphere family."""
@@ -312,23 +316,16 @@ def trinoid_admissible(lambda0: complex, v0: float, v1: float, vinf: float) -> A
     )
 
 
-def _is_pm_id(h: np.ndarray, tol: float) -> tuple[bool, float]:
-    d_plus = float(np.abs(h - np.eye(2)).max())
-    d_minus = float(np.abs(h + np.eye(2)).max())
-    return (min(d_plus, d_minus) <= tol), min(d_plus, d_minus)
-
-
 def trinoid_closing_check(
     h0: tuple[np.ndarray, np.ndarray],
     h1: tuple[np.ndarray, np.ndarray],
     hinf: tuple[np.ndarray, np.ndarray],
-    tol: float = 1e-6,
 ) -> ClosingReport:
     """Check the descent conditions on trinoid monodromies.
 
     Each argument is the pair (H at lambda0, H at -i lambda0) for one
-    generator.  closes_q2 requires every matrix within tol of +-id and the
-    product H_inf H_1 H_0 within tol of id at both spectral values;
+    generator.  closes_q2 requires every matrix within ``CLOSING_TOL`` of
+    +-id and the product H_inf H_1 H_0 within it of id at both spectral values;
     closes_s3 additionally requires the matrices be +id (not -id).
     """
     worst = [0.0, 0.0]
@@ -337,15 +334,16 @@ def trinoid_closing_check(
     for pair in (h0, h1, hinf):
         for side in (0, 1):
             m = np.asarray(pair[side], dtype=np.complex128)
-            ok, dev = _is_pm_id(m, tol)
+            d_plus = float(np.abs(m - np.eye(2)).max())
+            dev = min(d_plus, float(np.abs(m + np.eye(2)).max()))
             worst[side] = max(worst[side], dev)
-            all_pm = all_pm and ok
-            all_plus = all_plus and (float(np.abs(m - np.eye(2)).max()) <= tol)
+            all_pm = all_pm and dev <= CLOSING_TOL
+            all_plus = all_plus and d_plus <= CLOSING_TOL
     prod_res = 0.0
     for side in (0, 1):
         prod = np.asarray(hinf[side]) @ np.asarray(h1[side]) @ np.asarray(h0[side])
         prod_res = max(prod_res, float(np.abs(prod - np.eye(2)).max()))
-    closes = all_pm and prod_res <= tol
+    closes = all_pm and prod_res <= CLOSING_TOL
     return ClosingReport(
         mu1=worst[0], mu2=worst[1],
         closes_q2=bool(closes), closes_s3=bool(closes and all_plus),

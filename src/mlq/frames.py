@@ -45,8 +45,8 @@ FRAME_TOL = 1e-6
 START_WINDOW = 8
 
 #: relative edge mass of P = Phi* Phi above which an anchor is read again at
-#: the cap window; far below the split tolerance, because the readout error
-#: follows the edge mass and the quadric and |v| checks see it directly
+#: the cap window; it is set by the readout, not by the split, because the
+#: readout error follows the edge mass and the quadric and |v| checks see it
 EDGE_TOL = 1e-13
 
 #: nodes per adaptive sweep in ``SurfaceMap.samples``; fixed, so a node's
@@ -281,7 +281,6 @@ class SurfaceMap:
         lambda0: complex = 1.0,
         window: int | None = None,
         ode: OdeOptions | None = None,
-        iwasawa_tol: float = 1e-9,
     ) -> None:
         self.pot = pot
         self.lambda0 = complex(lambda0)
@@ -289,7 +288,6 @@ class SurfaceMap:
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.start_window = min(START_WINDOW, self.window)
         self.ode = ode if ode is not None else OdeOptions()
-        self.iwasawa_tol = float(iwasawa_tol)
         # lam0 and -i lam0 are samples 0 and 3N at either window
         self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
         self._xi = {n: xi_sampler(pot, lams) for n, lams in self._lams.items()}
@@ -356,7 +354,7 @@ class SurfaceMap:
         if isinstance(state, Exception):
             return state
         try:
-            res = iwasawa(state, tol=self.iwasawa_tol)
+            res = iwasawa(state)
         except _NODE_ERRORS as exc:
             res = exc
         if state.shape[0] < 4 * self.window and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL):
@@ -391,7 +389,7 @@ class SurfaceMap:
         """The unitary frame at (lam0, -i lam0)."""
         return self._pair(self.unitary_frame(z, winding))
 
-    def frame_pairs(self, z: complex, points, winding: int = 0) -> list[FramePointPair]:
+    def frame_pairs(self, z: complex, points) -> list[FramePointPair]:
         """Frame pairs at points near z, all at z's window, one split per point.
 
         The window is chosen once, from z's own split, so every point shares
@@ -404,15 +402,15 @@ class SurfaceMap:
         """
         z = complex(z)
         points = [complex(p) for p in points]
-        state, anchor = self._anchor(z, winding)
+        state, anchor = self._anchor(z, 0)
         for p in points:
             if p != z:
                 validate_path(DomainPath.line(z, p), self.pot)
-        values = self._frames(points, winding, anchor.window, (z, state))
+        values = self._frames(points, 0, anchor.window, (z, state))
         for y in values:
             if isinstance(y, Exception):
                 raise y
-        return [self._pair(anchor if p == z else iwasawa(y, tol=self.iwasawa_tol)) for p, y in zip(points, values)]
+        return [self._pair(anchor if p == z else iwasawa(y)) for p, y in zip(points, values)]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
@@ -442,7 +440,7 @@ class SurfaceMap:
                 error = f"P is unresolved at window N = {res.window} (edge mass {res.edge_mass:.2e}): {error}"
             return SurfaceSample(z=z, valid=False, error=error)
 
-    def samples(self, nodes, winding: int = 0) -> list[SurfaceSample]:
+    def samples(self, nodes) -> list[SurfaceSample]:
         """Surface samples at every node, in order.
 
         The nodes run ``NODE_CHUNK`` at a time, each chunk at the start
@@ -453,11 +451,11 @@ class SurfaceMap:
         zs = [complex(z) for z in nodes]
         out = []
         for chunk in node_chunks(zs):
-            out += [self._read(z, res) for z, res in zip(chunk, self._anchors(chunk, winding)[1])]
+            out += [self._read(z, res) for z, res in zip(chunk, self._anchors(chunk, 0)[1])]
         return out
 
-    def sample(self, z: complex, winding: int = 0) -> SurfaceSample:
-        return self.samples([z], winding)[0]
+    def sample(self, z: complex) -> SurfaceSample:
+        return self.samples([z])[0]
 
 
 def node_chunks(nodes: list) -> list[list]:

@@ -11,13 +11,13 @@ B_0..B_{2N-1} off the last block row.  The same coefficients give P's
 relative edge mass, the norm of its modes |k| >= 2N - 2 over that of P_0:
 the measure of how far P is from being resolved on the 4N samples, which
 ``SurfaceMap`` reads to choose its window.  The section size is grown until
-B* B - P, evaluated at the 4N samples, is below tolerance; those samples
-resolve every mode of B* B - P, so the check misses no part of it.  The
-truncation error falls geometrically in the section size, so a doubling
-that fails to halve the residual has met rounding, and the split stops.
-B's values at the samples come from one zero-padded inverse FFT, and
-F = Phi B^{-1} is formed and returned there: it is never projected onto a
-coefficient window, so no Laurent mode of F is dropped.
+B* B - P, evaluated at the 4N samples, is at most ``SPLIT_TOL`` ||P||^2;
+those samples resolve every mode of B* B - P, so the check misses no part
+of it.  The truncation error falls geometrically in the section size, so a
+doubling that fails to halve the residual has met rounding, and the split
+stops.  B's values at the samples come from one zero-padded inverse FFT,
+and F = Phi B^{-1} is formed and returned there: it is never projected onto
+a coefficient window, so no Laurent mode of F is dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ import numpy as np
 
 from .loops import coefficients, plus_values
 
-DEFAULT_TOL = 1e-9
+#: the split accepts B once max_j ||B_j* B_j - P_j|| <= SPLIT_TOL max_j ||P_j||^2: the
+#: residual's float64 floor is 1e-17 to 8e-16 of ||P||^2 (= cond P, as det P = 1), so
+#: one relative bound decides every split by its input, not by the last bits of Phi
+SPLIT_TOL = 1e-14
 
 #: times the Toeplitz section may double before the split gives up
 MAX_DOUBLINGS = 6
@@ -73,8 +76,9 @@ def _window(values: np.ndarray) -> int:
     return values.shape[0] // 4
 
 
-def _positivity_precheck(vals: np.ndarray) -> None:
-    """Raise unless the loop, given by its values at the samples, is Hermitian positive."""
+def _positivity_precheck(vals: np.ndarray) -> float:
+    """max_j ||P_j||, the largest eigenvalue of the loop at its samples;
+    raise unless the loop is Hermitian positive there."""
     herm = np.linalg.norm(vals - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2))
     worst = int(np.argmax(herm))
     if herm[worst] > 1e-6 * max(1.0, float(np.abs(vals).max())):
@@ -90,6 +94,7 @@ def _positivity_precheck(vals: np.ndarray) -> None:
             f"loop is not positive definite at sample {bad} of {vals.shape[0]} "
             f"(min eigenvalue {eigs.min():.3e})"
         )
+    return float(eigs.max())
 
 
 def _bauer_read(p: np.ndarray, m: int) -> np.ndarray:
@@ -130,7 +135,7 @@ def _edge_mass(c: np.ndarray) -> float:
     return float(np.linalg.norm(edge, axis=(1, 2)).sum() / np.linalg.norm(c[0]))
 
 
-def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def spectral_factor_plus(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Plus loop B with B* B = P on the circle, B(0) upper triangular positive,
     and P's relative edge mass.
 
@@ -140,17 +145,18 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     polynomials by the matrix Fejer-Riesz theorem) and is returned as its
     coefficients B_0..B_{2N-1}, shape (2N, 2, 2).  The Toeplitz section
     starts at 2x the degree of P and doubles until B* B - P, checked at the
-    4N samples, is below tol; ConvergenceError once a doubling fails to
-    halve that residual, or after ``MAX_DOUBLINGS``.  The edge mass,
-    sum_{|k| >= 2N-2} ||P_k|| / ||P_0||, is read off the same FFT: it
-    measures how much of P the 4N samples leave unresolved.
+    4N samples, is at most ``SPLIT_TOL`` max_j ||P_j||^2; ConvergenceError
+    once a doubling fails to halve that residual, or after
+    ``MAX_DOUBLINGS``.  The edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0||,
+    is read off the same FFT: it measures how much of P the 4N samples
+    leave unresolved.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = _window(values)
     c = coefficients(values)
     # P at the samples, less its Nyquist mode: these resolve all of B* B - P
     p_vals = values - c[2 * n] * ((-1) ** np.arange(4 * n))[:, None, None]
-    _positivity_precheck(p_vals)
+    bound = SPLIT_TOL * _positivity_precheck(p_vals) ** 2
     degree = 2 * n - 1
     p = c[np.arange(-degree, degree + 1) % (4 * n)]
     m = max(2 * degree, 8)
@@ -158,14 +164,14 @@ def spectral_factor_plus(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[
     for doubling in range(MAX_DOUBLINGS + 1):
         b = _bauer_read(p, m)
         residual = _factor_residual(b, p_vals)
-        if residual <= tol:
+        if residual <= bound:
             return b, _edge_mass(c)
         if doubling == MAX_DOUBLINGS or residual > 0.5 * last_residual:
             break
         last_residual = residual
         m *= 2
     raise ConvergenceError(
-        f"spectral factor residual {residual:.3e} > tol {tol:.1e} "
+        f"spectral factor residual {residual:.3e} > {bound:.1e} = {SPLIT_TOL:.0e} ||P||^2 "
         f"with a Toeplitz section of {m + 1} blocks"
     )
 
@@ -178,7 +184,7 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * d[None, :], r / d[:, None]
 
 
-def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
+def iwasawa(values: np.ndarray) -> IwasawaResult:
     """Normalized Iwasawa splitting of a loop given at ``window_samples(N)``.
 
     ``values`` has shape (4N, 2, 2); N is read off its length, and
@@ -197,7 +203,7 @@ def iwasawa(values: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaResult:
     values = np.asarray(values, dtype=np.complex128)
     _window(values)
     gram = np.conj(values.transpose(0, 2, 1)) @ values
-    b, edge_mass = spectral_factor_plus(gram, tol=tol)
+    b, edge_mass = spectral_factor_plus(gram)
 
     # constant correction: exact normalization of the constant term
     q, _ = _qr_positive(b[0])

@@ -36,6 +36,9 @@ CROSS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 DEGENERACY_EPS = 1e-12
 
+#: e^2u - |alpha|^2 below -METRIC_RELATION_TOL max(e^2u, 1) violates the metric relation
+METRIC_RELATION_TOL = 1e-8
+
 
 class DegeneracyError(ValueError):
     """The sampled map is not an immersion at this node (e^u ~ 0)."""
@@ -136,10 +139,10 @@ def _point_invariants(vals: Mapping, h: float, at):
     return eu, _bilinear(fz, fz), _bilinear(fz, fzb)
 
 
-def _u_hat_of(eu: float, alpha: complex, tol: float = 1e-8) -> float:
+def _u_hat_of(eu: float, alpha: complex) -> float:
     disc = eu * eu - abs(alpha) ** 2
     scale = max(eu * eu, 1.0)
-    if disc < -tol * scale:
+    if disc < -METRIC_RELATION_TOL * scale:
         raise ConsistencyError(
             f"e^2u - |alpha|^2 = {disc:.3e} < 0; metric relation violated"
         )
@@ -163,12 +166,9 @@ def _quarter_turn_phase(alpha: complex, beta: complex, eu: float) -> complex:
     the choice exact and leaves genuine phase drift visible in the
     beta_phase residual.
     """
-    if abs(beta) > 1e-9 * eu:
-        k = int(round(np.angle(beta) / (np.pi / 2)))
-        return (-1j) ** k
-    if abs(alpha) > 1e-9 * eu:
-        k = int(round(np.angle(alpha) / (np.pi / 2)))
-        return (-1j) ** k
+    for w in (beta, alpha):
+        if abs(w) > 1e-9 * eu:
+            return (-1j) ** int(round(np.angle(w) / (np.pi / 2)))
     return 1.0 + 0.0j
 
 

@@ -23,7 +23,6 @@ def tight_map(spec, lambda0=1.0 + 0.0j, window=16, **kwargs) -> SurfaceMap:
         lambda0,
         window=window,
         ode=TIGHT_ODE,
-        iwasawa_tol=1e-12,
         **kwargs,
     )
 

@@ -66,7 +66,6 @@ def _tight_map(spec, lambda0=1.0 + 0.0j, **kwargs):
         lambda0,
         window=kwargs.pop("window", 16),
         ode=OdeOptions(tolerance=1e-12),
-        iwasawa_tol=1e-12,
         **kwargs,
     )
 

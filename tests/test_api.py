@@ -1,7 +1,12 @@
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import mlq
+from mlq.frames import SurfaceMap
+from mlq.iwasawa import iwasawa, spectral_factor_plus
 
 
 def test_every_exported_name_resolves():
@@ -74,3 +79,21 @@ def test_no_test_only_code():
     assert sorted(defined - used - NO_SRC_CALLER) == []
     assert sorted(read_in_src - used - attrs) == []
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in attrs) == sorted(NO_SRC_READ)
+
+
+#: parameters of the split and of the SurfaceMap entry points: the split rule
+#: is one constant (``iwasawa.SPLIT_TOL``) and winding reaches only the deck
+#: check's ``lift``, so neither a tolerance nor a winding knob may come back
+SIGNATURES = [
+    (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
+    (SurfaceMap.samples, ["self", "nodes"]),
+    (SurfaceMap.sample, ["self", "z"]),
+    (SurfaceMap.frame_pairs, ["self", "z", "points"]),
+    (iwasawa, ["values"]),
+    (spectral_factor_plus, ["values"]),
+]
+
+
+@pytest.mark.parametrize("fn, params", SIGNATURES, ids=[fn.__qualname__ for fn, _ in SIGNATURES])
+def test_no_knob_comes_back(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

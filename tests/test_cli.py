@@ -92,6 +92,32 @@ def test_load_config_rejections(tmp_path):
     assert main(["generate", "--config", removed_ode, "--out", str(tmp_path / "g")]) == EXIT_USAGE
 
 
+#: malformed values, each a config error (exit 2) and not a crash or a run
+#: whose every node fails; a key names the value its error must name
+BAD_VALUES = {
+    "lambda0_as_a_pair": ("lambda0", {"lambda0": [0.0, 1.0]}),
+    "lambda0_re_not_a_number": ("lambda0.re", {"lambda0": {"re": "one"}}),
+    "sweep_not_a_number": ("sweep", {"sweep": "many"}),
+    "truncation_N_not_a_number": ("truncation_N", {"truncation_N": "x"}),
+    "truncation_N_negative": ("truncation_N", {"truncation_N": -4}),
+    "truncation_N_zero": ("truncation_N", {"truncation_N": 0}),
+    "fd_step_not_a_number": ("fd_step", {"fd_step": "h"}),
+    "fd_step_zero": ("fd_step", {"fd_step": 0}),
+    "tolerance_not_a_number": ("tolerances.quadric", {"tolerances": {"quadric": "tight"}}),
+    "output_dir_not_a_path": ("output_dir", {"output_dir": 7}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_malformed_values_are_config_errors(tmp_path, name):
+    key, overrides = BAD_VALUES[name]
+    path = write_cfg(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "g")]) == EXIT_USAGE
+    assert not (tmp_path / "g").exists()
+
+
 #: potentials that parse but that make_potential rejects
 BAD_POTENTIALS = {
     "radial_c_on_the_circle": {"variant": "radial", "c": [1, 0], "k": 1},
@@ -258,6 +284,27 @@ def test_verify_gates(tmp_path):
     assert report["n_gauss_skipped"] == 4
     assert report["checks"]["gauss"] == {"max": None, "bound": 1.0, "evaluated": 0, "pass": False}
     assert "gauss" not in report["max_residuals"]
+
+
+def test_generate_and_verify_read_the_same_nodes_near_the_pole(tmp_path):
+    # at z = 0.05, 0.03 from the pole, F is unitary to ~4e-11 and the factor
+    # residual's floor is ~2e-11 absolute: every command splits by the one
+    # rule relative to ||P||^2, so generate and verify read the same nodes
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+        grid={"re_min": 0.03, "re_max": 0.09, "n_re": 4,
+              "im_min": -0.03, "im_max": 0.03, "n_im": 3},
+        truncation_N=16,
+    )
+    gen, ver = tmp_path / "g", tmp_path / "v"
+    assert main(["generate", "--config", cfg, "--out", str(gen), "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", "--config", cfg, "--out", str(ver), "--jobs", "1"]) == EXIT_OK
+    meta = json.loads((gen / "meta.json").read_text())
+    report = json.loads((ver / "report.json").read_text())
+    assert meta["n_nodes"] == len(report["nodes"]) == 12
+    assert meta["n_failed"] == report["n_failed"] == 0
+    assert 0.05 in [n["z_re"] for n in report["nodes"]]
 
 
 def test_verify_keeps_skipped_gauss_terms_out_of_the_gate(tmp_path):

@@ -161,7 +161,7 @@ def counting(name: str):
 )
 def test_node_report_is_one_frame_table(r, t, h):
     smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16,
-                      ode=OdeOptions(tolerance=1e-12), iwasawa_tol=1e-12)
+                      ode=OdeOptions(tolerance=1e-12))
     z = complex(r * np.cos(t), r * np.sin(t))
     with counting("transport") as transports, counting("iwasawa") as splits:
         inv, geo, cu = node_report(smap, z, h)
