@@ -77,10 +77,13 @@ class RunConfig:
 
 def _as(kind, value, name: str, positive: bool = False):
     """value read as kind (int or float); a ConfigError naming the key if it
-    is not one, or is not positive where it must be."""
+    is not one (a bool, or a fraction for an int; "10" reads as 10), or is
+    not positive where it must be."""
     try:
         out = kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool) or (kind is int and out != float(value)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} cannot be read as {kind.__name__}: {value!r}") from None
     if positive and not out > 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
@@ -113,8 +116,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config needs a 'grid' object")
     try:
         grid = GridSpec(
-            re_min=float(g["re_min"]), re_max=float(g["re_max"]), n_re=int(g["n_re"]),
-            im_min=float(g["im_min"]), im_max=float(g["im_max"]), n_im=int(g["n_im"]),
+            re_min=float(g["re_min"]), re_max=float(g["re_max"]), n_re=_as(int, g["n_re"], "grid.n_re"),
+            im_min=float(g["im_min"]), im_max=float(g["im_max"]), n_im=_as(int, g["n_im"], "grid.n_im"),
         )
     except KeyError as exc:
         raise ConfigError(f"grid is missing {exc}") from None
@@ -283,7 +286,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         ),
         "ode_steps": smap.ode_counts.steps,
         "ode_rhs_calls": smap.ode_counts.rhs_calls,
-        "window_counts": _window_counts(s.diagnostics["window"] for s in samples if s.valid),
+        "window_counts": _counts(s.diagnostics["window"] for s in samples if s.valid),
+        "section_counts": _counts(s.diagnostics["section"] for s in samples if s.valid),
     }
     _write_json(out_dir / "meta.json", meta)
     if failures and len(failures) == len(samples):
@@ -293,9 +297,9 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     return EXIT_OK
 
 
-def _window_counts(windows) -> dict[str, int]:
-    """How many valid nodes were read at each window N, keyed by str(N)."""
-    return {str(n): count for n, count in sorted(Counter(windows).items())}
+def _counts(values) -> dict[str, int]:
+    """How many valid nodes had each window N (or section size), keyed by str(N)."""
+    return {str(n): count for n, count in sorted(Counter(values).items())}
 
 
 def _histogram(values: list[float]) -> dict:
@@ -328,6 +332,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             "z_im": z.imag,
             "valid": True,
             "window": rep.window,
+            "section": rep.section,
             "u": rep.u,
             "u_hat": rep.u_hat,
             "alpha": [rep.alpha.real, rep.alpha.imag],
@@ -374,7 +379,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "n_gauss_skipped": sum(r["gauss_skipped"] for r in valid),
         "max_residuals": max_residuals,
         "histograms": histograms,
-        "window_counts": _window_counts(r["window"] for r in valid),
+        "window_counts": _counts(r["window"] for r in valid),
+        "section_counts": _counts(r["section"] for r in valid),
         "checks": checks,
         "pass": passed,
     })

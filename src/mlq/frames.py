@@ -142,8 +142,10 @@ class FramePointPair:
     F1: np.ndarray
     F2: np.ndarray
     lambda0: complex = 1.0 + 0.0j
-    #: window N the pair was read at; None for a pair built from closed-form frames
+    #: window N the pair was read at, and the blocks of the Toeplitz section its
+    #: split accepted; None for a pair built from closed-form frames
     window: int | None = None
+    section: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
@@ -264,15 +266,16 @@ class SurfaceMap:
     whose error norm is the maximum over its nodes of each node's RMS, so
     no node gets a looser step than it would get alone.  ``samples`` runs a
     grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
-    nodes together at the cap; ``sample(z)`` and every anchor are a chunk
-    of one.  A node whose route fails validation, or whose sweep fails
-    again when rerun alone, is invalid and carries its own error.
+    nodes together at the cap; each pass is split by one batched
+    ``iwasawa`` call, and ``sample(z)`` and every anchor are a chunk of
+    one.  A node whose route, sweep or split fails is invalid and carries
+    its own error.
     ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
     of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
     its centre's window by the same ``_frames``, started from the centre's
-    values, so finite differences see a smooth function limited only by
-    roundoff.  Nothing is cached and the counts are locked, so a map may
-    be shared between threads.
+    values, and splits its points in one call, so finite differences see a
+    smooth function limited only by roundoff.  Nothing is cached and the
+    counts are locked, so a map may be shared between threads.
     """
 
     def __init__(
@@ -347,28 +350,18 @@ class SurfaceMap:
             out[i] = state
         return out
 
-    def _split(self, state):
-        """The split of a node's frame values, the error that stops the node,
-        or None where the node is read again at the cap: below the cap, a
-        split that fails or leaves P an edge mass above ``EDGE_TOL``."""
-        if isinstance(state, Exception):
-            return state
-        try:
-            res = iwasawa(state)
-        except _NODE_ERRORS as exc:
-            res = exc
-        if state.shape[0] < 4 * self.window and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL):
-            return None
-        return res
-
     def _anchors(self, zs: list[complex], winding: int) -> tuple[list, list]:
         """Frame values and their split, or the error that stops the node, at
-        each z, at the window the rule chooses for it."""
+        each z, at the window the rule chooses for it; one split per window."""
         states = self._frames(zs, winding, self.start_window)
-        splits = [self._split(state) for state in states]
-        again = [i for i, res in enumerate(splits) if res is None]
-        for i, state in zip(again, self._frames([zs[i] for i in again], winding, self.window)):
-            states[i], splits[i] = state, self._split(state)
+        splits = _split_rows(states)
+        # below the cap, a split that fails or leaves P an edge mass above EDGE_TOL is read again there
+        again = [i for i, (state, res) in enumerate(zip(states, splits))
+                 if self.start_window < self.window and not isinstance(state, Exception)
+                 and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL)]
+        capped = self._frames([zs[i] for i in again], winding, self.window)
+        for i, state, res in zip(again, capped, _split_rows(capped)):
+            states[i], splits[i] = state, res
         return states, splits
 
     def _anchor(self, z: complex, winding: int) -> tuple[np.ndarray, IwasawaResult]:
@@ -379,7 +372,7 @@ class SurfaceMap:
         return state, res
 
     def _pair(self, res: IwasawaResult) -> FramePointPair:
-        return FramePointPair(res.F[0], res.F[3 * res.window], self.lambda0, res.window)
+        return FramePointPair(res.F[0], res.F[3 * res.window], self.lambda0, res.window, res.section)
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
@@ -390,7 +383,7 @@ class SurfaceMap:
         return self._pair(self.unitary_frame(z, winding))
 
     def frame_pairs(self, z: complex, points) -> list[FramePointPair]:
-        """Frame pairs at points near z, all at z's window, one split per point.
+        """Frame pairs at points near z, all at z's window, one split for all.
 
         The window is chosen once, from z's own split, so every point shares
         z's truncation.  The points' values are carried from z's by
@@ -406,11 +399,12 @@ class SurfaceMap:
         for p in points:
             if p != z:
                 validate_path(DomainPath.line(z, p), self.pot)
-        values = self._frames(points, 0, anchor.window, (z, state))
-        for y in values:
-            if isinstance(y, Exception):
-                raise y
-        return [self._pair(anchor if p == z else iwasawa(y)) for p, y in zip(points, values)]
+        off = iter(_split_rows(self._frames([p for p in points if p != z], 0, anchor.window, (z, state))))
+        splits = [anchor if p == z else next(off) for p in points]
+        for res in splits:
+            if isinstance(res, Exception):
+                raise res
+        return [self._pair(res) for res in splits]
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
@@ -432,7 +426,7 @@ class SurfaceMap:
                 s2_pair=sphere_pair(fp),
                 s3_pair=(quat_components(x), quat_components(y)),
                 diagnostics={"unitarity_error": res.unitarity_error, "window": res.window,
-                             "edge_mass": res.edge_mass},
+                             "edge_mass": res.edge_mass, "section": res.section},
             )
         except _NODE_ERRORS as exc:
             error = str(exc)
@@ -456,6 +450,17 @@ class SurfaceMap:
 
     def sample(self, z: complex) -> SurfaceSample:
         return self.samples([z])[0]
+
+
+def _split_rows(states: list) -> list:
+    """The split of each frame in ``states`` by one ``iwasawa`` call, or the
+    error that stops it; an error in ``states`` keeps its slot."""
+    rows = [i for i, state in enumerate(states) if not isinstance(state, Exception)]
+    out = list(states)
+    if rows:
+        for i, res in zip(rows, iwasawa(np.stack([states[i] for i in rows]))):
+            out[i] = res
+    return out
 
 
 def node_chunks(nodes: list) -> list[list]:

@@ -18,6 +18,10 @@ doubling that fails to halve the residual has met rounding, and the split
 stops.  B's values at the samples come from one zero-padded inverse FFT,
 and F = Phi B^{-1} is formed and returned there: it is never projected onto
 a coefficient window, so no Laurent mode of F is dropped.
+
+A stack of loops, shape (B, 4N, 2, 2), is split in one pass, one stacked
+Cholesky per section over the rows still doubling; each row keeps its own
+checks and error, and the bits it gets alone, as a stack of one.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ class IwasawaResult:
     B: np.ndarray
     unitarity_error: float
     edge_mass: float
+    #: blocks in the Toeplitz section the split accepted
+    section: int
 
     @property
     def window(self) -> int:
@@ -70,121 +76,140 @@ class IwasawaResult:
 
 
 def _window(values: np.ndarray) -> int:
-    """N of a loop given at the 4N roots of unity; ValueError for any other shape."""
-    if values.ndim != 3 or values.shape[1:] != (2, 2) or values.shape[0] < 4 or values.shape[0] % 4:
-        raise ValueError(f"need loop values at 4N roots of unity, shape (4N, 2, 2); got {values.shape}")
-    return values.shape[0] // 4
+    """N of a loop, or a stack of loops, given at the 4N roots of unity; ValueError for any other shape."""
+    if values.ndim not in (3, 4) or values.shape[-2:] != (2, 2) or values.shape[-3] < 4 or values.shape[-3] % 4:
+        raise ValueError(f"need loop values at 4N roots of unity, shape ([B,] 4N, 2, 2); got {values.shape}")
+    return values.shape[-3] // 4
 
 
-def _positivity_precheck(vals: np.ndarray) -> float:
-    """max_j ||P_j||, the largest eigenvalue of the loop at its samples;
-    raise unless the loop is Hermitian positive there."""
-    herm = np.linalg.norm(vals - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2))
-    worst = int(np.argmax(herm))
-    if herm[worst] > 1e-6 * max(1.0, float(np.abs(vals).max())):
-        raise FactorizationError(
-            f"loop is not Hermitian on the circle: deviation {herm[worst]:.3e} "
-            f"at sample {worst} of {vals.shape[0]}"
-        )
-    sym = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs.min() <= 0:
-        bad = int(np.argmin(eigs.min(axis=1)))
-        raise FactorizationError(
-            f"loop is not positive definite at sample {bad} of {vals.shape[0]} "
-            f"(min eigenvalue {eigs.min():.3e})"
-        )
-    return float(eigs.max())
+def _single(rows: list):
+    """The one row of a split called on a single loop: its result, or its error raised."""
+    (row,) = rows
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
-def _bauer_read(p: np.ndarray, m: int) -> np.ndarray:
-    """Cholesky of the (m+1)-block Toeplitz section; last row gives the factor.
+def _positivity_precheck(vals: np.ndarray) -> list:
+    """Each row's max_j ||P_j||, the largest eigenvalue of its loop at its
+    samples, or its FactorizationError where that loop is not Hermitian
+    positive there."""
+    herm = np.linalg.norm(vals - np.conj(np.swapaxes(vals, -1, -2)), axis=(-2, -1))
+    eigs = np.linalg.eigvalsh(0.5 * (vals + np.conj(np.swapaxes(vals, -1, -2))))
+    out = []
+    for h, e, row in zip(herm, eigs, vals):
+        worst, least = int(np.argmax(h)), e.min(axis=1)
+        if h[worst] > 1e-6 * max(1.0, float(np.abs(row).max())):
+            out.append(FactorizationError(
+                f"loop is not Hermitian on the circle: deviation {h[worst]:.3e} at sample {worst} of {len(h)}"))
+        elif least.min() <= 0:
+            out.append(FactorizationError(f"loop is not positive definite at sample {int(np.argmin(least))} "
+                                          f"of {len(h)} (min eigenvalue {least.min():.3e})"))
+        else:
+            out.append(float(e.max()))
+    return out
 
-    ``p[k + d]`` is P_k for |k| <= d, d <= m; returns B_0..B_d.
+
+def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
+    """Cholesky of each row's (m+1)-block Toeplitz section; its last block
+    row gives the factor.
+
+    ``p[:, k + d]`` is a row's P_k for |k| <= d, d <= m; returns each row's
+    B_0..B_d, and the FactorizationError of each row (by index) whose
+    section is not positive definite.
     """
-    d = p.shape[0] // 2
+    d = p.shape[1] // 2
     size = 2 * (m + 1)
     # block (i, j) of the section is the coefficient P_{j-i}, read from P
     # padded onto [-m, m] in one gather
-    padded = np.zeros((2 * m + 1, 2, 2), dtype=np.complex128)
-    padded[m - d : m + d + 1] = p
+    padded = np.zeros((len(p), 2 * m + 1, 2, 2), dtype=np.complex128)
+    padded[:, m - d : m + d + 1] = p
     idx = np.arange(m + 1)
-    t2 = padded[idx[None, :] - idx[:, None] + m].transpose(0, 2, 1, 3).reshape(size, size)
-    t2 = 0.5 * (t2 + t2.conj().T)
+    t2 = padded[:, idx[None, :] - idx[:, None] + m].transpose(0, 1, 3, 2, 4).reshape(-1, size, size)
+    t2 += np.conj(np.swapaxes(t2, -1, -2))
+    t2 *= 0.5
+    failed = {}
     try:
         low = np.linalg.cholesky(t2)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}") from exc
+    except np.linalg.LinAlgError:
+        # some row is not positive definite: find it, one row at a time
+        low = np.full_like(t2, np.nan)
+        for i, t in enumerate(t2):
+            try:
+                low[i] = np.linalg.cholesky(t)
+            except np.linalg.LinAlgError as exc:
+                failed[i] = FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}")
     # B_n is the conjugate transpose of block m - n of the last block row
-    row = low[2 * m : 2 * m + 2].reshape(2, m + 1, 2).transpose(1, 0, 2)
-    return row[m - d :][::-1].conj().transpose(0, 2, 1)
+    row = low[:, 2 * m : 2 * m + 2].reshape(-1, 2, m + 1, 2).transpose(0, 2, 1, 3)
+    return np.conj(np.swapaxes(row[:, m - d :][:, ::-1], -1, -2)), failed
 
 
-def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> float:
-    """max_j ||B(omega^j)^* B(omega^j) - P_j|| over the samples of P."""
-    bv = plus_values(b, p_vals.shape[0])
-    diff = np.conj(bv.transpose(0, 2, 1)) @ bv - p_vals
-    return float(np.linalg.norm(diff, axis=(1, 2)).max())
+def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> np.ndarray:
+    """max_j ||B(omega^j)^* B(omega^j) - P_j|| over the samples of P, for each row of a stack."""
+    bv = plus_values(b, p_vals.shape[-3])
+    diff = np.conj(np.swapaxes(bv, -1, -2)) @ bv - p_vals
+    return np.linalg.norm(diff, axis=(-2, -1)).max(axis=-1)
 
 
-def _edge_mass(c: np.ndarray) -> float:
-    """sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| of P's coefficients c at 4N samples."""
-    n = c.shape[0] // 4
+def _edge_mass(c: np.ndarray) -> np.ndarray:
+    """sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| of each row's coefficients c at 4N samples."""
+    n = c.shape[-3] // 4
     # entries 2N-2..2N+2 hold k = 2N-2, 2N-1, the Nyquist mode, -(2N-1), -(2N-2)
-    edge = c[2 * n - 2 : 2 * n + 3]
-    return float(np.linalg.norm(edge, axis=(1, 2)).sum() / np.linalg.norm(c[0]))
+    edge = c[:, 2 * n - 2 : 2 * n + 3]
+    return np.linalg.norm(edge, axis=(-2, -1)).sum(axis=-1) / np.linalg.norm(c[:, 0], axis=(-2, -1))
 
 
-def spectral_factor_plus(values: np.ndarray) -> tuple[np.ndarray, float]:
+def spectral_factor_plus(values: np.ndarray):
     """Plus loop B with B* B = P on the circle, B(0) upper triangular positive,
-    and P's relative edge mass.
+    P's relative edge mass, and the blocks of the Toeplitz section accepted.
 
     P comes as its values at ``window_samples(N)``, shape (4N, 2, 2).  Its
     modes |k| <= 2N - 1 are factorized; the Nyquist mode k = 2N is dropped.
     B has the polynomial degree of P (sufficient for positive Laurent
     polynomials by the matrix Fejer-Riesz theorem) and is returned as its
     coefficients B_0..B_{2N-1}, shape (2N, 2, 2).  The Toeplitz section
-    starts at 2x the degree of P and doubles until B* B - P, checked at the
-    4N samples, is at most ``SPLIT_TOL`` max_j ||P_j||^2; ConvergenceError
-    once a doubling fails to halve that residual, or after
+    starts at P's degree, 2N blocks, and doubles until B* B - P, checked at
+    the 4N samples, is at most ``SPLIT_TOL`` max_j ||P_j||^2;
+    ConvergenceError once a doubling fails to halve that residual, or after
     ``MAX_DOUBLINGS``.  The edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0||,
     is read off the same FFT: it measures how much of P the 4N samples
-    leave unresolved.
+    leave unresolved.  For a stack, shape (B, 4N, 2, 2), a list with each
+    row's (B, edge mass, blocks) or the error that stops that row.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = _window(values)
+    if values.ndim == 3:
+        return _single(spectral_factor_plus(values[None]))
     c = coefficients(values)
     # P at the samples, less its Nyquist mode: these resolve all of B* B - P
-    p_vals = values - c[2 * n] * ((-1) ** np.arange(4 * n))[:, None, None]
-    bound = SPLIT_TOL * _positivity_precheck(p_vals) ** 2
+    p_vals = values - c[:, 2 * n, None] * ((-1) ** np.arange(4 * n))[:, None, None]
+    tops = _positivity_precheck(p_vals)
+    out, edge = list(tops), _edge_mass(c)
     degree = 2 * n - 1
-    p = c[np.arange(-degree, degree + 1) % (4 * n)]
-    m = max(2 * degree, 8)
-    last_residual = np.inf
-    for doubling in range(MAX_DOUBLINGS + 1):
-        b = _bauer_read(p, m)
-        residual = _factor_residual(b, p_vals)
-        if residual <= bound:
-            return b, _edge_mass(c)
-        if doubling == MAX_DOUBLINGS or residual > 0.5 * last_residual:
-            break
-        last_residual = residual
-        m *= 2
-    raise ConvergenceError(
-        f"spectral factor residual {residual:.3e} > {bound:.1e} = {SPLIT_TOL:.0e} ||P||^2 "
-        f"with a Toeplitz section of {m + 1} blocks"
-    )
+    p = c[:, np.arange(-degree, degree + 1) % (4 * n)]
+    # the rows still doubling, each with its last residual
+    todo = {i: np.inf for i, top in enumerate(tops) if not isinstance(top, Exception)}
+    m, doubling = degree, 0
+    while todo:
+        b, failed = _bauer_read(p[list(todo)], m)
+        residual = _factor_residual(b, p_vals[list(todo)])
+        going = {}
+        for k, (i, last) in enumerate(todo.items()):
+            bound = SPLIT_TOL * tops[i] ** 2
+            if k in failed:
+                out[i] = failed[k]
+            elif residual[k] <= bound:
+                out[i] = (b[k], float(edge[i]), m + 1)
+            elif doubling == MAX_DOUBLINGS or residual[k] > 0.5 * last:
+                out[i] = ConvergenceError(f"spectral factor residual {residual[k]:.3e} > {bound:.1e} = "
+                                          f"{SPLIT_TOL:.0e} ||P||^2 with a Toeplitz section of {m + 1} blocks")
+            else:
+                going[i] = residual[k]
+        todo, m, doubling = going, 2 * m, doubling + 1
+    return out
 
 
-def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR with the diagonal of R made real positive (phases moved into Q)."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))
-    return q * d[None, :], r / d[:, None]
-
-
-def iwasawa(values: np.ndarray) -> IwasawaResult:
+def iwasawa(values: np.ndarray):
     """Normalized Iwasawa splitting of a loop given at ``window_samples(N)``.
 
     ``values`` has shape (4N, 2, 2); N is read off its length, and
@@ -193,7 +218,9 @@ def iwasawa(values: np.ndarray) -> IwasawaResult:
     correction pins B_0 exactly upper triangular with positive diagonal,
     absorbing the unitary part into F.  F = Phi B^{-1} stays at the samples.
     The result carries the relative edge mass of P = Phi* Phi from the
-    coefficients the factorization already computed (``IwasawaResult``).
+    coefficients the factorization already computed, and the blocks of the
+    Toeplitz section it accepted (``IwasawaResult``).  For a stack, shape
+    (B, 4N, 2, 2), a list with each row's result or the error that stops it.
 
     Samples of Phi on a rotated circle, values[j] = Phi(lam0 omega^j) with
     |lam0| = 1, split as they are: mu -> Phi(lam0 mu) has the splitting
@@ -202,17 +229,27 @@ def iwasawa(values: np.ndarray) -> IwasawaResult:
     """
     values = np.asarray(values, dtype=np.complex128)
     _window(values)
-    gram = np.conj(values.transpose(0, 2, 1)) @ values
-    b, edge_mass = spectral_factor_plus(gram)
+    if values.ndim == 3:
+        return _single(iwasawa(values[None]))
+    out = spectral_factor_plus(np.conj(np.swapaxes(values, -1, -2)) @ values)
+    ok = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
+    if not ok:
+        return out
+    b = np.stack([out[i][0] for i in ok])
+    # constant correction: exact normalization of the constant term, by the Q
+    # of B_0 = Q R with R's diagonal made real positive
+    q, r = np.linalg.qr(b[:, 0])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))[:, None, :]
+    b = np.conj(np.swapaxes(q, -1, -2))[:, None] @ b
+    b[:, 0] = np.triu(b[:, 0])
+    diag = (slice(None), 0, [0, 1], [0, 1])
+    b.real[diag] = np.abs(b.real[diag])
+    b.imag[diag] = 0.0
 
-    # constant correction: exact normalization of the constant term
-    q, _ = _qr_positive(b[0])
-    b = np.einsum("ij,kjl->kil", q.conj().T, b)
-    b[0] = np.triu(b[0])
-    b[0].real[np.diag_indices(2)] = np.abs(b[0].diagonal().real)
-    b[0].imag[np.diag_indices(2)] = 0.0
-
-    f = values @ np.linalg.inv(plus_values(b, values.shape[0]))
-    gram_f = np.conj(f.transpose(0, 2, 1)) @ f - np.eye(2)
-    unitarity = float(np.linalg.norm(gram_f, axis=(1, 2)).max())
-    return IwasawaResult(F=f, B=b, unitarity_error=unitarity, edge_mass=edge_mass)
+    f = values[ok] @ np.linalg.inv(plus_values(b, values.shape[-3]))
+    gram_f = np.conj(np.swapaxes(f, -1, -2)) @ f - np.eye(2)
+    unitarity = np.linalg.norm(gram_f, axis=(-2, -1)).max(axis=-1)
+    for k, i in enumerate(ok):
+        out[i] = IwasawaResult(f[k], b[k], float(unitarity[k]), *out[i][1:])
+    return out

@@ -31,18 +31,19 @@ def window_samples(n: int) -> np.ndarray:
 def coefficients(values: np.ndarray) -> np.ndarray:
     """Fourier coefficients of a loop given at the M-th roots of unity.
 
-    ``values[j]`` is the loop at exp(2 pi i j / M); entry k mod M of the
-    result is the coefficient of lam^k.  M samples resolve the modes
-    -M/2 < k <= M/2; any mode beyond them aliases into k mod M.
+    ``values[..., j, :, :]`` is the loop at exp(2 pi i j / M), for one loop
+    or a stack; entry k mod M of the result is the coefficient of lam^k.
+    M samples resolve the modes -M/2 < k <= M/2; any mode beyond them
+    aliases into k mod M.
     """
-    return np.fft.fft(values, axis=0) / values.shape[0]
+    return np.fft.fft(values, axis=-3) / values.shape[-3]
 
 
 def plus_values(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Values at the m-th roots of unity of sum_k coeffs[k] lam^k, k = 0..K-1.
+    """Values at the m-th roots of unity of sum_k coeffs[..., k, :, :] lam^k, k = 0..K-1.
 
     One zero-padded inverse FFT; exact (up to rounding) because K <= m.
     """
-    if coeffs.shape[0] > m:
-        raise ValueError(f"{coeffs.shape[0]} coefficients cannot be read at {m} samples")
-    return np.fft.ifft(coeffs, n=m, axis=0, norm="forward")
+    if coeffs.shape[-3] > m:
+        raise ValueError(f"{coeffs.shape[-3]} coefficients cannot be read at {m} samples")
+    return np.fft.ifft(coeffs, n=m, axis=-3, norm="forward")

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .frames import SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
+from .frames import FramePointPair, SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
 
 #: stencil offsets (a, b) ~ z + (a + ib) h used by the FD engine
 DIAMOND = tuple(
@@ -118,8 +118,9 @@ class InvariantReport:
 
     residuals keys: alpha_holomorphy, beta_phase, phi_norm, quadric,
     horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
-    the truncation window N the frame table was read at (None for a plain
-    callable).
+    the truncation window N the frame table was read at, and section the
+    blocks of the Toeplitz section its centre's split accepted (both None
+    for a plain callable).
     """
 
     z: complex
@@ -130,6 +131,7 @@ class InvariantReport:
     u_hat: float
     residuals: dict[str, float] = field(default_factory=dict)
     window: int | None = None
+    section: int | None = None
 
 
 def _point_invariants(vals: Mapping, h: float, at):
@@ -184,9 +186,10 @@ def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex,
 
 
 def _invariants(
-    vals: Mapping, z: complex, h: float, phase: complex | None = None, window: int | None = None
+    vals: Mapping, z: complex, h: float, phase: complex | None = None, centre: FramePointPair | None = None
 ) -> InvariantReport:
-    """InvariantReport from a lift table on the diamond around z, read at ``window``."""
+    """InvariantReport from a lift table on the diamond around z, recording the
+    window and section of the ``centre`` pair it was read from."""
     f0 = vals[(0, 0)]
     fz, fzb = _first_derivs(vals, h)
     eu = float(np.sum(fz * np.conj(fz)).real)
@@ -220,7 +223,8 @@ def _invariants(
         "relation_e2u": abs(eu * eu - abs(beta) ** 2 - abs(alpha) ** 2),
     }
     return InvariantReport(
-        z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals, window=window
+        z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals,
+        window=None if centre is None else centre.window, section=None if centre is None else centre.section,
     )
 
 
@@ -241,7 +245,7 @@ def invariants_report(
     """
     if isinstance(surface, SurfaceMap):
         frames = _frame_table(surface, z, h)
-        return _invariants(_lift_table(frames), z, h, phase, frames[(0, 0)].window)
+        return _invariants(_lift_table(frames), z, h, phase, frames[(0, 0)])
     return _invariants(_eval_stencil(surface, z, h, np.complex128), z, h, phase)
 
 
@@ -384,7 +388,7 @@ def node_report(
     frames = _frame_table(smap, z, h)
     lifts = _lift_table(frames)
     s2 = _s2_table(frames)
-    return _invariants(lifts, z, h, window=frames[(0, 0)].window), _geometry(s2, z, h), cu_report(lifts, h, s2)
+    return _invariants(lifts, z, h, centre=frames[(0, 0)]), _geometry(s2, z, h), cu_report(lifts, h, s2)
 
 
 # ---------------------------------------------------------------------------

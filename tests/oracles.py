@@ -74,7 +74,8 @@ def mp_frame_pair(values: np.ndarray, dps: int = 40) -> tuple[tuple[np.ndarray, 
     The Bauer split of ``mlq.iwasawa``, written out in mpmath from the
     float64 samples on: the modes |k| <= 2N - 1 of P = Phi* Phi by a direct
     DFT, the Cholesky factor of the (m+1)-block Toeplitz section with
-    m = 4N - 2, the float64 split's first section, B_n as the
+    m = 4N - 2, the oracle's own section (the float64 split starts at
+    2N - 1 and doubles only where its residual asks), B_n as the
     conjugate transpose of block m - n of its last block row, B_0 made upper
     triangular with positive diagonal, and F = Phi B^{-1} at the two
     samples.  Also returns the factor residual max_j ||B* B - P|| over the

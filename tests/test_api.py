@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 import mlq
-from mlq.frames import SurfaceMap
-from mlq.iwasawa import iwasawa, spectral_factor_plus
+from mlq.frames import SurfaceMap, _split_rows
+from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
 
 
 def test_every_exported_name_resolves():
@@ -82,8 +82,9 @@ def test_no_test_only_code():
 
 
 #: parameters of the split and of the SurfaceMap entry points: the split rule
-#: is one constant (``iwasawa.SPLIT_TOL``) and winding reaches only the deck
-#: check's ``lift``, so neither a tolerance nor a winding knob may come back
+#: is one constant (``iwasawa.SPLIT_TOL``), the section starts at P's degree,
+#: a stack is split whole, and winding reaches only the deck check's ``lift``,
+#: so no tolerance, section, batch-size or winding knob may come back
 SIGNATURES = [
     (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
     (SurfaceMap.samples, ["self", "nodes"]),
@@ -91,6 +92,8 @@ SIGNATURES = [
     (SurfaceMap.frame_pairs, ["self", "z", "points"]),
     (iwasawa, ["values"]),
     (spectral_factor_plus, ["values"]),
+    (_single, ["rows"]),
+    (_split_rows, ["states"]),
 ]
 
 

@@ -105,6 +105,12 @@ BAD_VALUES = {
     "fd_step_zero": ("fd_step", {"fd_step": 0}),
     "tolerance_not_a_number": ("tolerances.quadric", {"tolerances": {"quadric": "tight"}}),
     "output_dir_not_a_path": ("output_dir", {"output_dir": 7}),
+    "truncation_N_not_integral": ("truncation_N", {"truncation_N": 10.7}),
+    "truncation_N_a_bool": ("truncation_N", {"truncation_N": True}),
+    "sweep_not_integral": ("sweep", {"sweep": 2.5}),
+    "sweep_a_bool": ("sweep", {"sweep": True}),
+    "grid_n_re_not_integral": ("grid.n_re", {"grid": {**BASE["grid"], "n_re": 3.5}}),
+    "grid_n_im_a_bool": ("grid.n_im", {"grid": {**BASE["grid"], "n_im": True}}),
 }
 
 
@@ -116,6 +122,14 @@ def test_malformed_values_are_config_errors(tmp_path, name):
         load_config(path)
     assert main(["generate", "--config", path, "--out", str(tmp_path / "g")]) == EXIT_USAGE
     assert not (tmp_path / "g").exists()
+
+
+def test_integral_values_are_read_as_ints(tmp_path):
+    # an integral float or a numeric string is its number; only a fraction or a bool is an error
+    cfg = load_config(write_cfg(tmp_path, truncation_N="12", sweep=4.0,
+                                grid={**BASE["grid"], "n_re": "3", "n_im": 4.0}))
+    assert (cfg.truncation_n, cfg.sweep, cfg.grid.n_re, cfg.grid.n_im) == (12, 4, 3, 4)
+    assert all(type(v) is int for v in (cfg.truncation_n, cfg.sweep, cfg.grid.n_re, cfg.grid.n_im))
 
 
 #: potentials that parse but that make_potential rejects

@@ -227,8 +227,9 @@ def test_the_window_grows_where_p_is_unresolved(z, window):
 def test_a_split_at_its_rounding_floor_stops_doubling(monkeypatch, spec, z, window):
     # ||P|| ~ 2.5e3 on both nodes, so the residual floor is ~2e-9 absolute.
     # Against the bound relative to ||P||^2 the torus converges on its first
-    # section and the equivariant node (at N = 8) on its third; neither may
-    # run on to a Toeplitz section of thousands of blocks (seconds per node)
+    # section and the equivariant node (at N = 8) on its fourth, 121 blocks;
+    # neither may run on to a Toeplitz section of thousands of blocks
+    # (seconds per node)
     iwasawa_module = importlib.import_module("mlq.iwasawa")
     sections = []
     bauer_read = iwasawa_module._bauer_read
@@ -249,8 +250,9 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
     split = frames.iwasawa
 
     def failing(values):
-        if values.shape[0] == 4 * START_WINDOW:
-            raise ConvergenceError("stand-in")
+        # SurfaceMap splits a stack of frames per call; each row gets its own error
+        if values.shape[-3] == 4 * START_WINDOW:
+            return [ConvergenceError("stand-in") for _ in values]
         return split(values)
 
     monkeypatch.setattr(frames, "iwasawa", failing)
@@ -395,10 +397,12 @@ def test_a_stencil_segment_past_a_pole_raises(family):
 def test_sample_diagnostics(sphere_map):
     s = sphere_map.sample(0.5 - 0.3j)
     assert s.valid
-    assert set(s.diagnostics) == {"unitarity_error", "window", "edge_mass"}
+    assert set(s.diagnostics) == {"unitarity_error", "window", "edge_mass", "section"}
     assert s.diagnostics["unitarity_error"] < 1e-10
-    # the sphere's P is a Laurent polynomial of low degree: resolved at the start window
+    # the sphere's P is a Laurent polynomial of low degree: resolved at the start
+    # window, on the first Toeplitz section of 2N blocks
     assert s.diagnostics["window"] == START_WINDOW and s.diagnostics["edge_mass"] <= EDGE_TOL
+    assert s.diagnostics["section"] == 2 * START_WINDOW
     assert s.q2_hom is not None and s.s2_pair is not None and s.s3_pair is not None
 
 

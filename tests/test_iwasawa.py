@@ -2,7 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import loop_at, mp_frame_pair
 
@@ -12,13 +12,14 @@ from mlq.iwasawa import (
     ConvergenceError,
     FactorizationError,
     IwasawaResult,
+    _bauer_read,
     _factor_residual,
     iwasawa,
     spectral_factor_plus,
 )
 from mlq.loops import coefficients, window_samples
 from mlq.frames import EDGE_TOL, FRAME_TOL, SurfaceMap
-from mlq.potentials import equivariant_spec, make_potential, sphere_spec, torus_spec
+from mlq.potentials import equivariant_spec, make_potential, radial_spec, sphere_spec, torus_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
 
@@ -104,7 +105,7 @@ def test_window_must_be_positive():
 def test_spectral_factor_reconstructs_symbol():
     b = np.array([[[1.5, 0.4], [0.0, 0.9]], [[0.2, 0.0], [0.3, 0.1]]])
     p = symbol(b, 16)
-    b2, _ = spectral_factor_plus(p)
+    b2 = spectral_factor_plus(p)[0]
     assert b2.shape == (8, 2, 2)
     np.testing.assert_allclose(symbol(b2, 16), p, atol=1e-9)
     assert abs(b2[0][1, 0]) < 1e-9
@@ -115,7 +116,7 @@ def test_spectral_factor_drops_the_nyquist_mode():
     b = np.array([[[1.5, 0.4], [0.0, 0.9]], [[0.2, 0.0], [0.3, 0.1]]])
     p = symbol(b, 16)
     nyquist = 0.1 * (-1.0) ** np.arange(16)
-    b2, _ = spectral_factor_plus(p + nyquist[:, None, None] * np.eye(2))
+    b2 = spectral_factor_plus(p + nyquist[:, None, None] * np.eye(2))[0]
     np.testing.assert_allclose(symbol(b2, 16), p, atol=1e-9)
 
 
@@ -135,7 +136,18 @@ def test_factor_residual_resolves_every_mode():
 
 def test_a_stalled_residual_stops_after_two_sections(monkeypatch):
     # a residual that a doubling fails to halve has met rounding: the split
-    # raises on the second section instead of doubling on
+    # raises on the second section instead of doubling on; the first section
+    # is P's degree, 2N - 1 = 23 at N = 12
+    sections = counted_sections(monkeypatch)
+    iwasawa_module = importlib.import_module("mlq.iwasawa")
+    monkeypatch.setattr(iwasawa_module, "_factor_residual", lambda b, p_vals: np.full(len(b), 1e-3))
+    with pytest.raises(ConvergenceError, match="spectral factor residual 1.000e-03"):
+        iwasawa(frame_at(torus_spec(), 0.7))
+    assert sections == [23, 46]
+
+
+def counted_sections(monkeypatch) -> list:
+    """The section size m of every ``_bauer_read`` call made after this one."""
     iwasawa_module = importlib.import_module("mlq.iwasawa")
     sections = []
     bauer_read = iwasawa_module._bauer_read
@@ -145,10 +157,106 @@ def test_a_stalled_residual_stops_after_two_sections(monkeypatch):
         return bauer_read(p, m)
 
     monkeypatch.setattr(iwasawa_module, "_bauer_read", counted)
-    monkeypatch.setattr(iwasawa_module, "_factor_residual", lambda b, p_vals: 1e-3)
-    with pytest.raises(ConvergenceError, match="spectral factor residual 1.000e-03"):
-        iwasawa(frame_at(torus_spec(), 0.7))
-    assert sections == [46, 92]
+    return sections
+
+
+def test_the_torus_corner_doubles_its_section_once(monkeypatch):
+    # at N = 8 the torus corner leaves a residual of 3.4e-8 on the first
+    # section, P's degree 2N - 1 = 15; one doubling reaches 30, the section
+    # the split used to start at, and reads the F the 40-digit oracle reads there
+    sections = counted_sections(monkeypatch)
+    phi = SurfaceMap(make_potential(torus_spec()), window=8)._frames([1.05 + 1.05j], 0, 8)[0]
+    res = iwasawa(phi)
+    assert sections == [15, 30] and res.section == 31
+    pair, _ = mp_frame_pair(phi)
+    np.testing.assert_allclose(res.F[[0, 24]], np.array(pair), rtol=0, atol=1e-13)
+    # stacked with a near-pole node, ||P|| ~ 2.5e3, whose bound would accept
+    # 3.4e-8, the corner keeps its own bound, its doubling and its bits
+    near_pole = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=8)._frames([0.02], 0, 8)[0]
+    stacked = iwasawa(np.stack([near_pole, phi]))[1]
+    assert stacked.section == 31 and np.array_equal(stacked.F, res.F)
+
+
+#: (spec, centre, half-width) of a box of each family's domain, clear of its poles
+BOXES = {
+    "sphere": (sphere_spec(), 0.0, 1.0),
+    "torus": (torus_spec(), 0.0, 1.05),
+    "radial": (radial_spec(0.5, 1), 0.0, 0.6),
+    "equivariant": (equivariant_spec(0.75, 0.25), 0.9, 0.6),
+}
+
+
+def split_alone(split, values):
+    """split(values) of one loop, or the error it raises."""
+    try:
+        return split(values)
+    except (FactorizationError, ConvergenceError) as exc:
+        return exc
+
+
+def assert_same_row(row, alone):
+    """A row of a stacked split is bit for bit its split alone, or has the same error."""
+    if isinstance(alone, Exception):
+        assert type(row) is type(alone) and str(row) == str(alone)
+    elif isinstance(alone, IwasawaResult):
+        assert np.array_equal(row.F, alone.F) and np.array_equal(row.B, alone.B)
+        scalars = ("unitarity_error", "edge_mass", "section")
+        assert [getattr(row, k) for k in scalars] == [getattr(alone, k) for k in scalars]
+    else:
+        assert np.array_equal(row[0], alone[0]) and row[1:] == alone[1:]
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    family=st.sampled_from(sorted(BOXES)),
+    n=st.sampled_from([8, 16]),
+    offsets=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=6),
+)
+def test_a_row_splits_the_same_in_any_stack(family, n, offsets):
+    # a node's bytes never depend on the chunk or stencil it is split with
+    spec, centre, half = BOXES[family]
+    zs = [centre + half * complex(x, y) for x, y in offsets]
+    phis = SurfaceMap(make_potential(spec), window=n)._frames(zs, 0, n)
+    phis = [phi for phi in phis if not isinstance(phi, Exception)]
+    assume(phis)
+    for phi, row in zip(phis, iwasawa(np.stack(phis))):
+        assert_same_row(row, split_alone(iwasawa, phi))
+
+
+def test_a_failing_row_keeps_its_error_and_spares_the_rest():
+    # a non-Hermitian and a non-positive loop amid good ones, N = 8: each gets
+    # the error it gets alone, and the good rows the bits they get alone
+    good = [symbol(twisted_plus_loop(np.random.default_rng(seed), 2), 32) for seed in range(4)]
+    not_hermitian = loop_at({1: np.eye(2)}, window_samples(8))
+    singular = np.broadcast_to(np.diag([1.0, 0.0]), (32, 2, 2))
+    stack = np.stack([good[0], not_hermitian, good[1], singular, good[2], good[3]])
+    rows = spectral_factor_plus(stack)
+    assert "not Hermitian" in str(rows[1]) and "not positive definite" in str(rows[3])
+    for values, row in zip(stack, rows):
+        assert_same_row(row, split_alone(spectral_factor_plus, values))
+    # the same through iwasawa: a singular Phi amid torus frames
+    phis = SurfaceMap(make_potential(torus_spec()), window=8)._frames([0.3, 0.5j, -0.7], 0, 8)
+    stack = np.stack([phis[0], phis[1], singular, phis[2]])
+    rows = iwasawa(stack)
+    assert isinstance(rows[2], FactorizationError)
+    for values, row in zip(stack, rows):
+        assert_same_row(row, split_alone(iwasawa, values))
+
+
+def test_an_indefinite_section_fails_its_own_row():
+    # the stacked Cholesky raises for the whole stack; its rows are then
+    # factored one at a time, so only the indefinite section fails
+    d = 7
+    good = [coefficients(symbol(twisted_plus_loop(np.random.default_rng(seed), 2), 16))[np.arange(-d, d + 1) % 16]
+            for seed in range(2)]
+    indefinite = np.zeros_like(good[0])
+    indefinite[d] = np.diag([1.0, -1.0])
+    p = np.stack([good[0], indefinite, good[1]])
+    b, failed = _bauer_read(p, d)
+    assert list(failed) == [1]
+    assert str(failed[1]) == "Toeplitz section of size 8 is not positive definite: Matrix is not positive definite"
+    for i in (0, 2):
+        assert np.array_equal(b[i], _bauer_read(p[i : i + 1], d)[0][0])
 
 
 def ulp_perturbed(phi: np.ndarray, seed: int) -> np.ndarray:

@@ -166,13 +166,13 @@ def test_node_report_is_one_frame_table(r, t, h):
     with counting("transport") as transports, counting("iwasawa") as splits:
         inv, geo, cu = node_report(smap, z, h)
     # one transport to the node, then one sweep from it of the 12 diamond
-    # rows off the centre, and one split per point
+    # rows off the centre; one split of the node, then one of the 12 rows
     # radial nodes with |z| <= 0.9 are resolved at the start window
     assert len(transports) == 2 and [path.vertices[-1] for path in transports[0][1]] == [z]
     assert len(DIAMOND) == 13 and len(transports[1][1]) == 12
     assert {path.vertices[0] for path in transports[1][1]} == {z}
     assert inv.window == START_WINDOW
-    assert len(splits) == len(DIAMOND)
+    assert [len(args[0]) for args in splits] == [1, len(DIAMOND) - 1]
     # the single table reproduces the separate reports bit for bit
     assert inv.residuals == invariants_report(smap, z, h).residuals
     assert geo == geometry_report(smap, z, h)
