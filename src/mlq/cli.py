@@ -64,6 +64,8 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     spec: PotentialSpec
+    #: the potential ``load_config`` built from ``spec`` to validate it; every command runs on it
+    pot: Potential
     grid: GridSpec
     lambda0: complex = 1.0 + 0.0j
     sweep: int | None = None
@@ -105,7 +107,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     try:
         spec = spec_from_dict(raw["potential"])
-        make_potential(spec)
+        pot = make_potential(spec)
     except KeyError:
         raise ConfigError("config needs a 'potential' object") from None
     except (ValueError, TypeError) as exc:
@@ -126,16 +128,15 @@ def load_config(path: str | Path) -> RunConfig:
     if grid.n_re < 2 or grid.n_im < 2:
         raise ConfigError("grid counts must be at least 2 per axis")
 
+    # family reads sweep and ignores lambda0, but a lambda0 is checked wherever it is given
     lam = 1.0 + 0.0j
-    sweep = None
-    if "sweep" in raw:
-        sweep = _as(int, raw["sweep"], "sweep")
-    elif "lambda0" in raw:
+    sweep = _as(int, raw["sweep"], "sweep") if "sweep" in raw else None
+    if "lambda0" in raw:
         l0 = raw["lambda0"]
         if not isinstance(l0, dict):
             raise ConfigError(f'lambda0 must be an object {{"re": ..., "im": ...}}, got {l0!r}')
         lam = complex(_as(float, l0.get("re", 1.0), "lambda0.re"), _as(float, l0.get("im", 0.0), "lambda0.im"))
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ConfigError(f"|lambda0| must be 1 (got {abs(lam)!r})")
 
     ode_raw = raw.get("ode", {})
@@ -158,6 +159,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     return RunConfig(
         spec=spec,
+        pot=pot,
         grid=grid,
         lambda0=lam,
         sweep=sweep,
@@ -254,9 +256,8 @@ def _grid_pole_check(pot: Potential, grid: GridSpec) -> None:
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    pot = make_potential(cfg.spec)
-    _grid_pole_check(pot, cfg.grid)
-    smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
+    _grid_pole_check(cfg.pot, cfg.grid)
+    smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     # chunk boundaries are fixed, so the threads never change a node's sweep
     samples = [s for part in _map_nodes(smap.samples, node_chunks(cfg.grid.nodes()), jobs) for s in part]
 
@@ -315,9 +316,8 @@ def _histogram(values: list[float]) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    pot = make_potential(cfg.spec)
-    _grid_pole_check(pot, cfg.grid)
-    smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
+    _grid_pole_check(cfg.pot, cfg.grid)
+    smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     h = cfg.fd_step
 
     def node_entry(z: complex) -> dict:
@@ -406,8 +406,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     if cfg.spec.variant == "equivariant":
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
-        pot = make_potential(cfg.spec)
-        smap = SurfaceMap(pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
+        smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
         deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
         payload = {
             "schema": SCHEMA,
@@ -432,10 +431,9 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         p = cfg.spec.params
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])
-        pot = make_potential(cfg.spec)
         # (lam0, -i lam0) and 8 circle samples, every one in each loop's transport
         circle = [np.exp(1j * np.pi * (k / 4 + 0.07)) for k in range(8)]
-        mono = trinoid_monodromies(pot, [lam0, -1j * lam0, *circle], opts=cfg.ode)
+        mono = trinoid_monodromies(cfg.pot, [lam0, -1j * lam0, *circle], opts=cfg.ode)
         check = trinoid_closing_check(*(tuple(mono[:2, i]) for i in range(3)))
         hol = mono[2:]
         plain_unit = max(_unitarity(h) for hs in hol for h in hs)
@@ -485,14 +483,13 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     if cfg.sweep is None or cfg.sweep < 2:
         print("family needs 'sweep' >= 2 in the config", file=sys.stderr)
         return EXIT_USAGE
-    pot = make_potential(cfg.spec)
-    _grid_pole_check(pot, cfg.grid)
+    _grid_pole_check(cfg.pot, cfg.grid)
     nodes = cfg.grid.nodes()
     h = cfg.fd_step
     lams = [np.exp(1j * np.pi * k / cfg.sweep) for k in range(cfg.sweep)]
 
     def run_member(lam: complex):
-        smap = SurfaceMap(pot, lam, window=cfg.truncation_n, ode=cfg.ode)
+        smap = SurfaceMap(cfg.pot, lam, window=cfg.truncation_n, ode=cfg.ode)
         # raw lift phase: the lam0^-2 rotation is a statement about the
         # un-normalized alpha
         return [invariants_report(smap, z, h, phase=1.0 + 0.0j) for z in nodes]

@@ -141,7 +141,6 @@ class FramePointPair:
 
     F1: np.ndarray
     F2: np.ndarray
-    lambda0: complex = 1.0 + 0.0j
     #: window N the pair was read at, and the blocks of the Toeplitz section its
     #: split accepted; None for a pair built from closed-form frames
     window: int | None = None
@@ -150,8 +149,6 @@ class FramePointPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
         object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
-        if abs(abs(complex(self.lambda0)) - 1.0) > 1e-9:
-            raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
         _check_su2(self.F1, "F1")
         _check_su2(self.F2, "F2")
 
@@ -253,7 +250,8 @@ class SurfaceMap:
     """Evaluate the surface pipeline at arbitrary domain points.
 
     Frames are carried as their values at the 4N roots of unity rotated by
-    lam0 and split there by ``iwasawa``; the frame pair is read off the
+    lam0, which must lie on the unit circle (ValueError at construction
+    otherwise), and split there by ``iwasawa``; the frame pair is read off the
     unitary factor at samples 0 and 3N.  The window N is chosen per anchor
     (a grid node, or the centre of a stencil) by one rule: the anchor is
     computed and split at the start window min(``START_WINDOW``, ``window``),
@@ -287,6 +285,8 @@ class SurfaceMap:
     ) -> None:
         self.pot = pot
         self.lambda0 = complex(lambda0)
+        if not abs(abs(self.lambda0) - 1.0) <= 1e-9:
+            raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
         #: the cap: the window of a node whose P is unresolved at the start window
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.start_window = min(START_WINDOW, self.window)
@@ -372,7 +372,7 @@ class SurfaceMap:
         return state, res
 
     def _pair(self, res: IwasawaResult) -> FramePointPair:
-        return FramePointPair(res.F[0], res.F[3 * res.window], self.lambda0, res.window, res.section)
+        return FramePointPair(res.F[0], res.F[3 * res.window], res.window, res.section)
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""

@@ -238,7 +238,8 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
     each step, so the initial step is the smallest any row would choose and
     a step is accepted only if every row's norm passes: no row gets a
     looser step than it would get alone.  Raises IntegrationError, located
-    by ``z_at(t)``, when the step size underflows.  ``counts``, when given,
+    by ``z_at(t)``, when the step size underflows or a step size or error
+    norm is not finite (an overflowed right-hand side).  ``counts``, when given,
     gains the attempted steps and their right-hand-side evaluations.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
@@ -267,12 +268,14 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # a NaN step fails here too: every comparison with NaN is false
+            if not h_abs >= min_step:
                 if counts is not None:
                     counts.add(n_steps, 2 + 6 * n_steps)
                 raise IntegrationError(
-                    f"adaptive integrator failed near z = {z_at(t)}: "
-                    "required step size is less than spacing between numbers"
+                    f"adaptive integrator failed near z = {z_at(t)}: " + (
+                        "required step size is less than spacing between numbers" if h_abs < min_step
+                        else "the step size or its error estimate is not finite")
                 )
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
@@ -292,7 +295,8 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            # an error norm that is not finite (an overflowed stage) ends the sweep at the loop head
+            h_abs = h_abs * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT) if math.isfinite(err) else math.nan
             rejected = True
         t, y, f = t_new, y_new, f_new
     if counts is not None:

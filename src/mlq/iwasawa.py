@@ -90,16 +90,20 @@ def _single(rows: list):
     return row
 
 
-def _positivity_precheck(vals: np.ndarray) -> list:
+def _positivity_precheck(vals: np.ndarray, finite: np.ndarray) -> list:
     """Each row's max_j ||P_j||, the largest eigenvalue of its loop at its
-    samples, or its FactorizationError where that loop is not Hermitian
-    positive there."""
+    samples, or its FactorizationError where that loop is not finite at the
+    samples it was given (``finite``, shape (B, 4N)), or not Hermitian
+    positive at its samples."""
     herm = np.linalg.norm(vals - np.conj(np.swapaxes(vals, -1, -2)), axis=(-2, -1))
     eigs = np.linalg.eigvalsh(0.5 * (vals + np.conj(np.swapaxes(vals, -1, -2))))
     out = []
-    for h, e, row in zip(herm, eigs, vals):
+    for h, e, row, ok in zip(herm, eigs, vals, finite):
         worst, least = int(np.argmax(h)), e.min(axis=1)
-        if h[worst] > 1e-6 * max(1.0, float(np.abs(row).max())):
+        # NaN passes every comparison below, so a loop that is not finite stops here
+        if not ok.all():
+            out.append(FactorizationError(f"loop is not finite at sample {int(np.argmin(ok))} of {len(h)}"))
+        elif h[worst] > 1e-6 * max(1.0, float(np.abs(row).max())):
             out.append(FactorizationError(
                 f"loop is not Hermitian on the circle: deviation {h[worst]:.3e} at sample {worst} of {len(h)}"))
         elif least.min() <= 0:
@@ -183,7 +187,7 @@ def spectral_factor_plus(values: np.ndarray):
     c = coefficients(values)
     # P at the samples, less its Nyquist mode: these resolve all of B* B - P
     p_vals = values - c[:, 2 * n, None] * ((-1) ** np.arange(4 * n))[:, None, None]
-    tops = _positivity_precheck(p_vals)
+    tops = _positivity_precheck(p_vals, np.isfinite(values).all(axis=(-2, -1)))
     out, edge = list(tops), _edge_mass(c)
     degree = 2 * n - 1
     p = c[:, np.arange(-degree, degree + 1) % (4 * n)]

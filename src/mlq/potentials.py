@@ -2,12 +2,14 @@
 
 Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
 a trace-free Laurent polynomial in the spectral parameter lam.  Every family
-is written once, in ``_xi_terms``, as terms of a scalar z-weight, its
-antiderivative W where the frame is read in closed form, and constant
-lam-terms.  ``xi_sampler`` returns z -> xi(z, lam) at a fixed set of
-spectral values, which is what the integrator calls; every weight takes an
-array of z as well as one z.  Sphere, torus and equivariant are one term
-w(z) A(lam), so xi(z) commutes with xi(z') and the frame is exp(W A).
+is defined once, by its branch of ``make_potential``, which validates the
+parameters and gives the singular set, the base point and the xi terms: a
+scalar z-weight, its antiderivative W where the frame is read in closed
+form, and constant lam-terms.  ``xi_sampler`` folds the terms at a fixed
+set of spectral values, which is what the integrator reads; every weight
+takes an array of z as well as one z.  Sphere, torus and equivariant are
+one term w(z) A(lam), so xi(z) commutes with xi(z') and the frame is
+exp(W A).
 
 Families
 --------
@@ -71,12 +73,13 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class Potential:
-    """A validated potential: spec plus its singular set and base point."""
+    """A validated potential: spec, singular set, base point and the xi
+    terms (w, W, {k: A_k}) that ``make_potential`` writes for its family."""
 
     spec: PotentialSpec
     singular_points: tuple[complex, ...]
     base_point: complex
-    singular_at_infinity: bool = False
+    terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...] = field(compare=False, repr=False)
 
     @property
     def variant(self) -> str:
@@ -122,43 +125,64 @@ def custom_spec(
 
 
 def make_potential(spec: PotentialSpec) -> Potential:
-    """Validate a spec and attach its singular set and base point.
+    """The one definition of each family: validate a spec and give its
+    singular set, base point and xi terms.
 
-    Raises ValueError naming the violated constraint for invalid parameters.
+    The terms are triples (w, W, {k: A_k}) with xi(z, lam) = sum over terms
+    of w(z) sum_k A_k lam^k; a weight of None means 1.  W(z0, z1, winding),
+    given for the one-term families and elementwise on arrays of z1,
+    integrates w along the straight segment from z0 to z1 and ``winding``
+    loops around its pole.  Raises ValueError naming the violated constraint
+    for invalid parameters.
     """
     v = spec.variant
     p = spec.params
     if v not in _VARIANTS:
         raise ValueError(f"unknown potential variant {v!r}; expected one of {_VARIANTS}")
-    if v == "sphere" or v == "torus":
-        return Potential(spec, (), 0.0 + 0.0j)
+    if v == "sphere":
+        return Potential(spec, (), 0.0 + 0.0j, ((None, _difference, {-1: _E12}),))
+    if v == "torus":
+        return Potential(spec, (), 0.0 + 0.0j, ((None, _difference, {-1: _E12 + _E21}),))
     if v == "equivariant":
         a, b, c = p["a"], p["b"], p["c"]
         for name, val in (("a", a), ("b", b), ("c", c)):
             if not np.isreal(val):
                 raise ValueError(f"equivariant parameter {name} must be real, got {val!r}")
-        return Potential(spec, (0.0 + 0.0j,), 1.0 + 0.0j)
+        return Potential(spec, (0.0 + 0.0j,), 1.0 + 0.0j, ((
+            lambda z: 1.0 / z,
+            lambda z0, z1, winding: np.log(z1 / z0) + 2j * np.pi * winding,
+            {
+                -1: np.array([[0, a], [b, 0]], dtype=np.complex128),
+                0: np.array([[c, 0], [0, -c]], dtype=np.complex128),
+                1: np.array([[0, b], [a, 0]], dtype=np.complex128),
+            },
+        ),))
     if v == "radial":
         c, k = complex(p["c"]), p["k"]
         if c == 0 or abs(abs(c) - 1.0) < 1e-12:
             raise ValueError(f"radial parameter c must avoid the unit circle and 0, got {c}")
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"radial exponent k must be a positive integer, got {k!r}")
-        return Potential(spec, (), 0.0 + 0.0j)
+        return Potential(spec, (), 0.0 + 0.0j, ((None, None, {-1: _E12}), (lambda z: c * z**k, None, {-1: _E21})))
     if v == "trinoid":
         lam0 = complex(p["lambda0"])
         if abs(lam0 - 1j) > 1e-12 and abs(lam0 + 1j) > 1e-12:
             raise ValueError(f"trinoid lambda0 must be +i or -i, got {lam0}")
-        for name in ("v0", "v1", "vinf"):
-            val = p[name]
+        v0, v1, vinf = p["v0"], p["v1"], p["vinf"]
+        for name, val in (("v0", v0), ("v1", v1), ("vinf", vinf)):
             if not np.isreal(val) or val == 0:
                 raise ValueError(f"trinoid weight {name} must be real and nonzero, got {val!r}")
-        return Potential(spec, (0.0 + 0.0j, 1.0 + 0.0j), 0.5 + 0.0j, singular_at_infinity=True)
+        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
+        s = lam0 + 1.0 / lam0
+        return Potential(spec, (0.0 + 0.0j, 1.0 + 0.0j), 0.5 + 0.0j, (
+            (None, None, {-1: _E12}),
+            (lambda z: trinoid_q(z, v0, v1, vinf), None, {0: _E21, 1: -s * _E21, 2: _E21}),
+        ))
     # custom
-    terms = p.get("terms", ())
-    if not terms:
+    if not p.get("terms"):
         raise ValueError("custom potential needs at least one term")
-    for t in terms:
+    terms = []
+    for t in p["terms"]:
         if len(t.den) == 0 or all(abs(c) == 0 for c in t.den):
             raise ValueError("custom term denominator must be a nonzero polynomial")
         mat = np.asarray(t.matrix, dtype=np.complex128)
@@ -167,12 +191,13 @@ def make_potential(spec: PotentialSpec) -> Potential:
         # the potentials take values in sl(2, C); det renormalization assumes it
         if abs(np.trace(mat)) > 1e-12:
             raise ValueError(f"custom term matrix must be trace free, got trace {np.trace(mat)}")
+        terms.append((_rational(t.num, t.den), None, {t.lam_power: mat}))
     base = complex(p["base_point"])
     poles = tuple(complex(q) for q in p.get("poles", ()))
     for q in poles:
         if abs(base - q) < 1e-9:
             raise ValueError(f"custom base point {base} coincides with declared pole {q}")
-    return Potential(spec, poles, base)
+    return Potential(spec, poles, base, tuple(terms))
 
 
 def _rational(num, den) -> Callable[[complex], complex]:
@@ -194,73 +219,22 @@ def _difference(z0, z1, winding: int):
     return z1 - z0
 
 
-def _xi_terms(pot: Potential) -> list[tuple[Weight, Callable | None, dict[int, np.ndarray]]]:
-    """The one definition of each family's xi.
-
-    Triples (w, W, {k: A_k}) with xi(z, lam) = sum over terms of
-    w(z) sum_k A_k lam^k; a weight of None means 1.  W(z0, z1, winding), given
-    for the one-term families and elementwise on arrays of z1, integrates w
-    along the straight segment from z0 to z1 and ``winding`` loops around
-    its pole.
-    """
-    v = pot.variant
-    p = pot.spec.params
-    if v == "sphere":
-        return [(None, _difference, {-1: _E12})]
-    if v == "torus":
-        return [(None, _difference, {-1: _E12 + _E21})]
-    if v == "equivariant":
-        a, b, c = p["a"], p["b"], p["c"]
-        return [(
-            lambda z: 1.0 / z,
-            lambda z0, z1, winding: np.log(z1 / z0) + 2j * np.pi * winding,
-            {
-                -1: np.array([[0, a], [b, 0]], dtype=np.complex128),
-                0: np.array([[c, 0], [0, -c]], dtype=np.complex128),
-                1: np.array([[0, b], [a, 0]], dtype=np.complex128),
-            },
-        )]
-    if v == "radial":
-        c, k = complex(p["c"]), p["k"]
-        return [(None, None, {-1: _E12}), (lambda z: c * z**k, None, {-1: _E21})]
-    if v == "trinoid":
-        v0, v1, vinf = p["v0"], p["v1"], p["vinf"]
-        lam0 = complex(p["lambda0"])
-        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
-        s = lam0 + 1.0 / lam0
-        return [
-            (None, None, {-1: _E12}),
-            (lambda z: trinoid_q(z, v0, v1, vinf), None, {0: _E21, 1: -s * _E21, 2: _E21}),
-        ]
-    # custom
-    return [
-        (_rational(t.num, t.den), None, {t.lam_power: np.asarray(t.matrix, dtype=np.complex128)})
-        for t in p["terms"]
-    ]
-
-
 class XiSampler:
     """z -> xi(z, lam) at fixed spectral values lam_1..lam_M.
 
     xi(z) = const + sum over pairs of w(z) vals: all unweighted terms are
     folded into ``const`` and each weighted pair into one array ``vals``,
-    all of shape (M, 2, 2), so a call costs one weight and one axpy per
-    weighted pair.  At z of shape S the result has shape S + (M, 2, 2).
-    ``exact`` is (W, A) for a potential of one term w(z) A(lam) whose
-    antiderivative W is known, with A of shape (M, 2, 2): its frame from z0
-    to z1 is exp(W(z0, z1, winding) A).  It is None for any other potential.
+    all of shape (M, 2, 2), so an evaluation costs one weight and one axpy
+    per weighted pair.  ``exact`` is (W, A) for a potential of one term
+    w(z) A(lam) whose antiderivative W is known, with A of shape (M, 2, 2):
+    its frame from z0 to z1 is exp(W(z0, z1, winding) A).  It is None for
+    any other potential.
     """
 
     def __init__(self, const: np.ndarray, weighted: list[tuple[Callable, np.ndarray]], exact=None) -> None:
         self.const = const
         self.weighted = weighted
         self.exact = exact
-
-    def __call__(self, z) -> np.ndarray:
-        out = np.broadcast_to(self.const, np.shape(z) + self.const.shape)
-        for w, vals in self.weighted:
-            out = out + np.multiply.outer(w(z), vals)
-        return out
 
 
 def xi_sampler(pot: Potential, lams) -> XiSampler:
@@ -272,7 +246,7 @@ def xi_sampler(pot: Potential, lams) -> XiSampler:
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     const = np.zeros((lams.size, 2, 2), dtype=np.complex128)
     weighted = []
-    terms = _xi_terms(pot)
+    terms = pot.terms
     for w, _, lam_terms in terms:
         vals = sum(np.multiply.outer(lams**k, mat) for k, mat in lam_terms.items())
         if w is None:

@@ -3,7 +3,8 @@
 Everything here is assembled from the explicit frame families in
 mlq.closedform (or from scratch), never from the pipeline under test, so
 agreement between the two is meaningful evidence.  The one exception is
-``eval_xi``: it sums each family's one definition term by term, the plain
+``eval_xi``: it sums each family's one definition (``Potential.terms``, as
+``make_potential`` writes them) term by term, the plain
 reading that ``xi_sampler``'s folded arrays are checked against.
 ``mp_frame_pair`` repeats the Iwasawa split's arithmetic in mpmath, so the
 float64 split can be checked against the same method at 40 digits.
@@ -15,14 +16,14 @@ import mpmath
 import numpy as np
 
 from mlq.frames import FramePointPair, q2_point, sphere_pair, xy_matrices
-from mlq.potentials import Potential, _xi_terms
+from mlq.potentials import Potential
 
 
 def eval_xi(pot: Potential, z: complex) -> dict[int, np.ndarray]:
     """Laurent coefficients {k: A_k} of the 1-form xi at z (the form is sum A_k lam^k dz)."""
     z = complex(z)
     terms: dict[int, np.ndarray] = {}
-    for w, _, lam_terms in _xi_terms(pot):
+    for w, _, lam_terms in pot.terms:
         s = 1.0 if w is None else w(z)
         for k, mat in lam_terms.items():
             terms[k] = terms.get(k, 0) + s * np.asarray(mat, dtype=complex)
@@ -40,7 +41,7 @@ def analytic_surface(frame_fn, lambda0=1.0):
     lam0 = complex(lambda0)
 
     def lift(z: complex) -> np.ndarray:
-        fp = FramePointPair(frame_fn(z, lam0), frame_fn(z, -1j * lam0), lam0)
+        fp = FramePointPair(frame_fn(z, lam0), frame_fn(z, -1j * lam0))
         x, y = xy_matrices(fp)
         return q2_point(x, y) / np.sqrt(2.0)
 
@@ -52,7 +53,7 @@ def analytic_pairs(frame_fn, lambda0=1.0):
     lam0 = complex(lambda0)
 
     def pairs(z: complex):
-        fp = FramePointPair(frame_fn(z, lam0), frame_fn(z, -1j * lam0), lam0)
+        fp = FramePointPair(frame_fn(z, lam0), frame_fn(z, -1j * lam0))
         return sphere_pair(fp)
 
     return pairs

@@ -140,7 +140,7 @@ def test_c03_surface_formula_fixtures():
     for frame_fn, displayed in cases:
         for z in (0.3 - 0.8j, 1.1 + 0.4j, -0.7 + 0.2j, 0.05 + 0.6j):
             for lam in (1.0 + 0.0j, np.exp(0.4j), 1j, np.exp(-2.1j)):
-                fp = FramePointPair(frame_fn(z, lam), frame_fn(z, -1j * lam), lam)
+                fp = FramePointPair(frame_fn(z, lam), frame_fn(z, -1j * lam))
                 v = q2_point(*xy_matrices(fp))
                 worst = max(worst, projective_distance(v, displayed(z, lam)))
                 quad = max(quad, abs(np.sum(v * v)))

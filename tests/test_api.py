@@ -1,10 +1,13 @@
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import mlq
+import mlq.cli
+from mlq import potentials
 from mlq.frames import SurfaceMap, _split_rows
 from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
 
@@ -36,6 +39,12 @@ NO_SRC_CALLER = {
 #: public methods kept without a read in src/: an entry point and an oracle
 NO_SRC_READ = {"SurfaceMap.sample", "EquivariantProfile.energy_residual"}
 
+#: classes of src/ that may define ``__call__``: none, since nothing in src/ calls an instance
+CALLABLE_CLASSES: set[str] = set()
+
+#: dataclass fields kept without a read in src/: report outputs for callers
+UNREAD_FIELDS = {"InvariantReport.phi_inv", "CUReport.K", "IwasawaResult.B"}
+
 
 def _is_constant(name: str) -> bool:
     return name.lstrip("_").isupper()
@@ -47,9 +56,12 @@ def test_no_test_only_code():
     # package's re-exports do not count.  Private module-level functions,
     # private methods and UPPER_CASE module constants must be read in src/
     # too, where an attribute read (self._helper, module.CONSTANT) counts;
-    # so must every public method of a class, as Class.method.
+    # so must every public method of a class, as Class.method, and every
+    # dataclass field, as Class.field, where an attribute read of its name
+    # anywhere in src/ counts.  A class may define __call__ only if listed.
     src = Path(mlq.__file__).parent
     defined, read_in_src, used, attrs, methods = set(), set(), set(), set(), set()
+    fields, calls = set(), set()
     for path in src.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -67,6 +79,11 @@ def test_no_test_only_code():
                     (node.name, item.name) for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                 )
+                calls.update(node.name for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name == "__call__")
+                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    fields.update((node.name, item.target.id) for item in node.body
+                                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             read_in_src.update(t.id for t in targets if isinstance(t, ast.Name) and _is_constant(t.id))
         for node in ast.walk(tree):
@@ -79,6 +96,9 @@ def test_no_test_only_code():
     assert sorted(defined - used - NO_SRC_CALLER) == []
     assert sorted(read_in_src - used - attrs) == []
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in attrs) == sorted(NO_SRC_READ)
+    assert sorted(calls) == sorted(CALLABLE_CLASSES)
+    assert fields
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in attrs) == sorted(UNREAD_FIELDS)
 
 
 #: parameters of the split and of the SurfaceMap entry points: the split rule
@@ -100,3 +120,49 @@ SIGNATURES = [
 @pytest.mark.parametrize("fn, params", SIGNATURES, ids=[fn.__qualname__ for fn, _ in SIGNATURES])
 def test_no_knob_comes_back(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+#: the potential and the extra keys of a small config for each command
+COMMAND_CONFIGS = {
+    "generate": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, {}),
+    "verify": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, {}),
+    "closing": ({"variant": "equivariant", "a": 0.75, "b": 0.25}, {}),
+    "family": ({"variant": "torus"}, {"sweep": 2}),
+}
+
+
+def write_config(tmp_path, potential, **extra) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema": 1, "potential": potential, "truncation_N": 8,
+        "grid": {"re_min": 0.2, "re_max": 0.3, "n_re": 2, "im_min": -0.1, "im_max": 0.1, "n_im": 2},
+        **extra,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_a_run_builds_its_potential_once(tmp_path, monkeypatch, command):
+    # load_config builds the potential to validate the config, and every
+    # command runs on that one; no command builds it again
+    built = []
+    make = potentials.make_potential
+
+    def counted(spec):
+        built.append(spec.variant)
+        return make(spec)
+
+    monkeypatch.setattr(potentials, "make_potential", counted)
+    monkeypatch.setattr(mlq.cli, "make_potential", counted)
+    potential, extra = COMMAND_CONFIGS[command]
+    path = write_config(tmp_path, potential, **extra)
+    assert mlq.cli.main([command, "--config", path, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert built == [potential["variant"]]
+
+
+def test_the_set_up_probe_still_reads_the_spec(tmp_path):
+    # perfbench/setup_probe.py times mlq.cli.load_config(path) and then
+    # mlq.cli.make_potential(cfg.spec): both names stay in mlq.cli
+    cfg = mlq.cli.load_config(write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25}))
+    pot = mlq.cli.make_potential(cfg.spec)
+    assert pot == cfg.pot and pot.spec == cfg.spec

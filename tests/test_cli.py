@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import mlq
 from mlq import frames, holonomy
 from mlq.cli import (
     EXIT_CHECKS_FAILED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
@@ -111,6 +113,10 @@ BAD_VALUES = {
     "sweep_a_bool": ("sweep", {"sweep": True}),
     "grid_n_re_not_integral": ("grid.n_re", {"grid": {**BASE["grid"], "n_re": 3.5}}),
     "grid_n_im_a_bool": ("grid.n_im", {"grid": {**BASE["grid"], "n_im": True}}),
+    # lambda0 is read and checked wherever it is given, next to a sweep too
+    "lambda0_off_the_circle_next_to_a_sweep": ("lambda0", {"sweep": 4, "lambda0": {"re": 3.0, "im": 0.0}}),
+    "lambda0_re_not_a_number_next_to_a_sweep": ("lambda0.re", {"sweep": 4, "lambda0": {"re": "one"}}),
+    "lambda0_not_finite": ("lambda0", {"lambda0": {"re": float("nan"), "im": 0.0}}),
 }
 
 
@@ -426,6 +432,44 @@ def test_family_sweep(tmp_path):
     assert len(payload["per_lambda"]) == 2
     assert payload["max_u_dev"] < 1e-6
     assert payload["max_alpha_dev"] < 1e-4
+
+
+#: potential, grid and error of configs whose frames are not finite: the
+#: weight 1e308 (z + z^2) is inf at the base point 1, so the integrator's
+#: first right-hand side is NaN, and the torus frame exp(W A) overflows at re 800
+NOT_FINITE = {
+    "overflowing_weight": (
+        {"variant": "custom", "base_point": [1.0, 0.0], "terms": [
+            {"lam_power": -1, "matrix": [[0, 1], [0, 0]]},
+            {"lam_power": -1, "matrix": [[0, 0], [1, 0]], "num": [0, 1e308, 1e308]}]},
+        {"re_min": 0.5, "re_max": 0.6, "n_re": 2, "im_min": 0.0, "im_max": 0.1, "n_im": 2},
+        "adaptive integrator failed near z = ",
+    ),
+    "torus_far_out": (
+        {"variant": "torus"},
+        {"re_min": 800.0, "re_max": 801.0, "n_re": 2, "im_min": 0.0, "im_max": 1.0, "n_im": 2},
+        "loop is not finite at sample ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE))
+def test_frames_that_are_not_finite_fail_their_nodes_promptly(tmp_path, name):
+    # a NaN step size kept the integrator looping, and a NaN loop passed the
+    # split's precheck and doubled its section to the limit: the runs did not
+    # end, or took 15 s; in a subprocess, where numpy only warns on overflow
+    potential, grid, error = NOT_FINITE[name]
+    cfg = write_cfg(tmp_path, potential=potential, grid=grid)
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "mlq.cli", "generate", "--config", cfg,
+                          "--out", str(tmp_path / "g"), "--jobs", "1"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 5.0
+    assert run.returncode == EXIT_NUMERICAL, run.stderr
+    meta = json.loads((tmp_path / "g" / "meta.json").read_text())
+    assert meta["n_failed"] == meta["n_nodes"] == 4
+    assert all(f["error"].startswith(error) and "not finite" in f["error"] for f in meta["failures"])
 
 
 def test_the_cli_imports_no_scipy():

@@ -99,7 +99,7 @@ def test_psi_rejects_non_unitary():
 
 
 def sphere_point_pair(z: complex) -> FramePointPair:
-    return FramePointPair(sphere_frame(z, 1.0), sphere_frame(z, -1j), 1.0)
+    return FramePointPair(sphere_frame(z, 1.0), sphere_frame(z, -1j))
 
 
 def test_q2_point_on_quadric_with_norm_sqrt2():
@@ -109,9 +109,11 @@ def test_q2_point_on_quadric_with_norm_sqrt2():
         assert abs(np.sum(v * v)) < 1e-12
 
 
-def test_frame_pair_rejects_off_circle_lambda0():
-    with pytest.raises(ValueError, match="unit circle"):
-        FramePointPair(np.eye(2), np.eye(2), 1.2)
+def test_surface_map_rejects_off_circle_lambda0():
+    # lambda0 is checked once, where it enters; 0 and NaN used to reach the integrator
+    for lam0 in (1.2, 0.0, complex("nan")):
+        with pytest.raises(ValueError, match="unit circle"):
+            SurfaceMap(make_potential(radial_spec(0.5, 1)), lambda0=lam0)
 
 
 def test_frame_pair_rejects_non_unitary_frames():
@@ -308,7 +310,7 @@ def _fixed_window_pair(smap: SurfaceMap, z: complex, n: int = 16) -> FramePointP
     lams = smap.lambda0 * window_samples(n)
     phi = transport(pot, path, np.broadcast_to(np.eye(2), (4 * n, 2, 2)), lams, TIGHT_ODE)
     f = iwasawa(phi).F
-    return FramePointPair(f[0], f[3 * n], smap.lambda0)
+    return FramePointPair(f[0], f[3 * n])
 
 
 #: (centre, half-width) of a box of each family's domain, clear of its poles

@@ -253,6 +253,26 @@ def test_dopri45_reports_a_blow_up():
             _dopri45(lambda t, y: y * y, np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
 
 
+def test_dopri45_stops_where_the_right_hand_side_is_not_finite():
+    # a NaN step size survives min() and max() and fails every comparison, so
+    # the underflow test never fired and the sweep never returned
+    where = []
+
+    def z_at(t):
+        where.append(t)
+        return t
+
+    y0 = np.full((1, 2, 2), 1.0 + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # not finite from the first evaluation: the initial step is NaN
+        with pytest.raises(IntegrationError, match="z = 0.0: .*not finite"):
+            _dopri45(lambda t, y: y * np.nan, y0, 1e-10, z_at)
+        # not finite from t = 0.3 on: the step that reaches past it fails at the last accepted t
+        with pytest.raises(IntegrationError, match="not finite"):
+            _dopri45(lambda t, y: y if t < 0.3 else y * np.nan, y0, 1e-10, z_at)
+    assert 0.0 < where[-1] < 0.3
+
+
 def test_integrate_frame_rejects_pole_paths():
     tri = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     with pytest.raises(PoleError):

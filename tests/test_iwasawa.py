@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ def test_a_failing_row_keeps_its_error_and_spares_the_rest():
     stack = np.stack([phis[0], phis[1], singular, phis[2]])
     rows = iwasawa(stack)
     assert isinstance(rows[2], FactorizationError)
+    for values, row in zip(stack, rows):
+        assert_same_row(row, split_alone(iwasawa, values))
+
+
+def test_a_row_that_is_not_finite_fails_at_once_and_spares_the_rest():
+    # NaN passes every comparison of the precheck and of the halving stop, so
+    # such a row used to double its section to MAX_DOUBLINGS (seconds at N = 16);
+    # now it gets its own error, naming the sample, and the rows around it
+    # the bits they get alone
+    n = 16
+    phis = SurfaceMap(make_potential(torus_spec()), window=n)._frames([0.3, 0.5j, -0.7], 0, n)
+    identity = np.tile(np.eye(2, dtype=complex), (4 * n, 1, 1))
+    identity[5, 0, 1] = np.nan
+    stack = np.stack([phis[0], phis[1], identity, phis[2]])
+    start = time.perf_counter()
+    rows = iwasawa(stack)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(rows[2], FactorizationError)
+    assert str(rows[2]) == f"loop is not finite at sample 5 of {4 * n}"
     for values, row in zip(stack, rows):
         assert_same_row(row, split_alone(iwasawa, values))
 
