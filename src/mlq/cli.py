@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .closedform import cylinder_closing, trinoid_admissible, trinoid_closing_check, trinoid_monodromies
 from .frames import GridSpec, SurfaceMap, node_chunks
-from .holonomy import EPS_POLE, IntegrationError, OdeOptions, unitarizing_gauge
+from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
 from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict
@@ -431,9 +431,10 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         p = cfg.spec.params
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])
-        # (lam0, -i lam0) and 8 circle samples, every one in each loop's transport
+        # (lam0, -i lam0) and 8 circle samples, all in the one transport of the three loops
         circle = [np.exp(1j * np.pi * (k / 4 + 0.07)) for k in range(8)]
-        mono = trinoid_monodromies(cfg.pot, [lam0, -1j * lam0, *circle], opts=cfg.ode)
+        counts = OdeCounts()
+        mono = trinoid_monodromies(cfg.pot, [lam0, -1j * lam0, *circle], cfg.ode, counts)
         check = trinoid_closing_check(*(tuple(mono[:2, i]) for i in range(3)))
         hol = mono[2:]
         plain_unit = max(_unitarity(h) for hs in hol for h in hs)
@@ -462,6 +463,8 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
                 "plain_unitarity_max": plain_unit,
                 "dressed_unitarity_max": dressed_unit,
             },
+            "ode_steps": counts.steps,
+            "ode_rhs_calls": counts.rhs_calls,
         }
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "closing.json", payload)

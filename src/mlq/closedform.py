@@ -17,12 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holonomy import DomainPath, OdeOptions, circle_path, monodromy
+from .holonomy import DomainPath, OdeCounts, OdeOptions, circle_path, monodromy
 from .potentials import Potential, trinoid_h
 
 #: distance from +-id (and of H_inf H_1 H_0 from id) within which a trinoid
 #: monodromy counts as closed
 CLOSING_TOL = 1e-6
+
+#: segments of each trinoid generator loop, and the radius of gamma_inf's polygon
+LOOP_SEGMENTS = 10
+INF_RADIUS = 2.5
 
 
 def sphere_frame(z: complex, lam: complex) -> np.ndarray:
@@ -351,7 +355,7 @@ def trinoid_closing_check(
     )
 
 
-def trinoid_loops(n: int = 64, radius: float = 2.5) -> tuple[DomainPath, DomainPath, DomainPath]:
+def trinoid_loops() -> tuple[DomainPath, DomainPath, DomainPath]:
     """Generators of the fundamental group of C \\ {0, 1} based at 1/2.
 
     gamma0 and gamma1 circle 0 and 1 counterclockwise; gamma_inf is a large
@@ -359,30 +363,28 @@ def trinoid_loops(n: int = 64, radius: float = 2.5) -> tuple[DomainPath, DomainP
     direction.  With left monodromies H(gamma) = Phi_end Phi_start^{-1} the
     product H(gamma_inf) H(gamma_1) H(gamma_0) is the transport around
     "gamma_inf after gamma_1 after gamma_0", which is trivial in homotopy.
+    A monodromy depends only on the homotopy class of its loop, so each loop is a
+    polygon of ``LOOP_SEGMENTS`` segments, and the three ride in one ``transport``.
     """
     base = 0.5 + 0.0j
-    g0 = circle_path(0.0, 0.5, n=n, start_angle=0.0)           # starts at 0.5
-    g1 = circle_path(1.0, 0.5, n=n, start_angle=np.pi)         # starts at 0.5
-    # clockwise big loop through the spur point A = 0.5 - i*radius
-    a_pt = base - 1j * radius
-    angles = -np.pi / 2 - 2.0 * np.pi * np.arange(1, n) / n    # clockwise from A
-    circle = [base + radius * np.exp(1j * t) for t in angles]
-    ginf = DomainPath(tuple([base, a_pt] + circle + [a_pt]), closed=True)
+    g0 = circle_path(0.0, 0.5, n=LOOP_SEGMENTS, start_angle=0.0)       # starts at 0.5
+    g1 = circle_path(1.0, 0.5, n=LOOP_SEGMENTS, start_angle=np.pi)     # starts at 0.5
+    # the big polygon clockwise from its vertex A = 0.5 - i*INF_RADIUS, the end of the spur
+    a_pt, *ccw = circle_path(base, INF_RADIUS, n=LOOP_SEGMENTS - 2, start_angle=-np.pi / 2).vertices
+    ginf = DomainPath((base, a_pt, *ccw[::-1], a_pt), closed=True)
     return g0, g1, ginf
 
 
 def trinoid_monodromies(
     pot: Potential,
     lams,
-    opts: OdeOptions | None = None,
-    n: int = 64,
+    opts: OdeOptions = OdeOptions(),
+    counts: OdeCounts | None = None,
 ) -> np.ndarray:
     """Monodromies of a trinoid potential, shape (M, 3, 2, 2).
 
     Entry [m, i] is the monodromy around generator i of ``trinoid_loops``
-    (gamma0, gamma1, gamma_inf) at the spectral value lams[m].  Each loop
-    takes one ``transport`` that carries every spectral value.
+    (gamma0, gamma1, gamma_inf) at the spectral value lams[m].  One
+    ``transport`` carries the three loops and every value, and fills ``counts``.
     """
-    if opts is None:
-        opts = OdeOptions()
-    return np.stack([monodromy(pot, g, lams, opts) for g in trinoid_loops(n=n)], axis=1)
+    return np.swapaxes(monodromy(pot, trinoid_loops(), lams, opts, counts), 0, 1)

@@ -5,7 +5,7 @@ a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
 It carries a batch of B paths with a common segment count the same way, in
 one state of B x M matrices; one path is the case B = 1.  ``monodromy``
-runs it once around a closed path for every spectral value it is given;
+runs it once around a closed path, or a batch of them, at every lam_m;
 ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
 the Iwasawa split takes the values as they are, one batch per chunk of grid
 nodes, each on one straight segment from the base point, and one batch per
@@ -42,6 +42,9 @@ EPS_POLE = 1e-3
 #: smallest singular value, relative to the largest, that ``unitarizing_gauge``
 #: still reads as an invariant Hermitian form
 UNITARIZE_TOL = 1e-8
+
+#: attempted DOPRI steps after which a sweep ends with IntegrationError
+MAX_STEPS = 10_000
 
 
 class IntegrationError(RuntimeError):
@@ -238,9 +241,9 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
     each step, so the initial step is the smallest any row would choose and
     a step is accepted only if every row's norm passes: no row gets a
     looser step than it would get alone.  Raises IntegrationError, located
-    by ``z_at(t)``, when the step size underflows or a step size or error
-    norm is not finite (an overflowed right-hand side).  ``counts``, when given,
-    gains the attempted steps and their right-hand-side evaluations.
+    by ``z_at(t)``, when the step size underflows, a step size or error norm
+    is not finite (an overflowed right-hand side), or after ``MAX_STEPS`` steps.
+    ``counts``, when given, gains the attempted steps and their right-hand-side evaluations.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
     shape = y.shape
@@ -269,12 +272,13 @@ def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = N
         rejected = False
         while True:
             # a NaN step fails here too: every comparison with NaN is false
-            if not h_abs >= min_step:
+            if not (h_abs >= min_step and n_steps < MAX_STEPS):
                 if counts is not None:
                     counts.add(n_steps, 2 + 6 * n_steps)
                 raise IntegrationError(
                     f"adaptive integrator failed near z = {z_at(t)}: " + (
-                        "required step size is less than spacing between numbers" if h_abs < min_step
+                        f"no end after {MAX_STEPS} steps" if n_steps >= MAX_STEPS
+                        else "required step size is less than spacing between numbers" if h_abs < min_step
                         else "the step size or its error estimate is not finite")
                 )
             t_new = min(t + h_abs, 1.0)
@@ -352,20 +356,24 @@ def transport(
 
 def monodromy(
     pot: Potential,
-    gamma: DomainPath,
+    gamma: DomainPath | Sequence[DomainPath],
     lams,
     opts: OdeOptions = OdeOptions(),
+    counts: OdeCounts | None = None,
 ) -> np.ndarray:
-    """Left monodromies H(gamma)(lam_m) around a closed path, shape (M, 2, 2).
+    """Left monodromies H(gamma)(lam_m) around a closed path, shape (M, 2, 2),
+    or around each of a batch of B closed paths, shape (B, M, 2, 2).
 
     The frame starts at the identity at the base point, so H is its value
-    after one circuit.  Every spectral value in ``lams`` rides in one
-    ``transport``.
+    after one circuit, in one ``transport`` for every path and spectral value.
     """
-    if not gamma.closed:
+    single = isinstance(gamma, DomainPath)
+    paths = [gamma] if single else list(gamma)
+    if not all(p.closed for p in paths):
         raise ValueError("monodromy needs a closed path")
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
-    return transport(pot, gamma, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
+    h = transport(pot, paths, np.broadcast_to(np.eye(2), (len(paths), lams.size, 2, 2)), lams, opts, counts)
+    return h[0] if single else h
 
 
 def unitarizing_gauge(mats) -> np.ndarray:

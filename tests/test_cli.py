@@ -22,6 +22,7 @@ from mlq.cli import (
     load_config,
     main,
 )
+from mlq.closedform import LOOP_SEGMENTS
 from mlq.frames import GridSpec
 
 BASE = {
@@ -395,24 +396,31 @@ def test_closing_trinoid(tmp_path):
     assert payload["admissibility"]["admissible"] is True
     assert payload["monodromy"]["product_residual"] < 1e-6
     assert payload["monodromy"]["dressed_unitarity_max"] < 1e-6
+    # every DOPRI step makes 6 right-hand-side calls, and each loop segment 2 more
+    assert payload["ode_steps"] > 0
+    assert payload["ode_rhs_calls"] == 2 * LOOP_SEGMENTS + 6 * payload["ode_steps"]
 
 
-def test_closing_trinoid_runs_one_transport_per_loop(tmp_path, monkeypatch):
+def test_closing_trinoid_runs_one_transport_for_its_three_loops(tmp_path, monkeypatch):
     calls = []
     transport = holonomy.transport
 
-    def counted(pot, path, y, lams, opts):
-        calls.append(len(lams))
-        return transport(pot, path, y, lams, opts)
+    def counted(pot, path, y, lams, opts, counts):
+        calls.append((len(path), len(lams)))
+        return transport(pot, path, y, lams, opts, counts)
 
     monkeypatch.setattr(holonomy, "transport", counted)
     cfg = write_cfg(
         tmp_path, "tri.json",
         potential={"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0},
     )
-    assert main(["closing", "--config", cfg, "--out", str(tmp_path / "closing"), "--jobs", "1"]) == EXIT_OK
-    # three generator loops, each carrying (lam0, -i lam0) and 8 circle samples
-    assert calls == [10, 10, 10]
+    outs = [tmp_path / "closing", tmp_path / "closing2"]
+    for out in outs:
+        assert main(["closing", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    # per run, the three generator loops ride in one sweep, each carrying
+    # (lam0, -i lam0) and 8 circle samples
+    assert calls == [(3, 10), (3, 10)]
+    assert (outs[0] / "closing.json").read_bytes() == (outs[1] / "closing.json").read_bytes()
 
 
 def test_family_sweep(tmp_path):

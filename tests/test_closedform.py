@@ -13,7 +13,7 @@ from mlq.closedform import (
     trinoid_loops,
     trinoid_monodromies,
 )
-from mlq.holonomy import OdeOptions
+from mlq.holonomy import DomainPath, OdeOptions, circle_path, monodromy
 from mlq.potentials import make_potential, trinoid_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
@@ -170,6 +170,8 @@ def test_inadmissible_trinoids():
 
 def test_trinoid_loops_are_closed_and_based():
     g0, g1, ginf = trinoid_loops()
+    # one segment count, so the three loops ride in one batched transport
+    assert len(g0.segments()) == len(g1.segments()) == len(ginf.segments())
     for g in (g0, g1, ginf):
         assert g.closed
         segs = g.segments()
@@ -200,6 +202,27 @@ def test_trinoid_monodromy_product_is_trivial():
     np.testing.assert_allclose(hinf @ h1 @ h0, np.eye(2), atol=1e-8)
 
 
+def test_coarse_trinoid_loops_match_the_64_gons():
+    # a monodromy depends only on the homotopy class of its loop, so the
+    # batched coarse loops give the values of finely drawn ones; a loop that
+    # winds the wrong way or misses a puncture would not
+    lam0 = 1j
+    pot = make_potential(trinoid_spec(lam0, 1.0, 1.0, 1.0))
+    lams = [lam0, -1j * lam0, np.exp(0.07j * np.pi)]
+    opts = OdeOptions(tolerance=1e-12)
+    base, n, radius = 0.5 + 0.0j, 64, 2.5
+    spur = base - 1j * radius
+    big = [base + radius * np.exp(1j * (-np.pi / 2 - 2.0 * np.pi * k / n)) for k in range(1, n)]
+    gons = (
+        circle_path(0.0, 0.5, n=n),
+        circle_path(1.0, 0.5, n=n, start_angle=np.pi),
+        DomainPath((base, spur, *big, spur), closed=True),
+    )
+    batched = trinoid_monodromies(pot, lams, opts)
+    for i, gon in enumerate(gons):
+        np.testing.assert_allclose(batched[:, i], monodromy(pot, gon, lams, opts), rtol=0, atol=1e-10)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     lam0=st.sampled_from([1j, -1j]),
@@ -210,7 +233,7 @@ def test_batched_trinoid_monodromies_match_single_lambda_runs(lam0, weights, ang
     pot = make_potential(trinoid_spec(lam0, *weights))
     lams = [np.exp(1j * t) for t in angles]
     opts = OdeOptions(tolerance=1e-12)
-    batched = trinoid_monodromies(pot, lams, opts, n=16)
+    batched = trinoid_monodromies(pot, lams, opts)
     assert batched.shape == (len(lams), 3, 2, 2)
     for lam, mats in zip(lams, batched):
-        np.testing.assert_allclose(mats, trinoid_monodromies(pot, [lam], opts, n=16)[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(mats, trinoid_monodromies(pot, [lam], opts)[0], rtol=0, atol=1e-10)

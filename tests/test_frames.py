@@ -1,4 +1,5 @@
 import importlib
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,7 +30,7 @@ from mlq.frames import (
     sphere_pair,
     xy_matrices,
 )
-from mlq.holonomy import DomainPath, transport
+from mlq.holonomy import MAX_STEPS, DomainPath, IntegrationError, transport
 from mlq.iwasawa import ConvergenceError, iwasawa
 from mlq.loops import window_samples
 from mlq.potentials import (
@@ -502,6 +503,25 @@ def test_a_failed_sweep_is_rerun_node_by_node():
     got = based.samples(nodes[:4])
     assert [s.error for s in got] == [based.sample(z).error for z in nodes[:4]]
     assert all(s.error == "custom term denominator vanishes at z = (0.3+0j)" for s in got)
+
+
+def test_a_sweep_that_does_not_end_stops_at_the_step_budget():
+    # the weight 1e308 (z + z^2) keeps the error norm near 1 on ever smaller
+    # steps just past the base point without overflowing; without a budget
+    # the sweep ran for as long as it was left to
+    spec = custom_spec(
+        [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+         CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], num=[0, 1e308, 1e308])],
+        poles=[], base_point=0.0,
+    )
+    smap = SurfaceMap(make_potential(spec), window=2)
+    with pytest.raises(IntegrationError, match=f"no end after {MAX_STEPS} steps") as err:
+        with np.errstate(over="ignore"):
+            smap.unitary_frame(0.5)
+    assert smap.ode_counts.steps == MAX_STEPS
+    # located on the node's route from the base point 0, where it stalled
+    z = complex(re.search(r"near z = (\S+):", str(err.value)).group(1))
+    assert z.imag == 0.0 and 0.0 < z.real < 1e-90
 
 
 def _grid_nodes(family: str, shift: complex, n: int) -> list[complex]:

@@ -133,6 +133,19 @@ def test_monodromy_trivial_for_exact_forms():
         monodromy(pot, DomainPath.line(0.0, 1.0), [1.0])
 
 
+def test_batched_monodromies_match_each_paths_own_run():
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    lams = [1.0, np.exp(0.3j), -1j]
+    opts = OdeOptions(tolerance=1e-12)
+    paths = [circle_path(0.0, 0.5, n=8), circle_path(1.0, 0.4, n=8, start_angle=np.pi), circle_path(0.5, 0.2, n=8)]
+    batched = monodromy(pot, paths, lams, opts)
+    assert batched.shape == (3, 3, 2, 2)
+    for path, h in zip(paths, batched):
+        np.testing.assert_allclose(h, monodromy(pot, path, lams, opts), rtol=0, atol=1e-10)
+    with pytest.raises(ValueError, match="closed path"):
+        monodromy(pot, [paths[0], DomainPath(paths[1].vertices), paths[2]], lams)
+
+
 def test_trinoid_monodromy_has_unit_determinant():
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     h = monodromy(pot, circle_path(0.0, 0.5, n=64), [np.exp(0.3j)])[0]
