@@ -1,8 +1,10 @@
 """Batch front-end: `mlq generate|verify|closing|family --config cfg.json`.
 
-Configs are versioned JSON (``schema: 1``).  All outputs are deterministic:
-identical configs produce byte-identical CSV/JSON, and OBJ floats are
-written with 17 significant digits.  Exit codes: 0 all checks pass,
+Configs are versioned JSON (``schema: 1``).  All outputs are deterministic
+at a fixed BLAS thread count: identical configs produce byte-identical
+CSV/JSON for any ``--jobs``, and OBJ floats are written with 17 significant
+digits.  The BLAS thread count can change their last bits, through the
+Cholesky of the split's Toeplitz section.  Exit codes: 0 all checks pass,
 1 checks failed, 2 usage/config error, 3 numerical failure.
 """
 
@@ -13,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,6 +184,8 @@ def _map_nodes(fn, nodes, jobs: int) -> list:
     bounded pool; results in input order."""
     if jobs <= 1:
         return [fn(z) for z in nodes]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, nodes))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
-from .loops import DEFAULT_WINDOW_N, window_samples
+from .loops import DEFAULT_WINDOW_N, ct2, det2, inv2, mul2, window_samples
 from .potentials import PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -58,12 +58,13 @@ _NODE_ERRORS = (PoleError, ValueError, RuntimeError)
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
-    """Quaternion coordinates (p0, p1, p2, p3) of an SU(2) matrix.
+    """Quaternion coordinates (p0, p1, p2, p3) of an SU(2) matrix, or of each
+    of a stack (..., 2, 2) on the last axis.
 
     Inverse of the identification p0 + p1 i + p2 j + p3 k <->
     [[p0 + p1 i, p2 + p3 i], [-p2 + p3 i, p0 - p1 i]].
     """
-    return np.array([m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
+    return np.stack([m[..., 0, 0].real, m[..., 0, 0].imag, m[..., 0, 1].real, m[..., 0, 1].imag], axis=-1)
 
 
 def quat_matrix(p) -> np.ndarray:
@@ -82,14 +83,21 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return np.cosh(s)[..., None, None] * np.eye(2) + ratio[..., None, None] * m
 
 
-def _check_su2(m: np.ndarray, name: str) -> None:
-    err_u = np.abs(m.conj().T @ m - np.eye(2)).max()
-    err_d = abs(np.linalg.det(m) - 1.0)
-    if err_u > FRAME_TOL or err_d > FRAME_TOL:
-        raise ValueError(
-            f"{name} is not special unitary within tol {FRAME_TOL:.1e} "
-            f"(unitarity {err_u:.2e}, det deviation {err_d:.2e})"
-        )
+def _check_su2(m: np.ndarray, name: str) -> list:
+    """For each matrix of m, one 2x2 or a stack (B, 2, 2), the ValueError it
+    fails if it is not special unitary within ``FRAME_TOL``, else None."""
+    m = m.reshape(-1, 2, 2)
+    err_u = np.abs(mul2(ct2(m), m) - np.eye(2)).max(axis=(-2, -1))
+    err_d = np.abs(det2(m) - 1.0)
+    return [ValueError(f"{name} is not special unitary within tol {FRAME_TOL:.1e} "
+                       f"(unitarity {u:.2e}, det deviation {d:.2e})") if u > FRAME_TOL or d > FRAME_TOL else None
+            for u, d in zip(err_u, err_d)]
+
+
+def _raise_first(errors: list) -> None:
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _left_mult(p) -> np.ndarray:
@@ -126,16 +134,16 @@ def psi_so4(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
-    _check_su2(p, "first psi argument")
-    _check_su2(q, "second psi argument")
+    _raise_first(_check_su2(p, "first psi argument") + _check_su2(q, "second psi argument"))
     return _left_mult(quat_components(p)) @ _right_mult(quat_components(q))
 
 
 @dataclass(frozen=True)
 class FramePointPair:
-    """Unitary frame evaluated at the spectral pair (lam0, -i lam0).
+    """Unitary frame evaluated at the spectral pair (lam0, -i lam0), or a
+    stack of such pairs (F1 and F2 of shape (B, 2, 2)).
 
-    Both matrices must be special unitary within ``FRAME_TOL``; a pair is
+    Every matrix must be special unitary within ``FRAME_TOL``; a pair is
     checked once, when it is built.
     """
 
@@ -149,29 +157,31 @@ class FramePointPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
         object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
-        _check_su2(self.F1, "F1")
-        _check_su2(self.F2, "F2")
+        _raise_first(_check_su2(self.F1, "F1") + _check_su2(self.F2, "F2"))
 
 
 def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
-    """X = F1 F2^{-1} and Y = i F1 sigma_3 F2^{-1}; both special unitary."""
-    f2_inv = np.linalg.inv(fp.F2)
-    return fp.F1 @ f2_inv, 1j * fp.F1 @ SIGMA3 @ f2_inv
+    """X = F1 F2^{-1} and Y = i F1 sigma_3 F2^{-1}; both special unitary.
+    Stacked like the pair."""
+    f2_inv = inv2(fp.F2)
+    return mul2(fp.F1, f2_inv), 1j * mul2(mul2(fp.F1, SIGMA3), f2_inv)
 
 
 def q2_point(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Homogeneous Q2 coordinate built from the entries of X and Y.
+    """Homogeneous Q2 coordinate built from the entries of X and Y, on the
+    last axis for stacks (..., 2, 2).
 
     The returned lift has Hermitian norm sqrt(2); it satisfies the bilinear
     quadric condition sum(v_i^2) = 0.
     """
-    return np.array(
+    return np.stack(
         [
-            x[0, 0].real + 1j * y[0, 0].real,
-            x[0, 0].imag + 1j * y[0, 0].imag,
-            x[0, 1].real + 1j * y[0, 1].real,
-            x[0, 1].imag + 1j * y[0, 1].imag,
-        ]
+            x[..., 0, 0].real + 1j * y[..., 0, 0].real,
+            x[..., 0, 0].imag + 1j * y[..., 0, 0].imag,
+            x[..., 0, 1].real + 1j * y[..., 0, 1].real,
+            x[..., 0, 1].imag + 1j * y[..., 0, 1].imag,
+        ],
+        axis=-1,
     )
 
 
@@ -191,8 +201,9 @@ def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
 
 
 def pauli_components(m: np.ndarray) -> np.ndarray:
-    """Components (m1, m2, m3) of a trace-free Hermitian matrix sum m_i sigma_i."""
-    return np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
+    """Components (m1, m2, m3) of a trace-free Hermitian matrix sum m_i sigma_i,
+    on the last axis for stacks (..., 2, 2)."""
+    return np.stack([m[..., 0, 1].real, -m[..., 0, 1].imag, m[..., 0, 0].real], axis=-1)
 
 
 def sphere_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +215,10 @@ def sphere_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     of the area forms; conjugating the second matrix flips that sign, so the
     product Lagrangian condition det{phi,.} + det{psi,.} = 0 and the
     associated-Jacobian identity Jac(phi) = -Jac(psi) hold literally.
+    Stacked like the pair.
     """
-    phi = fp.F1 @ SIGMA3 @ fp.F1.conj().T
-    psi = fp.F2 @ SIGMA3 @ fp.F2.conj().T
+    phi = mul2(mul2(fp.F1, SIGMA3), ct2(fp.F1))
+    psi = mul2(mul2(fp.F2, SIGMA3), ct2(fp.F2))
     return pauli_components(phi), pauli_components(psi.conj())
 
 
@@ -265,9 +277,9 @@ class SurfaceMap:
     no node gets a looser step than it would get alone.  ``samples`` runs a
     grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
     nodes together at the cap; each pass is split by one batched
-    ``iwasawa`` call, and ``sample(z)`` and every anchor are a chunk of
-    one.  A node whose route, sweep or split fails is invalid and carries
-    its own error.
+    ``iwasawa`` call, the chunk's points are read off one stack of frame
+    pairs, and ``sample(z)`` and every anchor are a chunk of one.  A node
+    whose route, sweep or split fails is invalid and carries its own error.
     ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
     of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
     its centre's window by the same ``_frames``, started from the centre's
@@ -411,41 +423,19 @@ class SurfaceMap:
         x, y = xy_matrices(self.frame_pair(z, winding))
         return q2_point(x, y) / np.sqrt(2.0)
 
-    def _read(self, z: complex, res) -> SurfaceSample:
-        """Read the surface point off the split at z, or record the error that
-        stopped the node; a readout that fails on a P left unresolved (edge
-        mass above ``EDGE_TOL``) names the window and the edge mass first."""
-        if isinstance(res, Exception):
-            return SurfaceSample(z=z, valid=False, error=str(res))
-        try:
-            fp = self._pair(res)
-            x, y = xy_matrices(fp)
-            return SurfaceSample(
-                z=z,
-                q2_hom=q2_point(x, y),
-                s2_pair=sphere_pair(fp),
-                s3_pair=(quat_components(x), quat_components(y)),
-                diagnostics={"unitarity_error": res.unitarity_error, "window": res.window,
-                             "edge_mass": res.edge_mass, "section": res.section},
-            )
-        except _NODE_ERRORS as exc:
-            error = str(exc)
-            if res.edge_mass > EDGE_TOL:
-                error = f"P is unresolved at window N = {res.window} (edge mass {res.edge_mass:.2e}): {error}"
-            return SurfaceSample(z=z, valid=False, error=error)
-
     def samples(self, nodes) -> list[SurfaceSample]:
         """Surface samples at every node, in order.
 
         The nodes run ``NODE_CHUNK`` at a time, each chunk at the start
         window; the chunk's nodes that are unresolved there run again
-        together at the cap.  A node that fails is invalid and carries its
+        together at the cap, and the chunk is read off one stack
+        (``_read_chunk``).  A node that fails is invalid and carries its
         error, the rest are still computed.
         """
         zs = [complex(z) for z in nodes]
         out = []
         for chunk in node_chunks(zs):
-            out += [self._read(z, res) for z, res in zip(chunk, self._anchors(chunk, 0)[1])]
+            out += _read_chunk(chunk, self._anchors(chunk, 0)[1])
         return out
 
     def sample(self, z: complex) -> SurfaceSample:
@@ -460,6 +450,40 @@ def _split_rows(states: list) -> list:
     if rows:
         for i, res in zip(rows, iwasawa(np.stack([states[i] for i in rows]))):
             out[i] = res
+    return out
+
+
+def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
+    """The surface sample at each z, read off its split with the chunk's
+    other nodes as one stack of frame pairs, or the error that stopped the
+    node.  A pair that fails the SU(2) gate fails its node only; on a P left
+    unresolved (edge mass above ``EDGE_TOL``) its error names the window and
+    the edge mass first."""
+    out = [SurfaceSample(z=z, valid=False, error=str(res)) if isinstance(res, Exception) else None
+           for z, res in zip(zs, splits)]
+    rows = [i for i, sample in enumerate(out) if sample is None]
+    if not rows:
+        return out
+    f1 = np.stack([splits[i].F[0] for i in rows])
+    f2 = np.stack([splits[i].F[3 * splits[i].window] for i in rows])
+    gate = [e1 or e2 for e1, e2 in zip(_check_su2(f1, "F1"), _check_su2(f2, "F2"))]
+    for i, exc in zip(rows, gate):
+        if exc is not None:
+            res = splits[i]
+            error = str(exc)
+            if res.edge_mass > EDGE_TOL:
+                error = f"P is unresolved at window N = {res.window} (edge mass {res.edge_mass:.2e}): {error}"
+            out[i] = SurfaceSample(z=zs[i], valid=False, error=error)
+    good = [k for k, exc in enumerate(gate) if exc is None]
+    fp = FramePointPair(f1[good], f2[good])
+    x, y = xy_matrices(fp)
+    q2, (s2a, s2b), s3x, s3y = q2_point(x, y), sphere_pair(fp), quat_components(x), quat_components(y)
+    for j, k in enumerate(good):
+        i = rows[k]
+        res = splits[i]
+        out[i] = SurfaceSample(z=zs[i], q2_hom=q2[j], s2_pair=(s2a[j], s2b[j]), s3_pair=(s3x[j], s3y[j]),
+                               diagnostics={"unitarity_error": res.unitarity_error, "window": res.window,
+                                            "edge_mass": res.edge_mass, "section": res.section})
     return out
 
 

@@ -176,19 +176,9 @@ def _segment_rhs(xi: XiSampler, a, dz):
     dz = np.asarray(dz, dtype=np.complex128).reshape(-1)
     const = _planes(xi.const)[:, :, None] * dz[:, None]
     weighted = [(w, _planes(vals)[:, :, None] * dz[:, None]) for w, vals in xi.weighted]
-    if a.size == 1:
-        # one row: a scalar z keeps the weights off numpy's per-call overhead
-        a0, dz0 = complex(a[0]), complex(dz[0])
-
-        def z_at(t: float):
-            return a0 + t * dz0
-    else:
-
-        def z_at(t: float):
-            return (a + t * dz)[:, None]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        z = z_at(t)
+        z = (a + t * dz)[:, None]
         x = const
         for w, vals in weighted:
             x = x + w(z) * vals

@@ -21,7 +21,9 @@ a coefficient window, so no Laurent mode of F is dropped.
 
 A stack of loops, shape (B, 4N, 2, 2), is split in one pass, one stacked
 Cholesky per section over the rows still doubling; each row keeps its own
-checks and error, and the bits it gets alone, as a stack of one.
+checks and error, and the bits it gets alone, as a stack of one.  The 2x2
+products, inverses and eigenvalues at the samples are formed entry by entry
+(``loops.mul2`` and its kin), so a row's bits do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import coefficients, plus_values
+from .loops import coefficients, ct2, eigvalsh2, inv2, mul2, plus_values
 
 #: the split accepts B once max_j ||B_j* B_j - P_j|| <= SPLIT_TOL max_j ||P_j||^2: the
 #: residual's float64 floor is 1e-17 to 8e-16 of ||P||^2 (= cond P, as det P = 1), so
@@ -95,22 +97,25 @@ def _positivity_precheck(vals: np.ndarray, finite: np.ndarray) -> list:
     samples, or its FactorizationError where that loop is not finite at the
     samples it was given (``finite``, shape (B, 4N)), or not Hermitian
     positive at its samples."""
-    herm = np.linalg.norm(vals - np.conj(np.swapaxes(vals, -1, -2)), axis=(-2, -1))
-    eigs = np.linalg.eigvalsh(0.5 * (vals + np.conj(np.swapaxes(vals, -1, -2))))
+    m = vals.shape[1]
+    herm = np.linalg.norm(vals - ct2(vals), axis=(-2, -1))
+    eigs = eigvalsh2(0.5 * (vals + ct2(vals)))
+    worst, lowest = herm.argmax(axis=1), eigs[..., 0].argmin(axis=1)
+    scale = np.maximum(1.0, np.abs(vals).max(axis=(1, 2, 3)))
     out = []
-    for h, e, row, ok in zip(herm, eigs, vals, finite):
-        worst, least = int(np.argmax(h)), e.min(axis=1)
+    for i, ok in enumerate(finite):
+        dev, least = herm[i, worst[i]], eigs[i, lowest[i], 0]
         # NaN passes every comparison below, so a loop that is not finite stops here
         if not ok.all():
-            out.append(FactorizationError(f"loop is not finite at sample {int(np.argmin(ok))} of {len(h)}"))
-        elif h[worst] > 1e-6 * max(1.0, float(np.abs(row).max())):
+            out.append(FactorizationError(f"loop is not finite at sample {int(np.argmin(ok))} of {m}"))
+        elif dev > 1e-6 * scale[i]:
             out.append(FactorizationError(
-                f"loop is not Hermitian on the circle: deviation {h[worst]:.3e} at sample {worst} of {len(h)}"))
-        elif least.min() <= 0:
-            out.append(FactorizationError(f"loop is not positive definite at sample {int(np.argmin(least))} "
-                                          f"of {len(h)} (min eigenvalue {least.min():.3e})"))
+                f"loop is not Hermitian on the circle: deviation {dev:.3e} at sample {worst[i]} of {m}"))
+        elif least <= 0:
+            out.append(FactorizationError(f"loop is not positive definite at sample {lowest[i]} "
+                                          f"of {m} (min eigenvalue {least:.3e})"))
         else:
-            out.append(float(e.max()))
+            out.append(float(eigs[i, :, 1].max()))
     return out
 
 
@@ -151,7 +156,7 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
 def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> np.ndarray:
     """max_j ||B(omega^j)^* B(omega^j) - P_j|| over the samples of P, for each row of a stack."""
     bv = plus_values(b, p_vals.shape[-3])
-    diff = np.conj(np.swapaxes(bv, -1, -2)) @ bv - p_vals
+    diff = mul2(ct2(bv), bv) - p_vals
     return np.linalg.norm(diff, axis=(-2, -1)).max(axis=-1)
 
 
@@ -235,7 +240,7 @@ def iwasawa(values: np.ndarray):
     _window(values)
     if values.ndim == 3:
         return _single(iwasawa(values[None]))
-    out = spectral_factor_plus(np.conj(np.swapaxes(values, -1, -2)) @ values)
+    out = spectral_factor_plus(mul2(ct2(values), values))
     ok = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if not ok:
         return out
@@ -245,14 +250,14 @@ def iwasawa(values: np.ndarray):
     q, r = np.linalg.qr(b[:, 0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))[:, None, :]
-    b = np.conj(np.swapaxes(q, -1, -2))[:, None] @ b
+    b = mul2(ct2(q)[:, None], b)
     b[:, 0] = np.triu(b[:, 0])
     diag = (slice(None), 0, [0, 1], [0, 1])
     b.real[diag] = np.abs(b.real[diag])
     b.imag[diag] = 0.0
 
-    f = values[ok] @ np.linalg.inv(plus_values(b, values.shape[-3]))
-    gram_f = np.conj(np.swapaxes(f, -1, -2)) @ f - np.eye(2)
+    f = mul2(values[ok], inv2(plus_values(b, values.shape[-3])))
+    gram_f = mul2(ct2(f), f) - np.eye(2)
     unitarity = np.linalg.norm(gram_f, axis=(-2, -1)).max(axis=-1)
     for k, i in enumerate(ok):
         out[i] = IwasawaResult(f[k], b[k], float(unitarity[k]), *out[i][1:])

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 
 class PoleError(ValueError):
@@ -201,6 +200,8 @@ def make_potential(spec: PotentialSpec) -> Potential:
 
 
 def _rational(num, den) -> Callable[[complex], complex]:
+    from numpy.polynomial import polynomial as npp
+
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
 

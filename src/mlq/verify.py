@@ -58,13 +58,18 @@ def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
     return dict(zip(DIAMOND, smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])))
 
 
+def _stacked(frames: Mapping) -> FramePointPair:
+    """The pairs of a frame table as one stacked pair, in the table's order."""
+    return FramePointPair(np.stack([fp.F1 for fp in frames.values()]), np.stack([fp.F2 for fp in frames.values()]))
+
+
 def _lift_table(frames: Mapping) -> dict:
-    """Unit Q2 lifts of a frame table, read as SurfaceMap.lift reads one pair."""
-    return {k: q2_point(*xy_matrices(fp)) / np.sqrt(2.0) for k, fp in frames.items()}
+    """Unit Q2 lifts of a frame table, read off one stack as SurfaceMap.lift reads one pair."""
+    return dict(zip(frames, q2_point(*xy_matrices(_stacked(frames))) / np.sqrt(2.0)))
 
 
 def _s2_table(frames: Mapping) -> dict:
-    return {k: sphere_pair(fp) for k, fp in frames.items()}
+    return dict(zip(frames, zip(*sphere_pair(_stacked(frames)))))
 
 
 def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> dict:

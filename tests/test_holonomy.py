@@ -259,6 +259,21 @@ def test_dopri45_matches_scipy_rk45(seg, theta, m, tol):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seg=st.one_of(_radial_segment(), _trinoid_segment()), t=st.floats(0.0, 1.0))
+def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg, t):
+    # every batch size evaluates the weights on one array path, so a node's
+    # frame does not depend on whether its transport ran alone
+    pot, z = seg
+    a, dz = pot.base_point, z - pot.base_point
+    xi = xi_sampler(pot, window_samples(4))
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(2, 2, 2, 16)) + 1j * rng.normal(size=(2, 2, 2, 16))
+    alone = _segment_rhs(xi, [a], [dz])(t, y[:, :, :1])
+    batch = _segment_rhs(xi, [a, a], [dz, 0.5 * dz])(t, y)
+    assert np.array_equal(alone[:, :, 0], batch[:, :, 0])
+
+
 def test_dopri45_reports_a_blow_up():
     # y' = y^2 from y(0) = 2 blows up at t = 1/2
     with pytest.raises(IntegrationError, match="z = 0.5"):

@@ -15,6 +15,7 @@ from mlq.iwasawa import (
     IwasawaResult,
     _bauer_read,
     _factor_residual,
+    _positivity_precheck,
     iwasawa,
     spectral_factor_plus,
 )
@@ -261,6 +262,20 @@ def test_a_row_that_is_not_finite_fails_at_once_and_spares_the_rest():
     assert str(rows[2]) == f"loop is not finite at sample 5 of {4 * n}"
     for values, row in zip(stack, rows):
         assert_same_row(row, split_alone(iwasawa, values))
+
+
+def test_a_loop_with_one_non_positive_sample_fails_the_precheck():
+    # the 2x2 eigenvalues are formed entry by entry; the error names the
+    # sample and its least eigenvalue, and a positive row reads its largest
+    positive = np.tile(np.diag([2.0, 0.5]).astype(complex), (16, 1, 1))
+    indefinite = positive.copy()
+    indefinite[5] = [[1.0, 0.5j], [-0.5j, -0.25]]
+    stack = np.stack([positive, indefinite])
+    top, error = _positivity_precheck(stack, np.isfinite(stack).all(axis=(-2, -1)))
+    assert top == 2.0
+    assert isinstance(error, FactorizationError)
+    least = np.linalg.eigvalsh(indefinite[5])[0]
+    assert str(error) == f"loop is not positive definite at sample 5 of 16 (min eigenvalue {least:.3e})"
 
 
 def test_an_indefinite_section_fails_its_own_row():
