@@ -27,7 +27,7 @@ from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitari
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
 from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict
-from .verify import DeckTransform, invariants_report, node_report, symmetry_check
+from .verify import DeckTransform, frame_table, invariants_report, node_report, symmetry_check
 
 SCHEMA = 1
 
@@ -180,8 +180,8 @@ def _n_jobs(cli_jobs: int | None) -> int:
 
 
 def _map_nodes(fn, nodes, jobs: int) -> list:
-    """Apply fn to nodes (grid nodes, node chunks or sweep members) in a
-    bounded pool; results in input order."""
+    """Apply fn to nodes (grid nodes or node chunks) in a bounded pool;
+    results in input order."""
     if jobs <= 1:
         return [fn(z) for z in nodes]
     from concurrent.futures import ThreadPoolExecutor
@@ -492,20 +492,33 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     _grid_pole_check(cfg.pot, cfg.grid)
     nodes = cfg.grid.nodes()
     h = cfg.fd_step
-    lams = [np.exp(1j * np.pi * k / cfg.sweep) for k in range(cfg.sweep)]
+    s = cfg.sweep
+    lams = [np.exp(1j * np.pi * k / s) for k in range(s)]
+    # member k = m + d t is member m's frame table read at sample 2N d t / s, at either window N
+    maps = [SurfaceMap(cfg.pot, lams[0], window=cfg.truncation_n, ode=cfg.ode)]
+    d = s // np.gcd(s, 2 * np.gcd(maps[0].start_window, maps[0].window))
+    maps += [SurfaceMap(cfg.pot, lam, window=cfg.truncation_n, ode=cfg.ode) for lam in lams[1:d]]
 
-    def run_member(lam: complex):
-        smap = SurfaceMap(cfg.pot, lam, window=cfg.truncation_n, ode=cfg.ode)
-        # raw lift phase: the lam0^-2 rotation is a statement about the
-        # un-normalized alpha
-        return [invariants_report(smap, z, h, phase=1.0 + 0.0j) for z in nodes]
+    def node_members(z: complex):
+        try:
+            tables = [frame_table(smap, z, h) for smap in maps]
+            # raw lift phase: the lam0^-2 rotation is a statement about the un-normalized alpha
+            return [invariants_report(tables[k % d].pair(2 * tables[k % d].window * (k - k % d) // s), z, h,
+                                      phase=1.0 + 0.0j) for k in range(s)]
+        except (ValueError, RuntimeError) as exc:
+            return exc
 
-    members = _map_nodes(run_member, lams, jobs)
-    ref = members[0]
+    rows = _map_nodes(node_members, nodes, jobs)
+    failures = [{"index": i, "z_re": z.real, "z_im": z.imag, "error": str(row)}
+                for i, (z, row) in enumerate(zip(nodes, rows)) if isinstance(row, Exception)]
+    valid = [row for row in rows if not isinstance(row, Exception)]
+    if not valid:
+        print(f"no grid node produced a family report: {failures[0]['error']}", file=sys.stderr)
+        return EXIT_NUMERICAL
     per_lambda = []
-    for lam, member in zip(lams, members):
-        u_dev = max(abs(r.u - r0.u) for r, r0 in zip(member, ref))
-        a_dev = max(abs(r.alpha - lam**-2 * r0.alpha) for r, r0 in zip(member, ref))
+    for k, lam in enumerate(lams):
+        u_dev = max(abs(row[k].u - row[0].u) for row in valid)
+        a_dev = max(abs(row[k].alpha - lam**-2 * row[0].alpha) for row in valid)
         per_lambda.append({
             "lambda_re": float(lam.real),
             "lambda_im": float(lam.imag),
@@ -520,11 +533,13 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "version": __version__,
         "config": cfg.raw,
         "lambdas": [[float(l.real), float(l.imag)] for l in lams],
+        "n_failed": len(failures),
+        "failures": failures,
         "per_lambda": per_lambda,
         "max_u_dev": max_u,
         "max_alpha_dev": max_a,
     })
-    print(f"family sweep ({cfg.sweep} samples): max |u - u(1)| = {max_u:.3e}, "
+    print(f"family sweep ({s} samples, {len(failures)} of {len(nodes)} nodes failed): max |u - u(1)| = {max_u:.3e}, "
           f"max |alpha - lam^-2 alpha(1)| = {max_a:.3e}")
     bound = cfg.tolerances.get("family", None)
     if bound is not None and (max_u > bound or max_a > bound):

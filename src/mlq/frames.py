@@ -18,8 +18,8 @@ nothing evaluated or projected, by forming
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
 and reading the homogeneous Q2 coordinate off the entries of X and Y.  A
-``FramePointPair`` is checked to be special unitary within ``FRAME_TOL``
-once, when it is built; the readouts take it as checked.  The
+``FramePointPair`` (a pair or a stack, read off a ``FrameTable`` for a stencil)
+is checked special unitary within ``FRAME_TOL`` once, when it is built.  The
 SU(2) x SU(2) -> SO(4) two-fold cover psi identifies matrix pairs with
 rotations of R^4 = H via quaternion left/right multiplication; its component
 conventions are locked by unit tests because every sign matters.
@@ -94,10 +94,10 @@ def _check_su2(m: np.ndarray, name: str) -> list:
             for u, d in zip(err_u, err_d)]
 
 
-def _raise_first(errors: list) -> None:
-    for exc in errors:
-        if exc is not None:
-            raise exc
+def _raise_first(rows: list) -> None:
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
 
 
 def _left_mult(p) -> np.ndarray:
@@ -149,15 +149,26 @@ class FramePointPair:
 
     F1: np.ndarray
     F2: np.ndarray
-    #: window N the pair was read at, and the blocks of the Toeplitz section its
-    #: split accepted; None for a pair built from closed-form frames
-    window: int | None = None
-    section: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
         object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
         _raise_first(_check_su2(self.F1, "F1") + _check_su2(self.F2, "F2"))
+
+
+@dataclass(frozen=True)
+class FrameTable:
+    """A stencil's unitary frames at the 4N samples lam0 omega^j, F of shape
+    (P, 4N, 2, 2), split at the centre's window N and Toeplitz section."""
+
+    F: np.ndarray
+    window: int
+    section: int
+
+    def pair(self, j: int) -> FramePointPair:
+        """The points' pairs at samples (j, j + 3N mod 4N) as one stack: the
+        split is unique, so they are the pairs a map at lam0 omega^j reads."""
+        return FramePointPair(self.F[:, j], self.F[:, (j + 3 * self.window) % (4 * self.window)])
 
 
 def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +294,9 @@ class SurfaceMap:
     ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
     of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
     its centre's window by the same ``_frames``, started from the centre's
-    values, and splits its points in one call, so finite differences see a
-    smooth function limited only by roundoff.  Nothing is cached and the
-    counts are locked, so a map may be shared between threads.
+    values, and splits its points into one ``FrameTable`` in one call, so
+    finite differences see a smooth function limited only by roundoff.  Nothing
+    is cached and the counts are locked, so a map may be shared between threads.
     """
 
     def __init__(
@@ -376,52 +387,43 @@ class SurfaceMap:
             states[i], splits[i] = state, res
         return states, splits
 
-    def _anchor(self, z: complex, winding: int) -> tuple[np.ndarray, IwasawaResult]:
-        """Frame values at z and their split, at the window the rule chooses for z."""
-        (state,), (res,) = self._anchors([z], winding)
-        if isinstance(res, Exception):
-            raise res
-        return state, res
-
-    def _pair(self, res: IwasawaResult) -> FramePointPair:
-        return FramePointPair(res.F[0], res.F[3 * res.window], res.window, res.section)
-
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
-        return self._anchor(complex(z), winding)[1]
+        (res,) = self._anchors([complex(z)], winding)[1]
+        _raise_first([res])
+        return res
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
         """The unitary frame at (lam0, -i lam0)."""
-        return self._pair(self.unitary_frame(z, winding))
+        res = self.unitary_frame(z, winding)
+        return FramePointPair(res.F[0], res.F[3 * res.window])
 
-    def frame_pairs(self, z: complex, points) -> list[FramePointPair]:
-        """Frame pairs at points near z, all at z's window, one split for all.
+    def frame_pairs(self, z: complex, points) -> FrameTable:
+        """The frames at points near z as one table at z's window, one split for all.
 
         The window is chosen once, from z's own split, so every point shares
         z's truncation.  The points' values are carried from z's by
         ``_frames`` along straight segments from z: exactly for a one-term
         potential, else as the rows of one adaptive transport, which share
         every step, so finite differences see one smooth function.  A point
-        equal to z is read off z's split, so its pair equals
+        equal to z is read off z's split, so its pair at sample 0 equals
         ``frame_pair(z)`` bit for bit.
         """
         z = complex(z)
         points = [complex(p) for p in points]
-        state, anchor = self._anchor(z, 0)
+        (state,), (anchor,) = self._anchors([z], 0)
+        _raise_first([anchor])
         for p in points:
             if p != z:
                 validate_path(DomainPath.line(z, p), self.pot)
         off = iter(_split_rows(self._frames([p for p in points if p != z], 0, anchor.window, (z, state))))
         splits = [anchor if p == z else next(off) for p in points]
-        for res in splits:
-            if isinstance(res, Exception):
-                raise res
-        return [self._pair(res) for res in splits]
+        _raise_first(splits)
+        return FrameTable(np.stack([res.F for res in splits]), anchor.window, anchor.section)
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
-        x, y = xy_matrices(self.frame_pair(z, winding))
-        return q2_point(x, y) / np.sqrt(2.0)
+        return q2_point(*xy_matrices(self.frame_pair(z, winding))) / np.sqrt(2.0)
 
     def samples(self, nodes) -> list[SurfaceSample]:
         """Surface samples at every node, in order.

@@ -7,12 +7,12 @@ is estimated here by central finite differences of the surface lift and
 reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
-The FD engine evaluates the frame pair on the 13-point diamond
-{|a| + |b| <= 2} around each node, once, all at the node's window
-(``SurfaceMap.frame_pairs``: the exact frame of a one-term potential, else
-one transport to the node and one 12-row transport from it to the other
-points); the lift, the
-S2 x S2 factors and every report are read off that one table.  First derivatives and Laplacians use the
+The FD engine evaluates the frames on the 13-point diamond {|a| + |b| <= 2}
+around each node once, as one table at the node's window (``frame_table``:
+the exact frame of a one-term potential, else one transport to the node
+and one 12-row transport from it), reads its pairs off it once, as one
+checked stack, and reads the lift, the S2 x S2 factors and every report
+off that stack.  First derivatives and Laplacians use the
 order-2 central stencils (the classic 5-point cross), so every smooth
 residual shrinks like h^2; the outer points of the diamond serve the nested
 derivatives (u, alpha and beta at the cross neighbours).
@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .frames import FramePointPair, SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
+from .frames import FramePointPair, FrameTable, SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
 
 #: stencil offsets (a, b) ~ z + (a + ib) h used by the FD engine
 DIAMOND = tuple(
@@ -52,24 +52,18 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.sum(v * w))
 
 
-def _frame_table(smap: SurfaceMap, z: complex, h: float) -> dict:
-    """Frame pairs on the diamond around z, all at z's window (``SurfaceMap.frame_pairs``)."""
-    z = complex(z)
-    return dict(zip(DIAMOND, smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])))
+def frame_table(smap: SurfaceMap, z: complex, h: float) -> FrameTable:
+    """The frames on the diamond around z, all at z's window (``SurfaceMap.frame_pairs``)."""
+    return smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])
 
 
-def _stacked(frames: Mapping) -> FramePointPair:
-    """The pairs of a frame table as one stacked pair, in the table's order."""
-    return FramePointPair(np.stack([fp.F1 for fp in frames.values()]), np.stack([fp.F2 for fp in frames.values()]))
+def _lift_table(pairs: FramePointPair) -> dict:
+    """Unit Q2 lifts of a frame table's stacked pairs, read as SurfaceMap.lift reads one pair."""
+    return dict(zip(DIAMOND, q2_point(*xy_matrices(pairs)) / np.sqrt(2.0)))
 
 
-def _lift_table(frames: Mapping) -> dict:
-    """Unit Q2 lifts of a frame table, read off one stack as SurfaceMap.lift reads one pair."""
-    return dict(zip(frames, q2_point(*xy_matrices(_stacked(frames))) / np.sqrt(2.0)))
-
-
-def _s2_table(frames: Mapping) -> dict:
-    return dict(zip(frames, zip(*sphere_pair(_stacked(frames)))))
+def _s2_table(pairs: FramePointPair) -> dict:
+    return dict(zip(DIAMOND, zip(*sphere_pair(pairs))))
 
 
 def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> dict:
@@ -125,7 +119,7 @@ class InvariantReport:
     horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
     the truncation window N the frame table was read at, and section the
     blocks of the Toeplitz section its centre's split accepted (both None
-    for a plain callable).
+    for stacked pairs or a plain callable).
     """
 
     z: complex
@@ -191,10 +185,10 @@ def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex,
 
 
 def _invariants(
-    vals: Mapping, z: complex, h: float, phase: complex | None = None, centre: FramePointPair | None = None
+    vals: Mapping, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
 ) -> InvariantReport:
     """InvariantReport from a lift table on the diamond around z, recording the
-    window and section of the ``centre`` pair it was read from."""
+    window and section of the frame ``table`` it was read from."""
     f0 = vals[(0, 0)]
     fz, fzb = _first_derivs(vals, h)
     eu = float(np.sum(fz * np.conj(fz)).real)
@@ -229,28 +223,30 @@ def _invariants(
     }
     return InvariantReport(
         z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals,
-        window=None if centre is None else centre.window, section=None if centre is None else centre.section,
+        window=None if table is None else table.window, section=None if table is None else table.section,
     )
 
 
 def invariants_report(
-    surface: SurfaceMap | Callable[[complex], np.ndarray],
+    surface: SurfaceMap | FramePointPair | Callable[[complex], np.ndarray],
     z: complex,
     h: float = 1e-3,
     phase: complex | None = None,
 ) -> InvariantReport:
     """Estimate the invariants of the lifted surface at z by central FD.
 
-    ``surface`` is a SurfaceMap (its frame pairs on the diamond, all at z's
-    window) or a plain smooth callable z -> unit 4-vector.
+    ``surface`` is a SurfaceMap (its ``frame_table``), the stacked pairs a
+    frame table around z reads, or a plain smooth callable z -> unit 4-vector.
     ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
     to see the raw alpha/beta of the lift as evaluated; the associated-family
     relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
     per-member re-phasing would snap the rotation away).
     """
     if isinstance(surface, SurfaceMap):
-        frames = _frame_table(surface, z, h)
-        return _invariants(_lift_table(frames), z, h, phase, frames[(0, 0)])
+        table = frame_table(surface, z, h)
+        return _invariants(_lift_table(table.pair(0)), z, h, phase, table)
+    if isinstance(surface, FramePointPair):
+        return _invariants(_lift_table(surface), z, h, phase)
     return _invariants(_eval_stencil(surface, z, h, np.complex128), z, h, phase)
 
 
@@ -308,10 +304,8 @@ def geometry_report(
     jacobian_sum: |Jac(phi) + Jac(psi)| with Jac = det{m, m_x, m_y}/(8 e^u).
     """
     if isinstance(surface, SurfaceMap):
-        pairs = _s2_table(_frame_table(surface, z, h))
-    else:
-        pairs = _eval_stencil(surface, z, h, np.float64)
-    return _geometry(pairs, z, h)
+        return _geometry(_s2_table(frame_table(surface, z, h).pair(0)), z, h)
+    return _geometry(_eval_stencil(surface, z, h, np.float64), z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +380,14 @@ def node_report(
 ) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
     """All three reports at z from one frame table and 13 Iwasawa splits.
 
-    The diamond is evaluated once at z's window (``SurfaceMap.frame_pairs``);
-    the lifts and the factor pairs are both read off those frame pairs, and
-    the invariant report records the window.
+    The diamond is evaluated once at z's window (``frame_table``); the lifts
+    and the factor pairs are both read off its pairs at sample 0, and the
+    invariant report records the window.
     """
-    frames = _frame_table(smap, z, h)
-    lifts = _lift_table(frames)
-    s2 = _s2_table(frames)
-    return _invariants(lifts, z, h, centre=frames[(0, 0)]), _geometry(s2, z, h), cu_report(lifts, h, s2)
+    table = frame_table(smap, z, h)
+    pairs = table.pair(0)
+    lifts, s2 = _lift_table(pairs), _s2_table(pairs)
+    return _invariants(lifts, z, h, table=table), _geometry(s2, z, h), cu_report(lifts, h, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import mlq
 import mlq.cli
 from mlq import potentials
-from mlq.frames import SurfaceMap, _split_rows
+from mlq.frames import FrameTable, SurfaceMap, _split_rows
 from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
 
 
@@ -106,13 +106,15 @@ def test_no_test_only_code():
 
 #: parameters of the split and of the SurfaceMap entry points: the split rule
 #: is one constant (``iwasawa.SPLIT_TOL``), the section starts at P's degree,
-#: a stack is split whole, and winding reaches only the deck check's ``lift``,
-#: so no tolerance, section, batch-size or winding knob may come back
+#: a stack is split whole, winding reaches only the deck check's ``lift``, and
+#: a frame table is read at a sample, so no tolerance, section, batch-size,
+#: winding or spectral-value knob may come back
 SIGNATURES = [
     (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
     (SurfaceMap.samples, ["self", "nodes"]),
     (SurfaceMap.sample, ["self", "z"]),
     (SurfaceMap.frame_pairs, ["self", "z", "points"]),
+    (FrameTable.pair, ["self", "j"]),
     (iwasawa, ["values"]),
     (spectral_factor_plus, ["values"]),
     (_single, ["rows"]),

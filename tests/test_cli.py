@@ -423,23 +423,73 @@ def test_closing_trinoid_runs_one_transport_for_its_three_loops(tmp_path, monkey
     assert (outs[0] / "closing.json").read_bytes() == (outs[1] / "closing.json").read_bytes()
 
 
-def test_family_sweep(tmp_path):
-    cfg = write_cfg(
-        tmp_path, "fam.json",
-        potential={"variant": "torus"},
-        grid={"re_min": -0.3, "re_max": 0.3, "n_re": 2,
-              "im_min": -0.3, "im_max": 0.3, "n_im": 2},
-        sweep=2,
-    )
+#: the verify-radial grid of perfbench: radial (0.5, 1) on [-0.4, 0.4]^2, N = 16
+VERIFY_RADIAL = {
+    "potential": {"variant": "radial", "c": [0.5, 0.0], "k": 1},
+    "grid": {"re_min": -0.4, "re_max": 0.4, "n_re": 3, "im_min": -0.4, "im_max": 0.4, "n_im": 3},
+    "truncation_N": 16, "ode": {"tolerance": 1e-12},
+}
+
+#: a family config and its sweep: the torus at sweep 2 reads both members
+#: off one map, radial sweep 6 reads six members off d = 6/gcd(6, 16) = 3 maps
+FAMILY_SWEEPS = {
+    "torus": {"potential": {"variant": "torus"}, "sweep": 2,
+              "grid": {"re_min": -0.3, "re_max": 0.3, "n_re": 2, "im_min": -0.3, "im_max": 0.3, "n_im": 2}},
+    "radial-6": {**VERIFY_RADIAL, "sweep": 6},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SWEEPS))
+def test_family_sweep(tmp_path, name):
+    cfg = write_cfg(tmp_path, "fam.json", **FAMILY_SWEEPS[name])
+    sweep = FAMILY_SWEEPS[name]["sweep"]
     out = tmp_path / "family"
     assert main(["family", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
-    # the sweep members run on threads; each is independent of the others
+    # the nodes run on threads; each is independent of the others
     assert main(["family", "--config", cfg, "--out", str(tmp_path / "family2"), "--jobs", "2"]) == EXIT_OK
     assert (tmp_path / "family2" / "family.json").read_bytes() == (out / "family.json").read_bytes()
     payload = json.loads((out / "family.json").read_text())
-    assert len(payload["per_lambda"]) == 2
+    assert len(payload["per_lambda"]) == sweep and payload["n_failed"] == 0
     assert payload["max_u_dev"] < 1e-6
     assert payload["max_alpha_dev"] < 1e-4
+
+
+def test_family_at_sweep_8_transports_as_verify_does(tmp_path, monkeypatch):
+    # at sweep 8 every member is a sample of member 0's table (N = 8 or 16),
+    # so family transports each stencil once, as verify does
+    calls = []
+    transport = frames.transport
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return transport(*args)
+
+    monkeypatch.setattr(frames, "transport", counted)
+    cfg = write_cfg(tmp_path, "fam.json", **VERIFY_RADIAL, sweep=8)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
+    verify_calls, calls[:] = list(calls), []
+    assert main(["family", "--config", cfg, "--out", str(tmp_path / "f"), "--jobs", "1"]) == EXIT_OK
+    assert calls == verify_calls and len(calls) > 0
+
+
+def test_family_keeps_going_past_a_failed_node(tmp_path):
+    # the node at 0.0015 is too near the pole for the split at N = 8 (P is not
+    # positive definite there): it fails alone, in family as in verify, and
+    # the deviations are taken over the other three nodes
+    cfg = write_cfg(
+        tmp_path, "fam.json", truncation_N=8, sweep=2,
+        potential={"variant": "equivariant", "a": 0.75, "b": 0.25},
+        grid={"re_min": 0.0015, "re_max": 0.3, "n_re": 2, "im_min": 0.0, "im_max": 0.2, "n_im": 2},
+    )
+    assert main(["family", "--config", cfg, "--out", str(tmp_path / "f"), "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
+    family = json.loads((tmp_path / "f" / "family.json").read_text())
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    error = "loop is not positive definite at sample 0 of 32"
+    assert family["n_failed"] == report["n_failed"] == 1
+    assert [(f["index"], f["z_re"], f["z_im"]) for f in family["failures"]] == [(0, 0.0015, 0.0)]
+    assert family["failures"][0]["error"].startswith(error) and report["nodes"][0]["error"].startswith(error)
+    assert 0 < family["max_u_dev"] < 1e-4 and 0 < family["max_alpha_dev"] < 1e-3
 
 
 #: potential, grid and error of configs whose frames are not finite: the

@@ -44,6 +44,7 @@ from mlq.potentials import (
     torus_spec,
     trinoid_spec,
 )
+from mlq.verify import DIAMOND
 
 rng = np.random.default_rng(4242)
 
@@ -180,8 +181,8 @@ def test_lift_is_anchor_independent(family, z0, z):
     # own frame from the base point
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0)
-    fp = smap.frame_pairs(z0, [z])[0]
-    np.testing.assert_allclose(q2_point(*xy_matrices(fp)) / np.sqrt(2.0), smap.lift(z), atol=1e-9)
+    fp = smap.frame_pairs(z0, [z]).pair(0)
+    np.testing.assert_allclose(q2_point(*xy_matrices(fp))[0] / np.sqrt(2.0), smap.lift(z), atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -194,9 +195,9 @@ def test_stencil_centre_is_the_frame_pair(family, z):
     # pair is frame_pair's bit for bit
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0, window=8)
-    centre, _ = smap.frame_pairs(z, [z, z + 1e-3])
+    pairs = smap.frame_pairs(z, [z, z + 1e-3]).pair(0)
     single = smap.frame_pair(z)
-    assert np.array_equal(centre.F1, single.F1) and np.array_equal(centre.F2, single.F2)
+    assert np.array_equal(pairs.F1[0], single.F1) and np.array_equal(pairs.F2[0], single.F2)
 
 
 @pytest.mark.parametrize("z", [0.3, 1.2], ids=["cap", "start"])
@@ -204,10 +205,34 @@ def test_stencil_centre_is_the_frame_pair_at_either_window(z):
     # z = 0.3 is read at the cap, z = 1.2 at the start window: either way the
     # whole stencil shares the centre's window and the centre is frame_pair's
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
-    pairs = smap.frame_pairs(z, [z, z + 1e-3, z - 1e-3j])
+    table = smap.frame_pairs(z, [z, z + 1e-3, z - 1e-3j])
     single = smap.frame_pair(z)
-    assert {fp.window for fp in pairs} == {single.window}
-    assert np.array_equal(pairs[0].F1, single.F1) and np.array_equal(pairs[0].F2, single.F2)
+    assert table.F.shape == (3, 4 * smap.unitary_frame(z).window, 2, 2)
+    assert np.array_equal(table.pair(0).F1[0], single.F1) and np.array_equal(table.pair(0).F2[0], single.F2)
+
+
+@pytest.mark.parametrize("sweep, maps", [(8, 1), (6, 3)], ids=["sweep8", "sweep6"])
+@pytest.mark.parametrize(
+    "spec, z, window",
+    [(radial_spec(0.5, 1), 0.3 + 0.2j, START_WINDOW), (radial_spec(0.5, 1), 1.5, 16),
+     (equivariant_spec(0.75, 0.25), 0.9 - 0.3j, START_WINDOW), (equivariant_spec(0.75, 0.25), 0.4, 16)],
+    ids=["radial", "radial-cap", "equivariant", "equivariant-cap"],
+)
+def test_a_sweep_member_is_read_off_a_shared_table(spec, z, window, sweep, maps):
+    # member k = m + maps t of the sweep lam_k = exp(i pi k / sweep) is the
+    # sample 2N maps t / sweep of member m's table, at the start window or
+    # the cap: the normalized split is unique, so it is the pair member k's
+    # own map reads at sample 0
+    pot = make_potential(spec)
+    lams = [np.exp(1j * np.pi * k / sweep) for k in range(sweep)]
+    points = [z + (a + 1j * b) * 1e-3 for a, b in DIAMOND]
+    tables = [SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE).frame_pairs(z, points) for lam in lams[:maps]]
+    for k, lam in enumerate(lams):
+        table = tables[k % maps]
+        own = SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE).frame_pairs(z, points)
+        assert own.window == table.window == window
+        shared, ref = table.pair(2 * table.window * (k - k % maps) // sweep), own.pair(0)
+        assert np.abs(shared.F1 - ref.F1).max() <= 1e-14 and np.abs(shared.F2 - ref.F2).max() <= 1e-14
 
 
 @pytest.mark.parametrize("z, window", [(0.3, 16), (0.4, 16), (1.2, START_WINDOW)])
@@ -219,7 +244,7 @@ def test_the_window_grows_where_p_is_unresolved(z, window):
     res = smap.unitary_frame(z)
     assert s.diagnostics["window"] == res.window == window
     assert s.diagnostics["edge_mass"] == res.edge_mass <= EDGE_TOL
-    assert smap.frame_pair(z).window == window
+    assert smap.frame_pairs(z, [z]).window == window
 
 
 @pytest.mark.parametrize(
@@ -263,7 +288,7 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     s = smap.sample(z)
     assert s.valid and s.diagnostics["window"] == 16
-    assert [fp.window for fp in smap.frame_pairs(z, [z, z + 1e-3])] == [16, 16]
+    assert smap.frame_pairs(z, [z, z + 1e-3]).F.shape == (2, 4 * 16, 2, 2)
     # at the cap the failure is the node's own error
     capped = tight_map(equivariant_spec(0.75, 0.25), window=START_WINDOW)
     assert capped.sample(z).error == "stand-in"
@@ -372,10 +397,10 @@ def test_a_stencil_across_the_log_branch_cut_stays_on_its_sheet():
     # the point below reads as the principal point wound once
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     z, below = -0.8 + 1e-4j, -0.8 - 1e-3j
-    hopped = smap.frame_pairs(z, [below])[0]
+    hopped = smap.frame_pairs(z, [below]).pair(0)
     wound = smap.frame_pair(below, winding=1)
-    np.testing.assert_allclose(hopped.F1, wound.F1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(hopped.F2, wound.F2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hopped.F1[0], wound.F1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hopped.F2[0], wound.F2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["equivariant", "custom"])
