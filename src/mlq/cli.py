@@ -290,6 +290,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         ),
         "ode_steps": smap.ode_counts.steps,
         "ode_rhs_calls": smap.ode_counts.rhs_calls,
+        "ode_det_drift": smap.ode_counts.det_drift,
         "window_counts": _counts(s.diagnostics["window"] for s in samples if s.valid),
         "section_counts": _counts(s.diagnostics["section"] for s in samples if s.valid),
     }
@@ -384,6 +385,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "histograms": histograms,
         "window_counts": _counts(r["window"] for r in valid),
         "section_counts": _counts(r["section"] for r in valid),
+        "ode_steps": smap.ode_counts.steps,
+        "ode_rhs_calls": smap.ode_counts.rhs_calls,
+        "ode_det_drift": smap.ode_counts.det_drift,
         "checks": checks,
         "pass": passed,
     })
@@ -468,6 +472,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             },
             "ode_steps": counts.steps,
             "ode_rhs_calls": counts.rhs_calls,
+            "ode_det_drift": counts.det_drift,
         }
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "closing.json", payload)

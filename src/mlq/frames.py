@@ -284,19 +284,20 @@ class SurfaceMap:
     all nodes of a chunk at once; a node within ``EPS_POLE`` of its pole is
     invalid.  Any other potential is integrated by ``transport`` along one
     straight segment from the base point, one adaptive sweep per chunk,
-    whose error norm is the maximum over its nodes of each node's RMS, so
+    whose error norm is the maximum over its nodes of each node's norm, so
     no node gets a looser step than it would get alone.  ``samples`` runs a
     grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
     nodes together at the cap; each pass is split by one batched
     ``iwasawa`` call, the chunk's points are read off one stack of frame
     pairs, and ``sample(z)`` and every anchor are a chunk of one.  A node
     whose route, sweep or split fails is invalid and carries its own error.
-    ``ode_counts`` totals the DOPRI steps and right-hand-side evaluations
-    of every transport the map ran.  ``frame_pairs`` evaluates a stencil at
-    its centre's window by the same ``_frames``, started from the centre's
-    values, and splits its points into one ``FrameTable`` in one call, so
-    finite differences see a smooth function limited only by roundoff.  Nothing
-    is cached and the counts are locked, so a map may be shared between threads.
+    ``ode_counts`` totals the DOP853 steps and right-hand-side evaluations
+    of every transport the map ran, with their largest det drift.
+    ``frame_pairs`` evaluates a stencil at its centre's window by the same
+    ``_frames``, started from the centre's values, and splits its points into
+    one ``FrameTable`` in one call, so finite differences see a smooth
+    function limited only by roundoff.  Nothing is cached and the counts are
+    locked, so a map may be shared between threads.
     """
 
     def __init__(
@@ -317,7 +318,7 @@ class SurfaceMap:
         # lam0 and -i lam0 are samples 0 and 3N at either window
         self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
         self._xi = {n: xi_sampler(pot, lams) for n, lams in self._lams.items()}
-        #: DOPRI steps and right-hand-side evaluations of every transport this map ran
+        #: DOP853 steps, right-hand-side evaluations and det drift of every transport this map ran
         self.ode_counts = OdeCounts()
 
     # -- frame evaluation ---------------------------------------------------
@@ -477,7 +478,9 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
                 error = f"P is unresolved at window N = {res.window} (edge mass {res.edge_mass:.2e}): {error}"
             out[i] = SurfaceSample(z=zs[i], valid=False, error=error)
     good = [k for k, exc in enumerate(gate) if exc is None]
-    fp = FramePointPair(f1[good], f2[good])
+    # every row of the pair passed the gate above: it is built without a second check
+    fp = object.__new__(FramePointPair)
+    fp.__dict__.update(F1=f1[good], F2=f2[good])
     x, y = xy_matrices(fp)
     q2, (s2a, s2b), s3x, s3y = q2_point(x, y), sphere_pair(fp), quat_components(x), quat_components(y)
     for j, k in enumerate(good):

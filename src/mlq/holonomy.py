@@ -13,16 +13,16 @@ finite-difference stencil, from its centre's values to each of its points.
 It never runs the one-term families (sphere, torus, equivariant): their
 frame is exp(W A).
 
-The method is adaptive Dormand-Prince 5(4) with scipy's RK45 step control
-(``_dopri45``), with the error norm taken per path and maximized over the
-batch; it needs numpy only.  Internally the state is laid out as component
+The method is adaptive Dormand-Prince 8(5,3) with scipy's DOP853 step
+control (``_dop853``), with the error norm taken per path and maximized over
+the batch; it needs numpy only.  Internally the state is laid out as component
 planes (2, 2, B, M), so each term of the 2x2 product runs over B*M
 contiguous values.
 
 Determinants: all potential families are trace free, so det Phi = 1 is exact
 for the true flow and drifts only through integration error.  The drift is
 divided out after every path segment, at every lam, using the principal
-square root of det Phi.
+square root of det Phi, and ``OdeCounts`` keeps the largest |det Phi - 1|.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ EPS_POLE = 1e-3
 #: still reads as an invariant Hermitian form
 UNITARIZE_TOL = 1e-8
 
-#: attempted DOPRI steps after which a sweep ends with IntegrationError
+#: attempted steps after which a sweep ends with IntegrationError
 MAX_STEPS = 10_000
 
 
@@ -119,7 +119,7 @@ def validate_path(path: DomainPath, pot: Potential) -> None:
 class OdeOptions:
     """Integrator configuration.
 
-    The adaptive Dormand-Prince 5(4) steps run under scipy's RK45
+    The adaptive Dormand-Prince 8(5,3) steps run under scipy's DOP853
     controller, with atol = rtol = tolerance on the real and imaginary parts
     of every entry.
     """
@@ -132,18 +132,21 @@ class OdeOptions:
 
 
 class OdeCounts:
-    """Running totals of DOPRI steps (accepted and rejected) and right-hand-side
-    evaluations; one instance may be shared between threads."""
+    """Running totals of DOP853 steps (accepted and rejected) and right-hand-side
+    evaluations, and the largest |det Phi - 1| any segment ended with before
+    it was divided out; one instance may be shared between threads."""
 
     def __init__(self) -> None:
         self.steps = 0
         self.rhs_calls = 0
+        self.det_drift = 0.0
         self._lock = threading.Lock()
 
-    def add(self, steps: int, rhs_calls: int) -> None:
+    def add(self, steps: int, rhs_calls: int, det_drift: float = 0.0) -> None:
         with self._lock:
             self.steps += steps
             self.rhs_calls += rhs_calls
+            self.det_drift = max(self.det_drift, det_drift)
 
 
 def _planes(y: np.ndarray) -> np.ndarray:
@@ -187,26 +190,43 @@ def _segment_rhs(xi: XiSampler, a, dz):
     return rhs
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I,
-# Sec. II.5), stored as scipy's RK45 stores it: row s of _DP_A combines the
-# stages 0..s-1 into stage s, _DP_B gives the fifth-order solution and _DP_E
-# the difference to the embedded fourth-order one over all seven stages.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett, Wanner, Solving ODEs I,
+# Sec. II.10), as scipy's DOP853 stores it: row s of _A combines the stages
+# 0..s-1 into stage s, _B gives the eighth-order solution, and the rows of _E
+# are the fifth- and third-order error estimators E5 and E3 over the stages.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
+      0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_A = (
     None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242]),
+    np.array([0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125]),
+    np.array([0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+              0.008273789163814023]),
+    np.array([0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+              20.154067550477894, -43.48988418106996]),
+    np.array([0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+              15.279233632882423, -33.28821096898486, -0.020331201708508627]),
+    np.array([-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+              -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196]),
+    np.array([2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+              27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636]),
 )
-_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+               0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E = np.array([
+    [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+     -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294],
+    [-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082],
+])
 # scipy's step-size controller
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 5
 
 
 def _where(z: np.ndarray):
@@ -214,87 +234,93 @@ def _where(z: np.ndarray):
     return complex(z[0]) if z.size == 1 else [complex(v) for v in z]
 
 
-def _row_rms(x: np.ndarray) -> np.ndarray:
-    """RMS of each row of a real array whose rows are its axis -2, shape (B,)."""
+def _row_ms(x: np.ndarray) -> np.ndarray:
+    """Mean square of each row of a real array whose rows are its axis -2, shape (B,)."""
     x = x.reshape(-1, *x.shape[-2:])
-    return np.sqrt(np.square(x).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2]))
+    return np.square(x).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
 
 
-def _dopri45(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = None) -> np.ndarray:
-    """Adaptive Dormand-Prince 5(4) on y' = rhs(t, y), t in [0, 1].
+def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = None) -> np.ndarray:
+    """Adaptive Dormand-Prince 8(5,3) on y' = rhs(t, y), t in [0, 1].
 
     The state is complex; its axis -2 indexes independent rows (the nodes
-    of a batch).  The step control is scipy's RK45 per row: Hairer's
-    initial-step rule, local extrapolation, and the RMS norm of the error
-    estimate over the row's float64 view, scaled by
-    atol + rtol max(|y|, |y_new|) with atol = rtol = tol.  The rows share
-    each step, so the initial step is the smallest any row would choose and
-    a step is accepted only if every row's norm passes: no row gets a
-    looser step than it would get alone.  Raises IntegrationError, located
-    by ``z_at(t)``, when the step size underflows, a step size or error norm
-    is not finite (an overflowed right-hand side), or after ``MAX_STEPS`` steps.
-    ``counts``, when given, gains the attempted steps and their right-hand-side evaluations.
+    of a batch).  The step control is scipy's DOP853 per row: Hairer's
+    initial-step rule for an error estimator of order 7, local
+    extrapolation, and the error norm h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n)
+    of the fifth- and third-order estimates over the row's n float64 values,
+    each scaled by atol + rtol max(|y|, |y_new|) with atol = rtol = tol.  The
+    rows share each step, so the initial step is the smallest any row would
+    choose and a step is accepted only if every row's norm passes: no row
+    gets a looser step than it would get alone.  Raises IntegrationError,
+    located by ``z_at(t)``, when the step size underflows, a step size or
+    error norm is not finite (an overflowed right-hand side), or after
+    ``MAX_STEPS`` steps.  ``counts``, when given, gains the attempted steps
+    and their right-hand-side evaluations.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
     shape = y.shape
-    k = np.empty((7,) + shape, dtype=np.complex128)
-    kf = k.reshape(7, -1)
+    k = np.empty((len(_C),) + shape, dtype=np.complex128)
+    kf = k.reshape(len(_C), -1)
     f = rhs(0.0, y)
 
     # initial step (Hairer, Norsett, Wanner, Sec. II.4), per row
     scale = tol + np.abs(y.view(np.float64)) * tol
-    d0 = _row_rms(y.view(np.float64) / scale)
-    d1 = _row_rms(f.view(np.float64) / scale)
+    d0 = np.sqrt(_row_ms(y.view(np.float64) / scale))
+    d1 = np.sqrt(_row_ms(f.view(np.float64) / scale))
     # each clamp sits at its branch's threshold, so the unused branch cannot overflow
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = min(float(h0.min()), 1.0)
     f1 = rhs(h0, y + h0 * f)
-    d2 = _row_rms((f1 - f).view(np.float64) / scale) / h0
+    d2 = np.sqrt(_row_ms((f1 - f).view(np.float64) / scale)) / h0
     d12 = np.maximum(d1, d2)
-    h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-15)) ** (1 / 5))
+    h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-15)) ** (1 / 8))
     h_abs = min(100 * h0, float(h1.min()), 1.0)
 
     t = 0.0
     n_steps = 0
-    while t < 1.0:
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            # a NaN step fails here too: every comparison with NaN is false
-            if not (h_abs >= min_step and n_steps < MAX_STEPS):
-                if counts is not None:
-                    counts.add(n_steps, 2 + 6 * n_steps)
-                raise IntegrationError(
-                    f"adaptive integrator failed near z = {z_at(t)}: " + (
-                        f"no end after {MAX_STEPS} steps" if n_steps >= MAX_STEPS
-                        else "required step size is less than spacing between numbers" if h_abs < min_step
-                        else "the step size or its error estimate is not finite")
-                )
-            t_new = min(t + h_abs, 1.0)
-            h = t_new - t
-            h_abs = abs(h)
-            n_steps += 1
-            k[0] = f
-            # h scales the tableau rows, not the (B*M)-long stage combinations
-            for s in range(1, 6):
-                k[s] = rhs(t + _DP_C[s] * h, y + ((_DP_A[s] * h) @ kf[:s]).reshape(shape))
-            y_new = y + ((_DP_B * h) @ kf[:6]).reshape(shape)
-            k[6] = f_new = rhs(t_new, y_new)
-            scale = tol + np.maximum(np.abs(y.view(np.float64)), np.abs(y_new.view(np.float64))) * tol
-            err = float(_row_rms(((_DP_E * h) @ kf).view(np.float64).reshape(scale.shape) / scale).max())
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            # an error norm that is not finite (an overflowed stage) ends the sweep at the loop head
-            h_abs = h_abs * max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT) if math.isfinite(err) else math.nan
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-    if counts is not None:
-        counts.add(n_steps, 2 + 6 * n_steps)
+    try:
+        while t < 1.0:
+            min_step = 10 * math.ulp(t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                # a NaN step fails here too: every comparison with NaN is false
+                if not (h_abs >= min_step and n_steps < MAX_STEPS):
+                    raise IntegrationError(
+                        f"adaptive integrator failed near z = {z_at(t)}: " + (
+                            f"no end after {MAX_STEPS} steps" if n_steps >= MAX_STEPS
+                            else "required step size is less than spacing between numbers" if h_abs < min_step
+                            else "the step size or its error estimate is not finite")
+                    )
+                t_new = min(t + h_abs, 1.0)
+                h = t_new - t
+                h_abs = abs(h)
+                n_steps += 1
+                k[0] = f
+                # h scales the tableau rows, not the (B*M)-long stage combinations
+                for s in range(1, len(_C)):
+                    k[s] = rhs(t + _C[s] * h, y + ((_A[s] * h) @ kf[:s]).reshape(shape))
+                y_new = y + ((_B * h) @ kf).reshape(shape)
+                f_new = rhs(t_new, y_new)
+                scale = tol + np.maximum(np.abs(y.view(np.float64)), np.abs(y_new.view(np.float64))) * tol
+                # in mean squares over a row, the n of the docstring's norm cancels
+                e5, e3 = (_row_ms(e.view(np.float64).reshape(scale.shape) / scale) for e in _E @ kf)
+                # a row whose estimates are both 0 reads 0; one that is not finite stays so
+                err = float((h * e5 / np.sqrt(np.where(e5 + e3 == 0, 1.0, e5 + 0.01 * e3))).max())
+                if err < 1:
+                    factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** (-1 / 8))
+                    if rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+                # an error norm that is not finite (an overflowed stage) ends the sweep at the loop head
+                h_abs = h_abs * max(_MIN_FACTOR, _SAFETY * err ** (-1 / 8)) if math.isfinite(err) else math.nan
+                rejected = True
+            t, y, f = t_new, y_new, f_new
+    finally:
+        if counts is not None:
+            # the first evaluation and the initial-step probe, then one per stage of every step
+            counts.add(n_steps, 2 + len(_C) * n_steps)
     return y
 
 
@@ -311,10 +337,11 @@ def transport(
     For one path, y has shape (M, 2, 2).  For a sequence of B paths with
     the same number of segments, y has shape (B, M, 2, 2) and row b moves
     along path b; the rows run segment by segment in one adaptive sweep
-    whose error norm is taken per row (see ``_dopri45``).  Every value
+    whose error norm is taken per row (see ``_dop853``).  Every value
     solves dY = Y xi(z, lam) dz and is divided by the principal square root
     of its determinant after every segment.  ``counts``, when given,
-    accumulates the sweep's DOPRI steps and right-hand-side evaluations.
+    accumulates the sweep's steps and right-hand-side evaluations and keeps
+    the largest |det - 1| it divided out.
     """
     single = isinstance(path, DomainPath)
     paths = [path] if single else list(path)
@@ -333,12 +360,14 @@ def transport(
     for seg in zip(*segments):
         a = np.array([s[0] for s in seg])
         dz = np.array([s[1] for s in seg]) - a
-        state = _dopri45(_segment_rhs(xi, a, dz), state, opts.tolerance, lambda t: _where(a + t * dz), counts)
+        state = _dop853(_segment_rhs(xi, a, dz), state, opts.tolerance, lambda t: _where(a + t * dz), counts)
         det = state[0, 0] * state[1, 1] - state[0, 1] * state[1, 0]
         vanishing = np.abs(det) < 1e-8
         if np.any(vanishing):
             end = seg[int(np.argmax(vanishing.any(axis=1)))][1]
             raise IntegrationError(f"frame determinant vanishes at z = {end}; cannot renormalize")
+        if counts is not None:
+            counts.add(0, 0, float(np.abs(det - 1.0).max()))
         state = state / np.sqrt(det)
     y = _unplanes(state)
     return y[0] if single else y

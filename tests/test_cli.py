@@ -207,7 +207,7 @@ def test_generate_outputs(tmp_path):
     assert meta["n_nodes"] == 9 and meta["n_failed"] == 0
     assert meta["max_unitarity_error"] < 1e-8
     # the sphere's frames are read in closed form: nothing is integrated
-    assert meta["ode_steps"] == meta["ode_rhs_calls"] == 0
+    assert meta["ode_steps"] == meta["ode_rhs_calls"] == meta["ode_det_drift"] == 0
     assert meta["config"]["potential"] == {"variant": "sphere"}
 
 
@@ -251,6 +251,7 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
     meta = json.loads((outs[0] / "meta.json").read_text())
     assert meta["n_nodes"] == 72 and meta["n_failed"] == 0
     assert 0 < meta["ode_steps"] < meta["ode_rhs_calls"]
+    assert 0.0 < meta["ode_det_drift"] < 1e-10
     # 8 is both the start window and the cap: no node is read again
     assert meta["window_counts"] == {"8": 72}
 
@@ -275,6 +276,29 @@ def test_verify_is_independent_of_jobs(tmp_path):
     report = json.loads((outs[0] / "report.json").read_text())
     assert [n["window"] for n in report["nodes"]] == [16, 8, 16, 8]
     assert report["window_counts"] == {"16": 2, "8": 2}
+
+
+def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
+    # report.json records the ODE work of every node's sweeps as totals and
+    # a maximum, so threads that take whole nodes leave it byte-identical
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "radial", "c": 0.5, "k": 1},
+        grid={"re_min": 0.2, "re_max": 0.4, "n_re": 2, "im_min": -0.1, "im_max": 0.1, "n_im": 2},
+        truncation_N=8,
+        tolerances={"quadric": 1e-9},
+    )
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    # each of the 4 nodes runs two one-segment sweeps, its own and its
+    # stencil's: 2 evaluations each before the first step, then 12 a step
+    assert report["ode_rhs_calls"] == 4 * 2 * 2 + 12 * report["ode_steps"]
+    assert 0.0 < report["ode_det_drift"] < 1e-10
 
 
 def test_verify_gates(tmp_path):
@@ -396,9 +420,10 @@ def test_closing_trinoid(tmp_path):
     assert payload["admissibility"]["admissible"] is True
     assert payload["monodromy"]["product_residual"] < 1e-6
     assert payload["monodromy"]["dressed_unitarity_max"] < 1e-6
-    # every DOPRI step makes 6 right-hand-side calls, and each loop segment 2 more
+    # every DOP853 step makes 12 right-hand-side calls, and each loop segment 2 more
     assert payload["ode_steps"] > 0
-    assert payload["ode_rhs_calls"] == 2 * LOOP_SEGMENTS + 6 * payload["ode_steps"]
+    assert payload["ode_rhs_calls"] == 2 * LOOP_SEGMENTS + 12 * payload["ode_steps"]
+    assert 0.0 < payload["ode_det_drift"] < 1e-10
 
 
 def test_closing_trinoid_runs_one_transport_for_its_three_loops(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import loop_at
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.linalg import expm
 
 from mlq.holonomy import (
@@ -15,7 +16,11 @@ from mlq.holonomy import (
     transport,
     unitarizing_gauge,
     validate_path,
-    _dopri45,
+    _A,
+    _B,
+    _C,
+    _E,
+    _dop853,
     _planes,
     _segment_rhs,
 )
@@ -231,6 +236,22 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     np.testing.assert_allclose(loop_at(loop, [lam])[0], pointwise, atol=1e-9)
 
 
+def test_dop853_tableau_is_scipys():
+    # 114 typed literals: each must be the double scipy parses, not a near miss
+    d = dop853_coefficients
+    n = d.N_STAGES
+    assert len(_C) == len(_A) == _B.size == _E.shape[1] == n
+    assert np.array_equal(_C, d.C[:n])
+    for s in range(1, n):
+        assert np.array_equal(_A[s], d.A[s, :s]), s
+        assert sum(_A[s]) == pytest.approx(_C[s], rel=0, abs=1e-14), s
+    assert np.array_equal(_B, d.B)
+    assert _B.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
+    # scipy's estimators also weigh the next step's first stage, by zero
+    assert d.E5[n] == d.E3[n] == 0.0
+    assert np.array_equal(_E, np.stack([d.E5[:n], d.E3[:n]]))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seg=st.one_of(_radial_segment(), _trinoid_segment()),
@@ -238,19 +259,19 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     m=st.sampled_from([1, 10, 64]),
     tol=st.sampled_from([1e-10, 1e-12]),
 )
-def test_dopri45_matches_scipy_rk45(seg, theta, m, tol):
+def test_dop853_matches_scipy_dop853(seg, theta, m, tol):
     pot, z = seg
     assume(abs(z - pot.base_point) > 1e-6)
     a, dz = pot.base_point, z - pot.base_point
     rhs = _segment_rhs(xi_sampler(pot, np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m))), a, dz)
     # one row of component planes: the per-row norm is scipy's whole-state norm
     y0 = _planes(np.broadcast_to(np.eye(2, dtype=np.complex128), (1, m, 2, 2)))
-    got = _dopri45(rhs, y0, tol, lambda t: a + t * dz)
+    got = _dop853(rhs, y0, tol, lambda t: a + t * dz)
     sol = solve_ivp(
         lambda t, yr: rhs(t, yr.view(np.complex128).reshape(y0.shape)).ravel().view(np.float64),
         (0.0, 1.0),
         y0.ravel().view(np.float64),
-        method="RK45",
+        method="DOP853",
         rtol=tol,
         atol=tol,
     )
@@ -274,14 +295,14 @@ def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg, t):
     assert np.array_equal(alone[:, :, 0], batch[:, :, 0])
 
 
-def test_dopri45_reports_a_blow_up():
+def test_dop853_reports_a_blow_up():
     # y' = y^2 from y(0) = 2 blows up at t = 1/2
     with pytest.raises(IntegrationError, match="z = 0.5"):
         with np.errstate(over="ignore", invalid="ignore"):
-            _dopri45(lambda t, y: y * y, np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
+            _dop853(lambda t, y: y * y, np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
 
 
-def test_dopri45_stops_where_the_right_hand_side_is_not_finite():
+def test_dop853_stops_where_the_right_hand_side_is_not_finite():
     # a NaN step size survives min() and max() and fails every comparison, so
     # the underflow test never fired and the sweep never returned
     where = []
@@ -294,10 +315,10 @@ def test_dopri45_stops_where_the_right_hand_side_is_not_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         # not finite from the first evaluation: the initial step is NaN
         with pytest.raises(IntegrationError, match="z = 0.0: .*not finite"):
-            _dopri45(lambda t, y: y * np.nan, y0, 1e-10, z_at)
+            _dop853(lambda t, y: y * np.nan, y0, 1e-10, z_at)
         # not finite from t = 0.3 on: the step that reaches past it fails at the last accepted t
         with pytest.raises(IntegrationError, match="not finite"):
-            _dopri45(lambda t, y: y if t < 0.3 else y * np.nan, y0, 1e-10, z_at)
+            _dop853(lambda t, y: y if t < 0.3 else y * np.nan, y0, 1e-10, z_at)
     assert 0.0 < where[-1] < 0.3
 
 
