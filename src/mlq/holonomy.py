@@ -3,8 +3,10 @@
 There is one integrator, ``transport``.  It carries a frame as its values at
 a fixed set of spectral values lam_1..lam_M, one 2x2 matrix per value, and
 advances all of them at once with the right-hand side Y xi(z, lam_m) dz.
-It carries a batch of B paths with a common segment count the same way, in
-one state of B x M matrices; one path is the case B = 1.  ``monodromy``
+It carries a batch of B paths of S segments each in one sweep whose B*S
+rows are the segments: the flow is linear, so Phi(z_S) = Phi(z_0) U_1 ... U_S,
+each path's first row starts from its values and every other from the
+identity, and the segment propagators are composed at the end.  ``monodromy``
 runs it once around a closed path, or a batch of them, at every lam_m;
 ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
 the Iwasawa split takes the values as they are, one batch per chunk of grid
@@ -14,15 +16,15 @@ It never runs the one-term families (sphere, torus, equivariant): their
 frame is exp(W A).
 
 The method is adaptive Dormand-Prince 8(5,3) with scipy's DOP853 step
-control (``_dop853``), with the error norm taken per path and maximized over
-the batch; it needs numpy only.  Internally the state is laid out as component
-planes (2, 2, B, M), so each term of the 2x2 product runs over B*M
+control (``_dop853``), with the error norm taken per row and maximized over
+the rows; it needs numpy only.  Internally the state is laid out as component
+planes (2, 2, rows, M), so each term of the 2x2 product runs over rows*M
 contiguous values.
 
-Determinants: all potential families are trace free, so det Phi = 1 is exact
+Determinants: all potential families are trace free, so det U = 1 is exact
 for the true flow and drifts only through integration error.  The drift is
-divided out after every path segment, at every lam, using the principal
-square root of det Phi, and ``OdeCounts`` keeps the largest |det Phi - 1|.
+divided out of every segment's propagator, at every lam, using the principal
+square root of det U, and ``OdeCounts`` keeps the largest |det U - 1|.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ UNITARIZE_TOL = 1e-8
 
 #: attempted steps after which a sweep ends with IntegrationError
 MAX_STEPS = 10_000
+
+#: a step shorter than this many ulp(t) ends a sweep: rounding t + c h puts a stage
+#: node up to 0.05% of h off (scipy's 10 allows 5%, and let one sweep into an
+#: undeclared pole crawl 6,850 steps in rounding noise; 1000 ends it after 273)
+MIN_STEP_ULPS = 1000
 
 
 class IntegrationError(RuntimeError):
@@ -133,7 +140,7 @@ class OdeOptions:
 
 class OdeCounts:
     """Running totals of DOP853 steps (accepted and rejected) and right-hand-side
-    evaluations, and the largest |det Phi - 1| any segment ended with before
+    evaluations, and the largest |det U - 1| of any segment propagator U before
     it was divided out; one instance may be shared between threads."""
 
     def __init__(self) -> None:
@@ -252,10 +259,10 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
     rows share each step, so the initial step is the smallest any row would
     choose and a step is accepted only if every row's norm passes: no row
     gets a looser step than it would get alone.  Raises IntegrationError,
-    located by ``z_at(t)``, when the step size underflows, a step size or
-    error norm is not finite (an overflowed right-hand side), or after
-    ``MAX_STEPS`` steps.  ``counts``, when given, gains the attempted steps
-    and their right-hand-side evaluations.
+    located by ``z_at(t)``, when the step falls below ``MIN_STEP_ULPS``
+    ulp(t), a step size or error norm is not finite (an overflowed
+    right-hand side), or after ``MAX_STEPS`` steps.  ``counts``, when
+    given, gains the attempted steps and their right-hand-side evaluations.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
     shape = y.shape
@@ -280,7 +287,7 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
     n_steps = 0
     try:
         while t < 1.0:
-            min_step = 10 * math.ulp(t)
+            min_step = MIN_STEP_ULPS * math.ulp(t)
             h_abs = max(h_abs, min_step)
             rejected = False
             while True:
@@ -289,7 +296,7 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
                     raise IntegrationError(
                         f"adaptive integrator failed near z = {z_at(t)}: " + (
                             f"no end after {MAX_STEPS} steps" if n_steps >= MAX_STEPS
-                            else "required step size is less than spacing between numbers" if h_abs < min_step
+                            else f"required step size is less than {MIN_STEP_ULPS} ulp(t)" if h_abs < min_step
                             else "the step size or its error estimate is not finite")
                     )
                 t_new = min(t + h_abs, 1.0)
@@ -335,13 +342,14 @@ def transport(
     """Carry frame values y at the spectral values lams along a path, or a batch of paths.
 
     For one path, y has shape (M, 2, 2).  For a sequence of B paths with
-    the same number of segments, y has shape (B, M, 2, 2) and row b moves
-    along path b; the rows run segment by segment in one adaptive sweep
-    whose error norm is taken per row (see ``_dop853``).  Every value
-    solves dY = Y xi(z, lam) dz and is divided by the principal square root
-    of its determinant after every segment.  ``counts``, when given,
-    accumulates the sweep's steps and right-hand-side evaluations and keeps
-    the largest |det - 1| it divided out.
+    the same number S of segments, y has shape (B, M, 2, 2) and row b moves
+    along path b.  All B*S segments run as the rows of one adaptive sweep
+    whose error norm is taken per row (see ``_dop853``): segment 0 of path b
+    from y[b] to Y_b0, every later one from the identity to its propagator
+    U_bs, each solving dY = Y xi(z, lam) dz and divided by the principal
+    square root of its determinant; path b ends at Y_b0 U_b1 ... U_b(S-1).
+    ``counts``, when given, accumulates the sweep's steps and right-hand-side
+    evaluations and keeps the largest |det - 1| it divided out.
     """
     single = isinstance(path, DomainPath)
     paths = [path] if single else list(path)
@@ -356,19 +364,26 @@ def transport(
     for p in paths:
         validate_path(p, pot)
     xi = xi_sampler(pot, lams)
-    state = _planes(y)
-    for seg in zip(*segments):
-        a = np.array([s[0] for s in seg])
-        dz = np.array([s[1] for s in seg]) - a
-        state = _dop853(_segment_rhs(xi, a, dz), state, opts.tolerance, lambda t: _where(a + t * dz), counts)
-        det = state[0, 0] * state[1, 1] - state[0, 1] * state[1, 0]
-        vanishing = np.abs(det) < 1e-8
-        if np.any(vanishing):
-            end = seg[int(np.argmax(vanishing.any(axis=1)))][1]
-            raise IntegrationError(f"frame determinant vanishes at z = {end}; cannot renormalize")
-        if counts is not None:
-            counts.add(0, 0, float(np.abs(det - 1.0).max()))
-        state = state / np.sqrt(det)
+    # row s * B + b carries segment s of path b
+    segs = [seg for column in zip(*segments) for seg in column]
+    if not segs:
+        return y[0] if single else y
+    a = np.array([s[0] for s in segs])
+    dz = np.array([s[1] for s in segs]) - a
+    state = _planes(np.concatenate([y, np.broadcast_to(np.eye(2), (len(segs) - len(paths), *y.shape[1:]))]))
+    state = _dop853(_segment_rhs(xi, a, dz), state, opts.tolerance, lambda t: _where(a + t * dz), counts)
+    det = state[0, 0] * state[1, 1] - state[0, 1] * state[1, 0]
+    vanishing = np.abs(det) < 1e-8
+    if np.any(vanishing):
+        end = segs[int(np.argmax(vanishing.any(axis=1)))][1]
+        raise IntegrationError(f"frame determinant vanishes at z = {end}; cannot renormalize")
+    if counts is not None:
+        counts.add(0, 0, float(np.abs(det - 1.0).max()))
+    # y_b = Y_b0 U_b1 ... U_b(S-1), each factor divided by the square root of its determinant
+    props = (state / np.sqrt(det)).reshape(2, 2, len(segments[0]), len(paths), -1)
+    state = props[:, :, 0]
+    for s in range(1, props.shape[2]):
+        state = _right_mul(state, props[:, :, s])
     y = _unplanes(state)
     return y[0] if single else y
 

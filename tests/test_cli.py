@@ -22,7 +22,6 @@ from mlq.cli import (
     load_config,
     main,
 )
-from mlq.closedform import LOOP_SEGMENTS
 from mlq.frames import GridSpec
 
 BASE = {
@@ -420,9 +419,9 @@ def test_closing_trinoid(tmp_path):
     assert payload["admissibility"]["admissible"] is True
     assert payload["monodromy"]["product_residual"] < 1e-6
     assert payload["monodromy"]["dressed_unitarity_max"] < 1e-6
-    # every DOP853 step makes 12 right-hand-side calls, and each loop segment 2 more
+    # every DOP853 step makes 12 right-hand-side calls, and the one sweep 2 more
     assert payload["ode_steps"] > 0
-    assert payload["ode_rhs_calls"] == 2 * LOOP_SEGMENTS + 12 * payload["ode_steps"]
+    assert payload["ode_rhs_calls"] == 2 + 12 * payload["ode_steps"]
     assert 0.0 < payload["ode_det_drift"] < 1e-10
 
 

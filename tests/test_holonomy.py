@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from mlq.holonomy import (
     DomainPath,
     IntegrationError,
+    OdeCounts,
     OdeOptions,
     circle_path,
     monodromy,
@@ -293,6 +294,54 @@ def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg, t):
     alone = _segment_rhs(xi, [a], [dz])(t, y[:, :, :1])
     batch = _segment_rhs(xi, [a, a], [dz, 0.5 * dz])(t, y)
     assert np.array_equal(alone[:, :, 0], batch[:, :, 0])
+
+
+
+@st.composite
+def _polygon(draw):
+    """A radial or trinoid potential and a closed or open polygon of 2-12
+    segments in a disk clear of its poles, with a start value in SL(2, C)."""
+    if draw(st.booleans()):
+        pot, centre, radius = draw(_radial_segment())[0], 0.0, 0.8
+    else:
+        pot, centre, radius = draw(_trinoid_segment())[0], 0.5 + draw(st.sampled_from([0.45j, -0.45j])), 0.3
+    closed = draw(st.booleans())
+    n = draw(st.integers(2, 12))
+    verts = [centre + radius * draw(_offset) for _ in range(n if closed else n + 1)]
+    ring = verts + verts[:1] if closed else verts
+    assume(all(abs(u - v) > 1e-3 for u, v in zip(ring, ring[1:])))
+    b = draw(_offset)
+    return pot, DomainPath(verts, closed=closed), np.array([[1.0, b], [0.0, 1.0]]) @ expm(np.array([[0, b], [-b, 0]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_polygon(), theta=_spectral_angle)
+def test_a_polygon_is_the_chain_of_its_segments(case, theta):
+    # the segments ride as rows of one sweep and their propagators are
+    # multiplied together; chaining one-segment transports gives the same frame
+    pot, path, y0 = case
+    lams = np.exp(1j * (theta + 2.0 * np.pi * np.arange(8) / 8))
+    opts = OdeOptions(tolerance=1e-12)
+    got = transport(pot, path, np.broadcast_to(y0, (lams.size, 2, 2)), lams, opts)
+    chain = np.broadcast_to(y0, (lams.size, 2, 2))
+    for a, b in path.segments():
+        chain = transport(pot, DomainPath.line(a, b), chain, lams, opts)
+    assert np.abs(got - chain).max() <= 1e-10 * np.abs(chain).max()
+    assert np.abs(np.linalg.det(got) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+@pytest.mark.parametrize("n_segments", [1, 2, 7, 12])
+def test_any_segment_count_makes_one_sweep(n_paths, n_segments):
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    arc = 0.2 * np.exp(2j * np.pi * np.arange(n_segments + 1) / 13)
+    paths = [DomainPath(0.5 + 0.1j * k + arc) for k in range(n_paths)]
+    counts = OdeCounts()
+    transport(pot, paths, np.broadcast_to(np.eye(2), (n_paths, 4, 2, 2)), window_samples(1), counts=counts)
+    assert all(len(p.segments()) == n_segments for p in paths)
+    # the first evaluation and the initial-step probe, then 12 per step: one sweep
+    assert counts.steps > 0
+    assert counts.rhs_calls == 2 + 12 * counts.steps
 
 
 def test_dop853_reports_a_blow_up():
