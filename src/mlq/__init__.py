@@ -28,8 +28,8 @@ _EXPORTS = {
                    "equivariant_profile", "sphere_frame", "torus_frame", "trinoid_admissible",
                    "trinoid_closing_check", "trinoid_loops", "trinoid_monodromies"),
     "verify": ("CUReport", "DeckTransform", "InvariantReport", "PointGeometryReport", "RotationSymmetry",
-               "cu_report", "frame_table", "geometry_report", "invariants_report", "node_report",
-               "sinh_gordon_residual", "symmetry_check"),
+               "cu_report", "frame_table", "frame_tables", "geometry_report", "invariants_report", "node_report",
+               "node_reports", "sinh_gordon_residual", "symmetry_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

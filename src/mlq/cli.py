@@ -27,7 +27,7 @@ from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitari
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
 from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict
-from .verify import DeckTransform, frame_table, invariants_report, node_report, symmetry_check
+from .verify import DeckTransform, frame_tables, invariants_report, node_reports, symmetry_check
 
 SCHEMA = 1
 
@@ -180,8 +180,7 @@ def _n_jobs(cli_jobs: int | None) -> int:
 
 
 def _map_nodes(fn, nodes, jobs: int) -> list:
-    """Apply fn to nodes (grid nodes or node chunks) in a bounded pool;
-    results in input order."""
+    """Apply fn to the node chunks in a bounded pool; results in input order."""
     if jobs <= 1:
         return [fn(z) for z in nodes]
     from concurrent.futures import ThreadPoolExecutor
@@ -276,6 +275,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         for i, s in enumerate(samples)
         if not s.valid
     ]
+    masses = [s.diagnostics["edge_mass"] for s in samples if s.valid]
     meta = {
         "schema": SCHEMA,
         "version": __version__,
@@ -293,6 +293,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "ode_det_drift": smap.ode_counts.det_drift,
         "window_counts": _counts(s.diagnostics["window"] for s in samples if s.valid),
         "section_counts": _counts(s.diagnostics["section"] for s in samples if s.valid),
+        # the largest relative edge mass of P that a valid node's split left, and its log10 histogram
+        "max_edge_mass": max(masses, default=None), "edge_mass_histogram": _histogram(masses),
     }
     _write_json(out_dir / "meta.json", meta)
     if failures and len(failures) == len(samples):
@@ -324,11 +326,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     h = cfg.fd_step
 
-    def node_entry(z: complex) -> dict:
-        try:
-            rep, geo, cu = node_report(smap, z, h)
-        except (ValueError, RuntimeError) as exc:
-            return {"z_re": z.real, "z_im": z.imag, "valid": False, "error": str(exc)}
+    def node_entry(z: complex, rep) -> dict:
+        if isinstance(rep, Exception):
+            return {"z_re": z.real, "z_im": z.imag, "valid": False, "error": str(rep)}
+        rep, geo, cu = rep
         residuals = {**rep.residuals, "conformal": geo.conformal_residual, "lagrangian": geo.lagrangian_residual,
                      "harmonic": geo.harmonic_residual, "jacobian_sum": geo.jacobian_sum, "gauss": cu.gauss_residual}
         return {
@@ -337,6 +338,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             "valid": True,
             "window": rep.window,
             "section": rep.section,
+            "edge_mass": rep.edge_mass,
             "u": rep.u,
             "u_hat": rep.u_hat,
             "alpha": [rep.alpha.real, rep.alpha.imag],
@@ -350,7 +352,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         }
 
     nodes = cfg.grid.nodes()
-    reports = _map_nodes(node_entry, nodes, jobs)
+    # chunk boundaries are fixed, so the threads never change a node's sweeps
+    reps = [rep for part in _map_nodes(lambda chunk: node_reports(smap, chunk, h), node_chunks(nodes), jobs)
+            for rep in part]
+    reports = [node_entry(z, rep) for z, rep in zip(nodes, reps)]
     valid = [r for r in reports if r["valid"]]
     if not valid:
         print("no grid node produced a report", file=sys.stderr)
@@ -385,6 +390,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "histograms": histograms,
         "window_counts": _counts(r["window"] for r in valid),
         "section_counts": _counts(r["section"] for r in valid),
+        "max_edge_mass": max(r["edge_mass"] for r in valid),
+        "edge_mass_histogram": _histogram([r["edge_mass"] for r in valid]),
         "ode_steps": smap.ode_counts.steps,
         "ode_rhs_calls": smap.ode_counts.rhs_calls,
         "ode_det_drift": smap.ode_counts.det_drift,
@@ -504,16 +511,21 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     d = s // np.gcd(s, 2 * np.gcd(maps[0].start_window, maps[0].window))
     maps += [SurfaceMap(cfg.pot, lam, window=cfg.truncation_n, ode=cfg.ode) for lam in lams[1:d]]
 
-    def node_members(z: complex):
-        try:
-            tables = [frame_table(smap, z, h) for smap in maps]
-            # raw lift phase: the lam0^-2 rotation is a statement about the un-normalized alpha
-            return [invariants_report(tables[k % d].pair(2 * tables[k % d].window * (k - k % d) // s), z, h,
-                                      phase=1.0 + 0.0j) for k in range(s)]
-        except (ValueError, RuntimeError) as exc:
-            return exc
+    def chunk_members(chunk: list) -> list:
+        rows = []
+        for z, own in zip(chunk, zip(*(frame_tables(smap, chunk, h) for smap in maps))):
+            try:
+                for table in own:
+                    if isinstance(table, Exception):
+                        raise table
+                # raw lift phase: the lam0^-2 rotation is a statement about the un-normalized alpha
+                rows.append([invariants_report(own[k % d].pair(2 * own[k % d].window * (k - k % d) // s), z, h,
+                                               phase=1.0 + 0.0j) for k in range(s)])
+            except (ValueError, RuntimeError) as exc:
+                rows.append(exc)
+        return rows
 
-    rows = _map_nodes(node_members, nodes, jobs)
+    rows = [row for part in _map_nodes(chunk_members, node_chunks(nodes), jobs) for row in part]
     failures = [{"index": i, "z_re": z.real, "z_im": z.imag, "error": str(row)}
                 for i, (z, row) in enumerate(zip(nodes, rows)) if isinstance(row, Exception)]
     valid = [row for row in rows if not isinstance(row, Exception)]

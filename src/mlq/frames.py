@@ -9,11 +9,11 @@ cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
 have one xi term w(z) A(lam), so Phi = exp(W(z) A(lam)) exactly, at every
 node and stencil point.  Every other family is integrated ``NODE_CHUNK``
 nodes at a time, each chunk in one adaptive sweep of the batched
-``transport`` along straight segments from the base point, and a
-finite-difference stencil rides in one more sweep, from its node to each
-of its points (``frame_pairs``).  The spectral pair (lam0, -i lam0) is samples
-j = 0 and j = 3N, so a point of the surface is read off F there, with
-nothing evaluated or projected, by forming
+``transport`` along straight segments from the base point, and its
+finite-difference stencils ride in a sweep per ``NODE_CHUNK`` points, from
+each node to its points (``frame_tables``).  The spectral pair (lam0, -i lam0)
+is samples j = 0 and j = 3N, so a point of the surface is read off F there,
+with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -49,8 +49,8 @@ START_WINDOW = 8
 #: readout error follows the edge mass and the quadric and |v| checks see it
 EDGE_TOL = 1e-13
 
-#: nodes per adaptive sweep in ``SurfaceMap.samples``; fixed, so a node's
-#: chunk (and its bytes) never depends on how the chunks are scheduled
+#: rows per adaptive sweep and batched split (nodes, anchors, or the points of
+#: whole stencils); fixed, so a node's chunk never depends on the scheduling
 NODE_CHUNK = 32
 
 #: errors that make one surface node invalid rather than stopping the grid
@@ -159,11 +159,12 @@ class FramePointPair:
 @dataclass(frozen=True)
 class FrameTable:
     """A stencil's unitary frames at the 4N samples lam0 omega^j, F of shape
-    (P, 4N, 2, 2), split at the centre's window N and Toeplitz section."""
+    (P, 4N, 2, 2), at the window N, section and edge mass of its centre's split."""
 
     F: np.ndarray
     window: int
     section: int
+    edge_mass: float
 
     def pair(self, j: int) -> FramePointPair:
         """The points' pairs at samples (j, j + 3N mod 4N) as one stack: the
@@ -293,11 +294,11 @@ class SurfaceMap:
     whose route, sweep or split fails is invalid and carries its own error.
     ``ode_counts`` totals the DOP853 steps and right-hand-side evaluations
     of every transport the map ran, with their largest det drift.
-    ``frame_pairs`` evaluates a stencil at its centre's window by the same
-    ``_frames``, started from the centre's values, and splits its points into
-    one ``FrameTable`` in one call, so finite differences see a smooth
-    function limited only by roundoff.  Nothing is cached and the counts are
-    locked, so a map may be shared between threads.
+    ``frame_tables`` evaluates stencils at their centres' windows by the same
+    ``_frames``, started from the centres' values, one ``FrameTable`` each, so
+    finite differences see a smooth function limited only by roundoff.
+    Nothing is cached and the counts are locked, so a map may be shared
+    between threads.
     """
 
     def __init__(
@@ -323,39 +324,39 @@ class SurfaceMap:
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _frames(self, zs: list[complex], winding: int, n: int, start=None) -> list:
+    def _frames(self, zs: list[complex], winding: int, n: int, starts=None, runs=None) -> list:
         """Frame values at window n for each z, or the error that stops that
-        node, carried from ``start`` = (z0, values at z0), by default the
-        identity at the base point: exp(W A) for a one-term potential, with W
-        continued from z0 along the straight segment to each z, else
-        ``_transport_chunk``."""
+        node, each carried from its own start (z0, values at z0), by default
+        the identity at the base point: exp(W A) for a one-term potential,
+        with W continued from z0 along the straight segment to z, else
+        ``_transport_chunk``, whose rows come in ``runs``."""
         if winding != 0 and self.pot.variant != "equivariant":
             raise ValueError("winding paths are only defined for the equivariant family")
         base = self.pot.base_point
-        if start is None:
-            start = (base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))
+        if starts is None:
+            starts = [(base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))] * len(zs)
         if self._xi[n].exact is None:
-            return self._transport_chunk(zs, n, start)
+            return self._transport_chunk(zs, n, starts, runs)
         antiderivative, a = self._xi[n].exact
-        z0 = start[0]
+        z0 = np.array([start[0] for start in starts], dtype=np.complex128)
         near = [any(abs(z - p) < EPS_POLE for p in self.pot.singular_points) for z in zs]
         w = antiderivative(base, z0, winding) + antiderivative(z0, np.where(near, z0, zs), 0)
         return [PoleError("no log-z route reaches the singular point z = 0") if bad else v
                 for bad, v in zip(near, _expm(np.multiply.outer(w, a)))]
 
-    def _transport_chunk(self, zs: list[complex], n: int, start) -> list:
+    def _transport_chunk(self, zs: list[complex], n: int, starts: list, runs=None) -> list:
         """Frame values at window n for each z, or the error that stops that
-        node, from one adaptive sweep along straight segments from
-        ``start`` = (z0, values at z0); a z equal to z0 keeps z0's values.
+        node, from one adaptive sweep along straight segments, each from its
+        own start (z0, values at z0); a z equal to its z0 keeps z0's values.
 
         Each route is validated before the sweep, so a route into a pole
-        fails its own node; if the sweep fails, each node is rerun alone to
+        fails its own node; if the sweep fails, each run of ``runs`` rows (by
+        default one) is rerun alone, and a run that fails row by row, to
         locate the error.
         """
-        z0, y0 = start
-        out: list = [y0] * len(zs)
+        out: list = [y0 for _, y0 in starts]
         routes: dict[int, DomainPath] = {}
-        for i, z in enumerate(zs):
+        for i, (z, (z0, _)) in enumerate(zip(zs, starts)):
             if z != z0:
                 route = DomainPath.line(z0, z)
                 try:
@@ -365,11 +366,15 @@ class SurfaceMap:
                     out[i] = exc
         if not routes:
             return out
-        rows = np.broadcast_to(y0, (len(routes), *y0.shape))
         try:
-            states = transport(self.pot, list(routes.values()), rows, self._lams[n], self.ode, self.ode_counts)
+            states = transport(self.pot, list(routes.values()), np.stack([starts[i][1] for i in routes]),
+                               self._lams[n], self.ode, self.ode_counts)
         except _NODE_ERRORS as exc:
-            states = [exc] if len(routes) == 1 else [self._transport_chunk([zs[i]], n, start)[0] for i in routes]
+            if len(routes) > 1:
+                cuts = np.cumsum([0, *(runs if runs and len(runs) > 1 else [1] * len(zs))])
+                return [state for a, b in zip(cuts, cuts[1:])
+                        for state in self._transport_chunk(zs[a:b], n, starts[a:b])]
+            states = [exc]
         for i, state in zip(routes, states):
             out[i] = state
         return out
@@ -400,27 +405,55 @@ class SurfaceMap:
         return FramePointPair(res.F[0], res.F[3 * res.window])
 
     def frame_pairs(self, z: complex, points) -> FrameTable:
-        """The frames at points near z as one table at z's window, one split for all.
+        """The frames at points near z as one table at z's window: ``frame_tables`` for one centre."""
+        (table,) = self.frame_tables([z], [points])
+        _raise_first([table])
+        return table
 
-        The window is chosen once, from z's own split, so every point shares
-        z's truncation.  The points' values are carried from z's by
-        ``_frames`` along straight segments from z: exactly for a one-term
-        potential, else as the rows of one adaptive transport, which share
-        every step, so finite differences see one smooth function.  A point
-        equal to z is read off z's split, so its pair at sample 0 equals
-        ``frame_pair(z)`` bit for bit.
+    def frame_tables(self, centres, points) -> list:
+        """For each centre z, the frames at its points near z as one ``FrameTable``
+        at z's window, or the error that stops z.
+
+        A centre with a route to a point past a pole fails with that error,
+        unless its split fails first, and joins no sweep.  The others are the
+        anchors of one ``_anchors`` pass per ``NODE_CHUNK``, which chooses each
+        window once.  Their points are carried from the centres' values by
+        ``_frames``, whole stencils at one window and NODE_CHUNK // (points a
+        stencil) stencils a block, one sweep and one split a block; if the
+        sweep fails, each stencil reruns alone.  A point equal to its centre
+        is read off the centre's split: for one centre, ``frame_pair(z)`` bit
+        for bit.
         """
-        z = complex(z)
-        points = [complex(p) for p in points]
-        (state,), (anchor,) = self._anchors([z], 0)
-        _raise_first([anchor])
-        for p in points:
-            if p != z:
-                validate_path(DomainPath.line(z, p), self.pot)
-        off = iter(_split_rows(self._frames([p for p in points if p != z], 0, anchor.window, (z, state))))
-        splits = [anchor if p == z else next(off) for p in points]
-        _raise_first(splits)
-        return FrameTable(np.stack([res.F for res in splits]), anchor.window, anchor.section)
+        zs = [complex(z) for z in centres]
+        pts = [[complex(p) for p in ps] for ps in points]
+        out: list = [None] * len(zs)
+        for i, (z, ps) in enumerate(zip(zs, pts)):
+            try:
+                for p in (p for p in ps if p != z):
+                    validate_path(DomainPath.line(z, p), self.pot)
+            except PoleError as exc:
+                out[i] = exc
+        anchors, windows = {}, {}
+        # the centres that failed a route are split apart, so their own split's error comes first
+        failed = [i for i, res in enumerate(out) if res is not None]
+        for ids in [failed, *node_chunks([i for i, res in enumerate(out) if res is None])]:
+            for i, (state, res) in zip(ids, zip(*self._anchors([zs[i] for i in ids], 0))):
+                if isinstance(res, Exception):
+                    out[i] = res
+                elif out[i] is None:
+                    anchors[i] = state, res
+                    windows.setdefault(res.window, []).append(i)
+        per = max(1, NODE_CHUNK // max(map(len, pts), default=1))
+        for n, block in [(n, ids[k : k + per]) for n, ids in windows.items() for k in range(0, len(ids), per)]:
+            carried = [(p, (zs[i], anchors[i][0])) for i in block for p in pts[i] if p != zs[i]]
+            off = iter(_split_rows(self._frames([p for p, _ in carried], 0, n, [start for _, start in carried],
+                                                [sum(p != zs[i] for p in pts[i]) for i in block])))
+            for i in block:
+                anchor = anchors[i][1]
+                splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
+                out[i] = next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
+                    np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass)
+        return out
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""

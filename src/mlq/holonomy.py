@@ -11,7 +11,8 @@ runs it once around a closed path, or a batch of them, at every lam_m;
 ``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
 the Iwasawa split takes the values as they are, one batch per chunk of grid
 nodes, each on one straight segment from the base point, and one batch per
-finite-difference stencil, from its centre's values to each of its points.
+block of whole finite-difference stencils, from each centre's values to
+each of its points.
 It never runs the one-term families (sphere, torus, equivariant): their
 frame is exp(W A).
 
@@ -277,8 +278,7 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
     # each clamp sits at its branch's threshold, so the unused branch cannot overflow
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = min(float(h0.min()), 1.0)
-    f1 = rhs(h0, y + h0 * f)
-    d2 = np.sqrt(_row_ms((f1 - f).view(np.float64) / scale)) / h0
+    d2 = np.sqrt(_row_ms((rhs(h0, y + h0 * f) - f).view(np.float64) / scale)) / h0
     d12 = np.maximum(d1, d2)
     h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-15)) ** (1 / 8))
     h_abs = min(100 * h0, float(h1.min()), 1.0)

@@ -8,11 +8,12 @@ reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
 The FD engine evaluates the frames on the 13-point diamond {|a| + |b| <= 2}
-around each node once, as one table at the node's window (``frame_table``:
-the exact frame of a one-term potential, else one transport to the node
-and one 12-row transport from it), reads its pairs off it once, as one
-checked stack, and reads the lift, the S2 x S2 factors and every report
-off that stack.  First derivatives and Laplacians use the
+around each node once, as one table at the node's window, for a chunk of
+nodes at a time (``frame_tables``: the exact frame of a one-term potential,
+else one transport to all the nodes and one from them per two stencils, 24
+rows), reads each node's pairs off its table once, as one checked stack, and
+reads the lift, the S2 x S2 factors and every report off that stack
+(``node_reports``).  First derivatives and Laplacians use the
 order-2 central stencils (the classic 5-point cross), so every smooth
 residual shrinks like h^2; the outer points of the diamond serve the nested
 derivatives (u, alpha and beta at the cross neighbours).
@@ -55,6 +56,11 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
 def frame_table(smap: SurfaceMap, z: complex, h: float) -> FrameTable:
     """The frames on the diamond around z, all at z's window (``SurfaceMap.frame_pairs``)."""
     return smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])
+
+
+def frame_tables(smap: SurfaceMap, zs: list[complex], h: float) -> list:
+    """``frame_table`` at each z, or the error that stops z, from one ``SurfaceMap.frame_tables``."""
+    return smap.frame_tables(zs, [[z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs])
 
 
 def _lift_table(pairs: FramePointPair) -> dict:
@@ -117,9 +123,10 @@ class InvariantReport:
 
     residuals keys: alpha_holomorphy, beta_phase, phi_norm, quadric,
     horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
-    the truncation window N the frame table was read at, and section the
-    blocks of the Toeplitz section its centre's split accepted (both None
-    for stacked pairs or a plain callable).
+    the truncation window N the frame table was read at, section the blocks
+    of the Toeplitz section its centre's split accepted, and edge_mass the
+    relative edge mass of P that split left (all None for stacked pairs or
+    a plain callable).
     """
 
     z: complex
@@ -131,6 +138,7 @@ class InvariantReport:
     residuals: dict[str, float] = field(default_factory=dict)
     window: int | None = None
     section: int | None = None
+    edge_mass: float | None = None
 
 
 def _point_invariants(vals: Mapping, h: float, at):
@@ -188,7 +196,7 @@ def _invariants(
     vals: Mapping, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
 ) -> InvariantReport:
     """InvariantReport from a lift table on the diamond around z, recording the
-    window and section of the frame ``table`` it was read from."""
+    window, section and edge mass of the frame ``table`` it was read from."""
     f0 = vals[(0, 0)]
     fz, fzb = _first_derivs(vals, h)
     eu = float(np.sum(fz * np.conj(fz)).real)
@@ -223,7 +231,7 @@ def _invariants(
     }
     return InvariantReport(
         z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals,
-        window=None if table is None else table.window, section=None if table is None else table.section,
+        **({} if table is None else {"window": table.window, "section": table.section, "edge_mass": table.edge_mass}),
     )
 
 
@@ -375,19 +383,31 @@ def cu_report(
     )
 
 
+def node_reports(smap: SurfaceMap, zs, h: float = 1e-3) -> list:
+    """All three reports at each z, or the error that stops z, from its table of
+    one ``frame_tables`` call: the lifts and the factor pairs are both read off
+    its pairs at sample 0, and the invariant report records its window."""
+    out = []
+    for z, table in zip(zs, frame_tables(smap, zs, h)):
+        try:
+            if isinstance(table, Exception):
+                raise table
+            pairs = table.pair(0)
+            lifts, s2 = _lift_table(pairs), _s2_table(pairs)
+            out.append((_invariants(lifts, z, h, table=table), _geometry(s2, z, h), cu_report(lifts, h, s2)))
+        except (ValueError, RuntimeError) as exc:
+            out.append(exc)
+    return out
+
+
 def node_report(
     smap: SurfaceMap, z: complex, h: float = 1e-3
 ) -> tuple[InvariantReport, PointGeometryReport, CUReport]:
-    """All three reports at z from one frame table and 13 Iwasawa splits.
-
-    The diamond is evaluated once at z's window (``frame_table``); the lifts
-    and the factor pairs are both read off its pairs at sample 0, and the
-    invariant report records the window.
-    """
-    table = frame_table(smap, z, h)
-    pairs = table.pair(0)
-    lifts, s2 = _lift_table(pairs), _s2_table(pairs)
-    return _invariants(lifts, z, h, table=table), _geometry(s2, z, h), cu_report(lifts, h, s2)
+    """All three reports at z: ``node_reports`` for one node, its error raised."""
+    (rep,) = node_reports(smap, [z], h)
+    if isinstance(rep, Exception):
+        raise rep
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ NO_SRC_CALLER = {
     "projective_distance",
     "build_surface",
     "geometry_report",
+    "node_report",
 }
 
 #: public methods kept without a read in src/: an entry point and an oracle

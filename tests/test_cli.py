@@ -22,7 +22,7 @@ from mlq.cli import (
     load_config,
     main,
 )
-from mlq.frames import GridSpec
+from mlq.frames import NODE_CHUNK, GridSpec
 
 BASE = {
     "schema": 1,
@@ -257,7 +257,7 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
 
 def test_verify_is_independent_of_jobs(tmp_path):
     # the nodes at 0.3 +- 0.1i are read at the cap, those at 1.2 +- 0.1i at
-    # the start window; threads take whole nodes, so report.json, with its
+    # the start window; threads take whole chunks, so report.json, with its
     # windows, is the same for any --jobs
     cfg = write_cfg(
         tmp_path,
@@ -278,8 +278,8 @@ def test_verify_is_independent_of_jobs(tmp_path):
 
 
 def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
-    # report.json records the ODE work of every node's sweeps as totals and
-    # a maximum, so threads that take whole nodes leave it byte-identical
+    # report.json records the ODE work of every chunk's sweeps as totals and
+    # a maximum, so threads that take whole chunks leave it byte-identical
     cfg = write_cfg(
         tmp_path,
         potential={"variant": "radial", "c": 0.5, "k": 1},
@@ -294,10 +294,68 @@ def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
-    # each of the 4 nodes runs two one-segment sweeps, its own and its
-    # stencil's: 2 evaluations each before the first step, then 12 a step
-    assert report["ode_rhs_calls"] == 4 * 2 * 2 + 12 * report["ode_steps"]
+    # the chunk of 4 nodes runs three one-segment sweeps, one of its anchors
+    # and one per two stencils (24 of at most NODE_CHUNK rows): 2 evaluations
+    # each before the first step, then 12 a step
+    assert report["ode_rhs_calls"] == 3 * 2 + 12 * report["ode_steps"]
     assert 0.0 < report["ode_det_drift"] < 1e-10
+
+
+def test_verify_and_family_are_independent_of_jobs_over_two_chunks(tmp_path, monkeypatch):
+    # 36 nodes are two chunks, 32 and 4; threads take whole chunks, so each
+    # node's anchor sweep and stencil sweep, and report.json and family.json,
+    # are the same for any --jobs
+    sweeps = []
+    transport = frames.transport
+
+    def counted(pot, paths, y, lams, opts, counts):
+        sweeps.append(len(paths))
+        return transport(pot, paths, y, lams, opts, counts)
+
+    monkeypatch.setattr(frames, "transport", counted)
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "radial", "c": 0.5, "k": 1},
+        grid={"re_min": -0.4, "re_max": 0.4, "n_re": 6, "im_min": -0.4, "im_max": 0.4, "n_im": 6},
+        truncation_N=16, sweep=2, tolerances={"quadric": 1e-9},
+    )
+    for command, name in (("verify", "report.json"), ("family", "family.json")):
+        outs = []
+        for jobs in ("1", "2"):
+            sweeps.clear()
+            out = tmp_path / f"{command}{jobs}"
+            assert main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            outs.append(out)
+            # every node is read at the start window: one anchor sweep per
+            # chunk, then one sweep per two stencils (24 rows)
+            assert sorted(sweeps) == [4] + [24] * 18 + [NODE_CHUNK]
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), command
+    report = json.loads((tmp_path / "verify1" / "report.json").read_text())
+    assert len(report["nodes"]) == 36 > NODE_CHUNK and report["n_failed"] == 0
+    assert report["window_counts"] == {"8": 36}
+    assert json.loads((tmp_path / "family1" / "family.json").read_text())["n_failed"] == 0
+
+
+def test_generate_and_verify_record_the_same_edge_mass(tmp_path):
+    # both commands split a chunk's anchors in one pass, so they read the same
+    # edge mass of P at every node; the record holds its maximum and its
+    # log10 histogram, and verify's nodes hold their own
+    cfg = write_cfg(
+        tmp_path,
+        potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+        grid={"re_min": 0.3, "re_max": 1.2, "n_re": 4, "im_min": -0.1, "im_max": 0.1, "n_im": 2},
+        truncation_N=16,
+    )
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g"), "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
+    meta = json.loads((tmp_path / "g" / "meta.json").read_text())
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    masses = [n["edge_mass"] for n in report["nodes"]]
+    assert meta["max_edge_mass"] == report["max_edge_mass"] == max(masses)
+    assert 0.0 < max(masses) <= frames.EDGE_TOL
+    assert meta["edge_mass_histogram"] == report["edge_mass_histogram"]
+    hist = report["edge_mass_histogram"]
+    assert hist["log10_bin_edges"] == list(range(-16, 1)) and sum(hist["counts"]) == sum(m > 0 for m in masses)
 
 
 def test_verify_gates(tmp_path):
@@ -469,7 +527,7 @@ def test_family_sweep(tmp_path, name):
     sweep = FAMILY_SWEEPS[name]["sweep"]
     out = tmp_path / "family"
     assert main(["family", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
-    # the nodes run on threads; each is independent of the others
+    # the chunks run on threads; each is independent of the others
     assert main(["family", "--config", cfg, "--out", str(tmp_path / "family2"), "--jobs", "2"]) == EXIT_OK
     assert (tmp_path / "family2" / "family.json").read_bytes() == (out / "family.json").read_bytes()
     payload = json.loads((out / "family.json").read_text())

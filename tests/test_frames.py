@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import analytic_surface
 
-from mlq import frames
+from mlq import frames, holonomy
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import (
@@ -452,6 +452,64 @@ def test_wound_frames_pass_the_default_gate_at_a_small_window():
         np.testing.assert_allclose(narrow.lift(z, winding=1), ref.lift(z, winding=1), rtol=0, atol=1e-12)
 
 
+def _diamonds(zs: list[complex], h: float = 1e-3) -> list[list[complex]]:
+    return [[z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs]
+
+
+@pytest.mark.parametrize("family", ["radial", "trinoid", "sphere", "equivariant"])
+def test_frame_tables_match_one_table_per_centre(family):
+    # a centre's table from one anchor pass over the chunk and blocks of two
+    # stencils is the table frame_pairs reads for it alone: bit for bit where
+    # the frame is exact (exp(W A) elementwise, then a split whose rows keep
+    # their bits), within 1e-12 where the rows of a transport share their
+    # steps (1.2e-13 radial, 1.3e-13 trinoid measured at ODE tolerance 1e-12)
+    spec, lam0 = _FAMILIES[family]
+    smap = tight_map(spec, lam0)
+    # the equivariant P is unresolved at N = 8 near its pole: 0.3 is read at the cap
+    zs = [0.9 - 0.3j, 0.3, 1.2 + 0.1j, 0.8 + 0.2j, 1.0] if family == "equivariant" else _grid_nodes(family, 0.0, 5)
+    tables = smap.frame_tables(zs, _diamonds(zs))
+    for z, points, table in zip(zs, _diamonds(zs), tables):
+        alone = smap.frame_pairs(z, points)
+        assert (table.window, table.section) == (alone.window, alone.section)
+        if family in ("sphere", "equivariant"):
+            assert np.array_equal(table.F, alone.F) and table.edge_mass == alone.edge_mass
+        else:
+            assert np.abs(table.F - alone.F).max() <= 1e-12
+    if family == "equivariant":
+        assert [t.window for t in tables] == [8, 16, 8, 8, 8]
+
+
+def test_frame_tables_sweep_whole_stencils_at_most_node_chunk_rows_at_a_time(monkeypatch):
+    # the anchors of the chunk run in one sweep and one split; the 12 points
+    # off each centre follow in blocks of two stencils (24 rows), each one
+    # sweep and one split, and the fifth stencil alone
+    rows = []
+    transport, split = frames.transport, frames.iwasawa
+    monkeypatch.setattr(frames, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
+                        or transport(pot, paths, *args))
+    monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
+    smap = tight_map(radial_spec(0.5, 1))
+    zs = _grid_nodes("radial", 0.0, 5)
+    assert all(isinstance(t, frames.FrameTable) for t in smap.frame_tables(zs, _diamonds(zs)))
+    assert rows == [("sweep", 5), ("split", 5)] + [("sweep", 24), ("split", 24)] * 2 + [("sweep", 12), ("split", 12)]
+    assert 2 * 12 <= NODE_CHUNK < 3 * 12
+
+
+def test_a_table_does_not_depend_on_the_thread_that_ran_its_chunk():
+    smap = tight_map(radial_spec(0.5, 1))
+    chunks = [_grid_nodes("radial", 0.03 * k, 3) for k in range(4)]
+    serial = [smap.frame_tables(chunk, _diamonds(chunk)) for chunk in chunks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda chunk: smap.frame_tables(chunk, _diamonds(chunk)), chunks * 2))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, tables in enumerate(threaded):
+        assert all(np.array_equal(t.F, want.F) for t, want in zip(tables, serial[i % len(chunks)]))
+
+
 def test_shared_map_under_threads():
     # one map shared by threads, node by node and chunk by chunk, gives a
     # serial map's bytes and its step counts
@@ -530,20 +588,45 @@ def test_a_failed_sweep_is_rerun_node_by_node():
     assert all(s.error == "custom term denominator vanishes at z = (0.3+0j)" for s in got)
 
 
-def test_a_sweep_that_does_not_end_stops_at_the_step_budget():
+def test_a_failed_stencil_sweep_is_rerun_stencil_by_stencil():
+    # the stencil of 0.3015 runs through the undeclared pole 0.3 of a
+    # custom weight, so the sweep of its block, shared with 0.1 + 0.1i, fails;
+    # each stencil of the block reruns alone, and the one at the pole row by
+    # row, so it fails with an error located at one z and the other stays valid
+    spec = custom_spec(
+        [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+         CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
+        poles=[], base_point=0.0,
+    )
+    smap = SurfaceMap(make_potential(spec), window=2)
+    zs = [0.1 + 0.1j, 0.3015, 0.15 - 0.1j]
+    tables = smap.frame_tables(zs, _diamonds(zs))
+    assert isinstance(tables[1], IntegrationError)
+    assert re.match(r"adaptive integrator failed near z = \(0\.29999\d*\+0j\): required step size", str(tables[1]))
+    # the good stencils match their tables alone (4.7e-16 measured)
+    for z, points, table in zip(zs[::2], _diamonds(zs)[::2], tables[::2]):
+        assert np.abs(table.F - smap.frame_pairs(z, points).F).max() <= 1e-12
+
+
+def test_a_sweep_that_does_not_end_stops_at_the_step_budget(monkeypatch):
     # the weight 1e308 (z + z^2) keeps the error norm near 1 on ever smaller
     # steps just past the base point without overflowing; without a budget
-    # the sweep ran for as long as it was left to
+    # the sweep ran for as long as it was left to.  _dop853 reads the budget
+    # when it runs, so the stall is run on a budget of 300 steps, not the
+    # shipped 10,000 (120,002 right-hand-side calls)
+    assert MAX_STEPS == 10_000
+    budget = 300
+    monkeypatch.setattr(holonomy, "MAX_STEPS", budget)
     spec = custom_spec(
         [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
          CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], num=[0, 1e308, 1e308])],
         poles=[], base_point=0.0,
     )
     smap = SurfaceMap(make_potential(spec), window=2)
-    with pytest.raises(IntegrationError, match=f"no end after {MAX_STEPS} steps") as err:
+    with pytest.raises(IntegrationError, match=f"no end after {budget} steps") as err:
         with np.errstate(over="ignore"):
             smap.unitary_frame(0.5)
-    assert smap.ode_counts.steps == MAX_STEPS
+    assert smap.ode_counts.steps == budget
     # located on the node's route from the base point 0, where it stalled
     z = complex(re.search(r"near z = (\S+):", str(err.value)).group(1))
     assert z.imag == 0.0 and 0.0 < z.real < 1e-90

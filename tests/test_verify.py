@@ -10,7 +10,7 @@ from mlq import frames
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import START_WINDOW, SurfaceMap
 from mlq.holonomy import OdeOptions
-from mlq.potentials import make_potential, radial_spec
+from mlq.potentials import PoleError, make_potential, radial_spec, trinoid_spec
 from mlq.verify import (
     CROSS,
     DIAMOND,
@@ -19,9 +19,11 @@ from mlq.verify import (
     RotationSymmetry,
     _u_hat_of,
     cu_report,
+    frame_tables,
     geometry_report,
     invariants_report,
     node_report,
+    node_reports,
     sinh_gordon_residual,
     symmetry_check,
 )
@@ -177,6 +179,26 @@ def test_node_report_is_one_frame_table(r, t, h):
     assert inv.residuals == invariants_report(smap, z, h).residuals
     assert geo == geometry_report(smap, z, h)
     assert np.isfinite(cu.gauss_residual)
+
+
+def test_a_stencil_point_at_a_pole_fails_only_its_node():
+    # the trinoid node 1 + 0.0025i keeps 2.5e-3 from the pole z = 1, but its
+    # stencil point 1 + 0.0005i does not: that node fails with the error it
+    # gets alone, before any sweep, and the chunk's other nodes get the
+    # tables and reports of the same chunk without it, bit for bit
+    smap = SurfaceMap(make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0)), 1j, window=16,
+                      ode=OdeOptions(tolerance=1e-12))
+    good = [0.5 + 0.45j, 0.56 + 0.47j, 0.62 + 0.4j, 0.7 + 0.3j]
+    bad = 1 + 0.0025j
+    chunk = good[:2] + [bad] + good[2:]
+    reps, alone = node_reports(smap, chunk, 1e-3), node_reports(smap, good, 1e-3)
+    assert isinstance(reps[2], PoleError) and "singular point (1+0j)" in str(reps[2])
+    with pytest.raises(PoleError) as err:
+        node_report(smap, bad, 1e-3)
+    assert str(err.value) == str(reps[2])
+    assert reps[:2] + reps[3:] == alone
+    tables, ref = frame_tables(smap, chunk, 1e-3), frame_tables(smap, good, 1e-3)
+    assert all(np.array_equal(t.F, r.F) for t, r in zip(tables[:2] + tables[3:], ref))
 
 
 def test_rotation_symmetry_of_radial_surfaces(radial_map):
