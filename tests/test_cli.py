@@ -1,28 +1,33 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlq
-from mlq import frames, holonomy
+from mlq import cli, frames, holonomy
 from mlq.cli import (
     EXIT_CHECKS_FAILED,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _CSV_HEADER,
     ConfigError,
     _histogram,
     _n_jobs,
+    _write_csv,
     _write_obj,
     load_config,
     main,
 )
-from mlq.frames import NODE_CHUNK, GridSpec
+from mlq.frames import NODE_CHUNK, GridSpec, SurfaceMap, SurfaceSample
+from mlq.potentials import make_potential, spec_from_dict
 
 BASE = {
     "schema": 1,
@@ -185,6 +190,39 @@ def test_write_obj_skips_invalid_vertices(tmp_path):
     text = holed.read_text().splitlines()
     assert text[1] == "v 0 0 0"
     assert sum(l.startswith("f ") for l in text) == 0
+
+
+def _cell(x) -> str:
+    return "%.17g" % float(x)
+
+
+def test_writers_match_per_cell_formatting(tmp_path):
+    # one format per row writes each cell as the per-cell "%.17g" % float(x) did
+    grid = GridSpec(-0.4, 0.4, 3, -0.3, 0.3, 2)
+    smap = SurfaceMap(make_potential(spec_from_dict({"variant": "sphere"})), 1.0, window=10)
+    samples = smap.samples(grid.nodes())
+    samples[1] = SurfaceSample(z=samples[1].z, valid=False, error="failed")
+    assert sum(s.valid for s in samples) == 5
+    _write_csv(tmp_path / "surface.csv", samples)
+    lines = (tmp_path / "surface.csv").read_text().splitlines()
+    expected = []
+    for s in samples:
+        cells = [_cell(s.z.real), _cell(s.z.imag)]
+        if s.valid:
+            cells += [_cell(x) for v in s.q2_hom for x in (v.real, v.imag)]
+            cells += [_cell(x) for part in (*s.s3_pair, *s.s2_pair) for x in part]
+        else:
+            cells += ["nan"] * 22
+        expected.append(",".join(cells))
+    assert lines == [",".join(_CSV_HEADER)] + expected
+    verts = [s.s2_pair[0] if s.valid else None for s in samples]
+    verts[2] = np.array([-0.0, 1e-300, np.pi])
+    _write_obj(tmp_path / "factor1.obj", verts, grid)
+    obj = (tmp_path / "factor1.obj").read_text().splitlines()
+    assert obj[: len(verts)] == [
+        "v 0 0 0" if v is None else f"v {_cell(v[0])} {_cell(v[1])} {_cell(v[2])}" for v in verts
+    ]
+    assert obj[2] == "v -0 1e-300 3.1415926535897931"
 
 
 def test_generate_outputs(tmp_path):
@@ -618,3 +656,33 @@ def test_the_cli_imports_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_process_entry_runs_main_and_freezes_the_heap_at_exit(tmp_path, monkeypatch):
+    # `python -m mlq.cli` and the installed `mlq` script both run cli.run():
+    # main() in a subprocess writes what it writes in process, and its exit
+    # code comes through the freeze
+    cfg = write_cfg(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    sub = tmp_path / "sub"
+    done = subprocess.run([sys.executable, "-m", "mlq.cli", "generate", "--config", cfg, "--out", str(sub),
+                           "--jobs", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == f"wrote 9 nodes to {sub} (0 failed)\n"
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "in"), "--jobs", "1"]) == EXIT_OK
+    for fname in ("surface.csv", "factor1.obj", "factor2.obj", "meta.json"):
+        assert (sub / fname).read_bytes() == (tmp_path / "in" / fname).read_bytes(), fname
+    # main() leaves the collector as it found it, so a process may call it many times
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    missing = subprocess.run([sys.executable, "-m", "mlq.cli", "generate", "--config", str(tmp_path / "no.json")],
+                             capture_output=True, text=True, env=env, timeout=60)
+    assert missing.returncode == EXIT_USAGE and missing.stderr.startswith("config error: cannot read config")
+    pyproject = Path(mlq.__file__).parents[2] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"]["mlq"] == "mlq.cli:run"
+    # run() freezes after the command returns, then exits with its status
+    order = []
+    monkeypatch.setattr(cli, "main", lambda: order.append("main") or EXIT_CHECKS_FAILED)
+    monkeypatch.setattr(gc, "freeze", lambda: order.append("freeze"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == EXIT_CHECKS_FAILED and order == ["main", "freeze"]
