@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -85,17 +86,27 @@ class RunConfig:
 
 def _as(kind, value, name: str, positive: bool = False):
     """value read as kind (int or float); a ConfigError naming the key if it
-    is not one (a bool, or a fraction for an int; "10" reads as 10), or is
-    not positive where it must be."""
+    is not one (a bool, a fraction for an int, or a float that is not finite;
+    "10" reads as 10), or is not positive where it must be."""
     try:
         out = kind(value)
-        if isinstance(value, bool) or (kind is int and out != float(value)):
+        if isinstance(value, bool) or (kind is int and out != float(value)) or not math.isfinite(out):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} cannot be read as {kind.__name__}: {value!r}") from None
     if positive and not out > 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return out
+
+
+def _check_finite(node, name: str = "") -> None:
+    """A ConfigError naming the first number under node that is not finite:
+    json reads NaN, Infinity and 1e999 as floats."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{name} must be a finite number, got {node!r}")
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        _check_finite(child, f"{name}.{key}".lstrip("."))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -108,6 +119,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _check_finite(raw)
     if raw.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported schema {raw.get('schema')!r} (expected {SCHEMA})")
 
@@ -124,8 +136,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config needs a 'grid' object")
     try:
         grid = GridSpec(
-            re_min=float(g["re_min"]), re_max=float(g["re_max"]), n_re=_as(int, g["n_re"], "grid.n_re"),
-            im_min=float(g["im_min"]), im_max=float(g["im_max"]), n_im=_as(int, g["n_im"], "grid.n_im"),
+            **{k: _as(float, g[k], f"grid.{k}") for k in ("re_min", "re_max", "im_min", "im_max")},
+            n_re=_as(int, g["n_re"], "grid.n_re"), n_im=_as(int, g["n_im"], "grid.n_im"),
         )
     except KeyError as exc:
         raise ConfigError(f"grid is missing {exc}") from None

@@ -135,8 +135,8 @@ class OdeOptions:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if isinstance(self.tolerance, bool) or not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
 
 
 class OdeCounts:

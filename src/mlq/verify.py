@@ -13,10 +13,13 @@ nodes at a time (``frame_tables``: the exact frame of a one-term potential,
 else one transport to all the nodes and one from them per two stencils, 24
 rows), reads each node's pairs off its table once, as one checked stack, and
 reads the lift, the S2 x S2 factors and every report off that stack
-(``node_reports``).  First derivatives and Laplacians use the
-order-2 central stencils (the classic 5-point cross), so every smooth
-residual shrinks like h^2; the outer points of the diamond serve the nested
-derivatives (u, alpha and beta at the cross neighbours).
+(``node_reports``).  Every table is an array in ``DIAMOND`` order, (13, ...),
+and every difference is a row of one weight matrix, ``FD_WEIGHTS``: the
+order-2 central d_x and d_y at the five ``CROSS`` points and the 5-point
+Laplacian at the centre, so every smooth residual shrinks like h^2.  The
+outer points of the diamond serve the rows at the cross neighbours, where
+u, alpha and beta are read for the nested derivatives; those apply the
+centre rows (``CENTRE_WEIGHTS``) to the five cross values.
 Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
@@ -34,6 +37,22 @@ DIAMOND = tuple(
     (a, b) for a in range(-2, 3) for b in range(-2, 3) if abs(a) + abs(b) <= 2
 )
 CROSS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+CENTRE = DIAMOND.index((0, 0))
+
+
+def _row(p: tuple[int, int]) -> np.ndarray:
+    """The weight row over DIAMOND that reads the value at offset p."""
+    return np.array([q == p for q in DIAMOND], dtype=float)
+
+
+#: order-2 central weights over DIAMOND for h = 1: d_x at the CROSS points, d_y there, the centre Laplacian
+FD_WEIGHTS = np.array(
+    [0.5 * (_row((a + 1, b)) - _row((a - 1, b))) for a, b in CROSS]
+    + [0.5 * (_row((a, b + 1)) - _row((a, b - 1))) for a, b in CROSS]
+    + [sum(_row(p) for p in CROSS[1:]) - 4.0 * _row((0, 0))]
+)
+#: the centre rows (d_x, d_y, Laplacian) over values in CROSS order, for the nested derivatives
+CENTRE_WEIGHTS = FD_WEIGHTS[[0, 5, 10]][:, [DIAMOND.index(p) for p in CROSS]]
 
 DEGENERACY_EPS = 1e-12
 
@@ -63,49 +82,39 @@ def frame_tables(smap: SurfaceMap, zs: list[complex], h: float) -> list:
     return smap.frame_tables(zs, [[z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs])
 
 
-def _lift_table(pairs: FramePointPair) -> dict:
-    """Unit Q2 lifts of a frame table's stacked pairs, read as SurfaceMap.lift reads one pair."""
-    return dict(zip(DIAMOND, q2_point(*xy_matrices(pairs)) / np.sqrt(2.0)))
+def _lift_table(pairs: FramePointPair) -> np.ndarray:
+    """(13, 4) unit Q2 lifts of a frame table's stacked pairs, read as SurfaceMap.lift reads one pair."""
+    return q2_point(*xy_matrices(pairs)) / np.sqrt(2.0)
 
 
-def _s2_table(pairs: FramePointPair) -> dict:
-    return dict(zip(DIAMOND, zip(*sphere_pair(pairs))))
+def _s2_table(pairs: FramePointPair) -> np.ndarray:
+    """(13, 2, 3) factor pairs (phi, psi) of a frame table's stacked pairs."""
+    return np.stack(sphere_pair(pairs), axis=1)
 
 
-def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> dict:
-    """Values of a plain callable on the diamond around z.
+def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> np.ndarray:
+    """Values of a plain callable on the diamond around z, as a (13, ...) array.
 
     The callable must itself be smooth in z: a sign-normalized
     representative would break the differences.
     """
     z = complex(z)
-    return {(a, b): np.asarray(fn(z + (a + 1j * b) * h), dtype=dtype) for a, b in DIAMOND}
+    return np.array([fn(z + (a + 1j * b) * h) for a, b in DIAMOND], dtype=dtype)
 
 
-def _partials(vals: Mapping, h: float, at=(0, 0)):
-    """(f_x, f_y) by order-2 central differences."""
-    a, b = at
-    fx = (vals[(a + 1, b)] - vals[(a - 1, b)]) / (2 * h)
-    fy = (vals[(a, b + 1)] - vals[(a, b - 1)]) / (2 * h)
-    return fx, fy
+def _apply(vals: np.ndarray, h: float, weights: np.ndarray = FD_WEIGHTS):
+    """(f_z, f_zbar, Laplacian) of a table along its first axis: the d_x rows,
+    the d_y rows and the last row of ``weights`` in one einsum, at step h."""
+    d = np.einsum("ij,j...->i...", weights, vals)
+    n = len(weights) // 2
+    fx, fy = d[:n] / h, d[n:-1] / h
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy), d[-1] / (h * h)
 
 
-def _first_derivs(vals: Mapping, h: float, at=(0, 0)):
-    """(f_z, f_zbar) by order-2 central differences."""
-    fx, fy = _partials(vals, h, at)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def _laplacian(vals: Mapping, h: float):
-    """Laplacian at the centre of a scalar or vector table (the 5-point cross)."""
-    return (
-        vals[(1, 0)] + vals[(-1, 0)] + vals[(0, 1)] + vals[(0, -1)] - 4 * vals[(0, 0)]
-    ) / (h * h)
-
-
-def _jacobian(m: Mapping, h: float) -> float:
-    """det{m, m_x, m_y} of an R^3-valued factor-map table at the centre."""
-    return float(np.linalg.det(np.column_stack([m[(0, 0)], *_partials(m, h)])))
+def _jacobians(m: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """det{m, m_x, m_y} at the centre of each factor of a (13, 2, 3) table, read
+    off its d_z rows as m_x = 2 Re m_z and m_y = -2 Im m_z."""
+    return np.linalg.det(np.stack([m[CENTRE], 2 * mz[0].real, -2 * mz[0].imag], axis=-1))
 
 
 @dataclass
@@ -119,7 +128,9 @@ class InvariantReport:
     e^{u_hat} = e^u + sqrt(e^{2u} - |alpha|^2).  alpha and beta are reported
     in the quarter-turn-normalized lift phase (beta real >= 0, see
     _quarter_turn_phase); u, u_hat, phi_inv and all residuals are
-    phase-invariant.
+    phase-invariant.  Every derivative is a row of ``FD_WEIGHTS`` applied to
+    the (13, 4) lift table; alpha_holomorphy and sinh_gordon apply the centre
+    rows to alpha and u_hat at the five CROSS points.
 
     residuals keys: alpha_holomorphy, beta_phase, phi_norm, quadric,
     horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
@@ -141,11 +152,9 @@ class InvariantReport:
     edge_mass: float | None = None
 
 
-def _point_invariants(vals: Mapping, h: float, at):
-    """(e^u, alpha, beta) from the stencil around one interior point."""
-    fz, fzb = _first_derivs(vals, h, at)
-    eu = float(np.sum(fz * np.conj(fz)).real)
-    return eu, _bilinear(fz, fz), _bilinear(fz, fzb)
+def _point_invariants(fz: np.ndarray, fzb: np.ndarray):
+    """(e^u, alpha, beta) at the five CROSS points from f_z and f_zbar there."""
+    return np.sum(fz * np.conj(fz), axis=-1).real, np.sum(fz * fz, axis=-1), np.sum(fz * fzb, axis=-1)
 
 
 def _u_hat_of(eu: float, alpha: complex) -> float:
@@ -181,56 +190,55 @@ def _quarter_turn_phase(alpha: complex, beta: complex, eu: float) -> complex:
     return 1.0 + 0.0j
 
 
-def sinh_gordon_residual(u_hat: Mapping[tuple[int, int], float], alpha: complex, h: float) -> float:
+def sinh_gordon_residual(
+    u_hat: Mapping[tuple[int, int], float] | np.ndarray, alpha: complex, h: float
+) -> float:
     """sinh-Gordon residual |Lap(u_hat)/4 + e^u_hat - |alpha|^2 e^{-u_hat}|.
 
     ``u_hat`` maps the five cross offsets (0,0), (+-1,0), (0,+-1) to u_hat
-    values at spacing h; ``alpha`` is the quadratic-differential
-    coefficient at the centre.
+    values at spacing h, or lists them in CROSS order; ``alpha`` is the
+    quadratic-differential coefficient at the centre.
     """
-    uh = u_hat[(0, 0)]
-    return float(abs(_laplacian(u_hat, h) / 4 + np.exp(uh) - abs(alpha) ** 2 * np.exp(-uh)))
+    uh = np.array([u_hat[p] for p in CROSS] if isinstance(u_hat, Mapping) else u_hat, dtype=float)
+    lap = _apply(uh, h, CENTRE_WEIGHTS)[2]
+    return float(abs(lap / 4 + np.exp(uh[0]) - abs(alpha) ** 2 * np.exp(-uh[0])))
 
 
 def _invariants(
-    vals: Mapping, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
+    vals: np.ndarray, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
 ) -> InvariantReport:
-    """InvariantReport from a lift table on the diamond around z, recording the
-    window, section and edge mass of the frame ``table`` it was read from."""
-    f0 = vals[(0, 0)]
-    fz, fzb = _first_derivs(vals, h)
-    eu = float(np.sum(fz * np.conj(fz)).real)
+    """InvariantReport from a (13, 4) lift table on the diamond around z, recording
+    the window, section and edge mass of the frame ``table`` it was read from."""
+    f0 = vals[CENTRE]
+    fz, fzb, lap = _apply(vals, h)
+    eus, alphas, betas = _point_invariants(fz, fzb)
+    eu = float(eus[0])
     if eu < DEGENERACY_EPS:
         raise DegeneracyError(f"degenerate immersion at z = {z} (e^u = {eu:.3e})")
     u = float(np.log(eu))
-    alpha = _bilinear(fz, fz)
-    beta = _bilinear(fz, fzb)
+    alpha, beta = complex(alphas[0]), complex(betas[0])
     if phase is None:
         phase = _quarter_turn_phase(alpha, beta, eu)
     alpha *= phase
     beta *= phase
-    fzzb = 0.25 * _laplacian(vals, h)
-    phi = _bilinear(fzzb, np.conj(fzb)) / eu
-    u_hat = _u_hat_of(eu, alpha)
-
-    # nested invariants at the cross neighbours for the z-derivatives
-    nb = {at: _point_invariants(vals, h, at) for at in CROSS[1:]}
-    _, dzbar_alpha = _first_derivs({at: v[1] for at, v in nb.items()}, h)
-    uh = {at: _u_hat_of(v[0], v[1]) for at, v in nb.items()}
-    uh[(0, 0)] = u_hat
+    phi = _bilinear(0.25 * lap, np.conj(fzb[0])) / eu
+    # u_hat at the cross points and d_zbar alpha for the nested derivatives;
+    # both are invariant under the constant phase
+    uh = np.array([_u_hat_of(float(e), a) for e, a in zip(eus, alphas)])
+    dzbar_alpha = _apply(alphas, h, CENTRE_WEIGHTS)[1]
 
     residuals = {
-        "alpha_holomorphy": abs(dzbar_alpha),
+        "alpha_holomorphy": abs(dzbar_alpha[0]),
         "beta_phase": abs(beta.imag) + max(0.0, -beta.real),
         "phi_norm": abs(phi),
         "quadric": abs(_bilinear(f0, f0)),
-        "horizontality": abs(complex(np.sum(fz * np.conj(f0)))),
+        "horizontality": abs(complex(np.sum(fz[0] * np.conj(f0)))),
         "sinh_gordon": sinh_gordon_residual(uh, alpha, h),
-        "metric_identity": abs(2 * eu - np.exp(u_hat) - abs(alpha) ** 2 * np.exp(-u_hat)),
+        "metric_identity": abs(2 * eu - np.exp(uh[0]) - abs(alpha) ** 2 * np.exp(-uh[0])),
         "relation_e2u": abs(eu * eu - abs(beta) ** 2 - abs(alpha) ** 2),
     }
     return InvariantReport(
-        z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=u_hat, residuals=residuals,
+        z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=float(uh[0]), residuals=residuals,
         **({} if table is None else {"window": table.window, "section": table.section, "edge_mass": table.edge_mass}),
     )
 
@@ -250,12 +258,10 @@ def invariants_report(
     relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
     per-member re-phasing would snap the rotation away).
     """
-    if isinstance(surface, SurfaceMap):
-        table = frame_table(surface, z, h)
-        return _invariants(_lift_table(table.pair(0)), z, h, phase, table)
-    if isinstance(surface, FramePointPair):
-        return _invariants(_lift_table(surface), z, h, phase)
-    return _invariants(_eval_stencil(surface, z, h, np.complex128), z, h, phase)
+    table = frame_table(surface, z, h) if isinstance(surface, SurfaceMap) else None
+    pairs = surface if table is None else table.pair(0)
+    vals = _lift_table(pairs) if isinstance(pairs, FramePointPair) else _eval_stencil(surface, z, h, np.complex128)
+    return _invariants(vals, z, h, phase, table)
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +278,22 @@ class PointGeometryReport:
     jacobian_sum: float
 
 
-def _geometry(pairs: Mapping, z: complex, h: float) -> PointGeometryReport:
-    """PointGeometryReport from a table of (phi, psi) factor pairs around z."""
-    res_h = 0.0
-    mzs, norms, jacs = [], [], []
-    for i in (0, 1):
-        m = {k: v[i] for k, v in pairs.items()}
-        mz, _ = _first_derivs(m, h)
-        nz2 = float(np.sum(mz * np.conj(mz)).real)
-        res_h += float(np.linalg.norm(0.25 * _laplacian(m, h) + nz2 * m[(0, 0)]))
-        mzs.append(mz)
-        norms.append(nz2)
-        jacs.append(_jacobian(m, h))
-
-    eu = float(np.mean([n / 2.0 for n in norms]))
+def _geometry(s2: np.ndarray, z: complex, h: float) -> PointGeometryReport:
+    """PointGeometryReport from a (13, 2, 3) table of (phi, psi) factor pairs around z."""
+    mz, _, lap = _apply(s2, h)
+    norms = np.sum(mz[0] * np.conj(mz[0]), axis=-1).real
+    res_h = float(np.sum(np.linalg.norm(0.25 * lap + norms[:, None] * s2[CENTRE], axis=-1)))
+    eu = float(np.mean(norms / 2.0))
     if eu < DEGENERACY_EPS:
         raise DegeneracyError(f"degenerate factor maps at z = {z} (e^u = {eu:.3e})")
-
-    phz, psz = mzs
-    res_c = abs(norms[0] - norms[1]) + abs(_bilinear(phz, phz) + _bilinear(psz, psz))
+    bil = np.sum(mz[0] * mz[0], axis=-1)
+    res_c = abs(norms[0] - norms[1]) + abs(bil[0] + bil[1])
+    jac = float(abs(np.sum(_jacobians(s2, mz))))
     return PointGeometryReport(
         conformal_residual=float(res_c),
-        lagrangian_residual=float(abs(jacs[0] + jacs[1])),
-        harmonic_residual=float(res_h),
-        jacobian_sum=float(abs(jacs[0] + jacs[1]) / (8 * eu)),
+        lagrangian_residual=jac,
+        harmonic_residual=res_h,
+        jacobian_sum=jac / (8 * eu),
     )
 
 
@@ -311,9 +309,9 @@ def geometry_report(
     harmonic: each factor satisfies m_zzbar + |m_z|^2 m = 0;
     jacobian_sum: |Jac(phi) + Jac(psi)| with Jac = det{m, m_x, m_y}/(8 e^u).
     """
-    if isinstance(surface, SurfaceMap):
-        return _geometry(_s2_table(frame_table(surface, z, h).pair(0)), z, h)
-    return _geometry(_eval_stencil(surface, z, h, np.float64), z, h)
+    s2 = (_s2_table(frame_table(surface, z, h).pair(0)) if isinstance(surface, SurfaceMap)
+          else _eval_stencil(surface, z, h, np.float64))
+    return _geometry(s2, z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -345,41 +343,31 @@ class CUReport:
     gauss_skipped: bool = False
 
 
-def cu_report(
-    lifts: Mapping[tuple[int, int], np.ndarray],
-    h: float,
-    s2: Mapping[tuple[int, int], tuple],
-) -> CUReport:
-    """Factor-map correspondence residuals from a lift table on the diamond.
+def cu_report(lifts: np.ndarray, h: float, s2: np.ndarray) -> CUReport:
+    """Factor-map correspondence residuals from a (13, 4) lift table and a
+    (13, 2, 3) table of (phi, psi) factor pairs, both in DIAMOND order.
 
-    u and |beta| at the cross neighbours are nested central differences of
-    the same table, as in the sinh-Gordon term of invariants_report.  ``s2``
-    maps at least the cross offsets to (phi, psi) factor pairs; Theta and
-    the factor Jacobians are read off it.
+    u and |beta| at the cross points come from the rows of ``FD_WEIGHTS`` and
+    their centre derivatives from ``CENTRE_WEIGHTS``, as in the sinh-Gordon
+    term of invariants_report; Theta and the factor Jacobians from ``s2``.
     """
-    pts = {at: _point_invariants(lifts, h, at) for at in CROSS}
-    u = {at: float(np.log(p[0])) for at, p in pts.items()}
-    c = {at: 0.5 * np.exp(-u[at]) * abs(p[2]) for at, p in pts.items()}
-    eu = float(np.exp(u[(0, 0)]))
-    C = c[(0, 0)]
-    cz, _ = _first_derivs(c, h)
-    u_zzb = _laplacian(u, h) / 4
-
+    eus, _, betas = _point_invariants(*_apply(lifts, h)[:2])
+    u = np.log(eus)
+    c = 0.5 * np.exp(-u) * np.abs(betas)
+    eu = float(np.exp(u[0]))
+    C = float(c[0])
+    cz = _apply(c, h, CENTRE_WEIGHTS)[0][0]
+    u_zzb = _apply(u, h, CENTRE_WEIGHTS)[2] / 4
     one_minus = 1.0 - 4.0 * C * C
-    if one_minus <= 1e-6:
-        gauss = abs(u_zzb + 8 * eu * C * C)
-        skipped = True
-    else:
-        gauss = abs(u_zzb + 8 * eu * C * C - 4 * abs(cz) ** 2 / one_minus)
-        skipped = False
+    skipped = one_minus <= 1e-6
+    gauss = abs(u_zzb + 8 * eu * C * C - (0.0 if skipped else 4 * abs(cz) ** 2 / one_minus))
 
-    psz, _ = _first_derivs({k: v[1] for k, v in s2.items()}, h)
-    jacs = [_jacobian({k: v[i] for k, v in s2.items()}, h) / (8 * eu) for i in (0, 1)]
+    sz = _apply(s2, h)[0]
+    jacs = _jacobians(s2, sz) / (8 * eu)
     jac_match = min(max(abs(s * jacs[0] - C), abs(s * jacs[1] + C)) for s in (1.0, -1.0))
     return CUReport(
-        C=float(C), Theta=_bilinear(psz, psz), gauss_residual=float(gauss),
-        jacobian_match=jac_match, K=float(-np.exp(-u[(0, 0)]) * u_zzb),
-        gauss_skipped=skipped,
+        C=C, Theta=_bilinear(sz[0, 1], sz[0, 1]), gauss_residual=float(gauss), jacobian_match=float(jac_match),
+        K=float(-np.exp(-u[0]) * u_zzb), gauss_skipped=skipped,
     )
 
 

@@ -135,6 +135,37 @@ def test_malformed_values_are_config_errors(tmp_path, name):
     assert not (tmp_path / "g").exists()
 
 
+RADIAL = {"potential": {"variant": "radial", "c": [0.5, 0.0], "k": 1}}
+NAN, INF = float("nan"), float("inf")
+
+#: numbers that are not finite, each a config error (exit 2) before any node
+#: runs: json reads NaN, Infinity and 1e999 (written as the string "1e999"
+#: here and unquoted in the file), and floats read "nan" and "inf"; a key
+#: names the value its error must name
+NON_FINITE = {
+    "ode_tolerance_nan": ("ode.tolerance", {"ode": {"tolerance": NAN}}),
+    "radial_c_nan": ("potential.c.0", {"potential": {"variant": "radial", "c": [NAN, 0.0], "k": 1}}),
+    "grid_bound_nan": ("grid.re_min", {"grid": {**BASE["grid"], "re_min": NAN}}),
+    "grid_bound_infinity": ("grid.im_max", {"grid": {**BASE["grid"], "im_max": INF}}),
+    "grid_bound_overflow": ("grid.re_max", {"grid": {**BASE["grid"], "re_max": "1e999"}}),
+    "grid_bound_nan_string": ("grid.im_min", {"grid": {**BASE["grid"], "im_min": "nan"}}),
+    "fd_step_infinity": ("fd_step", {"fd_step": INF}),
+    "fd_step_inf_string": ("fd_step", {"fd_step": "inf"}),
+    "tolerance_infinity": ("tolerances.conformal", {"tolerances": {"conformal": INF}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, name):
+    key, overrides = NON_FINITE[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, **RADIAL, **overrides}).replace('"1e999"', "1e999"))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "v").exists()
+
+
 def test_integral_values_are_read_as_ints(tmp_path):
     # an integral float or a numeric string is its number; only a fraction or a bool is an error
     cfg = load_config(write_cfg(tmp_path, truncation_N="12", sweep=4.0,

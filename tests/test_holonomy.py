@@ -100,6 +100,13 @@ def test_ode_options_validated():
             OdeOptions(**{removed: 1})
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+def test_ode_tolerance_must_be_a_finite_positive_real(tolerance):
+    # nan <= 0 is False, so a bare sign check lets NaN through
+    with pytest.raises(ValueError, match="finite positive real"):
+        OdeOptions(tolerance=tolerance)
+
+
 def test_sphere_transport_is_exact_polynomial():
     # xi = lam^{-1} E12 dz is nilpotent: Phi(z) = I + (z/lam) E12 exactly
     pot = make_potential(sphere_spec())

@@ -12,11 +12,13 @@ from mlq.frames import START_WINDOW, SurfaceMap
 from mlq.holonomy import OdeOptions
 from mlq.potentials import PoleError, make_potential, radial_spec, trinoid_spec
 from mlq.verify import (
+    CENTRE_WEIGHTS,
     CROSS,
     DIAMOND,
     ConsistencyError,
     DegeneracyError,
     RotationSymmetry,
+    _apply,
     _u_hat_of,
     cu_report,
     frame_tables,
@@ -33,13 +35,48 @@ TORUS = analytic_surface(torus_frame)
 
 
 def diamond(fn, z, h):
-    """Table of a callable on the 13-point stencil around z."""
-    return {(a, b): fn(z + (a + 1j * b) * h) for a, b in DIAMOND}
+    """(13, ...) table of a callable on the 13-point stencil around z, in DIAMOND order."""
+    return np.array([fn(z + (a + 1j * b) * h) for a, b in DIAMOND])
 
 
 def analytic_cu_report(frame_fn, z, h):
     """cu_report on the diamond lift and factor tables of a closed-form frame family."""
     return cu_report(diamond(analytic_surface(frame_fn), z, h), h, diamond(analytic_pairs(frame_fn), z, h))
+
+
+#: coefficients c0..c5 in C^3 of f(x, y) = c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2
+QUADRATICS = st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36).map(
+    lambda v: np.array(v).reshape(6, 3, 2) @ np.array([1.0, 1.0j])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=QUADRATICS)
+def test_weight_rows_are_exact_on_quadratics(c):
+    # order-2 central differences have no truncation error on a quadratic, so
+    # each row returns its derivative to roundoff: d_z and d_zbar at every
+    # CROSS point and the centre Laplacian, and the centre rows the same on
+    # the five cross values (any quadratic is one about the stencil centre)
+    h = 1e-3
+
+    def f(w):
+        x, y = w.real, w.imag
+        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+    def dz(w, sign):
+        fx, fy = c[1] + 2 * c[3] * w.real + c[4] * w.imag, c[2] + c[4] * w.real + 2 * c[5] * w.imag
+        return 0.5 * (fx + sign * 1j * fy)
+
+    cross = [(a + 1j * b) * h for a, b in CROSS]
+    lap = 2 * (c[3] + c[5])
+    fz, fzb, fl = _apply(diamond(f, 0.0, h), h)
+    assert np.abs(fz - [dz(w, -1) for w in cross]).max() <= 1e-8
+    assert np.abs(fzb - [dz(w, 1) for w in cross]).max() <= 1e-8
+    assert np.abs(fl - lap).max() <= 1e-8
+    gz, gzb, gl = _apply(np.array([f(w) for w in cross]), h, CENTRE_WEIGHTS)
+    assert np.abs(gz[0] - dz(0.0, -1)).max() <= 1e-8
+    assert np.abs(gzb[0] - dz(0.0, 1)).max() <= 1e-8
+    assert np.abs(gl - lap).max() <= 1e-8
 
 
 def test_sphere_invariants():
@@ -124,9 +161,7 @@ def test_cu_report_sphere_is_the_complex_point_case():
 
 def test_cu_report_torus_with_factor_data():
     z, h = 0.3 + 0.6j, 1e-3
-    pairs = analytic_pairs(torus_frame)
-    s2 = {(a, b): pairs(z + (a + 1j * b) * h) for a, b in CROSS}
-    rep = cu_report(diamond(TORUS, z, h), h, s2)
+    rep = cu_report(diamond(TORUS, z, h), h, diamond(analytic_pairs(torus_frame), z, h))
     assert rep.C == pytest.approx(0.0, abs=1e-6)
     assert not rep.gauss_skipped
     assert rep.gauss_residual < 1e-4
