@@ -20,9 +20,8 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -68,20 +67,19 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     spec: PotentialSpec
     #: the potential ``load_config`` built from ``spec`` to validate it; every command runs on it
     pot: Potential
     grid: GridSpec
-    lambda0: complex = 1.0 + 0.0j
-    sweep: int | None = None
-    truncation_n: int = DEFAULT_WINDOW_N
-    ode: OdeOptions = field(default_factory=OdeOptions)
-    fd_step: float = 1e-3
-    tolerances: dict[str, float] = field(default_factory=dict)
-    output_dir: Path = Path("out")
-    raw: dict = field(default_factory=dict)
+    lambda0: complex
+    sweep: int | None
+    truncation_n: int
+    ode: OdeOptions
+    fd_step: float
+    tolerances: dict[str, float]
+    output_dir: Path
+    raw: dict
 
 
 def _as(kind, value, name: str, positive: bool = False):
@@ -125,6 +123,10 @@ def load_config(path: str | Path) -> RunConfig:
 
     try:
         spec = spec_from_dict(raw["potential"])
+        # float() reads "nan" and "inf": the families' real parameters get _as's finite check
+        for key, value in spec.params.items():
+            if isinstance(value, float):
+                _as(float, value, f"potential.{key}")
         pot = make_potential(spec)
     except KeyError:
         raise ConfigError("config needs a 'potential' object") from None
@@ -285,6 +287,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         if not s.valid
     ]
     masses = [s.diagnostics["edge_mass"] for s in samples if s.valid]
+    resids = [s.diagnostics["split_residual"] for s in samples if s.valid]
     meta = {
         "schema": SCHEMA,
         "version": __version__,
@@ -304,6 +307,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "section_counts": _counts(s.diagnostics["section"] for s in samples if s.valid),
         # the largest relative edge mass of P that a valid node's split left, and its log10 histogram
         "max_edge_mass": max(masses, default=None), "edge_mass_histogram": _histogram(masses),
+        # the largest relative residual B* B - P that a valid node's split accepted, and its log10 histogram
+        "max_split_residual": max(resids, default=None), "split_residual_histogram": _histogram(resids),
     }
     _write_json(out_dir / "meta.json", meta)
     if failures and len(failures) == len(samples):
@@ -348,6 +353,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             "window": rep.window,
             "section": rep.section,
             "edge_mass": rep.edge_mass,
+            "split_residual": rep.split_residual,
             "u": rep.u,
             "u_hat": rep.u_hat,
             "alpha": [rep.alpha.real, rep.alpha.imag],
@@ -401,6 +407,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         "section_counts": _counts(r["section"] for r in valid),
         "max_edge_mass": max(r["edge_mass"] for r in valid),
         "edge_mass_histogram": _histogram([r["edge_mass"] for r in valid]),
+        "max_split_residual": max(r["split_residual"] for r in valid),
+        "split_residual_histogram": _histogram([r["split_residual"] for r in valid]),
         "ode_steps": smap.ode_counts.steps,
         "ode_rhs_calls": smap.ode_counts.rhs_calls,
         "ode_det_drift": smap.ode_counts.det_drift,

@@ -13,7 +13,7 @@ base point z = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def torus_frame(z: complex, lam: complex) -> np.ndarray:
 # Equivariant family
 
 
-@dataclass
-class EquivariantProfile:
+class EquivariantProfile(NamedTuple):
     """Elliptic profile v(x) with v'^2 = -(v^2 - 4a^2)(v^2 - 4b^2), v(0) = 2b.
 
     Stored on a uniform grid over [0, x_max]; v extends to negative x as an
@@ -226,8 +225,7 @@ def equivariant_frame(
     )
 
 
-@dataclass
-class ClosingReport:
+class ClosingReport(NamedTuple):
     """Rotational/translational closing data.
 
     For equivariant cylinders mu1/mu2 are the monodromy exponents
@@ -263,14 +261,13 @@ def cylinder_closing(a: float, b: float, c: float, lambda0: complex = 1.0) -> Cl
 # Trinoids
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Trinoid admissibility: weights n_k, m_k and the triangle inequalities."""
 
     n: tuple[float, float, float]
     m: tuple[float, float, float]
     admissible: bool
-    violated: list[str] = field(default_factory=list)
+    violated: list[str]
 
 
 def trinoid_admissible(lambda0: complex, v0: float, v1: float, vinf: float) -> AdmissibilityReport:

@@ -27,14 +27,14 @@ conventions are locked by unit tests because every sign matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, ct2, det2, inv2, mul2, window_samples
-from .potentials import PoleError, Potential, xi_sampler
+from .potentials import FrozenRecord, PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -138,8 +138,7 @@ def psi_so4(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _left_mult(quat_components(p)) @ _right_mult(quat_components(q))
 
 
-@dataclass(frozen=True)
-class FramePointPair:
+class FramePointPair(FrozenRecord):
     """Unitary frame evaluated at the spectral pair (lam0, -i lam0), or a
     stack of such pairs (F1 and F2 of shape (B, 2, 2)).
 
@@ -147,24 +146,26 @@ class FramePointPair:
     checked once, when it is built.
     """
 
+    __slots__ = ("F1", "F2")
     F1: np.ndarray
     F2: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "F1", np.asarray(self.F1, dtype=np.complex128))
-        object.__setattr__(self, "F2", np.asarray(self.F2, dtype=np.complex128))
-        _raise_first(_check_su2(self.F1, "F1") + _check_su2(self.F2, "F2"))
+    def __init__(self, F1: np.ndarray, F2: np.ndarray) -> None:
+        F1, F2 = np.asarray(F1, dtype=np.complex128), np.asarray(F2, dtype=np.complex128)
+        _raise_first(_check_su2(F1, "F1") + _check_su2(F2, "F2"))
+        super().__init__(F1, F2)
 
 
-@dataclass(frozen=True)
-class FrameTable:
+class FrameTable(NamedTuple):
     """A stencil's unitary frames at the 4N samples lam0 omega^j, F of shape
-    (P, 4N, 2, 2), at the window N, section and edge mass of its centre's split."""
+    (P, 4N, 2, 2), at the window N, section and edge mass of its centre's split,
+    with the largest relative split residual of its points' splits."""
 
     F: np.ndarray
     window: int
     section: int
     edge_mass: float
+    split_residual: float
 
     def pair(self, j: int) -> FramePointPair:
         """The points' pairs at samples (j, j + 3N mod 4N) as one stack: the
@@ -234,10 +235,10 @@ def sphere_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     return pauli_components(phi), pauli_components(psi.conj())
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(FrozenRecord):
     """Rectangular z-grid, ordered row-major (imaginary axis outer)."""
 
+    __slots__ = ("re_min", "re_max", "n_re", "im_min", "im_max", "n_im")
     re_min: float
     re_max: float
     n_re: int
@@ -245,11 +246,12 @@ class GridSpec:
     im_max: float
     n_im: int
 
-    def __post_init__(self) -> None:
-        if self.n_re < 1 or self.n_im < 1:
+    def __init__(self, re_min: float, re_max: float, n_re: int, im_min: float, im_max: float, n_im: int) -> None:
+        if n_re < 1 or n_im < 1:
             raise ValueError("grid needs at least one node per axis")
-        if self.re_max < self.re_min or self.im_max < self.im_min:
+        if re_max < re_min or im_max < im_min:
             raise ValueError("grid bounds are inverted")
+        super().__init__(re_min, re_max, n_re, im_min, im_max, n_im)
 
     def nodes(self) -> list[complex]:
         xs = np.linspace(self.re_min, self.re_max, self.n_re)
@@ -257,8 +259,7 @@ class GridSpec:
         return [complex(x, y) for y in ys for x in xs]
 
 
-@dataclass
-class SurfaceSample:
+class SurfaceSample(NamedTuple):
     """One evaluated surface point with all of its representations."""
 
     z: complex
@@ -452,7 +453,8 @@ class SurfaceMap:
                 anchor = anchors[i][1]
                 splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
                 out[i] = next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
-                    np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass)
+                    np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass,
+                    max(res.split_residual for res in splits))
         return out
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
@@ -513,7 +515,7 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
     good = [k for k, exc in enumerate(gate) if exc is None]
     # every row of the pair passed the gate above: it is built without a second check
     fp = object.__new__(FramePointPair)
-    fp.__dict__.update(F1=f1[good], F2=f2[good])
+    FrozenRecord.__init__(fp, f1[good], f2[good])
     x, y = xy_matrices(fp)
     q2, (s2a, s2b), s3x, s3y = q2_point(x, y), sphere_pair(fp), quat_components(x), quat_components(y)
     for j, k in enumerate(good):
@@ -521,7 +523,8 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
         res = splits[i]
         out[i] = SurfaceSample(z=zs[i], q2_hom=q2[j], s2_pair=(s2a[j], s2b[j]), s3_pair=(s3x[j], s3y[j]),
                                diagnostics={"unitarity_error": res.unitarity_error, "window": res.window,
-                                            "edge_mass": res.edge_mass, "section": res.section})
+                                            "edge_mass": res.edge_mass, "section": res.section,
+                                            "split_residual": res.split_residual})
     return out
 
 

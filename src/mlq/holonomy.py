@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PoleError, Potential, XiSampler, xi_sampler
+from .potentials import FrozenRecord, PoleError, Potential, XiSampler, xi_sampler
 
 #: Paths must keep this distance from declared singular points.
 EPS_POLE = 1e-3
@@ -59,27 +58,27 @@ class IntegrationError(RuntimeError):
     """ODE solver failure; message carries the z-location of the failure."""
 
 
-@dataclass(frozen=True)
-class DomainPath:
+class DomainPath(FrozenRecord):
     """Piecewise-linear path in the z-plane.
 
     ``closed`` appends the segment from the last vertex back to the first;
     the first vertex is the base point.
     """
 
+    __slots__ = ("vertices", "closed")
     vertices: tuple[complex, ...]
-    closed: bool = False
+    closed: bool
 
-    def __post_init__(self) -> None:
-        verts = tuple(complex(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Sequence[complex], closed: bool = False) -> None:
+        verts = tuple(complex(v) for v in vertices)
         if len(verts) < 1:
             raise ValueError("path needs at least one vertex")
         for u, v in zip(verts, verts[1:]):
             if u == v:
                 raise ValueError(f"consecutive path vertices coincide at {u}")
-        if self.closed and len(verts) >= 2 and verts[0] == verts[-1]:
+        if closed and len(verts) >= 2 and verts[0] == verts[-1]:
             raise ValueError("closed path must not repeat the base vertex")
+        super().__init__(verts, closed)
 
     @classmethod
     def line(cls, z0: complex, z1: complex) -> "DomainPath":
@@ -123,8 +122,7 @@ def validate_path(path: DomainPath, pot: Potential) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class OdeOptions:
+class OdeOptions(FrozenRecord):
     """Integrator configuration.
 
     The adaptive Dormand-Prince 8(5,3) steps run under scipy's DOP853
@@ -132,11 +130,13 @@ class OdeOptions:
     of every entry.
     """
 
-    tolerance: float = 1e-10
+    __slots__ = ("tolerance",)
+    tolerance: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.tolerance, bool) or not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
+    def __init__(self, tolerance: float = 1e-10) -> None:
+        if isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite positive real, got {tolerance!r}")
+        super().__init__(tolerance)
 
 
 class OdeCounts:

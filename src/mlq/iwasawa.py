@@ -28,7 +28,7 @@ products, inverses and eigenvalues at the samples are formed entry by entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class ConvergenceError(RuntimeError):
     """Bauer iteration failed to reach tolerance within the section budget."""
 
 
-@dataclass
-class IwasawaResult:
+class IwasawaResult(NamedTuple):
     """Normalized splitting Phi = F B.
 
     F has shape (4N, 2, 2): F[j] = Phi[j] B(omega^j)^{-1} at the samples Phi
@@ -61,7 +60,8 @@ class IwasawaResult:
     variable.  unitarity_error is max_j ||F[j]^* F[j] - I||.  edge_mass is
     P's relative edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| for
     P = Phi* Phi: the modes at and next to the Nyquist bin, where the
-    aliasing of P's unresolved tail shows first.
+    aliasing of P's unresolved tail shows first.  split_residual is the
+    accepted max_j ||B_j* B_j - P_j|| / max_j ||P_j||^2 (``SPLIT_TOL``).
     """
 
     F: np.ndarray
@@ -70,6 +70,7 @@ class IwasawaResult:
     edge_mass: float
     #: blocks in the Toeplitz section the split accepted
     section: int
+    split_residual: float
 
     @property
     def window(self) -> int:
@@ -183,7 +184,7 @@ def spectral_factor_plus(values: np.ndarray):
     ``MAX_DOUBLINGS``.  The edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0||,
     is read off the same FFT: it measures how much of P the 4N samples
     leave unresolved.  For a stack, shape (B, 4N, 2, 2), a list with each
-    row's (B, edge mass, blocks) or the error that stops that row.
+    row's (B, edge mass, blocks, residual / max_j ||P_j||^2) or its error.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = _window(values)
@@ -208,7 +209,7 @@ def spectral_factor_plus(values: np.ndarray):
             if k in failed:
                 out[i] = failed[k]
             elif residual[k] <= bound:
-                out[i] = (b[k], float(edge[i]), m + 1)
+                out[i] = (b[k], float(edge[i]), m + 1, float(residual[k] / tops[i] ** 2))
             elif doubling == MAX_DOUBLINGS or residual[k] > 0.5 * last:
                 out[i] = ConvergenceError(f"spectral factor residual {residual[k]:.3e} > {bound:.1e} = "
                                           f"{SPLIT_TOL:.0e} ||P||^2 with a Toeplitz section of {m + 1} blocks")
@@ -227,8 +228,8 @@ def iwasawa(values: np.ndarray):
     correction pins B_0 exactly upper triangular with positive diagonal,
     absorbing the unitary part into F.  F = Phi B^{-1} stays at the samples.
     The result carries the relative edge mass of P = Phi* Phi from the
-    coefficients the factorization already computed, and the blocks of the
-    Toeplitz section it accepted (``IwasawaResult``).  For a stack, shape
+    coefficients the factorization already computed, and the section and
+    residual it accepted (``IwasawaResult``).  For a stack, shape
     (B, 4N, 2, 2), a list with each row's result or the error that stops it.
 
     Samples of Phi on a rotated circle, values[j] = Phi(lam0 omega^j) with

@@ -28,8 +28,8 @@ custom       finite sum of lam^k terms with rational z-coefficients and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,36 @@ _VARIANTS = ("sphere", "torus", "equivariant", "radial", "trinoid", "custom")
 Weight = Callable[[complex], complex] | None
 
 
-@dataclass(frozen=True)
-class CustomTerm:
+class FrozenRecord:
+    """Base of the records that validate (the others are NamedTuples): a subclass's
+    ``__init__`` checks its values and hands them here in ``__slots__`` order.
+    Immutable; equal and hashed by ``_key()``, every field unless overridden."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._key()))})"
+
+
+class CustomTerm(NamedTuple):
     """One lam^k term of a custom potential with a rational z-coefficient.
 
     ``num`` and ``den`` are polynomial coefficients in ascending order, so the
@@ -62,23 +90,30 @@ class CustomTerm:
     den: tuple[complex, ...] = (1.0 + 0.0j,)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(NamedTuple):
     """Declarative description of a potential; validated by make_potential."""
 
     variant: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(FrozenRecord):
     """A validated potential: spec, singular set, base point and the xi
-    terms (w, W, {k: A_k}) that ``make_potential`` writes for its family."""
+    terms (w, W, {k: A_k}) that ``make_potential`` writes for its family;
+    two potentials are equal when their spec, singular set and base point are."""
 
+    __slots__ = ("spec", "singular_points", "base_point", "terms")
     spec: PotentialSpec
     singular_points: tuple[complex, ...]
     base_point: complex
-    terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...] = field(compare=False, repr=False)
+    terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...]
+
+    def __init__(self, spec: PotentialSpec, singular_points: tuple[complex, ...], base_point: complex,
+                 terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...]) -> None:
+        super().__init__(spec, singular_points, base_point, terms)
+
+    def _key(self) -> tuple:
+        return self.spec, self.singular_points, self.base_point
 
     @property
     def variant(self) -> str:

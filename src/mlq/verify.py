@@ -25,8 +25,7 @@ Derivative convention throughout: d_z = (d_x - i d_y)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -117,8 +116,7 @@ def _jacobians(m: np.ndarray, mz: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.stack([m[CENTRE], 2 * mz[0].real, -2 * mz[0].imag], axis=-1))
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """First-order invariants of the lift at one node, with residuals.
 
     u is the conformal exponent of the induced metric 2 e^u dz dzbar,
@@ -135,8 +133,9 @@ class InvariantReport:
     residuals keys: alpha_holomorphy, beta_phase, phi_norm, quadric,
     horizontality, sinh_gordon, metric_identity, relation_e2u.  window is
     the truncation window N the frame table was read at, section the blocks
-    of the Toeplitz section its centre's split accepted, and edge_mass the
-    relative edge mass of P that split left (all None for stacked pairs or
+    of the Toeplitz section its centre's split accepted, edge_mass the
+    relative edge mass of P that split left, and split_residual the largest
+    relative residual of the table's splits (all None for stacked pairs or
     a plain callable).
     """
 
@@ -146,10 +145,11 @@ class InvariantReport:
     beta: complex
     phi_inv: complex
     u_hat: float
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
     window: int | None = None
     section: int | None = None
     edge_mass: float | None = None
+    split_residual: float | None = None
 
 
 def _point_invariants(fz: np.ndarray, fzb: np.ndarray):
@@ -208,7 +208,7 @@ def _invariants(
     vals: np.ndarray, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
 ) -> InvariantReport:
     """InvariantReport from a (13, 4) lift table on the diamond around z, recording
-    the window, section and edge mass of the frame ``table`` it was read from."""
+    the window, section, edge mass and split residual of its frame ``table``."""
     f0 = vals[CENTRE]
     fz, fzb, lap = _apply(vals, h)
     eus, alphas, betas = _point_invariants(fz, fzb)
@@ -239,7 +239,8 @@ def _invariants(
     }
     return InvariantReport(
         z=z, u=u, alpha=alpha, beta=beta, phi_inv=phi, u_hat=float(uh[0]), residuals=residuals,
-        **({} if table is None else {"window": table.window, "section": table.section, "edge_mass": table.edge_mass}),
+        **({} if table is None else {"window": table.window, "section": table.section, "edge_mass": table.edge_mass,
+                                     "split_residual": table.split_residual}),
     )
 
 
@@ -268,8 +269,7 @@ def invariants_report(
 # S^2 x S^2 side
 
 
-@dataclass
-class PointGeometryReport:
+class PointGeometryReport(NamedTuple):
     """Residuals of the harmonic/Lagrangian structure of the factor maps."""
 
     conformal_residual: float
@@ -318,8 +318,7 @@ def geometry_report(
 # correspondence with the two S2 factor maps
 
 
-@dataclass
-class CUReport:
+class CUReport(NamedTuple):
     """Factor-map correspondence quantities at a node.
 
     Theta is the associated Hopf differential coefficient, read from the
@@ -402,8 +401,7 @@ def node_report(
 # Symmetry and closing checks
 
 
-@dataclass(frozen=True)
-class RotationSymmetry:
+class RotationSymmetry(NamedTuple):
     """z -> e^{2 pi i l/(k+2)} z symmetry of the radial potential family."""
 
     k: int
@@ -419,8 +417,7 @@ class RotationSymmetry:
         return psi_so4(a, a)
 
 
-@dataclass(frozen=True)
-class DeckTransform:
+class DeckTransform(NamedTuple):
     """z -> e^{2 pi i} z on the universal cover (one full turn)."""
 
 

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mlq
 import mlq.cli
 from mlq import potentials
-from mlq.frames import FrameTable, SurfaceMap, _split_rows
+from mlq.frames import FramePointPair, FrameTable, GridSpec, SurfaceMap, _split_rows
+from mlq.holonomy import DomainPath, OdeOptions
 from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
 
 
@@ -46,7 +48,7 @@ NO_SRC_READ = {"SurfaceMap.sample", "EquivariantProfile.energy_residual"}
 #: classes of src/ that may define ``__call__``: none, since nothing in src/ calls an instance
 CALLABLE_CLASSES: set[str] = set()
 
-#: dataclass fields kept without a read in src/: report outputs for callers
+#: record fields kept without a read in src/: report outputs for callers
 UNREAD_FIELDS = {"InvariantReport.phi_inv", "CUReport.K", "IwasawaResult.B"}
 
 
@@ -61,8 +63,10 @@ def test_no_test_only_code():
     # private methods and UPPER_CASE module constants must be read in src/
     # too, where an attribute read (self._helper, module.CONSTANT) counts;
     # so must every public method of a class, as Class.method, and every
-    # dataclass field, as Class.field, where an attribute read of its name
-    # anywhere in src/ counts.  A class may define __call__ only if listed.
+    # record field, as Class.field, where an attribute read of its name
+    # anywhere in src/ counts; a record is a NamedTuple or a class with
+    # __slots__, and its fields are its annotated names.  A class may define
+    # __call__ only if listed.
     src = Path(mlq.__file__).parent
     defined, read_in_src, used, attrs, methods = set(), set(), set(), set(), set()
     fields, calls = set(), set()
@@ -85,7 +89,9 @@ def test_no_test_only_code():
                 )
                 calls.update(node.name for item in node.body
                              if isinstance(item, ast.FunctionDef) and item.name == "__call__")
-                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                if "NamedTuple" in map(ast.unparse, node.bases) or any(
+                        isinstance(item, ast.Assign) and "__slots__" in map(ast.unparse, item.targets)
+                        for item in node.body):
                     fields.update((node.name, item.target.id) for item in node.body
                                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
@@ -166,6 +172,31 @@ def test_a_run_builds_its_potential_once(tmp_path, monkeypatch, command):
     assert built == [potential["variant"]]
 
 
+def test_frozen_records_stay_frozen_and_compare_by_value():
+    # the records that validate are slotted classes: no attribute can be set,
+    # replaced or deleted after __init__, and they compare and hash by value;
+    # a potential's xi terms take no part in its equality
+    grid = GridSpec(0.0, 1.0, 2, 0.0, 1.0, 3)
+    records = [(grid, "n_re"), (OdeOptions(), "tolerance"), (DomainPath([0.0, 1.0]), "closed"),
+               (potentials.make_potential(potentials.sphere_spec()), "spec"),
+               (FramePointPair(np.eye(2), np.eye(2)), "F1")]
+    for record, name in records:
+        assert not hasattr(record, "__dict__")
+        for change in (lambda: setattr(record, name, None), lambda: delattr(record, name),
+                       lambda: setattr(record, "extra", None)):
+            with pytest.raises(AttributeError):
+                change()
+    assert grid == GridSpec(0.0, 1.0, 2, 0.0, 1.0, 3) != GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2)
+    assert hash(grid) == hash(GridSpec(0.0, 1.0, 2, 0.0, 1.0, 3)) and repr(grid) == (
+        "GridSpec(re_min=0.0, re_max=1.0, n_re=2, im_min=0.0, im_max=1.0, n_im=3)")
+    pot = potentials.make_potential(potentials.equivariant_spec(0.75, 0.25))
+    assert pot == potentials.Potential(pot.spec, pot.singular_points, pot.base_point, ())
+    assert pot != potentials.Potential(pot.spec, pot.singular_points, 2.0, pot.terms)
+    assert potentials.sphere_spec() == potentials.PotentialSpec("sphere", {})
+    with pytest.raises(TypeError):
+        potentials.sphere_spec().params["a"] = 1.0
+
+
 def test_the_set_up_probe_still_reads_the_spec(tmp_path):
     # perfbench/setup_probe.py times mlq.cli.load_config(path) and then
     # mlq.cli.make_potential(cfg.spec): both names stay in mlq.cli
@@ -176,8 +207,9 @@ def test_the_set_up_probe_still_reads_the_spec(tmp_path):
 
 def test_generate_loads_only_what_it_runs(tmp_path):
     # importing mlq loads none of its modules (its names resolve on first
-    # access), and generate --jobs 1 starts no thread pool and builds no
-    # rational weight; in a fresh interpreter, so no other test's imports count
+    # access), and generate --jobs 1 starts no thread pool, builds no
+    # rational weight and loads no dataclasses (its records generate no code
+    # at import); in a fresh interpreter, so no other test's imports count
     cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
     argv = ["generate", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]
     script = (
@@ -192,4 +224,4 @@ def test_generate_loads_only_what_it_runs(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     code, bare, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code == 0 and bare == []
-    assert sorted({"concurrent.futures", "numpy.polynomial"} & set(loaded)) == []
+    assert sorted({"concurrent.futures", "dataclasses", "numpy.polynomial"} & set(loaded)) == []

@@ -27,6 +27,7 @@ from mlq.cli import (
     main,
 )
 from mlq.frames import NODE_CHUNK, GridSpec, SurfaceMap, SurfaceSample
+from mlq.iwasawa import SPLIT_TOL
 from mlq.potentials import make_potential, spec_from_dict
 
 BASE = {
@@ -152,6 +153,9 @@ NON_FINITE = {
     "fd_step_infinity": ("fd_step", {"fd_step": INF}),
     "fd_step_inf_string": ("fd_step", {"fd_step": "inf"}),
     "tolerance_infinity": ("tolerances.conformal", {"tolerances": {"conformal": INF}}),
+    "equivariant_a_nan_string": ("potential.a", {"potential": {"variant": "equivariant", "a": "nan", "b": 0.25}}),
+    "trinoid_v0_inf_string": ("potential.v0", {"potential": {"variant": "trinoid", "lambda0": [0, 1], "v0": "inf",
+                                                             "v1": 1.0, "vinf": 1.0}}),
 }
 
 
@@ -425,6 +429,24 @@ def test_generate_and_verify_record_the_same_edge_mass(tmp_path):
     assert meta["edge_mass_histogram"] == report["edge_mass_histogram"]
     hist = report["edge_mass_histogram"]
     assert hist["log10_bin_edges"] == list(range(-16, 1)) and sum(hist["counts"]) == sum(m > 0 for m in masses)
+
+
+def test_generate_and_verify_record_the_split_residual(tmp_path):
+    # every accepted split's residual, relative to max_j ||P_j||^2 as SPLIT_TOL
+    # reads it: generate records its nodes' splits, verify each node's largest
+    # over its stencil, which includes the node's own split
+    cfg = write_cfg(tmp_path, potential={"variant": "radial", "c": [0.5, 0.0], "k": 1})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g"), "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
+    meta = json.loads((tmp_path / "g" / "meta.json").read_text())
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    resids = [n["split_residual"] for n in report["nodes"]]
+    assert report["max_split_residual"] == max(resids) <= SPLIT_TOL
+    assert 0.0 < meta["max_split_residual"] <= report["max_split_residual"]
+    # a zero residual (P = I at the base point z = 0) has no log10 bin
+    hist = report["split_residual_histogram"]
+    assert hist["log10_bin_edges"] == list(range(-16, 1)) and sum(hist["counts"]) == sum(r > 0 for r in resids) > 0
+    assert 0 < sum(meta["split_residual_histogram"]["counts"]) <= meta["n_nodes"]
 
 
 def test_verify_gates(tmp_path):

@@ -31,7 +31,7 @@ from mlq.frames import (
     xy_matrices,
 )
 from mlq.holonomy import MAX_STEPS, DomainPath, IntegrationError, transport
-from mlq.iwasawa import ConvergenceError, iwasawa
+from mlq.iwasawa import SPLIT_TOL, ConvergenceError, iwasawa
 from mlq.loops import window_samples
 from mlq.potentials import (
     CustomTerm,
@@ -425,8 +425,9 @@ def test_a_stencil_segment_past_a_pole_raises(family):
 def test_sample_diagnostics(sphere_map):
     s = sphere_map.sample(0.5 - 0.3j)
     assert s.valid
-    assert set(s.diagnostics) == {"unitarity_error", "window", "edge_mass", "section"}
+    assert set(s.diagnostics) == {"unitarity_error", "window", "edge_mass", "section", "split_residual"}
     assert s.diagnostics["unitarity_error"] < 1e-10
+    assert 0 <= s.diagnostics["split_residual"] <= SPLIT_TOL
     # the sphere's P is a Laurent polynomial of low degree: resolved at the start
     # window, on the first Toeplitz section of 2N blocks
     assert s.diagnostics["window"] == START_WINDOW and s.diagnostics["edge_mass"] <= EDGE_TOL
