@@ -18,7 +18,7 @@ import importlib
 #: the public names, by the module that defines them
 _EXPORTS = {
     "potentials": ("PotentialSpec", "make_potential", "xi_sampler", "sphere_spec", "torus_spec",
-                   "equivariant_spec", "radial_spec", "trinoid_spec", "custom_spec", "spec_from_dict"),
+                   "equivariant_spec", "radial_spec", "trinoid_spec", "custom_spec"),
     "holonomy": ("DomainPath", "OdeOptions", "OdeCounts", "circle_path", "transport", "monodromy",
                  "unitarizing_gauge"),
     "iwasawa": ("IwasawaResult", "iwasawa", "spectral_factor_plus"),

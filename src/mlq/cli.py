@@ -1,6 +1,8 @@
 """Batch front-end: `mlq generate|verify|closing|family --config cfg.json`.
 
-Configs are versioned JSON (``schema: 1``).  All outputs are deterministic
+Configs are versioned JSON (``schema: 1``), read by ``load_config`` alone:
+``_as`` reads every value, and one that is malformed, missing or not a key
+of its object is a config error naming it.  All outputs are deterministic
 at a fixed BLAS thread count: identical configs produce byte-identical
 CSV/JSON for any ``--jobs``, and OBJ floats are written with 17 significant
 digits.  The BLAS thread count can change their last bits, through the
@@ -31,7 +33,8 @@ from .frames import GridSpec, SurfaceMap, node_chunks
 from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
-from .potentials import Potential, PotentialSpec, make_potential, spec_from_dict
+from .potentials import (CustomTerm, Potential, PotentialSpec, custom_spec, equivariant_spec, make_potential,
+                         radial_spec, sphere_spec, torus_spec, trinoid_spec)
 from .verify import DeckTransform, frame_tables, invariants_report, node_reports, symmetry_check
 
 SCHEMA = 1
@@ -83,9 +86,22 @@ class RunConfig(NamedTuple):
 
 
 def _as(kind, value, name: str, positive: bool = False):
-    """value read as kind (int or float); a ConfigError naming the key if it
-    is not one (a bool, a fraction for an int, or a float that is not finite;
-    "10" reads as 10), or is not positive where it must be."""
+    """value read as kind: int or float ("10" reads as 10), complex (a number
+    or exactly [re, im]), a list [kind], or a function kind(value, name) that
+    reads a config object.  A ConfigError names the key if value is none of
+    these (a bool is no number, an int has no fraction, a float is finite) or
+    is not positive where it must be."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_as(kind[0], v, f"{name}.{i}") for i, v in enumerate(value))
+    if kind is complex:
+        re_im = value if isinstance(value, list) else [value, 0.0]
+        if len(re_im) != 2:
+            raise ConfigError(f"{name} must be a number or [re, im], got {value!r}")
+        return complex(*(_as(float, part, name) for part in re_im))
+    if kind not in (int, float):
+        return kind(value, name)
     try:
         out = kind(value)
         if isinstance(value, bool) or (kind is int and out != float(value)) or not math.isfinite(out):
@@ -107,7 +123,46 @@ def _check_finite(node, name: str = "") -> None:
         _check_finite(child, f"{name}.{key}".lstrip("."))
 
 
+def _object(value, name: str, kinds: dict, make):
+    """make(**keys) of the config object value: kinds maps each key it takes
+    to the kind ``_as`` reads, or to (kind, default) where the key may be left
+    out.  A ConfigError names a missing key or one the object does not take,
+    and holds make's ValueError (or overflow) as "bad <name>"."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - kinds.keys())
+    if unknown:
+        raise ConfigError(f"{name}.{unknown[0]} is not a key of {name} (it takes {', '.join(kinds)})")
+    keys = {}
+    for key, kind in kinds.items():
+        kind, *default = kind if isinstance(kind, tuple) else (kind,)
+        if key not in value and not default:
+            raise ConfigError(f"{name}.{key} is missing")
+        keys[key] = _as(kind, value[key], f"{name}.{key}") if key in value else default[0]
+    try:
+        return make(**keys)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+
+
+def _term(value, name: str) -> CustomTerm:
+    return _object(value, name, {"lam_power": int, "matrix": [[complex]], "num": ([complex], (1 + 0j,)),
+                                 "den": ([complex], (1 + 0j,))}, CustomTerm)
+
+
+#: each family's spec constructor and the kinds of its parameters, by variant
+_FAMILIES = {
+    "sphere": (sphere_spec, {}),
+    "torus": (torus_spec, {}),
+    "equivariant": (equivariant_spec, {"a": float, "b": float, "c": (float, 0.0)}),
+    "radial": (radial_spec, {"c": complex, "k": int}),
+    "trinoid": (trinoid_spec, {"lambda0": complex, "v0": float, "v1": float, "vinf": float}),
+    "custom": (custom_spec, {"terms": [_term], "poles": ([complex], ()), "base_point": complex}),
+}
+
+
 def load_config(path: str | Path) -> RunConfig:
+    """The run config at path; a ConfigError names its first bad value."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -121,49 +176,27 @@ def load_config(path: str | Path) -> RunConfig:
     if raw.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported schema {raw.get('schema')!r} (expected {SCHEMA})")
 
-    try:
-        spec = spec_from_dict(raw["potential"])
-        # float() reads "nan" and "inf": the families' real parameters get _as's finite check
-        for key, value in spec.params.items():
-            if isinstance(value, float):
-                _as(float, value, f"potential.{key}")
-        pot = make_potential(spec)
-    except KeyError:
-        raise ConfigError("config needs a 'potential' object") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad potential: {exc}") from exc
+    p = raw.get("potential")
+    # a list, so that a variant that is not hashable is not in it either
+    if not isinstance(p, dict) or p.get("variant") not in [*_FAMILIES]:
+        raise ConfigError(f"config needs a 'potential' object with a variant of {[*_FAMILIES]}, got {p!r}")
+    make_spec, kinds = _FAMILIES[p["variant"]]
+    pot = _object({k: v for k, v in p.items() if k != "variant"}, "potential", kinds,
+                  lambda **params: make_potential(make_spec(**params)))
 
-    g = raw.get("grid")
-    if not isinstance(g, dict):
-        raise ConfigError("config needs a 'grid' object")
-    try:
-        grid = GridSpec(
-            **{k: _as(float, g[k], f"grid.{k}") for k in ("re_min", "re_max", "im_min", "im_max")},
-            n_re=_as(int, g["n_re"], "grid.n_re"), n_im=_as(int, g["n_im"], "grid.n_im"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"grid is missing {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    grid = _object(raw.get("grid"), "grid", {"re_min": float, "re_max": float, "n_re": int,
+                                             "im_min": float, "im_max": float, "n_im": int}, GridSpec)
     if grid.n_re < 2 or grid.n_im < 2:
         raise ConfigError("grid counts must be at least 2 per axis")
 
     # family reads sweep and ignores lambda0, but a lambda0 is checked wherever it is given
-    lam = 1.0 + 0.0j
     sweep = _as(int, raw["sweep"], "sweep") if "sweep" in raw else None
-    if "lambda0" in raw:
-        l0 = raw["lambda0"]
-        if not isinstance(l0, dict):
-            raise ConfigError(f'lambda0 must be an object {{"re": ..., "im": ...}}, got {l0!r}')
-        lam = complex(_as(float, l0.get("re", 1.0), "lambda0.re"), _as(float, l0.get("im", 0.0), "lambda0.im"))
-        if not abs(abs(lam) - 1.0) <= 1e-12:
-            raise ConfigError(f"|lambda0| must be 1 (got {abs(lam)!r})")
+    lam = _object(raw.get("lambda0", {}), "lambda0", {"re": (float, 1.0), "im": (float, 0.0)},
+                  lambda re, im: complex(re, im))
+    if not abs(math.hypot(lam.real, lam.imag) - 1.0) <= 1e-12:
+        raise ConfigError(f"|lambda0| must be 1, got {lam!r}")
 
-    ode_raw = raw.get("ode", {})
-    try:
-        ode = OdeOptions(**ode_raw) if ode_raw else OdeOptions()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ode options: {exc}") from exc
+    ode = _object(raw.get("ode", {}), "ode", {"tolerance": (float, 1e-10)}, OdeOptions)
 
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -178,7 +211,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
 
     return RunConfig(
-        spec=spec,
+        spec=pot.spec,
         pot=pot,
         grid=grid,
         lambda0=lam,

@@ -9,7 +9,8 @@ form, and constant lam-terms.  ``xi_sampler`` folds the terms at a fixed
 set of spectral values, which is what the integrator reads; every weight
 takes an array of z as well as one z.  Sphere, torus and equivariant are
 one term w(z) A(lam), so xi(z) commutes with xi(z') and the frame is
-exp(W A).
+exp(W A).  A config's ``potential`` object holds a family's ``*_spec``
+parameters; ``cli.load_config`` reads it, and nothing here reads JSON.
 
 Families
 --------
@@ -217,8 +218,8 @@ def make_potential(spec: PotentialSpec) -> Potential:
         raise ValueError("custom potential needs at least one term")
     terms = []
     for t in p["terms"]:
-        if len(t.den) == 0 or all(abs(c) == 0 for c in t.den):
-            raise ValueError("custom term denominator must be a nonzero polynomial")
+        if len(t.num) == 0 or all(abs(c) == 0 for c in t.den):
+            raise ValueError("custom term needs a numerator and a nonzero denominator polynomial")
         mat = np.asarray(t.matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError(f"custom term matrix must be 2x2, got shape {mat.shape}")
@@ -303,47 +304,3 @@ def trinoid_h(lam: complex, lambda0: complex) -> complex:
     lam = complex(lam)
     lam0 = complex(lambda0)
     return (lam - lam0) * (lam - 1.0 / lam0) / lam
-
-
-# ---------------------------------------------------------------------------
-# JSON config reading (complex values as [re, im])
-
-
-def _l2c(v: Any) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
-
-
-def spec_from_dict(d: dict[str, Any]) -> PotentialSpec:
-    """The spec of a config's ``potential`` object; raises ValueError on malformed input.
-
-    The keys are ``variant`` and the family's parameters, as its ``*_spec``
-    constructor names them; a complex value is a number or ``[re, im]``.
-    """
-    try:
-        v = d["variant"]
-    except (KeyError, TypeError):
-        raise ValueError("potential dict needs a 'variant' key") from None
-    if v == "sphere":
-        return sphere_spec()
-    if v == "torus":
-        return torus_spec()
-    if v == "equivariant":
-        return equivariant_spec(d["a"], d["b"], d.get("c", 0.0))
-    if v == "radial":
-        return radial_spec(_l2c(d["c"]), int(d["k"]))
-    if v == "trinoid":
-        return trinoid_spec(_l2c(d["lambda0"]), d["v0"], d["v1"], d["vinf"])
-    if v == "custom":
-        terms = [
-            CustomTerm(
-                lam_power=int(t["lam_power"]),
-                matrix=tuple(tuple(_l2c(x) for x in row) for row in t["matrix"]),
-                num=tuple(_l2c(c) for c in t.get("num", [1.0])),
-                den=tuple(_l2c(c) for c in t.get("den", [1.0])),
-            )
-            for t in d["terms"]
-        ]
-        return custom_spec(terms, [_l2c(q) for q in d.get("poles", [])], _l2c(d["base_point"]))
-    raise ValueError(f"unknown potential variant {v!r}")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlq
 from mlq import cli, frames, holonomy
@@ -28,7 +30,7 @@ from mlq.cli import (
 )
 from mlq.frames import NODE_CHUNK, GridSpec, SurfaceMap, SurfaceSample
 from mlq.iwasawa import SPLIT_TOL
-from mlq.potentials import make_potential, spec_from_dict
+from mlq.potentials import make_potential, sphere_spec
 
 BASE = {
     "schema": 1,
@@ -95,7 +97,7 @@ def test_load_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, tolerances={"sinh_gordn": 1e-3}))
     # the fixed-step integrator and its options are gone
     removed_ode = write_cfg(tmp_path, ode={"tolerance": 1e-9, "method": "rk4", "step": 1e-3})
-    with pytest.raises(ConfigError, match="bad ode options"):
+    with pytest.raises(ConfigError, match="ode.method"):
         load_config(removed_ode)
     assert main(["generate", "--config", removed_ode, "--out", str(tmp_path / "g")]) == EXIT_USAGE
 
@@ -123,6 +125,31 @@ BAD_VALUES = {
     "lambda0_off_the_circle_next_to_a_sweep": ("lambda0", {"sweep": 4, "lambda0": {"re": 3.0, "im": 0.0}}),
     "lambda0_re_not_a_number_next_to_a_sweep": ("lambda0.re", {"sweep": 4, "lambda0": {"re": "one"}}),
     "lambda0_not_finite": ("lambda0", {"lambda0": {"re": float("nan"), "im": 0.0}}),
+    "lambda0_overflowing": ("lambda0", {"lambda0": {"re": 1.7e308, "im": 1.7e308}}),
+    # every value of the potential object is read as the rest of the config is
+    "equivariant_a_missing": ("potential.a", {"potential": {"variant": "equivariant", "b": 0.25}}),
+    "custom_term_matrix_missing": ("potential.terms.0.matrix", {"potential": {
+        "variant": "custom", "base_point": [0, 0], "terms": [{"lam_power": -1}]}}),
+    "trinoid_vinf_missing": ("potential.vinf", {"potential": {"variant": "trinoid", "lambda0": [0, 1],
+                                                              "v0": 1.0, "v1": 1.0}}),
+    "equivariant_a_bool": ("potential.a", {"potential": {"variant": "equivariant", "a": True, "b": 0.25}}),
+    "radial_k_not_integral": ("potential.k", {"potential": {"variant": "radial", "c": [0.5, 0], "k": 1.5}}),
+    "radial_k_a_bool": ("potential.k", {"potential": {"variant": "radial", "c": [0.5, 0], "k": True}}),
+    "radial_c_three_parts": ("potential.c", {"potential": {"variant": "radial", "c": [0.5, 0, 9], "k": 1}}),
+    "radial_c_one_part": ("potential.c", {"potential": {"variant": "radial", "c": [0.5], "k": 1}}),
+    "radial_c_overflowing": ("potential", {"potential": {"variant": "radial", "c": [1.7e308, 1.7e308], "k": 1}}),
+    "custom_num_a_string": ("potential.terms.0.num", {"potential": {
+        "variant": "custom", "base_point": [0, 0], "terms": [{"lam_power": -1, "matrix": [[0, 1], [0, 0]],
+                                                             "num": "12"}]}}),
+    "custom_lam_power_not_integral": ("potential.terms.0.lam_power", {"potential": {
+        "variant": "custom", "base_point": [0, 0], "terms": [{"lam_power": -1.5, "matrix": [[0, 1], [0, 0]]}]}}),
+    # an ode that is not an object, and a key that an object does not take
+    "ode_a_list": ("ode", {"ode": []}),
+    "ode_null": ("ode", {"ode": None}),
+    "lambda0_unknown_key": ("lambda0.imag", {"lambda0": {"re": 1.0, "imag": 0.5}}),
+    "grid_unknown_key": ("grid.n_rex", {"grid": {**BASE["grid"], "n_rex": 4}}),
+    "equivariant_unknown_key": ("potential.cc", {"potential": {"variant": "equivariant", "a": 0.75, "b": 0.25,
+                                                               "cc": 0.5}}),
 }
 
 
@@ -172,10 +199,63 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, name):
 
 def test_integral_values_are_read_as_ints(tmp_path):
     # an integral float or a numeric string is its number; only a fraction or a bool is an error
-    cfg = load_config(write_cfg(tmp_path, truncation_N="12", sweep=4.0,
+    cfg = load_config(write_cfg(tmp_path, truncation_N="12", sweep=4.0, ode={"tolerance": "1e-10"},
                                 grid={**BASE["grid"], "n_re": "3", "n_im": 4.0}))
     assert (cfg.truncation_n, cfg.sweep, cfg.grid.n_re, cfg.grid.n_im) == (12, 4, 3, 4)
     assert all(type(v) is int for v in (cfg.truncation_n, cfg.sweep, cfg.grid.n_re, cfg.grid.n_im))
+    assert cfg.ode.tolerance == 1e-10
+
+
+#: a valid config of each family, with every optional object and key given
+VALID_CONFIGS = [
+    {**BASE, "potential": potential, "lambda0": {"re": 0.0, "im": 1.0}, "sweep": 4, "ode": {"tolerance": 1e-9},
+     "fd_step": 1e-3, "tolerances": {"quadric": 1e-8}, "output_dir": "out"}
+    for potential in (
+        {"variant": "sphere"},
+        {"variant": "torus"},
+        {"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.1},
+        {"variant": "radial", "c": [0.3, 0.4], "k": 3},
+        {"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 2.0, "vinf": 3.0},
+        {"variant": "custom", "base_point": [0.0, 0.0], "poles": [[-1.0, 0.0]], "terms": [
+            {"lam_power": -1, "matrix": [[0, 1], [0, 0]], "num": [1.0], "den": [1.0, 1.0]},
+            {"lam_power": 0, "matrix": [[0.5, 0], [0, [-0.5, 0]]]}]},
+    )
+]
+
+#: JSON values of every type: None, bools, strings, fractions, non-finite and
+#: overflowing floats, lists of 0-3 numbers and objects
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "x", "12", "1e-3", "nan"]),
+    st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()), st.sampled_from([NAN, INF, -INF, 1.7e308]),
+    st.lists(st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+    st.dictionaries(st.sampled_from(["re", "im", "a", "variant"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """The path of every value under node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_value_in_a_config_reads_or_is_a_config_error(tmp_path_factory, data):
+    # one value of a valid config replaced by any JSON value: load_config returns or names it, never crashes
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(VALID_CONFIGS))))
+    *parents, key = data.draw(st.sampled_from(list(_paths(cfg))))
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(JSON_VALUES)
+    path = tmp_path_factory.getbasetemp() / "any_value.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
 
 
 #: potentials that parse but that make_potential rejects
@@ -185,6 +265,8 @@ BAD_POTENTIALS = {
         {"lam_power": -1, "matrix": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}]},
     "custom_not_trace_free": {"variant": "custom", "base_point": [0, 0], "terms": [
         {"lam_power": 0, "matrix": [[1, 0], [0, 0]]}]},
+    "custom_empty_numerator": {"variant": "custom", "base_point": [0, 0], "terms": [
+        {"lam_power": -1, "matrix": [[0, 1], [0, 0]], "num": []}]},
 }
 
 
@@ -234,7 +316,7 @@ def _cell(x) -> str:
 def test_writers_match_per_cell_formatting(tmp_path):
     # one format per row writes each cell as the per-cell "%.17g" % float(x) did
     grid = GridSpec(-0.4, 0.4, 3, -0.3, 0.3, 2)
-    smap = SurfaceMap(make_potential(spec_from_dict({"variant": "sphere"})), 1.0, window=10)
+    smap = SurfaceMap(make_potential(sphere_spec()), 1.0, window=10)
     samples = smap.samples(grid.nodes())
     samples[1] = SurfaceSample(z=samples[1].z, valid=False, error="failed")
     assert sum(s.valid for s in samples) == 5

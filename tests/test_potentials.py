@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import eval_xi, loop_at
 
+from mlq.cli import load_config
 from mlq.holonomy import DomainPath, _planes, _segment_rhs, _unplanes, transport
 from mlq.potentials import (
     CustomTerm,
@@ -15,7 +16,6 @@ from mlq.potentials import (
     equivariant_spec,
     make_potential,
     radial_spec,
-    spec_from_dict,
     sphere_spec,
     torus_spec,
     trinoid_h,
@@ -69,9 +69,12 @@ CONFIG_LITERALS = [
 @pytest.mark.parametrize(
     "literal, spec", list(zip(CONFIG_LITERALS, ALL_SPECS)), ids=[s.variant for s in ALL_SPECS]
 )
-def test_spec_dict_round_trip(literal, spec):
+def test_spec_dict_round_trip(tmp_path, literal, spec):
     # a config literal, read as load_config reads it, is the constructor's potential
-    back = spec_from_dict(json.loads(literal))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "potential": json.loads(literal), "grid": {
+        "re_min": -0.4, "re_max": 0.4, "n_re": 3, "im_min": -0.4, "im_max": 0.4, "n_im": 3}}))
+    back = load_config(path).spec
     assert back.variant == spec.variant
     pot = make_potential(spec)
     pot_back = make_potential(back)
@@ -82,11 +85,6 @@ def test_spec_dict_round_trip(literal, spec):
     assert back.keys() == orig.keys()
     for k in orig:
         np.testing.assert_allclose(back[k], orig[k], atol=1e-15)
-
-
-def test_spec_from_dict_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        spec_from_dict({"variant": "nonsense"})
 
 
 def test_singular_sets_and_base_points():
