@@ -2,15 +2,16 @@
 
 Configs are versioned JSON (``schema: 1``), read by ``load_config`` alone:
 ``_as`` reads every value, and one that is malformed, missing or not a key
-of its object is a config error naming it.  All outputs are deterministic
-at a fixed BLAS thread count: identical configs produce byte-identical
-CSV/JSON for any ``--jobs``, and OBJ floats are written with 17 significant
-digits.  The BLAS thread count can change their last bits, through the
-Cholesky of the split's Toeplitz section.  Exit codes: 0 all checks pass,
-1 checks failed, 2 usage/config error, 3 numerical failure.  The process
-entry ``run()`` freezes the heap after the command, so the exit skips the
-collector's walk of numpy's and mlq's ~23k objects (teardown ~30 -> ~9 ms
-on 2 cores); ``main(argv)``, the in-process entry, leaves the collector alone.
+of its object is a config error naming it.  Every command runs serially;
+``--jobs`` is accepted and ignored.  All outputs are deterministic at a
+fixed BLAS thread count: identical configs produce byte-identical CSV/JSON,
+and OBJ floats are written with 17 significant digits.  The BLAS thread
+count can change their last bits, through the Cholesky of the split's
+Toeplitz section.  Exit codes: 0 all checks pass, 1 checks failed, 2
+usage/config error, 3 numerical failure.  The process entry ``run()``
+freezes the heap after the command, so the exit skips the collector's walk
+of numpy's and mlq's ~23k objects (teardown ~30 -> ~9 ms on 2 cores);
+``main(argv)``, the in-process entry, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -124,25 +125,27 @@ def _check_finite(node, name: str = "") -> None:
 
 
 def _object(value, name: str, kinds: dict, make):
-    """make(**keys) of the config object value: kinds maps each key it takes
-    to the kind ``_as`` reads, or to (kind, default) where the key may be left
-    out.  A ConfigError names a missing key or one the object does not take,
-    and holds make's ValueError (or overflow) as "bad <name>"."""
+    """make(**keys) of the config object value, or of the whole config where
+    name is "": kinds maps each key it takes to the kind ``_as`` reads, or to
+    (kind, default) where the key may be left out.  A ConfigError names a
+    missing key or one the object does not take, and holds make's ValueError
+    (or overflow) as "bad <name>"."""
+    where, prefix = (name, f"{name}.") if name else ("config", "")
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
+        raise ConfigError(f"{where} must be an object, got {value!r}")
     unknown = sorted(value.keys() - kinds.keys())
     if unknown:
-        raise ConfigError(f"{name}.{unknown[0]} is not a key of {name} (it takes {', '.join(kinds)})")
+        raise ConfigError(f"{prefix}{unknown[0]} is not a key of {where} (it takes {', '.join(kinds)})")
     keys = {}
     for key, kind in kinds.items():
         kind, *default = kind if isinstance(kind, tuple) else (kind,)
         if key not in value and not default:
-            raise ConfigError(f"{name}.{key} is missing")
-        keys[key] = _as(kind, value[key], f"{name}.{key}") if key in value else default[0]
+            raise ConfigError(f"{prefix}{key} is missing")
+        keys[key] = _as(kind, value[key], f"{prefix}{key}") if key in value else default[0]
     try:
         return make(**keys)
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad {name}: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def _term(value, name: str) -> CustomTerm:
@@ -161,6 +164,64 @@ _FAMILIES = {
 }
 
 
+def _schema(value, name: str) -> int:
+    if value != SCHEMA:
+        raise ConfigError(f"unsupported {name} {value!r} (expected {SCHEMA})")
+    return value
+
+
+def _potential(value, name: str) -> Potential:
+    # a list, so that a variant that is not hashable is not in it either
+    if not isinstance(value, dict) or value.get("variant") not in [*_FAMILIES]:
+        raise ConfigError(f"config needs a '{name}' object with a variant of {[*_FAMILIES]}, got {value!r}")
+    make_spec, kinds = _FAMILIES[value["variant"]]
+    return _object({k: v for k, v in value.items() if k != "variant"}, name, kinds,
+                   lambda **params: make_potential(make_spec(**params)))
+
+
+def _grid(value, name: str) -> GridSpec:
+    grid = _object(value, name, {"re_min": float, "re_max": float, "n_re": int,
+                                 "im_min": float, "im_max": float, "n_im": int}, GridSpec)
+    if grid.n_re < 2 or grid.n_im < 2:
+        raise ConfigError("grid counts must be at least 2 per axis")
+    return grid
+
+
+def _lambda0(value, name: str) -> complex:
+    lam = _object(value, name, {"re": (float, 1.0), "im": (float, 0.0)}, lambda re, im: complex(re, im))
+    if not abs(math.hypot(lam.real, lam.imag) - 1.0) <= 1e-12:
+        raise ConfigError(f"|lambda0| must be 1, got {lam!r}")
+    return lam
+
+
+def _tolerances(value, name: str) -> dict[str, float]:
+    # the bounds the config gives, and no others
+    return _object(value, name, dict.fromkeys(TOLERANCE_NAMES, (float, None)),
+                   lambda **bounds: {k: v for k, v in bounds.items() if v is not None})
+
+
+def _path(value, name: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return Path(value)
+
+
+#: every top-level key of a config and its kind; family reads sweep and
+#: ignores lambda0, but a lambda0 is checked wherever it is given
+_CONFIG = {
+    "schema": _schema,
+    "potential": _potential,
+    "grid": _grid,
+    "lambda0": (_lambda0, 1 + 0j),
+    "ode": (partial(_object, kinds={"tolerance": (float, 1e-10)}, make=OdeOptions), OdeOptions()),
+    "sweep": (int, None),
+    "truncation_N": (partial(_as, int, positive=True), DEFAULT_WINDOW_N),
+    "fd_step": (partial(_as, float, positive=True), 1e-3),
+    "tolerances": (_tolerances, {}),
+    "output_dir": (_path, Path("out")),
+}
+
+
 def load_config(path: str | Path) -> RunConfig:
     """The run config at path; a ConfigError names its first bad value."""
     try:
@@ -170,83 +231,20 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     _check_finite(raw)
-    if raw.get("schema") != SCHEMA:
-        raise ConfigError(f"unsupported schema {raw.get('schema')!r} (expected {SCHEMA})")
-
-    p = raw.get("potential")
-    # a list, so that a variant that is not hashable is not in it either
-    if not isinstance(p, dict) or p.get("variant") not in [*_FAMILIES]:
-        raise ConfigError(f"config needs a 'potential' object with a variant of {[*_FAMILIES]}, got {p!r}")
-    make_spec, kinds = _FAMILIES[p["variant"]]
-    pot = _object({k: v for k, v in p.items() if k != "variant"}, "potential", kinds,
-                  lambda **params: make_potential(make_spec(**params)))
-
-    grid = _object(raw.get("grid"), "grid", {"re_min": float, "re_max": float, "n_re": int,
-                                             "im_min": float, "im_max": float, "n_im": int}, GridSpec)
-    if grid.n_re < 2 or grid.n_im < 2:
-        raise ConfigError("grid counts must be at least 2 per axis")
-
-    # family reads sweep and ignores lambda0, but a lambda0 is checked wherever it is given
-    sweep = _as(int, raw["sweep"], "sweep") if "sweep" in raw else None
-    lam = _object(raw.get("lambda0", {}), "lambda0", {"re": (float, 1.0), "im": (float, 0.0)},
-                  lambda re, im: complex(re, im))
-    if not abs(math.hypot(lam.real, lam.imag) - 1.0) <= 1e-12:
-        raise ConfigError(f"|lambda0| must be 1, got {lam!r}")
-
-    ode = _object(raw.get("ode", {}), "ode", {"tolerance": (float, 1e-10)}, OdeOptions)
-
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("'tolerances' must be a map of residual name -> bound")
-    unknown = sorted(set(tol) - set(TOLERANCE_NAMES))
-    if unknown:
-        raise ConfigError(f"unknown tolerance name(s) {unknown}; choose from {list(TOLERANCE_NAMES)}")
-    tolerances = {str(k): _as(float, v, f"tolerances.{k}") for k, v in tol.items()}
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
-
-    return RunConfig(
-        spec=pot.spec,
-        pot=pot,
-        grid=grid,
-        lambda0=lam,
-        sweep=sweep,
-        truncation_n=_as(int, raw.get("truncation_N", DEFAULT_WINDOW_N), "truncation_N", positive=True),
-        ode=ode,
-        fd_step=_as(float, raw.get("fd_step", 1e-3), "fd_step", positive=True),
-        tolerances=tolerances,
-        output_dir=Path(output_dir),
-        raw=raw,
-    )
-
-
-def _n_jobs(cli_jobs: int | None) -> int:
-    if cli_jobs is not None:
-        return max(1, cli_jobs)
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_nodes(fn, nodes, jobs: int) -> list:
-    """Apply fn to the node chunks in a bounded pool; results in input order."""
-    if jobs <= 1:
-        return [fn(z) for z in nodes]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, nodes))
+    return _object(raw, "", _CONFIG, lambda schema, potential, truncation_N, **keys: RunConfig(
+        spec=potential.spec, pot=potential, truncation_n=truncation_N, raw=raw, **keys))
 
 
 # ---------------------------------------------------------------------------
 # writers
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, cfg: RunConfig, record: dict) -> None:
+    """record under the run's schema, version and config, keys sorted, in its directory made if need be."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"schema": SCHEMA, "version": __version__, "config": cfg.raw, **record},
+                               sort_keys=True, indent=2) + "\n")
 
 
 def _write_obj(path: Path, verts: list, grid: GridSpec) -> None:
@@ -301,11 +299,10 @@ def _grid_pole_check(pot: Potential, grid: GridSpec) -> None:
 # subcommands
 
 
-def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
+def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
-    # chunk boundaries are fixed, so the threads never change a node's sweep
-    samples = [s for part in _map_nodes(smap.samples, node_chunks(cfg.grid.nodes()), jobs) for s in part]
+    samples = smap.samples(cfg.grid.nodes())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "surface.csv", samples)
@@ -319,12 +316,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         for i, s in enumerate(samples)
         if not s.valid
     ]
-    masses = [s.diagnostics["edge_mass"] for s in samples if s.valid]
-    resids = [s.diagnostics["split_residual"] for s in samples if s.valid]
     meta = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "config": cfg.raw,
         "truncation_N": cfg.truncation_n,
         "n_nodes": len(samples),
         "n_failed": len(failures),
@@ -333,22 +325,34 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             (s.diagnostics["unitarity_error"] for s in samples if s.valid and s.diagnostics),
             default=None,
         ),
-        "ode_steps": smap.ode_counts.steps,
-        "ode_rhs_calls": smap.ode_counts.rhs_calls,
-        "ode_det_drift": smap.ode_counts.det_drift,
-        "window_counts": _counts(s.diagnostics["window"] for s in samples if s.valid),
-        "section_counts": _counts(s.diagnostics["section"] for s in samples if s.valid),
-        # the largest relative edge mass of P that a valid node's split left, and its log10 histogram
-        "max_edge_mass": max(masses, default=None), "edge_mass_histogram": _histogram(masses),
-        # the largest relative residual B* B - P that a valid node's split accepted, and its log10 histogram
-        "max_split_residual": max(resids, default=None), "split_residual_histogram": _histogram(resids),
+        **_ode_record(smap.ode_counts),
+        **_split_record([s.diagnostics for s in samples if s.valid]),
     }
-    _write_json(out_dir / "meta.json", meta)
+    _write_json(out_dir / "meta.json", cfg, meta)
     if failures and len(failures) == len(samples):
         print("all grid nodes failed; see meta.json", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {len(samples)} nodes to {out_dir} ({len(failures)} failed)")
     return EXIT_OK
+
+
+def _ode_record(counts: OdeCounts) -> dict:
+    """A command's ODE totals: DOP853 steps, right-hand-side calls and det drift."""
+    return {"ode_steps": counts.steps, "ode_rhs_calls": counts.rhs_calls, "ode_det_drift": counts.det_drift}
+
+
+def _split_record(diagnostics: list[dict]) -> dict:
+    """The windows, sections, edge masses and split residuals of the valid nodes' splits."""
+    masses = [d["edge_mass"] for d in diagnostics]
+    resids = [d["split_residual"] for d in diagnostics]
+    return {
+        "window_counts": _counts(d["window"] for d in diagnostics),
+        "section_counts": _counts(d["section"] for d in diagnostics),
+        # the largest relative edge mass of P that a valid node's split left, and its log10 histogram
+        "max_edge_mass": max(masses, default=None), "edge_mass_histogram": _histogram(masses),
+        # the largest relative residual B* B - P that a valid node's split accepted, and its log10 histogram
+        "max_split_residual": max(resids, default=None), "split_residual_histogram": _histogram(resids),
+    }
 
 
 def _counts(values) -> dict[str, int]:
@@ -368,7 +372,7 @@ def _histogram(values: list[float]) -> dict:
     return {"log10_bin_edges": edges, "counts": counts}
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     h = cfg.fd_step
@@ -400,9 +404,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         }
 
     nodes = cfg.grid.nodes()
-    # chunk boundaries are fixed, so the threads never change a node's sweeps
-    reps = [rep for part in _map_nodes(lambda chunk: node_reports(smap, chunk, h), node_chunks(nodes), jobs)
-            for rep in part]
+    # a chunk at a time, so only one chunk's (13, 4N, 2, 2) frame tables are alive:
+    # a 60x60 grid at N = 16 in one call would hold ~190 MB
+    reps = [rep for chunk in node_chunks(nodes) for rep in node_reports(smap, chunk, h)]
     reports = [node_entry(z, rep) for z, rep in zip(nodes, reps)]
     valid = [r for r in reports if r["valid"]]
     if not valid:
@@ -426,25 +430,14 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
                             "pass": worst is not None and bool(worst <= bound)}
     passed = all(c["pass"] for c in checks.values())
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", {
-        "schema": SCHEMA,
-        "version": __version__,
-        "config": cfg.raw,
+    _write_json(out_dir / "report.json", cfg, {
         "nodes": reports,
         "n_failed": len(reports) - len(valid),
         "n_gauss_skipped": sum(r["gauss_skipped"] for r in valid),
         "max_residuals": max_residuals,
         "histograms": histograms,
-        "window_counts": _counts(r["window"] for r in valid),
-        "section_counts": _counts(r["section"] for r in valid),
-        "max_edge_mass": max(r["edge_mass"] for r in valid),
-        "edge_mass_histogram": _histogram([r["edge_mass"] for r in valid]),
-        "max_split_residual": max(r["split_residual"] for r in valid),
-        "split_residual_histogram": _histogram([r["split_residual"] for r in valid]),
-        "ode_steps": smap.ode_counts.steps,
-        "ode_rhs_calls": smap.ode_counts.rhs_calls,
-        "ode_det_drift": smap.ode_counts.det_drift,
+        **_split_record(valid),
+        **_ode_record(smap.ode_counts),
         "checks": checks,
         "pass": passed,
     })
@@ -466,16 +459,13 @@ def _unitarity(m: np.ndarray) -> float:
     return float(np.linalg.norm(m @ m.conj().T - np.eye(2)))
 
 
-def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
+def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.spec.variant == "equivariant":
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
         smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
         deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
         payload = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "config": cfg.raw,
             "family": "equivariant",
             "closing": {
                 "mu1": rep.mu1,
@@ -485,8 +475,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             },
             "deck_residual": deck,
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "closing.json", payload)
+        _write_json(out_dir / "closing.json", cfg, payload)
         print(f"mu = ({rep.mu1:.12g}, {rep.mu2:.12g}) closes_q2={rep.closes_q2} "
               f"closes_s3={rep.closes_s3} deck residual {deck:.3e}")
         return EXIT_OK if rep.closes_q2 else EXIT_CHECKS_FAILED
@@ -509,9 +498,6 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         except ValueError:
             dressed_unit = None
         payload = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "config": cfg.raw,
             "family": "trinoid",
             "admissibility": {
                 "admissible": adm.admissible,
@@ -527,12 +513,9 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
                 "plain_unitarity_max": plain_unit,
                 "dressed_unitarity_max": dressed_unit,
             },
-            "ode_steps": counts.steps,
-            "ode_rhs_calls": counts.rhs_calls,
-            "ode_det_drift": counts.det_drift,
+            **_ode_record(counts),
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "closing.json", payload)
+        _write_json(out_dir / "closing.json", cfg, payload)
         n_str = ", ".join(f"{x:.6f}" for x in adm.n)
         m_str = ", ".join(f"{x:.6f}" for x in adm.m)
         print(f"admissible={adm.admissible} n=({n_str}) m=({m_str})")
@@ -547,7 +530,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     return EXIT_USAGE
 
 
-def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
+def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.sweep is None or cfg.sweep < 2:
         print("family needs 'sweep' >= 2 in the config", file=sys.stderr)
         return EXIT_USAGE
@@ -575,7 +558,8 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
                 rows.append(exc)
         return rows
 
-    rows = [row for part in _map_nodes(chunk_members, node_chunks(nodes), jobs) for row in part]
+    # a chunk at a time, for the same memory bound as verify
+    rows = [row for chunk in node_chunks(nodes) for row in chunk_members(chunk)]
     failures = [{"index": i, "z_re": z.real, "z_im": z.imag, "error": str(row)}
                 for i, (z, row) in enumerate(zip(nodes, rows)) if isinstance(row, Exception)]
     valid = [row for row in rows if not isinstance(row, Exception)]
@@ -594,11 +578,7 @@ def cmd_family(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         })
     max_u = max(e["max_u_dev"] for e in per_lambda)
     max_a = max(e["max_alpha_dev"] for e in per_lambda)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "family.json", {
-        "schema": SCHEMA,
-        "version": __version__,
-        "config": cfg.raw,
+    _write_json(out_dir / "family.json", cfg, {
         "lambdas": [[float(l.real), float(l.imag)] for l in lams],
         "n_failed": len(failures),
         "failures": failures,
@@ -625,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=("generate", "verify", "closing", "family"))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads (default: min(4, cores))")
+    parser.add_argument("--jobs", type=int, default=None, help="ignored: every command runs serially")
     args = parser.parse_args(argv)
 
     try:
@@ -634,7 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out) if args.out else cfg.output_dir
-    jobs = _n_jobs(args.jobs)
 
     dispatch = {
         "generate": cmd_generate,
@@ -643,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
         "family": cmd_family,
     }
     try:
-        return dispatch[args.command](cfg, out_dir, jobs)
+        return dispatch[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

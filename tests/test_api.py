@@ -207,21 +207,23 @@ def test_the_set_up_probe_still_reads_the_spec(tmp_path):
 
 def test_generate_loads_only_what_it_runs(tmp_path):
     # importing mlq loads none of its modules (its names resolve on first
-    # access), and generate --jobs 1 starts no thread pool, builds no
-    # rational weight and loads no dataclasses (its records generate no code
-    # at import); in a fresh interpreter, so no other test's imports count
+    # access), and generate, at any --jobs or none, starts no thread pool,
+    # builds no rational weight and loads no dataclasses (its records
+    # generate no code at import); in a fresh interpreter, so no other
+    # test's imports count
     cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
-    argv = ["generate", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]
-    script = (
-        "import json, sys\n"
-        "import mlq\n"
-        "bare = sorted(m for m in sys.modules if m.startswith('mlq.'))\n"
-        "import mlq.cli\n"
-        f"code = mlq.cli.main({argv!r})\n"
-        "print(json.dumps([code, bare, sorted(sys.modules)]))\n"
-    )
     env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    code, bare, loaded = json.loads(run.stdout.splitlines()[-1])
-    assert code == 0 and bare == []
-    assert sorted({"concurrent.futures", "dataclasses", "numpy.polynomial"} & set(loaded)) == []
+    for jobs in (["--jobs", "1"], [], ["--jobs", "4"]):
+        argv = ["generate", "--config", cfg, "--out", str(tmp_path / "out"), *jobs]
+        script = (
+            "import json, sys\n"
+            "import mlq\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('mlq.'))\n"
+            "import mlq.cli\n"
+            f"code = mlq.cli.main({argv!r})\n"
+            "print(json.dumps([code, bare, sorted(sys.modules)]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        code, bare, loaded = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0 and bare == [], jobs
+        assert sorted({"concurrent.futures", "dataclasses", "numpy.polynomial"} & set(loaded)) == [], jobs

@@ -22,7 +22,6 @@ from mlq.cli import (
     _CSV_HEADER,
     ConfigError,
     _histogram,
-    _n_jobs,
     _write_csv,
     _write_obj,
     load_config,
@@ -93,7 +92,7 @@ def test_load_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, lambda0={"re": 1.2, "im": 0.0}))
     with pytest.raises(ConfigError, match="tolerances"):
         load_config(write_cfg(tmp_path, tolerances=[1, 2]))
-    with pytest.raises(ConfigError, match="unknown tolerance name.*sinh_gordn"):
+    with pytest.raises(ConfigError, match="tolerances.sinh_gordn is not a key of tolerances"):
         load_config(write_cfg(tmp_path, tolerances={"sinh_gordn": 1e-3}))
     # the fixed-step integrator and its options are gone
     removed_ode = write_cfg(tmp_path, ode={"tolerance": 1e-9, "method": "rk4", "step": 1e-3})
@@ -150,6 +149,10 @@ BAD_VALUES = {
     "grid_unknown_key": ("grid.n_rex", {"grid": {**BASE["grid"], "n_rex": 4}}),
     "equivariant_unknown_key": ("potential.cc", {"potential": {"variant": "equivariant", "a": 0.75, "b": 0.25,
                                                                "cc": 0.5}}),
+    # a top-level key the config does not take, and a tolerance name no command reads
+    "truncation_N_lower_case": ("truncation_n", {"truncation_n": 4}),
+    "fd_step_misspelt": ("fd_stp", {"fd_stp": 0.5}),
+    "tolerance_unknown_name": ("tolerances.sinh_gordn", {"tolerances": {"sinh_gordn": 1e-3}}),
 }
 
 
@@ -279,15 +282,6 @@ def test_bad_potential_parameters_are_config_errors(tmp_path, name):
     assert not (tmp_path / "g").exists()
 
 
-def test_jobs_resolution(monkeypatch):
-    assert _n_jobs(2) == 2
-    assert _n_jobs(0) == 1
-    assert 1 <= _n_jobs(None) <= 4
-    # the environment does not override an explicit --jobs
-    monkeypatch.setenv("MLQ_JOBS", "3")
-    assert _n_jobs(8) == 8
-
-
 def test_histogram_bins():
     h = _histogram([1e-5, 2e-5, 0.0, float("nan"), 1e-20])
     assert sum(h["counts"]) == 3            # zero and nan dropped
@@ -377,8 +371,8 @@ def test_generate_is_deterministic(tmp_path):
 
 
 def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
-    # 72 nodes are three chunks; threads take whole chunks, so every node's
-    # sweep, and the step counts in meta.json, are the same for any --jobs
+    # 72 nodes are three chunks, one sweep each; --jobs is ignored, so every
+    # node's sweep, and the step counts in meta.json, are the same for any --jobs
     sweeps = []
     transport = frames.transport
 
@@ -412,8 +406,8 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
 
 def test_verify_is_independent_of_jobs(tmp_path):
     # the nodes at 0.3 +- 0.1i are read at the cap, those at 1.2 +- 0.1i at
-    # the start window; threads take whole chunks, so report.json, with its
-    # windows, is the same for any --jobs
+    # the start window; --jobs is ignored, so report.json, with its windows,
+    # is the same for any --jobs
     cfg = write_cfg(
         tmp_path,
         potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
@@ -434,7 +428,7 @@ def test_verify_is_independent_of_jobs(tmp_path):
 
 def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
     # report.json records the ODE work of every chunk's sweeps as totals and
-    # a maximum, so threads that take whole chunks leave it byte-identical
+    # a maximum, and --jobs is ignored, so it is byte-identical for any --jobs
     cfg = write_cfg(
         tmp_path,
         potential={"variant": "radial", "c": 0.5, "k": 1},
@@ -457,9 +451,9 @@ def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
 
 
 def test_verify_and_family_are_independent_of_jobs_over_two_chunks(tmp_path, monkeypatch):
-    # 36 nodes are two chunks, 32 and 4; threads take whole chunks, so each
-    # node's anchor sweep and stencil sweep, and report.json and family.json,
-    # are the same for any --jobs
+    # 36 nodes are two chunks, 32 and 4; --jobs is ignored, so each node's
+    # anchor sweep and stencil sweep, and report.json and family.json, are
+    # the same for any --jobs
     sweeps = []
     transport = frames.transport
 
