@@ -19,8 +19,8 @@ frame is exp(W A).
 The method is adaptive Dormand-Prince 8(5,3) with scipy's DOP853 step
 control (``_dop853``), with the error norm taken per row and maximized over
 the rows; it needs numpy only.  Internally the state is laid out as component
-planes (2, 2, rows, M), so each term of the 2x2 product runs over rows*M
-contiguous values.
+planes (2, 2, rows, M).  A step evaluates xi once, for all of its stage times,
+and a stage's Y xi is one product over rows*M values per nonzero entry of xi.
 
 Determinants: all potential families are trace free, so det U = 1 is exact
 for the true flow and drifts only through integration error.  The drift is
@@ -180,20 +180,34 @@ def _segment_rhs(xi: XiSampler, a, dz):
     """Right-hand side Y xi(z) dz of dY = Y xi dz on the segments z = a + t dz, t in [0, 1].
 
     ``a`` and ``dz`` hold one segment per batch row, shape (B,); the state
-    is (2, 2, B, M) planes.  dz is folded into the sampler's arrays once,
-    so a call scales each weighted array by w(z) dz per row.
+    is (2, 2, B, M) planes, and dz is folded into the sampler's arrays once.
+    ``rhs(ts)`` calls each weight once, on all the times ts, and gives
+    ``stage(s, y, out)``, which writes Y xi(ts[s]) dz into out: one product of
+    row l of Y into column j per entry (l, j) of xi nonzero at some lam.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     dz = np.asarray(dz, dtype=np.complex128).reshape(-1)
-    const = _planes(xi.const)[:, :, None] * dz[:, None]
-    weighted = [(w, _planes(vals)[:, :, None] * dz[:, None]) for w, vals in xi.weighted]
+    arrays = [xi.const] + [vals for _, vals in xi.weighted]
+    # nz[n, l, j]: arrays[n] is nonzero at (l, j) for some lam; a zero column keeps const's zero entry (0, j)
+    nz = np.array([vals.any(axis=0) for vals in arrays])
+    nz[0, 0] |= ~nz.any(axis=(0, 1))
+    columns = [[(l, [(n, _planes(arrays[n])[l, j] * dz[:, None]) for n in np.flatnonzero(nz[:, l, j])])
+                for l in (0, 1) if nz[:, l, j].any()] for j in (0, 1)]
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        z = (a + t * dz)[:, None]
-        x = const
-        for w, vals in weighted:
-            x = x + w(z) * vals
-        return _right_mul(y, x)
+    def rhs(ts):
+        ws = [None] + [w((a + np.multiply.outer(ts, dz))[..., None]) for w, _ in xi.weighted]
+        terms = [[(l, [v if n == 0 else ws[n] * v for n, v in parts]) for l, parts in col] for col in columns]
+        # an entry of const alone is one (B, M) array at every time
+        xs = [[(l, x if x.ndim == 3 else [x] * len(ts)) for l, x in ((l, sum(t[1:], t[0])) for l, t in col)]
+              for col in terms]
+
+        def stage(s: int, y: np.ndarray, out: np.ndarray) -> None:
+            for j, ((l, x), *rest) in enumerate(xs):
+                np.multiply(y[:, l], x[s], out=out[:, j])
+                for l, x in rest:
+                    out[:, j] += y[:, l] * x[s]
+
+        return stage
 
     return rhs
 
@@ -202,8 +216,8 @@ def _segment_rhs(xi: XiSampler, a, dz):
 # Sec. II.10), as scipy's DOP853 stores it: row s of _A combines the stages
 # 0..s-1 into stage s, _B gives the eighth-order solution, and the rows of _E
 # are the fifth- and third-order error estimators E5 and E3 over the stages.
-_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
-      0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+               0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
 _A = (
     None,
     np.array([0.05260015195876773]),
@@ -249,11 +263,13 @@ def _row_ms(x: np.ndarray) -> np.ndarray:
 
 
 def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = None) -> np.ndarray:
-    """Adaptive Dormand-Prince 8(5,3) on y' = rhs(t, y), t in [0, 1].
+    """Adaptive Dormand-Prince 8(5,3) on y' = f(t, y), t in [0, 1].
 
-    The state is complex; its axis -2 indexes independent rows (the nodes
-    of a batch).  The step control is scipy's DOP853 per row: Hairer's
-    initial-step rule for an error estimator of order 7, local
+    ``rhs(ts)`` gives ``stage(s, y, out)``, which writes f(ts[s], y) into
+    out; it is asked once per attempted step, for its 11 later stage times
+    and t_new.  The state is complex; its axis -2 indexes independent rows
+    (the nodes of a batch).  The step control is scipy's DOP853 per row:
+    Hairer's initial-step rule for an error estimator of order 7, local
     extrapolation, and the error norm h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n)
     of the fifth- and third-order estimates over the row's n float64 values,
     each scaled by atol + rtol max(|y|, |y_new|) with atol = rtol = tol.  The
@@ -263,13 +279,14 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
     located by ``z_at(t)``, when the step falls below ``MIN_STEP_ULPS``
     ulp(t), a step size or error norm is not finite (an overflowed
     right-hand side), or after ``MAX_STEPS`` steps.  ``counts``, when
-    given, gains the attempted steps and their right-hand-side evaluations.
+    given, gains the attempted steps and their ``stage`` calls.
     """
     y = np.ascontiguousarray(y0, dtype=np.complex128)
     shape = y.shape
     k = np.empty((len(_C),) + shape, dtype=np.complex128)
     kf = k.reshape(len(_C), -1)
-    f = rhs(0.0, y)
+    f, f_new = np.empty_like(y), np.empty_like(y)
+    rhs([0.0])(0, y, f)
 
     # initial step (Hairer, Norsett, Wanner, Sec. II.4), per row
     scale = tol + np.abs(y.view(np.float64)) * tol
@@ -278,7 +295,8 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
     # each clamp sits at its branch's threshold, so the unused branch cannot overflow
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = min(float(h0.min()), 1.0)
-    d2 = np.sqrt(_row_ms((rhs(h0, y + h0 * f) - f).view(np.float64) / scale)) / h0
+    rhs([h0])(0, y + h0 * f, f_new)
+    d2 = np.sqrt(_row_ms((f_new - f).view(np.float64) / scale)) / h0
     d12 = np.maximum(d1, d2)
     h1 = np.where(d12 <= 1e-15, max(1e-6, h0 * 1e-3), (0.01 / np.maximum(d12, 1e-15)) ** (1 / 8))
     h_abs = min(100 * h0, float(h1.min()), 1.0)
@@ -303,12 +321,14 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
                 h = t_new - t
                 h_abs = abs(h)
                 n_steps += 1
+                # xi once per step: stage s > 0 reads its value at t + c_s h, and f_new at t_new
+                stage = rhs(np.append(t + _C[1:] * h, t_new))
                 k[0] = f
                 # h scales the tableau rows, not the (B*M)-long stage combinations
                 for s in range(1, len(_C)):
-                    k[s] = rhs(t + _C[s] * h, y + ((_A[s] * h) @ kf[:s]).reshape(shape))
+                    stage(s - 1, y + ((_A[s] * h) @ kf[:s]).reshape(shape), k[s])
                 y_new = y + ((_B * h) @ kf).reshape(shape)
-                f_new = rhs(t_new, y_new)
+                stage(len(_C) - 1, y_new, f_new)
                 scale = tol + np.maximum(np.abs(y.view(np.float64)), np.abs(y_new.view(np.float64))) * tol
                 # in mean squares over a row, the n of the docstring's norm cancels
                 e5, e3 = (_row_ms(e.view(np.float64).reshape(scale.shape) / scale) for e in _E @ kf)
@@ -323,7 +343,7 @@ def _dop853(rhs, y0: np.ndarray, tol: float, z_at, counts: OdeCounts | None = No
                 # an error norm that is not finite (an overflowed stage) ends the sweep at the loop head
                 h_abs = h_abs * max(_MIN_FACTOR, _SAFETY * err ** (-1 / 8)) if math.isfinite(err) else math.nan
                 rejected = True
-            t, y, f = t_new, y_new, f_new
+            t, y, f, f_new = t_new, y_new, f_new, f
     finally:
         if counts is not None:
             # the first evaluation and the initial-step probe, then one per stage of every step

@@ -23,11 +23,15 @@ from mlq.holonomy import (
     _E,
     _dop853,
     _planes,
+    _right_mul,
     _segment_rhs,
 )
 from mlq.loops import coefficients, window_samples
 from mlq.potentials import (
+    CustomTerm,
     PoleError,
+    Potential,
+    custom_spec,
     make_potential,
     radial_spec,
     sphere_spec,
@@ -48,6 +52,19 @@ def frame_samples(pot, path, window, opts=OdeOptions()):
     """The frame from the identity along path, at the window's 4N roots of unity."""
     lams = window_samples(window)
     return transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
+
+
+def as_rhs(fun):
+    """The integrator's right-hand side for y' = fun(t, y): ``rhs(ts)`` gives
+    ``stage(s, y, out)``, which writes fun(ts[s], y) into out."""
+    return lambda ts: lambda s, y, out: np.copyto(out, fun(ts[s], y))
+
+
+def rhs_at(rhs, t, y):
+    """A segment right-hand side at one time t and state y."""
+    out = np.empty_like(y)
+    rhs([t])(0, y, out)
+    return out
 
 
 def random_su2() -> np.ndarray:
@@ -276,7 +293,7 @@ def test_dop853_matches_scipy_dop853(seg, theta, m, tol):
     y0 = _planes(np.broadcast_to(np.eye(2, dtype=np.complex128), (1, m, 2, 2)))
     got = _dop853(rhs, y0, tol, lambda t: a + t * dz)
     sol = solve_ivp(
-        lambda t, yr: rhs(t, yr.view(np.complex128).reshape(y0.shape)).ravel().view(np.float64),
+        lambda t, yr: rhs_at(rhs, t, yr.view(np.complex128).reshape(y0.shape)).ravel().view(np.float64),
         (0.0, 1.0),
         y0.ravel().view(np.float64),
         method="DOP853",
@@ -298,9 +315,105 @@ def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg, t):
     xi = xi_sampler(pot, window_samples(4))
     rng = np.random.default_rng(7)
     y = rng.normal(size=(2, 2, 2, 16)) + 1j * rng.normal(size=(2, 2, 2, 16))
-    alone = _segment_rhs(xi, [a], [dz])(t, y[:, :, :1])
-    batch = _segment_rhs(xi, [a, a], [dz, 0.5 * dz])(t, y)
+    alone = rhs_at(_segment_rhs(xi, [a], [dz]), t, y[:, :, :1])
+    batch = rhs_at(_segment_rhs(xi, [a, a], [dz, 0.5 * dz]), t, y)
     assert np.array_equal(alone[:, :, 0], batch[:, :, 0])
+
+
+def dense_rhs(xi, a, dz, t, y):
+    """Y xi(z) dz at one t with xi folded densely, all four entries of every
+    array, and Y xi as the full 2x2 product: the plain reading of the right-hand side."""
+    z = (a + t * dz)[:, None]
+    x = _planes(xi.const)[:, :, None] * dz[:, None]
+    for w, vals in xi.weighted:
+        x = x + w(z) * (_planes(vals)[:, :, None] * dz[:, None])
+    return _right_mul(y, x)
+
+
+_coef = st.complex_numbers(max_magnitude=2.0)
+#: the entries a lam-term of a drawn potential may fill: E12 alone leaves column 0 zero
+_SHAPES = {"upper": ((0, 1),), "off-diagonal": ((0, 1), (1, 0)), "full": ((0, 0), (0, 1), (1, 0))}
+
+
+@st.composite
+def _custom_potential(draw):
+    """A custom potential of 1-3 lam-terms, each with a rational weight whose
+    poles lie outside |z| = 2.5, filling the entries of one shape (the (1, 1)
+    entry of a full term is minus its (0, 0)), and with or without an
+    unweighted lam^0 diagonal term."""
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        mat = np.zeros((2, 2), dtype=complex)
+        for ij in _SHAPES[shape]:
+            mat[ij] = draw(_coef)
+        mat[1, 1] = -mat[0, 0]
+        num = draw(st.lists(_coef, min_size=1, max_size=3))
+        den = [1.0, draw(st.complex_numbers(max_magnitude=0.4))]
+        terms.append(CustomTerm(draw(st.integers(-1, 1)), mat.tolist(), tuple(num), tuple(den)))
+    pot = make_potential(custom_spec(terms, poles=[], base_point=0.0))
+    if draw(st.booleans()):
+        d = draw(_coef)
+        extra = ((None, None, {0: np.diag([d, -d])}),)
+        pot = Potential(pot.spec, pot.singular_points, pot.base_point, pot.terms + extra)
+    return pot
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pot=_custom_potential(),
+    rows=st.lists(st.tuples(st.complex_numbers(max_magnitude=0.5), st.complex_numbers(max_magnitude=0.5)),
+                  min_size=1, max_size=3),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    thetas=st.lists(_spectral_angle, min_size=2, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_stage_product_is_the_dense_product_bit_for_bit(pot, rows, ts, thetas, seed):
+    # xi is folded only at its nonzero entries, and each stage multiplies only
+    # those; every value is the dense fold's and the full 2x2 product's.  At
+    # least two lam per row: a plane of one value (one row at one lam) sends
+    # numpy's complex multiply down another inner loop, which can round the
+    # fold's w(z) v differently in the last bit
+    xi = xi_sampler(pot, np.exp(1j * np.array(thetas)))
+    a, dz = (np.array(c, dtype=complex) for c in zip(*rows))
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(2, 2, len(rows), len(thetas))) + 1j * rng.normal(size=(2, 2, len(rows), len(thetas)))
+    together = _segment_rhs(xi, a, dz)(ts)
+    alone = _segment_rhs(xi, a[:1], dz[:1])(ts)
+    for s, t in enumerate(ts):
+        dense = dense_rhs(xi, a, dz, t, y)
+        got, one, first = np.full_like(y, np.nan), np.full_like(y, np.nan), np.full_like(y[:, :, :1], np.nan)
+        together(s, y, got)
+        _segment_rhs(xi, a, dz)([t])(0, y, one)
+        alone(s, y[:, :, :1], first)
+        assert np.array_equal(got, dense)
+        assert np.array_equal(one, dense)
+        assert np.array_equal(first, dense[:, :, :1])
+
+
+def test_a_step_calls_each_weight_once():
+    # the weights see all of a step's 12 stage times in one call: one call per
+    # attempted step, plus the first evaluation and the initial-step probe,
+    # while each of the 12 stage products is still one right-hand-side call
+    base = make_potential(custom_spec(
+        [CustomTerm(-1, [[0, 1], [0, 0]]), CustomTerm(-1, [[0, 0], [1, 0]], num=(0.5, 0.0, 1.0), den=(1.0, 0.2))],
+        poles=[-5.0], base_point=0.0,
+    ))
+    (w, _, lam_terms), *rest = base.terms[::-1]
+    shapes = []
+
+    def counted(z):
+        shapes.append(z.shape)
+        return w(z)
+
+    pot = Potential(base.spec, base.singular_points, base.base_point, ((counted, None, lam_terms), *rest))
+    counts = OdeCounts()
+    paths = [DomainPath.line(0.0, 1.5 + 0.8j), DomainPath.line(0.0, -1.2j)]
+    transport(pot, paths, np.broadcast_to(np.eye(2), (2, 8, 2, 2)), window_samples(2), OdeOptions(1e-12), counts)
+    assert counts.steps > 1
+    assert len(shapes) == 2 + counts.steps
+    assert shapes == [(1, 2, 1)] * 2 + [(12, 2, 1)] * counts.steps
+    assert counts.rhs_calls == 2 + 12 * counts.steps
 
 
 
@@ -355,7 +468,7 @@ def test_dop853_reports_a_blow_up():
     # y' = y^2 from y(0) = 2 blows up at t = 1/2
     with pytest.raises(IntegrationError, match="z = 0.5"):
         with np.errstate(over="ignore", invalid="ignore"):
-            _dop853(lambda t, y: y * y, np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
+            _dop853(as_rhs(lambda t, y: y * y), np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
 
 
 def test_dop853_stops_where_the_right_hand_side_is_not_finite():
@@ -371,10 +484,10 @@ def test_dop853_stops_where_the_right_hand_side_is_not_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         # not finite from the first evaluation: the initial step is NaN
         with pytest.raises(IntegrationError, match="z = 0.0: .*not finite"):
-            _dop853(lambda t, y: y * np.nan, y0, 1e-10, z_at)
+            _dop853(as_rhs(lambda t, y: y * np.nan), y0, 1e-10, z_at)
         # not finite from t = 0.3 on: the step that reaches past it fails at the last accepted t
         with pytest.raises(IntegrationError, match="not finite"):
-            _dop853(lambda t, y: y if t < 0.3 else y * np.nan, y0, 1e-10, z_at)
+            _dop853(as_rhs(lambda t, y: y if t < 0.3 else y * np.nan), y0, 1e-10, z_at)
     assert 0.0 < where[-1] < 0.3
 
 

@@ -133,7 +133,9 @@ def xi_rows(xi, zs) -> np.ndarray:
     """xi(z, lam) at each z, shape (len(zs), M, 2, 2), through the integrator's
     own right-hand side: Y xi(z) dz at Y = I, t = 0 on segments from z with dz = 1."""
     eye = _planes(np.broadcast_to(np.eye(2, dtype=complex), (len(zs), len(xi.const), 2, 2)))
-    return _unplanes(_segment_rhs(xi, zs, np.ones(len(zs)))(0.0, eye))
+    out = np.empty_like(eye)
+    _segment_rhs(xi, zs, np.ones(len(zs)))([0.0])(0, eye, out)
+    return _unplanes(out)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [RATIONAL_CUSTOM], ids=lambda s: s.variant)
