@@ -2,15 +2,16 @@
 
 Configs are versioned JSON (``schema: 1``), read by ``load_config`` alone:
 ``_as`` reads every value, and one that is malformed, missing or not a key
-of its object is a config error naming it.  Every command runs serially;
-``--jobs`` is accepted and ignored.  All outputs are deterministic at a
-fixed BLAS thread count: identical configs produce byte-identical CSV/JSON,
-and OBJ floats are written with 17 significant digits.  The BLAS thread
-count can change their last bits, through the Cholesky of the split's
-Toeplitz section.  Exit codes: 0 all checks pass, 1 checks failed, 2
-usage/config error, 3 numerical failure.  The process entry ``run()``
-freezes the heap after the command, so the exit skips the collector's walk
-of numpy's and mlq's ~23k objects (teardown ~30 -> ~9 ms on 2 cores);
+of its object is a config error naming it.  Every command runs serially,
+and only the layer modules it calls: ``verify`` and ``closedform`` are
+imported in the commands that call them.  BLAS runs on one thread unless
+OPENBLAS/OMP/MKL_NUM_THREADS say otherwise (a process that imported numpy
+before ``mlq.cli`` keeps its own), as the count can change the last bits of
+the split's Cholesky: identical configs produce byte-identical CSV/JSON,
+and OBJ floats are written with 17 significant digits.  ``--jobs`` is
+ignored.  Exit codes: 0 all checks pass, 1 checks failed, 2 usage/config
+error, 3 numerical failure.  ``run()`` freezes the heap after the command,
+so the exit skips the collector's walk of numpy's and mlq's ~23k objects;
 ``main(argv)``, the in-process entry, leaves the collector alone.
 """
 
@@ -18,25 +19,44 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import math
+import os
 import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # read when numpy loads BLAS, below
+
 import numpy as np
 
 from . import __version__
-from .closedform import cylinder_closing, trinoid_admissible, trinoid_closing_check, trinoid_monodromies
 from .frames import GridSpec, SurfaceMap, node_chunks
 from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
 from .potentials import (CustomTerm, Potential, PotentialSpec, custom_spec, equivariant_spec, make_potential,
                          radial_spec, sphere_spec, torus_spec, trinoid_spec)
-from .verify import DeckTransform, frame_tables, invariants_report, node_reports, symmetry_check
+
+
+def _bind_lazily(*names: str) -> None:
+    """Bind each mlq.<name> not yet in sys.modules to a module whose body runs on first access, in the
+    command that calls it.  Only perfbench/layer_trace.install needs this, as it reads every layer there
+    after ``import mlq.cli``; once install imports each layer itself, delete this and keep the local imports."""
+    for name in names:
+        if f"{__package__}.{name}" not in sys.modules:
+            spec = importlib.util.find_spec(f".{name}", __package__)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+            setattr(sys.modules[__package__], name, module)
+            spec.loader.exec_module(module)
+
+
+_bind_lazily("verify", "closedform")
 
 SCHEMA = 1
 
@@ -373,6 +393,7 @@ def _histogram(values: list[float]) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
+    from .verify import node_reports
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     h = cfg.fd_step
@@ -461,6 +482,8 @@ def _unitarity(m: np.ndarray) -> float:
 
 def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.spec.variant == "equivariant":
+        from .closedform import cylinder_closing
+        from .verify import DeckTransform, symmetry_check
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
         smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
@@ -481,6 +504,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
         return EXIT_OK if rep.closes_q2 else EXIT_CHECKS_FAILED
 
     if cfg.spec.variant == "trinoid":
+        from .closedform import trinoid_admissible, trinoid_closing_check, trinoid_monodromies
         p = cfg.spec.params
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])
@@ -534,6 +558,7 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.sweep is None or cfg.sweep < 2:
         print("family needs 'sweep' >= 2 in the config", file=sys.stderr)
         return EXIT_USAGE
+    from .verify import frame_tables, invariants_report
     _grid_pole_check(cfg.pot, cfg.grid)
     nodes = cfg.grid.nodes()
     h = cfg.fd_step

@@ -205,25 +205,74 @@ def test_the_set_up_probe_still_reads_the_spec(tmp_path):
     assert pot == cfg.pot and pot.spec == cfg.spec
 
 
+def test_the_layer_trace_finds_every_layer_after_importing_the_cli():
+    # perfbench/layer_trace.install imports mlq.cli, then reads each of its
+    # LAYERS from sys.modules and wraps what vars() of it holds: verify and
+    # closedform are bound there unexecuted and load on that read, and a layer
+    # imported before mlq.cli stays the one object; in a fresh interpreter
+    root = Path(mlq.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    script = (
+        "import json, sys\n"
+        "from layer_trace import LAYERS\n"
+        "import mlq.closedform\n"
+        "before = sys.modules['mlq.closedform']\n"
+        "import mlq.cli\n"
+        "missing = [n for n in LAYERS if f'mlq.{n}' not in sys.modules]\n"
+        "verify = sys.modules['mlq.verify']\n"
+        "print(json.dumps([missing, 'node_reports' in vars(verify), mlq.verify is verify,\n"
+        "                  sys.modules['mlq.closedform'] is before]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[], True, True, True]
+
+
+def fresh_main(argv: list[str]) -> tuple:
+    """mlq.cli.main(argv) in a fresh interpreter, so no other test's imports
+    count: its exit code, the mlq modules that ``import mlq`` loaded, every
+    module in sys.modules after the command, and the mlq modules there whose
+    body never ran (``type`` tells a lazy module apart without loading it)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    script = (
+        "import json, sys, types\n"
+        "import mlq\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('mlq.'))\n"
+        "import mlq.cli\n"
+        f"code = mlq.cli.main({argv!r})\n"
+        "unrun = sorted(n for n, m in sys.modules.items() if n.startswith('mlq.') and type(m) is not types.ModuleType)\n"
+        "print(json.dumps([code, bare, sorted(sys.modules), unrun]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    return tuple(json.loads(run.stdout.splitlines()[-1]))
+
+
 def test_generate_loads_only_what_it_runs(tmp_path):
     # importing mlq loads none of its modules (its names resolve on first
     # access), and generate, at any --jobs or none, starts no thread pool,
-    # builds no rational weight and loads no dataclasses (its records
-    # generate no code at import); in a fresh interpreter, so no other
-    # test's imports count
+    # builds no rational weight, loads no dataclasses (its records generate
+    # no code at import) and never runs the verify or closedform module
+    # that importing mlq.cli binds
     cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
-    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
     for jobs in (["--jobs", "1"], [], ["--jobs", "4"]):
-        argv = ["generate", "--config", cfg, "--out", str(tmp_path / "out"), *jobs]
-        script = (
-            "import json, sys\n"
-            "import mlq\n"
-            "bare = sorted(m for m in sys.modules if m.startswith('mlq.'))\n"
-            "import mlq.cli\n"
-            f"code = mlq.cli.main({argv!r})\n"
-            "print(json.dumps([code, bare, sorted(sys.modules)]))\n"
-        )
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-        code, bare, loaded = json.loads(run.stdout.splitlines()[-1])
+        code, bare, loaded, unrun = fresh_main(["generate", "--config", cfg, "--out", str(tmp_path / "out"), *jobs])
         assert code == 0 and bare == [], jobs
         assert sorted({"concurrent.futures", "dataclasses", "numpy.polynomial"} & set(loaded)) == [], jobs
+        assert {"mlq.verify", "mlq.closedform"} <= set(loaded) and unrun == ["mlq.closedform", "mlq.verify"], jobs
+
+
+#: a command, the potential of its config and the layer modules it never runs
+UNRUN_LAYERS = {
+    "verify": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, ["mlq.closedform"]),
+    "closing": ({"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0}, ["mlq.verify"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNRUN_LAYERS))
+def test_a_command_runs_only_the_layers_it_calls(tmp_path, command):
+    # verify never runs closedform, and closing on a trinoid never runs verify
+    potential, unrun_layers = UNRUN_LAYERS[command]
+    cfg = write_config(tmp_path, potential)
+    code, _, loaded, unrun = fresh_main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert {"mlq.verify", "mlq.closedform"} <= set(loaded) and unrun == unrun_layers

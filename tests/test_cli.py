@@ -787,6 +787,33 @@ def test_the_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: the BLAS thread variables the CLI sets to 1 where the user set none
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(tmp_path):
+    # on the equivariant benchmark grid, a default run on 2 cores wrote other
+    # last bits than a run with BLAS pinned to one thread, from surface.csv's
+    # line 62 on; the CLI now pins BLAS itself, and a count the user set wins
+    cfg = write_cfg(tmp_path, potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+                    grid={"re_min": 0.3, "re_max": 1.5, "n_re": 15, "im_min": -0.6, "im_max": 0.6, "n_im": 15},
+                    truncation_N=16)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(mlq.__file__).parents[1])
+    surfaces = []
+    for name, pins in (("unset", {}), ("pinned", dict.fromkeys(THREAD_VARS, "1"))):
+        run = subprocess.run([sys.executable, "-m", "mlq.cli", "generate", "--config", cfg,
+                              "--out", str(tmp_path / name)], capture_output=True, text=True,
+                             env={**env, **pins}, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        surfaces.append((tmp_path / name / "surface.csv").read_bytes())
+    assert surfaces[0] == surfaces[1]
+    code = f"import os, mlq.cli; print([os.environ[v] for v in {THREAD_VARS!r}])"
+    kept = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "OPENBLAS_NUM_THREADS": "2"}, check=True)
+    assert kept.stdout.strip() == "['2', '1', '1']"
+
+
 def test_the_process_entry_runs_main_and_freezes_the_heap_at_exit(tmp_path, monkeypatch):
     # `python -m mlq.cli` and the installed `mlq` script both run cli.run():
     # main() in a subprocess writes what it writes in process, and its exit
