@@ -23,12 +23,12 @@ _EXPORTS = {
                  "unitarizing_gauge"),
     "iwasawa": ("IwasawaResult", "iwasawa", "spectral_factor_plus"),
     "frames": ("FramePointPair", "FrameTable", "GridSpec", "SurfaceMap", "SurfaceSample", "build_surface",
-               "projective_distance", "psi_so4", "q2_point", "sphere_pair", "xy_matrices"),
+               "projective_distance", "psi_so4", "q2_point", "sphere_pair", "unit_lift", "xy_matrices"),
     "closedform": ("AdmissibilityReport", "ClosingReport", "cylinder_closing", "equivariant_frame",
                    "equivariant_profile", "sphere_frame", "torus_frame", "trinoid_admissible",
                    "trinoid_closing_check", "trinoid_loops", "trinoid_monodromies"),
     "verify": ("CUReport", "DeckTransform", "InvariantReport", "PointGeometryReport", "RotationSymmetry",
-               "cu_report", "frame_table", "frame_tables", "geometry_report", "invariants_report", "node_report",
+               "cu_report", "frame_tables", "geometry_report", "invariants_report", "node_report",
                "node_reports", "sinh_gordon_residual", "symmetry_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -35,7 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .frames import GridSpec, SurfaceMap, node_chunks
+from .frames import GridSpec, SurfaceMap, node_chunks, unit_lift
 from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
 from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
@@ -545,8 +545,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
         print(f"admissible={adm.admissible} n=({n_str}) m=({m_str})")
         print(f"monodromy product residual {check.product_residual:.3e}; "
               f"dressed unitarity {dressed_unit if dressed_unit is None else f'{dressed_unit:.3e}'}")
-        ok = adm.admissible and check.product_residual is not None \
-            and check.product_residual <= cfg.tolerances.get("monodromy_product", 1e-6)
+        ok = adm.admissible and check.product_residual <= cfg.tolerances.get("monodromy_product", 1e-6)
         return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
     print(f"closing checks apply to equivariant/trinoid potentials, "
@@ -577,8 +576,8 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
                     if isinstance(table, Exception):
                         raise table
                 # raw lift phase: the lam0^-2 rotation is a statement about the un-normalized alpha
-                rows.append([invariants_report(own[k % d].pair(2 * own[k % d].window * (k - k % d) // s), z, h,
-                                               phase=1.0 + 0.0j) for k in range(s)])
+                rows.append([invariants_report(unit_lift(own[k % d].pair(2 * own[k % d].window * (k - k % d) // s)),
+                                               z, h, phase=1.0 + 0.0j) for k in range(s)])
             except (ValueError, RuntimeError) as exc:
                 rows.append(exc)
         return rows

@@ -198,6 +198,11 @@ def q2_point(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
+def unit_lift(fp: FramePointPair) -> np.ndarray:
+    """Unit-norm Q2 lift of a pair, ``q2_point`` / sqrt(2); stacked like the pair."""
+    return q2_point(*xy_matrices(fp)) / np.sqrt(2.0)
+
+
 def projective_distance(v: np.ndarray, w: np.ndarray) -> float:
     """Chordal distance between homogeneous vectors: min over phases of
     || v/|v| - e^{i theta} w/|w| ||, evaluated at the optimal phase (stable
@@ -405,12 +410,6 @@ class SurfaceMap:
         res = self.unitary_frame(z, winding)
         return FramePointPair(res.F[0], res.F[3 * res.window])
 
-    def frame_pairs(self, z: complex, points) -> FrameTable:
-        """The frames at points near z as one table at z's window: ``frame_tables`` for one centre."""
-        (table,) = self.frame_tables([z], [points])
-        _raise_first([table])
-        return table
-
     def frame_tables(self, centres, points) -> list:
         """For each centre z, the frames at its points near z as one ``FrameTable``
         at z's window, or the error that stops z.
@@ -458,8 +457,8 @@ class SurfaceMap:
         return out
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
-        """Unit-norm Q2 lift (raw lift / sqrt(2)); smooth in z by construction."""
-        return q2_point(*xy_matrices(self.frame_pair(z, winding))) / np.sqrt(2.0)
+        """Unit-norm Q2 lift (``unit_lift``); smooth in z by construction."""
+        return unit_lift(self.frame_pair(z, winding))
 
     def samples(self, nodes) -> list[SurfaceSample]:
         """Surface samples at every node, in order.

@@ -13,23 +13,23 @@ nodes at a time (``frame_tables``: the exact frame of a one-term potential,
 else one transport to all the nodes and one from them per two stencils, 24
 rows), reads each node's pairs off its table once, as one checked stack, and
 reads the lift, the S2 x S2 factors and every report off that stack
-(``node_reports``).  Every table is an array in ``DIAMOND`` order, (13, ...),
-and every difference is a row of one weight matrix, ``FD_WEIGHTS``: the
-order-2 central d_x and d_y at the five ``CROSS`` points and the 5-point
-Laplacian at the centre, so every smooth residual shrinks like h^2.  The
-outer points of the diamond serve the rows at the cross neighbours, where
-u, alpha and beta are read for the nested derivatives; those apply the
-centre rows (``CENTRE_WEIGHTS``) to the five cross values.
+(``node_reports``).  Every report reads tables, arrays in ``DIAMOND`` order,
+(13, ...), and every difference is a row of one weight matrix,
+``FD_WEIGHTS``: the order-2 central d_x and d_y at the five ``CROSS`` points
+and the 5-point Laplacian at the centre, so every smooth residual shrinks
+like h^2.  The outer points of the diamond serve the rows at the cross
+neighbours, where u, alpha and beta are read for the nested derivatives;
+those apply the centre rows (``CENTRE_WEIGHTS``) to the five cross values.
 Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .frames import FramePointPair, FrameTable, SurfaceMap, psi_so4, q2_point, sphere_pair, xy_matrices
+from .frames import FramePointPair, FrameTable, SurfaceMap, psi_so4, sphere_pair, unit_lift
 
 #: stencil offsets (a, b) ~ z + (a + ib) h used by the FD engine
 DIAMOND = tuple(
@@ -71,34 +71,14 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.sum(v * w))
 
 
-def frame_table(smap: SurfaceMap, z: complex, h: float) -> FrameTable:
-    """The frames on the diamond around z, all at z's window (``SurfaceMap.frame_pairs``)."""
-    return smap.frame_pairs(z, [z + (a + 1j * b) * h for a, b in DIAMOND])
-
-
 def frame_tables(smap: SurfaceMap, zs: list[complex], h: float) -> list:
-    """``frame_table`` at each z, or the error that stops z, from one ``SurfaceMap.frame_tables``."""
+    """Each z's diamond as one table at z's window, or the error that stops z (``SurfaceMap.frame_tables``)."""
     return smap.frame_tables(zs, [[z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs])
-
-
-def _lift_table(pairs: FramePointPair) -> np.ndarray:
-    """(13, 4) unit Q2 lifts of a frame table's stacked pairs, read as SurfaceMap.lift reads one pair."""
-    return q2_point(*xy_matrices(pairs)) / np.sqrt(2.0)
 
 
 def _s2_table(pairs: FramePointPair) -> np.ndarray:
     """(13, 2, 3) factor pairs (phi, psi) of a frame table's stacked pairs."""
     return np.stack(sphere_pair(pairs), axis=1)
-
-
-def _eval_stencil(fn: Callable, z: complex, h: float, dtype) -> np.ndarray:
-    """Values of a plain callable on the diamond around z, as a (13, ...) array.
-
-    The callable must itself be smooth in z: a sign-normalized
-    representative would break the differences.
-    """
-    z = complex(z)
-    return np.array([fn(z + (a + 1j * b) * h) for a, b in DIAMOND], dtype=dtype)
 
 
 def _apply(vals: np.ndarray, h: float, weights: np.ndarray = FD_WEIGHTS):
@@ -135,8 +115,8 @@ class InvariantReport(NamedTuple):
     the truncation window N the frame table was read at, section the blocks
     of the Toeplitz section its centre's split accepted, edge_mass the
     relative edge mass of P that split left, and split_residual the largest
-    relative residual of the table's splits (all None for stacked pairs or
-    a plain callable).
+    relative residual of the table's splits (None unless a ``FrameTable`` is
+    given).
     """
 
     z: complex
@@ -190,25 +170,30 @@ def _quarter_turn_phase(alpha: complex, beta: complex, eu: float) -> complex:
     return 1.0 + 0.0j
 
 
-def sinh_gordon_residual(
-    u_hat: Mapping[tuple[int, int], float] | np.ndarray, alpha: complex, h: float
-) -> float:
+def sinh_gordon_residual(u_hat: np.ndarray, alpha: complex, h: float) -> float:
     """sinh-Gordon residual |Lap(u_hat)/4 + e^u_hat - |alpha|^2 e^{-u_hat}|.
 
-    ``u_hat`` maps the five cross offsets (0,0), (+-1,0), (0,+-1) to u_hat
-    values at spacing h, or lists them in CROSS order; ``alpha`` is the
-    quadratic-differential coefficient at the centre.
+    ``u_hat`` lists the u_hat values at the five cross offsets at spacing h
+    in CROSS order; ``alpha`` is the quadratic-differential coefficient at
+    the centre.
     """
-    uh = np.array([u_hat[p] for p in CROSS] if isinstance(u_hat, Mapping) else u_hat, dtype=float)
+    uh = np.asarray(u_hat, dtype=float)
     lap = _apply(uh, h, CENTRE_WEIGHTS)[2]
     return float(abs(lap / 4 + np.exp(uh[0]) - abs(alpha) ** 2 * np.exp(-uh[0])))
 
 
-def _invariants(
+def invariants_report(
     vals: np.ndarray, z: complex, h: float, phase: complex | None = None, table: FrameTable | None = None
 ) -> InvariantReport:
-    """InvariantReport from a (13, 4) lift table on the diamond around z, recording
-    the window, section, edge mass and split residual of its frame ``table``."""
+    """Invariants of the lifted surface at z by central FD, from a (13, 4) table
+    of unit lifts on the diamond around z, recording the window, section,
+    edge mass and split residual of its frame ``table``.
+
+    ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
+    to see the raw alpha/beta of the lift as evaluated; the associated-family
+    relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
+    per-member re-phasing would snap the rotation away).
+    """
     f0 = vals[CENTRE]
     fz, fzb, lap = _apply(vals, h)
     eus, alphas, betas = _point_invariants(fz, fzb)
@@ -244,27 +229,6 @@ def _invariants(
     )
 
 
-def invariants_report(
-    surface: SurfaceMap | FramePointPair | Callable[[complex], np.ndarray],
-    z: complex,
-    h: float = 1e-3,
-    phase: complex | None = None,
-) -> InvariantReport:
-    """Estimate the invariants of the lifted surface at z by central FD.
-
-    ``surface`` is a SurfaceMap (its ``frame_table``), the stacked pairs a
-    frame table around z reads, or a plain smooth callable z -> unit 4-vector.
-    ``phase`` overrides the automatic quarter-turn lift re-phasing (pass 1
-    to see the raw alpha/beta of the lift as evaluated; the associated-family
-    relation alpha(lam0) = lam0^-2 alpha(1) holds for the raw phase, since
-    per-member re-phasing would snap the rotation away).
-    """
-    table = frame_table(surface, z, h) if isinstance(surface, SurfaceMap) else None
-    pairs = surface if table is None else table.pair(0)
-    vals = _lift_table(pairs) if isinstance(pairs, FramePointPair) else _eval_stencil(surface, z, h, np.complex128)
-    return _invariants(vals, z, h, phase, table)
-
-
 # ---------------------------------------------------------------------------
 # S^2 x S^2 side
 
@@ -278,8 +242,15 @@ class PointGeometryReport(NamedTuple):
     jacobian_sum: float
 
 
-def _geometry(s2: np.ndarray, z: complex, h: float) -> PointGeometryReport:
-    """PointGeometryReport from a (13, 2, 3) table of (phi, psi) factor pairs around z."""
+def geometry_report(s2: np.ndarray, z: complex, h: float) -> PointGeometryReport:
+    """FD residuals of the S^2 x S^2 factor maps from a (13, 2, 3) table of
+    (phi, psi) factor pairs on the diamond around z.
+
+    conformal: | |phi_z|^2 - |psi_z|^2 | + |<Phi_z, Phi_z>| (bilinear on R^6);
+    lagrangian: |det{phi, phi_x, phi_y} + det{psi, psi_x, psi_y}|;
+    harmonic: each factor satisfies m_zzbar + |m_z|^2 m = 0;
+    jacobian_sum: |Jac(phi) + Jac(psi)| with Jac = det{m, m_x, m_y}/(8 e^u).
+    """
     mz, _, lap = _apply(s2, h)
     norms = np.sum(mz[0] * np.conj(mz[0]), axis=-1).real
     res_h = float(np.sum(np.linalg.norm(0.25 * lap + norms[:, None] * s2[CENTRE], axis=-1)))
@@ -295,23 +266,6 @@ def _geometry(s2: np.ndarray, z: complex, h: float) -> PointGeometryReport:
         harmonic_residual=res_h,
         jacobian_sum=jac / (8 * eu),
     )
-
-
-def geometry_report(
-    surface: SurfaceMap | Callable[[complex], tuple],
-    z: complex,
-    h: float = 1e-3,
-) -> PointGeometryReport:
-    """FD residuals of the S^2 x S^2 factor maps (phi, psi) at z.
-
-    conformal: | |phi_z|^2 - |psi_z|^2 | + |<Phi_z, Phi_z>| (bilinear on R^6);
-    lagrangian: |det{phi, phi_x, phi_y} + det{psi, psi_x, psi_y}|;
-    harmonic: each factor satisfies m_zzbar + |m_z|^2 m = 0;
-    jacobian_sum: |Jac(phi) + Jac(psi)| with Jac = det{m, m_x, m_y}/(8 e^u).
-    """
-    s2 = (_s2_table(frame_table(surface, z, h).pair(0)) if isinstance(surface, SurfaceMap)
-          else _eval_stencil(surface, z, h, np.float64))
-    return _geometry(s2, z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +334,9 @@ def node_reports(smap: SurfaceMap, zs, h: float = 1e-3) -> list:
             if isinstance(table, Exception):
                 raise table
             pairs = table.pair(0)
-            lifts, s2 = _lift_table(pairs), _s2_table(pairs)
-            out.append((_invariants(lifts, z, h, table=table), _geometry(s2, z, h), cu_report(lifts, h, s2)))
+            lifts, s2 = unit_lift(pairs), _s2_table(pairs)
+            out.append((invariants_report(lifts, z, h, table=table), geometry_report(s2, z, h),
+                        cu_report(lifts, h, s2)))
         except (ValueError, RuntimeError) as exc:
             out.append(exc)
     return out

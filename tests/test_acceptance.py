@@ -31,6 +31,7 @@ from mlq.frames import (
     psi_so4,
     q2_point,
     quat_matrix,
+    unit_lift,
     xy_matrices,
 )
 from mlq.holonomy import OdeOptions, unitarizing_gauge
@@ -44,7 +45,7 @@ from mlq.potentials import (
 from mlq.verify import (
     CROSS,
     DeckTransform,
-    geometry_report,
+    frame_tables,
     invariants_report,
     node_report,
     sinh_gordon_residual,
@@ -211,7 +212,7 @@ def test_c05_sinh_gordon_and_metric_identity(sphere_map, torus_map, equivariant_
     sphere_u_err = 0.0
     for name, smap, nodes in _fixture_table(sphere_map, torus_map, equivariant_map, radial_map):
         for z in nodes:
-            rep = invariants_report(smap, z, h=1e-3)
+            rep = node_report(smap, z, 1e-3)[0]
             worst_sg = max(worst_sg, rep.residuals["sinh_gordon"])
             worst_mi = max(worst_mi, rep.residuals["metric_identity"])
             if name == "sphere":
@@ -221,7 +222,7 @@ def test_c05_sinh_gordon_and_metric_identity(sphere_map, torus_map, equivariant_
 
     # analytic torus route: the constant solution u = u_hat = log 2, alpha = 2
     # satisfies the equation identically
-    exact_torus = sinh_gordon_residual({off: np.log(2.0) for off in CROSS}, 2.0 + 0.0j, 1e-3)
+    exact_torus = sinh_gordon_residual(np.full(len(CROSS), np.log(2.0)), 2.0 + 0.0j, 1e-3)
     assert exact_torus <= 1e-9
 
     # analytic sphere route: Liouville reduction u_zzbar = -2 e^u holds
@@ -249,13 +250,15 @@ def test_c06_associated_family():
     lam0s = (1.0 + 0.0j, np.exp(1j * np.pi / 4), 1j, np.exp(3j * np.pi / 4))
     nodes = (1.1 + 0.3j, 0.8 - 0.45j)
     maps = {lam0: _tight_map(spec, lambda0=lam0) for lam0 in lam0s}
-    # raw lift phase: per-member quarter-turn snapping would rotate the
-    # alpha comparison away
-    reps = {
-        (lam0, z): invariants_report(maps[lam0], z, h=1e-4, phase=1)
-        for lam0 in lam0s
-        for z in nodes
-    }
+    h = 1e-4
+
+    def raw_invariants(lam0, z):
+        # the node's table as node_report reads it, at the raw lift phase:
+        # per-member quarter-turn snapping would rotate the alpha comparison away
+        (table,) = frame_tables(maps[lam0], [z], h)
+        return invariants_report(unit_lift(table.pair(0)), z, h, phase=1, table=table)
+
+    reps = {(lam0, z): raw_invariants(lam0, z) for lam0 in lam0s for z in nodes}
     worst_u = max(
         abs(reps[(lam0, z)].u - reps[(1.0 + 0.0j, z)].u) for lam0 in lam0s for z in nodes
     )
@@ -416,7 +419,7 @@ def test_c11_factor_map_correspondence(sphere_map, torus_map, equivariant_map):
         inv, _, rep = node_report(smap, z, h)
         worst_theta = max(worst_theta, abs(rep.Theta - 2.0 * inv.alpha))
         worst_jac = max(worst_jac, rep.jacobian_match)
-        worst_jsum = max(worst_jsum, geometry_report(smap, z, h=1e-3).jacobian_sum)
+        worst_jsum = max(worst_jsum, node_report(smap, z, 1e-3)[1].jacobian_sum)
         if name == "sphere":
             # complex-point case: C = 1/2 and the Gauss identity degenerates
             assert rep.gauss_skipped

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from mlq import potentials
 from mlq.frames import FramePointPair, FrameTable, GridSpec, SurfaceMap, _split_rows
 from mlq.holonomy import DomainPath, OdeOptions
 from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
+from mlq.verify import geometry_report, invariants_report
 
 
 def test_every_exported_name_resolves():
@@ -38,7 +40,6 @@ NO_SRC_CALLER = {
     "quat_matrix",
     "projective_distance",
     "build_surface",
-    "geometry_report",
     "node_report",
 }
 
@@ -115,23 +116,33 @@ def test_no_test_only_code():
 #: is one constant (``iwasawa.SPLIT_TOL``), the section starts at P's degree,
 #: a stack is split whole, winding reaches only the deck check's ``lift``, and
 #: a frame table is read at a sample, so no tolerance, section, batch-size,
-#: winding or spectral-value knob may come back
+#: winding or spectral-value knob may come back; the reports read stencil
+#: tables, so none may take a surface again
 SIGNATURES = [
     (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
     (SurfaceMap.samples, ["self", "nodes"]),
     (SurfaceMap.sample, ["self", "z"]),
-    (SurfaceMap.frame_pairs, ["self", "z", "points"]),
+    (SurfaceMap.frame_tables, ["self", "centres", "points"]),
     (FrameTable.pair, ["self", "j"]),
     (iwasawa, ["values"]),
     (spectral_factor_plus, ["values"]),
     (_single, ["rows"]),
     (_split_rows, ["states"]),
+    (invariants_report, ["vals", "z", "h", "phase", "table"]),
+    (geometry_report, ["s2", "z", "h"]),
 ]
 
 
 @pytest.mark.parametrize("fn, params", SIGNATURES, ids=[fn.__qualname__ for fn, _ in SIGNATURES])
 def test_no_knob_comes_back(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_the_readme_quick_start_runs():
+    # the README's Python quick start is executed as written
+    readme = (Path(mlq.__file__).parents[2] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 #: the potential and the extra keys of a small config for each command

