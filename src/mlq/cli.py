@@ -109,18 +109,17 @@ class RunConfig(NamedTuple):
 def _as(kind, value, name: str, positive: bool = False):
     """value read as kind: int or float ("10" reads as 10), complex (a number
     or exactly [re, im]), a list [kind], or a function kind(value, name) that
-    reads a config object.  A ConfigError names the key if value is none of
-    these (a bool is no number, an int has no fraction, a float is finite) or
-    is not positive where it must be."""
+    reads a config object.  A ConfigError names the key, or the list entry
+    (``name.0``), if value is none of these (a bool is no number, an int has
+    no fraction, a float is finite) or is not positive where it must be."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list, got {value!r}")
         return tuple(_as(kind[0], v, f"{name}.{i}") for i, v in enumerate(value))
     if kind is complex:
-        re_im = value if isinstance(value, list) else [value, 0.0]
-        if len(re_im) != 2:
+        if isinstance(value, list) and len(value) != 2:
             raise ConfigError(f"{name} must be a number or [re, im], got {value!r}")
-        return complex(*(_as(float, part, name) for part in re_im))
+        return complex(*_as([float], value, name)) if isinstance(value, list) else complex(_as(float, value, name))
     if kind not in (int, float):
         return kind(value, name)
     try:
@@ -132,16 +131,6 @@ def _as(kind, value, name: str, positive: bool = False):
     if positive and not out > 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return out
-
-
-def _check_finite(node, name: str = "") -> None:
-    """A ConfigError naming the first number under node that is not finite:
-    json reads NaN, Infinity and 1e999 as floats."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{name} must be a finite number, got {node!r}")
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        _check_finite(child, f"{name}.{key}".lstrip("."))
 
 
 def _object(value, name: str, kinds: dict, make):
@@ -251,7 +240,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_finite(raw)
     return _object(raw, "", _CONFIG, lambda schema, potential, truncation_N, **keys: RunConfig(
         spec=potential.spec, pot=potential, truncation_n=truncation_N, raw=raw, **keys))
 
@@ -563,21 +551,18 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     h = cfg.fd_step
     s = cfg.sweep
     lams = [np.exp(1j * np.pi * k / s) for k in range(s)]
-    # member k = m + d t is member m's frame table read at sample 2N d t / s, at either window N
-    maps = [SurfaceMap(cfg.pot, lams[0], window=cfg.truncation_n, ode=cfg.ode)]
-    d = s // np.gcd(s, 2 * np.gcd(maps[0].start_window, maps[0].window))
-    maps += [SurfaceMap(cfg.pot, lam, window=cfg.truncation_n, ode=cfg.ode) for lam in lams[1:d]]
+    smap = SurfaceMap(cfg.pot, window=cfg.truncation_n, ode=cfg.ode)
 
     def chunk_members(chunk: list) -> list:
         rows = []
-        for z, own in zip(chunk, zip(*(frame_tables(smap, chunk, h) for smap in maps))):
+        for z, table in zip(chunk, frame_tables(smap, chunk, h)):
             try:
-                for table in own:
-                    if isinstance(table, Exception):
-                        raise table
-                # raw lift phase: the lam0^-2 rotation is a statement about the un-normalized alpha
-                rows.append([invariants_report(unit_lift(own[k % d].pair(2 * own[k % d].window * (k - k % d) // s)),
-                                               z, h, phase=1.0 + 0.0j) for k in range(s)])
+                if isinstance(table, Exception):
+                    raise table
+                # member k is the lam0 = 1 table rotated by lam_k; raw lift phase: the
+                # lam0^-2 rotation is a statement about the un-normalized alpha
+                rows.append([invariants_report(unit_lift(table.rotated(lam).pair()), z, h, phase=1.0 + 0.0j)
+                             for lam in lams])
             except (ValueError, RuntimeError) as exc:
                 rows.append(exc)
         return rows

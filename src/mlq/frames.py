@@ -33,7 +33,7 @@ import numpy as np
 
 from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
-from .loops import DEFAULT_WINDOW_N, ct2, det2, inv2, mul2, window_samples
+from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
 from .potentials import FrozenRecord, PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -167,10 +167,19 @@ class FrameTable(NamedTuple):
     edge_mass: float
     split_residual: float
 
-    def pair(self, j: int) -> FramePointPair:
-        """The points' pairs at samples (j, j + 3N mod 4N) as one stack: the
-        split is unique, so they are the pairs a map at lam0 omega^j reads."""
-        return FramePointPair(self.F[:, j], self.F[:, (j + 3 * self.window) % (4 * self.window)])
+    def pair(self) -> FramePointPair:
+        """The points' pairs at samples 0 and 3N, (lam0, -i lam0), as one stack."""
+        return FramePointPair(self.F[:, 0], self.F[:, 3 * self.window])
+
+    def rotated(self, mu: complex) -> FrameTable:
+        """The table a map at lam0 mu computes, for |mu| = 1: the split is unique
+        under rotation of the circle, so F at lam0 mu omega^j is F's trigonometric
+        interpolant on its 4N samples, each mode k turned by mu^k (the Nyquist
+        mode by (mu^2N + mu^-2N) / 2)."""
+        m = 4 * self.window
+        phase = complex(mu) ** np.fft.fftfreq(m, 1 / m).astype(int)
+        phase[m // 2] = 0.5 * (phase[m // 2] + complex(mu) ** (m // 2))
+        return self._replace(F=np.fft.ifft(coefficients(self.F) * phase[:, None, None], axis=-3, norm="forward"))
 
 
 def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:

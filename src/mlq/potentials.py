@@ -23,8 +23,8 @@ trinoid      [[0, lam^{-1}], [lam h(lam) q(z), 0]] with
              h(lam) = lam^{-1}(lam - lam0)(lam - lam0^{-1}) and
              q(z) = (vinf z^2 + (v1 - v0 - vinf) z + v0) / (16 z^2 (z-1)^2),
              poles at 0, 1 (and infinity), base 1/2; untwisted
-custom       finite sum of lam^k terms with rational z-coefficients and
-             explicitly declared poles; caller supplies the base point
+custom       finite sum of lam^k terms with rational z-coefficients, poles
+             declared or at a denominator's zeros; caller supplies the base point
 """
 
 from __future__ import annotations
@@ -228,11 +228,14 @@ def make_potential(spec: PotentialSpec) -> Potential:
             raise ValueError(f"custom term matrix must be trace free, got trace {np.trace(mat)}")
         terms.append((_rational(t.num, t.den), None, {t.lam_power: mat}))
     base = complex(p["base_point"])
-    poles = tuple(complex(q) for q in p.get("poles", ()))
+    poles = [complex(q) for q in p.get("poles", ())]
+    for q in (complex(r) + 0j for t in p["terms"] for r in np.roots(np.asarray(t.den, dtype=np.complex128)[::-1])):
+        if all(abs(q - known) >= 1e-9 for known in poles):
+            poles.append(q)
     for q in poles:
         if abs(base - q) < 1e-9:
-            raise ValueError(f"custom base point {base} coincides with declared pole {q}")
-    return Potential(spec, poles, base, tuple(terms))
+            raise ValueError(f"custom base point {base} coincides with pole {q}")
+    return Potential(spec, tuple(poles), base, tuple(terms))
 
 
 def _rational(num, den) -> Callable[[complex], complex]:

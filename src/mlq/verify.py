@@ -333,7 +333,7 @@ def node_reports(smap: SurfaceMap, zs, h: float = 1e-3) -> list:
         try:
             if isinstance(table, Exception):
                 raise table
-            pairs = table.pair(0)
+            pairs = table.pair()
             lifts, s2 = unit_lift(pairs), _s2_table(pairs)
             out.append((invariants_report(lifts, z, h, table=table), geometry_report(s2, z, h),
                         cu_report(lifts, h, s2)))

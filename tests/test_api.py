@@ -115,15 +115,18 @@ def test_no_test_only_code():
 #: parameters of the split and of the SurfaceMap entry points: the split rule
 #: is one constant (``iwasawa.SPLIT_TOL``), the section starts at P's degree,
 #: a stack is split whole, winding reaches only the deck check's ``lift``, and
-#: a frame table is read at a sample, so no tolerance, section, batch-size,
-#: winding or spectral-value knob may come back; the reports read stencil
-#: tables, so none may take a surface again
+#: a frame table is read at (lam0, -i lam0), so no tolerance, section,
+#: batch-size, winding or spectral-value knob may come back; ``rotated`` is no
+#: such knob: the split is unique under rotation of the circle, so a rotation
+#: reads the same table's samples at other points, with no new frame or
+#: split; the reports read stencil tables, so none may take a surface again
 SIGNATURES = [
     (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
     (SurfaceMap.samples, ["self", "nodes"]),
     (SurfaceMap.sample, ["self", "z"]),
     (SurfaceMap.frame_tables, ["self", "centres", "points"]),
-    (FrameTable.pair, ["self", "j"]),
+    (FrameTable.pair, ["self"]),
+    (FrameTable.rotated, ["self", "mu"]),
     (iwasawa, ["values"]),
     (spectral_factor_plus, ["values"]),
     (_single, ["rows"]),
@@ -145,12 +148,14 @@ def test_the_readme_quick_start_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-#: the potential and the extra keys of a small config for each command
+#: the potential and the extra keys of a small config for each command, named
+#: by the command and, after a "-", the case
 COMMAND_CONFIGS = {
     "generate": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, {}),
     "verify": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, {}),
     "closing": ({"variant": "equivariant", "a": 0.75, "b": 0.25}, {}),
     "family": ({"variant": "torus"}, {"sweep": 2}),
+    "family-sweep6": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, {"sweep": 6}),
 }
 
 
@@ -167,20 +172,29 @@ def write_config(tmp_path, potential, **extra) -> str:
 @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
 def test_a_run_builds_its_potential_once(tmp_path, monkeypatch, command):
     # load_config builds the potential to validate the config, and every
-    # command runs on that one; no command builds it again
-    built = []
+    # command runs on that one; no command builds it again, and none builds
+    # more than one SurfaceMap, family at a sweep whose members are not
+    # samples of the lam0 = 1 table included
+    built, maps = [], []
     make = potentials.make_potential
 
     def counted(spec):
         built.append(spec.variant)
         return make(spec)
 
+    class CountedMap(SurfaceMap):
+        def __init__(self, *args, **kwargs):
+            maps.append(self)
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(potentials, "make_potential", counted)
     monkeypatch.setattr(mlq.cli, "make_potential", counted)
+    monkeypatch.setattr(mlq.cli, "SurfaceMap", CountedMap)
     potential, extra = COMMAND_CONFIGS[command]
     path = write_config(tmp_path, potential, **extra)
-    assert mlq.cli.main([command, "--config", path, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert mlq.cli.main([command.split("-")[0], "--config", path, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     assert built == [potential["variant"]]
+    assert len(maps) == 1
 
 
 def test_frozen_records_stay_frozen_and_compare_by_value():

@@ -679,8 +679,8 @@ VERIFY_RADIAL = {
     "truncation_N": 16, "ode": {"tolerance": 1e-12},
 }
 
-#: a family config and its sweep: the torus at sweep 2 reads both members
-#: off one map, radial sweep 6 reads six members off d = 6/gcd(6, 16) = 3 maps
+#: a family config and its sweep: the torus at sweep 2, and radial at sweep
+#: 6, whose members lam = exp(i pi k / 6) are not samples of the lam0 = 1 table
 FAMILY_SWEEPS = {
     "torus": {"potential": {"variant": "torus"}, "sweep": 2,
               "grid": {"re_min": -0.3, "re_max": 0.3, "n_re": 2, "im_min": -0.3, "im_max": 0.3, "n_im": 2}},
@@ -694,7 +694,7 @@ def test_family_sweep(tmp_path, name):
     sweep = FAMILY_SWEEPS[name]["sweep"]
     out = tmp_path / "family"
     assert main(["family", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
-    # the chunks run on threads; each is independent of the others
+    # --jobs is ignored: a rerun writes the same bytes
     assert main(["family", "--config", cfg, "--out", str(tmp_path / "family2"), "--jobs", "2"]) == EXIT_OK
     assert (tmp_path / "family2" / "family.json").read_bytes() == (out / "family.json").read_bytes()
     payload = json.loads((out / "family.json").read_text())
@@ -703,9 +703,11 @@ def test_family_sweep(tmp_path, name):
     assert payload["max_alpha_dev"] < 1e-4
 
 
-def test_family_at_sweep_8_transports_as_verify_does(tmp_path, monkeypatch):
-    # at sweep 8 every member is a sample of member 0's table (N = 8 or 16),
-    # so family transports each stencil once, as verify does
+@pytest.mark.parametrize("sweep", [5, 6, 8], ids=["sweep5", "sweep6", "sweep8"])
+def test_family_transports_as_verify_does(tmp_path, monkeypatch, sweep):
+    # every member is read off the lam0 = 1 table, whether its lam is one of
+    # the table's samples or not, so family transports each stencil once, as
+    # verify does
     calls = []
     transport = frames.transport
 
@@ -714,7 +716,7 @@ def test_family_at_sweep_8_transports_as_verify_does(tmp_path, monkeypatch):
         return transport(*args)
 
     monkeypatch.setattr(frames, "transport", counted)
-    cfg = write_cfg(tmp_path, "fam.json", **VERIFY_RADIAL, sweep=8)
+    cfg = write_cfg(tmp_path, "fam.json", **VERIFY_RADIAL, sweep=sweep)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
     verify_calls, calls[:] = list(calls), []
     assert main(["family", "--config", cfg, "--out", str(tmp_path / "f"), "--jobs", "1"]) == EXIT_OK

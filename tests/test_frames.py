@@ -36,6 +36,7 @@ from mlq.loops import window_samples
 from mlq.potentials import (
     CustomTerm,
     PoleError,
+    Potential,
     custom_spec,
     equivariant_spec,
     make_potential,
@@ -189,7 +190,7 @@ def test_lift_is_anchor_independent(family, z0, z):
     # own frame from the base point
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0)
-    fp = frame_table(smap, z0, [z]).pair(0)
+    fp = frame_table(smap, z0, [z]).pair()
     np.testing.assert_allclose(q2_point(*xy_matrices(fp))[0] / np.sqrt(2.0), smap.lift(z), atol=1e-9)
 
 
@@ -203,7 +204,7 @@ def test_stencil_centre_is_the_frame_pair(family, z):
     # pair is frame_pair's bit for bit
     spec, lam0 = _FAMILIES[family]
     smap = tight_map(spec, lam0, window=8)
-    pairs = frame_table(smap, z, [z, z + 1e-3]).pair(0)
+    pairs = frame_table(smap, z, [z, z + 1e-3]).pair()
     single = smap.frame_pair(z)
     assert np.array_equal(pairs.F1[0], single.F1) and np.array_equal(pairs.F2[0], single.F2)
 
@@ -216,31 +217,30 @@ def test_stencil_centre_is_the_frame_pair_at_either_window(z):
     table = frame_table(smap, z, [z, z + 1e-3, z - 1e-3j])
     single = smap.frame_pair(z)
     assert table.F.shape == (3, 4 * smap.unitary_frame(z).window, 2, 2)
-    assert np.array_equal(table.pair(0).F1[0], single.F1) and np.array_equal(table.pair(0).F2[0], single.F2)
+    assert np.array_equal(table.pair().F1[0], single.F1) and np.array_equal(table.pair().F2[0], single.F2)
 
 
-@pytest.mark.parametrize("sweep, maps", [(8, 1), (6, 3)], ids=["sweep8", "sweep6"])
+@pytest.mark.parametrize("sweep", [8, 7, 6, 5], ids=["sweep8", "sweep7", "sweep6", "sweep5"])
 @pytest.mark.parametrize(
     "spec, z, window",
     [(radial_spec(0.5, 1), 0.3 + 0.2j, START_WINDOW), (radial_spec(0.5, 1), 1.5, 16),
      (equivariant_spec(0.75, 0.25), 0.9 - 0.3j, START_WINDOW), (equivariant_spec(0.75, 0.25), 0.4, 16)],
     ids=["radial", "radial-cap", "equivariant", "equivariant-cap"],
 )
-def test_a_sweep_member_is_read_off_a_shared_table(spec, z, window, sweep, maps):
-    # member k = m + maps t of the sweep lam_k = exp(i pi k / sweep) is the
-    # sample 2N maps t / sweep of member m's table, at the start window or
-    # the cap: the normalized split is unique, so it is the pair member k's
-    # own map reads at sample 0
+def test_a_sweep_member_is_read_off_a_shared_table(spec, z, window, sweep):
+    # member k of the sweep lam_k = exp(i pi k / sweep) is the lam0 = 1 table
+    # rotated by lam_k, at the start window or the cap, whether lam_k is one of
+    # its samples or not: the normalized split is unique, so the rotated
+    # table is the one member k's own map computes (7.1e-15 measured)
     pot = make_potential(spec)
-    lams = [np.exp(1j * np.pi * k / sweep) for k in range(sweep)]
     points = [z + (a + 1j * b) * 1e-3 for a, b in DIAMOND]
-    tables = [frame_table(SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE), z, points) for lam in lams[:maps]]
-    for k, lam in enumerate(lams):
-        table = tables[k % maps]
+    table = frame_table(SurfaceMap(pot, window=16, ode=TIGHT_ODE), z, points)
+    for lam in (np.exp(1j * np.pi * k / sweep) for k in range(sweep)):
         own = frame_table(SurfaceMap(pot, lam, window=16, ode=TIGHT_ODE), z, points)
-        assert own.window == table.window == window
-        shared, ref = table.pair(2 * table.window * (k - k % maps) // sweep), own.pair(0)
-        assert np.abs(shared.F1 - ref.F1).max() <= 1e-14 and np.abs(shared.F2 - ref.F2).max() <= 1e-14
+        rotated = table.rotated(lam)
+        assert own.window == rotated.window == window
+        assert rotated[1:] == table[1:]
+        assert np.abs(rotated.F - own.F).max() <= 1e-14
 
 
 @pytest.mark.parametrize("z, window", [(0.3, 16), (0.4, 16), (1.2, START_WINDOW)])
@@ -405,7 +405,7 @@ def test_a_stencil_across_the_log_branch_cut_stays_on_its_sheet():
     # the point below reads as the principal point wound once
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     z, below = -0.8 + 1e-4j, -0.8 - 1e-3j
-    hopped = frame_table(smap, z, [below]).pair(0)
+    hopped = frame_table(smap, z, [below]).pair()
     wound = smap.frame_pair(below, winding=1)
     np.testing.assert_allclose(hopped.F1[0], wound.F1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(hopped.F2[0], wound.F2, rtol=0, atol=1e-12)
@@ -573,15 +573,43 @@ def test_a_puncture_in_a_chunk_fails_only_its_node():
     assert all(s.valid for i, s in enumerate(got) if i != 5)
 
 
+#: a custom potential whose weight 1/(z - 0.3) has a pole at 0.3
+POLE_AT_0_3 = custom_spec(
+    [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
+     CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
+    poles=[], base_point=0.0,
+)
+
+
+def _unguarded(spec, base: complex = 0.0) -> Potential:
+    """spec's potential at base with an empty singular set, so no route
+    validation sees its pole and a sweep runs into it."""
+    return Potential(spec, (), complex(base), make_potential(spec).terms)
+
+
+def test_a_denominator_zero_is_a_pole_of_the_custom_potential():
+    # the pole at 0.3 is not declared, but it is in the singular set: the
+    # stencil of 0.301 + 0.001i passes within 1e-3 of it and fails before any
+    # sweep, and the other two stencils run the steps they run without it
+    assert make_potential(POLE_AT_0_3).singular_points == (0.3,)
+    with pytest.raises(ValueError, match=r"coincides with pole \(0\.3\+0j\)"):
+        make_potential(custom_spec(POLE_AT_0_3.params["terms"], poles=[], base_point=0.3))
+    zs = [0.1 + 0.1j, 0.301 + 0.001j, 0.15 - 0.1j]
+    smap, alone = SurfaceMap(make_potential(POLE_AT_0_3), window=2), SurfaceMap(make_potential(POLE_AT_0_3), window=2)
+    tables = smap.frame_tables(zs, _diamonds(zs))
+    assert isinstance(tables[1], PoleError) and "of singular point (0.3+0j)" in str(tables[1])
+    good = alone.frame_tables(zs[::2], _diamonds(zs[::2]))
+    assert all(np.array_equal(a.F, b.F) for a, b in zip(tables[::2], good))
+    assert (smap.ode_counts.steps, smap.ode_counts.rhs_calls) == (alone.ode_counts.steps, alone.ode_counts.rhs_calls)
+    assert smap.ode_counts.steps > 0
+
+
 def test_a_failed_sweep_is_rerun_node_by_node():
-    # an undeclared pole of a custom weight passes route validation, so the
-    # chunk's sweep fails there; the rerun locates the error at its own node
-    spec = custom_spec(
-        [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
-         CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
-        poles=[], base_point=0.0,
-    )
-    smap = SurfaceMap(make_potential(spec), window=8)
+    # with its pole left out of the singular set, the route to 0.3 passes
+    # validation, so the chunk's sweep fails there; the rerun locates the
+    # error at its own node
+    spec = POLE_AT_0_3
+    smap = SurfaceMap(_unguarded(spec), window=8)
     nodes = [0.1j + 0.02 * k for k in range(10)] + [0.3] + [-0.1j - 0.02 * k for k in range(10)]
     got = smap.samples(nodes)
     alone = smap.sample(0.3)
@@ -591,23 +619,18 @@ def test_a_failed_sweep_is_rerun_node_by_node():
     for z, s in zip(nodes[:3], got):
         np.testing.assert_allclose(s.q2_hom, smap.sample(z).q2_hom, rtol=0, atol=1e-9)
     # based at that pole, the weight itself raises PoleError on every row
-    based = SurfaceMap(make_potential(custom_spec(spec.params["terms"], poles=[], base_point=0.3)), window=8)
+    based = SurfaceMap(_unguarded(spec, 0.3), window=8)
     got = based.samples(nodes[:4])
     assert [s.error for s in got] == [based.sample(z).error for z in nodes[:4]]
     assert all(s.error == "custom term denominator vanishes at z = (0.3+0j)" for s in got)
 
 
 def test_a_failed_stencil_sweep_is_rerun_stencil_by_stencil():
-    # the stencil of 0.3015 runs through the undeclared pole 0.3 of a
-    # custom weight, so the sweep of its block, shared with 0.1 + 0.1i, fails;
+    # the stencil of 0.3015 runs through the pole 0.3, left out of the
+    # singular set, so the sweep of its block, shared with 0.1 + 0.1i, fails;
     # each stencil of the block reruns alone, and the one at the pole row by
     # row, so it fails with an error located at one z and the other stays valid
-    spec = custom_spec(
-        [CustomTerm(lam_power=-1, matrix=[[0, 1], [0, 0]]),
-         CustomTerm(lam_power=1, matrix=[[0, 0], [1, 0]], den=[-0.3, 1.0])],
-        poles=[], base_point=0.0,
-    )
-    smap = SurfaceMap(make_potential(spec), window=2)
+    smap = SurfaceMap(_unguarded(POLE_AT_0_3), window=2)
     zs = [0.1 + 0.1j, 0.3015, 0.15 - 0.1j]
     tables = smap.frame_tables(zs, _diamonds(zs))
     assert isinstance(tables[1], IntegrationError)
