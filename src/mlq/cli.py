@@ -345,8 +345,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _ode_record(counts: OdeCounts) -> dict:
-    """A command's ODE totals: DOP853 steps, right-hand-side calls and det drift."""
-    return {"ode_steps": counts.steps, "ode_rhs_calls": counts.rhs_calls, "ode_det_drift": counts.det_drift}
+    """A command's ODE totals: Taylor pieces, series terms and det drift."""
+    return {"ode_steps": counts.steps, "ode_terms": counts.terms, "ode_det_drift": counts.det_drift}
 
 
 def _split_record(diagnostics: list[dict]) -> dict:
@@ -475,7 +475,11 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
         smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
-        deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
+        try:
+            deck = symmetry_check(smap, DeckTransform(), _CLOSING_SAMPLES)
+        except ValueError as exc:  # a frame that fails the SU(2) gate, or a sample at the pole
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         payload = {
             "family": "equivariant",
             "closing": {
@@ -559,10 +563,10 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
             try:
                 if isinstance(table, Exception):
                     raise table
-                # member k is the lam0 = 1 table rotated by lam_k; raw lift phase: the
-                # lam0^-2 rotation is a statement about the un-normalized alpha
-                rows.append([invariants_report(unit_lift(table.rotated(lam).pair()), z, h, phase=1.0 + 0.0j)
-                             for lam in lams])
+                # member k is read off the lam0 = 1 table rotated by lam_k; raw lift phase:
+                # the lam0^-2 rotation is a statement about the un-normalized alpha
+                rows.append([invariants_report(unit_lift(pair), z, h, phase=1.0 + 0.0j)
+                             for pair in table.rotated(lams)])
             except (ValueError, RuntimeError) as exc:
                 rows.append(exc)
         return rows

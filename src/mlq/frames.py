@@ -8,9 +8,9 @@ cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
 (relative edge mass above ``EDGE_TOL``).  Sphere, torus and equivariant
 have one xi term w(z) A(lam), so Phi = exp(W(z) A(lam)) exactly, at every
 node and stencil point.  Every other family is integrated ``NODE_CHUNK``
-nodes at a time, each chunk in one adaptive sweep of the batched
+nodes at a time, each chunk in one pass of Taylor sums of the batched
 ``transport`` along straight segments from the base point, and its
-finite-difference stencils ride in a sweep per ``NODE_CHUNK`` points, from
+finite-difference stencils ride in a pass per ``NODE_CHUNK`` points, from
 each node to its points (``frame_tables``).  The spectral pair (lam0, -i lam0)
 is samples j = 0 and j = 3N, so a point of the surface is read off F there,
 with nothing evaluated or projected, by forming
@@ -49,7 +49,7 @@ START_WINDOW = 8
 #: readout error follows the edge mass and the quadric and |v| checks see it
 EDGE_TOL = 1e-13
 
-#: rows per adaptive sweep and batched split (nodes, anchors, or the points of
+#: rows per transport pass and batched split (nodes, anchors, or the points of
 #: whole stencils); fixed, so a node's chunk never depends on the scheduling
 NODE_CHUNK = 32
 
@@ -171,15 +171,21 @@ class FrameTable(NamedTuple):
         """The points' pairs at samples 0 and 3N, (lam0, -i lam0), as one stack."""
         return FramePointPair(self.F[:, 0], self.F[:, 3 * self.window])
 
-    def rotated(self, mu: complex) -> FrameTable:
-        """The table a map at lam0 mu computes, for |mu| = 1: the split is unique
-        under rotation of the circle, so F at lam0 mu omega^j is F's trigonometric
-        interpolant on its 4N samples, each mode k turned by mu^k (the Nyquist
-        mode by (mu^2N + mu^-2N) / 2)."""
+    def rotated(self, mus) -> list[FramePointPair]:
+        """For each mu, |mu| = 1, the points' pairs a map at lam0 mu reads: the
+        split is unique under rotation of the circle, so F at lam0 mu omega^j
+        is F's trigonometric interpolant on its 4N samples, each mode k turned
+        by mu^k (the Nyquist mode by (mu^2N + mu^-2N) / 2), and its samples 0
+        and 3N are two phase-weighted sums over the modes of one FFT, the
+        second weighted by omega^(3N k) = (-i)^k."""
         m = 4 * self.window
-        phase = complex(mu) ** np.fft.fftfreq(m, 1 / m).astype(int)
-        phase[m // 2] = 0.5 * (phase[m // 2] + complex(mu) ** (m // 2))
-        return self._replace(F=np.fft.ifft(coefficients(self.F) * phase[:, None, None], axis=-3, norm="forward"))
+        k = np.fft.fftfreq(m, 1 / m).astype(int)
+        mus = np.asarray(mus, dtype=np.complex128).reshape(-1, 1)
+        phase = mus**k
+        phase[:, m // 2] = 0.5 * (phase[:, m // 2] + mus[:, 0] ** (m // 2))
+        modes = coefficients(self.F)
+        f1, f2 = (np.tensordot(w, modes, axes=(1, 1)) for w in (phase, phase * (-1j) ** k))
+        return [FramePointPair(a, b) for a, b in zip(f1, f2)]
 
 
 def xy_matrices(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
@@ -299,16 +305,16 @@ class SurfaceMap:
     (sphere, torus, equivariant) has the exact frame exp(W A), evaluated at
     all nodes of a chunk at once; a node within ``EPS_POLE`` of its pole is
     invalid.  Any other potential is integrated by ``transport`` along one
-    straight segment from the base point, one adaptive sweep per chunk,
-    whose error norm is the maximum over its nodes of each node's norm, so
-    no node gets a looser step than it would get alone.  ``samples`` runs a
+    straight segment from the base point, one pass per chunk, whose series
+    stop only where every node's has converged, so no node is summed to
+    fewer terms than it would be alone.  ``samples`` runs a
     grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
     nodes together at the cap; each pass is split by one batched
     ``iwasawa`` call, the chunk's points are read off one stack of frame
     pairs, and ``sample(z)`` and every anchor are a chunk of one.  A node
-    whose route, sweep or split fails is invalid and carries its own error.
-    ``ode_counts`` totals the DOP853 steps and right-hand-side evaluations
-    of every transport the map ran, with their largest det drift.
+    whose route, pass or split fails is invalid and carries its own error.
+    ``ode_counts`` totals the Taylor pieces and terms of every transport the
+    map ran, with their largest det drift.
     ``frame_tables`` evaluates stencils at their centres' windows by the same
     ``_frames``, started from the centres' values, one ``FrameTable`` each, so
     finite differences see a smooth function limited only by roundoff.
@@ -334,7 +340,7 @@ class SurfaceMap:
         # lam0 and -i lam0 are samples 0 and 3N at either window
         self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
         self._xi = {n: xi_sampler(pot, lams) for n, lams in self._lams.items()}
-        #: DOP853 steps, right-hand-side evaluations and det drift of every transport this map ran
+        #: Taylor pieces, terms and det drift of every transport this map ran
         self.ode_counts = OdeCounts()
 
     # -- frame evaluation ---------------------------------------------------
@@ -361,11 +367,11 @@ class SurfaceMap:
 
     def _transport_chunk(self, zs: list[complex], n: int, starts: list, runs=None) -> list:
         """Frame values at window n for each z, or the error that stops that
-        node, from one adaptive sweep along straight segments, each from its
+        node, from one transport pass along straight segments, each from its
         own start (z0, values at z0); a z equal to its z0 keeps z0's values.
 
-        Each route is validated before the sweep, so a route into a pole
-        fails its own node; if the sweep fails, each run of ``runs`` rows (by
+        Each route is validated before the pass, so a route into a pole
+        fails its own node; if the pass fails, each run of ``runs`` rows (by
         default one) is rerun alone, and a run that fails row by row, to
         locate the error.
         """
@@ -424,12 +430,12 @@ class SurfaceMap:
         at z's window, or the error that stops z.
 
         A centre with a route to a point past a pole fails with that error,
-        unless its split fails first, and joins no sweep.  The others are the
+        unless its split fails first, and joins no pass.  The others are the
         anchors of one ``_anchors`` pass per ``NODE_CHUNK``, which chooses each
         window once.  Their points are carried from the centres' values by
         ``_frames``, whole stencils at one window and NODE_CHUNK // (points a
-        stencil) stencils a block, one sweep and one split a block; if the
-        sweep fails, each stencil reruns alone.  A point equal to its centre
+        stencil) stencils a block, one pass and one split a block; if the
+        pass fails, each stencil reruns alone.  A point equal to its centre
         is read off the centre's split: for one centre, ``frame_pair(z)`` bit
         for bit.
         """

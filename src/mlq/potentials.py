@@ -4,13 +4,15 @@ Each potential is a matrix-valued 1-form xi(z) dz whose coefficient matrix is
 a trace-free Laurent polynomial in the spectral parameter lam.  Every family
 is defined once, by its branch of ``make_potential``, which validates the
 parameters and gives the singular set, the base point and the xi terms: a
-scalar z-weight, its antiderivative W where the frame is read in closed
-form, and constant lam-terms.  ``xi_sampler`` folds the terms at a fixed
-set of spectral values, which is what the integrator reads; every weight
-takes an array of z as well as one z.  Sphere, torus and equivariant are
-one term w(z) A(lam), so xi(z) commutes with xi(z') and the frame is
-exp(W A).  A config's ``potential`` object holds a family's ``*_spec``
-parameters; ``cli.load_config`` reads it, and nothing here reads JSON.
+rational z-weight num(z) / den(z) as two coefficient tuples, its
+antiderivative W where the frame is read in closed form, and constant
+lam-terms.  ``xi_sampler`` puts the weights over one common denominator D
+and sums the lam-terms at a fixed set of spectral values, so D xi is a
+polynomial in z: that is what the integrator's Taylor steps read.  Sphere,
+torus and equivariant are one term w(z) A(lam), so xi(z) commutes with
+xi(z') and the frame is exp(W A).  A config's ``potential`` object holds a
+family's ``*_spec`` parameters; ``cli.load_config`` reads it, and nothing
+here reads JSON.
 
 Families
 --------
@@ -29,6 +31,7 @@ custom       finite sum of lam^k terms with rational z-coefficients, poles
 
 from __future__ import annotations
 
+from functools import reduce
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -44,8 +47,12 @@ _E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 
 _VARIANTS = ("sphere", "torus", "equivariant", "radial", "trinoid", "custom")
 
-#: scalar z-weight of a group of lam-terms, elementwise on arrays of z; None means 1
-Weight = Callable[[complex], complex] | None
+#: the z-weight 1, as (num, den) coefficient tuples
+_ONE = ((1.0,), (1.0,))
+
+#: one xi term: the weight's numerator and denominator coefficients in ascending
+#: order, its antiderivative W or None, and the lam-terms {k: A_k}
+Term = tuple[tuple[complex, ...], tuple[complex, ...], Callable | None, dict[int, np.ndarray]]
 
 
 class FrozenRecord:
@@ -100,17 +107,17 @@ class PotentialSpec(NamedTuple):
 
 class Potential(FrozenRecord):
     """A validated potential: spec, singular set, base point and the xi
-    terms (w, W, {k: A_k}) that ``make_potential`` writes for its family;
+    terms (num, den, W, {k: A_k}) that ``make_potential`` writes for its family;
     two potentials are equal when their spec, singular set and base point are."""
 
     __slots__ = ("spec", "singular_points", "base_point", "terms")
     spec: PotentialSpec
     singular_points: tuple[complex, ...]
     base_point: complex
-    terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...]
+    terms: tuple[Term, ...]
 
     def __init__(self, spec: PotentialSpec, singular_points: tuple[complex, ...], base_point: complex,
-                 terms: tuple[tuple[Weight, Callable | None, dict[int, np.ndarray]], ...]) -> None:
+                 terms: tuple[Term, ...]) -> None:
         super().__init__(spec, singular_points, base_point, terms)
 
     def _key(self) -> tuple:
@@ -163,28 +170,28 @@ def make_potential(spec: PotentialSpec) -> Potential:
     """The one definition of each family: validate a spec and give its
     singular set, base point and xi terms.
 
-    The terms are triples (w, W, {k: A_k}) with xi(z, lam) = sum over terms
-    of w(z) sum_k A_k lam^k; a weight of None means 1.  W(z0, z1, winding),
-    given for the one-term families and elementwise on arrays of z1,
-    integrates w along the straight segment from z0 to z1 and ``winding``
-    loops around its pole.  Raises ValueError naming the violated constraint
-    for invalid parameters.
+    The terms are (num, den, W, {k: A_k}) with xi(z, lam) = sum over terms
+    of num(z) / den(z) sum_k A_k lam^k, num and den coefficient tuples in
+    ascending order.  W(z0, z1, winding), given for the one-term families
+    and elementwise on arrays of z1, integrates the weight along the
+    straight segment from z0 to z1 and ``winding`` loops around its pole.
+    Raises ValueError naming the violated constraint for invalid parameters.
     """
     v = spec.variant
     p = spec.params
     if v not in _VARIANTS:
         raise ValueError(f"unknown potential variant {v!r}; expected one of {_VARIANTS}")
     if v == "sphere":
-        return Potential(spec, (), 0.0 + 0.0j, ((None, _difference, {-1: _E12}),))
+        return Potential(spec, (), 0.0 + 0.0j, ((*_ONE, _difference, {-1: _E12}),))
     if v == "torus":
-        return Potential(spec, (), 0.0 + 0.0j, ((None, _difference, {-1: _E12 + _E21}),))
+        return Potential(spec, (), 0.0 + 0.0j, ((*_ONE, _difference, {-1: _E12 + _E21}),))
     if v == "equivariant":
         a, b, c = p["a"], p["b"], p["c"]
         for name, val in (("a", a), ("b", b), ("c", c)):
             if not np.isreal(val):
                 raise ValueError(f"equivariant parameter {name} must be real, got {val!r}")
         return Potential(spec, (0.0 + 0.0j,), 1.0 + 0.0j, ((
-            lambda z: 1.0 / z,
+            (1.0,), (0.0, 1.0),
             lambda z0, z1, winding: np.log(z1 / z0) + 2j * np.pi * winding,
             {
                 -1: np.array([[0, a], [b, 0]], dtype=np.complex128),
@@ -198,7 +205,7 @@ def make_potential(spec: PotentialSpec) -> Potential:
             raise ValueError(f"radial parameter c must avoid the unit circle and 0, got {c}")
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"radial exponent k must be a positive integer, got {k!r}")
-        return Potential(spec, (), 0.0 + 0.0j, ((None, None, {-1: _E12}), (lambda z: c * z**k, None, {-1: _E21})))
+        return Potential(spec, (), 0.0 + 0.0j, ((*_ONE, None, {-1: _E12}), ((0,) * k + (c,), (1.0,), None, {-1: _E21})))
     if v == "trinoid":
         lam0 = complex(p["lambda0"])
         if abs(lam0 - 1j) > 1e-12 and abs(lam0 + 1j) > 1e-12:
@@ -207,11 +214,12 @@ def make_potential(spec: PotentialSpec) -> Potential:
         for name, val in (("v0", v0), ("v1", v1), ("vinf", vinf)):
             if not np.isreal(val) or val == 0:
                 raise ValueError(f"trinoid weight {name} must be real and nonzero, got {val!r}")
-        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1
+        # lam * h(lam) = (lam - lam0)(lam - 1/lam0) = lam^2 - (lam0 + 1/lam0) lam + 1, and
+        # q(z) = (vinf z^2 + (v1 - v0 - vinf) z + v0) / (16 z^2 (z - 1)^2)
         s = lam0 + 1.0 / lam0
         return Potential(spec, (0.0 + 0.0j, 1.0 + 0.0j), 0.5 + 0.0j, (
-            (None, None, {-1: _E12}),
-            (lambda z: trinoid_q(z, v0, v1, vinf), None, {0: _E21, 1: -s * _E21, 2: _E21}),
+            (*_ONE, None, {-1: _E12}),
+            ((v0, v1 - v0 - vinf, vinf), (0, 0, 16, -32, 16), None, {0: _E21, 1: -s * _E21, 2: _E21}),
         ))
     # custom
     if not p.get("terms"):
@@ -226,7 +234,7 @@ def make_potential(spec: PotentialSpec) -> Potential:
         # the potentials take values in sl(2, C); det renormalization assumes it
         if abs(np.trace(mat)) > 1e-12:
             raise ValueError(f"custom term matrix must be trace free, got trace {np.trace(mat)}")
-        terms.append((_rational(t.num, t.den), None, {t.lam_power: mat}))
+        terms.append((tuple(t.num), tuple(t.den), None, {t.lam_power: mat}))
     base = complex(p["base_point"])
     poles = [complex(q) for q in p.get("poles", ())]
     for q in (complex(r) + 0j for t in p["terms"] for r in np.roots(np.asarray(t.den, dtype=np.complex128)[::-1])):
@@ -238,43 +246,26 @@ def make_potential(spec: PotentialSpec) -> Potential:
     return Potential(spec, tuple(poles), base, tuple(terms))
 
 
-def _rational(num, den) -> Callable[[complex], complex]:
-    from numpy.polynomial import polynomial as npp
-
-    num = np.asarray(num, dtype=np.complex128)
-    den = np.asarray(den, dtype=np.complex128)
-
-    def weight(z):
-        d = npp.polyval(z, den)
-        at_pole = np.abs(d) < 1e-14
-        if np.any(at_pole):
-            raise PoleError(f"custom term denominator vanishes at z = {complex(np.extract(at_pole, z)[0])}")
-        return npp.polyval(z, num) / d
-
-    return weight
-
-
 def _difference(z0, z1, winding: int):
     """The antiderivative of the weight 1, which has no pole to wind around."""
     return z1 - z0
 
 
-class XiSampler:
-    """z -> xi(z, lam) at fixed spectral values lam_1..lam_M.
+class XiSampler(NamedTuple):
+    """xi(z, lam) at fixed spectral values lam_1..lam_M, over one denominator.
 
-    xi(z) = const + sum over pairs of w(z) vals: all unweighted terms are
-    folded into ``const`` and each weighted pair into one array ``vals``,
-    all of shape (M, 2, 2), so an evaluation costs one weight and one axpy
-    per weighted pair.  ``exact`` is (W, A) for a potential of one term
-    w(z) A(lam) whose antiderivative W is known, with A of shape (M, 2, 2):
-    its frame from z0 to z1 is exp(W(z0, z1, winding) A).  It is None for
-    any other potential.
+    ``den`` holds the coefficients of D, the product of the terms' distinct
+    denominators, and ``terms`` pairs each term's numerator over D (its num
+    times the other denominators) with the sum of its lam-terms, shape
+    (M, 2, 2): D xi = sum over terms of num_D(z) vals, a polynomial in z.
+    ``exact`` is (W, A) for a potential of one term w(z) A(lam) whose
+    antiderivative W is known, with A of shape (M, 2, 2): its frame from z0
+    to z1 is exp(W(z0, z1, winding) A).  It is None for any other potential.
     """
 
-    def __init__(self, const: np.ndarray, weighted: list[tuple[Callable, np.ndarray]], exact=None) -> None:
-        self.const = const
-        self.weighted = weighted
-        self.exact = exact
+    den: np.ndarray
+    terms: list[tuple[np.ndarray, np.ndarray]]
+    exact: tuple | None
 
 
 def xi_sampler(pot: Potential, lams) -> XiSampler:
@@ -284,22 +275,14 @@ def xi_sampler(pot: Potential, lams) -> XiSampler:
     validate their paths first.
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
-    const = np.zeros((lams.size, 2, 2), dtype=np.complex128)
-    weighted = []
-    terms = pot.terms
-    for w, _, lam_terms in terms:
+    dens = list(dict.fromkeys(den for _, den, _, _ in pot.terms))
+    terms = []
+    for num, den, _, lam_terms in pot.terms:
         vals = sum(np.multiply.outer(lams**k, mat) for k, mat in lam_terms.items())
-        if w is None:
-            const = const + vals
-        else:
-            weighted.append((w, vals))
-    exact = (terms[0][1], vals) if len(terms) == 1 and terms[0][1] is not None else None
-    return XiSampler(const, weighted, exact)
-
-
-def trinoid_q(z, v0: float, v1: float, vinf: float):
-    """The rational weight q(z) of the trinoid potential, elementwise on arrays of z."""
-    return (vinf * z**2 + (v1 - v0 - vinf) * z + v0) / (16.0 * z**2 * (z - 1.0) ** 2)
+        terms.append((reduce(np.convolve, [d for d in dens if d != den], np.asarray(num)), vals))
+    w = pot.terms[0][2]
+    return XiSampler(reduce(np.convolve, dens, np.ones(1)), terms,
+                     (w, vals) if len(pot.terms) == 1 and w is not None else None)
 
 
 def trinoid_h(lam: complex, lambda0: complex) -> complex:

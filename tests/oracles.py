@@ -4,8 +4,10 @@ Everything here is assembled from the explicit frame families in
 mlq.closedform (or from scratch), never from the pipeline under test, so
 agreement between the two is meaningful evidence.  The one exception is
 ``eval_xi``: it sums each family's one definition (``Potential.terms``, as
-``make_potential`` writes them) term by term, the plain
-reading that ``xi_sampler``'s folded arrays are checked against.
+``make_potential`` writes them) term by term, each weight num(z) / den(z)
+from its coefficient tuples in mpmath at 30 digits, so the cancellation of
+monomial coefficients near a pole does not reach it: the plain reading that
+``xi_sampler``'s arrays over the common denominator are checked against.
 ``mp_frame_pair`` repeats the Iwasawa split's arithmetic in mpmath, so the
 float64 split can be checked against the same method at 40 digits.
 """
@@ -23,8 +25,9 @@ def eval_xi(pot: Potential, z: complex) -> dict[int, np.ndarray]:
     """Laurent coefficients {k: A_k} of the 1-form xi at z (the form is sum A_k lam^k dz)."""
     z = complex(z)
     terms: dict[int, np.ndarray] = {}
-    for w, _, lam_terms in pot.terms:
-        s = 1.0 if w is None else w(z)
+    for num, den, _, lam_terms in pot.terms:
+        with mpmath.workdps(30):
+            s = complex(mpmath.polyval(num[::-1], z) / mpmath.polyval(den[::-1], z))
         for k, mat in lam_terms.items():
             terms[k] = terms.get(k, 0) + s * np.asarray(mat, dtype=complex)
     return terms

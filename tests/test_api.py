@@ -116,17 +116,17 @@ def test_no_test_only_code():
 #: is one constant (``iwasawa.SPLIT_TOL``), the section starts at P's degree,
 #: a stack is split whole, winding reaches only the deck check's ``lift``, and
 #: a frame table is read at (lam0, -i lam0), so no tolerance, section,
-#: batch-size, winding or spectral-value knob may come back; ``rotated`` is no
-#: such knob: the split is unique under rotation of the circle, so a rotation
-#: reads the same table's samples at other points, with no new frame or
-#: split; the reports read stencil tables, so none may take a surface again
+#: batch-size, winding or spectral-value knob may come back; ``rotated(mus)``
+#: is no such knob: the split is unique under rotation of the circle, so the
+#: rotations read the same table's modes at other points, with no new frame
+#: or split; the reports read stencil tables, so none may take a surface again
 SIGNATURES = [
     (SurfaceMap.__init__, ["self", "pot", "lambda0", "window", "ode"]),
     (SurfaceMap.samples, ["self", "nodes"]),
     (SurfaceMap.sample, ["self", "z"]),
     (SurfaceMap.frame_tables, ["self", "centres", "points"]),
     (FrameTable.pair, ["self"]),
-    (FrameTable.rotated, ["self", "mu"]),
+    (FrameTable.rotated, ["self", "mus"]),
     (iwasawa, ["values"]),
     (spectral_factor_plus, ["values"]),
     (_single, ["rows"]),

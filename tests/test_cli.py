@@ -27,7 +27,9 @@ from mlq.cli import (
     load_config,
     main,
 )
+from mlq.closedform import LOOP_SEGMENTS
 from mlq.frames import NODE_CHUNK, GridSpec, SurfaceMap, SurfaceSample
+from mlq.holonomy import MAX_TERMS
 from mlq.iwasawa import SPLIT_TOL
 from mlq.potentials import make_potential, sphere_spec
 
@@ -355,7 +357,7 @@ def test_generate_outputs(tmp_path):
     assert meta["n_nodes"] == 9 and meta["n_failed"] == 0
     assert meta["max_unitarity_error"] < 1e-8
     # the sphere's frames are read in closed form: nothing is integrated
-    assert meta["ode_steps"] == meta["ode_rhs_calls"] == meta["ode_det_drift"] == 0
+    assert meta["ode_steps"] == meta["ode_terms"] == meta["ode_det_drift"] == 0
     assert meta["config"]["potential"] == {"variant": "sphere"}
 
 
@@ -398,7 +400,9 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
     assert sorted(sweeps) == [8, 8, 32, 32, 32, 32]  # one sweep per chunk
     meta = json.loads((outs[0] / "meta.json").read_text())
     assert meta["n_nodes"] == 72 and meta["n_failed"] == 0
-    assert 0 < meta["ode_steps"] < meta["ode_rhs_calls"]
+    # radial is entire, so every node's segment is one Taylor piece, and each sweep one pass of terms
+    assert meta["ode_steps"] == 72
+    assert 0 < meta["ode_terms"] <= 3 * MAX_TERMS
     assert 0.0 < meta["ode_det_drift"] < 1e-10
     # 8 is both the start window and the cap: no node is read again
     assert meta["window_counts"] == {"8": 72}
@@ -444,9 +448,10 @@ def test_verify_writes_one_ode_record_for_any_jobs(tmp_path):
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
     # the chunk of 4 nodes runs three one-segment sweeps, one of its anchors
-    # and one per two stencils (24 of at most NODE_CHUNK rows): 2 evaluations
-    # each before the first step, then 12 a step
-    assert report["ode_rhs_calls"] == 3 * 2 + 12 * report["ode_steps"]
+    # and one per two stencils (24 of at most NODE_CHUNK rows); radial is
+    # entire, so each segment is one Taylor piece
+    assert report["ode_steps"] == 4 + 4 * 12
+    assert 0 < report["ode_terms"] <= 3 * MAX_TERMS
     assert 0.0 < report["ode_det_drift"] < 1e-10
 
 
@@ -632,6 +637,17 @@ def test_closing_equivariant(tmp_path):
     assert payload["deck_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("window", [1, 2])
+def test_closing_equivariant_fails_numerically_where_the_deck_frames_are_not_su2(tmp_path, capsys, window):
+    # at a window this small the deck check's frames fail the SU(2) gate: that
+    # is a numerical failure (exit 3, one line on stderr), as in generate and
+    # verify, not a traceback and exit 1
+    cfg = write_cfg(tmp_path, potential={"variant": "equivariant", "a": 0.75, "b": 0.25}, truncation_N=window)
+    assert main(["closing", "--config", cfg, "--out", str(tmp_path / "closing")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: F1 is not special unitary") and err.count("\n") == 1
+
+
 def test_closing_trinoid(tmp_path):
     cfg = write_cfg(
         tmp_path, "tri.json",
@@ -644,9 +660,9 @@ def test_closing_trinoid(tmp_path):
     assert payload["admissibility"]["admissible"] is True
     assert payload["monodromy"]["product_residual"] < 1e-6
     assert payload["monodromy"]["dressed_unitarity_max"] < 1e-6
-    # every DOP853 step makes 12 right-hand-side calls, and the one sweep 2 more
-    assert payload["ode_steps"] > 0
-    assert payload["ode_rhs_calls"] == 2 + 12 * payload["ode_steps"]
+    # the three loops' pieces ride in one pass, which sums at most MAX_TERMS terms
+    assert payload["ode_steps"] >= 3 * LOOP_SEGMENTS
+    assert 0 < payload["ode_terms"] <= MAX_TERMS
     assert 0.0 < payload["ode_det_drift"] < 1e-10
 
 
@@ -744,15 +760,15 @@ def test_family_keeps_going_past_a_failed_node(tmp_path):
 
 
 #: potential, grid and error of configs whose frames are not finite: the
-#: weight 1e308 (z + z^2) is inf at the base point 1, so the integrator's
-#: first right-hand side is NaN, and the torus frame exp(W A) overflows at re 800
+#: weight 1e308 (z + z^2) is inf at the base point 1, so the first Taylor
+#: term is not finite, and the torus frame exp(W A) overflows at re 800
 NOT_FINITE = {
     "overflowing_weight": (
         {"variant": "custom", "base_point": [1.0, 0.0], "terms": [
             {"lam_power": -1, "matrix": [[0, 1], [0, 0]]},
             {"lam_power": -1, "matrix": [[0, 0], [1, 0]], "num": [0, 1e308, 1e308]}]},
         {"re_min": 0.5, "re_max": 0.6, "n_re": 2, "im_min": 0.0, "im_max": 0.1, "n_im": 2},
-        "adaptive integrator failed near z = ",
+        "Taylor series of the frame is not finite on the piece from z = (1+0j)",
     ),
     "torus_far_out": (
         {"variant": "torus"},

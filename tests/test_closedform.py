@@ -14,7 +14,7 @@ from mlq.closedform import (
     trinoid_monodromies,
 )
 from mlq.holonomy import DomainPath, OdeOptions, circle_path, monodromy
-from mlq.potentials import make_potential, trinoid_spec
+from mlq.potentials import make_potential, trinoid_h, trinoid_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
 CIRCLE = [np.exp(1j * t) for t in (0.0, 0.4, 1.7, 2.8, -2.1, -0.9)]
@@ -237,3 +237,17 @@ def test_batched_trinoid_monodromies_match_single_lambda_runs(lam0, weights, ang
     assert batched.shape == (len(lams), 3, 2, 2)
     for lam, mats in zip(lams, batched):
         np.testing.assert_allclose(mats, trinoid_monodromies(pot, [lam], opts)[0], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lam0, weights", [(1j, (1.0, 1.0, 1.0)), (-1j, (0.9, 1.15, 1.05))])
+def test_trinoid_local_monodromies_have_the_closed_form_traces(lam0, weights):
+    # around a pole with weight v the local exponents of the trinoid's
+    # Fuchsian equation give tr H(lam) = -2 cos(pi sqrt(1 + v h(lam) / 4)),
+    # for each generator of trinoid_loops and at lam on and off the circle;
+    # this checks the integrator against closed form around the poles
+    pot = make_potential(trinoid_spec(lam0, *weights))
+    lams = [1.0, 1j, np.exp(0.7j), 0.5 * np.exp(0.3j), 2.0]
+    mono = monodromy(pot, list(trinoid_loops()), lams, OdeOptions(tolerance=1e-13))
+    for h, v in zip(mono, weights):
+        want = [-2.0 * np.cos(np.pi * np.sqrt(1.0 + v * trinoid_h(lam, lam0) / 4.0)) for lam in lams]
+        np.testing.assert_allclose(np.trace(h, axis1=-2, axis2=-1), want, rtol=0, atol=1e-10)

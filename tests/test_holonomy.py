@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import loop_at
+from oracles import eval_xi, loop_at
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
 from scipy.linalg import expm
 
+from mlq import holonomy
 from mlq.holonomy import (
+    MAX_TERMS,
     DomainPath,
     IntegrationError,
     OdeCounts,
@@ -17,14 +18,7 @@ from mlq.holonomy import (
     transport,
     unitarizing_gauge,
     validate_path,
-    _A,
-    _B,
-    _C,
-    _E,
-    _dop853,
-    _planes,
-    _right_mul,
-    _segment_rhs,
+    _series,
 )
 from mlq.loops import coefficients, window_samples
 from mlq.potentials import (
@@ -32,6 +26,7 @@ from mlq.potentials import (
     PoleError,
     Potential,
     custom_spec,
+    equivariant_spec,
     make_potential,
     radial_spec,
     sphere_spec,
@@ -54,17 +49,22 @@ def frame_samples(pot, path, window, opts=OdeOptions()):
     return transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, opts)
 
 
-def as_rhs(fun):
-    """The integrator's right-hand side for y' = fun(t, y): ``rhs(ts)`` gives
-    ``stage(s, y, out)``, which writes fun(ts[s], y) into out."""
-    return lambda ts: lambda s, y, out: np.copyto(out, fun(ts[s], y))
+def reference(pot, a, b, lams, xi_at=None):
+    """The frame from the identity along the segment [a, b] by scipy's DOP853
+    at rtol = atol = 1e-13 on xi_at(z), shape (M, 2, 2), by default xi read
+    term by term (``eval_xi``)."""
+    lams = np.asarray(lams, dtype=complex)
+    shape = (lams.size, 2, 2)
+    xi_at = xi_at or (lambda z: loop_at(eval_xi(pot, z), lams))
 
+    def rhs(t, yr):
+        y = yr.view(np.complex128).reshape(shape)
+        return (y @ xi_at(a + t * (b - a)) * (b - a)).ravel().view(np.float64)
 
-def rhs_at(rhs, t, y):
-    """A segment right-hand side at one time t and state y."""
-    out = np.empty_like(y)
-    rhs([t])(0, y, out)
-    return out
+    y0 = np.broadcast_to(np.eye(2, dtype=complex), shape).ravel().view(np.float64)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success
+    return sol.y[:, -1].copy().view(np.complex128).reshape(shape)
 
 
 def random_su2() -> np.ndarray:
@@ -210,9 +210,9 @@ def test_transport_runs_every_spectral_value_at_once():
 
 
 def test_batched_transport_keeps_each_rows_accuracy():
-    # one hard row near the trinoid's pole among 31 easy ones: the error norm
-    # is taken per row, so the batch steps no coarser than the hard row alone
-    # (an RMS over all rows would let the easy rows loosen its steps)
+    # one hard row near the trinoid's pole among 31 easy ones: the stop rule
+    # is taken per row and lam, so the batch sums no fewer terms than the hard
+    # row alone (a rule on the sum over all rows would let the easy rows stop it)
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     lams = window_samples(4)
     hard = DomainPath.line(0.5, 0.05 + 0.02j)
@@ -261,75 +261,6 @@ def test_pointwise_frame_matches_the_loop_frame(seg, theta):
     np.testing.assert_allclose(loop_at(loop, [lam])[0], pointwise, atol=1e-9)
 
 
-def test_dop853_tableau_is_scipys():
-    # 114 typed literals: each must be the double scipy parses, not a near miss
-    d = dop853_coefficients
-    n = d.N_STAGES
-    assert len(_C) == len(_A) == _B.size == _E.shape[1] == n
-    assert np.array_equal(_C, d.C[:n])
-    for s in range(1, n):
-        assert np.array_equal(_A[s], d.A[s, :s]), s
-        assert sum(_A[s]) == pytest.approx(_C[s], rel=0, abs=1e-14), s
-    assert np.array_equal(_B, d.B)
-    assert _B.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
-    # scipy's estimators also weigh the next step's first stage, by zero
-    assert d.E5[n] == d.E3[n] == 0.0
-    assert np.array_equal(_E, np.stack([d.E5[:n], d.E3[:n]]))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seg=st.one_of(_radial_segment(), _trinoid_segment()),
-    theta=_spectral_angle,
-    m=st.sampled_from([1, 10, 64]),
-    tol=st.sampled_from([1e-10, 1e-12]),
-)
-def test_dop853_matches_scipy_dop853(seg, theta, m, tol):
-    pot, z = seg
-    assume(abs(z - pot.base_point) > 1e-6)
-    a, dz = pot.base_point, z - pot.base_point
-    rhs = _segment_rhs(xi_sampler(pot, np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m))), a, dz)
-    # one row of component planes: the per-row norm is scipy's whole-state norm
-    y0 = _planes(np.broadcast_to(np.eye(2, dtype=np.complex128), (1, m, 2, 2)))
-    got = _dop853(rhs, y0, tol, lambda t: a + t * dz)
-    sol = solve_ivp(
-        lambda t, yr: rhs_at(rhs, t, yr.view(np.complex128).reshape(y0.shape)).ravel().view(np.float64),
-        (0.0, 1.0),
-        y0.ravel().view(np.float64),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    assert sol.success
-    expected = sol.y[:, -1].copy().view(np.complex128).reshape(y0.shape)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seg=st.one_of(_radial_segment(), _trinoid_segment()), t=st.floats(0.0, 1.0))
-def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg, t):
-    # every batch size evaluates the weights on one array path, so a node's
-    # frame does not depend on whether its transport ran alone
-    pot, z = seg
-    a, dz = pot.base_point, z - pot.base_point
-    xi = xi_sampler(pot, window_samples(4))
-    rng = np.random.default_rng(7)
-    y = rng.normal(size=(2, 2, 2, 16)) + 1j * rng.normal(size=(2, 2, 2, 16))
-    alone = rhs_at(_segment_rhs(xi, [a], [dz]), t, y[:, :, :1])
-    batch = rhs_at(_segment_rhs(xi, [a, a], [dz, 0.5 * dz]), t, y)
-    assert np.array_equal(alone[:, :, 0], batch[:, :, 0])
-
-
-def dense_rhs(xi, a, dz, t, y):
-    """Y xi(z) dz at one t with xi folded densely, all four entries of every
-    array, and Y xi as the full 2x2 product: the plain reading of the right-hand side."""
-    z = (a + t * dz)[:, None]
-    x = _planes(xi.const)[:, :, None] * dz[:, None]
-    for w, vals in xi.weighted:
-        x = x + w(z) * (_planes(vals)[:, :, None] * dz[:, None])
-    return _right_mul(y, x)
-
-
 _coef = st.complex_numbers(max_magnitude=2.0)
 #: the entries a lam-term of a drawn potential may fill: E12 alone leaves column 0 zero
 _SHAPES = {"upper": ((0, 1),), "off-diagonal": ((0, 1), (1, 0)), "full": ((0, 0), (0, 1), (1, 0))}
@@ -339,8 +270,8 @@ _SHAPES = {"upper": ((0, 1),), "off-diagonal": ((0, 1), (1, 0)), "full": ((0, 0)
 def _custom_potential(draw):
     """A custom potential of 1-3 lam-terms, each with a rational weight whose
     poles lie outside |z| = 2.5, filling the entries of one shape (the (1, 1)
-    entry of a full term is minus its (0, 0)), and with or without an
-    unweighted lam^0 diagonal term."""
+    entry of a full term is minus its (0, 0)), and with or without a lam^0
+    diagonal term of weight 1."""
     shape = draw(st.sampled_from(sorted(_SHAPES)))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -349,72 +280,103 @@ def _custom_potential(draw):
             mat[ij] = draw(_coef)
         mat[1, 1] = -mat[0, 0]
         num = draw(st.lists(_coef, min_size=1, max_size=3))
-        den = [1.0, draw(st.complex_numbers(max_magnitude=0.4))]
+        # a coefficient below 0.1 in size would put the pole past |z| = 10, or overflow it
+        den = [1.0, draw(st.just(0j) | st.complex_numbers(min_magnitude=0.1, max_magnitude=0.4))]
         terms.append(CustomTerm(draw(st.integers(-1, 1)), mat.tolist(), tuple(num), tuple(den)))
     pot = make_potential(custom_spec(terms, poles=[], base_point=0.0))
     if draw(st.booleans()):
         d = draw(_coef)
-        extra = ((None, None, {0: np.diag([d, -d])}),)
+        extra = (((1.0 + 0j,), (1.0 + 0j,), None, {0: np.diag([d, -d])}),)
         pot = Potential(pot.spec, pot.singular_points, pot.base_point, pot.terms + extra)
     return pot
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _custom_segment(draw):
+    return draw(_custom_potential()), 0.8 * draw(_offset)
+
+
+@settings(max_examples=15, deadline=None)
 @given(
-    pot=_custom_potential(),
-    rows=st.lists(st.tuples(st.complex_numbers(max_magnitude=0.5), st.complex_numbers(max_magnitude=0.5)),
-                  min_size=1, max_size=3),
-    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
-    thetas=st.lists(_spectral_angle, min_size=2, max_size=5),
-    seed=st.integers(0, 2**32 - 1),
+    seg=st.one_of(_radial_segment(), _trinoid_segment(), _custom_segment()),
+    theta=_spectral_angle,
+    m=st.sampled_from([1, 3]),
+    tol=st.sampled_from([1e-10, 1e-12]),
 )
-def test_the_stage_product_is_the_dense_product_bit_for_bit(pot, rows, ts, thetas, seed):
-    # xi is folded only at its nonzero entries, and each stage multiplies only
-    # those; every value is the dense fold's and the full 2x2 product's.  At
-    # least two lam per row: a plane of one value (one row at one lam) sends
-    # numpy's complex multiply down another inner loop, which can round the
-    # fold's w(z) v differently in the last bit
-    xi = xi_sampler(pot, np.exp(1j * np.array(thetas)))
-    a, dz = (np.array(c, dtype=complex) for c in zip(*rows))
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(2, 2, len(rows), len(thetas))) + 1j * rng.normal(size=(2, 2, len(rows), len(thetas)))
-    together = _segment_rhs(xi, a, dz)(ts)
-    alone = _segment_rhs(xi, a[:1], dz[:1])(ts)
-    for s, t in enumerate(ts):
-        dense = dense_rhs(xi, a, dz, t, y)
-        got, one, first = np.full_like(y, np.nan), np.full_like(y, np.nan), np.full_like(y[:, :, :1], np.nan)
-        together(s, y, got)
-        _segment_rhs(xi, a, dz)([t])(0, y, one)
-        alone(s, y[:, :, :1], first)
-        assert np.array_equal(got, dense)
-        assert np.array_equal(one, dense)
-        assert np.array_equal(first, dense[:, :, :1])
+def test_transport_matches_scipy_dop853(seg, theta, m, tol):
+    # an independent reference: scipy's DOP853 at 1e-13 on xi read term by term
+    pot, z = seg
+    assume(abs(z - pot.base_point) > 1e-6)
+    lams = np.exp(1j * (theta + 2.0 * np.pi * np.arange(m) / m))
+    got = transport(pot, DomainPath.line(pot.base_point, z), np.broadcast_to(np.eye(2), (m, 2, 2)), lams,
+                    OdeOptions(tol))
+    expected = reference(pot, pot.base_point, z, lams)
+    assert np.abs(got - expected).max() <= 10 * tol * max(1.0, np.abs(expected).max())
 
 
-def test_a_step_calls_each_weight_once():
-    # the weights see all of a step's 12 stage times in one call: one call per
-    # attempted step, plus the first evaluation and the initial-step probe,
-    # while each of the 12 stage products is still one right-hand-side call
-    base = make_potential(custom_spec(
-        [CustomTerm(-1, [[0, 1], [0, 0]]), CustomTerm(-1, [[0, 0], [1, 0]], num=(0.5, 0.0, 1.0), den=(1.0, 0.2))],
-        poles=[-5.0], base_point=0.0,
-    ))
-    (w, _, lam_terms), *rest = base.terms[::-1]
-    shapes = []
-
-    def counted(z):
-        shapes.append(z.shape)
-        return w(z)
-
-    pot = Potential(base.spec, base.singular_points, base.base_point, ((counted, None, lam_terms), *rest))
+@pytest.mark.parametrize("z", [0.8, 0.8j, 0.8 * np.exp(0.4j)])
+def test_a_lacunary_series_runs_past_its_zero_terms(z):
+    # radial (1.6, 3) from 0: xi's coefficients in t are C_0 (E12) and C_3
+    # (E21) alone, so runs of the series' terms vanish; a rule that stopped on
+    # two small terms in a row stopped here with an error of 1.9e-3
+    pot = make_potential(radial_spec(1.6, 3))
+    lams = np.exp(2j * np.pi * np.arange(4) / 4)
     counts = OdeCounts()
-    paths = [DomainPath.line(0.0, 1.5 + 0.8j), DomainPath.line(0.0, -1.2j)]
-    transport(pot, paths, np.broadcast_to(np.eye(2), (2, 8, 2, 2)), window_samples(2), OdeOptions(1e-12), counts)
-    assert counts.steps > 1
-    assert len(shapes) == 2 + counts.steps
-    assert shapes == [(1, 2, 1)] * 2 + [(12, 2, 1)] * counts.steps
-    assert counts.rhs_calls == 2 + 12 * counts.steps
+    got = transport(pot, DomainPath.line(0.0, z), np.broadcast_to(np.eye(2), (4, 2, 2)), lams, OdeOptions(1e-13),
+                    counts)
+    assert counts.terms > 8
+    np.testing.assert_allclose(got, reference(pot, 0.0, z, lams), rtol=0, atol=1e-12)
 
+
+def test_a_frame_near_a_double_pole_keeps_its_digits():
+    # the trinoid's D = 16 z^2 (z - 1)^2 in monomials cancels near z = 1, so
+    # each piece's polynomials are expanded about the pole (``_series``):
+    # expanded about 0, the frame at 1 + 1.5e-3 i erred by 1.8e-11 of its size
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    lams = np.exp(2j * np.pi * np.arange(4) / 4)
+
+    def xi_at(z):
+        # q in factored form, lam h(lam) = (lam - i)(lam + i)
+        x = np.zeros((lams.size, 2, 2), dtype=complex)
+        x[:, 0, 1] = 1.0 / lams
+        x[:, 1, 0] = (lams - 1j) * (lams + 1j) * (z * z - z + 1.0) / (16.0 * z * z * (z - 1.0) ** 2)
+        return x
+
+    for z in (1.0 + 1.5e-3j, 1.0 - 2e-3):
+        got = transport(pot, DomainPath.line(0.5, z), np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams,
+                        OdeOptions(1e-13))
+        expected = reference(pot, 0.5, z, lams, xi_at)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seg=st.one_of(_radial_segment(), _trinoid_segment(), _custom_segment()))
+def test_a_row_gets_the_same_rhs_alone_and_in_a_batch(seg):
+    # a row's ODE coefficients in t are its own, elementwise: a node's series
+    # does not depend on the batch it rode in (up to the last bit, which
+    # numpy's complex loops may round differently for one value and for many)
+    pot, z = seg
+    a, s = pot.base_point, z - pot.base_point
+    xi = xi_sampler(pot, window_samples(4))
+    starts = np.array([a, 0.5 * (a + z)])
+    d1, c1 = _series(xi, starts[:1], np.array([s]), pot.singular_points)
+    d2, c2 = _series(xi, starts, np.array([s, 0.5 * s]), pot.singular_points)
+    np.testing.assert_allclose(d2[:, 0], d1[:, 0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(c2[..., 0, :], c1[..., 0, :], rtol=1e-15, atol=0)
+
+
+def test_transport_winds_around_the_equivariant_pole():
+    # from the base point 1 once around 0 and on to z: the exact route's
+    # winding-1 frame exp((log z + 2 pi i) A(lam)), at the window samples
+    pot = make_potential(equivariant_spec(0.75, 0.25, 0.1))
+    lams = window_samples(4)
+    a = xi_sampler(pot, lams).exact[1]
+    for z in (0.6 + 0.3j, -0.9 - 0.2j, 1.3j):
+        phi = np.linspace(0.0, 2.0 * np.pi + np.angle(z), 24)
+        path = DomainPath(np.linspace(1.0, abs(z), 24) * np.exp(1j * phi))
+        got = transport(pot, path, np.broadcast_to(np.eye(2), (lams.size, 2, 2)), lams, OdeOptions(1e-12))
+        expected = np.stack([expm((np.log(z) + 2j * np.pi) * m) for m in a])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
 @st.composite
@@ -437,7 +399,7 @@ def _polygon(draw):
 @settings(max_examples=30, deadline=None)
 @given(case=_polygon(), theta=_spectral_angle)
 def test_a_polygon_is_the_chain_of_its_segments(case, theta):
-    # the segments ride as rows of one sweep and their propagators are
+    # the segments' pieces ride as rows of one pass and their propagators are
     # multiplied together; chaining one-segment transports gives the same frame
     pot, path, y0 = case
     lams = np.exp(1j * (theta + 2.0 * np.pi * np.arange(8) / 8))
@@ -452,43 +414,51 @@ def test_a_polygon_is_the_chain_of_its_segments(case, theta):
 
 @pytest.mark.parametrize("n_paths", [1, 3])
 @pytest.mark.parametrize("n_segments", [1, 2, 7, 12])
-def test_any_segment_count_makes_one_sweep(n_paths, n_segments):
+def test_any_segment_count_makes_one_sweep(monkeypatch, n_paths, n_segments):
+    passes = []
+    propagators = holonomy._propagators
+    monkeypatch.setattr(holonomy, "_propagators", lambda *args: passes.append(args[0].shape[1]) or propagators(*args))
     pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     arc = 0.2 * np.exp(2j * np.pi * np.arange(n_segments + 1) / 13)
     paths = [DomainPath(0.5 + 0.1j * k + arc) for k in range(n_paths)]
     counts = OdeCounts()
     transport(pot, paths, np.broadcast_to(np.eye(2), (n_paths, 4, 2, 2)), window_samples(1), counts=counts)
     assert all(len(p.segments()) == n_segments for p in paths)
-    # the first evaluation and the initial-step probe, then 12 per step: one sweep
-    assert counts.steps > 0
-    assert counts.rhs_calls == 2 + 12 * counts.steps
+    # every piece of every segment is a row of one pass
+    assert passes == [counts.steps] and counts.steps >= n_paths * n_segments
+    assert 0 < counts.terms <= MAX_TERMS
 
 
-def test_dop853_reports_a_blow_up():
-    # y' = y^2 from y(0) = 2 blows up at t = 1/2
-    with pytest.raises(IntegrationError, match="z = 0.5"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _dop853(as_rhs(lambda t, y: y * y), np.full((1, 2, 2), 2.0 + 0j), 1e-10, lambda t: round(t, 3))
-
-
-def test_dop853_stops_where_the_right_hand_side_is_not_finite():
-    # a NaN step size survives min() and max() and fails every comparison, so
-    # the underflow test never fired and the sweep never returned
-    where = []
-
-    def z_at(t):
-        where.append(t)
-        return t
-
-    y0 = np.full((1, 2, 2), 1.0 + 0j)
+def test_a_non_finite_term_is_located():
+    # the weight 1e300 z^3 is harmless on a piece of length 1e-100 from 0 and
+    # overflows the series at once from 0.25: the error names that piece's start
+    pot = make_potential(custom_spec(
+        [CustomTerm(-1, [[0, 1], [0, 0]]), CustomTerm(1, [[0, 0], [1, 0]], num=(0, 0, 0, 1e300))],
+        poles=[], base_point=0.0,
+    ))
+    paths = [DomainPath.line(0.0, 1e-100), DomainPath.line(0.25, 0.5)]
+    eye = np.broadcast_to(np.eye(2), (2, 3, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        # not finite from the first evaluation: the initial step is NaN
-        with pytest.raises(IntegrationError, match="z = 0.0: .*not finite"):
-            _dop853(as_rhs(lambda t, y: y * np.nan), y0, 1e-10, z_at)
-        # not finite from t = 0.3 on: the step that reaches past it fails at the last accepted t
-        with pytest.raises(IntegrationError, match="not finite"):
-            _dop853(as_rhs(lambda t, y: y if t < 0.3 else y * np.nan), y0, 1e-10, z_at)
-    assert 0.0 < where[-1] < 0.3
+        with pytest.raises(IntegrationError, match=r"not finite on the piece from z = \(0\.25\+0j\)$"):
+            transport(pot, paths, eye, window_samples(1)[:3])
+    transport(pot, paths[0], eye[0], window_samples(1)[:3])
+
+
+def test_a_series_that_does_not_converge_stops_at_the_term_cap(monkeypatch):
+    # the pole of 1/(z - 0.3) left out of the singular set: the piece from
+    # 0.2i to 0.5 is longer than its series' radius, so the series diverges;
+    # the cap is read when the pass runs, so it is lowered to 40 terms here
+    spec = custom_spec(
+        [CustomTerm(-1, [[0, 1], [0, 0]]), CustomTerm(1, [[0, 0], [1, 0]], den=[-0.3, 1.0])],
+        poles=[], base_point=0.0,
+    )
+    pot = Potential(spec, (), 0.0, make_potential(spec).terms)
+    monkeypatch.setattr(holonomy, "MAX_TERMS", 40)
+    paths = [DomainPath.line(0.0, 0.1j), DomainPath.line(0.2j, 0.5)]
+    counts = OdeCounts()
+    with pytest.raises(IntegrationError, match=r"does not converge in 40 terms on the piece from z = 0\.2j$"):
+        transport(pot, paths, np.broadcast_to(np.eye(2), (2, 4, 2, 2)), window_samples(1), counts=counts)
+    assert counts.steps == 0
 
 
 def test_integrate_frame_rejects_pole_paths():

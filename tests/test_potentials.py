@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import eval_xi, loop_at
 
 from mlq.cli import load_config
-from mlq.holonomy import DomainPath, _planes, _segment_rhs, _unplanes, transport
+from mlq.holonomy import DomainPath, _series, _unplanes, transport
 from mlq.potentials import (
     CustomTerm,
     PoleError,
@@ -19,7 +19,6 @@ from mlq.potentials import (
     sphere_spec,
     torus_spec,
     trinoid_h,
-    trinoid_q,
     trinoid_spec,
     xi_sampler,
 )
@@ -129,13 +128,12 @@ def test_custom_terms_must_lie_in_sl2():
         ))
 
 
-def xi_rows(xi, zs) -> np.ndarray:
+def xi_rows(pot, lams, zs) -> np.ndarray:
     """xi(z, lam) at each z, shape (len(zs), M, 2, 2), through the integrator's
-    own right-hand side: Y xi(z) dz at Y = I, t = 0 on segments from z with dz = 1."""
-    eye = _planes(np.broadcast_to(np.eye(2, dtype=complex), (len(zs), len(xi.const), 2, 2)))
-    out = np.empty_like(eye)
-    _segment_rhs(xi, zs, np.ones(len(zs)))([0.0])(0, eye, out)
-    return _unplanes(out)
+    own series: the t^0 coefficient s (D xi)(a) / D(a) on pieces from a = z
+    with s = 1, expanded about the centre ``transport`` takes for z."""
+    zs = np.asarray(zs, dtype=complex)
+    return _unplanes(_series(xi_sampler(pot, lams), zs, np.ones(zs.size), pot.singular_points)[1][0])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [RATIONAL_CUSTOM], ids=lambda s: s.variant)
@@ -148,13 +146,11 @@ def test_xi_sampler_matches_eval_xi(spec, zs, thetas):
     pot = make_potential(spec)
     assume(all(abs(z - p) > 0.05 for z in zs for p in pot.singular_points))
     lams = np.exp(1j * np.array(thetas))
-    xi = xi_sampler(pot, lams)
-    singles = [xi_rows(xi, [z])[0] for z in zs]
+    singles = [xi_rows(pot, lams, [z])[0] for z in zs]
     for z, got in zip(zs, singles):
         np.testing.assert_allclose(got, loop_at(eval_xi(pot, z), lams), rtol=0, atol=1e-13)
-    # a batch of z is the stack of single-z rows, row by row (the one-row
-    # right-hand side weighs a Python complex, which numpy rounds differently)
-    np.testing.assert_allclose(xi_rows(xi, zs), np.stack(singles), rtol=1e-14, atol=1e-14)
+    # a batch of z is the stack of single-z rows, row by row
+    np.testing.assert_allclose(xi_rows(pot, lams, zs), np.stack(singles), rtol=1e-14, atol=1e-14)
 
 
 def test_custom_base_point_must_avoid_poles():
@@ -188,7 +184,7 @@ def test_xi_equivariant_is_dz_over_z():
 def twist_violation(spec, z: complex) -> float:
     """max over circle values of ||sigma_3 xi(z, -lam) sigma_3 - xi(z, lam)||."""
     lams = np.exp(1j * np.linspace(0.0, np.pi, 7))
-    xi = xi_rows(xi_sampler(make_potential(spec), np.concatenate((lams, -lams))), [z])[0]
+    xi = xi_rows(make_potential(spec), np.concatenate((lams, -lams)), [z])[0]
     s3 = np.diag([1.0, -1.0])
     return float(np.abs(s3 @ xi[lams.size :] @ s3 - xi[: lams.size]).max())
 
@@ -211,21 +207,30 @@ def test_xi_raises_at_singular_points():
 
 
 def test_custom_weights_name_the_pole_in_an_array():
-    # a rational weight checks every z of an array and names the one at its pole
-    xi = xi_sampler(make_potential(ALL_SPECS[-1]), [1.0])
-    with pytest.raises(PoleError, match=r"z = \(-1\+0j\)"):
-        xi_rows(xi, [0.5, -1.0, 0.25j])
-    with pytest.raises(PoleError, match=r"z = \(-1\+0j\)"):
-        xi_rows(xi, [-1.0 + 0j])
+    # a rational weight's pole is in the singular set, so a batch of routes
+    # names it where one of them runs into it, and so does a route alone
+    pot = make_potential(custom_spec(ALL_SPECS[-1].params["terms"], poles=[], base_point=0.0))
+    assert pot.singular_points == (-1.0,)
+    paths = [DomainPath.line(0.0, z) for z in (0.5, -1.0, 0.25j)]
+    with pytest.raises(PoleError, match=r"singular point \(-1\+0j\)"):
+        transport(pot, paths, np.broadcast_to(np.eye(2), (3, 1, 2, 2)), [1.0])
+    with pytest.raises(PoleError, match=r"singular point \(-1\+0j\)"):
+        transport(pot, paths[1], np.eye(2)[None], [1.0])
+
+
+def trinoid_q(z, v0: float, v1: float, vinf: float) -> complex:
+    """q(z) = (vinf z^2 + (v1 - v0 - vinf) z + v0) / (16 z^2 (z - 1)^2)."""
+    return (vinf * z**2 + (v1 - v0 - vinf) * z + v0) / (16.0 * z**2 * (z - 1.0) ** 2)
 
 
 def test_trinoid_q_matches_rational_form():
+    # the trinoid's lower-left weight is q as coefficient tuples, ascending
     v0, v1, vinf = 1.0, 2.0, 3.0
+    num, den, _, _ = make_potential(trinoid_spec(1j, v0, v1, vinf)).terms[1]
     for z in (0.5, 0.3 + 0.8j, -1.2):
         z = complex(z)
-        num = vinf * z**2 + (v1 - v0 - vinf) * z + v0
-        den = 16.0 * z**2 * (z - 1.0) ** 2
-        assert trinoid_q(z, v0, v1, vinf) == pytest.approx(num / den, rel=1e-14)
+        q = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
+        assert q == pytest.approx(trinoid_q(z, v0, v1, vinf), rel=1e-14)
 
 
 def test_trinoid_h_at_unit_arguments():
