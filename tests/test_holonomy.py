@@ -461,6 +461,59 @@ def test_a_series_that_does_not_converge_stops_at_the_term_cap(monkeypatch):
     assert counts.steps == 0
 
 
+def _undeclared_pole(p: complex) -> Potential:
+    """xi = (lam^-1 E12 + lam E21) / (z - p) with its pole at p left out of
+    the singular set, so no path is refused and no piece is cut short."""
+    spec = custom_spec(
+        [CustomTerm(-1, [[0, 1], [0, 0]], den=[-p, 1.0]), CustomTerm(1, [[0, 0], [1, 0]], den=[-p, 1.0])],
+        poles=[], base_point=0.0,
+    )
+    return Potential(spec, (), 0.0, make_potential(spec).terms)
+
+
+def test_dop853_reports_a_blow_up():
+    # A = lam^-1 E12 + lam E21 has A^2 = I, so the frame from 0 is
+    # cosh(L) I + sinh(L) A with L = log(1 - z / 0.5): it blows up at z = 0.5;
+    # short of it the pass follows it, and a pass that runs into it ends
+    # with an error naming the piece instead of returning a frame
+    pot = _undeclared_pole(0.5)
+    lams = window_samples(1)
+    eye = np.broadcast_to(np.eye(2), (lams.size, 2, 2))
+    a = np.zeros((lams.size, 2, 2), dtype=complex)
+    a[:, 0, 1], a[:, 1, 0] = 1.0 / lams, lams
+    for z in (0.3, 0.4):
+        log = np.log(1.0 - z / 0.5)
+        got = transport(pot, DomainPath.line(0.0, z), eye, lams, OdeOptions(1e-12))
+        expected = np.cosh(log) * eye + np.sinh(log) * a
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+    assert np.abs(got).max() > 2.5
+    counts = OdeCounts()
+    with pytest.raises(IntegrationError, match=rf"does not converge in {MAX_TERMS} terms on the piece from z = 0j$"):
+        transport(pot, DomainPath.line(0.0, 0.5), eye, lams, counts=counts)
+    assert counts.steps == 0
+
+
+def test_dop853_stops_where_the_right_hand_side_is_not_finite():
+    lams = window_samples(1)
+    eye = np.broadcast_to(np.eye(2), (lams.size, 2, 2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # not finite everywhere: a NaN weight fails the first term of the first piece
+        nan = make_potential(custom_spec(
+            [CustomTerm(-1, [[0, 1], [0, 0]]), CustomTerm(1, [[0, 0], [1, 0]], num=(np.nan,))],
+            poles=[], base_point=0.0,
+        ))
+        with pytest.raises(IntegrationError, match=r"not finite on the piece from z = 0j$"):
+            transport(nan, DomainPath.line(0.0, 0.5), eye, lams)
+        # not finite at 0.5 alone: the second segment starts on the undeclared
+        # pole, and its piece is named though the other rows are finite
+        pot = _undeclared_pole(0.5)
+        counts = OdeCounts()
+        with pytest.raises(IntegrationError, match=r"not finite on the piece from z = \(0\.5\+0j\)$"):
+            transport(pot, [DomainPath.line(0.0, 0.3), DomainPath.line(0.5, 0.7j)],
+                      np.broadcast_to(np.eye(2), (2, lams.size, 2, 2)), lams, counts=counts)
+    assert counts.steps == 0
+
+
 def test_integrate_frame_rejects_pole_paths():
     tri = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
     with pytest.raises(PoleError):
