@@ -11,9 +11,10 @@ node and stencil point.  Every other family is integrated ``NODE_CHUNK``
 nodes at a time, each chunk in one pass of Taylor sums of the batched
 ``transport`` along straight segments from the base point, and its
 finite-difference stencils ride in a pass per ``NODE_CHUNK`` points, from
-each node to its points (``frame_tables``).  The spectral pair (lam0, -i lam0)
-is samples j = 0 and j = 3N, so a point of the surface is read off F there,
-with nothing evaluated or projected, by forming
+each node to its points (``frame_tables``); a failing row fails only its
+own node, in the pass it ran in.  The spectral pair (lam0, -i lam0) is
+samples j = 0 and j = 3N, so a point of the surface is read off F there, with
+nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, transport, validate_path
+from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, _raise_first, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
 from .potentials import FrozenRecord, PoleError, Potential, xi_sampler
@@ -52,9 +53,6 @@ EDGE_TOL = 1e-13
 #: rows per transport pass and batched split (nodes, anchors, or the points of
 #: whole stencils); fixed, so a node's chunk never depends on the scheduling
 NODE_CHUNK = 32
-
-#: errors that make one surface node invalid rather than stopping the grid
-_NODE_ERRORS = (PoleError, ValueError, RuntimeError)
 
 
 def quat_components(m: np.ndarray) -> np.ndarray:
@@ -92,12 +90,6 @@ def _check_su2(m: np.ndarray, name: str) -> list:
     return [ValueError(f"{name} is not special unitary within tol {FRAME_TOL:.1e} "
                        f"(unitarity {u:.2e}, det deviation {d:.2e})") if u > FRAME_TOL or d > FRAME_TOL else None
             for u, d in zip(err_u, err_d)]
-
-
-def _raise_first(rows: list) -> None:
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
 
 
 def _left_mult(p) -> np.ndarray:
@@ -312,7 +304,8 @@ class SurfaceMap:
     nodes together at the cap; each pass is split by one batched
     ``iwasawa`` call, the chunk's points are read off one stack of frame
     pairs, and ``sample(z)`` and every anchor are a chunk of one.  A node
-    whose route, pass or split fails is invalid and carries its own error.
+    whose route, row or split fails is invalid and carries its own error: a
+    failing row fails only its own node, in the pass it ran in.
     ``ode_counts`` totals the Taylor pieces and terms of every transport the
     map ran, with their largest det drift.
     ``frame_tables`` evaluates stencils at their centres' windows by the same
@@ -345,60 +338,31 @@ class SurfaceMap:
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _frames(self, zs: list[complex], winding: int, n: int, starts=None, runs=None) -> list:
+    def _frames(self, zs: list[complex], winding: int, n: int, starts=None) -> list:
         """Frame values at window n for each z, or the error that stops that
         node, each carried from its own start (z0, values at z0), by default
         the identity at the base point: exp(W A) for a one-term potential,
-        with W continued from z0 along the straight segment to z, else
-        ``_transport_chunk``, whose rows come in ``runs``."""
+        with W continued from z0 along the straight segment to z, else one
+        ``transport`` of the rows whose z differs from their z0 along those
+        segments, in which a failing row fails only its own node; a z equal
+        to its z0 keeps z0's values."""
         if winding != 0 and self.pot.variant != "equivariant":
             raise ValueError("winding paths are only defined for the equivariant family")
         base = self.pot.base_point
         if starts is None:
             starts = [(base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))] * len(zs)
         if self._xi[n].exact is None:
-            return self._transport_chunk(zs, n, starts, runs)
+            moved = [i for i, (z, (z0, _)) in enumerate(zip(zs, starts)) if z != z0]
+            routes = [DomainPath.line(starts[i][0], zs[i]) for i in moved]
+            ends = iter(transport(self.pot, routes, np.stack([starts[i][1] for i in moved]), self._lams[n], self.ode,
+                                  self.ode_counts) if moved else [])
+            return [next(ends) if z != z0 else y0 for z, (z0, y0) in zip(zs, starts)]
         antiderivative, a = self._xi[n].exact
         z0 = np.array([start[0] for start in starts], dtype=np.complex128)
         near = [any(abs(z - p) < EPS_POLE for p in self.pot.singular_points) for z in zs]
         w = antiderivative(base, z0, winding) + antiderivative(z0, np.where(near, z0, zs), 0)
         return [PoleError("no log-z route reaches the singular point z = 0") if bad else v
                 for bad, v in zip(near, _expm(np.multiply.outer(w, a)))]
-
-    def _transport_chunk(self, zs: list[complex], n: int, starts: list, runs=None) -> list:
-        """Frame values at window n for each z, or the error that stops that
-        node, from one transport pass along straight segments, each from its
-        own start (z0, values at z0); a z equal to its z0 keeps z0's values.
-
-        Each route is validated before the pass, so a route into a pole
-        fails its own node; if the pass fails, each run of ``runs`` rows (by
-        default one) is rerun alone, and a run that fails row by row, to
-        locate the error.
-        """
-        out: list = [y0 for _, y0 in starts]
-        routes: dict[int, DomainPath] = {}
-        for i, (z, (z0, _)) in enumerate(zip(zs, starts)):
-            if z != z0:
-                route = DomainPath.line(z0, z)
-                try:
-                    validate_path(route, self.pot)
-                    routes[i] = route
-                except PoleError as exc:
-                    out[i] = exc
-        if not routes:
-            return out
-        try:
-            states = transport(self.pot, list(routes.values()), np.stack([starts[i][1] for i in routes]),
-                               self._lams[n], self.ode, self.ode_counts)
-        except _NODE_ERRORS as exc:
-            if len(routes) > 1:
-                cuts = np.cumsum([0, *(runs if runs and len(runs) > 1 else [1] * len(zs))])
-                return [state for a, b in zip(cuts, cuts[1:])
-                        for state in self._transport_chunk(zs[a:b], n, starts[a:b])]
-            states = [exc]
-        for i, state in zip(routes, states):
-            out[i] = state
-        return out
 
     def _anchors(self, zs: list[complex], winding: int) -> tuple[list, list]:
         """Frame values and their split, or the error that stops the node, at
@@ -434,8 +398,8 @@ class SurfaceMap:
         anchors of one ``_anchors`` pass per ``NODE_CHUNK``, which chooses each
         window once.  Their points are carried from the centres' values by
         ``_frames``, whole stencils at one window and NODE_CHUNK // (points a
-        stencil) stencils a block, one pass and one split a block; if the
-        pass fails, each stencil reruns alone.  A point equal to its centre
+        stencil) stencils a block, one pass and one split a block, in which
+        a failing row fails only its own stencil.  A point equal to its centre
         is read off the centre's split: for one centre, ``frame_pair(z)`` bit
         for bit.
         """
@@ -461,8 +425,7 @@ class SurfaceMap:
         per = max(1, NODE_CHUNK // max(map(len, pts), default=1))
         for n, block in [(n, ids[k : k + per]) for n, ids in windows.items() for k in range(0, len(ids), per)]:
             carried = [(p, (zs[i], anchors[i][0])) for i in block for p in pts[i] if p != zs[i]]
-            off = iter(_split_rows(self._frames([p for p, _ in carried], 0, n, [start for _, start in carried],
-                                                [sum(p != zs[i] for p in pts[i]) for i in block])))
+            off = iter(_split_rows(self._frames([p for p, _ in carried], 0, n, [start for _, start in carried])))
             for i in block:
                 anchor = anchors[i][1]
                 splits = [anchor if p == zs[i] else next(off) for p in pts[i]]

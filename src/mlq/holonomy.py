@@ -14,14 +14,16 @@ potential's common denominator, D(a + s t) Y' = Y s (D xi)(a + s t) gives
 the propagator's Taylor coefficients by a recurrence of fixed length (see
 ``_propagators``).  Every piece of every path is a row of one batched
 pass, and each path's piece propagators are composed at the end:
-Phi(z_end) = Phi(z_0) U_1 ... U_P.  ``monodromy`` runs it once around a
-closed path, or a batch of them, at every lam_m; ``SurfaceMap`` runs it at
-the M = 4N roots of unity rotated by lam0, where the Iwasawa split takes
-the values as they are, one batch per chunk of grid nodes, each on one
-straight segment from the base point, and one batch per block of whole
-finite-difference stencils, from each centre's values to each of its
-points.  It never runs the one-term families (sphere, torus, equivariant):
-their frame is exp(W A).
+Phi(z_end) = Phi(z_0) U_1 ... U_P.  A failing row fails only its own
+path, in the pass it ran in: a batch comes back as a list of each path's
+end values or its error, as ``iwasawa``'s rows do.  ``monodromy`` runs it
+once around a closed path, or a batch of them, at every lam_m;
+``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
+the Iwasawa split takes the values as they are, one batch per chunk of
+grid nodes, each on one straight segment from the base point, and one
+batch per block of whole finite-difference stencils, from each centre's
+values to each of its points.  It never runs the one-term families
+(sphere, torus, equivariant): their frame is exp(W A).
 
 Internally the state is laid out as component planes (2, 2, rows, M); a
 term of the recurrence multiplies only the entries of xi's coefficients
@@ -54,7 +56,7 @@ UNITARIZE_TOL = 1e-8
 #: a piece is at most this fraction of the distance from its start to the nearest singular point
 RATIO = 0.4
 
-#: terms after which a pass whose series has not converged ends with IntegrationError
+#: terms after which a row whose series has not converged fails with IntegrationError
 MAX_TERMS = 200
 
 
@@ -237,9 +239,9 @@ def _series(xi: XiSampler, a: np.ndarray, s: np.ndarray, poles) -> tuple[np.ndar
     return d / d[0], c
 
 
-def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Y(1) of D(t) Y' = Y C(t), Y(0) = I, on every row (``_series``), and the
-    number of terms summed.
+def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -> tuple[np.ndarray, int, list]:
+    """Y(1) of D(t) Y' = Y C(t), Y(0) = I, on every row (``_series``), the
+    number of terms summed, and each row's IntegrationError or None.
 
     The coefficients of Y = sum_j Y_j t^j follow from the recurrence
     d_0 (j+1) Y_{j+1} = sum_i Y_{j-i} C_i - sum_{i>=1} d_i (j-i+1) Y_{j-i+1},
@@ -248,15 +250,17 @@ def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -
     and then so do runs of terms, so the sum stops only after the last
     max(nC, nD) + 1 terms are all at most tol times the largest entry of
     the sum, at every row and lam.
-    Raises IntegrationError, located at the start z of the first failing
-    piece in ``starts``, on a term that is not finite or after
-    ``MAX_TERMS`` terms.
+    A row fails alone, with an error located at the start z of its piece in
+    ``starts``: on a term that is not finite, its planes (and its rows of d
+    and c, in place) are set to zero, so it drops out of the stop rule; a
+    row that has not converged after ``MAX_TERMS`` terms gets the cap error.
     """
     nz = [(i, l, j, c[i, l, j]) for i, l, j in zip(*np.nonzero(c.any(axis=(3, 4))))]
     total = np.zeros_like(c[0])
     total[0, 0] = total[1, 1] = 1.0
     window, keep = [total.copy()], max(len(c), len(d) - 1)
     quiet = 0
+    errors: list = [None] * starts.size
     for j in range(MAX_TERMS):
         term = np.zeros_like(total)
         for i, l, col, cij in nz:
@@ -265,19 +269,33 @@ def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -
         for i in range(1, min(len(d) - 1, j) + 1):
             term -= (j - i + 1) * d[i][:, None] * window[-i]
         term /= j + 1
-        total += term
-        window = (window + [term])[-keep:]
         mag = np.abs(term).max(axis=(0, 1))
         if not np.isfinite(mag).all():
-            row = np.flatnonzero(~np.isfinite(mag).all(axis=1))[0]
-            raise IntegrationError(f"Taylor series of the frame is not finite on the piece from z = {starts[row]}")
+            bad = ~np.isfinite(mag).all(axis=1)
+            for row in np.flatnonzero(bad):
+                errors[row] = IntegrationError(
+                    f"Taylor series of the frame is not finite on the piece from z = {starts[row]}")
+            for planes in (term, total, *window):
+                planes[:, :, bad] = 0.0
+            c[:, :, :, bad] = 0.0
+            d[:, bad] = 0.0
+            mag[bad] = 0.0
+        total += term
+        window = (window + [term])[-keep:]
         small = mag <= tol * np.abs(total).max(axis=(0, 1))
         quiet = quiet + 1 if small.all() else 0
         if quiet > max(len(c), len(d)):
-            return total, j + 1
-    row = np.flatnonzero(~small.all(axis=1))[0]
-    raise IntegrationError(
-        f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = {starts[row]}")
+            return total, j + 1, errors
+    for row in np.flatnonzero(~small.all(axis=1)):
+        errors[row] = IntegrationError(
+            f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = {starts[row]}")
+    return total, MAX_TERMS, errors
+
+
+def _raise_first(rows: list) -> None:
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
 
 
 def transport(
@@ -287,17 +305,21 @@ def transport(
     lams,
     opts: OdeOptions = OdeOptions(),
     counts: OdeCounts | None = None,
-) -> np.ndarray:
+) -> np.ndarray | list:
     """Carry frame values y at the spectral values lams along a path, or a batch of paths.
 
-    For one path, y has shape (M, 2, 2).  For a sequence of B paths with
-    the same number of segments, y has shape (B, M, 2, 2) and row b moves
-    along path b.  Every piece (``_pieces``) of every path is a row of one
-    pass of Taylor sums (``_propagators``), each from the identity to its
-    propagator U, divided by the principal square root of its determinant;
-    path b ends at y[b] U_b1 ... U_bP.  ``counts``, when given, accumulates
-    the pieces and the terms of the pass and keeps the largest |det - 1| it
-    divided out.
+    For one path, y has shape (M, 2, 2); its end values come back, or its
+    error is raised.  For a sequence of B paths with the same number of
+    segments, y has shape (B, M, 2, 2), row b moves along path b, and a list
+    comes back with each path's (M, 2, 2) end values or its error.  A path
+    that fails ``validate_path`` joins no pass.  Every piece (``_pieces``)
+    of every other path is a row of one pass of Taylor sums
+    (``_propagators``), each from the identity to its propagator U, divided
+    by the principal square root of its determinant; path b ends at
+    y[b] U_b1 ... U_bP, or with the error of its first failed piece (a
+    vanishing determinant included).  ``counts``, when given, accumulates
+    the pieces and terms of the pass and keeps the largest |det - 1| it
+    divided out of a piece that did not fail.
     """
     single = isinstance(path, DomainPath)
     paths = [path] if single else list(path)
@@ -309,30 +331,40 @@ def transport(
         y = y[None]
     if y.shape[0] != len(paths):
         raise ValueError(f"{len(paths)} paths for frame values of shape {y.shape}")
-    for p in paths:
-        validate_path(p, pot)
-    if not segments[0]:
-        return y[0] if single else y
-    starts, steps, per_segment = _pieces(pot, [seg for segs in segments for seg in segs])
-    d, c = _series(xi_sampler(pot, lams), starts, steps, pot.singular_points)
-    props, n_terms = _propagators(d, c, opts.tolerance, starts)
-    det = props[0, 0] * props[1, 1] - props[0, 1] * props[1, 0]
-    vanishing = np.abs(det) < 1e-8
-    if np.any(vanishing):
-        row = int(np.argmax(vanishing.any(axis=1)))
-        raise IntegrationError(f"frame determinant vanishes at z = {starts[row] + steps[row]}; cannot renormalize")
-    if counts is not None:
-        counts.add(starts.size, n_terms, float(np.abs(det - 1.0).max()))
-    props /= np.sqrt(det)
-    # y_b = y_b U_b1 ... U_bP: path b's pieces are the rows first[b] .. first[b] + n[b] - 1
-    n = per_segment.reshape(len(paths), -1).sum(axis=1)
-    first = np.cumsum(n) - n
-    state = _right_mul(_planes(y), props[:, :, first])
-    for k in range(1, n.max()):
-        has = np.flatnonzero(n > k)
-        state[:, :, has] = _right_mul(state[:, :, has], props[:, :, first[has] + k])
-    y = _unplanes(state)
-    return y[0] if single else y
+    out: list = list(y)
+    live = []
+    for b, p in enumerate(paths):
+        try:
+            validate_path(p, pot)
+            live.append(b)
+        except PoleError as exc:
+            out[b] = exc
+    if live and segments[0]:
+        starts, steps, per_segment = _pieces(pot, [seg for b in live for seg in segments[b]])
+        d, c = _series(xi_sampler(pot, lams), starts, steps, pot.singular_points)
+        props, n_terms, errors = _propagators(d, c, opts.tolerance, starts)
+        props[:, :, [e is not None for e in errors]] = np.eye(2)[:, :, None, None]
+        det = props[0, 0] * props[1, 1] - props[0, 1] * props[1, 0]
+        vanishing = (np.abs(det) < 1e-8).any(axis=1)
+        for row in np.flatnonzero(vanishing):
+            errors[row] = IntegrationError(
+                f"frame determinant vanishes at z = {starts[row] + steps[row]}; cannot renormalize")
+        det[vanishing] = 1.0
+        if counts is not None:
+            counts.add(starts.size, n_terms, float(np.abs(det - 1.0).max()))
+        props /= np.sqrt(det)
+        # y_b = y_b U_b1 ... U_bP: path b's pieces are the rows first[b] .. first[b] + n[b] - 1
+        n = per_segment.reshape(len(live), -1).sum(axis=1)
+        first = np.cumsum(n) - n
+        state = _right_mul(_planes(y[live]), props[:, :, first])
+        for k in range(1, n.max()):
+            has = np.flatnonzero(n > k)
+            state[:, :, has] = _right_mul(state[:, :, has], props[:, :, first[has] + k])
+        for b, f, k, end in zip(live, first, n, _unplanes(state)):
+            out[b] = next((e for e in errors[f : f + k] if e is not None), end)
+    if single:
+        _raise_first(out)
+    return out[0] if single else out
 
 
 def monodromy(
@@ -346,7 +378,8 @@ def monodromy(
     or around each of a batch of B closed paths, shape (B, M, 2, 2).
 
     The frame starts at the identity at the base point, so H is its value
-    after one circuit, in one ``transport`` for every path and spectral value.
+    after one circuit, in one ``transport`` for every path and spectral value;
+    the first error in the batch is raised.
     """
     single = isinstance(gamma, DomainPath)
     paths = [gamma] if single else list(gamma)
@@ -354,7 +387,8 @@ def monodromy(
         raise ValueError("monodromy needs a closed path")
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     h = transport(pot, paths, np.broadcast_to(np.eye(2), (len(paths), lams.size, 2, 2)), lams, opts, counts)
-    return h[0] if single else h
+    _raise_first(h)
+    return h[0] if single else np.stack(h)
 
 
 def unitarizing_gauge(mats) -> np.ndarray:

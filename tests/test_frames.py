@@ -29,7 +29,7 @@ from mlq.frames import (
     sphere_pair,
     xy_matrices,
 )
-from mlq.holonomy import MAX_TERMS, DomainPath, IntegrationError, transport
+from mlq.holonomy import MAX_TERMS, DomainPath, IntegrationError, OdeOptions, transport
 from mlq.iwasawa import SPLIT_TOL, ConvergenceError, iwasawa
 from mlq.loops import window_samples
 from mlq.potentials import (
@@ -603,11 +603,11 @@ def test_a_denominator_zero_is_a_pole_of_the_custom_potential():
     assert smap.ode_counts.steps > 0
 
 
-def test_a_failed_sweep_is_rerun_node_by_node():
+def test_a_route_into_an_undeclared_pole_fails_only_its_own_node():
     # with its pole left out of the singular set, the route to 0.3 passes
     # validation as one Taylor piece from 0, whose series does not converge
-    # at the pole, so the chunk's sweep fails; the rerun locates the error at
-    # its own node
+    # at the pole; in the chunk's one pass that row alone fails, with the
+    # error located at its own node
     spec = POLE_AT_0_3
     smap = SurfaceMap(_unguarded(spec), window=8)
     nodes = [0.1j + 0.02 * k for k in range(10)] + [0.3] + [-0.1j - 0.02 * k for k in range(10)]
@@ -626,20 +626,38 @@ def test_a_failed_sweep_is_rerun_node_by_node():
     assert all(s.error == "Taylor series of the frame is not finite on the piece from z = (0.3+0j)" for s in got)
 
 
-def test_a_failed_stencil_sweep_is_rerun_stencil_by_stencil():
+def test_a_stencil_point_past_an_undeclared_pole_fails_only_its_own_stencil():
     # the stencil of 0.3015 runs through the pole 0.3, left out of the
-    # singular set, so the sweep of its block, shared with 0.1 + 0.1i, fails;
-    # each stencil of the block reruns alone, and the one at the pole row by
-    # row, so it fails with an error located at one z and the other stays valid
+    # singular set, so in the pass of its block, shared with 0.1 + 0.1i, its
+    # rows that reach the pole fail: the stencil fails with an error located
+    # at one z, and the other stays valid
     smap = SurfaceMap(_unguarded(POLE_AT_0_3), window=2)
     zs = [0.1 + 0.1j, 0.3015, 0.15 - 0.1j]
     tables = smap.frame_tables(zs, _diamonds(zs))
     assert isinstance(tables[1], IntegrationError)
     assert str(tables[1]) == (
         f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = 0j")
-    # the good stencils match their tables alone (4.7e-16 measured)
+    # the good stencils' rows are summed to MAX_TERMS in the shared pass, so
+    # they are compared with tables at ODE tolerance 1e-14 (6.8e-16 measured)
+    ref = SurfaceMap(_unguarded(POLE_AT_0_3), window=2, ode=OdeOptions(1e-14))
     for z, points, table in zip(zs[::2], _diamonds(zs)[::2], tables[::2]):
-        assert np.abs(table.F - frame_table(smap, z, points).F).max() <= 1e-12
+        assert np.abs(table.F - frame_table(ref, z, points).F).max() <= 1e-12
+
+
+def test_far_nodes_that_cannot_converge_fail_only_their_own_rows():
+    # radial (0.5, 1) is entire, so the route from 0 to 40 or to 60 + i is one
+    # piece, whose series has not converged after MAX_TERMS terms; the chunk's
+    # 32 rows ride in one pass to the cap, each far node fails with the error
+    # it fails with alone, and the near nodes keep their digits
+    smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=8)
+    near = [0.02 * k * np.exp(0.7j * k) for k in range(1, 31)]
+    got = smap.samples(near + [40.0, 60.0 + 1j])
+    assert (smap.ode_counts.steps, smap.ode_counts.terms) == (32, MAX_TERMS)
+    for s in got[30:]:
+        assert not s.valid and s.error == smap.sample(s.z).error
+    ref = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=8, ode=OdeOptions(1e-14))
+    for s, want in zip(got, ref.samples(near)):
+        assert s.valid and np.abs(s.q2_hom - want.q2_hom).max() <= 1e-12
 
 
 def _grid_nodes(family: str, shift: complex, n: int) -> list[complex]:

@@ -439,9 +439,13 @@ def test_a_non_finite_term_is_located():
     paths = [DomainPath.line(0.0, 1e-100), DomainPath.line(0.25, 0.5)]
     eye = np.broadcast_to(np.eye(2), (2, 3, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
+        got = transport(pot, paths, eye, window_samples(1)[:3])
         with pytest.raises(IntegrationError, match=r"not finite on the piece from z = \(0\.25\+0j\)$"):
-            transport(pot, paths, eye, window_samples(1)[:3])
-    transport(pot, paths[0], eye[0], window_samples(1)[:3])
+            transport(pot, paths[1], eye[1], window_samples(1)[:3])
+    # the failing path's entry is its located error, and the other path ends as it does alone
+    assert isinstance(got[1], IntegrationError)
+    assert str(got[1]) == "Taylor series of the frame is not finite on the piece from z = (0.25+0j)"
+    assert np.array_equal(got[0], transport(pot, paths[0], eye[0], window_samples(1)[:3]))
 
 
 def test_a_series_that_does_not_converge_stops_at_the_term_cap(monkeypatch):
@@ -455,10 +459,18 @@ def test_a_series_that_does_not_converge_stops_at_the_term_cap(monkeypatch):
     pot = Potential(spec, (), 0.0, make_potential(spec).terms)
     monkeypatch.setattr(holonomy, "MAX_TERMS", 40)
     paths = [DomainPath.line(0.0, 0.1j), DomainPath.line(0.2j, 0.5)]
+    eye = np.broadcast_to(np.eye(2), (2, 4, 2, 2))
     counts = OdeCounts()
+    got = transport(pot, paths, eye, window_samples(1), counts=counts)
+    assert isinstance(got[1], IntegrationError)
+    assert str(got[1]) == "Taylor series of the frame does not converge in 40 terms on the piece from z = 0.2j"
     with pytest.raises(IntegrationError, match=r"does not converge in 40 terms on the piece from z = 0\.2j$"):
-        transport(pot, paths, np.broadcast_to(np.eye(2), (2, 4, 2, 2)), window_samples(1), counts=counts)
-    assert counts.steps == 0
+        transport(pot, paths[1], eye[1], window_samples(1))
+    # the pass counted both pieces and ran to the cap; the other path's extra
+    # terms are below the default tolerance 1e-10, so it ends as it does alone
+    # to within it (1.0e-12 measured)
+    assert (counts.steps, counts.terms) == (2, 40)
+    np.testing.assert_allclose(got[0], transport(pot, paths[0], eye[0], window_samples(1)), rtol=0, atol=1e-10)
 
 
 def _undeclared_pole(p: complex) -> Potential:
@@ -471,10 +483,10 @@ def _undeclared_pole(p: complex) -> Potential:
     return Potential(spec, (), 0.0, make_potential(spec).terms)
 
 
-def test_dop853_reports_a_blow_up():
+def test_a_pass_follows_a_blow_up_and_fails_at_its_pole():
     # A = lam^-1 E12 + lam E21 has A^2 = I, so the frame from 0 is
     # cosh(L) I + sinh(L) A with L = log(1 - z / 0.5): it blows up at z = 0.5;
-    # short of it the pass follows it, and a pass that runs into it ends
+    # short of it the pass follows it, and a path that runs into it ends
     # with an error naming the piece instead of returning a frame
     pot = _undeclared_pole(0.5)
     lams = window_samples(1)
@@ -490,10 +502,11 @@ def test_dop853_reports_a_blow_up():
     counts = OdeCounts()
     with pytest.raises(IntegrationError, match=rf"does not converge in {MAX_TERMS} terms on the piece from z = 0j$"):
         transport(pot, DomainPath.line(0.0, 0.5), eye, lams, counts=counts)
-    assert counts.steps == 0
+    # the pass ran, so its piece and its terms are counted
+    assert (counts.steps, counts.terms) == (1, MAX_TERMS)
 
 
-def test_dop853_stops_where_the_right_hand_side_is_not_finite():
+def test_a_piece_whose_right_hand_side_is_not_finite_fails_its_own_path():
     lams = window_samples(1)
     eye = np.broadcast_to(np.eye(2), (lams.size, 2, 2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -504,14 +517,20 @@ def test_dop853_stops_where_the_right_hand_side_is_not_finite():
         ))
         with pytest.raises(IntegrationError, match=r"not finite on the piece from z = 0j$"):
             transport(nan, DomainPath.line(0.0, 0.5), eye, lams)
-        # not finite at 0.5 alone: the second segment starts on the undeclared
-        # pole, and its piece is named though the other rows are finite
+        # not finite at 0.5 alone: the second path starts on the undeclared
+        # pole, and its piece is named in its own entry; the first path is
+        # finite and ends as it does alone
         pot = _undeclared_pole(0.5)
+        paths = [DomainPath.line(0.0, 0.3), DomainPath.line(0.5, 0.7j)]
         counts = OdeCounts()
+        got = transport(pot, paths, np.broadcast_to(np.eye(2), (2, lams.size, 2, 2)), lams, counts=counts)
         with pytest.raises(IntegrationError, match=r"not finite on the piece from z = \(0\.5\+0j\)$"):
-            transport(pot, [DomainPath.line(0.0, 0.3), DomainPath.line(0.5, 0.7j)],
-                      np.broadcast_to(np.eye(2), (2, lams.size, 2, 2)), lams, counts=counts)
-    assert counts.steps == 0
+            transport(pot, paths[1], eye, lams)
+    assert isinstance(got[1], IntegrationError)
+    assert str(got[1]) == "Taylor series of the frame is not finite on the piece from z = (0.5+0j)"
+    assert np.array_equal(got[0], transport(pot, paths[0], eye, lams))
+    # the pass ran, so both of its pieces are counted
+    assert counts.steps == 2 and 0 < counts.terms < MAX_TERMS
 
 
 def test_integrate_frame_rejects_pole_paths():

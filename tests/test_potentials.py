@@ -207,15 +207,19 @@ def test_xi_raises_at_singular_points():
 
 
 def test_custom_weights_name_the_pole_in_an_array():
-    # a rational weight's pole is in the singular set, so a batch of routes
-    # names it where one of them runs into it, and so does a route alone
+    # a rational weight's pole is in the singular set, so in a batch of routes
+    # the one that runs into it gets an error naming it, and so does that
+    # route alone; the other routes, summed to their pass's term count, end
+    # as they do alone to within the default tolerance 1e-10 (7.9e-13 measured)
     pot = make_potential(custom_spec(ALL_SPECS[-1].params["terms"], poles=[], base_point=0.0))
     assert pot.singular_points == (-1.0,)
     paths = [DomainPath.line(0.0, z) for z in (0.5, -1.0, 0.25j)]
-    with pytest.raises(PoleError, match=r"singular point \(-1\+0j\)"):
-        transport(pot, paths, np.broadcast_to(np.eye(2), (3, 1, 2, 2)), [1.0])
+    got = transport(pot, paths, np.broadcast_to(np.eye(2), (3, 1, 2, 2)), [1.0])
+    assert isinstance(got[1], PoleError) and "singular point (-1+0j)" in str(got[1])
     with pytest.raises(PoleError, match=r"singular point \(-1\+0j\)"):
         transport(pot, paths[1], np.eye(2)[None], [1.0])
+    for k in (0, 2):
+        np.testing.assert_allclose(got[k], transport(pot, paths[k], np.eye(2)[None], [1.0]), rtol=0, atol=1e-10)
 
 
 def trinoid_q(z, v0: float, v1: float, vinf: float) -> complex:
