@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, _raise_first, transport, validate_path
+from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, raise_first, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
 from .potentials import FrozenRecord, PoleError, Potential, xi_sampler
@@ -126,7 +126,7 @@ def psi_so4(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
-    _raise_first(_check_su2(p, "first psi argument") + _check_su2(q, "second psi argument"))
+    raise_first(_check_su2(p, "first psi argument") + _check_su2(q, "second psi argument"))
     return _left_mult(quat_components(p)) @ _right_mult(quat_components(q))
 
 
@@ -144,7 +144,7 @@ class FramePointPair(FrozenRecord):
 
     def __init__(self, F1: np.ndarray, F2: np.ndarray) -> None:
         F1, F2 = np.asarray(F1, dtype=np.complex128), np.asarray(F2, dtype=np.complex128)
-        _raise_first(_check_su2(F1, "F1") + _check_su2(F2, "F2"))
+        raise_first(_check_su2(F1, "F1") + _check_su2(F2, "F2"))
         super().__init__(F1, F2)
 
 
@@ -381,7 +381,7 @@ class SurfaceMap:
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
         (res,) = self._anchors([complex(z)], winding)[1]
-        _raise_first([res])
+        raise_first([res])
         return res
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:

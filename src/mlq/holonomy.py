@@ -253,13 +253,14 @@ def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -
     A row fails alone, with an error located at the start z of its piece in
     ``starts``: on a term that is not finite, its planes (and its rows of d
     and c, in place) are set to zero, so it drops out of the stop rule; a
-    row that has not converged after ``MAX_TERMS`` terms gets the cap error.
+    row whose last max(nC, nD) + 1 terms are not all small after ``MAX_TERMS``
+    terms gets the cap error, even if its last term vanishes.
     """
     nz = [(i, l, j, c[i, l, j]) for i, l, j in zip(*np.nonzero(c.any(axis=(3, 4))))]
     total = np.zeros_like(c[0])
     total[0, 0] = total[1, 1] = 1.0
     window, keep = [total.copy()], max(len(c), len(d) - 1)
-    quiet = 0
+    quiet = np.zeros(starts.size, dtype=int)
     errors: list = [None] * starts.size
     for j in range(MAX_TERMS):
         term = np.zeros_like(total)
@@ -283,16 +284,16 @@ def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -
         total += term
         window = (window + [term])[-keep:]
         small = mag <= tol * np.abs(total).max(axis=(0, 1))
-        quiet = quiet + 1 if small.all() else 0
-        if quiet > max(len(c), len(d)):
+        quiet = np.where(small.all(axis=1), quiet + 1, 0)
+        if quiet.min() > max(len(c), len(d)):
             return total, j + 1, errors
-    for row in np.flatnonzero(~small.all(axis=1)):
-        errors[row] = IntegrationError(
+    for row in np.flatnonzero(quiet <= max(len(c), len(d))):
+        errors[row] = errors[row] or IntegrationError(
             f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = {starts[row]}")
     return total, MAX_TERMS, errors
 
 
-def _raise_first(rows: list) -> None:
+def raise_first(rows: list) -> None:
     for row in rows:
         if isinstance(row, Exception):
             raise row
@@ -363,7 +364,7 @@ def transport(
         for b, f, k, end in zip(live, first, n, _unplanes(state)):
             out[b] = next((e for e in errors[f : f + k] if e is not None), end)
     if single:
-        _raise_first(out)
+        raise_first(out)
     return out[0] if single else out
 
 
@@ -387,7 +388,7 @@ def monodromy(
         raise ValueError("monodromy needs a closed path")
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     h = transport(pot, paths, np.broadcast_to(np.eye(2), (len(paths), lams.size, 2, 2)), lams, opts, counts)
-    _raise_first(h)
+    raise_first(h)
     return h[0] if single else np.stack(h)
 
 

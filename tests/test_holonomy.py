@@ -473,6 +473,24 @@ def test_a_series_that_does_not_converge_stops_at_the_term_cap(monkeypatch):
     np.testing.assert_allclose(got[0], transport(pot, paths[0], eye[0], window_samples(1)), rtol=0, atol=1e-10)
 
 
+def test_a_series_whose_last_term_vanishes_still_fails_at_the_cap():
+    # radial (0.5, 4) from 0 has nonzero terms only at powers 0, 1 and 5
+    # mod 6, so the 200th term is exactly 0; the series to 6 has not settled
+    # after MAX_TERMS terms, and its path fails alone and in a batch
+    pot = make_potential(radial_spec(0.5, 4))
+    lams = window_samples(1)
+    eye = np.broadcast_to(np.eye(2), (lams.size, 2, 2))
+    message = rf"does not converge in {MAX_TERMS} terms on the piece from z = 0j$"
+    with pytest.raises(IntegrationError, match=message):
+        transport(pot, DomainPath.line(0.0, 6.0), eye, lams)
+    paths = [DomainPath.line(0.0, 0.5), DomainPath.line(0.0, 6.0)]
+    got = transport(pot, paths, np.broadcast_to(eye, (2, *eye.shape)), lams)
+    assert isinstance(got[1], IntegrationError)
+    assert str(got[1]) == f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = 0j"
+    # the short path's extra terms are below the default tolerance 1e-10
+    np.testing.assert_allclose(got[0], transport(pot, paths[0], eye, lams), rtol=0, atol=1e-10)
+
+
 def _undeclared_pole(p: complex) -> Potential:
     """xi = (lam^-1 E12 + lam E21) / (z - p) with its pole at p left out of
     the singular set, so no path is refused and no piece is cut short."""
