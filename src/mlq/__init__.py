@@ -17,12 +17,12 @@ import importlib
 
 #: the public names, by the module that defines them
 _EXPORTS = {
-    "potentials": ("PotentialSpec", "make_potential", "xi_sampler", "sphere_spec", "torus_spec",
+    "potentials": ("GridSpec", "PotentialSpec", "make_potential", "xi_sampler", "sphere_spec", "torus_spec",
                    "equivariant_spec", "radial_spec", "trinoid_spec", "custom_spec"),
     "holonomy": ("DomainPath", "OdeOptions", "OdeCounts", "circle_path", "transport", "monodromy",
                  "unitarizing_gauge"),
     "iwasawa": ("IwasawaResult", "iwasawa", "spectral_factor_plus"),
-    "frames": ("FramePointPair", "FrameTable", "GridSpec", "SurfaceMap", "SurfaceSample", "build_surface",
+    "frames": ("FramePointPair", "FrameTable", "SurfaceMap", "SurfaceSample", "build_surface",
                "projective_distance", "psi_so4", "q2_point", "sphere_pair", "unit_lift", "xy_matrices"),
     "closedform": ("AdmissibilityReport", "ClosingReport", "cylinder_closing", "equivariant_frame",
                    "equivariant_profile", "sphere_frame", "torus_frame", "trinoid_admissible",

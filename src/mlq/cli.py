@@ -3,8 +3,10 @@
 Configs are versioned JSON (``schema: 1``), read by ``load_config`` alone:
 ``_as`` reads every value, and one that is malformed, missing or not a key
 of its object is a config error naming it.  Every command runs serially,
-and only the layer modules it calls: ``verify`` and ``closedform`` are
-imported in the commands that call them.  BLAS runs on one thread unless
+and only the layer modules it calls: ``frames`` (which runs the ``iwasawa``
+split), ``verify`` and ``closedform`` are imported in the commands that call
+them, so a config read and a trinoid ``closing`` run neither frames nor the
+split.  BLAS runs on one thread unless
 OPENBLAS/OMP/MKL_NUM_THREADS say otherwise (a process that imported numpy
 before ``mlq.cli`` keeps its own), as the count can change the last bits of
 the split's Cholesky: identical configs produce byte-identical CSV/JSON,
@@ -35,12 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .frames import GridSpec, SurfaceMap, node_chunks, unit_lift
 from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
-from .iwasawa import ConvergenceError, FactorizationError
 from .loops import DEFAULT_WINDOW_N
-from .potentials import (CustomTerm, Potential, PotentialSpec, custom_spec, equivariant_spec, make_potential,
-                         radial_spec, sphere_spec, torus_spec, trinoid_spec)
+from .potentials import (CustomTerm, GridSpec, Potential, PotentialSpec, custom_spec, equivariant_spec,
+                         make_potential, radial_spec, sphere_spec, torus_spec, trinoid_spec)
 
 
 def _bind_lazily(*names: str) -> None:
@@ -56,7 +56,7 @@ def _bind_lazily(*names: str) -> None:
             spec.loader.exec_module(module)
 
 
-_bind_lazily("verify", "closedform")
+_bind_lazily("frames", "iwasawa", "verify", "closedform")
 
 SCHEMA = 1
 
@@ -308,6 +308,7 @@ def _grid_pole_check(pot: Potential, grid: GridSpec) -> None:
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
+    from .frames import SurfaceMap
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
     samples = smap.samples(cfg.grid.nodes())
@@ -381,6 +382,7 @@ def _histogram(values: list[float]) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
+    from .frames import SurfaceMap, node_chunks
     from .verify import node_reports
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
@@ -471,6 +473,7 @@ def _unitarity(m: np.ndarray) -> float:
 def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.spec.variant == "equivariant":
         from .closedform import cylinder_closing
+        from .frames import SurfaceMap
         from .verify import DeckTransform, symmetry_check
         p = cfg.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
@@ -549,6 +552,7 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.sweep is None or cfg.sweep < 2:
         print("family needs 'sweep' >= 2 in the config", file=sys.stderr)
         return EXIT_USAGE
+    from .frames import SurfaceMap, node_chunks, unit_lift
     from .verify import frame_tables, invariants_report
     _grid_pole_check(cfg.pot, cfg.grid)
     nodes = cfg.grid.nodes()
@@ -634,12 +638,14 @@ def main(argv: list[str] | None = None) -> int:
         "closing": cmd_closing,
         "family": cmd_family,
     }
+    # bound lazily: an except tuple is evaluated only when an exception reaches it, so a clean run never loads it
+    from . import iwasawa
     try:
         return dispatch[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IntegrationError, ConvergenceError, FactorizationError) as exc:
+    except (IntegrationError, iwasawa.ConvergenceError, iwasawa.FactorizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -35,7 +35,7 @@ import numpy as np
 from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, raise_first, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
-from .potentials import FrozenRecord, PoleError, Potential, xi_sampler
+from .potentials import FrozenRecord, GridSpec, PoleError, Potential, xi_sampler
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -245,30 +245,6 @@ def sphere_pair(fp: FramePointPair) -> tuple[np.ndarray, np.ndarray]:
     phi = mul2(mul2(fp.F1, SIGMA3), ct2(fp.F1))
     psi = mul2(mul2(fp.F2, SIGMA3), ct2(fp.F2))
     return pauli_components(phi), pauli_components(psi.conj())
-
-
-class GridSpec(FrozenRecord):
-    """Rectangular z-grid, ordered row-major (imaginary axis outer)."""
-
-    __slots__ = ("re_min", "re_max", "n_re", "im_min", "im_max", "n_im")
-    re_min: float
-    re_max: float
-    n_re: int
-    im_min: float
-    im_max: float
-    n_im: int
-
-    def __init__(self, re_min: float, re_max: float, n_re: int, im_min: float, im_max: float, n_im: int) -> None:
-        if n_re < 1 or n_im < 1:
-            raise ValueError("grid needs at least one node per axis")
-        if re_max < re_min or im_max < im_min:
-            raise ValueError("grid bounds are inverted")
-        super().__init__(re_min, re_max, n_re, im_min, im_max, n_im)
-
-    def nodes(self) -> list[complex]:
-        xs = np.linspace(self.re_min, self.re_max, self.n_re)
-        ys = np.linspace(self.im_min, self.im_max, self.n_im)
-        return [complex(x, y) for y in ys for x in xs]
 
 
 class SurfaceSample(NamedTuple):

@@ -130,14 +130,14 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
     """
     d = p.shape[1] // 2
     size = 2 * (m + 1)
-    # block (i, j) of the section is the coefficient P_{j-i}, read from P
-    # padded onto [-m, m] in one gather
+    # block (i, j) of the Hermitian section (T + T^H) / 2 is (P_{j-i} + P_{i-j}^H) / 2: the
+    # coefficients padded onto [-m, m] are symmetrized once, then read in one gather
     padded = np.zeros((len(p), 2 * m + 1, 2, 2), dtype=np.complex128)
     padded[:, m - d : m + d + 1] = p
+    padded += np.conj(np.swapaxes(padded[:, ::-1], -1, -2))
+    padded *= 0.5
     idx = np.arange(m + 1)
     t2 = padded[:, idx[None, :] - idx[:, None] + m].transpose(0, 1, 3, 2, 4).reshape(-1, size, size)
-    t2 += np.conj(np.swapaxes(t2, -1, -2))
-    t2 *= 0.5
     failed = {}
     try:
         low = np.linalg.cholesky(t2)

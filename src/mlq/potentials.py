@@ -12,7 +12,8 @@ polynomial in z: that is what the integrator's Taylor steps read.  Sphere,
 torus and equivariant are one term w(z) A(lam), so xi(z) commutes with
 xi(z') and the frame is exp(W A).  A config's ``potential`` object holds a
 family's ``*_spec`` parameters; ``cli.load_config`` reads it, and nothing
-here reads JSON.
+here reads JSON.  ``GridSpec``, the config's z-grid, is defined here too, so
+reading a config runs no pipeline layer.
 
 Families
 --------
@@ -126,6 +127,30 @@ class Potential(FrozenRecord):
     @property
     def variant(self) -> str:
         return self.spec.variant
+
+
+class GridSpec(FrozenRecord):
+    """Rectangular z-grid, ordered row-major (imaginary axis outer)."""
+
+    __slots__ = ("re_min", "re_max", "n_re", "im_min", "im_max", "n_im")
+    re_min: float
+    re_max: float
+    n_re: int
+    im_min: float
+    im_max: float
+    n_im: int
+
+    def __init__(self, re_min: float, re_max: float, n_re: int, im_min: float, im_max: float, n_im: int) -> None:
+        if n_re < 1 or n_im < 1:
+            raise ValueError("grid needs at least one node per axis")
+        if re_max < re_min or im_max < im_min:
+            raise ValueError("grid bounds are inverted")
+        super().__init__(re_min, re_max, n_re, im_min, im_max, n_im)
+
+    def nodes(self) -> list[complex]:
+        xs = np.linspace(self.re_min, self.re_max, self.n_re)
+        ys = np.linspace(self.im_min, self.im_max, self.n_im)
+        return [complex(x, y) for y in ys for x in xs]
 
 
 def sphere_spec() -> PotentialSpec:

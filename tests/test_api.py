@@ -189,7 +189,8 @@ def test_a_run_builds_its_potential_once(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(potentials, "make_potential", counted)
     monkeypatch.setattr(mlq.cli, "make_potential", counted)
-    monkeypatch.setattr(mlq.cli, "SurfaceMap", CountedMap)
+    # the commands import SurfaceMap when they run, from mlq.frames
+    monkeypatch.setattr(mlq.frames, "SurfaceMap", CountedMap)
     potential, extra = COMMAND_CONFIGS[command]
     path = write_config(tmp_path, potential, **extra)
     assert mlq.cli.main([command.split("-")[0], "--config", path, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
@@ -222,6 +223,26 @@ def test_frozen_records_stay_frozen_and_compare_by_value():
         potentials.sphere_spec().params["a"] = 1.0
 
 
+def test_the_set_up_probe_runs_no_pipeline_layer(tmp_path):
+    # perfbench/setup_probe.py's path, import mlq.cli then load_config and
+    # make_potential, leaves frames, iwasawa, verify and closedform
+    # unexecuted, and mlq.GridSpec resolves to the config reader's own
+    # record without loading frames; in a fresh interpreter
+    cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    script = (
+        "import json, sys, types\n"
+        "import mlq, mlq.cli\n"
+        f"mlq.cli.make_potential(mlq.cli.load_config({cfg!r}).spec)\n"
+        "same = mlq.GridSpec is mlq.potentials.GridSpec\n"
+        "unrun = sorted(n for n, m in sys.modules.items() if n.startswith('mlq.') and type(m) is not types.ModuleType)\n"
+        "print(json.dumps([same, unrun]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [True, ["mlq.closedform", "mlq.frames", "mlq.iwasawa", "mlq.verify"]]
+
+
 def test_the_set_up_probe_still_reads_the_spec(tmp_path):
     # perfbench/setup_probe.py times mlq.cli.load_config(path) and then
     # mlq.cli.make_potential(cfg.spec): both names stay in mlq.cli
@@ -232,25 +253,28 @@ def test_the_set_up_probe_still_reads_the_spec(tmp_path):
 
 def test_the_layer_trace_finds_every_layer_after_importing_the_cli():
     # perfbench/layer_trace.install imports mlq.cli, then reads each of its
-    # LAYERS from sys.modules and wraps what vars() of it holds: verify and
-    # closedform are bound there unexecuted and load on that read, and a layer
-    # imported before mlq.cli stays the one object; in a fresh interpreter
+    # LAYERS from sys.modules and wraps what vars() of it holds: frames,
+    # iwasawa, verify and closedform are bound there unexecuted and load on
+    # that read, and a layer imported before mlq.cli stays the one object;
+    # in a fresh interpreter, with closedform or frames imported first
     root = Path(mlq.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
-    script = (
-        "import json, sys\n"
-        "from layer_trace import LAYERS\n"
-        "import mlq.closedform\n"
-        "before = sys.modules['mlq.closedform']\n"
-        "import mlq.cli\n"
-        "missing = [n for n in LAYERS if f'mlq.{n}' not in sys.modules]\n"
-        "verify = sys.modules['mlq.verify']\n"
-        "print(json.dumps([missing, 'node_reports' in vars(verify), mlq.verify is verify,\n"
-        "                  sys.modules['mlq.closedform'] is before]))\n"
-    )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [[], True, True, True]
+    for first in ("closedform", "frames"):
+        script = (
+            "import json, sys\n"
+            "from layer_trace import LAYERS\n"
+            f"import mlq.{first}\n"
+            f"before = sys.modules['mlq.{first}']\n"
+            "import mlq.cli\n"
+            "missing = [n for n in LAYERS if f'mlq.{n}' not in sys.modules]\n"
+            "verify, frames = sys.modules['mlq.verify'], sys.modules['mlq.frames']\n"
+            "print(json.dumps([missing, 'node_reports' in vars(verify), mlq.verify is verify,\n"
+            "                  'SurfaceMap' in vars(frames), mlq.frames is frames,\n"
+            f"                  sys.modules['mlq.{first}'] is before]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [[], True, True, True, True, True], first
 
 
 def fresh_main(argv: list[str]) -> tuple:
@@ -289,13 +313,15 @@ def test_generate_loads_only_what_it_runs(tmp_path):
 #: a command, the potential of its config and the layer modules it never runs
 UNRUN_LAYERS = {
     "verify": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, ["mlq.closedform"]),
-    "closing": ({"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0}, ["mlq.verify"]),
+    "closing": ({"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0},
+                ["mlq.frames", "mlq.iwasawa", "mlq.verify"]),
 }
 
 
 @pytest.mark.parametrize("command", sorted(UNRUN_LAYERS))
 def test_a_command_runs_only_the_layers_it_calls(tmp_path, command):
-    # verify never runs closedform, and closing on a trinoid never runs verify
+    # verify never runs closedform, and closing on a trinoid never runs
+    # frames, the split or verify
     potential, unrun_layers = UNRUN_LAYERS[command]
     cfg = write_config(tmp_path, potential)
     code, _, loaded, unrun = fresh_main([command, "--config", cfg, "--out", str(tmp_path / "out")])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlq
-from mlq import cli, frames, holonomy
+from mlq import cli, frames, holonomy, iwasawa
 from mlq.cli import (
     EXIT_CHECKS_FAILED,
     EXIT_NUMERICAL,
@@ -646,6 +646,20 @@ def test_closing_equivariant_fails_numerically_where_the_deck_frames_are_not_su2
     assert main(["closing", "--config", cfg, "--out", str(tmp_path / "closing")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: F1 is not special unitary") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [iwasawa.ConvergenceError, iwasawa.FactorizationError, holonomy.IntegrationError])
+def test_a_split_or_integration_error_that_reaches_main_is_a_numerical_failure(tmp_path, capsys, monkeypatch, error):
+    # closing's deck check splits frames outside any node loop, so the first
+    # split error reaches main: exit 3 and one stderr line, like a failed grid
+    def failing(cfg, out_dir):
+        raise error("no split here")
+
+    monkeypatch.setattr(cli, "cmd_closing", failing)
+    cfg = write_cfg(tmp_path, potential={"variant": "equivariant", "a": 0.75, "b": 0.25})
+    assert main(["closing", "--config", cfg, "--out", str(tmp_path / "closing")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: no split here\n"
 
 
 def test_closing_trinoid(tmp_path):

@@ -239,15 +239,22 @@ def test_batched_trinoid_monodromies_match_single_lambda_runs(lam0, weights, ang
         np.testing.assert_allclose(mats, trinoid_monodromies(pot, [lam], opts)[0], rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("lam0, weights", [(1j, (1.0, 1.0, 1.0)), (-1j, (0.9, 1.15, 1.05))])
+@pytest.mark.parametrize("lam0, weights", [(1j, (1.0, 1.0, 1.0)), (-1j, (0.9, 1.15, 1.05)),
+                                           (1j, (0.6, 1.7, 1.2))])
 def test_trinoid_local_monodromies_have_the_closed_form_traces(lam0, weights):
     # around a pole with weight v the local exponents of the trinoid's
     # Fuchsian equation give tr H(lam) = -2 cos(pi sqrt(1 + v h(lam) / 4)),
     # for each generator of trinoid_loops and at lam on and off the circle;
-    # this checks the integrator against closed form around the poles
+    # this checks the integrator against closed form around the poles.  At
+    # lam = -1 and 1 these are the admissibility exponents, tr H_k = 2 cos(2 pi n_k)
+    # and 2 cos(2 pi m_k): the link between c10's weights and its monodromies
     pot = make_potential(trinoid_spec(lam0, *weights))
-    lams = [1.0, 1j, np.exp(0.7j), 0.5 * np.exp(0.3j), 2.0]
-    mono = monodromy(pot, list(trinoid_loops()), lams, OdeOptions(tolerance=1e-13))
-    for h, v in zip(mono, weights):
+    lams = [1.0, 1j, np.exp(0.7j), 0.5 * np.exp(0.3j), 2.0, -1.0]
+    traces = np.trace(trinoid_monodromies(pot, lams, OdeOptions(tolerance=1e-13)), axis1=-2, axis2=-1)
+    for k, v in enumerate(weights):
         want = [-2.0 * np.cos(np.pi * np.sqrt(1.0 + v * trinoid_h(lam, lam0) / 4.0)) for lam in lams]
-        np.testing.assert_allclose(np.trace(h, axis1=-2, axis2=-1), want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(traces[:, k], want, rtol=0, atol=1e-10)
+    adm = trinoid_admissible(lam0, *weights)
+    for lam, exponents in ((-1.0, adm.n), (1.0, adm.m)):
+        want = 2.0 * np.cos(2.0 * np.pi * np.array(exponents))
+        np.testing.assert_allclose(traces[lams.index(lam)], want, rtol=0, atol=1e-10)

@@ -294,6 +294,25 @@ def test_an_indefinite_section_fails_its_own_row():
         assert np.array_equal(b[i], _bauer_read(p[i : i + 1], d)[0][0])
 
 
+def test_the_section_is_symmetrized_on_its_coefficients():
+    # block (i, j) of the Hermitian section (T + T^H) / 2 is (P_{j-i} + P_{i-j}^H) / 2, so
+    # symmetrizing the coefficients once builds every entry from the same operands in the
+    # same order as symmetrizing the assembled T: the factor is the same bit for bit, also
+    # where the FFT's coefficients are not exactly Hermitian-symmetric
+    d = 7
+    p = coefficients(symbol(twisted_plus_loop(np.random.default_rng(3), 2), 16))[np.arange(-d, d + 1) % 16]
+    assert not np.array_equal(p[::-1], np.conj(np.swapaxes(p, -1, -2)))
+    for m in (d, 2 * d):
+        padded = np.zeros((2 * m + 1, 2, 2), dtype=np.complex128)
+        padded[m - d : m + d + 1] = p
+        t = np.block([[padded[j - i + m] for j in range(m + 1)] for i in range(m + 1)])
+        low = np.linalg.cholesky((t + t.conj().T) / 2)
+        # B_n is the conjugate transpose of block m - n of the last block row
+        want = [low[-2:, 2 * (m - n) : 2 * (m - n) + 2].conj().T for n in range(d + 1)]
+        b, failed = _bauer_read(p[None], m)
+        assert failed == {} and np.array_equal(b[0], want), m
+
+
 def ulp_perturbed(phi: np.ndarray, seed: int) -> np.ndarray:
     """phi with every real and imaginary part moved one ulp up or down, at random."""
     rng = np.random.default_rng(seed)
