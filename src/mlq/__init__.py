@@ -18,9 +18,9 @@ import importlib
 #: the public names, by the module that defines them
 _EXPORTS = {
     "potentials": ("GridSpec", "PotentialSpec", "make_potential", "xi_sampler", "sphere_spec", "torus_spec",
-                   "equivariant_spec", "radial_spec", "trinoid_spec", "custom_spec"),
-    "holonomy": ("DomainPath", "OdeOptions", "OdeCounts", "circle_path", "transport", "monodromy",
-                 "unitarizing_gauge"),
+                   "equivariant_spec", "radial_spec", "trinoid_spec", "custom_spec", "DomainPath", "OdeOptions",
+                   "OdeCounts"),
+    "holonomy": ("circle_path", "transport", "monodromy", "unitarizing_gauge"),
     "iwasawa": ("IwasawaResult", "iwasawa", "spectral_factor_plus"),
     "frames": ("FramePointPair", "FrameTable", "SurfaceMap", "SurfaceSample", "build_surface",
                "projective_distance", "psi_so4", "q2_point", "sphere_pair", "unit_lift", "xy_matrices"),

@@ -37,10 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .holonomy import EPS_POLE, IntegrationError, OdeCounts, OdeOptions, unitarizing_gauge
 from .loops import DEFAULT_WINDOW_N
-from .potentials import (CustomTerm, GridSpec, Potential, PotentialSpec, custom_spec, equivariant_spec,
-                         make_potential, radial_spec, sphere_spec, torus_spec, trinoid_spec)
+from .potentials import (EPS_POLE, CustomTerm, GridSpec, IntegrationError, OdeCounts, OdeOptions, Potential,
+                         PotentialSpec, custom_spec, equivariant_spec, make_potential, radial_spec, sphere_spec,
+                         torus_spec, trinoid_spec)
 
 
 def _bind_lazily(*names: str) -> None:
@@ -56,7 +56,7 @@ def _bind_lazily(*names: str) -> None:
             spec.loader.exec_module(module)
 
 
-_bind_lazily("frames", "iwasawa", "verify", "closedform")
+_bind_lazily("holonomy", "frames", "iwasawa", "verify", "closedform")
 
 SCHEMA = 1
 
@@ -500,6 +500,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
 
     if cfg.spec.variant == "trinoid":
         from .closedform import trinoid_admissible, trinoid_closing_check, trinoid_monodromies
+        from .holonomy import unitarizing_gauge
         p = cfg.spec.params
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])

@@ -5,16 +5,17 @@ points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
 points.  Each anchor starts at N = ``START_WINDOW`` and is read again at the
 cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
-(relative edge mass above ``EDGE_TOL``).  Sphere, torus and equivariant
-have one xi term w(z) A(lam), so Phi = exp(W(z) A(lam)) exactly, at every
-node and stencil point.  Every other family is integrated ``NODE_CHUNK``
-nodes at a time, each chunk in one pass of Taylor sums of the batched
-``transport`` along straight segments from the base point, and its
-finite-difference stencils ride in a pass per ``NODE_CHUNK`` points, from
-each node to its points (``frame_tables``); a failing row fails only its
-own node, in the pass it ran in.  The spectral pair (lam0, -i lam0) is
-samples j = 0 and j = 3N, so a point of the surface is read off F there, with
-nothing evaluated or projected, by forming
+(relative edge mass above ``EDGE_TOL``), in cap stacks pooled across a
+call's chunks.  Sphere, torus and equivariant have one xi term w(z) A(lam),
+so Phi = exp(W(z) A(lam)) exactly, at every node and stencil point, and
+``holonomy`` is imported only to integrate.  Every other family is
+integrated ``NODE_CHUNK`` nodes at a time, each chunk in one pass of Taylor
+sums of the batched ``transport`` along straight segments from the base
+point, and its finite-difference stencils ride in a pass per ``NODE_CHUNK``
+points, from each node to its points (``frame_tables``); a failing row
+fails only its own node, in the pass it ran in.  The spectral pair
+(lam0, -i lam0) is samples j = 0 and j = 3N, so a point of the surface is
+read off F there, with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -32,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .holonomy import EPS_POLE, DomainPath, OdeCounts, OdeOptions, raise_first, transport, validate_path
 from .iwasawa import IwasawaResult, iwasawa
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
-from .potentials import FrozenRecord, GridSpec, PoleError, Potential, xi_sampler
+from .potentials import (EPS_POLE, DomainPath, FrozenRecord, GridSpec, OdeCounts, OdeOptions, PoleError, Potential,
+                         raise_first, validate_path, xi_sampler)
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -51,7 +52,8 @@ START_WINDOW = 8
 EDGE_TOL = 1e-13
 
 #: rows per transport pass and batched split (nodes, anchors, or the points of
-#: whole stencils); fixed, so a node's chunk never depends on the scheduling
+#: whole stencils), times (START_WINDOW / window)^2 at the cap; fixed, so a
+#: node's chunk never depends on the scheduling
 NODE_CHUNK = 32
 
 
@@ -275,11 +277,10 @@ class SurfaceMap:
     invalid.  Any other potential is integrated by ``transport`` along one
     straight segment from the base point, one pass per chunk, whose series
     stop only where every node's has converged, so no node is summed to
-    fewer terms than it would be alone.  ``samples`` runs a
-    grid ``NODE_CHUNK`` nodes at a time and reruns a chunk's unresolved
-    nodes together at the cap; each pass is split by one batched
-    ``iwasawa`` call, the chunk's points are read off one stack of frame
-    pairs, and ``sample(z)`` and every anchor are a chunk of one.  A node
+    fewer terms than it would be alone.  ``samples``, ``frame_tables`` and
+    ``unitary_frame`` share one window rule, ``_anchor_blocks``; each pass
+    is split by one batched ``iwasawa`` call, each block's points are read
+    off one stack of frame pairs, and ``sample(z)`` is a call of one.  A node
     whose route, row or split fails is invalid and carries its own error: a
     failing row fails only its own node, in the pass it ran in.
     ``ode_counts`` totals the Taylor pieces and terms of every transport the
@@ -305,6 +306,8 @@ class SurfaceMap:
         #: the cap: the window of a node whose P is unresolved at the start window
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.start_window = min(START_WINDOW, self.window)
+        #: rows of a cap stack: a split's work grows about as N^2 a row
+        self.cap_rows = max(1, NODE_CHUNK * self.start_window**2 // self.window**2)
         self.ode = ode if ode is not None else OdeOptions()
         # lam0 and -i lam0 are samples 0 and 3N at either window
         self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
@@ -328,6 +331,7 @@ class SurfaceMap:
         if starts is None:
             starts = [(base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))] * len(zs)
         if self._xi[n].exact is None:
+            from .holonomy import transport
             moved = [i for i, (z, (z0, _)) in enumerate(zip(zs, starts)) if z != z0]
             routes = [DomainPath.line(starts[i][0], zs[i]) for i in moved]
             ends = iter(transport(self.pot, routes, np.stack([starts[i][1] for i in moved]), self._lams[n], self.ode,
@@ -340,23 +344,32 @@ class SurfaceMap:
         return [PoleError("no log-z route reaches the singular point z = 0") if bad else v
                 for bad, v in zip(near, _expm(np.multiply.outer(w, a)))]
 
-    def _anchors(self, zs: list[complex], winding: int) -> tuple[list, list]:
-        """Frame values and their split, or the error that stops the node, at
-        each z, at the window the rule chooses for it; one split per window."""
-        states = self._frames(zs, winding, self.start_window)
-        splits = _split_rows(states)
-        # below the cap, a split that fails or leaves P an edge mass above EDGE_TOL is read again there
-        again = [i for i, (state, res) in enumerate(zip(states, splits))
-                 if self.start_window < self.window and not isinstance(state, Exception)
-                 and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL)]
-        capped = self._frames([zs[i] for i in again], winding, self.window)
-        for i, state, res in zip(again, capped, _split_rows(capped)):
-            states[i], splits[i] = state, res
-        return states, splits
+    def _anchor_blocks(self, zs: list[complex], winding: int):
+        """Blocks of (i, frame values, split) of the anchors zs[i], or the
+        error that stops one, at the window the rule chooses, one split a
+        block: each ``NODE_CHUNK`` of zs at the start window, less the nodes
+        left unresolved there, which wait, as indices, for the cap and run
+        there ``cap_rows`` a stack as soon as that many wait, the rest last."""
+
+        def block(ids, n: int) -> list:
+            states = self._frames([zs[i] for i in ids], winding, n)
+            return list(zip(ids, states, _split_rows(states)))
+
+        waiting: list[int] = []
+        for first in range(0, len(zs), NODE_CHUNK):
+            rows = block(range(first, min(first + NODE_CHUNK, len(zs))), self.start_window)
+            # below the cap, a split that fails or leaves P an edge mass above EDGE_TOL is read again there
+            again = [i for i, state, res in rows if self.start_window < self.window and not isinstance(
+                state, Exception) and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL)]
+            yield [row for row in rows if row[0] not in again]
+            waiting += again
+            while len(waiting) >= self.cap_rows or (waiting and first + NODE_CHUNK >= len(zs)):
+                yield block(waiting[: self.cap_rows], self.window)
+                del waiting[: self.cap_rows]
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
-        (res,) = self._anchors([complex(z)], winding)[1]
+        ((_, _, res),) = [row for block in self._anchor_blocks([complex(z)], winding) for row in block]
         raise_first([res])
         return res
 
@@ -371,11 +384,11 @@ class SurfaceMap:
 
         A centre with a route to a point past a pole fails with that error,
         unless its split fails first, and joins no pass.  The others are the
-        anchors of one ``_anchors`` pass per ``NODE_CHUNK``, which chooses each
-        window once.  Their points are carried from the centres' values by
-        ``_frames``, whole stencils at one window and NODE_CHUNK // (points a
-        stencil) stencils a block, one pass and one split a block, in which
-        a failing row fails only its own stencil.  A point equal to its centre
+        anchors of ``_anchor_blocks``, which chooses each window once.
+        Their points are carried from the centres' values by ``_frames``,
+        whole stencils at one window and NODE_CHUNK // (points a stencil)
+        stencils a block, one pass and one split a block, in which a failing
+        row fails only its own stencil.  A point equal to its centre
         is read off the centre's split: for one centre, ``frame_pair(z)`` bit
         for bit.
         """
@@ -391,15 +404,15 @@ class SurfaceMap:
         anchors, windows = {}, {}
         # the centres that failed a route are split apart, so their own split's error comes first
         failed = [i for i, res in enumerate(out) if res is not None]
-        for ids in [failed, *node_chunks([i for i, res in enumerate(out) if res is None])]:
-            for i, (state, res) in zip(ids, zip(*self._anchors([zs[i] for i in ids], 0))):
+        for ids in [failed, [i for i, res in enumerate(out) if res is None]]:
+            for k, state, res in (row for block in self._anchor_blocks([zs[i] for i in ids], 0) for row in block):
                 if isinstance(res, Exception):
-                    out[i] = res
-                elif out[i] is None:
-                    anchors[i] = state, res
-                    windows.setdefault(res.window, []).append(i)
+                    out[ids[k]] = res
+                elif out[ids[k]] is None:
+                    anchors[ids[k]] = state, res
+                    windows.setdefault(res.window, []).append(ids[k])
         per = max(1, NODE_CHUNK // max(map(len, pts), default=1))
-        for n, block in [(n, ids[k : k + per]) for n, ids in windows.items() for k in range(0, len(ids), per)]:
+        for n, block in [(n, sorted(ids)[k : k + per]) for n, ids in windows.items() for k in range(0, len(ids), per)]:
             carried = [(p, (zs[i], anchors[i][0])) for i in block for p in pts[i] if p != zs[i]]
             off = iter(_split_rows(self._frames([p for p, _ in carried], 0, n, [start for _, start in carried])))
             for i in block:
@@ -417,16 +430,17 @@ class SurfaceMap:
     def samples(self, nodes) -> list[SurfaceSample]:
         """Surface samples at every node, in order.
 
-        The nodes run ``NODE_CHUNK`` at a time, each chunk at the start
-        window; the chunk's nodes that are unresolved there run again
-        together at the cap, and the chunk is read off one stack
-        (``_read_chunk``).  A node that fails is invalid and carries its
+        Each block of ``_anchor_blocks`` is read off one stack
+        (``_read_chunk``) before the next runs, so no frame outlives its
+        block's readout.  A node that fails is invalid and carries its
         error, the rest are still computed.
         """
         zs = [complex(z) for z in nodes]
-        out = []
-        for chunk in node_chunks(zs):
-            out += _read_chunk(chunk, self._anchors(chunk, 0)[1])
+        out: list = [None] * len(zs)
+        for block in self._anchor_blocks(zs, 0):
+            ids = [i for i, _, _ in block]
+            for i, sample in zip(ids, _read_chunk([zs[i] for i in ids], [res for _, _, res in block])):
+                out[i] = sample
         return out
 
     def sample(self, z: complex) -> SurfaceSample:

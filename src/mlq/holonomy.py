@@ -23,11 +23,13 @@ the Iwasawa split takes the values as they are, one batch per chunk of
 grid nodes, each on one straight segment from the base point, and one
 batch per block of whole finite-difference stencils, from each centre's
 values to each of its points.  It never runs the one-term families
-(sphere, torus, equivariant): their frame is exp(W A).
+(sphere, torus, equivariant): their frame is exp(W A), and the route
+records live in ``potentials``, so a one-term run never loads this module.
 
 Internally the state is laid out as component planes (2, 2, rows, M); a
 term of the recurrence multiplies only the entries of xi's coefficients
-that are nonzero at some row and lam.
+that are nonzero at some row and lam, and ``loops.mul2`` composes the
+propagators on stacks in that layout, as the Iwasawa split multiplies.
 
 Determinants: all potential families are trace free, so det U = 1 is exact
 for the true flow and drifts only through truncation and roundoff.  The
@@ -38,16 +40,11 @@ principal square root of det U, and ``OdeCounts`` keeps the largest
 
 from __future__ import annotations
 
-import math
-import threading
-from collections.abc import Sequence
-
 import numpy as np
 
-from .potentials import FrozenRecord, PoleError, Potential, XiSampler, xi_sampler
-
-#: Paths must keep this distance from declared singular points.
-EPS_POLE = 1e-3
+from .loops import as_planes, mul2
+from .potentials import (EPS_POLE, DomainPath, IntegrationError, OdeCounts, OdeOptions, PoleError, Potential,
+                         XiSampler, raise_first, validate_path, xi_sampler)
 
 #: smallest singular value, relative to the largest, that ``unitarizing_gauge``
 #: still reads as an invariant Hermitian form
@@ -60,44 +57,6 @@ RATIO = 0.4
 MAX_TERMS = 200
 
 
-class IntegrationError(RuntimeError):
-    """ODE solver failure; message carries the z-location of the failure."""
-
-
-class DomainPath(FrozenRecord):
-    """Piecewise-linear path in the z-plane.
-
-    ``closed`` appends the segment from the last vertex back to the first;
-    the first vertex is the base point.
-    """
-
-    __slots__ = ("vertices", "closed")
-    vertices: tuple[complex, ...]
-    closed: bool
-
-    def __init__(self, vertices: Sequence[complex], closed: bool = False) -> None:
-        verts = tuple(complex(v) for v in vertices)
-        if len(verts) < 1:
-            raise ValueError("path needs at least one vertex")
-        for u, v in zip(verts, verts[1:]):
-            if u == v:
-                raise ValueError(f"consecutive path vertices coincide at {u}")
-        if closed and len(verts) >= 2 and verts[0] == verts[-1]:
-            raise ValueError("closed path must not repeat the base vertex")
-        super().__init__(verts, closed)
-
-    @classmethod
-    def line(cls, z0: complex, z1: complex) -> "DomainPath":
-        return cls((complex(z0), complex(z1)))
-
-    def segments(self) -> list[tuple[complex, complex]]:
-        verts = self.vertices
-        segs = list(zip(verts, verts[1:]))
-        if self.closed and len(verts) >= 2:
-            segs.append((verts[-1], verts[0]))
-        return segs
-
-
 def circle_path(center: complex, radius: float, n: int = 64, start_angle: float = 0.0) -> DomainPath:
     """Closed n-gon approximation of a circle, traversed counterclockwise."""
     if radius <= 0:
@@ -107,79 +66,6 @@ def circle_path(center: complex, radius: float, n: int = 64, start_angle: float 
     angles = start_angle + 2.0 * np.pi * np.arange(n) / n
     verts = tuple(complex(center) + radius * np.exp(1j * angles))
     return DomainPath(verts, closed=True)
-
-
-def _segment_pole_distance(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to the segment [a, b]."""
-    d = b - a
-    t = ((p - a) * np.conj(d)).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d - p)
-
-
-def validate_path(path: DomainPath, pot: Potential) -> None:
-    """Reject paths that pass within ``EPS_POLE`` of a declared singular point."""
-    for a, b in path.segments():
-        for p in pot.singular_points:
-            dist = _segment_pole_distance(a, b, p)
-            if dist < EPS_POLE:
-                raise PoleError(
-                    f"path segment {a} -> {b} passes within {dist:.2e} of singular point {p}"
-                )
-
-
-class OdeOptions(FrozenRecord):
-    """Integrator configuration.
-
-    A piece's Taylor series is summed until its last terms are below
-    tolerance times the largest entry of the sum, at every row and lam
-    (see ``_propagators``).
-    """
-
-    __slots__ = ("tolerance",)
-    tolerance: float
-
-    def __init__(self, tolerance: float = 1e-10) -> None:
-        if isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be a finite positive real, got {tolerance!r}")
-        super().__init__(tolerance)
-
-
-class OdeCounts:
-    """Running totals of Taylor pieces (``steps``) and of the terms their
-    passes summed, and the largest |det U - 1| of any piece propagator U
-    before it was divided out; one instance may be shared between threads."""
-
-    def __init__(self) -> None:
-        self.steps = 0
-        self.terms = 0
-        self.det_drift = 0.0
-        self._lock = threading.Lock()
-
-    def add(self, steps: int, terms: int, det_drift: float) -> None:
-        with self._lock:
-            self.steps += steps
-            self.terms += terms
-            self.det_drift = max(self.det_drift, det_drift)
-
-
-def _planes(y: np.ndarray) -> np.ndarray:
-    """Frame values of shape (B, M, 2, 2) as contiguous component planes (2, 2, B, M)."""
-    return np.ascontiguousarray(np.moveaxis(y, (-2, -1), (0, 1)))
-
-
-def _unplanes(y: np.ndarray) -> np.ndarray:
-    """Inverse of ``_planes``."""
-    return np.ascontiguousarray(np.moveaxis(y, (0, 1), (-2, -1)))
-
-
-def _right_mul(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 products y x on component planes (2, 2, ...): each term
-    runs over the B*M contiguous values of a plane, which is faster than
-    matmul or broadcasting over stacks of many small matrices."""
-    out = y[:, :1] * x[0]
-    out += y[:, 1:] * x[1]
-    return out
 
 
 def _pieces(pot: Potential, segs: list[tuple[complex, complex]]):
@@ -293,12 +179,6 @@ def _propagators(d: np.ndarray, c: np.ndarray, tol: float, starts: np.ndarray) -
     return total, MAX_TERMS, errors
 
 
-def raise_first(rows: list) -> None:
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
-
-
 def transport(
     pot: Potential,
     path: DomainPath | Sequence[DomainPath],
@@ -357,11 +237,13 @@ def transport(
         # y_b = y_b U_b1 ... U_bP: path b's pieces are the rows first[b] .. first[b] + n[b] - 1
         n = per_segment.reshape(len(live), -1).sum(axis=1)
         first = np.cumsum(n) - n
-        state = _right_mul(_planes(y[live]), props[:, :, first])
+        # the propagators viewed as a stack (rows, M, 2, 2), in plane memory, as is the state
+        props = props.transpose(2, 3, 0, 1)
+        state = mul2(as_planes(y[live]), props[first])
         for k in range(1, n.max()):
             has = np.flatnonzero(n > k)
-            state[:, :, has] = _right_mul(state[:, :, has], props[:, :, first[has] + k])
-        for b, f, k, end in zip(live, first, n, _unplanes(state)):
+            state[has] = mul2(state[has], props[first[has] + k])
+        for b, f, k, end in zip(live, first, n, state):
             out[b] = next((e for e in errors[f : f + k] if e is not None), end)
     if single:
         raise_first(out)

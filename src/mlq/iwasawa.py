@@ -23,16 +23,18 @@ A stack of loops, shape (B, 4N, 2, 2), is split in one pass, one stacked
 Cholesky per section over the rows still doubling; each row keeps its own
 checks and error, and the bits it gets alone, as a stack of one.  The 2x2
 products, inverses and eigenvalues at the samples are formed entry by entry
-(``loops.mul2`` and its kin), so a row's bits do not depend on its stack.
+(``loops.mul2`` and its kin) on component planes (2, 2, B, 4N)
+(``loops.as_planes``), so a row's bits do not depend on its stack.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .loops import coefficients, ct2, eigvalsh2, inv2, mul2, plus_values
+from .loops import as_planes, coefficients, ct2, eigvalsh2, inv2, mul2, plus_values
 
 #: the split accepts B once max_j ||B_j* B_j - P_j|| <= SPLIT_TOL max_j ||P_j||^2: the
 #: residual's float64 floor is 1e-17 to 8e-16 of ||P||^2 (= cond P, as det P = 1), so
@@ -97,27 +99,35 @@ def _positivity_precheck(vals: np.ndarray, finite: np.ndarray) -> list:
     """Each row's max_j ||P_j||, the largest eigenvalue of its loop at its
     samples, or its FactorizationError where that loop is not finite at the
     samples it was given (``finite``, shape (B, 4N)), or not Hermitian
-    positive at its samples."""
+    positive at its samples; the checks run on the whole stack, and only a
+    failing row is read again for its message."""
     m = vals.shape[1]
     herm = np.linalg.norm(vals - ct2(vals), axis=(-2, -1))
     eigs = eigvalsh2(0.5 * (vals + ct2(vals)))
     worst, lowest = herm.argmax(axis=1), eigs[..., 0].argmin(axis=1)
-    scale = np.maximum(1.0, np.abs(vals).max(axis=(1, 2, 3)))
-    out = []
-    for i, ok in enumerate(finite):
-        dev, least = herm[i, worst[i]], eigs[i, lowest[i], 0]
-        # NaN passes every comparison below, so a loop that is not finite stops here
-        if not ok.all():
-            out.append(FactorizationError(f"loop is not finite at sample {int(np.argmin(ok))} of {m}"))
-        elif dev > 1e-6 * scale[i]:
-            out.append(FactorizationError(
-                f"loop is not Hermitian on the circle: deviation {dev:.3e} at sample {worst[i]} of {m}"))
-        elif least <= 0:
-            out.append(FactorizationError(f"loop is not positive definite at sample {lowest[i]} "
-                                          f"of {m} (min eigenvalue {least:.3e})"))
+    rows = np.arange(len(vals))
+    dev, least, scale = herm[rows, worst], eigs[rows, lowest, 0], np.maximum(1.0, np.abs(vals).max(axis=(1, 2, 3)))
+    out = eigs[..., 1].max(axis=1).tolist()
+    # NaN passes both comparisons, so a loop that is not finite fails on ``finite`` alone
+    for i in np.flatnonzero(~finite.all(axis=1) | (dev > 1e-6 * scale) | (least <= 0)):
+        if not finite[i].all():
+            out[i] = FactorizationError(f"loop is not finite at sample {int(np.argmin(finite[i]))} of {m}")
+        elif dev[i] > 1e-6 * scale[i]:
+            out[i] = FactorizationError(
+                f"loop is not Hermitian on the circle: deviation {dev[i]:.3e} at sample {worst[i]} of {m}")
         else:
-            out.append(float(eigs[i, :, 1].max()))
+            out[i] = FactorizationError(f"loop is not positive definite at sample {lowest[i]} "
+                                        f"of {m} (min eigenvalue {least[i]:.3e})")
     return out
+
+
+@lru_cache(maxsize=8)
+def _section_index(m: int, d: int) -> np.ndarray:
+    """Where entry (u, v) of the (m+1)-block section, entry (u % 2, v % 2) of P_k with k = v // 2 - u // 2,
+    sits in a row of the flattened P_-d..P_d, or the zero after them where |k| > d."""
+    u, v = np.ogrid[: 2 * m + 2, : 2 * m + 2]
+    k = v // 2 - u // 2
+    return np.where(abs(k) <= d, 4 * (k + d) + 2 * (u % 2) + v % 2, 4 * (2 * d + 1))
 
 
 def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
@@ -129,15 +139,11 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
     section is not positive definite.
     """
     d = p.shape[1] // 2
-    size = 2 * (m + 1)
     # block (i, j) of the Hermitian section (T + T^H) / 2 is (P_{j-i} + P_{i-j}^H) / 2: the
-    # coefficients padded onto [-m, m] are symmetrized once, then read in one gather
-    padded = np.zeros((len(p), 2 * m + 1, 2, 2), dtype=np.complex128)
-    padded[:, m - d : m + d + 1] = p
-    padded += np.conj(np.swapaxes(padded[:, ::-1], -1, -2))
-    padded *= 0.5
-    idx = np.arange(m + 1)
-    t2 = padded[:, idx[None, :] - idx[:, None] + m].transpose(0, 1, 3, 2, 4).reshape(-1, size, size)
+    # coefficients are symmetrized once, then read in one gather
+    sym = np.zeros((len(p), 4 * (2 * d + 1) + 1), dtype=np.complex128)
+    sym[:, :-1] = ((p + ct2(p[:, ::-1])) * 0.5).reshape(len(p), -1)
+    t2 = np.take(sym, _section_index(m, d), axis=1)
     failed = {}
     try:
         low = np.linalg.cholesky(t2)
@@ -151,7 +157,7 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
                 failed[i] = FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}")
     # B_n is the conjugate transpose of block m - n of the last block row
     row = low[:, 2 * m : 2 * m + 2].reshape(-1, 2, m + 1, 2).transpose(0, 2, 1, 3)
-    return np.conj(np.swapaxes(row[:, m - d :][:, ::-1], -1, -2)), failed
+    return np.conj(as_planes(np.swapaxes(row[:, m - d :][:, ::-1], -1, -2))), failed
 
 
 def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> np.ndarray:
@@ -190,9 +196,11 @@ def spectral_factor_plus(values: np.ndarray):
     n = _window(values)
     if values.ndim == 3:
         return _single(spectral_factor_plus(values[None]))
+    values = as_planes(values)
     c = coefficients(values)
     # P at the samples, less its Nyquist mode: these resolve all of B* B - P
-    p_vals = values - c[:, 2 * n, None] * ((-1) ** np.arange(4 * n))[:, None, None]
+    p_vals = np.subtract(values, c[:, 2 * n, None] * ((-1) ** np.arange(4 * n))[:, None, None],
+                         out=np.empty_like(values))
     tops = _positivity_precheck(p_vals, np.isfinite(values).all(axis=(-2, -1)))
     out, edge = list(tops), _edge_mass(c)
     degree = 2 * n - 1
@@ -241,11 +249,12 @@ def iwasawa(values: np.ndarray):
     _window(values)
     if values.ndim == 3:
         return _single(iwasawa(values[None]))
-    out = spectral_factor_plus(mul2(ct2(values), values))
+    phi = as_planes(values)
+    out = spectral_factor_plus(mul2(ct2(phi), phi))
     ok = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if not ok:
         return out
-    b = np.stack([out[i][0] for i in ok])
+    b = as_planes(np.stack([out[i][0] for i in ok]))
     # constant correction: exact normalization of the constant term, by the Q
     # of B_0 = Q R with R's diagonal made real positive
     q, r = np.linalg.qr(b[:, 0])
@@ -257,7 +266,7 @@ def iwasawa(values: np.ndarray):
     b.real[diag] = np.abs(b.real[diag])
     b.imag[diag] = 0.0
 
-    f = mul2(values[ok], inv2(plus_values(b, values.shape[-3])))
+    f = mul2(as_planes(phi[ok]), inv2(plus_values(b, values.shape[-3])))
     gram_f = mul2(ct2(f), f) - np.eye(2)
     unitarity = np.linalg.norm(gram_f, axis=(-2, -1)).max(axis=-1)
     for k, i in enumerate(ok):

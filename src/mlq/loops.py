@@ -12,11 +12,14 @@ appear only inside the split, and only through two FFT reads:
 and ``plus_values`` takes the coefficients of a plus loop (k = 0..K-1,
 K <= M) back to its values at the samples, exactly.
 
-The split and the readout work on stacks of 2x2 matrices, one per sample
-and loop, and multiply, invert and diagonalize them entry by entry
-(``mul2``, ``ct2``, ``det2``, ``inv2``, ``eigvalsh2``): numpy's stacked
-``@``, ``inv`` and ``eigvalsh`` hand each 2x2 to BLAS or LAPACK on its
-own, which costs more than the arithmetic.
+The split and the readout multiply, invert and diagonalize 2x2 matrices
+stacked on leading axes, one per sample and loop, entry by entry (``mul2``,
+``ct2``, ``det2``, ``inv2``, ``eigvalsh2``): numpy's stacked ``@``, ``inv``
+and ``eigvalsh`` hand each 2x2 to BLAS or LAPACK on its own, which costs
+more than the arithmetic.  The kernels index the last two axes and keep
+their operands' memory layout, so the split hands them stacks laid out as
+component planes (2, 2, rows, 4N) (``as_planes``): each entrywise term then
+runs over a whole plane, not over runs of two.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ def plus_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(coeffs, n=m, axis=-3, norm="forward")
 
 
+def as_planes(a: np.ndarray) -> np.ndarray:
+    """A copy of a stack of 2x2 matrices (..., 2, 2), of the same shape, laid out as contiguous
+    component planes (2, 2, ...): the kernels below then run each term over whole planes."""
+    lead = range(a.ndim - 2)
+    return np.ascontiguousarray(a.transpose(-2, -1, *lead)).transpose(*(k + 2 for k in lead), 0, 1)
+
+
 def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The products a b of 2x2 matrices stacked on (broadcast) leading axes."""
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
@@ -75,8 +85,10 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def inv2(a: np.ndarray) -> np.ndarray:
-    """The inverses of 2x2 matrices stacked on the leading axes: adjugate over determinant."""
-    return np.swapaxes(a[..., ::-1, ::-1], -1, -2) * (_ADJUGATE_SIGNS / det2(a)[..., None, None])
+    """The inverses of 2x2 matrices stacked on the leading axes: adjugate over
+    determinant, laid out in memory as a is."""
+    out = np.divide(_ADJUGATE_SIGNS, det2(a)[..., None, None], out=np.empty_like(a))
+    return np.multiply(np.swapaxes(a[..., ::-1, ::-1], -1, -2), out, out=out)
 
 
 def eigvalsh2(h: np.ndarray) -> np.ndarray:

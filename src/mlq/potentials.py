@@ -13,7 +13,10 @@ torus and equivariant are one term w(z) A(lam), so xi(z) commutes with
 xi(z') and the frame is exp(W A).  A config's ``potential`` object holds a
 family's ``*_spec`` parameters; ``cli.load_config`` reads it, and nothing
 here reads JSON.  ``GridSpec``, the config's z-grid, is defined here too, so
-reading a config runs no pipeline layer.
+reading a config runs no pipeline layer, and so are the route records a
+one-term run shares with the integrator (``DomainPath``, ``validate_path``,
+``EPS_POLE``, ``OdeOptions``, ``OdeCounts``, ``IntegrationError``), so it
+never loads ``holonomy``.
 
 Families
 --------
@@ -32,9 +35,11 @@ custom       finite sum of lam^k terms with rational z-coefficients, poles
 
 from __future__ import annotations
 
+import math
+import threading
 from functools import reduce
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +47,13 @@ import numpy as np
 class PoleError(ValueError):
     """Raised when a potential is evaluated at (or a path runs into) a pole."""
 
+
+class IntegrationError(RuntimeError):
+    """ODE solver failure; message carries the z-location of the failure."""
+
+
+#: Paths must keep this distance from declared singular points.
+EPS_POLE = 1e-3
 
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 _E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
@@ -151,6 +163,100 @@ class GridSpec(FrozenRecord):
         xs = np.linspace(self.re_min, self.re_max, self.n_re)
         ys = np.linspace(self.im_min, self.im_max, self.n_im)
         return [complex(x, y) for y in ys for x in xs]
+
+
+class DomainPath(FrozenRecord):
+    """Piecewise-linear path in the z-plane.
+
+    ``closed`` appends the segment from the last vertex back to the first;
+    the first vertex is the base point.
+    """
+
+    __slots__ = ("vertices", "closed")
+    vertices: tuple[complex, ...]
+    closed: bool
+
+    def __init__(self, vertices: Sequence[complex], closed: bool = False) -> None:
+        verts = tuple(complex(v) for v in vertices)
+        if len(verts) < 1:
+            raise ValueError("path needs at least one vertex")
+        for u, v in zip(verts, verts[1:]):
+            if u == v:
+                raise ValueError(f"consecutive path vertices coincide at {u}")
+        if closed and len(verts) >= 2 and verts[0] == verts[-1]:
+            raise ValueError("closed path must not repeat the base vertex")
+        super().__init__(verts, closed)
+
+    @classmethod
+    def line(cls, z0: complex, z1: complex) -> "DomainPath":
+        return cls((complex(z0), complex(z1)))
+
+    def segments(self) -> list[tuple[complex, complex]]:
+        verts = self.vertices
+        segs = list(zip(verts, verts[1:]))
+        if self.closed and len(verts) >= 2:
+            segs.append((verts[-1], verts[0]))
+        return segs
+
+
+def _segment_pole_distance(a: complex, b: complex, p: complex) -> float:
+    """Distance from point p to the segment [a, b]."""
+    d = b - a
+    t = ((p - a) * np.conj(d)).real / abs(d) ** 2
+    t = min(1.0, max(0.0, t))
+    return abs(a + t * d - p)
+
+
+def validate_path(path: DomainPath, pot: Potential) -> None:
+    """Reject paths that pass within ``EPS_POLE`` of a declared singular point."""
+    for a, b in path.segments():
+        for p in pot.singular_points:
+            dist = _segment_pole_distance(a, b, p)
+            if dist < EPS_POLE:
+                raise PoleError(
+                    f"path segment {a} -> {b} passes within {dist:.2e} of singular point {p}"
+                )
+
+
+class OdeOptions(FrozenRecord):
+    """Integrator configuration.
+
+    A piece's Taylor series is summed until its last terms are below
+    tolerance times the largest entry of the sum, at every row and lam
+    (see ``_propagators``).
+    """
+
+    __slots__ = ("tolerance",)
+    tolerance: float
+
+    def __init__(self, tolerance: float = 1e-10) -> None:
+        if isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite positive real, got {tolerance!r}")
+        super().__init__(tolerance)
+
+
+class OdeCounts:
+    """Running totals of Taylor pieces (``steps``) and of the terms their
+    passes summed, and the largest |det U - 1| of any piece propagator U
+    before it was divided out; one instance may be shared between threads."""
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.terms = 0
+        self.det_drift = 0.0
+        self._lock = threading.Lock()
+
+    def add(self, steps: int, terms: int, det_drift: float) -> None:
+        with self._lock:
+            self.steps += steps
+            self.terms += terms
+            self.det_drift = max(self.det_drift, det_drift)
+
+
+def raise_first(rows: list) -> None:
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
 
 
 def sphere_spec() -> PotentialSpec:

@@ -225,7 +225,7 @@ def test_frozen_records_stay_frozen_and_compare_by_value():
 
 def test_the_set_up_probe_runs_no_pipeline_layer(tmp_path):
     # perfbench/setup_probe.py's path, import mlq.cli then load_config and
-    # make_potential, leaves frames, iwasawa, verify and closedform
+    # make_potential, leaves holonomy, frames, iwasawa, verify and closedform
     # unexecuted, and mlq.GridSpec resolves to the config reader's own
     # record without loading frames; in a fresh interpreter
     cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
@@ -240,7 +240,8 @@ def test_the_set_up_probe_runs_no_pipeline_layer(tmp_path):
     )
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [True, ["mlq.closedform", "mlq.frames", "mlq.iwasawa", "mlq.verify"]]
+    assert json.loads(run.stdout) == [True, ["mlq.closedform", "mlq.frames", "mlq.holonomy", "mlq.iwasawa",
+                                             "mlq.verify"]]
 
 
 def test_the_set_up_probe_still_reads_the_spec(tmp_path):
@@ -253,10 +254,10 @@ def test_the_set_up_probe_still_reads_the_spec(tmp_path):
 
 def test_the_layer_trace_finds_every_layer_after_importing_the_cli():
     # perfbench/layer_trace.install imports mlq.cli, then reads each of its
-    # LAYERS from sys.modules and wraps what vars() of it holds: frames,
-    # iwasawa, verify and closedform are bound there unexecuted and load on
-    # that read, and a layer imported before mlq.cli stays the one object;
-    # in a fresh interpreter, with closedform or frames imported first
+    # LAYERS from sys.modules and wraps what vars() of it holds: holonomy,
+    # frames, iwasawa, verify and closedform are bound there unexecuted and
+    # load on that read, and a layer imported before mlq.cli stays the one
+    # object; in a fresh interpreter, with closedform or frames imported first
     root = Path(mlq.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     for first in ("closedform", "frames"):
@@ -268,13 +269,15 @@ def test_the_layer_trace_finds_every_layer_after_importing_the_cli():
             "import mlq.cli\n"
             "missing = [n for n in LAYERS if f'mlq.{n}' not in sys.modules]\n"
             "verify, frames = sys.modules['mlq.verify'], sys.modules['mlq.frames']\n"
+            "holonomy = sys.modules['mlq.holonomy']\n"
             "print(json.dumps([missing, 'node_reports' in vars(verify), mlq.verify is verify,\n"
             "                  'SurfaceMap' in vars(frames), mlq.frames is frames,\n"
+            "                  'transport' in vars(holonomy), mlq.holonomy is holonomy,\n"
             f"                  sys.modules['mlq.{first}'] is before]))\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout) == [[], True, True, True, True, True], first
+        assert json.loads(run.stdout) == [[], True, True, True, True, True, True, True], first
 
 
 def fresh_main(argv: list[str]) -> tuple:
@@ -300,18 +303,20 @@ def test_generate_loads_only_what_it_runs(tmp_path):
     # importing mlq loads none of its modules (its names resolve on first
     # access), and generate, at any --jobs or none, starts no thread pool,
     # builds no rational weight, loads no dataclasses (its records generate
-    # no code at import) and never runs the verify or closedform module
-    # that importing mlq.cli binds
+    # no code at import) and never runs the holonomy, verify or closedform
+    # module that importing mlq.cli binds: an equivariant frame is exp(W A)
     cfg = write_config(tmp_path, {"variant": "equivariant", "a": 0.75, "b": 0.25})
     for jobs in (["--jobs", "1"], [], ["--jobs", "4"]):
         code, bare, loaded, unrun = fresh_main(["generate", "--config", cfg, "--out", str(tmp_path / "out"), *jobs])
         assert code == 0 and bare == [], jobs
         assert sorted({"concurrent.futures", "dataclasses", "numpy.polynomial"} & set(loaded)) == [], jobs
-        assert {"mlq.verify", "mlq.closedform"} <= set(loaded) and unrun == ["mlq.closedform", "mlq.verify"], jobs
+        assert {"mlq.verify", "mlq.closedform"} <= set(loaded), jobs
+        assert unrun == ["mlq.closedform", "mlq.holonomy", "mlq.verify"], jobs
 
 
 #: a command, the potential of its config and the layer modules it never runs
 UNRUN_LAYERS = {
+    "generate": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, ["mlq.closedform", "mlq.verify"]),
     "verify": ({"variant": "radial", "c": [0.5, 0.0], "k": 1}, ["mlq.closedform"]),
     "closing": ({"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0},
                 ["mlq.frames", "mlq.iwasawa", "mlq.verify"]),
@@ -320,8 +325,9 @@ UNRUN_LAYERS = {
 
 @pytest.mark.parametrize("command", sorted(UNRUN_LAYERS))
 def test_a_command_runs_only_the_layers_it_calls(tmp_path, command):
-    # verify never runs closedform, and closing on a trinoid never runs
-    # frames, the split or verify
+    # a radial generate runs the integrator but neither verify nor
+    # closedform, verify never runs closedform, and closing on a trinoid
+    # never runs frames, the split or verify
     potential, unrun_layers = UNRUN_LAYERS[command]
     cfg = write_config(tmp_path, potential)
     code, _, loaded, unrun = fresh_main([command, "--config", cfg, "--out", str(tmp_path / "out")])

@@ -376,13 +376,13 @@ def test_generate_is_independent_of_jobs(tmp_path, monkeypatch):
     # 72 nodes are three chunks, one sweep each; --jobs is ignored, so every
     # node's sweep, and the step counts in meta.json, are the same for any --jobs
     sweeps = []
-    transport = frames.transport
+    transport = holonomy.transport
 
     def counted(pot, paths, y, lams, opts, counts):
         sweeps.append(len(paths))
         return transport(pot, paths, y, lams, opts, counts)
 
-    monkeypatch.setattr(frames, "transport", counted)
+    monkeypatch.setattr(holonomy, "transport", counted)
     # the grid misses the base point 0, so every node rides in its chunk's sweep
     cfg = write_cfg(
         tmp_path,
@@ -460,13 +460,13 @@ def test_verify_and_family_are_independent_of_jobs_over_two_chunks(tmp_path, mon
     # anchor sweep and stencil sweep, and report.json and family.json, are
     # the same for any --jobs
     sweeps = []
-    transport = frames.transport
+    transport = holonomy.transport
 
     def counted(pot, paths, y, lams, opts, counts):
         sweeps.append(len(paths))
         return transport(pot, paths, y, lams, opts, counts)
 
-    monkeypatch.setattr(frames, "transport", counted)
+    monkeypatch.setattr(holonomy, "transport", counted)
     cfg = write_cfg(
         tmp_path,
         potential={"variant": "radial", "c": 0.5, "k": 1},
@@ -739,13 +739,13 @@ def test_family_transports_as_verify_does(tmp_path, monkeypatch, sweep):
     # the table's samples or not, so family transports each stencil once, as
     # verify does
     calls = []
-    transport = frames.transport
+    transport = holonomy.transport
 
     def counted(*args):
         calls.append(len(args[1]))
         return transport(*args)
 
-    monkeypatch.setattr(frames, "transport", counted)
+    monkeypatch.setattr(holonomy, "transport", counted)
     cfg = write_cfg(tmp_path, "fam.json", **VERIFY_RADIAL, sweep=sweep)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
     verify_calls, calls[:] = list(calls), []

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import analytic_surface
 
-from mlq import frames
+from mlq import frames, holonomy
 from mlq.cli import _CLOSING_SAMPLES
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import (
@@ -305,13 +305,13 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
 
 def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
     sizes = []
-    transport = frames.transport
+    transport = holonomy.transport
 
     def counted(*args):
         sizes.append(args[3].size)
         return transport(*args)
 
-    monkeypatch.setattr(frames, "transport", counted)
+    monkeypatch.setattr(holonomy, "transport", counted)
     for cap in (6, 8):
         # radial z = 1.5 would be read at 16: its edge mass at N = 8 is 2e-12
         smap = tight_map(radial_spec(0.5, 1), window=cap)
@@ -320,6 +320,28 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
         assert smap.sample(1.5).diagnostics["window"] == cap
     # one transport per readout, each at the cap's 4N samples
     assert sizes == [24, 24, 32, 32]
+
+
+def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
+    # the 12 nodes at Re z = 0.3 that the start window leaves unresolved sit
+    # in four chunks; they wait, as indices, and run at the cap in stacks of
+    # NODE_CHUNK (START_WINDOW / 16)^2 = 8 rows, not in one pass a chunk, and
+    # each reads off its stack as it does alone, diagnostics included
+    stacks = []
+    split = frames.iwasawa
+    monkeypatch.setattr(frames, "iwasawa", lambda values: stacks.append(values.shape[:2]) or split(values))
+    smap = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=16)
+    zs = [complex(x, y) for y in np.linspace(-0.6, 0.6, 24) for x in np.linspace(0.3, 1.5, 8)]
+    got = smap.samples(zs)
+    capped = [i for i, s in enumerate(got) if s.diagnostics["window"] == 16]
+    assert smap.cap_rows == 8 and len(capped) == 12 and len({i // NODE_CHUNK for i in capped}) >= 3
+    assert [rows for rows, m in stacks if m == 4 * 16] == [8, 4]
+    assert [rows for rows, m in stacks if m == 4 * START_WINDOW] == [NODE_CHUNK] * 6
+    for z, s in zip(zs, got):
+        alone = smap.sample(z)
+        assert s.valid and alone.valid and s.diagnostics == alone.diagnostics
+        assert all(np.array_equal(a, b) for a, b in zip((s.q2_hom, *s.s2_pair, *s.s3_pair),
+                                                        (alone.q2_hom, *alone.s2_pair, *alone.s3_pair)))
 
 
 def test_an_unresolved_readout_names_its_window():
@@ -492,8 +514,8 @@ def test_frame_tables_sweep_whole_stencils_at_most_node_chunk_rows_at_a_time(mon
     # off each centre follow in blocks of two stencils (24 rows), each one
     # sweep and one split, and the fifth stencil alone
     rows = []
-    transport, split = frames.transport, frames.iwasawa
-    monkeypatch.setattr(frames, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
+    transport, split = holonomy.transport, frames.iwasawa
+    monkeypatch.setattr(holonomy, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
                         or transport(pot, paths, *args))
     monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
     smap = tight_map(radial_spec(0.5, 1))

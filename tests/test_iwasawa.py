@@ -1,4 +1,5 @@
 import importlib
+import re
 import time
 
 import numpy as np
@@ -243,6 +244,26 @@ def test_a_failing_row_keeps_its_error_and_spares_the_rest():
     assert isinstance(rows[2], FactorizationError)
     for values, row in zip(stack, rows):
         assert_same_row(row, split_alone(iwasawa, values))
+
+
+def test_the_precheck_reads_only_its_failing_rows_again():
+    # the positivity precheck runs on the whole stack, N = 8: a loop that is
+    # not finite, one that is not Hermitian and one that is indefinite, each
+    # at its own sample, get their own errors naming it, and the two good
+    # rows around them the bits they get alone
+    good = [symbol(twisted_plus_loop(np.random.default_rng(seed), 2), 32) for seed in (5, 6)]
+    not_finite, not_hermitian, indefinite = (good[0].copy() for _ in range(3))
+    not_finite[3, 1, 0] = np.nan
+    not_hermitian[7, 0, 1] += 0.5
+    indefinite[11] = [[1.0, 0.5j], [-0.5j, -0.25]]
+    stack = np.stack([good[0], not_finite, not_hermitian, indefinite, good[1]])
+    rows = spectral_factor_plus(stack)
+    assert [type(row) for row in rows] == [tuple, FactorizationError, FactorizationError, FactorizationError, tuple]
+    assert str(rows[1]) == "loop is not finite at sample 3 of 32"
+    assert re.fullmatch(r"loop is not Hermitian on the circle: deviation \S+ at sample 7 of 32", str(rows[2]))
+    assert re.fullmatch(r"loop is not positive definite at sample 11 of 32 \(min eigenvalue -\S+\)", str(rows[3]))
+    for i in (0, 4):
+        assert_same_row(rows[i], split_alone(spectral_factor_plus, stack[i]))
 
 
 def test_a_row_that_is_not_finite_fails_at_once_and_spares_the_rest():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import eval_xi, loop_at
 
 from mlq.cli import load_config
-from mlq.holonomy import DomainPath, _series, _unplanes, transport
+from mlq.holonomy import DomainPath, _series, transport
 from mlq.potentials import (
     CustomTerm,
     PoleError,
@@ -133,7 +133,8 @@ def xi_rows(pot, lams, zs) -> np.ndarray:
     own series: the t^0 coefficient s (D xi)(a) / D(a) on pieces from a = z
     with s = 1, expanded about the centre ``transport`` takes for z."""
     zs = np.asarray(zs, dtype=complex)
-    return _unplanes(_series(xi_sampler(pot, lams), zs, np.ones(zs.size), pot.singular_points)[1][0])
+    planes = _series(xi_sampler(pot, lams), zs, np.ones(zs.size), pot.singular_points)[1][0]
+    return np.moveaxis(planes, (0, 1), (-2, -1))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [RATIONAL_CUSTOM], ids=lambda s: s.variant)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import analytic_pairs, analytic_surface, sphere_metric_exponent
 
-from mlq import frames
+from mlq import frames, holonomy
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import START_WINDOW, SurfaceMap
 from mlq.holonomy import OdeOptions
@@ -179,17 +179,17 @@ def test_gauss_curvature_of_the_round_sphere():
 
 
 @contextmanager
-def counting(name: str):
-    """Record the calls of ``mlq.frames.<name>`` made inside the block."""
+def counting(name: str, module=frames):
+    """Record the calls of ``module.<name>`` (by default ``mlq.frames``) made inside the block."""
     calls = []
-    fn = getattr(frames, name)
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frames, name, counted)
+        mp.setattr(module, name, counted)
         yield calls
 
 
@@ -203,7 +203,7 @@ def test_node_report_is_one_frame_table(r, t, h):
     smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16,
                       ode=OdeOptions(tolerance=1e-12))
     z = complex(r * np.cos(t), r * np.sin(t))
-    with counting("transport") as transports, counting("iwasawa") as splits:
+    with counting("transport", holonomy) as transports, counting("iwasawa") as splits:
         inv, _, cu = node_report(smap, z, h)
     # one transport to the node, then one sweep from it of the 12 diamond
     # rows off the centre; one split of the node, then one of the 12 rows
