@@ -51,9 +51,8 @@ START_WINDOW = 8
 #: readout error follows the edge mass and the quadric and |v| checks see it
 EDGE_TOL = 1e-13
 
-#: rows per transport pass and batched split (nodes, anchors, or the points of
-#: whole stencils), times (START_WINDOW / window)^2 at the cap; fixed, so a
-#: node's chunk never depends on the scheduling
+#: rows per transport pass and batched split (nodes, anchors, or the points of whole stencils), times
+#: (START_WINDOW / window)^2 at the cap; fixed, so a node's chunk never depends on the scheduling
 NODE_CHUNK = 32
 
 
@@ -362,6 +361,7 @@ class SurfaceMap:
             again = [i for i, state, res in rows if self.start_window < self.window and not isinstance(
                 state, Exception) and (isinstance(res, Exception) or res.edge_mass > EDGE_TOL)]
             yield [row for row in rows if row[0] not in again]
+            del rows
             waiting += again
             while len(waiting) >= self.cap_rows or (waiting and first + NODE_CHUNK >= len(zs)):
                 yield block(waiting[: self.cap_rows], self.window)
@@ -441,6 +441,7 @@ class SurfaceMap:
             ids = [i for i, _, _ in block]
             for i, sample in zip(ids, _read_chunk([zs[i] for i in ids], [res for _, _, res in block])):
                 out[i] = sample
+            del block
         return out
 
     def sample(self, z: complex) -> SurfaceSample:

@@ -40,6 +40,8 @@ principal square root of det U, and ``OdeCounts`` keeps the largest
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .loops import as_planes, mul2
@@ -237,8 +239,7 @@ def transport(
         # y_b = y_b U_b1 ... U_bP: path b's pieces are the rows first[b] .. first[b] + n[b] - 1
         n = per_segment.reshape(len(live), -1).sum(axis=1)
         first = np.cumsum(n) - n
-        # the propagators viewed as a stack (rows, M, 2, 2), in plane memory, as is the state
-        props = props.transpose(2, 3, 0, 1)
+        props = props.transpose(2, 3, 0, 1)  # a stack (rows, M, 2, 2) in plane memory, as is the state
         state = mul2(as_planes(y[live]), props[first])
         for k in range(1, n.max()):
             has = np.flatnonzero(n > k)

@@ -19,12 +19,13 @@ stops.  B's values at the samples come from one zero-padded inverse FFT,
 and F = Phi B^{-1} is formed and returned there: it is never projected onto
 a coefficient window, so no Laurent mode of F is dropped.
 
-A stack of loops, shape (B, 4N, 2, 2), is split in one pass, one stacked
-Cholesky per section over the rows still doubling; each row keeps its own
-checks and error, and the bits it gets alone, as a stack of one.  The 2x2
-products, inverses and eigenvalues at the samples are formed entry by entry
-(``loops.mul2`` and its kin) on component planes (2, 2, B, 4N)
-(``loops.as_planes``), so a row's bits do not depend on its stack.
+A stack of loops, shape (B, 4N, 2, 2), is split in one pass, a section
+size at a time over the rows still doubling, in stacked Choleskys of at
+most ``SECTION_ENTRIES`` entries; each row keeps its own checks and error,
+and the bits it gets alone, as a stack of one.  The 2x2 products, inverses
+and eigenvalues at the samples are formed entry by entry (``loops.mul2``
+and its kin) on component planes (2, 2, B, 4N) (``loops.as_planes``), so
+a row's bits do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ SPLIT_TOL = 1e-14
 
 #: times the Toeplitz section may double before the split gives up
 MAX_DOUBLINGS = 6
+
+#: complex entries (64 KB) of the sections one stacked Cholesky takes: a larger stack lies past
+#: malloc's mmap threshold (128 KB in glibc), so it and its factor are faulted in anew every call
+SECTION_ENTRIES = 4096
 
 
 class FactorizationError(RuntimeError):
@@ -104,9 +109,7 @@ def _positivity_precheck(vals: np.ndarray, finite: np.ndarray) -> list:
     m = vals.shape[1]
     herm = np.linalg.norm(vals - ct2(vals), axis=(-2, -1))
     eigs = eigvalsh2(0.5 * (vals + ct2(vals)))
-    worst, lowest = herm.argmax(axis=1), eigs[..., 0].argmin(axis=1)
-    rows = np.arange(len(vals))
-    dev, least, scale = herm[rows, worst], eigs[rows, lowest, 0], np.maximum(1.0, np.abs(vals).max(axis=(1, 2, 3)))
+    dev, least, scale = herm.max(axis=1), eigs[..., 0].min(axis=1), np.maximum(1.0, np.abs(vals).max(axis=(1, 2, 3)))
     out = eigs[..., 1].max(axis=1).tolist()
     # NaN passes both comparisons, so a loop that is not finite fails on ``finite`` alone
     for i in np.flatnonzero(~finite.all(axis=1) | (dev > 1e-6 * scale) | (least <= 0)):
@@ -114,9 +117,9 @@ def _positivity_precheck(vals: np.ndarray, finite: np.ndarray) -> list:
             out[i] = FactorizationError(f"loop is not finite at sample {int(np.argmin(finite[i]))} of {m}")
         elif dev[i] > 1e-6 * scale[i]:
             out[i] = FactorizationError(
-                f"loop is not Hermitian on the circle: deviation {dev[i]:.3e} at sample {worst[i]} of {m}")
+                f"loop is not Hermitian on the circle: deviation {dev[i]:.3e} at sample {herm[i].argmax()} of {m}")
         else:
-            out[i] = FactorizationError(f"loop is not positive definite at sample {lowest[i]} "
+            out[i] = FactorizationError(f"loop is not positive definite at sample {eigs[i, :, 0].argmin()} "
                                         f"of {m} (min eigenvalue {least[i]:.3e})")
     return out
 
@@ -143,20 +146,23 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
     # coefficients are symmetrized once, then read in one gather
     sym = np.zeros((len(p), 4 * (2 * d + 1) + 1), dtype=np.complex128)
     sym[:, :-1] = ((p + ct2(p[:, ::-1])) * 0.5).reshape(len(p), -1)
-    t2 = np.take(sym, _section_index(m, d), axis=1)
-    failed = {}
-    try:
-        low = np.linalg.cholesky(t2)
-    except np.linalg.LinAlgError:
-        # some row is not positive definite: find it, one row at a time
-        low = np.full_like(t2, np.nan)
-        for i, t in enumerate(t2):
-            try:
-                low[i] = np.linalg.cholesky(t)
-            except np.linalg.LinAlgError as exc:
-                failed[i] = FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}")
+    last, failed = np.empty((len(p), 2, 2 * m + 2), dtype=np.complex128), {}
+    per = max(1, SECTION_ENTRIES // (2 * m + 2) ** 2)
+    for first in range(0, len(p), per):
+        t2 = np.take(sym[first : first + per], _section_index(m, d), axis=1)
+        try:
+            low = np.linalg.cholesky(t2)
+        except np.linalg.LinAlgError:
+            # some row is not positive definite: find it, one row at a time
+            low = np.full_like(t2, np.nan)
+            for i, t in enumerate(t2, first):
+                try:
+                    low[i - first] = np.linalg.cholesky(t)
+                except np.linalg.LinAlgError as exc:
+                    failed[i] = FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}")
+        last[first : first + per] = low[:, 2 * m :]
     # B_n is the conjugate transpose of block m - n of the last block row
-    row = low[:, 2 * m : 2 * m + 2].reshape(-1, 2, m + 1, 2).transpose(0, 2, 1, 3)
+    row = last.reshape(-1, 2, m + 1, 2).transpose(0, 2, 1, 3)
     return np.conj(as_planes(np.swapaxes(row[:, m - d :][:, ::-1], -1, -2))), failed
 
 

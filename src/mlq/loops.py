@@ -59,8 +59,7 @@ def plus_values(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def as_planes(a: np.ndarray) -> np.ndarray:
-    """A copy of a stack of 2x2 matrices (..., 2, 2), of the same shape, laid out as contiguous
-    component planes (2, 2, ...): the kernels below then run each term over whole planes."""
+    """A copy of a stack of 2x2 matrices (..., 2, 2), of the same shape, laid out as component planes (2, 2, ...)."""
     lead = range(a.ndim - 2)
     return np.ascontiguousarray(a.transpose(-2, -1, *lead)).transpose(*(k + 2 for k in lead), 0, 1)
 
@@ -85,8 +84,7 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def inv2(a: np.ndarray) -> np.ndarray:
-    """The inverses of 2x2 matrices stacked on the leading axes: adjugate over
-    determinant, laid out in memory as a is."""
+    """The inverses of 2x2 matrices stacked on the leading axes: adjugate over determinant, laid out as a is."""
     out = np.divide(_ADJUGATE_SIGNS, det2(a)[..., None, None], out=np.empty_like(a))
     return np.multiply(np.swapaxes(a[..., ::-1, ::-1], -1, -2), out, out=out)
 

@@ -11,6 +11,7 @@ from oracles import loop_at, mp_frame_pair
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.holonomy import DomainPath, OdeOptions, transport
 from mlq.iwasawa import (
+    SECTION_ENTRIES,
     ConvergenceError,
     FactorizationError,
     IwasawaResult,
@@ -313,6 +314,25 @@ def test_an_indefinite_section_fails_its_own_row():
     assert str(failed[1]) == "Toeplitz section of size 8 is not positive definite: Matrix is not positive definite"
     for i in (0, 2):
         assert np.array_equal(b[i], _bauer_read(p[i : i + 1], d)[0][0])
+
+
+@pytest.mark.parametrize("m", [7, 15, 31])
+def test_a_section_stack_past_the_first_fails_only_its_own_row(m):
+    # the sections are factorized SECTION_ENTRIES entries a stack, here 16, 4
+    # and 1 sections a stack: an indefinite section in a later stack fails
+    # under its own index, and every other row reads the bits it reads alone
+    d = 7
+    assert SECTION_ENTRIES // (2 * m + 2) ** 2 == {7: 16, 15: 4, 31: 1}[m]
+    good = [coefficients(symbol(twisted_plus_loop(np.random.default_rng(seed), 2), 16))[np.arange(-d, d + 1) % 16]
+            for seed in range(2)]
+    indefinite = np.zeros_like(good[0])
+    indefinite[d] = np.diag([1.0, -1.0])
+    p = np.stack([*good, *good, good[0], indefinite, good[1]])
+    b, failed = _bauer_read(p, m)
+    assert list(failed) == [5]
+    assert str(failed[5]) == f"Toeplitz section of size {m + 1} is not positive definite: Matrix is not positive definite"
+    for i in (0, 1, 2, 3, 4, 6):
+        assert np.array_equal(b[i], _bauer_read(p[i : i + 1], m)[0][0])
 
 
 def test_the_section_is_symmetrized_on_its_coefficients():
