@@ -5,8 +5,8 @@ points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
 points.  Each anchor starts at N = ``START_WINDOW`` and is read again at the
 cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
-(relative edge mass above ``EDGE_TOL``), in cap stacks pooled across a
-call's chunks.  Sphere, torus and equivariant have one xi term w(z) A(lam),
+(relative edge mass above ``EDGE_TOL``), pooled across a call's chunks
+where the frame is exact.  Sphere, torus and equivariant have one xi term w(z) A(lam),
 so Phi = exp(W(z) A(lam)) exactly, at every node and stencil point, and
 ``holonomy`` is imported only to integrate.  Every other family is
 integrated ``NODE_CHUNK`` nodes at a time, each chunk in one pass of Taylor
@@ -51,8 +51,8 @@ START_WINDOW = 8
 #: readout error follows the edge mass and the quadric and |v| checks see it
 EDGE_TOL = 1e-13
 
-#: rows per transport pass and batched split (nodes, anchors, or the points of whole stencils), times
-#: (START_WINDOW / window)^2 at the cap; fixed, so a node's chunk never depends on the scheduling
+#: rows per transport pass and batched split (nodes, anchors, or the points of whole stencils);
+#: fixed, so a node's chunk never depends on the scheduling
 NODE_CHUNK = 32
 
 
@@ -305,8 +305,6 @@ class SurfaceMap:
         #: the cap: the window of a node whose P is unresolved at the start window
         self.window = DEFAULT_WINDOW_N if window is None else int(window)
         self.start_window = min(START_WINDOW, self.window)
-        #: rows of a cap stack: a split's work grows about as N^2 a row
-        self.cap_rows = max(1, NODE_CHUNK * self.start_window**2 // self.window**2)
         self.ode = ode if ode is not None else OdeOptions()
         # lam0 and -i lam0 are samples 0 and 3N at either window
         self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
@@ -347,14 +345,16 @@ class SurfaceMap:
         """Blocks of (i, frame values, split) of the anchors zs[i], or the
         error that stops one, at the window the rule chooses, one split a
         block: each ``NODE_CHUNK`` of zs at the start window, less the nodes
-        left unresolved there, which wait, as indices, for the cap and run
-        there ``cap_rows`` a stack as soon as that many wait, the rest last."""
+        left unresolved there, which wait, as indices, for the cap.  Exact
+        frames run there ``NODE_CHUNK`` a stack as soon as that many wait, the
+        rest last; an integrated chunk's run in one pass after it, since a
+        row's last bits depend on the rows its transport pass stops with."""
 
         def block(ids, n: int) -> list:
             states = self._frames([zs[i] for i in ids], winding, n)
             return list(zip(ids, states, _split_rows(states)))
 
-        waiting: list[int] = []
+        pooled, waiting = self._xi[self.window].exact is not None, []
         for first in range(0, len(zs), NODE_CHUNK):
             rows = block(range(first, min(first + NODE_CHUNK, len(zs))), self.start_window)
             # below the cap, a split that fails or leaves P an edge mass above EDGE_TOL is read again there
@@ -363,9 +363,9 @@ class SurfaceMap:
             yield [row for row in rows if row[0] not in again]
             del rows
             waiting += again
-            while len(waiting) >= self.cap_rows or (waiting and first + NODE_CHUNK >= len(zs)):
-                yield block(waiting[: self.cap_rows], self.window)
-                del waiting[: self.cap_rows]
+            while len(waiting) >= NODE_CHUNK or (waiting and (not pooled or first + NODE_CHUNK >= len(zs))):
+                yield block(waiting[:NODE_CHUNK], self.window)
+                del waiting[:NODE_CHUNK]
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
         """Iwasawa split of the frame values at z, at the window the rule chooses for z."""

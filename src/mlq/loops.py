@@ -59,7 +59,7 @@ def plus_values(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def as_planes(a: np.ndarray) -> np.ndarray:
-    """A copy of a stack of 2x2 matrices (..., 2, 2), of the same shape, laid out as component planes (2, 2, ...)."""
+    """The stack a of 2x2 matrices (..., 2, 2) laid out as component planes (2, 2, ...): a itself if it is already."""
     lead = range(a.ndim - 2)
     return np.ascontiguousarray(a.transpose(-2, -1, *lead)).transpose(*(k + 2 for k in lead), 0, 1)
 

@@ -324,9 +324,9 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
 
 def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
     # the 12 nodes at Re z = 0.3 that the start window leaves unresolved sit
-    # in four chunks; they wait, as indices, and run at the cap in stacks of
-    # NODE_CHUNK (START_WINDOW / 16)^2 = 8 rows, not in one pass a chunk, and
-    # each reads off its stack as it does alone, diagnostics included
+    # in four chunks; an exact frame's row splits as it does alone, so they
+    # wait, as indices, and run at the cap in one stack, not in one pass a
+    # chunk, and each reads off it as it does alone, diagnostics included
     stacks = []
     split = frames.iwasawa
     monkeypatch.setattr(frames, "iwasawa", lambda values: stacks.append(values.shape[:2]) or split(values))
@@ -334,8 +334,8 @@ def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
     zs = [complex(x, y) for y in np.linspace(-0.6, 0.6, 24) for x in np.linspace(0.3, 1.5, 8)]
     got = smap.samples(zs)
     capped = [i for i, s in enumerate(got) if s.diagnostics["window"] == 16]
-    assert smap.cap_rows == 8 and len(capped) == 12 and len({i // NODE_CHUNK for i in capped}) >= 3
-    assert [rows for rows, m in stacks if m == 4 * 16] == [8, 4]
+    assert len(capped) == 12 and len({i // NODE_CHUNK for i in capped}) >= 3
+    assert [rows for rows, m in stacks if m == 4 * 16] == [12]
     assert [rows for rows, m in stacks if m == 4 * START_WINDOW] == [NODE_CHUNK] * 6
     for z, s in zip(zs, got):
         alone = smap.sample(z)
@@ -343,6 +343,32 @@ def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip((s.q2_hom, *s.s2_pair, *s.s3_pair),
                                                         (alone.q2_hom, *alone.s2_pair, *alone.s3_pair)))
 
+
+
+def test_an_integrated_chunk_reads_its_unresolved_nodes_again_in_a_pass_of_its_own(monkeypatch):
+    # radial nodes out to |z| = 1.5 leave P unresolved at the start window in
+    # all three chunks; a Taylor pass's shared stop rule ties a row's last bits
+    # to the rows it runs with, so each chunk's capped nodes run in one cap
+    # pass right after its start pass, and the grid reads as its chunks do alone;
+    # alone, a node's sums and so its window may differ, its point only to the
+    # ODE tolerance
+    passes = []
+    transport = holonomy.transport
+    monkeypatch.setattr(holonomy, "transport", lambda pot, paths, y0, lams, *args: passes.append(
+        (len(paths), lams.size)) or transport(pot, paths, y0, lams, *args))
+    smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16)
+    zs = [complex(x, y) for y in np.linspace(-1.5, 1.5, 12) for x in np.linspace(-1.5, 1.5, 8)]
+    got = smap.samples(zs)
+    capped = [sum(s.diagnostics["window"] == 16 for s in got[k : k + NODE_CHUNK]) for k in range(0, 96, NODE_CHUNK)]
+    assert capped == [20, 8, 20]
+    assert passes == [p for c in capped for p in ((NODE_CHUNK, 4 * START_WINDOW), (c, 4 * 16))]
+    for k in range(0, 96, NODE_CHUNK):
+        for s, alone in zip(got[k : k + NODE_CHUNK], smap.samples(zs[k : k + NODE_CHUNK])):
+            assert s.diagnostics == alone.diagnostics and np.array_equal(s.q2_hom, alone.q2_hom)
+    for z, s in zip(zs, got):
+        alone = smap.sample(z)
+        assert s.valid and alone.valid
+        np.testing.assert_allclose(s.q2_hom, alone.q2_hom, rtol=0, atol=OdeOptions().tolerance)
 
 def test_an_unresolved_readout_names_its_window():
     # at a cap of 8 the split of z = 0.02 converges, but P keeps an edge mass
