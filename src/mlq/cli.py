@@ -6,15 +6,16 @@ of its object is a config error naming it.  Every command runs serially,
 and only the layer modules it calls: ``frames`` (which runs the ``iwasawa``
 split), ``verify`` and ``closedform`` are imported in the commands that call
 them, so a config read and a trinoid ``closing`` run neither frames nor the
-split.  BLAS runs on one thread unless
-OPENBLAS/OMP/MKL_NUM_THREADS say otherwise (a process that imported numpy
-before ``mlq.cli`` keeps its own), as the count can change the last bits of
-the split's Cholesky: identical configs produce byte-identical CSV/JSON,
-and OBJ floats are written with 17 significant digits.  ``--jobs`` is
-ignored.  Exit codes: 0 all checks pass, 1 checks failed, 2 usage/config
-error, 3 numerical failure.  ``run()`` freezes the heap after the command,
-so the exit skips the collector's walk of numpy's and mlq's ~23k objects;
-``main(argv)``, the in-process entry, leaves the collector alone.
+split.  A grid command hands ``frames`` the whole grid, which runs it a block
+at a time; ``verify`` and ``family`` read each node's table as it is yielded.
+BLAS runs on one thread unless OPENBLAS/OMP/MKL_NUM_THREADS say otherwise (a
+process that imported numpy before ``mlq.cli`` keeps its own), as the count
+can change the last bits of the split's Cholesky: identical configs produce
+byte-identical CSV/JSON, and OBJ floats are written with 17 significant
+digits.  ``--jobs`` is ignored.  Exit codes: 0 all checks pass, 1 checks
+failed, 2 usage/config error, 3 numerical failure.  ``run()`` freezes the
+heap after the command, so the exit skips the collector's walk of numpy's
+and mlq's ~23k objects; ``main(argv)``, the in-process entry, leaves it alone.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def _histogram(values: list[float]) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    from .frames import SurfaceMap, node_chunks
+    from .frames import SurfaceMap
     from .verify import node_reports
     _grid_pole_check(cfg.pot, cfg.grid)
     smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
@@ -415,10 +416,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         }
 
     nodes = cfg.grid.nodes()
-    # a chunk at a time, so only one chunk's (13, 4N, 2, 2) frame tables are alive:
-    # a 60x60 grid at N = 16 in one call would hold ~190 MB
-    reps = [rep for chunk in node_chunks(nodes) for rep in node_reports(smap, chunk, h)]
-    reports = [node_entry(z, rep) for z, rep in zip(nodes, reps)]
+    reports = [node_entry(z, rep) for z, rep in zip(nodes, node_reports(smap, nodes, h))]
     valid = [r for r in reports if r["valid"]]
     if not valid:
         print("no grid node produced a report", file=sys.stderr)
@@ -553,8 +551,8 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.sweep is None or cfg.sweep < 2:
         print("family needs 'sweep' >= 2 in the config", file=sys.stderr)
         return EXIT_USAGE
-    from .frames import SurfaceMap, node_chunks, unit_lift
-    from .verify import frame_tables, invariants_report
+    from .frames import SurfaceMap, unit_lift
+    from .verify import invariants_report, read_tables
     _grid_pole_check(cfg.pot, cfg.grid)
     nodes = cfg.grid.nodes()
     h = cfg.fd_step
@@ -562,22 +560,10 @@ def cmd_family(cfg: RunConfig, out_dir: Path) -> int:
     lams = [np.exp(1j * np.pi * k / s) for k in range(s)]
     smap = SurfaceMap(cfg.pot, window=cfg.truncation_n, ode=cfg.ode)
 
-    def chunk_members(chunk: list) -> list:
-        rows = []
-        for z, table in zip(chunk, frame_tables(smap, chunk, h)):
-            try:
-                if isinstance(table, Exception):
-                    raise table
-                # member k is read off the lam0 = 1 table rotated by lam_k; raw lift phase:
-                # the lam0^-2 rotation is a statement about the un-normalized alpha
-                rows.append([invariants_report(unit_lift(pair), z, h, phase=1.0 + 0.0j)
-                             for pair in table.rotated(lams)])
-            except (ValueError, RuntimeError) as exc:
-                rows.append(exc)
-        return rows
-
-    # a chunk at a time, for the same memory bound as verify
-    rows = [row for chunk in node_chunks(nodes) for row in chunk_members(chunk)]
+    # member k is read off the lam0 = 1 table rotated by lam_k; raw lift phase:
+    # the lam0^-2 rotation is a statement about the un-normalized alpha
+    rows = read_tables(smap, nodes, h, lambda z, table: [invariants_report(unit_lift(pair), z, h, phase=1.0 + 0.0j)
+                                                         for pair in table.rotated(lams)])
     failures = [{"index": i, "z_re": z.real, "z_im": z.imag, "error": str(row)}
                 for i, (z, row) in enumerate(zip(nodes, rows)) if isinstance(row, Exception)]
     valid = [row for row in rows if not isinstance(row, Exception)]

@@ -12,10 +12,10 @@ so Phi = exp(W(z) A(lam)) exactly, at every node and stencil point, and
 integrated ``NODE_CHUNK`` nodes at a time, each chunk in one pass of Taylor
 sums of the batched ``transport`` along straight segments from the base
 point, and its finite-difference stencils ride in a pass per ``NODE_CHUNK``
-points, from each node to its points (``frame_tables``); a failing row
-fails only its own node, in the pass it ran in.  The spectral pair
-(lam0, -i lam0) is samples j = 0 and j = 3N, so a point of the surface is
-read off F there, with nothing evaluated or projected, by forming
+points, from each node to its points, streamed a block at a time
+(``frame_tables``); a failing row fails only its own node, in its pass.  The
+spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so a point of the
+surface is read off F there, with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -269,24 +269,24 @@ class SurfaceMap:
     unitary factor at samples 0 and 3N.  The window N is chosen per anchor
     (a grid node, or the centre of a stencil) by one rule: the anchor is
     computed and split at the start window min(``START_WINDOW``, ``window``),
-    and again at the cap, ``window``, where P = Phi* Phi leaves a relative
-    edge mass above ``EDGE_TOL`` or the split fails.  A one-term potential
-    (sphere, torus, equivariant) has the exact frame exp(W A), evaluated at
-    all nodes of a chunk at once; a node within ``EPS_POLE`` of its pole is
-    invalid.  Any other potential is integrated by ``transport`` along one
-    straight segment from the base point, one pass per chunk, whose series
-    stop only where every node's has converged, so no node is summed to
-    fewer terms than it would be alone.  ``samples``, ``frame_tables`` and
-    ``unitary_frame`` share one window rule, ``_anchor_blocks``; each pass
-    is split by one batched ``iwasawa`` call, each block's points are read
-    off one stack of frame pairs, and ``sample(z)`` is a call of one.  A node
-    whose route, row or split fails is invalid and carries its own error: a
-    failing row fails only its own node, in the pass it ran in.
-    ``ode_counts`` totals the Taylor pieces and terms of every transport the
-    map ran, with their largest det drift.
-    ``frame_tables`` evaluates stencils at their centres' windows by the same
-    ``_frames``, started from the centres' values, one ``FrameTable`` each, so
-    finite differences see a smooth function limited only by roundoff.
+    and again at the cap, ``window`` (an integer >= 1, else a ValueError),
+    where P = Phi* Phi leaves a relative edge mass above ``EDGE_TOL`` or the
+    split fails.  A one-term potential (sphere, torus, equivariant) has the
+    exact frame exp(W A), evaluated at all nodes of a chunk at once; a node
+    within ``EPS_POLE`` of its pole is invalid.  Any other potential is
+    integrated by ``transport`` along one straight segment from the base
+    point, one pass per chunk, whose series stop only where every node's has
+    converged, so no node is summed to fewer terms than it would be alone.
+    ``samples``, ``frame_tables`` and ``unitary_frame`` share one window
+    rule, ``_anchor_blocks``; each pass is split by one batched ``iwasawa``
+    call, each block's points are read off one stack of frame pairs, and
+    ``sample(z)`` is a call of one.  A node whose route, row or split fails
+    is invalid and carries its own error: a failing row fails only its own
+    node, in the pass it ran in.  ``ode_counts`` totals the Taylor pieces
+    and terms of every transport the map ran, with their largest det drift.
+    ``frame_tables`` yields each stencil's ``FrameTable`` as its block is
+    split, at its centre's window, by the same ``_frames`` from the centres'
+    values, so finite differences see a smooth function limited by roundoff.
     Nothing is cached and the counts are locked, so a map may be shared
     between threads.
     """
@@ -303,7 +303,9 @@ class SurfaceMap:
         if not abs(abs(self.lambda0) - 1.0) <= 1e-9:
             raise ValueError(f"lambda0 must lie on the unit circle, got {self.lambda0}")
         #: the cap: the window of a node whose P is unresolved at the start window
-        self.window = DEFAULT_WINDOW_N if window is None else int(window)
+        self.window = DEFAULT_WINDOW_N if window is None else window
+        if isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer)) or self.window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
         self.start_window = min(START_WINDOW, self.window)
         self.ode = ode if ode is not None else OdeOptions()
         # lam0 and -i lam0 are samples 0 and 3N at either window
@@ -378,50 +380,50 @@ class SurfaceMap:
         res = self.unitary_frame(z, winding)
         return FramePointPair(res.F[0], res.F[3 * res.window])
 
-    def frame_tables(self, centres, points) -> list:
-        """For each centre z, the frames at its points near z as one ``FrameTable``
-        at z's window, or the error that stops z.
+    def frame_tables(self, centres, points):
+        """Yield (i, the frames at centre i's points as one ``FrameTable`` at its
+        window, or the error that stops centre i), a block at a time.
 
         A centre with a route to a point past a pole fails with that error,
         unless its split fails first, and joins no pass.  The others are the
-        anchors of ``_anchor_blocks``, which chooses each window once.
-        Their points are carried from the centres' values by ``_frames``,
-        whole stencils at one window and NODE_CHUNK // (points a stencil)
-        stencils a block, one pass and one split a block, in which a failing
-        row fails only its own stencil.  A point equal to its centre
-        is read off the centre's split: for one centre, ``frame_pair(z)`` bit
-        for bit.
+        anchors of ``_anchor_blocks``, which chooses each window once.  As each
+        anchor block is split, its stencils follow, carried from the centres'
+        values by ``_frames`` in blocks of NODE_CHUNK // (points a stencil), one
+        pass and one split a block, in which a failing row fails only its own
+        stencil; a block's tables are yielded before the next block runs.  A
+        point equal to its centre is read off the centre's split: for one
+        centre, ``frame_pair(z)`` bit for bit.
         """
         zs = [complex(z) for z in centres]
         pts = [[complex(p) for p in ps] for ps in points]
-        out: list = [None] * len(zs)
+        routes: list = [None] * len(zs)
         for i, (z, ps) in enumerate(zip(zs, pts)):
             try:
                 for p in (p for p in ps if p != z):
                     validate_path(DomainPath.line(z, p), self.pot)
             except PoleError as exc:
-                out[i] = exc
-        anchors, windows = {}, {}
-        # the centres that failed a route are split apart, so their own split's error comes first
-        failed = [i for i, res in enumerate(out) if res is not None]
-        for ids in [failed, [i for i, res in enumerate(out) if res is None]]:
-            for k, state, res in (row for block in self._anchor_blocks([zs[i] for i in ids], 0) for row in block):
-                if isinstance(res, Exception):
-                    out[ids[k]] = res
-                elif out[ids[k]] is None:
-                    anchors[ids[k]] = state, res
-                    windows.setdefault(res.window, []).append(ids[k])
+                routes[i] = exc
         per = max(1, NODE_CHUNK // max(map(len, pts), default=1))
-        for n, block in [(n, sorted(ids)[k : k + per]) for n, ids in windows.items() for k in range(0, len(ids), per)]:
-            carried = [(p, (zs[i], anchors[i][0])) for i in block for p in pts[i] if p != zs[i]]
-            off = iter(_split_rows(self._frames([p for p, _ in carried], 0, n, [start for _, start in carried])))
-            for i in block:
-                anchor = anchors[i][1]
-                splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
-                out[i] = next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
-                    np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass,
-                    max(res.split_residual for res in splits))
-        return out
+        # the centres that failed a route are split apart, so their own split's error comes first
+        for ids in [[i for i, exc in enumerate(routes) if exc], [i for i, exc in enumerate(routes) if not exc]]:
+            for block in self._anchor_blocks([zs[i] for i in ids], 0):
+                good = []
+                for k, state, res in block:
+                    if isinstance(res, Exception) or routes[ids[k]]:
+                        yield ids[k], res if isinstance(res, Exception) else routes[ids[k]]
+                    else:
+                        good.append((ids[k], state, res))
+                for stencils in (good[k : k + per] for k in range(0, len(good), per)):
+                    carried = [(p, (zs[i], state)) for i, state, _ in stencils for p in pts[i] if p != zs[i]]
+                    off = iter(_split_rows(self._frames([p for p, _ in carried], 0, stencils[0][2].window,
+                                                        [start for _, start in carried])))
+                    for i, _, anchor in stencils:
+                        splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
+                        yield i, next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
+                            np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass,
+                            max(res.split_residual for res in splits))
+                    del off, splits
+                del block, good
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (``unit_lift``); smooth in z by construction."""
@@ -494,11 +496,6 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
                                             "edge_mass": res.edge_mass, "section": res.section,
                                             "split_residual": res.split_residual})
     return out
-
-
-def node_chunks(nodes: list) -> list[list]:
-    """The nodes cut into consecutive chunks of ``NODE_CHUNK``."""
-    return [nodes[i : i + NODE_CHUNK] for i in range(0, len(nodes), NODE_CHUNK)]
 
 
 def build_surface(

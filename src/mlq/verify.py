@@ -8,19 +8,19 @@ reported as a residual.  Residuals are reported, never asserted; thresholds
 belong to the caller.
 
 The FD engine evaluates the frames on the 13-point diamond {|a| + |b| <= 2}
-around each node once, as one table at the node's window, for a chunk of
-nodes at a time (``frame_tables``: the exact frame of a one-term potential,
-else one transport to all the nodes and one from them per two stencils, 24
-rows), reads each node's pairs off its table once, as one checked stack, and
-reads the lift, the S2 x S2 factors and every report off that stack
-(``node_reports``).  Every report reads tables, arrays in ``DIAMOND`` order,
-(13, ...), and every difference is a row of one weight matrix,
-``FD_WEIGHTS``: the order-2 central d_x and d_y at the five ``CROSS`` points
-and the 5-point Laplacian at the centre, so every smooth residual shrinks
-like h^2.  The outer points of the diamond serve the rows at the cross
-neighbours, where u, alpha and beta are read for the nested derivatives;
-those apply the centre rows (``CENTRE_WEIGHTS``) to the five cross values.
-Derivative convention throughout: d_z = (d_x - i d_y)/2.
+around each node once, as one table at the node's window, streamed a block
+at a time (``frame_tables``: the exact frame of a one-term potential, else
+one transport per ``NODE_CHUNK`` nodes and one from them per two stencils,
+24 rows), reads each node's pairs off its table once, as the stream yields
+it (``read_tables``), as one checked stack, and reads the lift, the S2 x S2
+factors and every report off that stack (``node_reports``).  Every report
+reads tables, arrays in ``DIAMOND`` order, (13, ...), and every difference
+is a row of one weight matrix, ``FD_WEIGHTS``: the order-2 central d_x and
+d_y at the five ``CROSS`` points and the 5-point Laplacian at the centre, so
+every smooth residual shrinks like h^2.  The outer points of the diamond
+serve the rows at the cross neighbours, where u, alpha and beta are read for
+the nested derivatives; those apply the centre rows (``CENTRE_WEIGHTS``) to
+the five cross values.  Derivative convention throughout: d_z = (d_x - i d_y)/2.
 """
 
 from __future__ import annotations
@@ -71,9 +71,22 @@ def _bilinear(v: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.sum(v * w))
 
 
-def frame_tables(smap: SurfaceMap, zs: list[complex], h: float) -> list:
-    """Each z's diamond as one table at z's window, or the error that stops z (``SurfaceMap.frame_tables``)."""
-    return smap.frame_tables(zs, [[z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs])
+def frame_tables(smap: SurfaceMap, zs: list[complex], h: float):
+    """(i, zs[i]'s diamond as one table at its window, or its error), as ``SurfaceMap.frame_tables`` yields them."""
+    return smap.frame_tables(zs, ([z + (a + 1j * b) * h for a, b in DIAMOND] for z in zs))
+
+
+def read_tables(smap: SurfaceMap, zs: list[complex], h: float, read) -> list:
+    """read(z, table) at each z in order, as ``frame_tables`` yields z's table, or the error that stops z."""
+    out: list = [None] * len(zs)
+    for i, table in frame_tables(smap, zs, h):
+        try:
+            if isinstance(table, Exception):
+                raise table
+            out[i] = read(zs[i], table)
+        except (ValueError, RuntimeError) as exc:
+            out[i] = exc
+    return out
 
 
 def _s2_table(pairs: FramePointPair) -> np.ndarray:
@@ -325,21 +338,17 @@ def cu_report(lifts: np.ndarray, h: float, s2: np.ndarray) -> CUReport:
 
 
 def node_reports(smap: SurfaceMap, zs, h: float = 1e-3) -> list:
-    """All three reports at each z, or the error that stops z, from its table of
-    one ``frame_tables`` call: the lifts and the factor pairs are both read off
-    its pairs at sample 0, and the invariant report records its window."""
-    out = []
-    for z, table in zip(zs, frame_tables(smap, zs, h)):
-        try:
-            if isinstance(table, Exception):
-                raise table
-            pairs = table.pair()
-            lifts, s2 = unit_lift(pairs), _s2_table(pairs)
-            out.append((invariants_report(lifts, z, h, table=table), geometry_report(s2, z, h),
-                        cu_report(lifts, h, s2)))
-        except (ValueError, RuntimeError) as exc:
-            out.append(exc)
-    return out
+    """All three reports at each z, or the error that stops z, read off its table
+    as one ``frame_tables`` stream yields it (``read_tables``): the lifts and the
+    factor pairs are both read off its pairs at sample 0, and the invariant
+    report records its window."""
+
+    def reports(z: complex, table: FrameTable) -> tuple:
+        pairs = table.pair()
+        lifts, s2 = unit_lift(pairs), _s2_table(pairs)
+        return invariants_report(lifts, z, h, table=table), geometry_report(s2, z, h), cu_report(lifts, h, s2)
+
+    return read_tables(smap, zs, h, reports)
 
 
 def node_report(

@@ -17,6 +17,11 @@ from mlq.potentials import (
 TIGHT_ODE = OdeOptions(tolerance=1e-12)
 
 
+def in_order(stream) -> list:
+    """The tables (or errors) a ``frame_tables`` stream yields, read in index order."""
+    return [table for _, table in sorted(stream, key=lambda pair: pair[0])]
+
+
 def tight_map(spec, lambda0=1.0 + 0.0j, window=16, **kwargs) -> SurfaceMap:
     return SurfaceMap(
         make_potential(spec),

@@ -255,7 +255,7 @@ def test_c06_associated_family():
     def raw_invariants(lam0, z):
         # the node's table as node_report reads it, at the raw lift phase:
         # per-member quarter-turn snapping would rotate the alpha comparison away
-        (table,) = frame_tables(maps[lam0], [z], h)
+        ((_, table),) = frame_tables(maps[lam0], [z], h)
         return invariants_report(unit_lift(table.pair()), z, h, phase=1, table=table)
 
     reps = {(lam0, z): raw_invariants(lam0, z) for lam0 in lam0s for z in nodes}

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import TIGHT_ODE, tight_map
+from conftest import TIGHT_ODE, in_order, tight_map
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import analytic_surface
@@ -102,7 +102,7 @@ def test_psi_rejects_non_unitary():
 
 def frame_table(smap: SurfaceMap, z: complex, points) -> frames.FrameTable:
     """The table of ``smap.frame_tables`` for the one centre z, its error raised."""
-    (table,) = smap.frame_tables([z], [points])
+    ((_, table),) = smap.frame_tables([z], [points])
     if isinstance(table, Exception):
         raise table
     return table
@@ -322,6 +322,13 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
     assert sizes == [24, 24, 32, 32]
 
 
+def test_a_window_that_is_not_a_positive_integer_is_refused():
+    # each used to fail deep in numpy, or (2.5) to be read silently at N = 2
+    for window in (0, -3, 2.5):
+        with pytest.raises(ValueError, match=rf"^window must be an integer >= 1, got {window}$"):
+            SurfaceMap(make_potential(sphere_spec()), window=window)
+
+
 def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
     # the 12 nodes at Re z = 0.3 that the start window leaves unresolved sit
     # in four chunks; an exact frame's row splits as it does alone, so they
@@ -523,7 +530,7 @@ def test_frame_tables_match_one_table_per_centre(family):
     smap = tight_map(spec, lam0)
     # the equivariant P is unresolved at N = 8 near its pole: 0.3 is read at the cap
     zs = [0.9 - 0.3j, 0.3, 1.2 + 0.1j, 0.8 + 0.2j, 1.0] if family == "equivariant" else _grid_nodes(family, 0.0, 5)
-    tables = smap.frame_tables(zs, _diamonds(zs))
+    tables = in_order(smap.frame_tables(zs, _diamonds(zs)))
     for z, points, table in zip(zs, _diamonds(zs), tables):
         alone = frame_table(smap, z, points)
         assert (table.window, table.section) == (alone.window, alone.section)
@@ -546,20 +553,45 @@ def test_frame_tables_sweep_whole_stencils_at_most_node_chunk_rows_at_a_time(mon
     monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
     smap = tight_map(radial_spec(0.5, 1))
     zs = _grid_nodes("radial", 0.0, 5)
-    assert all(isinstance(t, frames.FrameTable) for t in smap.frame_tables(zs, _diamonds(zs)))
+    assert all(isinstance(t, frames.FrameTable) for t in in_order(smap.frame_tables(zs, _diamonds(zs))))
     assert rows == [("sweep", 5), ("split", 5)] + [("sweep", 24), ("split", 24)] * 2 + [("sweep", 12), ("split", 12)]
     assert 2 * 12 <= NODE_CHUNK < 3 * 12
+
+
+def test_the_stream_holds_one_block(monkeypatch):
+    # 40 centres are two anchor blocks, 32 and 8: the first block's stencils
+    # run, two a pass, and their tables are yielded before the second block's
+    # anchors run, and each table is the one its block's centres get alone
+    rows = []
+    transport, split = holonomy.transport, frames.iwasawa
+    monkeypatch.setattr(holonomy, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
+                        or transport(pot, paths, *args))
+    monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
+    smap = tight_map(radial_spec(0.5, 1))
+    zs = _grid_nodes("radial", 0.0, 40)
+    stream = smap.frame_tables(zs, _diamonds(zs))
+    assert rows == []
+    got = [next(stream)]
+    assert rows == [("sweep", 32), ("split", 32), ("sweep", 24), ("split", 24)]
+    got += stream
+    assert [i for i, _ in got] == list(range(40))
+    assert rows == ([("sweep", 32), ("split", 32)] + [("sweep", 24), ("split", 24)] * 16
+                    + [("sweep", 8), ("split", 8)] + [("sweep", 24), ("split", 24)] * 4)
+    alone = [table for block in (zs[:32], zs[32:]) for table in in_order(smap.frame_tables(block, _diamonds(block)))]
+    for (_, table), want in zip(got, alone):
+        assert np.array_equal(table.F, want.F) and table[1:] == want[1:]
 
 
 def test_a_table_does_not_depend_on_the_thread_that_ran_its_chunk():
     smap = tight_map(radial_spec(0.5, 1))
     chunks = [_grid_nodes("radial", 0.03 * k, 3) for k in range(4)]
-    serial = [smap.frame_tables(chunk, _diamonds(chunk)) for chunk in chunks]
+    serial = [in_order(smap.frame_tables(chunk, _diamonds(chunk))) for chunk in chunks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda chunk: smap.frame_tables(chunk, _diamonds(chunk)), chunks * 2))
+            threaded = list(pool.map(lambda chunk: in_order(smap.frame_tables(chunk, _diamonds(chunk))),
+                                     chunks * 2))
     finally:
         sys.setswitchinterval(interval)
     for i, tables in enumerate(threaded):
@@ -643,9 +675,9 @@ def test_a_denominator_zero_is_a_pole_of_the_custom_potential():
         make_potential(custom_spec(POLE_AT_0_3.params["terms"], poles=[], base_point=0.3))
     zs = [0.1 + 0.1j, 0.301 + 0.001j, 0.15 - 0.1j]
     smap, alone = SurfaceMap(make_potential(POLE_AT_0_3), window=2), SurfaceMap(make_potential(POLE_AT_0_3), window=2)
-    tables = smap.frame_tables(zs, _diamonds(zs))
+    tables = in_order(smap.frame_tables(zs, _diamonds(zs)))
     assert isinstance(tables[1], PoleError) and "of singular point (0.3+0j)" in str(tables[1])
-    good = alone.frame_tables(zs[::2], _diamonds(zs[::2]))
+    good = in_order(alone.frame_tables(zs[::2], _diamonds(zs[::2])))
     assert all(np.array_equal(a.F, b.F) for a, b in zip(tables[::2], good))
     assert (smap.ode_counts.steps, smap.ode_counts.terms) == (alone.ode_counts.steps, alone.ode_counts.terms)
     assert smap.ode_counts.steps > 0
@@ -681,7 +713,7 @@ def test_a_stencil_point_past_an_undeclared_pole_fails_only_its_own_stencil():
     # at one z, and the other stays valid
     smap = SurfaceMap(_unguarded(POLE_AT_0_3), window=2)
     zs = [0.1 + 0.1j, 0.3015, 0.15 - 0.1j]
-    tables = smap.frame_tables(zs, _diamonds(zs))
+    tables = in_order(smap.frame_tables(zs, _diamonds(zs)))
     assert isinstance(tables[1], IntegrationError)
     assert str(tables[1]) == (
         f"Taylor series of the frame does not converge in {MAX_TERMS} terms on the piece from z = 0j")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import in_order
 from oracles import analytic_pairs, analytic_surface, sphere_metric_exponent
 
 from mlq import frames, holonomy
 from mlq.closedform import sphere_frame, torus_frame
 from mlq.frames import START_WINDOW, SurfaceMap
 from mlq.holonomy import OdeOptions
-from mlq.potentials import PoleError, make_potential, radial_spec, trinoid_spec
+from mlq.potentials import GridSpec, PoleError, equivariant_spec, make_potential, radial_spec, trinoid_spec
 from mlq.verify import (
     CENTRE_WEIGHTS,
     CROSS,
@@ -232,8 +233,25 @@ def test_a_stencil_point_at_a_pole_fails_only_its_node():
         node_report(smap, bad, 1e-3)
     assert str(err.value) == str(reps[2])
     assert reps[:2] + reps[3:] == alone
-    tables, ref = frame_tables(smap, chunk, 1e-3), frame_tables(smap, good, 1e-3)
+    tables, ref = in_order(frame_tables(smap, chunk, 1e-3)), in_order(frame_tables(smap, good, 1e-3))
     assert all(np.array_equal(t.F, r.F) for t, r in zip(tables[:2] + tables[3:], ref))
+
+
+def test_node_reports_pool_exact_cap_anchors_across_blocks(monkeypatch):
+    # the equivariant 7x7 grid at N = 16 leaves six anchors unresolved at the
+    # start window, five in its first block of 32 and one in its second; the
+    # whole grid is one stream, so they are one 6-row split at the cap, as in
+    # generate, and each node reads as it does alone, bit for bit
+    stacks = []
+    split = frames.iwasawa
+    monkeypatch.setattr(frames, "iwasawa", lambda values: stacks.append(values.shape[:2]) or split(values))
+    smap = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=16)
+    nodes, h = GridSpec(0.25, 1.4, 7, -0.5, 0.5, 7).nodes(), 1e-3
+    reps = node_reports(smap, nodes, h)
+    assert [i for i, rep in enumerate(reps) if rep[0].window == 16] == [7, 14, 21, 22, 28, 35]
+    assert [rows for rows, m in stacks if m == 4 * 16] == [6, 24, 24, 24] and len(stacks) == 28
+    for z, rep in zip(nodes, reps):
+        assert rep == node_report(smap, z, h)
 
 
 def test_rotation_symmetry_of_radial_surfaces(radial_map):
