@@ -3,9 +3,12 @@
 ``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
 points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
 samples to the Iwasawa split; the unitary factor F comes back at the same
-points.  Each anchor starts at N = ``START_WINDOW`` and is read again at the
-cap N = ``window`` only where P = Phi* Phi is unresolved on the samples
-(relative edge mass above ``EDGE_TOL``), pooled across a call's chunks
+points.  On a twisted potential (``Potential.twisted``) Phi(-lam) and F(-lam)
+are sigma_3 Phi(lam) sigma_3 and sigma_3 F(lam) sigma_3, so only the first 2N
+points are carried, and split by ``iwasawa_twisted``.  Each anchor starts at
+N = ``START_WINDOW`` and is read again at the cap N = ``window`` only where
+P = Phi* Phi is unresolved on the samples (relative edge mass above
+``EDGE_TOL``), pooled across a call's chunks
 where the frame is exact.  Sphere, torus and equivariant have one xi term w(z) A(lam),
 so Phi = exp(W(z) A(lam)) exactly, at every node and stencil point, and
 ``holonomy`` is imported only to integrate.  Every other family is
@@ -14,8 +17,9 @@ sums of the batched ``transport`` along straight segments from the base
 point, and its finite-difference stencils ride in a pass per ``NODE_CHUNK``
 points, from each node to its points, streamed a block at a time
 (``frame_tables``); a failing row fails only its own node, in its pass.  The
-spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so a point of the
-surface is read off F there, with nothing evaluated or projected, by forming
+spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N (on a twisted map,
+sigma_3 F sigma_3 at sample N), so a point of the surface is read off F there,
+with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -33,12 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .iwasawa import IwasawaResult, iwasawa
+from .iwasawa import IwasawaResult, iwasawa, iwasawa_twisted
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
 from .potentials import (EPS_POLE, DomainPath, FrozenRecord, GridSpec, OdeCounts, OdeOptions, PoleError, Potential,
                          raise_first, validate_path, xi_sampler)
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+#: sigma_3 M sigma_3 = M * _FLIP
+_FLIP = np.outer([1.0, -1.0], [1.0, -1.0])
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
@@ -80,6 +86,16 @@ def _expm(m: np.ndarray) -> np.ndarray:
     s = np.sqrt(m[..., 0, 0] ** 2 + m[..., 0, 1] * m[..., 1, 0])
     ratio = np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0)
     return np.cosh(s)[..., None, None] * np.eye(2) + ratio[..., None, None] * m
+
+
+def _full_circle(f: np.ndarray, n: int) -> np.ndarray:
+    """F at all 4N samples of window n: f, or a twisted map's first 2N and sigma_3 f sigma_3 there."""
+    return f if f.shape[-3] == 4 * n else np.concatenate([f, f * _FLIP], axis=-3)
+
+
+def _minus_i(f: np.ndarray, n: int) -> np.ndarray:
+    """F at sample 3N of window n, -i lam0: on a twisted map's first 2N, sigma_3 F(i lam0) sigma_3."""
+    return f[..., 3 * n, :, :] if f.shape[-3] == 4 * n else f[..., n, :, :] * _FLIP
 
 
 def _check_su2(m: np.ndarray, name: str) -> list:
@@ -150,9 +166,9 @@ class FramePointPair(FrozenRecord):
 
 
 class FrameTable(NamedTuple):
-    """A stencil's unitary frames at the 4N samples lam0 omega^j, F of shape
-    (P, 4N, 2, 2), at the window N, section and edge mass of its centre's split,
-    with the largest relative split residual of its points' splits."""
+    """A stencil's unitary frames at the 4N samples lam0 omega^j (the first 2N on a twisted
+    map), F of shape (P, 4N, 2, 2), at the window N, section and edge mass of its centre's
+    split, with the largest relative split residual of its points' splits."""
 
     F: np.ndarray
     window: int
@@ -162,12 +178,12 @@ class FrameTable(NamedTuple):
 
     def pair(self) -> FramePointPair:
         """The points' pairs at samples 0 and 3N, (lam0, -i lam0), as one stack."""
-        return FramePointPair(self.F[:, 0], self.F[:, 3 * self.window])
+        return FramePointPair(self.F[:, 0], _minus_i(self.F, self.window))
 
     def rotated(self, mus) -> list[FramePointPair]:
         """For each mu, |mu| = 1, the points' pairs a map at lam0 mu reads: the
         split is unique under rotation of the circle, so F at lam0 mu omega^j
-        is F's trigonometric interpolant on its 4N samples, each mode k turned
+        is F's trigonometric interpolant on its 4N samples (``_full_circle``), each mode k turned
         by mu^k (the Nyquist mode by (mu^2N + mu^-2N) / 2), and its samples 0
         and 3N are two phase-weighted sums over the modes of one FFT, the
         second weighted by omega^(3N k) = (-i)^k."""
@@ -176,7 +192,7 @@ class FrameTable(NamedTuple):
         mus = np.asarray(mus, dtype=np.complex128).reshape(-1, 1)
         phase = mus**k
         phase[:, m // 2] = 0.5 * (phase[:, m // 2] + mus[:, 0] ** (m // 2))
-        modes = coefficients(self.F)
+        modes = coefficients(_full_circle(self.F, self.window))
         f1, f2 = (np.tensordot(w, modes, axes=(1, 1)) for w in (phase, phase * (-1j) ** k))
         return [FramePointPair(a, b) for a, b in zip(f1, f2)]
 
@@ -265,8 +281,9 @@ class SurfaceMap:
 
     Frames are carried as their values at the 4N roots of unity rotated by
     lam0, which must lie on the unit circle (ValueError at construction
-    otherwise), and split there by ``iwasawa``; the frame pair is read off the
-    unitary factor at samples 0 and 3N.  The window N is chosen per anchor
+    otherwise), and split there by ``iwasawa`` (a twisted potential's first 2N
+    by ``iwasawa_twisted``); the frame pair is read off the unitary factor at
+    samples 0 and 3N.  The window N is chosen per anchor
     (a grid node, or the centre of a stencil) by one rule: the anchor is
     computed and split at the start window min(``START_WINDOW``, ``window``),
     and again at the cap, ``window`` (an integer >= 1, else a ValueError),
@@ -308,8 +325,9 @@ class SurfaceMap:
             raise ValueError(f"window must be an integer >= 1, got {window!r}")
         self.start_window = min(START_WINDOW, self.window)
         self.ode = ode if ode is not None else OdeOptions()
-        # lam0 and -i lam0 are samples 0 and 3N at either window
-        self._lams = {n: self.lambda0 * window_samples(n) for n in (self.start_window, self.window)}
+        # lam0 and -i lam0 are samples 0 and 3N at either window; a twisted map carries 0..2N-1
+        self._lams = {n: self.lambda0 * window_samples(n)[: 2 * n if pot.twisted else None]
+                      for n in (self.start_window, self.window)}
         self._xi = {n: xi_sampler(pot, lams) for n, lams in self._lams.items()}
         #: Taylor pieces, terms and det drift of every transport this map ran
         self.ode_counts = OdeCounts()
@@ -328,7 +346,7 @@ class SurfaceMap:
             raise ValueError("winding paths are only defined for the equivariant family")
         base = self.pot.base_point
         if starts is None:
-            starts = [(base, np.broadcast_to(np.eye(2, dtype=np.complex128), (4 * n, 2, 2)))] * len(zs)
+            starts = [(base, np.broadcast_to(np.eye(2, dtype=np.complex128), (len(self._lams[n]), 2, 2)))] * len(zs)
         if self._xi[n].exact is None:
             from .holonomy import transport
             moved = [i for i, (z, (z0, _)) in enumerate(zip(zs, starts)) if z != z0]
@@ -354,7 +372,7 @@ class SurfaceMap:
 
         def block(ids, n: int) -> list:
             states = self._frames([zs[i] for i in ids], winding, n)
-            return list(zip(ids, states, _split_rows(states)))
+            return list(zip(ids, states, self._split_rows(states)))
 
         pooled, waiting = self._xi[self.window].exact is not None, []
         for first in range(0, len(zs), NODE_CHUNK):
@@ -370,10 +388,10 @@ class SurfaceMap:
                 del waiting[:NODE_CHUNK]
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
-        """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
+        """Iwasawa split of the frame values at z, at the window the rule chooses for z, F at all 4N samples."""
         ((_, _, res),) = [row for block in self._anchor_blocks([complex(z)], winding) for row in block]
         raise_first([res])
-        return res
+        return res._replace(F=_full_circle(res.F, res.window))
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
         """The unitary frame at (lam0, -i lam0)."""
@@ -382,7 +400,8 @@ class SurfaceMap:
 
     def frame_tables(self, centres, points):
         """Yield (i, the frames at centre i's points as one ``FrameTable`` at its
-        window, or the error that stops centre i), a block at a time.
+        window, or the error that stops centre i), a block at a time.  Every
+        centre has as many points; they are held as one complex array.
 
         A centre with a route to a point past a pole fails with that error,
         unless its split fails first, and joins no pass.  The others are the
@@ -395,7 +414,7 @@ class SurfaceMap:
         centre, ``frame_pair(z)`` bit for bit.
         """
         zs = [complex(z) for z in centres]
-        pts = [[complex(p) for p in ps] for ps in points]
+        pts = np.array([list(ps) for ps in points], dtype=np.complex128, ndmin=2)
         routes: list = [None] * len(zs)
         for i, (z, ps) in enumerate(zip(zs, pts)):
             try:
@@ -403,7 +422,7 @@ class SurfaceMap:
                     validate_path(DomainPath.line(z, p), self.pot)
             except PoleError as exc:
                 routes[i] = exc
-        per = max(1, NODE_CHUNK // max(map(len, pts), default=1))
+        per = max(1, NODE_CHUNK // max(1, pts.shape[1]))
         # the centres that failed a route are split apart, so their own split's error comes first
         for ids in [[i for i, exc in enumerate(routes) if exc], [i for i, exc in enumerate(routes) if not exc]]:
             for block in self._anchor_blocks([zs[i] for i in ids], 0):
@@ -415,7 +434,7 @@ class SurfaceMap:
                         good.append((ids[k], state, res))
                 for stencils in (good[k : k + per] for k in range(0, len(good), per)):
                     carried = [(p, (zs[i], state)) for i, state, _ in stencils for p in pts[i] if p != zs[i]]
-                    off = iter(_split_rows(self._frames([p for p, _ in carried], 0, stencils[0][2].window,
+                    off = iter(self._split_rows(self._frames([p for p, _ in carried], 0, stencils[0][2].window,
                                                         [start for _, start in carried])))
                     for i, _, anchor in stencils:
                         splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
@@ -449,16 +468,16 @@ class SurfaceMap:
     def sample(self, z: complex) -> SurfaceSample:
         return self.samples([z])[0]
 
-
-def _split_rows(states: list) -> list:
-    """The split of each frame in ``states`` by one ``iwasawa`` call, or the
-    error that stops it; an error in ``states`` keeps its slot."""
-    rows = [i for i, state in enumerate(states) if not isinstance(state, Exception)]
-    out = list(states)
-    if rows:
-        for i, res in zip(rows, iwasawa(np.stack([states[i] for i in rows]))):
-            out[i] = res
-    return out
+    def _split_rows(self, states: list) -> list:
+        """The split of each frame in ``states`` by one ``iwasawa`` (or ``iwasawa_twisted``) call,
+        or the error that stops it; an error in ``states`` keeps its slot."""
+        rows = [i for i, state in enumerate(states) if not isinstance(state, Exception)]
+        out = list(states)
+        if rows:
+            split = iwasawa_twisted if self.pot.twisted else iwasawa
+            for i, res in zip(rows, split(np.stack([states[i] for i in rows]))):
+                out[i] = res
+        return out
 
 
 def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
@@ -473,7 +492,7 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
     if not rows:
         return out
     f1 = np.stack([splits[i].F[0] for i in rows])
-    f2 = np.stack([splits[i].F[3 * splits[i].window] for i in rows])
+    f2 = np.stack([_minus_i(splits[i].F, splits[i].window) for i in rows])
     gate = [e1 or e2 for e1, e2 in zip(_check_su2(f1, "F1"), _check_su2(f2, "F2"))]
     for i, exc in zip(rows, gate):
         if exc is not None:

@@ -18,7 +18,8 @@ Phi(z_end) = Phi(z_0) U_1 ... U_P.  A failing row fails only its own
 path, in the pass it ran in: a batch comes back as a list of each path's
 end values or its error, as ``iwasawa``'s rows do.  ``monodromy`` runs it
 once around a closed path, or a batch of them, at every lam_m;
-``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0, where
+``SurfaceMap`` runs it at the M = 4N roots of unity rotated by lam0 (the
+first 2N on a twisted potential), where
 the Iwasawa split takes the values as they are, one batch per chunk of
 grid nodes, each on one straight segment from the base point, and one
 batch per block of whole finite-difference stencils, from each centre's

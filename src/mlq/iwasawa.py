@@ -19,6 +19,15 @@ stops.  B's values at the samples come from one zero-padded inverse FFT,
 and F = Phi B^{-1} is formed and returned there: it is never projected onto
 a coefficient window, so no Laurent mode of F is dropped.
 
+A twisted loop, Phi(-lam) = sigma_3 Phi(lam) sigma_3, comes at the first 2N
+samples (``iwasawa_twisted``), and so do P, B and F, each as twisted.  With
+D(lam) = diag(1, lam), P_Y = D P D^{-1} is a loop in mu = lam^2 (Pressley &
+Segal, *Loop Groups*, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom. 6,
+1998), whose FFT at the 2N samples of mu holds P's modes |k| <= 2N - 1.  They
+couple entries of like parity only, so P's section falls into two parity
+classes, each a Toeplitz section of P_Y half its size: the split factors
+those, and reads B, the edge mass and the residual as the untwisted one.
+
 A stack of loops, shape (B, 4N, 2, 2), is split in one pass, a section
 size at a time over the rows still doubling, in stacked Choleskys of at
 most ``SECTION_ENTRIES`` entries; each row keeps its own checks and error,
@@ -35,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loops import as_planes, coefficients, ct2, eigvalsh2, inv2, mul2, plus_values
+from .loops import as_planes, coefficients, ct2, eigvalsh2, inv2, mul2, plus_values, window_samples
 
 #: the split accepts B once max_j ||B_j* B_j - P_j|| <= SPLIT_TOL max_j ||P_j||^2: the
 #: residual's float64 floor is 1e-17 to 8e-16 of ||P||^2 (= cond P, as det P = 1), so
@@ -61,9 +70,9 @@ class ConvergenceError(RuntimeError):
 class IwasawaResult(NamedTuple):
     """Normalized splitting Phi = F B.
 
-    F has shape (4N, 2, 2): F[j] = Phi[j] B(omega^j)^{-1} at the samples Phi
-    was given at, so F B = Phi holds there by construction.  B has shape
-    (2N, 2, 2): B[k] is the plus factor's coefficient of mu^k in the sample
+    F has shape (4N, 2, 2), or (2N, 2, 2) if twisted: F[j] = Phi[j] B(omega^j)^{-1} at
+    the samples Phi was given at, so F B = Phi holds there by construction; N is window.
+    B has shape (2N, 2, 2): B[k] is the plus factor's coefficient of mu^k in the sample
     variable.  unitarity_error is max_j ||F[j]^* F[j] - I||.  edge_mass is
     P's relative edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| for
     P = Phi* Phi: the modes at and next to the Nyquist bin, where the
@@ -78,18 +87,14 @@ class IwasawaResult(NamedTuple):
     #: blocks in the Toeplitz section the split accepted
     section: int
     split_residual: float
-
-    @property
-    def window(self) -> int:
-        """N of the samples: F holds the split at 4N points."""
-        return self.F.shape[0] // 4
+    window: int
 
 
-def _window(values: np.ndarray) -> int:
-    """N of a loop, or a stack of loops, given at the 4N roots of unity; ValueError for any other shape."""
-    if values.ndim not in (3, 4) or values.shape[-2:] != (2, 2) or values.shape[-3] < 4 or values.shape[-3] % 4:
-        raise ValueError(f"need loop values at 4N roots of unity, shape ([B,] 4N, 2, 2); got {values.shape}")
-    return values.shape[-3] // 4
+def _window(values: np.ndarray, per: int = 4) -> int:
+    """N of a loop, or a stack of loops, given at per N samples; ValueError for any other shape."""
+    if values.ndim not in (3, 4) or values.shape[-2:] != (2, 2) or values.shape[-3] < per or values.shape[-3] % per:
+        raise ValueError(f"need loop values at {per}N samples, shape ([B,] {per}N, 2, 2); got {values.shape}")
+    return values.shape[-3] // per
 
 
 def _single(rows: list):
@@ -133,23 +138,30 @@ def _section_index(m: int, d: int) -> np.ndarray:
     return np.where(abs(k) <= d, 4 * (k + d) + 2 * (u % 2) + v % 2, 4 * (2 * d + 1))
 
 
-def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
+def _bauer_read(p: np.ndarray, m: int, twisted: bool = False) -> tuple[np.ndarray, dict]:
     """Cholesky of each row's (m+1)-block Toeplitz section; its last block
     row gives the factor.
 
     ``p[:, k + d]`` is a row's P_k for |k| <= d, d <= m; returns each row's
     B_0..B_d, and the FactorizationError of each row (by index) whose
-    section is not positive definite.
+    section is not positive definite.  A twisted P couples entry (a, b) of
+    P_k only where k + a + b is even, so its section is factorized as the
+    two classes of scalars 2i + a with i + a of one parity: each half as large.
     """
     d = p.shape[1] // 2
     # block (i, j) of the Hermitian section (T + T^H) / 2 is (P_{j-i} + P_{i-j}^H) / 2: the
     # coefficients are symmetrized once, then read in one gather
     sym = np.zeros((len(p), 4 * (2 * d + 1) + 1), dtype=np.complex128)
     sym[:, :-1] = ((p + ct2(p[:, ::-1])) * 0.5).reshape(len(p), -1)
-    last, failed = np.empty((len(p), 2, 2 * m + 2), dtype=np.complex128), {}
-    per = max(1, SECTION_ENTRIES // (2 * m + 2) ** 2)
+    index = _section_index(m, d)
+    if twisted:
+        # class c holds scalar 2i + (c - i) % 2 of each block i
+        classes = 2 * np.arange(m + 1) + (np.array([[0], [1]]) - np.arange(m + 1)) % 2
+        index = index[classes[:, :, None], classes[:, None, :]]
+    last, failed = np.zeros((len(p), 2, 2 * m + 2), dtype=np.complex128), {}
+    per = max(1, SECTION_ENTRIES // index.size)
     for first in range(0, len(p), per):
-        t2 = np.take(sym[first : first + per], _section_index(m, d), axis=1)
+        t2 = np.take(sym[first : first + per], index, axis=1)
         try:
             low = np.linalg.cholesky(t2)
         except np.linalg.LinAlgError:
@@ -160,15 +172,18 @@ def _bauer_read(p: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
                     low[i - first] = np.linalg.cholesky(t)
                 except np.linalg.LinAlgError as exc:
                     failed[i] = FactorizationError(f"Toeplitz section of size {m + 1} is not positive definite: {exc}")
-        last[first : first + per] = low[:, 2 * m :]
+        if twisted:
+            last[first : first + per, classes[:, -1:] - 2 * m, classes] = low[:, :, m]
+        else:
+            last[first : first + per] = low[:, 2 * m :]
     # B_n is the conjugate transpose of block m - n of the last block row
     row = last.reshape(-1, 2, m + 1, 2).transpose(0, 2, 1, 3)
     return np.conj(as_planes(np.swapaxes(row[:, m - d :][:, ::-1], -1, -2))), failed
 
 
 def _factor_residual(b: np.ndarray, p_vals: np.ndarray) -> np.ndarray:
-    """max_j ||B(omega^j)^* B(omega^j) - P_j|| over the samples of P, for each row of a stack."""
-    bv = plus_values(b, p_vals.shape[-3])
+    """max_j ||B(omega^j)^* B(omega^j) - P_j|| over P's samples (if twisted, the first 2N of 4N), for each row."""
+    bv = plus_values(b, 2 * b.shape[-3])[..., : p_vals.shape[-3], :, :]
     diff = mul2(ct2(bv), bv) - p_vals
     return np.linalg.norm(diff, axis=(-2, -1)).max(axis=-1)
 
@@ -198,14 +213,29 @@ def spectral_factor_plus(values: np.ndarray):
     leave unresolved.  For a stack, shape (B, 4N, 2, 2), a list with each
     row's (B, edge mass, blocks, residual / max_j ||P_j||^2) or its error.
     """
+    return _factor(values, False)
+
+
+def _factor(values: np.ndarray, twisted: bool):
+    """``spectral_factor_plus``, or, if twisted, of P at the first 2N samples: P's modes are read off the
+    modes of P_Y = D P D^{-1} at the 2N samples of mu, and its section as two parity classes."""
     values = np.asarray(values, dtype=np.complex128)
-    n = _window(values)
+    _window(values, 2 if twisted else 4)
     if values.ndim == 3:
-        return _single(spectral_factor_plus(values[None]))
+        return _single(_factor(values[None], twisted))
     values = as_planes(values)
-    c = coefficients(values)
+    m = values.shape[-3]
+    if twisted:
+        # entry (1, 2) of D P D^{-1} is P's over omega^j and entry (2, 1) P's times omega^j, so its mode
+        # mu^q holds P's lam-mode 2q on the diagonal, 2q + 1 in entry (1, 2) and 2q - 1 in entry (2, 1)
+        y = coefficients(values * window_samples(m // 2)[:m, None, None] ** np.array([[0, -1], [1, 0]]))
+        c = np.zeros((len(y), 2 * m, 2, 2), dtype=np.complex128)
+        c[:, ::2], c[:, 1::2, 0, 1], c[:, 1::2, 1, 0] = y * np.eye(2), y[:, :, 0, 1], np.roll(y[:, :, 1, 0], -1, axis=1)
+    else:
+        c = coefficients(values)
+    n = c.shape[-3] // 4
     # P at the samples, less its Nyquist mode: these resolve all of B* B - P
-    p_vals = np.subtract(values, c[:, 2 * n, None] * ((-1) ** np.arange(4 * n))[:, None, None],
+    p_vals = np.subtract(values, c[:, 2 * n, None] * ((-1) ** np.arange(m))[:, None, None],
                          out=np.empty_like(values))
     tops = _positivity_precheck(p_vals, np.isfinite(values).all(axis=(-2, -1)))
     out, edge = list(tops), _edge_mass(c)
@@ -215,7 +245,7 @@ def spectral_factor_plus(values: np.ndarray):
     todo = {i: np.inf for i, top in enumerate(tops) if not isinstance(top, Exception)}
     m, doubling = degree, 0
     while todo:
-        b, failed = _bauer_read(p[list(todo)], m)
+        b, failed = _bauer_read(p[list(todo)], m, twisted)
         residual = _factor_residual(b, p_vals[list(todo)])
         going = {}
         for k, (i, last) in enumerate(todo.items()):
@@ -251,12 +281,26 @@ def iwasawa(values: np.ndarray):
     F(lam0 mu) B(lam0 mu), which is normalized because B(lam0 * 0) = B(0),
     so by uniqueness F[j] = F(lam0 omega^j).
     """
+    return _split(values, False)
+
+
+def iwasawa_twisted(values: np.ndarray):
+    """``iwasawa`` of a twisted loop, or a stack, given at the first 2N of the 4N samples: F comes back
+    there, with the B, section, edge mass and residual the untwisted split reads off all 4N, its
+    section factored as two parity halves.  mu -> Phi(lam0 mu) is twisted too, so a rotated circle's
+    samples split as they are."""
+    return _split(values, True)
+
+
+def _split(values: np.ndarray, twisted: bool) -> list:
+    """``iwasawa``, or, if twisted, ``iwasawa_twisted``."""
     values = np.asarray(values, dtype=np.complex128)
-    _window(values)
+    n = _window(values, 2 if twisted else 4)
     if values.ndim == 3:
-        return _single(iwasawa(values[None]))
+        return _single(_split(values[None], twisted))
     phi = as_planes(values)
-    out = spectral_factor_plus(mul2(ct2(phi), phi))
+    gram = mul2(ct2(phi), phi)
+    out = _factor(gram, True) if twisted else spectral_factor_plus(gram)
     ok = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     if not ok:
         return out
@@ -272,9 +316,9 @@ def iwasawa(values: np.ndarray):
     b.real[diag] = np.abs(b.real[diag])
     b.imag[diag] = 0.0
 
-    f = mul2(as_planes(phi[ok]), inv2(plus_values(b, values.shape[-3])))
+    f = mul2(as_planes(phi[ok]), inv2(plus_values(b, 2 * b.shape[-3])[..., : phi.shape[-3], :, :]))
     gram_f = mul2(ct2(f), f) - np.eye(2)
     unitarity = np.linalg.norm(gram_f, axis=(-2, -1)).max(axis=-1)
     for k, i in enumerate(ok):
-        out[i] = IwasawaResult(f[k], b[k], float(unitarity[k]), *out[i][1:])
+        out[i] = IwasawaResult(f[k], b[k], float(unitarity[k]), *out[i][1:], n)
     return out

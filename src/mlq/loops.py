@@ -3,7 +3,8 @@
 A loop is a map from the unit circle into 2x2 complex matrices.  Frames are
 integrated, and split into their Iwasawa factors, as their values at M = 4N
 points of the circle (``window_samples``, rotated by lam0 where the surface
-is read), one (M, 2, 2) array with one 2x2 matrix per point.  Coefficients
+is read), or a twisted frame's at the first M = 2N of them, one (M, 2, 2)
+array with one 2x2 matrix per point.  Coefficients
 
     A(lam) = sum_k A_k lam^k
 
@@ -32,7 +33,7 @@ DEFAULT_WINDOW_N = 16
 
 
 def window_samples(n: int) -> np.ndarray:
-    """The M = 4n roots of unity at which frames on the window [-n, n] are carried."""
+    """The M = 4n roots of unity at which frames on the window [-n, n] are carried (a twisted one at the first 2n)."""
     m = 4 * n
     return np.exp(2j * np.pi * np.arange(m) / m)
 

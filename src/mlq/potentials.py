@@ -121,17 +121,21 @@ class PotentialSpec(NamedTuple):
 class Potential(FrozenRecord):
     """A validated potential: spec, singular set, base point and the xi
     terms (num, den, W, {k: A_k}) that ``make_potential`` writes for its family;
-    two potentials are equal when their spec, singular set and base point are."""
+    two potentials are equal when their spec, singular set and base point are.
+    ``twisted`` is derived from the terms: every odd lam-power off-diagonal and
+    every even one diagonal, so xi(-lam) = sigma_3 xi(lam) sigma_3."""
 
-    __slots__ = ("spec", "singular_points", "base_point", "terms")
+    __slots__ = ("spec", "singular_points", "base_point", "terms", "twisted")
     spec: PotentialSpec
     singular_points: tuple[complex, ...]
     base_point: complex
     terms: tuple[Term, ...]
+    twisted: bool
 
     def __init__(self, spec: PotentialSpec, singular_points: tuple[complex, ...], base_point: complex,
                  terms: tuple[Term, ...]) -> None:
-        super().__init__(spec, singular_points, base_point, terms)
+        twisted = not any(np.any(a * (np.eye(2) if k % 2 else 1 - np.eye(2))) for *_, t in terms for k, a in t.items())
+        super().__init__(spec, singular_points, base_point, terms, twisted)
 
     def _key(self) -> tuple:
         return self.spec, self.singular_points, self.base_point

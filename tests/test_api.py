@@ -13,9 +13,9 @@ import pytest
 import mlq
 import mlq.cli
 from mlq import potentials
-from mlq.frames import FramePointPair, FrameTable, GridSpec, SurfaceMap, _split_rows
+from mlq.frames import FramePointPair, FrameTable, GridSpec, SurfaceMap
 from mlq.holonomy import DomainPath, OdeOptions
-from mlq.iwasawa import _single, iwasawa, spectral_factor_plus
+from mlq.iwasawa import _single, iwasawa, iwasawa_twisted, spectral_factor_plus
 from mlq.verify import geometry_report, invariants_report
 
 
@@ -128,9 +128,10 @@ SIGNATURES = [
     (FrameTable.pair, ["self"]),
     (FrameTable.rotated, ["self", "mus"]),
     (iwasawa, ["values"]),
+    (iwasawa_twisted, ["values"]),
     (spectral_factor_plus, ["values"]),
     (_single, ["rows"]),
-    (_split_rows, ["states"]),
+    (SurfaceMap._split_rows, ["self", "states"]),
     (invariants_report, ["vals", "z", "h", "phase", "table"]),
     (geometry_report, ["s2", "z", "h"]),
 ]

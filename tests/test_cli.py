@@ -31,7 +31,7 @@ from mlq.closedform import LOOP_SEGMENTS
 from mlq.frames import NODE_CHUNK, GridSpec, SurfaceMap, SurfaceSample
 from mlq.holonomy import MAX_TERMS
 from mlq.iwasawa import SPLIT_TOL
-from mlq.potentials import make_potential, sphere_spec
+from mlq.potentials import FrozenRecord, Potential, make_potential, sphere_spec
 
 BASE = {
     "schema": 1,
@@ -755,7 +755,8 @@ def test_family_transports_as_verify_does(tmp_path, monkeypatch, sweep):
 
 def test_family_keeps_going_past_a_failed_node(tmp_path):
     # the node at 0.0015 is too near the pole for the split at N = 8 (P is not
-    # positive definite there): it fails alone, in family as in verify, and
+    # positive definite there; the twisted split reads its 2N = 16 samples):
+    # it fails alone, in family as in verify, and
     # the deviations are taken over the other three nodes
     cfg = write_cfg(
         tmp_path, "fam.json", truncation_N=8, sweep=2,
@@ -766,7 +767,7 @@ def test_family_keeps_going_past_a_failed_node(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
     family = json.loads((tmp_path / "f" / "family.json").read_text())
     report = json.loads((tmp_path / "v" / "report.json").read_text())
-    error = "loop is not positive definite at sample 0 of 32"
+    error = "loop is not positive definite at sample 0 of 16"
     assert family["n_failed"] == report["n_failed"] == 1
     assert [(f["index"], f["z_re"], f["z_im"]) for f in family["failures"]] == [(0, 0.0015, 0.0)]
     assert family["failures"][0]["error"].startswith(error) and report["nodes"][0]["error"].startswith(error)
@@ -874,3 +875,40 @@ def test_the_process_entry_runs_main_and_freezes_the_heap_at_exit(tmp_path, monk
     with pytest.raises(SystemExit) as exit_:
         cli.run()
     assert exit_.value.code == EXIT_CHECKS_FAILED and order == ["main", "freeze"]
+
+
+def _leaves(value, key=""):
+    """(key, leaf) of every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        return [leaf for k, v in value.items() for leaf in _leaves(v, f"{key}.{k}")]
+    if isinstance(value, list):
+        return [leaf for i, v in enumerate(value) for leaf in _leaves(v, f"{key}[{i}]")]
+    return [(key, value)]
+
+
+def test_family_on_a_twisted_map_matches_the_4n_path(tmp_path, monkeypatch):
+    # radial is twisted: its frames are carried at the first 2N samples and
+    # FrameTable.rotated rebuilds the 4N it reads from the twist; the same
+    # potential read on the 4N path gives family.json within 1e-12
+    cfg = write_cfg(tmp_path, "fam.json", potential={"variant": "radial", "c": [0.5, 0.0], "k": 1},
+                    grid={"re_min": -0.4, "re_max": 0.4, "n_re": 8, "im_min": -0.4, "im_max": 0.4, "n_im": 8},
+                    ode={"tolerance": 1e-12}, truncation_N=16, sweep=8)
+    assert main(["family", "--config", cfg, "--out", str(tmp_path / "twisted"), "--jobs", "1"]) == EXIT_OK
+    make = cli.make_potential
+
+    def untwisted(spec):
+        pot = make(spec)
+        flat = object.__new__(Potential)
+        FrozenRecord.__init__(flat, pot.spec, pot.singular_points, pot.base_point, pot.terms, False)
+        return flat
+
+    monkeypatch.setattr(cli, "make_potential", untwisted)
+    monkeypatch.setattr(frames, "iwasawa_twisted", None)
+    assert main(["family", "--config", cfg, "--out", str(tmp_path / "full"), "--jobs", "1"]) == EXIT_OK
+    got, want = (_leaves(json.loads((tmp_path / d / "family.json").read_text())) for d in ("twisted", "full"))
+    assert [k for k, _ in got] == [k for k, _ in want] and len(got) > 8
+    for (key, a), (_, b) in zip(got, want):
+        if isinstance(a, float):
+            assert abs(a - b) <= 1e-12, key
+        else:
+            assert a == b, key

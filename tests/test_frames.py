@@ -211,11 +211,12 @@ def test_stencil_centre_is_the_frame_pair(family, z):
 @pytest.mark.parametrize("z", [0.3, 1.2], ids=["cap", "start"])
 def test_stencil_centre_is_the_frame_pair_at_either_window(z):
     # z = 0.3 is read at the cap, z = 1.2 at the start window: either way the
-    # whole stencil shares the centre's window and the centre is frame_pair's
+    # whole stencil shares the centre's window and the centre is frame_pair's;
+    # the map is twisted, so the table holds the first 2N samples
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     table = frame_table(smap, z, [z, z + 1e-3, z - 1e-3j])
     single = smap.frame_pair(z)
-    assert table.F.shape == (3, 4 * smap.unitary_frame(z).window, 2, 2)
+    assert table.F.shape == (3, 2 * smap.unitary_frame(z).window, 2, 2)
     assert np.array_equal(table.pair().F1[0], single.F1) and np.array_equal(table.pair().F2[0], single.F2)
 
 
@@ -269,9 +270,9 @@ def test_a_split_at_its_rounding_floor_stops_doubling(monkeypatch, spec, z, wind
     sections = []
     bauer_read = iwasawa_module._bauer_read
 
-    def counted(p, m):
+    def counted(p, m, *twisted):
         sections.append(m)
-        return bauer_read(p, m)
+        return bauer_read(p, m, *twisted)
 
     monkeypatch.setattr(iwasawa_module, "_bauer_read", counted)
     SurfaceMap(make_potential(spec), window=window).sample(z)
@@ -282,20 +283,21 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
     # a start-window split that fails, as the torus split at 2.8+2.8i does at
     # N = 8, sends the node to the cap; a stand-in failure lets the test use a
     # node that reads fine there
-    split = frames.iwasawa
+    split = frames.iwasawa_twisted
 
     def failing(values):
-        # SurfaceMap splits a stack of frames per call; each row gets its own error
-        if values.shape[-3] == 4 * START_WINDOW:
+        # SurfaceMap splits a stack of frames per call, a twisted one at 2N
+        # samples; each row gets its own error
+        if values.shape[-3] == 2 * START_WINDOW:
             return [ConvergenceError("stand-in") for _ in values]
         return split(values)
 
-    monkeypatch.setattr(frames, "iwasawa", failing)
+    monkeypatch.setattr(frames, "iwasawa_twisted", failing)
     z = 1.2
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     s = smap.sample(z)
     assert s.valid and s.diagnostics["window"] == 16
-    assert frame_table(smap, z, [z, z + 1e-3]).F.shape == (2, 4 * 16, 2, 2)
+    assert frame_table(smap, z, [z, z + 1e-3]).F.shape == (2, 2 * 16, 2, 2)
     # at the cap the failure is the node's own error
     capped = tight_map(equivariant_spec(0.75, 0.25), window=START_WINDOW)
     assert capped.sample(z).error == "stand-in"
@@ -318,8 +320,8 @@ def test_a_map_capped_at_the_start_window_never_grows(monkeypatch):
         res = smap.unitary_frame(1.5)
         assert res.window == cap and res.edge_mass > EDGE_TOL
         assert smap.sample(1.5).diagnostics["window"] == cap
-    # one transport per readout, each at the cap's 4N samples
-    assert sizes == [24, 24, 32, 32]
+    # one transport per readout, each at the first 2N of the cap's 4N samples (radial is twisted)
+    assert sizes == [12, 12, 16, 16]
 
 
 def test_a_window_that_is_not_a_positive_integer_is_refused():
@@ -334,16 +336,17 @@ def test_unresolved_nodes_wait_for_pooled_cap_stacks(monkeypatch):
     # in four chunks; an exact frame's row splits as it does alone, so they
     # wait, as indices, and run at the cap in one stack, not in one pass a
     # chunk, and each reads off it as it does alone, diagnostics included
+    # (the map is twisted: its splits take the first 2N samples)
     stacks = []
-    split = frames.iwasawa
-    monkeypatch.setattr(frames, "iwasawa", lambda values: stacks.append(values.shape[:2]) or split(values))
+    split = frames.iwasawa_twisted
+    monkeypatch.setattr(frames, "iwasawa_twisted", lambda values: stacks.append(values.shape[:2]) or split(values))
     smap = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=16)
     zs = [complex(x, y) for y in np.linspace(-0.6, 0.6, 24) for x in np.linspace(0.3, 1.5, 8)]
     got = smap.samples(zs)
     capped = [i for i, s in enumerate(got) if s.diagnostics["window"] == 16]
     assert len(capped) == 12 and len({i // NODE_CHUNK for i in capped}) >= 3
-    assert [rows for rows, m in stacks if m == 4 * 16] == [12]
-    assert [rows for rows, m in stacks if m == 4 * START_WINDOW] == [NODE_CHUNK] * 6
+    assert [rows for rows, m in stacks if m == 2 * 16] == [12]
+    assert [rows for rows, m in stacks if m == 2 * START_WINDOW] == [NODE_CHUNK] * 6
     for z, s in zip(zs, got):
         alone = smap.sample(z)
         assert s.valid and alone.valid and s.diagnostics == alone.diagnostics
@@ -368,7 +371,8 @@ def test_an_integrated_chunk_reads_its_unresolved_nodes_again_in_a_pass_of_its_o
     got = smap.samples(zs)
     capped = [sum(s.diagnostics["window"] == 16 for s in got[k : k + NODE_CHUNK]) for k in range(0, 96, NODE_CHUNK)]
     assert capped == [20, 8, 20]
-    assert passes == [p for c in capped for p in ((NODE_CHUNK, 4 * START_WINDOW), (c, 4 * 16))]
+    # radial is twisted: each pass runs at the first 2N samples
+    assert passes == [p for c in capped for p in ((NODE_CHUNK, 2 * START_WINDOW), (c, 2 * 16))]
     for k in range(0, 96, NODE_CHUNK):
         for s, alone in zip(got[k : k + NODE_CHUNK], smap.samples(zs[k : k + NODE_CHUNK])):
             assert s.diagnostics == alone.diagnostics and np.array_equal(s.q2_hom, alone.q2_hom)
@@ -449,7 +453,8 @@ def test_closed_form_frames_match_transport(family, x, y, winding):
         path = DomainPath(pts)
     else:
         path = DomainPath.line(base, z)
-    ref = transport(smap.pot, path, np.broadcast_to(np.eye(2), (32, 2, 2)), smap._lams[8], TIGHT_ODE)
+    # every family here is twisted: the map carries the first 2N = 16 samples
+    ref = transport(smap.pot, path, np.broadcast_to(np.eye(2), (16, 2, 2)), smap._lams[8], TIGHT_ODE)
     exact = smap._frames([z], winding, 8)[0]
     assert np.abs(exact - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -547,10 +552,10 @@ def test_frame_tables_sweep_whole_stencils_at_most_node_chunk_rows_at_a_time(mon
     # off each centre follow in blocks of two stencils (24 rows), each one
     # sweep and one split, and the fifth stencil alone
     rows = []
-    transport, split = holonomy.transport, frames.iwasawa
+    transport, split = holonomy.transport, frames.iwasawa_twisted
     monkeypatch.setattr(holonomy, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
                         or transport(pot, paths, *args))
-    monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
+    monkeypatch.setattr(frames, "iwasawa_twisted", lambda values: rows.append(("split", len(values))) or split(values))
     smap = tight_map(radial_spec(0.5, 1))
     zs = _grid_nodes("radial", 0.0, 5)
     assert all(isinstance(t, frames.FrameTable) for t in in_order(smap.frame_tables(zs, _diamonds(zs))))
@@ -563,10 +568,10 @@ def test_the_stream_holds_one_block(monkeypatch):
     # run, two a pass, and their tables are yielded before the second block's
     # anchors run, and each table is the one its block's centres get alone
     rows = []
-    transport, split = holonomy.transport, frames.iwasawa
+    transport, split = holonomy.transport, frames.iwasawa_twisted
     monkeypatch.setattr(holonomy, "transport", lambda pot, paths, *args: rows.append(("sweep", len(paths)))
                         or transport(pot, paths, *args))
-    monkeypatch.setattr(frames, "iwasawa", lambda values: rows.append(("split", len(values))) or split(values))
+    monkeypatch.setattr(frames, "iwasawa_twisted", lambda values: rows.append(("split", len(values))) or split(values))
     smap = tight_map(radial_spec(0.5, 1))
     zs = _grid_nodes("radial", 0.0, 40)
     stream = smap.frame_tables(zs, _diamonds(zs))
@@ -782,3 +787,19 @@ def test_build_surface_covers_grid():
     )
     assert len(samples) == 9
     assert all(s.valid for s in samples)
+
+
+def test_an_untwisted_map_carries_all_4n_samples():
+    # a lam^0 E_21 term breaks the twist: frames, tables and splits keep all 4N
+    # samples, where the twisted map (radial) carries the first 2N; both read
+    # F at all 4N through unitary_frame, on a first section of 2N blocks
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    untwisted = make_potential(custom_spec([CustomTerm(-1, e12), CustomTerm(0, e21)], [], 0.0))
+    assert not untwisted.twisted and make_potential(radial_spec(0.5, 1)).twisted
+    for pot, samples in ((untwisted, 32), (make_potential(radial_spec(0.5, 1)), 16)):
+        smap = SurfaceMap(pot, window=8)
+        assert smap._lams[8].shape == (samples,)
+        assert frame_table(smap, 0.3, [0.3, 0.301]).F.shape == (2, samples, 2, 2)
+        res = smap.unitary_frame(0.3)
+        assert res.F.shape == (32, 2, 2) and res.window == 8 and res.section == 16
+        assert smap.sample(0.3).diagnostics["section"] == 16

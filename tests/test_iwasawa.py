@@ -19,10 +19,11 @@ from mlq.iwasawa import (
     _factor_residual,
     _positivity_precheck,
     iwasawa,
+    iwasawa_twisted,
     spectral_factor_plus,
 )
 from mlq.loops import coefficients, window_samples
-from mlq.frames import EDGE_TOL, FRAME_TOL, SurfaceMap
+from mlq.frames import EDGE_TOL, FRAME_TOL, SurfaceMap, _full_circle
 from mlq.potentials import equivariant_spec, make_potential, radial_spec, sphere_spec, torus_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
@@ -36,6 +37,13 @@ def frame_at(spec, z: complex, window: int = 12) -> np.ndarray:
         pot, DomainPath.line(pot.base_point, z), np.broadcast_to(np.eye(2), (lams.size, 2, 2)),
         lams, OdeOptions(tolerance=1e-12),
     )
+
+
+def map_frames(spec, zs, n: int) -> list:
+    """A SurfaceMap's Phi at window n for each z (or its error), at all 4N samples: a
+    twisted map's first 2N and, from the twist, the rest."""
+    phis = SurfaceMap(make_potential(spec), window=n)._frames(zs, 0, n)
+    return [phi if isinstance(phi, Exception) else _full_circle(phi, n) for phi in phis]
 
 
 def symbol(b: np.ndarray, m: int) -> np.ndarray:
@@ -156,9 +164,9 @@ def counted_sections(monkeypatch) -> list:
     sections = []
     bauer_read = iwasawa_module._bauer_read
 
-    def counted(p, m):
+    def counted(p, m, *twisted):
         sections.append(m)
-        return bauer_read(p, m)
+        return bauer_read(p, m, *twisted)
 
     monkeypatch.setattr(iwasawa_module, "_bauer_read", counted)
     return sections
@@ -169,14 +177,14 @@ def test_the_torus_corner_doubles_its_section_once(monkeypatch):
     # section, P's degree 2N - 1 = 15; one doubling reaches 30, the section
     # the split used to start at, and reads the F the 40-digit oracle reads there
     sections = counted_sections(monkeypatch)
-    phi = SurfaceMap(make_potential(torus_spec()), window=8)._frames([1.05 + 1.05j], 0, 8)[0]
+    phi = map_frames(torus_spec(), [1.05 + 1.05j], 8)[0]
     res = iwasawa(phi)
     assert sections == [15, 30] and res.section == 31
     pair, _ = mp_frame_pair(phi)
     np.testing.assert_allclose(res.F[[0, 24]], np.array(pair), rtol=0, atol=1e-13)
     # stacked with a near-pole node, ||P|| ~ 2.5e3, whose bound would accept
     # 3.4e-8, the corner keeps its own bound, its doubling and its bits
-    near_pole = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=8)._frames([0.02], 0, 8)[0]
+    near_pole = map_frames(equivariant_spec(0.75, 0.25), [0.02], 8)[0]
     stacked = iwasawa(np.stack([near_pole, phi]))[1]
     assert stacked.section == 31 and np.array_equal(stacked.F, res.F)
 
@@ -217,14 +225,16 @@ def assert_same_row(row, alone):
     offsets=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=6),
 )
 def test_a_row_splits_the_same_in_any_stack(family, n, offsets):
-    # a node's bytes never depend on the chunk or stencil it is split with
+    # a node's bytes never depend on the chunk or stencil it is split with, in
+    # the twisted split the map runs (its first 2N samples) or the untwisted one
     spec, centre, half = BOXES[family]
     zs = [centre + half * complex(x, y) for x, y in offsets]
     phis = SurfaceMap(make_potential(spec), window=n)._frames(zs, 0, n)
     phis = [phi for phi in phis if not isinstance(phi, Exception)]
     assume(phis)
-    for phi, row in zip(phis, iwasawa(np.stack(phis))):
-        assert_same_row(row, split_alone(iwasawa, phi))
+    for split, values in ((iwasawa_twisted, phis), (iwasawa, [_full_circle(phi, n) for phi in phis])):
+        for phi, row in zip(values, split(np.stack(values))):
+            assert_same_row(row, split_alone(split, phi))
 
 
 def test_a_failing_row_keeps_its_error_and_spares_the_rest():
@@ -239,7 +249,7 @@ def test_a_failing_row_keeps_its_error_and_spares_the_rest():
     for values, row in zip(stack, rows):
         assert_same_row(row, split_alone(spectral_factor_plus, values))
     # the same through iwasawa: a singular Phi amid torus frames
-    phis = SurfaceMap(make_potential(torus_spec()), window=8)._frames([0.3, 0.5j, -0.7], 0, 8)
+    phis = map_frames(torus_spec(), [0.3, 0.5j, -0.7], 8)
     stack = np.stack([phis[0], phis[1], singular, phis[2]])
     rows = iwasawa(stack)
     assert isinstance(rows[2], FactorizationError)
@@ -273,7 +283,7 @@ def test_a_row_that_is_not_finite_fails_at_once_and_spares_the_rest():
     # now it gets its own error, naming the sample, and the rows around it
     # the bits they get alone
     n = 16
-    phis = SurfaceMap(make_potential(torus_spec()), window=n)._frames([0.3, 0.5j, -0.7], 0, n)
+    phis = map_frames(torus_spec(), [0.3, 0.5j, -0.7], n)
     identity = np.tile(np.eye(2, dtype=complex), (4 * n, 1, 1))
     identity[5, 0, 1] = np.nan
     stack = np.stack([phis[0], phis[1], identity, phis[2]])
@@ -373,7 +383,7 @@ def test_the_split_outcome_does_not_depend_on_the_last_bits(spec, z):
     # ||P|| ~ 2.5e3 at both nodes: against an absolute bound near the residual
     # floor (~2e-9), 1-ulp changes of Phi would flip the split between
     # converging and ConvergenceError; relative to ||P||^2 every one converges
-    phi = SurfaceMap(make_potential(spec), window=16)._frames([z], 0, 16)[0]
+    phi = map_frames(spec, [z], 16)[0]
     for seed in range(12):
         res = iwasawa(ulp_perturbed(phi, seed))
         assert res.unitarity_error < FRAME_TOL
@@ -432,6 +442,53 @@ def test_split_recovers_a_known_factorization(factors, degree, seed, theta):
     # twisted: sigma_3 F(-lam) sigma_3 = F(lam), and -lam is 2N samples on
     flipped = SIGMA3 @ np.roll(res.F, -2 * n, axis=0) @ SIGMA3
     assert np.linalg.norm(flipped - res.F, axis=(1, 2)).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.sampled_from([sphere_frame, torus_frame]), st.complex_numbers(max_magnitude=0.6)),
+        min_size=1,
+        max_size=3,
+    ),
+    degree=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 2.0 * np.pi),
+    n=st.sampled_from([3, 4, 8, 16]),
+)
+def test_the_twisted_split_is_the_4n_split_on_random_twisted_loops(factors, degree, seed, theta, n):
+    # a random twisted loop F B on the circle rotated by lam0, split from its
+    # first 2N samples: F at those samples, P's edge mass and the section are
+    # the lam-split's of all 4N, resolved or not, or it fails as that does
+    lams = np.exp(1j * theta) * window_samples(n)
+    phi = loop_at(dict(enumerate(twisted_plus_loop(np.random.default_rng(seed), degree))), lams)
+    for frame, z in factors:
+        phi = np.array([frame(z, lam) for lam in lams]) @ phi
+    full, half = split_alone(iwasawa, phi), split_alone(iwasawa_twisted, phi[: 2 * n])
+    if isinstance(full, Exception):
+        assert type(half) is type(full)
+        return
+    assert half.window == full.window == n and half.F.shape == (2 * n, 2, 2)
+    np.testing.assert_allclose(half.F, full.F[: 2 * n], rtol=0, atol=1e-12)
+    assert abs(half.edge_mass - full.edge_mass) <= 1e-14 * max(1.0, full.edge_mass)
+    assert half.section == full.section
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_the_twisted_split_factors_two_halves_of_the_section(monkeypatch, n):
+    # the lam-section of 2N blocks (4N square) of a twisted P falls into two
+    # parity classes, each a 2N-square Toeplitz section of P_Y = D P D^{-1}
+    # on mu = lam^2: the twisted split factors those, and reads B and F
+    # that agree with the 4N-square factor's
+    shapes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda t: shapes.append(t.shape[1:]) or cholesky(t))
+    phi = map_frames(equivariant_spec(0.75, 0.25), [0.9 - 0.3j], n)[0]
+    full = iwasawa(phi)
+    half = iwasawa_twisted(phi[: 2 * n])
+    assert shapes == [(4 * n, 4 * n), (2, 2 * n, 2 * n)]
+    assert half.section == full.section == 2 * n and half.B.shape == full.B.shape == (2 * n, 2, 2)
+    np.testing.assert_allclose(half.B, full.B, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(half.F, full.F[: 2 * n], rtol=0, atol=1e-13)
 
 
 def test_split_matches_the_mpmath_oracle():

@@ -255,3 +255,21 @@ def test_trinoid_lam_h_is_quadratic():
     for lam in (np.exp(0.3j), np.exp(2.1j)):
         lower = loop_at(xi, [lam])[0, 1, 0]
         assert lower == pytest.approx(lam * trinoid_h(lam, lam0) * q, rel=1e-12)
+
+
+def test_twisted_is_read_off_the_lam_parity_of_the_terms():
+    # odd lam-powers off-diagonal and even ones diagonal: xi(-lam) = sigma_3 xi(lam) sigma_3
+    for spec in (sphere_spec(), torus_spec(), equivariant_spec(0.75, 0.25, 0.3), radial_spec(0.5, 2)):
+        assert make_potential(spec).twisted, spec.variant
+    # the trinoid's lam h(lam) E_21 carries lam^0 and lam^2 off the diagonal
+    assert not make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0)).twisted
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+
+    def custom(*terms):
+        return make_potential(custom_spec([CustomTerm(k, m) for k, m in terms], [], 0.0))
+
+    assert not custom((0, e21)).twisted
+    assert not custom((-1, e12), (2, e21)).twisted
+    assert not custom((1, [[1, 0], [0, -1]])).twisted
+    assert custom((-1, e12), (1, e21)).twisted
+    assert custom((-1, e12), (0, [[1, 0], [0, -1]]), (3, e21)).twisted

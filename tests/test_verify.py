@@ -204,7 +204,7 @@ def test_node_report_is_one_frame_table(r, t, h):
     smap = SurfaceMap(make_potential(radial_spec(0.5, 1)), window=16,
                       ode=OdeOptions(tolerance=1e-12))
     z = complex(r * np.cos(t), r * np.sin(t))
-    with counting("transport", holonomy) as transports, counting("iwasawa") as splits:
+    with counting("transport", holonomy) as transports, counting("iwasawa_twisted") as splits:
         inv, _, cu = node_report(smap, z, h)
     # one transport to the node, then one sweep from it of the 12 diamond
     # rows off the centre; one split of the node, then one of the 12 rows
@@ -241,15 +241,16 @@ def test_node_reports_pool_exact_cap_anchors_across_blocks(monkeypatch):
     # the equivariant 7x7 grid at N = 16 leaves six anchors unresolved at the
     # start window, five in its first block of 32 and one in its second; the
     # whole grid is one stream, so they are one 6-row split at the cap, as in
-    # generate, and each node reads as it does alone, bit for bit
+    # generate, and each node reads as it does alone, bit for bit; the map is
+    # twisted, so its splits take the first 2N samples
     stacks = []
-    split = frames.iwasawa
-    monkeypatch.setattr(frames, "iwasawa", lambda values: stacks.append(values.shape[:2]) or split(values))
+    split = frames.iwasawa_twisted
+    monkeypatch.setattr(frames, "iwasawa_twisted", lambda values: stacks.append(values.shape[:2]) or split(values))
     smap = SurfaceMap(make_potential(equivariant_spec(0.75, 0.25)), window=16)
     nodes, h = GridSpec(0.25, 1.4, 7, -0.5, 0.5, 7).nodes(), 1e-3
     reps = node_reports(smap, nodes, h)
     assert [i for i, rep in enumerate(reps) if rep[0].window == 16] == [7, 14, 21, 22, 28, 35]
-    assert [rows for rows, m in stacks if m == 4 * 16] == [6, 24, 24, 24] and len(stacks) == 28
+    assert [rows for rows, m in stacks if m == 2 * 16] == [6, 24, 24, 24] and len(stacks) == 28
     for z, rep in zip(nodes, reps):
         assert rep == node_report(smap, z, h)
 

@@ -7,7 +7,10 @@ once, then run as ``python -m mlq.cli COMMAND --config ... --out ...`` from
 each tree's ``src/``, with BLAS and OpenMP pinned to one thread.  For every
 config the two runs' exit codes, stdout (the output directory masked, since
 ``generate`` prints it) and every output file are compared byte for byte,
-and one line is printed.  The exit code is 0 only when every config is
+and one line is printed.  For each output file that differs, one more line
+gives the largest absolute gap between its corresponding numbers (JSON
+leaves, CSV cells by row and column, the words of any other text file) and
+the first key that moved.  The exit code is 0 only when every config is
 identical.  The benchmark's configs come from ``perfbench/workloads.py`` of
 the checkout this script is in.  Standard library only.
 """
@@ -15,6 +18,8 @@ the checkout this script is in.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -62,6 +67,57 @@ def configs() -> list[tuple[str, str, dict]]:
     ]
 
 
+def leaves(value, key: str = ""):
+    """(key, leaf) of every leaf of a parsed JSON value, in order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaves(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def cells(name: str, data: bytes) -> dict:
+    """{key: value} of an output file: JSON leaves, CSV cells, or the words of any other text, by line."""
+    text = data.decode(errors="replace")
+    if name.endswith(".json"):
+        return dict(leaves(json.loads(text)))
+    if name.endswith(".csv"):
+        head, *rows = csv.reader(io.StringIO(text))
+        return {f"row {r} {col}": cell for r, row in enumerate(rows, 1) for col, cell in zip(head, row)}
+    lines = enumerate(text.splitlines(), 1)
+    return {f"line {r} word {c}": w for r, line in lines for c, w in enumerate(line.split(), 1)}
+
+
+def number(value) -> float | None:
+    """value as a float, if it is a number (or a CSV cell or word holding one), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def gap(name: str, a: bytes | None, b: bytes | None) -> str:
+    """The largest absolute gap between the corresponding numbers of a file's two runs, with its key, and the
+    first key that moved; a file that one run did not write, or that does not parse, is reported as such."""
+    if a is None or b is None:
+        return f"{name}: written by one run only"
+    try:
+        ca, cb = cells(name, a), cells(name, b)
+    except ValueError as exc:
+        return f"{name}: differs and does not parse ({exc})"
+    moved = [k for k in dict.fromkeys([*ca, *cb]) if ca.get(k) != cb.get(k)]
+    gaps = {k: abs(x - y) for k in moved
+            if (x := number(ca.get(k))) is not None and (y := number(cb.get(k))) is not None}
+    largest = f"{max(gaps.values()):.3g} at {max(gaps, key=gaps.get)!r}" if gaps else "none"
+    first = repr(moved[0]) if moved else "none (layout only)"
+    return f"{name}: largest gap {largest}, first key moved {first}"
+
+
 def run(tree: Path, command: str, cfg: Path, out: Path) -> tuple[int, str, dict[str, bytes]]:
     """Exit code, masked stdout and {relative path: bytes} of every output file of one run."""
     src = str(tree.resolve() / "src")
@@ -85,11 +141,13 @@ def main() -> int:
             (rc_a, out_a, files_a), (rc_b, out_b, files_b) = (
                 run(tree, command, path, Path(tmp) / label / str(k))
                 for label, tree in (("parent", args.parent), ("change", args.change)))
-            diffs = [f for f in sorted(files_a.keys() | files_b.keys()) if files_a.get(f) != files_b.get(f)]
-            diffs += ["exit code"] * (rc_a != rc_b) + ["stdout"] * (out_a != out_b)
+            changed = [f for f in sorted(files_a.keys() | files_b.keys()) if files_a.get(f) != files_b.get(f)]
+            diffs = changed + ["exit code"] * (rc_a != rc_b) + ["stdout"] * (out_a != out_b)
             differ += bool(diffs)
             state = f"DIFFERS in {', '.join(diffs)}" if diffs else "identical"
             print(f"{name}: {state} (exit {rc_a}, {len(files_a)} files)", flush=True)
+            for f in changed:
+                print(f"    {gap(f, files_a.get(f), files_b.get(f))}", flush=True)
     print(f"{differ} of {len(runs)} configs differ")
     return 1 if differ else 0
 
