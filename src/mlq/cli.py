@@ -38,7 +38,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .loops import DEFAULT_WINDOW_N
+from .loops import DEFAULT_WINDOW_N, ct2, inv2, mul2
 from .potentials import (EPS_POLE, CustomTerm, GridSpec, IntegrationError, OdeCounts, OdeOptions, Potential,
                          PotentialSpec, custom_spec, equivariant_spec, make_potential, radial_spec, sphere_spec,
                          torus_spec, trinoid_spec)
@@ -464,8 +464,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 _CLOSING_SAMPLES = (0.8 + 0.2j, 1.1 - 0.4j, -0.6 + 0.9j)
 
 
-def _unitarity(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m @ m.conj().T - np.eye(2)))
+def _unitarity(m: np.ndarray) -> list[float]:
+    """max ||m m* - I|| (Frobenius) over each stack m[i] of 2x2 matrices."""
+    dev = np.linalg.norm(mul2(m, ct2(m)) - np.eye(2), axis=(-2, -1))
+    return dev.reshape(len(m), -1).max(axis=1).tolist()
 
 
 def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
@@ -508,13 +510,12 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
         mono = trinoid_monodromies(cfg.pot, [lam0, -1j * lam0, *circle], cfg.ode, counts)
         check = trinoid_closing_check(*(tuple(mono[:2, i]) for i in range(3)))
         hol = mono[2:]
-        plain_unit = max(_unitarity(h) for hs in hol for h in hs)
-        # the unitarizer varies with lam: dress each circle sample separately
+        # the unitarizer varies with lam: one gauge per circle sample, all in one call
         try:
-            gauges = [unitarizing_gauge(hs) for hs in hol]
-            dressed_unit = max(_unitarity(g @ h @ np.linalg.inv(g)) for g, hs in zip(gauges, hol) for h in hs)
+            g = unitarizing_gauge(hol)[:, None]
+            plain_unit, dressed_unit = _unitarity(np.stack([hol, mul2(mul2(g, hol), inv2(g))]))
         except ValueError:
-            dressed_unit = None
+            (plain_unit,), dressed_unit = _unitarity(hol[None]), None
         payload = {
             "family": "trinoid",
             "admissibility": {

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .holonomy import DomainPath, OdeCounts, OdeOptions, circle_path, monodromy
+from .loops import mul2
 from .potentials import Potential, trinoid_h
 
 #: distance from +-id (and of H_inf H_1 H_0 from id) within which a trinoid
@@ -342,7 +343,7 @@ def trinoid_closing_check(
             all_plus = all_plus and d_plus <= CLOSING_TOL
     prod_res = 0.0
     for side in (0, 1):
-        prod = np.asarray(hinf[side]) @ np.asarray(h1[side]) @ np.asarray(h0[side])
+        prod = mul2(mul2(np.asarray(hinf[side]), np.asarray(h1[side])), np.asarray(h0[side]))
         prod_res = max(prod_res, float(np.abs(prod - np.eye(2)).max()))
     closes = all_pm and prod_res <= CLOSING_TOL
     return ClosingReport(

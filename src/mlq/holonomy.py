@@ -36,7 +36,8 @@ Determinants: all potential families are trace free, so det U = 1 is exact
 for the true flow and drifts only through truncation and roundoff.  The
 drift is divided out of every piece's propagator, at every lam, using the
 principal square root of det U, and ``OdeCounts`` keeps the largest
-|det U - 1|.
+|det U - 1|.  ``unitarizing_gauge(mats)`` dresses K monodromies, or each
+family of a stack (..., K, 2, 2), in one pass: gauges of shape (..., 2, 2).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .loops import as_planes, mul2
+from .loops import as_planes, ct2, det2, eigvalsh2, mul2, sqrth2
 from .potentials import (EPS_POLE, DomainPath, IntegrationError, OdeCounts, OdeOptions, PoleError, Potential,
                          XiSampler, raise_first, validate_path, xi_sampler)
 
@@ -277,7 +278,7 @@ def monodromy(
 
 
 def unitarizing_gauge(mats) -> np.ndarray:
-    """Simultaneous unitarizer of a family of SL(2,C) monodromies.
+    """Simultaneous unitarizer of a family of SL(2,C) monodromies, or of each of a stack of families.
 
     Finds C with C H C^{-1} in SU(2) for every H in ``mats``, when one
     exists.  The monodromies of a multiply-connected potential generically
@@ -287,47 +288,35 @@ def unitarizing_gauge(mats) -> np.ndarray:
     Hermitian form M (then C = M^{1/2}).  M is recovered as the nullspace of
     the stacked linear conditions H^* M H = M over Hermitian matrices.
 
-    Raises ValueError if no invariant form exists (residual above
-    ``UNITARIZE_TOL``) or if the form is indefinite, i.e. the representation
-    is not unitarizable.
-    """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
+    ``mats`` is a list of K matrices, or a stack (..., K, 2, 2) of families,
+    and C has shape (..., 2, 2): the conditions of every family are formed
+    entry by entry and solved in one stacked SVD, and M is scaled to det 1
+    and rooted by ``loops.sqrth2``.
 
-    # Hermitian M = x0*E00 + x1*E11 + x2*(E01+E10) + x3*(i E01 - i E10)
-    basis = [
-        np.array([[1, 0], [0, 0]], dtype=np.complex128),
-        np.array([[0, 0], [0, 1]], dtype=np.complex128),
-        np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        np.array([[0, 1j], [-1j, 0]], dtype=np.complex128),
-    ]
-    rows = []
-    for h in mats:
-        cols = [h.conj().T @ e @ h - e for e in basis]
-        # each condition is Hermitian: record its 4 real components
-        for comp in (
-            lambda m: m[0, 0].real,
-            lambda m: m[1, 1].real,
-            lambda m: m[0, 1].real,
-            lambda m: m[0, 1].imag,
-        ):
-            rows.append([comp(c) for c in cols])
-    a = np.array(rows, dtype=np.float64)
-    _, svals, vt = np.linalg.svd(a)
-    if svals[-1] > UNITARIZE_TOL * max(1.0, svals[0]):
+    Raises ValueError, for the first family of the stack that fails, if no
+    invariant form exists (residual above ``UNITARIZE_TOL``) or if the form
+    is indefinite, i.e. the representation is not unitarizable.
+    """
+    h = np.asarray(mats, dtype=np.complex128)
+    if h.ndim < 3 or not h.shape[-3]:
+        raise ValueError("need at least one matrix")
+    # Hermitian M = x0 E00 + x1 E11 + x2 (E01 + E10) + x3 (i E01 - i E10)
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    cols = mul2(mul2(ct2(h[..., None, :, :]), basis), h[..., None, :, :]) - basis
+    # each condition is Hermitian: its 4 real components are 4 rows, one column per basis element
+    rows = np.stack([cols[..., 0, 0].real, cols[..., 1, 1].real, cols[..., 0, 1].real, cols[..., 0, 1].imag], -2)
+    _, svals, vt = np.linalg.svd(rows.reshape(*rows.shape[:-3], -1, 4), full_matrices=False)
+    least = svals[..., -1].ravel()
+    bad = np.flatnonzero(least > UNITARIZE_TOL * np.maximum(1.0, svals[..., 0].ravel()))
+    if bad.size:
         raise ValueError(
-            f"no common invariant Hermitian form (residual {svals[-1]:.2e}); "
+            f"no common invariant Hermitian form (residual {least[bad[0]]:.2e}); "
             "monodromies are not simultaneously unitarizable"
         )
-    x = vt[-1]
-    m = sum(xi * e for xi, e in zip(x, basis))
-    evals, evecs = np.linalg.eigh(m)
-    if evals[0] < 0 and evals[-1] < 0:
-        evals, m = -evals[::-1], -m
-        evecs = evecs[:, ::-1]
-    if evals[0] <= 0:
+    m = np.sum(vt[..., -1, :, None, None] * basis, axis=-3)
+    evals = eigvalsh2(m)
+    sign = np.where(evals[..., 1] < 0, -1.0, 1.0)
+    if ((sign[..., None] * evals).min(axis=-1) <= 0).any():
         raise ValueError("invariant form is indefinite; representation not unitarizable")
-    m /= np.sqrt(np.linalg.det(m).real)
-    evals, evecs = np.linalg.eigh(m)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+    m *= sign[..., None, None]
+    return sqrth2(m / np.sqrt(det2(m).real)[..., None, None])

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loops import as_planes, coefficients, ct2, eigvalsh2, inv2, mul2, plus_values, window_samples
+from .loops import as_planes, coefficients, ct2, eigvalsh2, inv2, mul2, plus_values, unitary_q2, window_samples
 
 #: the split accepts B once max_j ||B_j* B_j - P_j|| <= SPLIT_TOL max_j ||P_j||^2: the
 #: residual's float64 floor is 1e-17 to 8e-16 of ||P||^2 (= cond P, as det P = 1), so
@@ -268,8 +268,9 @@ def iwasawa(values: np.ndarray):
 
     ``values`` has shape (4N, 2, 2); N is read off its length, and
     ``values[j]`` is read as the loop at omega^j, omega = exp(2 pi i / 4N).
-    B comes from the spectral factorization of Phi* Phi; a final constant QR
-    correction pins B_0 exactly upper triangular with positive diagonal,
+    B comes from the spectral factorization of Phi* Phi; a final constant
+    correction by the Q of B_0 = Q R (``loops.unitary_q2``) pins B_0 exactly
+    upper triangular with positive diagonal,
     absorbing the unitary part into F.  F = Phi B^{-1} stays at the samples.
     The result carries the relative edge mass of P = Phi* Phi from the
     coefficients the factorization already computed, and the section and
@@ -306,11 +307,8 @@ def _split(values: np.ndarray, twisted: bool) -> list:
         return out
     b = as_planes(np.stack([out[i][0] for i in ok]))
     # constant correction: exact normalization of the constant term, by the Q
-    # of B_0 = Q R with R's diagonal made real positive
-    q, r = np.linalg.qr(b[:, 0])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))[:, None, :]
-    b = mul2(ct2(q)[:, None], b)
+    # of B_0 = Q R with R's diagonal real positive
+    b = mul2(ct2(unitary_q2(b[:, 0]))[:, None], b)
     b[:, 0] = np.triu(b[:, 0])
     diag = (slice(None), 0, [0, 1], [0, 1])
     b.real[diag] = np.abs(b.real[diag])

@@ -13,14 +13,19 @@ appear only inside the split, and only through two FFT reads:
 and ``plus_values`` takes the coefficients of a plus loop (k = 0..K-1,
 K <= M) back to its values at the samples, exactly.
 
-The split and the readout multiply, invert and diagonalize 2x2 matrices
-stacked on leading axes, one per sample and loop, entry by entry (``mul2``,
-``ct2``, ``det2``, ``inv2``, ``eigvalsh2``): numpy's stacked ``@``, ``inv``
-and ``eigvalsh`` hand each 2x2 to BLAS or LAPACK on its own, which costs
-more than the arithmetic.  The kernels index the last two axes and keep
-their operands' memory layout, so the split hands them stacks laid out as
-component planes (2, 2, rows, 4N) (``as_planes``): each entrywise term then
-runs over a whole plane, not over runs of two.
+The split, the readout and closing's unitarizer multiply, invert,
+diagonalize, QR-normalize and take square roots of 2x2 matrices stacked on
+leading axes, one per sample and loop, entry by entry (``mul2``, ``ct2``,
+``det2``, ``inv2``, ``eigvalsh2``, ``unitary_q2``, ``sqrth2``): numpy's
+stacked ``@``, ``inv``, ``eigvalsh``, ``qr`` and ``eigh`` hand each 2x2 to
+BLAS or LAPACK on its own, which costs more than the arithmetic, and the
+first call of each routine pages its code in.  LAPACK runs only where the
+problem is not 2x2: ``zpotrf`` factors the split's Toeplitz section, and
+``dgesdd`` finds the unitarizer's form as a null vector of (4K, 4) systems.
+The kernels index the last two axes and keep their operands' memory
+layout, so the split hands them stacks laid out as component planes
+(2, 2, rows, 4N) (``as_planes``): each entrywise term then runs over a
+whole plane, not over runs of two.
 """
 
 from __future__ import annotations
@@ -97,3 +102,22 @@ def eigvalsh2(h: np.ndarray) -> np.ndarray:
     a, d = h[..., 0, 0].real, h[..., 1, 1].real
     mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(h[..., 1, 0]))
     return np.stack([mean - r, mean + r], axis=-1)
+
+
+def unitary_q2(a: np.ndarray) -> np.ndarray:
+    """The unitary Q of a = Q R, R upper triangular with a real positive diagonal, of 2x2 matrices stacked on
+    the leading axes: q_1 = a_1 / ||a_1||, q_2 = (-conj q_21, conj q_11) times the phase of det a.  A zero
+    first column takes q_1 = e_1, and a zero determinant the phase 1."""
+    col = a[..., :, :1]
+    n = np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-2, keepdims=True))
+    q1 = np.divide(col, n, out=np.array([[1.0], [0.0]]) + np.zeros_like(col), where=n > 0)
+    det = det2(a)[..., None, None]
+    phase = np.divide(det, np.abs(det), out=np.ones_like(det), where=det != 0)
+    return np.concatenate([q1, phase * np.conj(q1[..., ::-1, :]) * np.array([[-1.0], [1.0]])], axis=-1)
+
+
+def sqrth2(h: np.ndarray) -> np.ndarray:
+    """The Hermitian positive square roots of Hermitian positive 2x2 matrices stacked on the leading axes,
+    (h + s I) / sqrt(tr h + 2 s) with s = sqrt(det h) (Higham, *Functions of Matrices*, SIAM 2008)."""
+    s = np.sqrt(det2(h).real)[..., None, None]
+    return (h + s * np.eye(2)) / np.sqrt(h[..., :1, :1].real + h[..., 1:, 1:].real + 2 * s)

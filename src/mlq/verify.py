@@ -104,9 +104,9 @@ def _apply(vals: np.ndarray, h: float, weights: np.ndarray = FD_WEIGHTS):
 
 
 def _jacobians(m: np.ndarray, mz: np.ndarray) -> np.ndarray:
-    """det{m, m_x, m_y} at the centre of each factor of a (13, 2, 3) table, read
-    off its d_z rows as m_x = 2 Re m_z and m_y = -2 Im m_z."""
-    return np.linalg.det(np.stack([m[CENTRE], 2 * mz[0].real, -2 * mz[0].imag], axis=-1))
+    """det{m, m_x, m_y} = m . (m_x x m_y) at the centre of each factor of a (13, 2, 3)
+    table, read off its d_z rows as m_x = 2 Re m_z and m_y = -2 Im m_z."""
+    return np.sum(m[CENTRE] * np.cross(2 * mz[0].real, -2 * mz[0].imag), axis=-1)
 
 
 class InvariantReport(NamedTuple):

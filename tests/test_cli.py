@@ -820,6 +820,62 @@ def test_the_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: the ``numpy.linalg`` routines that hand 2x2 and 3x3 problems to LAPACK one at a time
+LAPACK_ROUTINES = ("qr", "inv", "det", "eig", "eigh", "eigvals", "eigvalsh", "solve", "lstsq", "svd")
+
+#: a fresh interpreter in which each routine raises, and ``svd`` counts and runs, then each command runs
+LAPACK_GUARD = """
+import json, sys
+import numpy.linalg as la
+
+calls, svd = [], la.svd
+
+
+def stub(name):
+    def call(*args, **kwargs):
+        calls.append(name)
+        if name != "svd":
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return svd(*args, **kwargs)
+    return call
+
+
+for name in sys.argv[1].split(","):
+    setattr(la, name, stub(name))
+from mlq.cli import main
+
+runs = []
+for command, cfg, out in json.loads(sys.argv[2]):
+    runs.append([command, main([command, "--config", cfg, "--out", out]), calls[:]])
+    calls.clear()
+print(json.dumps(runs))
+"""
+
+
+def test_the_pipeline_calls_lapack_only_for_the_section_and_the_unitarizer(tmp_path):
+    # 2x2 and 3x3 problems are solved entry by entry: the first call of each LAPACK routine pages its
+    # code in, which raised closing-trinoid's peak RSS by ~1.4 MB; the split's Cholesky is not stubbed,
+    # and closing finds every circle sample's invariant form in one stacked SVD
+    generate = write_cfg(tmp_path, "generate.json", truncation_N=16,
+                         potential={"variant": "equivariant", "a": 0.75, "b": 0.25, "c": 0.0},
+                         grid={"re_min": 0.3, "re_max": 1.5, "n_re": 5, "im_min": -0.6, "im_max": 0.6, "n_im": 5})
+    verify = write_cfg(tmp_path, "verify.json", truncation_N=16, ode={"tolerance": 1e-12}, fd_step=1e-3,
+                       potential={"variant": "radial", "c": [0.5, 0.0], "k": 1},
+                       grid={"re_min": -0.4, "re_max": 0.4, "n_re": 3, "im_min": -0.4, "im_max": 0.4, "n_im": 3},
+                       tolerances={"quadric": 1e-9, "conformal": 1e-4, "lagrangian": 1e-4,
+                                   "harmonic": 1e-4, "sinh_gordon": 1e-3})
+    closing = write_cfg(tmp_path, "closing.json", ode={"tolerance": 1e-12},
+                        potential={"variant": "trinoid", "lambda0": [0.0, 1.0], "v0": 1.0, "v1": 1.0, "vinf": 1.0})
+    runs = [[cmd, cfg, str(tmp_path / cmd)] for cmd, cfg in
+            (("generate", generate), ("verify", verify), ("closing", closing))]
+    env = {**os.environ, "PYTHONPATH": str(Path(mlq.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", LAPACK_GUARD, ",".join(LAPACK_ROUTINES), json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        ["generate", EXIT_OK, []], ["verify", EXIT_OK, []], ["closing", EXIT_OK, ["svd"]]]
+
+
 #: the BLAS thread variables the CLI sets to 1 where the user set none
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -20,6 +20,7 @@ from mlq.holonomy import (
     validate_path,
     _series,
 )
+from mlq.closedform import trinoid_monodromies
 from mlq.loops import coefficients, window_samples
 from mlq.potentials import (
     CustomTerm,
@@ -566,3 +567,42 @@ def test_unitarizing_gauge_conjugates_back_to_su2():
     for m in mats:
         d = w @ m @ w_inv
         np.testing.assert_allclose(d @ d.conj().T, np.eye(2), atol=1e-8)
+
+
+def circle_monodromies() -> np.ndarray:
+    """The trinoid's monodromies at closing's 8 circle samples, shape (8, 3, 2, 2)."""
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    circle = [np.exp(1j * np.pi * (k / 4 + 0.07)) for k in range(8)]
+    return trinoid_monodromies(pot, circle, OdeOptions(tolerance=1e-12))
+
+
+def su11(t: float, theta: float, phi: float) -> np.ndarray:
+    """An SU(1,1) matrix: it keeps the indefinite form diag(1, -1)."""
+    a, b = np.cosh(t) * np.exp(1j * theta), np.sinh(t) * np.exp(1j * phi)
+    return np.array([[a, b], [np.conj(b), np.conj(a)]])
+
+
+def test_a_stack_of_families_is_unitarized_as_each_alone():
+    hol = circle_monodromies()
+    gauges = unitarizing_gauge(hol)
+    assert gauges.shape == (8, 2, 2)
+    for g, mats in zip(gauges, hol):
+        assert np.abs(g - unitarizing_gauge(list(mats))).max() <= 1e-14
+    dressed = gauges[:, None] @ hol @ np.linalg.inv(gauges)[:, None]
+    assert np.abs(dressed @ dressed.conj().swapaxes(-1, -2) - np.eye(2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["indefinite", "no form"])
+def test_a_stack_with_one_failing_family_raises_what_that_family_raises_alone(family):
+    hol = circle_monodromies()
+    if family == "indefinite":
+        bad = np.array([su11(0.3, 0.2, 1.1), su11(0.5, -0.7, 0.4), su11(0.2, 1.3, -2.0)])
+    else:
+        bad = np.array([random_su2(), np.diag([2.0, 0.5]), [[1.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError) as alone:
+        unitarizing_gauge(bad)
+    hol[5] = bad
+    with pytest.raises(ValueError) as stacked:
+        unitarizing_gauge(hol)
+    assert str(stacked.value) == str(alone.value)
+    assert ("indefinite" in str(alone.value)) == (family == "indefinite")

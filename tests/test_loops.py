@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import loop_at
 
-from mlq.loops import coefficients, ct2, eigvalsh2, inv2, mul2, plus_values, window_samples
+from mlq.loops import coefficients, ct2, eigvalsh2, inv2, mul2, plus_values, sqrth2, unitary_q2, window_samples
+from mlq.verify import CENTRE, _jacobians
 
 RNG = np.random.default_rng(1234)
 
@@ -128,3 +129,64 @@ def test_eigvalsh2_is_eigvalsh(a):
         assert (np.abs(got - exact) <= 2 * EPS * size).all()
         # LAPACK's own error reaches about 5.3 eps ||h|| on these stacks
         assert (np.abs(got - np.linalg.eigvalsh(h)) <= 8 * EPS * size).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(b=stacks())
+def test_unitary_q2_is_the_normalized_qr_factor(b):
+    q = unitary_q2(b)
+    assert (np.abs(mul2(ct2(q), q) - np.eye(2)).max(axis=(-2, -1)) <= 8 * EPS).all()
+    # Q* B is upper triangular with a real positive diagonal
+    r, size = mul2(ct2(q), b), norms(b)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert (np.abs(r[..., 1, 0]) <= 4 * EPS * size).all()
+    assert (diag.real > 0).all() and (np.abs(diag.imag).max(axis=-1) <= 4 * EPS * size).all()
+    # LAPACK's Q, its columns turned by the phases of R's diagonal
+    q0, r0 = np.linalg.qr(b)
+    d = np.diagonal(r0, axis1=-2, axis2=-1)
+    expected = q0 * (d / np.abs(d))[..., None, :]
+    assert (np.abs(q - expected).max(axis=(-2, -1)) <= 1e-14 * np.linalg.cond(b)).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(b=stacks(), zero=st.lists(st.booleans(), min_size=8, max_size=8), singular=st.booleans())
+def test_unitary_q2_of_a_zero_column_or_determinant_is_finite(b, zero, singular):
+    # a zero first column, or a zero determinant, takes no division by zero (a RuntimeWarning is an error here)
+    b = b.copy()
+    b[np.array(zero[: len(b)]), :, 0] = 0.0
+    if singular:
+        b[..., :, 1] = 2.0 * b[..., :, 0]
+    q = unitary_q2(b)
+    assert np.isfinite(q).all()
+    assert (np.abs(mul2(ct2(q), q) - np.eye(2)).max(axis=(-2, -1)) <= 8 * EPS).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=stacks())
+def test_sqrth2_is_the_hermitian_positive_root(a):
+    m = mul2(ct2(a), a)
+    m = 0.5 * (m + ct2(m))
+    s = sqrth2(m)
+    assert np.array_equal(s, ct2(s))
+    assert (np.linalg.eigvalsh(s)[..., 0] > 0).all()
+    assert (np.abs(mul2(s, s) - m).max(axis=(-2, -1)) <= 1e-14 * norms(m)).all()
+    # the root through LAPACK's eigenvectors, whose error grows like sqrt(cond M)
+    w, v = np.linalg.eigh(m)
+    expected = (v * np.sqrt(w)[..., None, :]) @ ct2(v)
+    bound = 1e-14 * norms(s) * np.sqrt(np.linalg.cond(m))
+    assert (np.abs(s - expected).max(axis=(-2, -1)) <= bound).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scales=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_the_jacobian_triple_product_is_the_determinant(seed, scales):
+    # det{m, m_x, m_y} as m . (m_x x m_y), each column at its own scale
+    rng = np.random.default_rng(seed)
+    m = np.zeros((13, 2, 3))
+    m[CENTRE] = 10.0 ** scales[0] * rng.standard_normal((2, 3))
+    mz = np.zeros((13, 2, 3), dtype=np.complex128)
+    mx, my = (10.0**k * rng.standard_normal((2, 3)) for k in scales[1:])
+    mz[0] = 0.5 * (mx - 1j * my)
+    cols = np.stack([m[CENTRE], 2 * mz[0].real, -2 * mz[0].imag], axis=-1)
+    scale = np.prod(np.linalg.norm(cols, axis=-2), axis=-1)
+    assert (np.abs(_jacobians(m, mz) - np.linalg.det(cols)) <= 1e-14 * scale).all()
