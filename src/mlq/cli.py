@@ -40,8 +40,8 @@ import numpy as np
 from . import __version__
 from .loops import DEFAULT_WINDOW_N, ct2, inv2, mul2
 from .potentials import (EPS_POLE, CustomTerm, GridSpec, IntegrationError, OdeCounts, OdeOptions, Potential,
-                         PotentialSpec, custom_spec, equivariant_spec, make_potential, radial_spec, sphere_spec,
-                         torus_spec, trinoid_spec)
+                         custom_spec, equivariant_spec, make_potential, radial_spec, sphere_spec, torus_spec,
+                         trinoid_spec)
 
 
 def _bind_lazily(*names: str) -> None:
@@ -93,8 +93,7 @@ class ConfigError(ValueError):
 
 
 class RunConfig(NamedTuple):
-    spec: PotentialSpec
-    #: the potential ``load_config`` built from ``spec`` to validate it; every command runs on it
+    #: the potential ``load_config`` built from the config's spec to validate it; every command runs on it
     pot: Potential
     grid: GridSpec
     lambda0: complex
@@ -105,6 +104,8 @@ class RunConfig(NamedTuple):
     tolerances: dict[str, float]
     output_dir: Path
     raw: dict
+    #: the spec ``pot`` was built from, read off it
+    spec = property(lambda self: self.pot.spec)
 
 
 def _as(kind, value, name: str, positive: bool = False):
@@ -242,7 +243,7 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _object(raw, "", _CONFIG, lambda schema, potential, truncation_N, **keys: RunConfig(
-        spec=potential.spec, pot=potential, truncation_n=truncation_N, raw=raw, **keys))
+        pot=potential, truncation_n=truncation_N, raw=raw, **keys))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +472,11 @@ def _unitarity(m: np.ndarray) -> list[float]:
 
 
 def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.spec.variant == "equivariant":
+    if cfg.pot.variant == "equivariant":
         from .closedform import cylinder_closing
         from .frames import SurfaceMap
         from .verify import DeckTransform, symmetry_check
-        p = cfg.spec.params
+        p = cfg.pot.spec.params
         rep = cylinder_closing(p["a"], p["b"], p["c"], cfg.lambda0)
         smap = SurfaceMap(cfg.pot, cfg.lambda0, window=cfg.truncation_n, ode=cfg.ode)
         try:
@@ -498,10 +499,10 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
               f"closes_s3={rep.closes_s3} deck residual {deck:.3e}")
         return EXIT_OK if rep.closes_q2 else EXIT_CHECKS_FAILED
 
-    if cfg.spec.variant == "trinoid":
+    if cfg.pot.variant == "trinoid":
         from .closedform import trinoid_admissible, trinoid_closing_check, trinoid_monodromies
         from .holonomy import unitarizing_gauge
-        p = cfg.spec.params
+        p = cfg.pot.spec.params
         lam0 = p["lambda0"]
         adm = trinoid_admissible(lam0, p["v0"], p["v1"], p["vinf"])
         # (lam0, -i lam0) and 8 circle samples, all in the one transport of the three loops
@@ -544,7 +545,7 @@ def cmd_closing(cfg: RunConfig, out_dir: Path) -> int:
         return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
     print(f"closing checks apply to equivariant/trinoid potentials, "
-          f"not {cfg.spec.variant!r}", file=sys.stderr)
+          f"not {cfg.pot.variant!r}", file=sys.stderr)
     return EXIT_USAGE
 
 

@@ -2,24 +2,23 @@
 
 ``SurfaceMap`` carries the holomorphic frame Phi as its values at the 4N
 points lam0 omega^j of the circle, omega = exp(2 pi i / 4N), and hands those
-samples to the Iwasawa split; the unitary factor F comes back at the same
-points.  On a twisted potential (``Potential.twisted``) Phi(-lam) and F(-lam)
-are sigma_3 Phi(lam) sigma_3 and sigma_3 F(lam) sigma_3, so only the first 2N
-points are carried, and split by ``iwasawa_twisted``.  Each anchor starts at
-N = ``START_WINDOW`` and is read again at the cap N = ``window`` only where
-P = Phi* Phi is unresolved on the samples (relative edge mass above
-``EDGE_TOL``), pooled across a call's chunks
-where the frame is exact.  Sphere, torus and equivariant have one xi term w(z) A(lam),
-so Phi = exp(W(z) A(lam)) exactly, at every node and stencil point, and
-``holonomy`` is imported only to integrate.  Every other family is
+samples to the Iwasawa split; the unitary factor F comes back at all 4N
+points.  On a twisted potential (``Potential.twisted``) Phi(-lam) is
+sigma_3 Phi(lam) sigma_3, so only the first 2N points are carried, and split
+by ``iwasawa_twisted``, which returns F at all 4N as well.  Each anchor
+starts at N = ``START_WINDOW`` and is read again at the cap N = ``window``
+only where P = Phi* Phi is unresolved on the samples (relative edge mass
+above ``EDGE_TOL``), pooled across a call's chunks where the frame is exact.
+Sphere, torus and equivariant have one xi term w(z) A(lam), so Phi =
+exp(W(z) A(lam)) exactly, at every node and stencil point, and ``holonomy``
+is imported only to integrate.  Every other family is
 integrated ``NODE_CHUNK`` nodes at a time, each chunk in one pass of Taylor
 sums of the batched ``transport`` along straight segments from the base
 point, and its finite-difference stencils ride in a pass per ``NODE_CHUNK``
 points, from each node to its points, streamed a block at a time
 (``frame_tables``); a failing row fails only its own node, in its pass.  The
-spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N (on a twisted map,
-sigma_3 F sigma_3 at sample N), so a point of the surface is read off F there,
-with nothing evaluated or projected, by forming
+spectral pair (lam0, -i lam0) is samples j = 0 and j = 3N, so a point of the
+surface is read off F there, with nothing evaluated or projected, by forming
 
     X = F(lam0) F(-i lam0)^{-1},      Y = i F(lam0) sigma_3 F(-i lam0)^{-1},
 
@@ -37,14 +36,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .iwasawa import IwasawaResult, iwasawa, iwasawa_twisted
+from .iwasawa import IwasawaResult, _single, iwasawa, iwasawa_twisted
 from .loops import DEFAULT_WINDOW_N, coefficients, ct2, det2, inv2, mul2, window_samples
 from .potentials import (EPS_POLE, DomainPath, FrozenRecord, GridSpec, OdeCounts, OdeOptions, PoleError, Potential,
                          raise_first, validate_path, xi_sampler)
 
 SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-#: sigma_3 M sigma_3 = M * _FLIP
-_FLIP = np.outer([1.0, -1.0], [1.0, -1.0])
 
 #: SU(2) gate on every frame pair read into a surface point
 FRAME_TOL = 1e-6
@@ -86,16 +83,6 @@ def _expm(m: np.ndarray) -> np.ndarray:
     s = np.sqrt(m[..., 0, 0] ** 2 + m[..., 0, 1] * m[..., 1, 0])
     ratio = np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0)
     return np.cosh(s)[..., None, None] * np.eye(2) + ratio[..., None, None] * m
-
-
-def _full_circle(f: np.ndarray, n: int) -> np.ndarray:
-    """F at all 4N samples of window n: f, or a twisted map's first 2N and sigma_3 f sigma_3 there."""
-    return f if f.shape[-3] == 4 * n else np.concatenate([f, f * _FLIP], axis=-3)
-
-
-def _minus_i(f: np.ndarray, n: int) -> np.ndarray:
-    """F at sample 3N of window n, -i lam0: on a twisted map's first 2N, sigma_3 F(i lam0) sigma_3."""
-    return f[..., 3 * n, :, :] if f.shape[-3] == 4 * n else f[..., n, :, :] * _FLIP
 
 
 def _check_su2(m: np.ndarray, name: str) -> list:
@@ -166,9 +153,9 @@ class FramePointPair(FrozenRecord):
 
 
 class FrameTable(NamedTuple):
-    """A stencil's unitary frames at the 4N samples lam0 omega^j (the first 2N on a twisted
-    map), F of shape (P, 4N, 2, 2), at the window N, section and edge mass of its centre's
-    split, with the largest relative split residual of its points' splits."""
+    """A stencil's unitary frames at the 4N samples lam0 omega^j, F of shape (P, 4N, 2, 2),
+    at the window N, section and edge mass of its centre's split, with the largest
+    relative split residual of its points' splits."""
 
     F: np.ndarray
     window: int
@@ -178,12 +165,12 @@ class FrameTable(NamedTuple):
 
     def pair(self) -> FramePointPair:
         """The points' pairs at samples 0 and 3N, (lam0, -i lam0), as one stack."""
-        return FramePointPair(self.F[:, 0], _minus_i(self.F, self.window))
+        return FramePointPair(self.F[:, 0], self.F[:, 3 * self.window])
 
     def rotated(self, mus) -> list[FramePointPair]:
         """For each mu, |mu| = 1, the points' pairs a map at lam0 mu reads: the
         split is unique under rotation of the circle, so F at lam0 mu omega^j
-        is F's trigonometric interpolant on its 4N samples (``_full_circle``), each mode k turned
+        is F's trigonometric interpolant on its 4N samples, each mode k turned
         by mu^k (the Nyquist mode by (mu^2N + mu^-2N) / 2), and its samples 0
         and 3N are two phase-weighted sums over the modes of one FFT, the
         second weighted by omega^(3N k) = (-i)^k."""
@@ -192,7 +179,7 @@ class FrameTable(NamedTuple):
         mus = np.asarray(mus, dtype=np.complex128).reshape(-1, 1)
         phase = mus**k
         phase[:, m // 2] = 0.5 * (phase[:, m // 2] + mus[:, 0] ** (m // 2))
-        modes = coefficients(_full_circle(self.F, self.window))
+        modes = coefficients(self.F)
         f1, f2 = (np.tensordot(w, modes, axes=(1, 1)) for w in (phase, phase * (-1j) ** k))
         return [FramePointPair(a, b) for a, b in zip(f1, f2)]
 
@@ -282,8 +269,8 @@ class SurfaceMap:
     Frames are carried as their values at the 4N roots of unity rotated by
     lam0, which must lie on the unit circle (ValueError at construction
     otherwise), and split there by ``iwasawa`` (a twisted potential's first 2N
-    by ``iwasawa_twisted``); the frame pair is read off the unitary factor at
-    samples 0 and 3N.  The window N is chosen per anchor
+    by ``iwasawa_twisted``), F coming back at all 4N; the frame pair is read
+    off the unitary factor at samples 0 and 3N.  The window N is chosen per anchor
     (a grid node, or the centre of a stencil) by one rule: the anchor is
     computed and split at the start window min(``START_WINDOW``, ``window``),
     and again at the cap, ``window`` (an integer >= 1, else a ValueError),
@@ -388,10 +375,8 @@ class SurfaceMap:
                 del waiting[:NODE_CHUNK]
 
     def unitary_frame(self, z: complex, winding: int = 0) -> IwasawaResult:
-        """Iwasawa split of the frame values at z, at the window the rule chooses for z, F at all 4N samples."""
-        ((_, _, res),) = [row for block in self._anchor_blocks([complex(z)], winding) for row in block]
-        raise_first([res])
-        return res._replace(F=_full_circle(res.F, res.window))
+        """Iwasawa split of the frame values at z, at the window the rule chooses for z."""
+        return _single([res for block in self._anchor_blocks([complex(z)], winding) for _, _, res in block])
 
     def frame_pair(self, z: complex, winding: int = 0) -> FramePointPair:
         """The unitary frame at (lam0, -i lam0)."""
@@ -404,7 +389,7 @@ class SurfaceMap:
         centre has as many points; they are held as one complex array.
 
         A centre with a route to a point past a pole fails with that error,
-        unless its split fails first, and joins no pass.  The others are the
+        yielded by the route check, and joins no pass.  The others are the
         anchors of ``_anchor_blocks``, which chooses each window once.  As each
         anchor block is split, its stencils follow, carried from the centres'
         values by ``_frames`` in blocks of NODE_CHUNK // (points a stencil), one
@@ -415,34 +400,33 @@ class SurfaceMap:
         """
         zs = [complex(z) for z in centres]
         pts = np.array([list(ps) for ps in points], dtype=np.complex128, ndmin=2)
-        routes: list = [None] * len(zs)
+        ids = []
         for i, (z, ps) in enumerate(zip(zs, pts)):
             try:
                 for p in (p for p in ps if p != z):
                     validate_path(DomainPath.line(z, p), self.pot)
+                ids.append(i)
             except PoleError as exc:
-                routes[i] = exc
+                yield i, exc
         per = max(1, NODE_CHUNK // max(1, pts.shape[1]))
-        # the centres that failed a route are split apart, so their own split's error comes first
-        for ids in [[i for i, exc in enumerate(routes) if exc], [i for i, exc in enumerate(routes) if not exc]]:
-            for block in self._anchor_blocks([zs[i] for i in ids], 0):
-                good = []
-                for k, state, res in block:
-                    if isinstance(res, Exception) or routes[ids[k]]:
-                        yield ids[k], res if isinstance(res, Exception) else routes[ids[k]]
-                    else:
-                        good.append((ids[k], state, res))
-                for stencils in (good[k : k + per] for k in range(0, len(good), per)):
-                    carried = [(p, (zs[i], state)) for i, state, _ in stencils for p in pts[i] if p != zs[i]]
-                    off = iter(self._split_rows(self._frames([p for p, _ in carried], 0, stencils[0][2].window,
-                                                        [start for _, start in carried])))
-                    for i, _, anchor in stencils:
-                        splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
-                        yield i, next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
-                            np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass,
-                            max(res.split_residual for res in splits))
-                    del off, splits
-                del block, good
+        for block in self._anchor_blocks([zs[i] for i in ids], 0):
+            good = []
+            for k, state, res in block:
+                if isinstance(res, Exception):
+                    yield ids[k], res
+                else:
+                    good.append((ids[k], state, res))
+            for stencils in (good[k : k + per] for k in range(0, len(good), per)):
+                carried = [(p, (zs[i], state)) for i, state, _ in stencils for p in pts[i] if p != zs[i]]
+                off = iter(self._split_rows(self._frames([p for p, _ in carried], 0, stencils[0][2].window,
+                                                    [start for _, start in carried])))
+                for i, _, anchor in stencils:
+                    splits = [anchor if p == zs[i] else next(off) for p in pts[i]]
+                    yield i, next((res for res in splits if isinstance(res, Exception)), None) or FrameTable(
+                        np.stack([res.F for res in splits]), anchor.window, anchor.section, anchor.edge_mass,
+                        max(res.split_residual for res in splits))
+                del off, splits
+            del block, good
 
     def lift(self, z: complex, winding: int = 0) -> np.ndarray:
         """Unit-norm Q2 lift (``unit_lift``); smooth in z by construction."""
@@ -492,7 +476,7 @@ def _read_chunk(zs: list[complex], splits: list) -> list[SurfaceSample]:
     if not rows:
         return out
     f1 = np.stack([splits[i].F[0] for i in rows])
-    f2 = np.stack([_minus_i(splits[i].F, splits[i].window) for i in rows])
+    f2 = np.stack([splits[i].F[3 * splits[i].window] for i in rows])
     gate = [e1 or e2 for e1, e2 in zip(_check_su2(f1, "F1"), _check_su2(f2, "F2"))]
     for i, exc in zip(rows, gate):
         if exc is not None:

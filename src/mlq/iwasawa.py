@@ -20,13 +20,15 @@ and F = Phi B^{-1} is formed and returned there: it is never projected onto
 a coefficient window, so no Laurent mode of F is dropped.
 
 A twisted loop, Phi(-lam) = sigma_3 Phi(lam) sigma_3, comes at the first 2N
-samples (``iwasawa_twisted``), and so do P, B and F, each as twisted.  With
-D(lam) = diag(1, lam), P_Y = D P D^{-1} is a loop in mu = lam^2 (Pressley &
-Segal, *Loop Groups*, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom. 6,
-1998), whose FFT at the 2N samples of mu holds P's modes |k| <= 2N - 1.  They
-couple entries of like parity only, so P's section falls into two parity
-classes, each a Toeplitz section of P_Y half its size: the split factors
-those, and reads B, the edge mass and the residual as the untwisted one.
+samples (``iwasawa_twisted``), and so do P, B and F, each as twisted; F's
+other 2N samples are F(-lam) = sigma_3 F(lam) sigma_3, so every split returns
+F at all 4N samples.  With D(lam) = diag(1, lam), P_Y = D P D^{-1} is a loop
+in mu = lam^2 (Pressley & Segal, *Loop Groups*, 1986; Dorfmeister, Pedit &
+Wu, Comm. Anal. Geom. 6, 1998), whose FFT at the 2N samples of mu holds P's
+modes |k| <= 2N - 1.  They couple entries of like parity only, so P's section
+falls into two parity classes, each a Toeplitz section of P_Y half its size:
+the split factors those, and reads B, the edge mass and the residual as the
+untwisted one.
 
 A stack of loops, shape (B, 4N, 2, 2), is split in one pass, a section
 size at a time over the rows still doubling, in stacked Choleskys of at
@@ -58,6 +60,9 @@ MAX_DOUBLINGS = 6
 #: malloc's mmap threshold (128 KB in glibc), so it and its factor are faulted in anew every call
 SECTION_ENTRIES = 4096
 
+#: sigma_3 M sigma_3 = M * _FLIP: a twisted F at sample j + 2N is F's at j times _FLIP, exactly
+_FLIP = np.outer([1.0, -1.0], [1.0, -1.0])
+
 
 class FactorizationError(RuntimeError):
     """The loop is not factorizable (not Hermitian / not positive definite)."""
@@ -70,8 +75,10 @@ class ConvergenceError(RuntimeError):
 class IwasawaResult(NamedTuple):
     """Normalized splitting Phi = F B.
 
-    F has shape (4N, 2, 2), or (2N, 2, 2) if twisted: F[j] = Phi[j] B(omega^j)^{-1} at
-    the samples Phi was given at, so F B = Phi holds there by construction; N is window.
+    F has shape (4N, 2, 2): F[j] = Phi[j] B(omega^j)^{-1} at the samples Phi was given
+    at, so F B = Phi holds there by construction, and a twisted loop's F(-lam) =
+    sigma_3 F(lam) sigma_3 at the rest.  N is window, kept by the split since its input
+    came at 2N samples if twisted, else at 4N.
     B has shape (2N, 2, 2): B[k] is the plus factor's coefficient of mu^k in the sample
     variable.  unitarity_error is max_j ||F[j]^* F[j] - I||.  edge_mass is
     P's relative edge mass, sum_{|k| >= 2N-2} ||P_k|| / ||P_0|| for
@@ -287,7 +294,7 @@ def iwasawa(values: np.ndarray):
 
 def iwasawa_twisted(values: np.ndarray):
     """``iwasawa`` of a twisted loop, or a stack, given at the first 2N of the 4N samples: F comes back
-    there, with the B, section, edge mass and residual the untwisted split reads off all 4N, its
+    at all 4N, with the B, section, edge mass and residual the untwisted split reads off all 4N, its
     section factored as two parity halves.  mu -> Phi(lam0 mu) is twisted too, so a rotated circle's
     samples split as they are."""
     return _split(values, True)
@@ -317,6 +324,7 @@ def _split(values: np.ndarray, twisted: bool) -> list:
     f = mul2(as_planes(phi[ok]), inv2(plus_values(b, 2 * b.shape[-3])[..., : phi.shape[-3], :, :]))
     gram_f = mul2(ct2(f), f) - np.eye(2)
     unitarity = np.linalg.norm(gram_f, axis=(-2, -1)).max(axis=-1)
+    f = np.concatenate([f, f * _FLIP], axis=-3) if twisted else f
     for k, i in enumerate(ok):
         out[i] = IwasawaResult(f[k], b[k], float(unitarity[k]), *out[i][1:], n)
     return out

@@ -754,10 +754,10 @@ def test_family_transports_as_verify_does(tmp_path, monkeypatch, sweep):
 
 
 def test_family_keeps_going_past_a_failed_node(tmp_path):
-    # the node at 0.0015 is too near the pole for the split at N = 8 (P is not
-    # positive definite there; the twisted split reads its 2N = 16 samples):
-    # it fails alone, in family as in verify, and
-    # the deviations are taken over the other three nodes
+    # the node at 0.0015 is too near the pole: its stencil's point 0.0015 - 2h
+    # lies past it, so the route check fails it before any split, alone, in
+    # family as in verify, and the deviations are taken over the other three
+    # nodes
     cfg = write_cfg(
         tmp_path, "fam.json", truncation_N=8, sweep=2,
         potential={"variant": "equivariant", "a": 0.75, "b": 0.25},
@@ -767,7 +767,7 @@ def test_family_keeps_going_past_a_failed_node(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--jobs", "1"]) == EXIT_OK
     family = json.loads((tmp_path / "f" / "family.json").read_text())
     report = json.loads((tmp_path / "v" / "report.json").read_text())
-    error = "loop is not positive definite at sample 0 of 16"
+    error = "path segment (0.0015+0j) -> (-0.0005+0j) passes within 0.00e+00 of singular point 0j"
     assert family["n_failed"] == report["n_failed"] == 1
     assert [(f["index"], f["z_re"], f["z_im"]) for f in family["failures"]] == [(0, 0.0015, 0.0)]
     assert family["failures"][0]["error"].startswith(error) and report["nodes"][0]["error"].startswith(error)

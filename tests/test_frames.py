@@ -212,11 +212,11 @@ def test_stencil_centre_is_the_frame_pair(family, z):
 def test_stencil_centre_is_the_frame_pair_at_either_window(z):
     # z = 0.3 is read at the cap, z = 1.2 at the start window: either way the
     # whole stencil shares the centre's window and the centre is frame_pair's;
-    # the map is twisted, so the table holds the first 2N samples
+    # the map is twisted, and the table holds F at all 4N samples
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     table = frame_table(smap, z, [z, z + 1e-3, z - 1e-3j])
     single = smap.frame_pair(z)
-    assert table.F.shape == (3, 2 * smap.unitary_frame(z).window, 2, 2)
+    assert table.F.shape == (3, 4 * smap.unitary_frame(z).window, 2, 2)
     assert np.array_equal(table.pair().F1[0], single.F1) and np.array_equal(table.pair().F2[0], single.F2)
 
 
@@ -297,7 +297,7 @@ def test_a_split_that_fails_below_the_cap_is_read_at_the_cap(monkeypatch):
     smap = tight_map(equivariant_spec(0.75, 0.25), window=16)
     s = smap.sample(z)
     assert s.valid and s.diagnostics["window"] == 16
-    assert frame_table(smap, z, [z, z + 1e-3]).F.shape == (2, 2 * 16, 2, 2)
+    assert frame_table(smap, z, [z, z + 1e-3]).F.shape == (2, 4 * 16, 2, 2)
     # at the cap the failure is the node's own error
     capped = tight_map(equivariant_spec(0.75, 0.25), window=START_WINDOW)
     assert capped.sample(z).error == "stand-in"
@@ -688,6 +688,34 @@ def test_a_denominator_zero_is_a_pole_of_the_custom_potential():
     assert smap.ode_counts.steps > 0
 
 
+def test_a_route_failed_centre_reaches_no_transport_and_no_split(monkeypatch):
+    # the trinoid centre 0.0015's stencil reaches 0.0015 - 2h, past the pole
+    # at 0: the route check fails it, and none of its rows is transported or
+    # split; every route and split stack is one the other centres run alone
+    seen = []
+    run, split = holonomy.transport, frames.iwasawa
+
+    def transport(pot, paths, *args):
+        seen.append([path.vertices for path in paths])
+        return run(pot, paths, *args)
+
+    def splitting(values):
+        seen.append(values.copy())
+        return split(values)
+
+    monkeypatch.setattr(holonomy, "transport", transport)
+    monkeypatch.setattr(frames, "iwasawa", splitting)
+    pot = make_potential(trinoid_spec(1j, 1.0, 1.0, 1.0))
+    zs = [0.3 + 0.1j, 0.0015, 0.5 + 0.2j]
+    tables = in_order(SurfaceMap(pot, 1j, window=8).frame_tables(zs, _diamonds(zs)))
+    assert isinstance(tables[1], PoleError) and "(-0.0005+0j) passes within" in str(tables[1])
+    with_failed, seen[:] = list(seen), []
+    alone = in_order(SurfaceMap(pot, 1j, window=8).frame_tables(zs[::2], _diamonds(zs[::2])))
+    assert len(with_failed) == len(seen) > 0
+    assert all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in zip(with_failed, seen))
+    assert all(np.array_equal(a.F, b.F) for a, b in zip(tables[::2], alone))
+
+
 def test_a_route_into_an_undeclared_pole_fails_only_its_own_node():
     # with its pole left out of the singular set, the route to 0.3 passes
     # validation as one Taylor piece from 0, whose series does not converge
@@ -790,16 +818,16 @@ def test_build_surface_covers_grid():
 
 
 def test_an_untwisted_map_carries_all_4n_samples():
-    # a lam^0 E_21 term breaks the twist: frames, tables and splits keep all 4N
-    # samples, where the twisted map (radial) carries the first 2N; both read
-    # F at all 4N through unitary_frame, on a first section of 2N blocks
+    # a lam^0 E_21 term breaks the twist: its frames keep all 4N samples, where
+    # the twisted map (radial) carries the first 2N; both split F back at all
+    # 4N, in tables and through unitary_frame, on a first section of 2N blocks
     e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
     untwisted = make_potential(custom_spec([CustomTerm(-1, e12), CustomTerm(0, e21)], [], 0.0))
     assert not untwisted.twisted and make_potential(radial_spec(0.5, 1)).twisted
     for pot, samples in ((untwisted, 32), (make_potential(radial_spec(0.5, 1)), 16)):
         smap = SurfaceMap(pot, window=8)
         assert smap._lams[8].shape == (samples,)
-        assert frame_table(smap, 0.3, [0.3, 0.301]).F.shape == (2, samples, 2, 2)
+        assert frame_table(smap, 0.3, [0.3, 0.301]).F.shape == (2, 32, 2, 2)
         res = smap.unitary_frame(0.3)
         assert res.F.shape == (32, 2, 2) and res.window == 8 and res.section == 16
         assert smap.sample(0.3).diagnostics["section"] == 16

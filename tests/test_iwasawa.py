@@ -23,7 +23,7 @@ from mlq.iwasawa import (
     spectral_factor_plus,
 )
 from mlq.loops import coefficients, window_samples
-from mlq.frames import EDGE_TOL, FRAME_TOL, SurfaceMap, _full_circle
+from mlq.frames import EDGE_TOL, FRAME_TOL, SurfaceMap
 from mlq.potentials import equivariant_spec, make_potential, radial_spec, sphere_spec, torus_spec
 
 SIGMA3 = np.diag([1.0, -1.0])
@@ -39,11 +39,16 @@ def frame_at(spec, z: complex, window: int = 12) -> np.ndarray:
     )
 
 
+def full_circle(phi: np.ndarray) -> np.ndarray:
+    """A twisted loop at all 4N samples from its first 2N: 2N samples on,
+    Phi(-lam) = sigma_3 Phi(lam) sigma_3."""
+    return np.concatenate([phi, SIGMA3 @ phi @ SIGMA3])
+
+
 def map_frames(spec, zs, n: int) -> list:
-    """A SurfaceMap's Phi at window n for each z (or its error), at all 4N samples: a
-    twisted map's first 2N and, from the twist, the rest."""
+    """A twisted SurfaceMap's Phi at window n for each z (or its error), at all 4N samples."""
     phis = SurfaceMap(make_potential(spec), window=n)._frames(zs, 0, n)
-    return [phi if isinstance(phi, Exception) else _full_circle(phi, n) for phi in phis]
+    return [phi if isinstance(phi, Exception) else full_circle(phi) for phi in phis]
 
 
 def symbol(b: np.ndarray, m: int) -> np.ndarray:
@@ -232,7 +237,7 @@ def test_a_row_splits_the_same_in_any_stack(family, n, offsets):
     phis = SurfaceMap(make_potential(spec), window=n)._frames(zs, 0, n)
     phis = [phi for phi in phis if not isinstance(phi, Exception)]
     assume(phis)
-    for split, values in ((iwasawa_twisted, phis), (iwasawa, [_full_circle(phi, n) for phi in phis])):
+    for split, values in ((iwasawa_twisted, phis), (iwasawa, [full_circle(phi) for phi in phis])):
         for phi, row in zip(values, split(np.stack(values))):
             assert_same_row(row, split_alone(split, phi))
 
@@ -454,11 +459,12 @@ def test_split_recovers_a_known_factorization(factors, degree, seed, theta):
     degree=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     theta=st.floats(0.0, 2.0 * np.pi),
-    n=st.sampled_from([3, 4, 8, 16]),
+    n=st.sampled_from([2, 3, 4, 8, 16]),
 )
 def test_the_twisted_split_is_the_4n_split_on_random_twisted_loops(factors, degree, seed, theta, n):
     # a random twisted loop F B on the circle rotated by lam0, split from its
-    # first 2N samples: F at those samples, P's edge mass and the section are
+    # first 2N samples: F comes back at all 4N, its second half the first's
+    # sigma_3 F sigma_3 bit for bit, and F, P's edge mass and the section are
     # the lam-split's of all 4N, resolved or not, or it fails as that does
     lams = np.exp(1j * theta) * window_samples(n)
     phi = loop_at(dict(enumerate(twisted_plus_loop(np.random.default_rng(seed), degree))), lams)
@@ -468,8 +474,9 @@ def test_the_twisted_split_is_the_4n_split_on_random_twisted_loops(factors, degr
     if isinstance(full, Exception):
         assert type(half) is type(full)
         return
-    assert half.window == full.window == n and half.F.shape == (2 * n, 2, 2)
-    np.testing.assert_allclose(half.F, full.F[: 2 * n], rtol=0, atol=1e-12)
+    assert half.window == full.window == n and half.F.shape == (4 * n, 2, 2)
+    assert np.array_equal(half.F[2 * n :], SIGMA3 @ half.F[: 2 * n] @ SIGMA3)
+    np.testing.assert_allclose(half.F, full.F, rtol=0, atol=1e-13)
     assert abs(half.edge_mass - full.edge_mass) <= 1e-14 * max(1.0, full.edge_mass)
     assert half.section == full.section
 
@@ -488,7 +495,7 @@ def test_the_twisted_split_factors_two_halves_of_the_section(monkeypatch, n):
     assert shapes == [(4 * n, 4 * n), (2, 2 * n, 2 * n)]
     assert half.section == full.section == 2 * n and half.B.shape == full.B.shape == (2 * n, 2, 2)
     np.testing.assert_allclose(half.B, full.B, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(half.F, full.F[: 2 * n], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(half.F, full.F, rtol=0, atol=1e-13)
 
 
 def test_split_matches_the_mpmath_oracle():

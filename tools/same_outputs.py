@@ -52,6 +52,9 @@ def configs() -> list[tuple[str, str, dict]]:
     trinoid3 = config(TRINOID, grid((0.3, 0.7), (0.25, 0.65), 3, 3), lambda0={"re": 0.0, "im": 1.0})
     # 22 of the 42 nodes are read at the cap
     radial_capped = config(RADIAL, grid((-1.4, 1.4), (-1.4, 1.4), 7, 6), truncation_N=16, sweep=4)
+    # the stencil of the node 1 + 0.0025i passes within EPS_POLE of the pole at 1: it fails its route check
+    trinoid_route = config(TRINOID, grid((0.3, 1.0), (0.0025, 0.4025), 8, 5), lambda0={"re": 0.0, "im": 1.0},
+                           ode={"tolerance": 1e-12}, sweep=4)
     return runs + [
         ("radial 60x60 generate", "generate", config(RADIAL, grid((-0.6, 0.6), (-0.6, 0.6), 60, 60))),
         ("radial 8x8 verify", "verify", radial8),
@@ -64,6 +67,8 @@ def configs() -> list[tuple[str, str, dict]]:
         ("equivariant 7x7 family sweep 4", "family", equivariant7),
         ("radial window 16 7x6 verify", "verify", radial_capped),
         ("radial window 16 7x6 family sweep 4", "family", radial_capped),
+        ("trinoid route-failed 8x5 verify", "verify", trinoid_route),
+        ("trinoid route-failed 8x5 family sweep 4", "family", trinoid_route),
     ]
 
 
